@@ -8,7 +8,9 @@
 // searcher axis existed still match fresh coverage cells; cells
 // present in only one report are skipped with a note, so a reduced CI
 // grid (fewer repeats, no cluster scenario) gates only what it
-// actually measured. Timing noise is expected — the default 25%
+// actually measured, and baseline cells of retired modes (the
+// "portfolio" solver cells, the "straggler-static" scenario) are
+// skipped rather than failed. Timing noise is expected — the default 25%
 // threshold is meant to catch structural regressions (a scheduler
 // serializing, a solver losing its cache), not jitter.
 //

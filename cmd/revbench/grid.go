@@ -12,7 +12,6 @@ import (
 	"revnic/internal/drivers"
 	"revnic/internal/experiments"
 	"revnic/internal/expr"
-	"revnic/internal/solver"
 	"revnic/internal/symexec"
 )
 
@@ -22,15 +21,14 @@ import (
 // Every cell explores the same deterministic schedule (fixed seed,
 // same searcher), so the grid isolates solver-path cost: the
 // incremental default (assumption-trail sessions + counterexample
-// index) versus the no-incremental ablation versus the portfolio.
+// index) versus the no-incremental ablation.
 // Each run gets a fresh expression arena, so no interning carries
 // over between cells and timings stay comparable.
 
 type gridCell struct {
 	// Solver names the solver configuration: "incremental" (the
-	// default core backend with push/pop sessions), "no-incremental"
-	// (ablation: one-shot solves only), "portfolio" (backend racing
-	// on hard queries).
+	// default push/pop sessions) or "no-incremental" (ablation:
+	// one-shot solves only).
 	Solver  string `json:"solver"`
 	Workers int    `json:"workers"`
 	// Searcher names the path-selection strategy the cell ran with.
@@ -45,9 +43,9 @@ type gridCell struct {
 	// independent counter baselines.
 	ShardFactor int `json:"shard_factor,omitempty"`
 	// Scenario tags cells outside the plain solver grid; the
-	// coordinator straggler cells use "straggler-static" and
-	// "straggler-steal" (one slow peer, static hash dispatch vs the
-	// capacity-aware work queue).
+	// coordinator straggler cells use "straggler-nosteal" and
+	// "straggler-steal" (one slow peer, work queue with stealing off
+	// vs on).
 	Scenario string `json:"scenario,omitempty"`
 	// Wall-clock milliseconds for the whole four-driver workload (one
 	// coordinator job for the straggler cells).
@@ -60,9 +58,9 @@ type gridCell struct {
 	CacheHits     int64 `json:"cache_hits"`
 	ModelHits     int64 `json:"model_hits"`
 	CoveredBlocks int   `json:"covered_blocks"`
-	// SpeedupX, on the straggler-steal cell, is the static cell's mean
-	// divided by this cell's mean: how much the work queue recovers
-	// from one slow peer.
+	// SpeedupX, on the straggler-steal cell, is the no-steal cell's
+	// mean divided by this cell's mean: how much stealing recovers from
+	// one slow peer.
 	SpeedupX float64 `json:"speedup_x,omitempty"`
 }
 
@@ -80,14 +78,12 @@ func runGrid(strategy string, searcher symexec.SearcherFactory, repeats int, out
 		repeats = 1
 	}
 	type mode struct {
-		name    string
-		backend string
-		noInc   bool
+		name  string
+		noInc bool
 	}
 	modes := []mode{
 		{name: "incremental"},
 		{name: "no-incremental", noInc: true},
-		{name: "portfolio", backend: solver.BackendPortfolio},
 	}
 	var names []string
 	for _, d := range drivers.All() {
@@ -115,7 +111,6 @@ func runGrid(strategy string, searcher symexec.SearcherFactory, repeats int, out
 				Workers:                  cell.Workers,
 				Searcher:                 cellSearcher,
 				Arena:                    expr.NewArena(),
-				SolverBackend:            m.backend,
 				DisableIncrementalSolver: m.noInc,
 				ShardFactor:              cell.ShardFactor,
 			})

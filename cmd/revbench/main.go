@@ -19,7 +19,6 @@ import (
 	"revnic/internal/drivers"
 	"revnic/internal/experiments"
 	"revnic/internal/expr"
-	"revnic/internal/solver"
 	"revnic/internal/symexec"
 )
 
@@ -29,27 +28,17 @@ func main() {
 		list     = flag.Bool("list", false, "list experiment ids")
 		strategy = flag.String("strategy", "coverage", "path selection strategy for the exploration runs: "+strings.Join(symexec.SearcherNames(), ", "))
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "worker pool size for the reverse-engineering context (results are identical for any value)")
-		backend  = flag.String("solver", "", "solver backend: "+strings.Join(solver.BackendNames(), ", ")+" (default core; results are identical)")
-		race     = flag.Bool("portfolio", false, "race solver backends on hard queries (shorthand for -solver=portfolio)")
 		grid     = flag.Bool("grid", false, "run the solver/scheduling timing grid (workers x solver modes x shard factors) instead of the experiments")
 		repeats  = flag.Int("repeats", 3, "repetitions per grid cell (with -grid)")
 		gridOut  = flag.String("grid-out", "BENCH_9.json", "grid report output path (with -grid; '-' for stdout)")
 		gridCSV  = flag.String("csv", "", "also export every individual grid run as CSV to this path (with -grid)")
-		gridClu  = flag.Bool("grid-cluster", false, "include the coordinator straggler scenario (static vs work-stealing dispatch with one slow peer) in the grid")
+		gridClu  = flag.Bool("grid-cluster", false, "include the coordinator straggler scenario (work queue with stealing off vs on, one slow peer) in the grid")
 		shardFac = flag.Int("shard-factor", 0, "shard-group granularity multiplier for the experiment runs: 0 auto-sizes (results are identical for a fixed value)")
 	)
 	flag.Parse()
 	if *list {
 		fmt.Println(strings.Join(experiments.List(), "\n"))
 		return
-	}
-	if *race && *backend == "" {
-		*backend = solver.BackendPortfolio
-	}
-	if !solver.ValidBackend(*backend) {
-		fmt.Fprintf(os.Stderr, "revbench: unknown solver backend %q (have %s)\n",
-			*backend, strings.Join(solver.BackendNames(), ", "))
-		os.Exit(1)
 	}
 	searcher, err := symexec.SearcherByName(*strategy)
 	if err != nil {
@@ -66,8 +55,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "revbench: reverse engineering all four drivers (%d workers, %s strategy)...\n",
 		*workers, *strategy)
 	ctx, err := experiments.NewContextCfg(experiments.ContextConfig{
-		Workers: *workers, Searcher: searcher, SolverBackend: *backend,
-		ShardFactor: *shardFac,
+		Workers: *workers, Searcher: searcher, ShardFactor: *shardFac,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "revbench: %v\n", err)

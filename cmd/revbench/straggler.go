@@ -15,14 +15,13 @@ import (
 
 // The coordinator straggler scenario (-grid-cluster): one job fans
 // its shard groups out to two live in-process peers, one of which
-// answers every shard request 1.2 seconds late. The same spec runs
-// under static hash dispatch (each shard pinned to its hash-selected
-// peer — the pre-queue scheduler) and under the capacity-aware work
-// queue (idle peers pull shards, stragglers are re-dispatched
-// first-completion-wins). Both runs must produce results bit-identical
-// to a single-node run of the spec (arena_nodes excepted, as always
-// for coordinator mode); the wall-clock ratio between them is what
-// the scheduler buys back from a slow node.
+// answers every shard request 1.2 seconds late. The same spec runs on
+// the work queue twice: with stealing off (a shard the slow peer pulled
+// waits out its latency) and with stealing on (stragglers are
+// re-dispatched first-completion-wins). Both runs must produce results
+// bit-identical to a single-node run of the spec (arena_nodes
+// excepted, as always for coordinator mode); the wall-clock ratio
+// between them is what stealing buys back from a slow node.
 
 const (
 	stragglerLatency = 1200 * time.Millisecond
@@ -40,14 +39,14 @@ func runStragglerScenario(repeats int) ([]gridCell, error) {
 		return nil, fmt.Errorf("straggler baseline: %w", err)
 	}
 
-	static := gridCell{Solver: "incremental", Workers: spec.Workers, Scenario: "straggler-static"}
+	nosteal := gridCell{Solver: "incremental", Workers: spec.Workers, Scenario: "straggler-nosteal"}
 	steal := gridCell{Solver: "incremental", Workers: spec.Workers, Scenario: "straggler-steal"}
 	for rep := 0; rep < repeats; rep++ {
 		for _, mode := range []struct {
-			cell   *gridCell
-			static bool
-		}{{&static, true}, {&steal, false}} {
-			ms, res, err := timeStragglerRun(spec, mode.static)
+			cell    *gridCell
+			noSteal bool
+		}{{&nosteal, true}, {&steal, false}} {
+			ms, res, err := timeStragglerRun(spec, mode.noSteal)
 			if err != nil {
 				return nil, fmt.Errorf("straggler %s: %w", mode.cell.Scenario, err)
 			}
@@ -63,23 +62,23 @@ func runStragglerScenario(repeats int) ([]gridCell, error) {
 			}
 		}
 	}
-	static.MeanMS, static.StdMS = meanStd(static.RunsMS)
+	nosteal.MeanMS, nosteal.StdMS = meanStd(nosteal.RunsMS)
 	steal.MeanMS, steal.StdMS = meanStd(steal.RunsMS)
 	if steal.MeanMS > 0 {
-		steal.SpeedupX = static.MeanMS / steal.MeanMS
+		steal.SpeedupX = nosteal.MeanMS / steal.MeanMS
 	}
-	fmt.Fprintf(os.Stderr, "revbench: straggler static %.0f ms, steal %.0f ms — %.2fx recovery\n",
-		static.MeanMS, steal.MeanMS, steal.SpeedupX)
+	fmt.Fprintf(os.Stderr, "revbench: straggler no-steal %.0f ms, steal %.0f ms — %.2fx recovery\n",
+		nosteal.MeanMS, steal.MeanMS, steal.SpeedupX)
 	if steal.SpeedupX < 1.3 {
 		fmt.Fprintf(os.Stderr, "revbench: WARNING: straggler recovery %.2fx below the 1.3x target\n", steal.SpeedupX)
 	}
-	return []gridCell{static, steal}, nil
+	return []gridCell{nosteal, steal}, nil
 }
 
 // timeStragglerRun stands up two live peers (one chronically slow at
-// the transport layer), runs one coordinator job in the given dispatch
-// mode, and returns the job wall-clock and result.
-func timeStragglerRun(spec jobsvc.JobSpec, staticDispatch bool) (float64, *jobsvc.JobResult, error) {
+// the transport layer), runs one coordinator job with stealing on or
+// off, and returns the job wall-clock and result.
+func timeStragglerRun(spec jobsvc.JobSpec, noSteal bool) (float64, *jobsvc.JobResult, error) {
 	fast := jobsvc.New(jobsvc.Config{Pool: 1, ShardPool: 16})
 	tsFast := httptest.NewServer(fast.Handler())
 	slow := jobsvc.New(jobsvc.Config{Pool: 1, ShardPool: 16})
@@ -100,19 +99,19 @@ func timeStragglerRun(spec jobsvc.JobSpec, staticDispatch bool) (float64, *jobsv
 	ft.SetLatency(tsSlow.URL, stragglerLatency)
 
 	coord := jobsvc.New(jobsvc.Config{
-		Pool:           1,
-		Coordinator:    true,
-		StaticDispatch: staticDispatch,
+		Pool:        1,
+		Coordinator: true,
 		Cluster: cluster.Config{
-			Peers:          []string{tsFast.URL, tsSlow.URL},
-			Transport:      ft,
-			AttemptTimeout: 60 * time.Second,
-			MaxAttempts:    3,
-			BackoffBase:    time.Millisecond,
-			BackoffCap:     10 * time.Millisecond,
-			Seed:           7,
-			StealAfterMin:  stragglerSteal,
-			StealInterval:  10 * time.Millisecond,
+			Peers:           []string{tsFast.URL, tsSlow.URL},
+			Transport:       ft,
+			AttemptTimeout:  60 * time.Second,
+			MaxAttempts:     3,
+			BackoffBase:     time.Millisecond,
+			BackoffCap:      10 * time.Millisecond,
+			Seed:            7,
+			DisableStealing: noSteal,
+			StealAfterMin:   stragglerSteal,
+			StealInterval:   10 * time.Millisecond,
 			// The slow peer still succeeds (latency < timeout), so the
 			// breaker never has failures to count; a high MinSamples
 			// keeps it out of the measurement entirely.

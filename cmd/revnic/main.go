@@ -17,13 +17,11 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
 
 	"revnic/internal/core"
 	"revnic/internal/drivers"
 	"revnic/internal/expr"
-	"revnic/internal/solver"
 	"revnic/internal/symexec"
 	"revnic/internal/synth"
 	"revnic/internal/template"
@@ -40,17 +38,9 @@ func main() {
 		noInc      = flag.Bool("no-incremental", false, "disable the solver's incremental SAT sessions (ablation; results are identical)")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "goroutines exploring phase shards concurrently (results are identical for any value)")
 		shardFac   = flag.Int("shard-factor", 0, "shard-group granularity multiplier: 0 auto-sizes, 1 reproduces the coarse schedule (part of the deterministic schedule, like -seed)")
-		backend    = flag.String("solver", "", "solver backend: "+strings.Join(solver.BackendNames(), ", ")+" (default core; results are identical)")
-		race       = flag.Bool("portfolio", false, "race solver backends on hard queries (shorthand for -solver=portfolio)")
 		style      = flag.String("style", "", "code-emission style: "+strings.Join(synth.StyleNames(), ", ")+" (default goto; only the emitted-code shape changes)")
 	)
 	flag.Parse()
-	if *race && *backend == "" {
-		*backend = solver.BackendPortfolio
-	}
-	if !solver.ValidBackend(*backend) {
-		fatal("unknown solver backend %q (have %s)", *backend, strings.Join(solver.BackendNames(), ", "))
-	}
 	if !synth.ValidStyle(*style) {
 		fatal("unknown emission style %q (have %s)", *style, strings.Join(synth.StyleNames(), ", "))
 	}
@@ -73,8 +63,7 @@ func main() {
 		Engine: symexec.Config{
 			Seed: *seed, Searcher: searcher,
 			DisableIncrementalSolver: *noInc, Workers: *workers,
-			ShardFactor:   *shardFac,
-			SolverBackend: *backend,
+			ShardFactor: *shardFac,
 		},
 	})
 	if err != nil {
@@ -99,18 +88,6 @@ func main() {
 		// run, one process); revnicd uses a private expr.Arena per job
 		// instead, so this count stays flat there.
 		fmt.Fprintf(os.Stderr, "revnic: %d interned expression nodes\n", expr.InternedNodes())
-		if races := solver.PortfolioSnapshot(); len(races) > 0 {
-			names := make([]string, 0, len(races))
-			for n := range races {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			for _, n := range names {
-				c := races[n]
-				fmt.Fprintf(os.Stderr, "revnic: portfolio backend %s: %d wins, %d losses, %d cancels\n",
-					n, c.Wins, c.Losses, c.Cancels)
-			}
-		}
 		for _, wmsg := range rev.Synth.Warnings {
 			fmt.Fprintf(os.Stderr, "revnic: warning: %s\n", wmsg)
 		}

@@ -10,8 +10,7 @@
 //	        [-data-dir DIR] [-max-job-wall 0] [-per-client 0]
 //	        [-retain-count 256] [-retain-age 0] [-max-body 8388608]
 //	        [-peers URL,URL,...] [-coordinator] [-shard-pool 2]
-//	        [-probe-interval 5s] [-solver core|smalldomain|portfolio]
-//	        [-portfolio]
+//	        [-probe-interval 5s] [-no-steal] [-steal-after 0]
 //
 // Jobs run on a bounded pool; each job explores inside its own
 // expression arena, so finished jobs release all their interned
@@ -28,8 +27,9 @@
 //
 // Cluster mode: with -coordinator, each job's deterministic fork-join
 // shard groups are fanned out to the -peers instances over POST
-// /shards, with per-shard timeouts, retries, hedged requests and
-// per-peer circuit breakers; shards no peer can serve run locally, so
+// /shards through a work queue that idle peers pull from, with
+// per-shard timeouts, retries, straggler stealing and per-peer
+// circuit breakers; shards no peer can serve run locally, so
 // a job completes as long as this node lives, and the merged result
 // is bit-identical to a single-node run. Every revnicd serves /shards
 // (bounded by -shard-pool) whether or not it coordinates, so a
@@ -60,7 +60,6 @@ import (
 
 	"revnic/internal/cluster"
 	"revnic/internal/jobsvc"
-	"revnic/internal/solver"
 )
 
 func main() {
@@ -79,21 +78,10 @@ func main() {
 		coordinator   = flag.Bool("coordinator", false, "fan job shards out to -peers (local fallback guaranteed)")
 		shardPool     = flag.Int("shard-pool", 2, "remote shards served concurrently before 503")
 		noSteal       = flag.Bool("no-steal", false, "disable work-stealing re-dispatch of straggler shards (results are identical)")
-		staticDisp    = flag.Bool("static-dispatch", false, "dispatch each shard to its hash-selected peer instead of the capacity-aware work queue (results are identical)")
 		stealAfter    = flag.Duration("steal-after", 0, "minimum in-flight time before a shard counts as a straggler (0 = default 750ms)")
 		probeInterval = flag.Duration("probe-interval", 5*time.Second, "peer health-probe period (0 = no probing)")
-		backend       = flag.String("solver", "", "default solver backend for specs that omit solver_backend: "+strings.Join(solver.BackendNames(), ", ")+" (default core; results are identical)")
-		race          = flag.Bool("portfolio", false, "race solver backends on hard queries by default (shorthand for -solver=portfolio)")
 	)
 	flag.Parse()
-	if *race && *backend == "" {
-		*backend = solver.BackendPortfolio
-	}
-	if !solver.ValidBackend(*backend) {
-		fmt.Fprintf(os.Stderr, "revnicd: unknown solver backend %q (have %s)\n",
-			*backend, strings.Join(solver.BackendNames(), ", "))
-		os.Exit(1)
-	}
 
 	var peerList []string
 	if *peers != "" {
@@ -104,25 +92,23 @@ func main() {
 		}
 	}
 	svc, err := jobsvc.Open(jobsvc.Config{
-		Pool:           *pool,
-		QueueDepth:     *queue,
-		MaxJobWall:     *maxJobWall,
-		PerClientCap:   *perClient,
-		RetainCount:    *retainCount,
-		RetainAge:      *retainAge,
-		MaxBodyBytes:   *maxBody,
-		DataDir:        *dataDir,
-		Coordinator:    *coordinator,
-		ShardPool:      *shardPool,
-		StaticDispatch: *staticDisp,
+		Pool:         *pool,
+		QueueDepth:   *queue,
+		MaxJobWall:   *maxJobWall,
+		PerClientCap: *perClient,
+		RetainCount:  *retainCount,
+		RetainAge:    *retainAge,
+		MaxBodyBytes: *maxBody,
+		DataDir:      *dataDir,
+		Coordinator:  *coordinator,
+		ShardPool:    *shardPool,
 		Cluster: cluster.Config{
 			Peers:           peerList,
 			Logf:            log.Printf,
 			DisableStealing: *noSteal,
 			StealAfterMin:   *stealAfter,
 		},
-		ProbeInterval:        *probeInterval,
-		DefaultSolverBackend: *backend,
+		ProbeInterval: *probeInterval,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "revnicd: %v\n", err)

@@ -34,8 +34,7 @@ func backoffDelay(base, cap time.Duration, attempt int, seed int64, key string) 
 }
 
 // hash64 is the package's deterministic mixing function (FNV-1a over
-// the seed, key and attempt number), shared by jitter and peer
-// selection.
+// the seed, key and attempt number) behind the backoff jitter.
 func hash64(seed int64, key string, attempt int) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte

@@ -3,9 +3,6 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"fmt"
-	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -41,49 +38,50 @@ func testDispatcher(ft *FaultTransport, peers []string, tweak func(*Config)) *Di
 	return NewDispatcher(cfg)
 }
 
-func peerTotals(s Snapshot) (attempts, retries, failures, overloads, hedges int64) {
+func peerTotals(s Snapshot) (attempts, retries, failures, overloads int64) {
 	for _, p := range s.Peers {
 		attempts += p.Attempts
 		retries += p.Retries
 		failures += p.Failures
 		overloads += p.Overloads
-		hedges += p.Hedges
 	}
 	return
 }
 
-func TestDispatcherHealthyPath(t *testing.T) {
-	ft := NewFaultTransport(echoHandler)
-	d := testDispatcher(ft, []string{"p1", "p2"}, nil)
-	body, err := d.Do(context.Background(), "k", []byte("x"), acceptJSON, func() ([]byte, error) {
-		t.Fatal("local fallback invoked on healthy path")
-		return nil, nil
-	})
+// runSlowLocal runs n queue items whose local execution takes long
+// enough that the local capacity slot holds at most one item while the
+// peers work through the rest, so retries stay on the peers.
+func runSlowLocal(t *testing.T, d *Dispatcher, n int) [][]byte {
+	t.Helper()
+	bodies, err := d.RunQueue(context.Background(), queueItemsWork(n, 100*time.Millisecond, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(body), `"len":1`) {
-		t.Fatalf("unexpected body %s", body)
+	for i, b := range bodies {
+		if err := acceptJSON(b); err != nil {
+			t.Fatalf("body %d is not valid JSON: %v", i, err)
+		}
 	}
-	if s := d.Snapshot(); s.Fallbacks != 0 {
-		t.Fatalf("fallbacks = %d, want 0", s.Fallbacks)
-	}
+	return bodies
 }
 
 func TestDispatcherRetriesDropThenSucceeds(t *testing.T) {
 	ft := NewFaultTransport(echoHandler)
 	for _, p := range []string{"p1", "p2"} {
-		ft.Script(p, Fault{Drop: true})
+		ft.Script(p, Fault{Drop: true}, Fault{Drop: true})
 	}
-	d := testDispatcher(ft, []string{"p1", "p2"}, nil)
-	_, err := d.Do(context.Background(), "k", []byte("x"), acceptJSON, func() ([]byte, error) {
-		t.Fatal("fallback invoked though retries could succeed")
-		return nil, nil
+	// Four drops cannot exhaust one item's five attempts, so every item
+	// must settle without the exhausted-item local fallback.
+	d := testDispatcher(ft, []string{"p1", "p2"}, func(c *Config) {
+		c.MaxAttempts = 5
+		c.StealInterval = time.Millisecond
 	})
-	if err != nil {
-		t.Fatal(err)
+	runSlowLocal(t, d, 6)
+	s := d.Snapshot()
+	if s.Fallbacks != 0 {
+		t.Fatalf("fallbacks = %d, want 0: retries could succeed", s.Fallbacks)
 	}
-	_, retries, failures, _, _ := peerTotals(d.Snapshot())
+	_, retries, failures, _ := peerTotals(s)
 	if retries < 1 || failures < 1 {
 		t.Fatalf("retries=%d failures=%d, want both >= 1", retries, failures)
 	}
@@ -92,55 +90,22 @@ func TestDispatcherRetriesDropThenSucceeds(t *testing.T) {
 func TestDispatcherTornBodyRetried(t *testing.T) {
 	ft := NewFaultTransport(echoHandler)
 	for _, p := range []string{"p1", "p2"} {
-		ft.Script(p, Fault{Torn: true})
+		ft.Script(p, Fault{Torn: true}, Fault{Torn: true})
 	}
-	d := testDispatcher(ft, []string{"p1", "p2"}, nil)
-	body, err := d.Do(context.Background(), "k", []byte("x"), acceptJSON, func() ([]byte, error) {
-		t.Fatal("fallback invoked though a retry could succeed")
-		return nil, nil
+	d := testDispatcher(ft, []string{"p1", "p2"}, func(c *Config) {
+		c.MaxAttempts = 5
+		c.StealInterval = time.Millisecond
 	})
-	if err != nil {
-		t.Fatal(err)
+	// runSlowLocal checks every returned body passes Accept: a torn body
+	// must never be returned, only retried.
+	runSlowLocal(t, d, 6)
+	s := d.Snapshot()
+	if s.Fallbacks != 0 {
+		t.Fatalf("fallbacks = %d, want 0: retries could succeed", s.Fallbacks)
 	}
-	if err := acceptJSON(body); err != nil {
-		t.Fatalf("returned body is not valid JSON: %v", err)
-	}
-}
-
-func TestDispatcherAllPeersDeadFallsBackLocal(t *testing.T) {
-	ft := NewFaultTransport(echoHandler)
-	ft.Kill("p1")
-	ft.Kill("p2")
-	d := testDispatcher(ft, []string{"p1", "p2"}, nil)
-	var localRuns atomic.Int64
-	body, err := d.Do(context.Background(), "k", []byte("x"), acceptJSON, func() ([]byte, error) {
-		localRuns.Add(1)
-		return []byte(`{"peer":"local"}`), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(body) != `{"peer":"local"}` {
-		t.Fatalf("unexpected body %s", body)
-	}
-	if localRuns.Load() != 1 {
-		t.Fatalf("local ran %d times, want exactly 1", localRuns.Load())
-	}
-	if s := d.Snapshot(); s.Fallbacks != 1 {
-		t.Fatalf("fallbacks = %d, want 1", s.Fallbacks)
-	}
-}
-
-func TestDispatcherNoPeersRunsLocalDirectly(t *testing.T) {
-	d := testDispatcher(NewFaultTransport(echoHandler), nil, nil)
-	body, err := d.Do(context.Background(), "k", nil, acceptJSON, func() ([]byte, error) {
-		return []byte(`{}`), nil
-	})
-	if err != nil || string(body) != `{}` {
-		t.Fatalf("body=%s err=%v", body, err)
-	}
-	if s := d.Snapshot(); s.Fallbacks != 1 {
-		t.Fatalf("fallbacks = %d, want 1", s.Fallbacks)
+	_, retries, failures, _ := peerTotals(s)
+	if retries < 1 || failures < 1 {
+		t.Fatalf("retries=%d failures=%d, want both >= 1 (torn bodies rejected by Accept)", retries, failures)
 	}
 }
 
@@ -155,16 +120,14 @@ func TestDispatcherOverloadIsNotBreakerFailure(t *testing.T) {
 	d := testDispatcher(ft, []string{"p1", "p2"}, func(c *Config) {
 		c.Breaker = BreakerConfig{Window: 4, MinSamples: 2, FailureThreshold: 0.5}
 		c.MaxAttempts = 5
+		c.StealInterval = time.Millisecond
 	})
-	_, err := d.Do(context.Background(), "k", []byte("x"), acceptJSON, func() ([]byte, error) {
-		t.Fatal("fallback invoked though peers would recover")
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	runSlowLocal(t, d, 6)
 	s := d.Snapshot()
-	_, _, failures, overloads, _ := peerTotals(s)
+	if s.Fallbacks != 0 {
+		t.Fatalf("fallbacks = %d, want 0: peers would recover", s.Fallbacks)
+	}
+	_, _, failures, overloads := peerTotals(s)
 	if overloads < 1 {
 		t.Fatalf("overloads = %d, want >= 1", overloads)
 	}
@@ -178,33 +141,6 @@ func TestDispatcherOverloadIsNotBreakerFailure(t *testing.T) {
 	}
 }
 
-func TestDispatcherHedgesSlowPrimary(t *testing.T) {
-	ft := NewFaultTransport(echoHandler)
-	d := testDispatcher(ft, []string{"p1", "p2"}, func(c *Config) {
-		c.HedgeDelay = 10 * time.Millisecond
-		c.AttemptTimeout = 5 * time.Second
-	})
-	// Whichever peer the deterministic selection makes primary, make
-	// it a straggler; the hedge on the other peer must win.
-	primary, _ := d.pickPeer(int(hash64(42, "k", -1)%2), 0, "")
-	ft.Script(primary, Fault{Latency: 2 * time.Second})
-	start := time.Now()
-	_, err := d.Do(context.Background(), "k", []byte("x"), acceptJSON, func() ([]byte, error) {
-		t.Fatal("fallback invoked")
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("hedge did not rescue the straggler: took %s", elapsed)
-	}
-	_, _, _, _, hedges := peerTotals(d.Snapshot())
-	if hedges != 1 {
-		t.Fatalf("hedges = %d, want 1", hedges)
-	}
-}
-
 func TestDispatcherBreakerSkipsDeadPeer(t *testing.T) {
 	ft := NewFaultTransport(echoHandler)
 	ft.Kill("p1")
@@ -212,30 +148,18 @@ func TestDispatcherBreakerSkipsDeadPeer(t *testing.T) {
 		c.Breaker = BreakerConfig{Window: 4, MinSamples: 2, FailureThreshold: 0.5, OpenFor: time.Hour}
 		c.MaxAttempts = 2
 	})
-	// Dispatch repeatedly; once p1's breaker opens, no further sends
-	// reach it.
-	for i := 0; i < 6; i++ {
-		d.Do(context.Background(), fmt.Sprintf("k%d", i), []byte("x"), acceptJSON, func() ([]byte, error) {
-			return []byte(`{}`), nil
-		})
+	// Run queues until p1's breaker opens; from then on no further
+	// sends may reach it.
+	for i := 0; i < 20 && d.breaker("p1").State() != BreakerOpen; i++ {
+		runSlowLocal(t, d, 4)
+	}
+	if st := d.breaker("p1").State(); st != BreakerOpen {
+		t.Fatalf("p1 breaker %v after repeated failures, want open", st)
 	}
 	tripped := ft.Sends("p1")
-	for i := 0; i < 6; i++ {
-		d.Do(context.Background(), fmt.Sprintf("m%d", i), []byte("x"), acceptJSON, func() ([]byte, error) {
-			return []byte(`{}`), nil
-		})
-	}
+	runSlowLocal(t, d, 4)
 	if after := ft.Sends("p1"); after != tripped {
 		t.Fatalf("open breaker let %d more sends through to dead peer", after-tripped)
-	}
-	var p1 PeerSnapshot
-	for _, p := range d.Snapshot().Peers {
-		if p.Peer == "p1" {
-			p1 = p
-		}
-	}
-	if p1.Breaker != "open" {
-		t.Fatalf("p1 breaker %s, want open", p1.Breaker)
 	}
 }
 
@@ -245,10 +169,12 @@ func TestProberReclosesRecoveredPeer(t *testing.T) {
 	d := testDispatcher(ft, []string{"p1"}, func(c *Config) {
 		c.Breaker = BreakerConfig{Window: 4, MinSamples: 2, FailureThreshold: 0.5, OpenFor: time.Millisecond}
 	})
-	// Trip the breaker through failed dispatches.
-	d.Do(context.Background(), "k", []byte("x"), acceptJSON, func() ([]byte, error) { return []byte(`{}`), nil })
+	// Trip the breaker through failed remote attempts.
+	for i := 0; i < 20 && d.breaker("p1").State() == BreakerClosed; i++ {
+		runSlowLocal(t, d, 4)
+	}
 	if st := d.breaker("p1").State(); st == BreakerClosed {
-		t.Fatal("breaker still closed after dispatch to dead peer")
+		t.Fatal("breaker still closed after dispatches to a dead peer")
 	}
 	// Peer comes back; the prober's successful probe is the half-open
 	// trial that recloses the breaker.

@@ -7,9 +7,8 @@ import (
 	"time"
 )
 
-// This file is the coordinator work queue: instead of assigning each
-// shard to one hash-selected peer up front (Do), a whole phase's
-// shards are enqueued at once and *pulled* — every peer worker (and
+// This file is the coordinator work queue: a whole phase's shards are
+// enqueued at once and *pulled* — every peer worker (and
 // the local fallback) claims the next unclaimed item the moment it is
 // idle, so fast peers naturally take more work and a slow peer holds
 // at most its in-flight items. A straggler — an item in flight longer
@@ -79,10 +78,11 @@ type runQueue struct {
 // RunQueue executes every item — remotely where peers have capacity,
 // locally otherwise — and returns the result bodies in item order.
 // It returns when every item has settled, when any item becomes
-// unrunnable (its local execution failed), or when ctx ends. The
-// dispatcher's retry, backoff, breaker and overload machinery applies
-// per attempt exactly as in Do; stealing and the local pull policy
-// are tuned by Config.
+// unrunnable (its local execution failed), or when ctx ends. Every
+// remote attempt goes through the peer's circuit breaker; a failed
+// attempt backs off (or honors a 503's Retry-After) before the item is
+// claimable again, and after MaxAttempts the item is left to a local
+// slot. Stealing and the local pull policy are tuned by Config.
 func (d *Dispatcher) RunQueue(ctx context.Context, items []QueueItem) ([][]byte, error) {
 	if len(items) == 0 {
 		return nil, nil
@@ -261,6 +261,10 @@ func (q *runQueue) peerWorker(p string) {
 		a := &qAttempt{peer: p, started: time.Now(), cancel: cancel, stolen: stolen}
 		it.inflight = append(it.inflight, a)
 		q.noteClaim(it, a)
+		if it.remoteAttempts > 0 {
+			q.d.metrics.add(p, func(s *peerStats) { s.retries++ })
+			q.d.logf("cluster: %s: retry %d on %s", it.it.Key, it.remoteAttempts, p)
+		}
 		if stolen {
 			q.d.metrics.bump(func(m *metrics) { m.steals++ })
 			q.d.logf("cluster: %s: stealing from %s onto %s after %s",

@@ -247,7 +247,9 @@ func TestRunQueueContextCancel(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	_, err := d.RunQueue(ctx, queueItems(50, nil, nil))
+	// Local execution costs real time too, so the local capacity slot
+	// cannot drain the whole queue before the cancellation lands.
+	_, err := d.RunQueue(ctx, queueItemsWork(50, 10*time.Millisecond, nil, nil))
 	if err == nil {
 		t.Fatal("expected error after context cancellation")
 	}

@@ -18,8 +18,8 @@ type peerLoad struct {
 	inflight int64
 }
 
-// tracker maintains per-peer load estimates for the weighted selector
-// and the work-stealing threshold. Latency samples come from
+// tracker maintains per-peer load estimates for the work-stealing
+// threshold and the metrics export. Latency samples come from
 // successful attempts only — failures and timeouts feed the circuit
 // breakers, which gate selection separately, and a cancelled attempt's
 // partial duration estimates nothing.
@@ -66,20 +66,6 @@ func (t *tracker) finish(peer string, d time.Duration, success bool) {
 		l.samples++
 	}
 	t.mu.Unlock()
-}
-
-// score is the weighted-least-loaded selection key: expected latency
-// scaled by queue depth. An unsampled peer scores 0 — unknown capacity
-// is tried first, which both spreads initial load and collects the
-// samples everything else here feeds on.
-func (t *tracker) score(peer string) float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	l := t.peers[peer]
-	if l == nil || l.samples == 0 {
-		return 0
-	}
-	return l.ewmaMS * float64(1+l.inflight)
 }
 
 // ewma returns the peer's latency estimate in milliseconds and whether

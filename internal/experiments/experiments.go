@@ -64,10 +64,6 @@ type ContextConfig struct {
 	// selects the process-global default arena. Results are
 	// bit-identical for any arena.
 	Arena *expr.Arena
-	// SolverBackend names the constraint-solver backend for every
-	// engine (symexec.Config.SolverBackend); empty selects the core
-	// default. Results are bit-identical for any backend.
-	SolverBackend string
 	// DisableIncrementalSolver turns off the solvers' shared
 	// incremental SAT sessions (cmd/revbench's ablation grid).
 	DisableIncrementalSolver bool
@@ -118,7 +114,6 @@ func NewContextCfg(cc ContextConfig) (*Context, error) {
 					Seed: 42, Workers: perEngine,
 					Searcher: cc.Searcher, Arena: cc.Arena,
 					ShardFactor:              cc.ShardFactor,
-					SolverBackend:            cc.SolverBackend,
 					DisableIncrementalSolver: cc.DisableIncrementalSolver,
 				},
 			})

@@ -22,7 +22,7 @@ import (
 // summary is bit-identical to a single-node run of the same spec —
 // the shard decomposition, task identities and merge order are pure
 // functions of the spec, and shard execution itself is idempotent, so
-// retries, hedges and local fallbacks cannot change the result. The
+// retries, steals and local fallbacks cannot change the result. The
 // one exception is arena_nodes: a coordinator's arena never interns
 // the intermediate expressions remote shards allocate on their own
 // peers, so that gauge of allocator load is mode-dependent by nature.
@@ -51,7 +51,7 @@ func shardKey(task *symexec.ShardTask) string {
 
 // shardRunner adapts the cluster dispatcher to symexec.ShardRunner
 // for one job: it serializes tasks, consults the journal-replayed
-// shard cache, dispatches with retries/hedging/breakers, journals
+// shard cache, runs them on the dispatcher's work queue, journals
 // dispatch and completion, and deserializes results.
 type shardRunner struct {
 	s   *Service
@@ -59,69 +59,14 @@ type shardRunner struct {
 	ctx context.Context
 }
 
-func (r *shardRunner) RunShard(task *symexec.ShardTask, local func() (*symexec.ShardResult, error)) (*symexec.ShardResult, error) {
-	key := shardKey(task)
-	if raw, ok := r.j.shardCache[key]; ok {
-		// Journal replay already holds this shard's result from the
-		// previous incarnation; reuse it instead of re-dispatching.
-		var res symexec.ShardResult
-		if err := json.Unmarshal(raw, &res); err == nil {
-			r.s.m.shardsReplayed.Add(1)
-			return &res, nil
-		}
-		// An unreadable cached result is re-executed, never trusted.
-	}
-	env := shardEnvelope{Spec: r.j.Spec, Task: task}
-	if dl, ok := r.ctx.Deadline(); ok {
-		ms := time.Until(dl).Milliseconds()
-		if ms < 1 {
-			ms = 1
-		}
-		env.DeadlineMS = ms
-	}
-	payload, err := json.Marshal(env)
-	if err != nil {
-		return nil, err
-	}
-	r.s.journalAppend(journalRecord{
-		T: recShardDispatched, ID: r.j.ID, TS: time.Now(), Key: key,
-	}, false)
-	body, err := r.s.dispatcher.Do(r.ctx, r.j.ID+"/"+key, payload, acceptShardResult,
-		func() ([]byte, error) {
-			res, err := local()
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(res)
-		})
-	if err != nil {
-		return nil, err
-	}
-	var res symexec.ShardResult
-	if err := json.Unmarshal(body, &res); err != nil {
-		return nil, fmt.Errorf("jobsvc: shard %s: decode result: %w", key, err)
-	}
-	// Journal the completed shard compactly (the body may be indented
-	// JSON; the journal is line-oriented) so a coordinator crash after
-	// this point replays with the shard already collected.
-	if compact, err := json.Marshal(&res); err == nil {
-		r.s.journalAppend(journalRecord{
-			T: recShardDone, ID: r.j.ID, TS: time.Now(), Key: key, Result: compact,
-		}, false)
-	}
-	return &res, nil
-}
-
-// RunShardQueue is the batch form the engine prefers: a whole phase's
-// shard tasks enter the dispatcher's capacity-aware work queue at
-// once, where idle peers pull them, dispatch is weighted by observed
-// latency, and straggler shards are re-dispatched first-completion-
-// wins. Journal-replayed shards are pre-filled and never re-enter the
+// RunShards hands a whole phase's shard tasks to the dispatcher's
+// capacity-aware work queue at once, where idle peers pull them and
+// straggler shards are re-dispatched first-completion-wins. Journal-replayed shards are pre-filled and never re-enter the
 // queue; each settling shard is journaled from the queue's OnDone
 // callback, preserving crash-replay behavior. Scheduling only decides
 // where and when a shard runs — the returned results are in task
 // order and the caller's seed-order merge is untouched.
-func (r *shardRunner) RunShardQueue(tasks []*symexec.ShardTask, local func(*symexec.ShardTask) (*symexec.ShardResult, error)) ([]*symexec.ShardResult, error) {
+func (r *shardRunner) RunShards(tasks []*symexec.ShardTask, local func(*symexec.ShardTask) (*symexec.ShardResult, error)) ([]*symexec.ShardResult, error) {
 	results := make([]*symexec.ShardResult, len(tasks))
 	var deadlineMS int64
 	if dl, ok := r.ctx.Deadline(); ok {
@@ -163,9 +108,10 @@ func (r *shardRunner) RunShardQueue(tasks []*symexec.ShardTask, local func(*syme
 				return json.Marshal(res)
 			},
 			OnDone: func(body []byte) {
-				// Journal the completed shard compactly, exactly as the
-				// per-shard path does, so a coordinator crash mid-phase
-				// replays with the settled shards already collected.
+				// Journal the completed shard compactly (the body may be
+				// indented JSON; the journal is line-oriented) so a
+				// coordinator crash mid-phase replays with the settled
+				// shards already collected.
 				var res symexec.ShardResult
 				if err := json.Unmarshal(body, &res); err != nil {
 					return
@@ -194,16 +140,6 @@ func (r *shardRunner) RunShardQueue(tasks []*symexec.ShardTask, local func(*syme
 		results[idxs[qi]] = &res
 	}
 	return results, nil
-}
-
-// staticRunner exposes only the per-shard RunShard method, hiding the
-// batch queue interface: the engine then falls back to hash-selected
-// per-shard dispatch — the pre-queue scheduler, kept for A/B
-// benchmarking (Config.StaticDispatch).
-type staticRunner struct{ r *shardRunner }
-
-func (s staticRunner) RunShard(task *symexec.ShardTask, local func() (*symexec.ShardResult, error)) (*symexec.ShardResult, error) {
-	return s.r.RunShard(task, local)
 }
 
 // acceptShardResult validates a peer's response body before the
@@ -254,12 +190,7 @@ func (s *Service) executeSpec(j *job, deadline time.Time) (res *JobResult, err e
 			case <-ctx.Done():
 			}
 		}()
-		sr := &shardRunner{s: s, j: j, ctx: ctx}
-		if s.cfg.StaticDispatch {
-			runner = staticRunner{sr}
-		} else {
-			runner = sr
-		}
+		runner = &shardRunner{s: s, j: j, ctx: ctx}
 	}
 	return runSpecHook(j.Spec, j.stop, deadline, runner)
 }
@@ -342,7 +273,7 @@ func (s *Service) handleShard(w http.ResponseWriter, r *http.Request) {
 
 // executeShard runs one remote shard task on this node, in a fresh
 // arena, bounded by the request context (a dispatcher that gave up —
-// timeout, hedge won elsewhere, coordinator died — cancels it) and
+// timeout, steal won elsewhere, coordinator died — cancels it) and
 // the envelope's remaining deadline.
 func (s *Service) executeShard(ctx context.Context, env shardEnvelope) (res *symexec.ShardResult, err error) {
 	defer func() {

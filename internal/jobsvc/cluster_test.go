@@ -61,7 +61,6 @@ func coordinatorConfig(peers []string, ft *cluster.FaultTransport) Config {
 			MaxAttempts:    3,
 			BackoffBase:    time.Millisecond,
 			BackoffCap:     10 * time.Millisecond,
-			HedgeDelay:     300 * time.Millisecond,
 			Seed:           7,
 			Breaker:        cluster.BreakerConfig{Window: 8, MinSamples: 4, FailureThreshold: 0.5, OpenFor: 50 * time.Millisecond},
 		},
@@ -89,8 +88,8 @@ func TestCoordinatorBitIdenticalUnderFaults(t *testing.T) {
 
 	ft := forwardingFaults()
 	// peer1: first request's connection drops, the second one kills
-	// the peer for the rest of the job. peer2: one straggling request
-	// (slow enough to trigger a hedge), healthy afterwards.
+	// the peer for the rest of the job. peer2: one straggling request,
+	// healthy afterwards.
 	ft.Script(ts1.URL, cluster.Fault{Drop: true}, cluster.Fault{Die: true})
 	ft.Script(ts2.URL, cluster.Fault{Latency: 400 * time.Millisecond})
 
@@ -138,7 +137,6 @@ func TestCoordinatorAllPeersDownFallsBack(t *testing.T) {
 	ft.Kill("http://127.0.0.1:1")
 	ft.Kill("http://127.0.0.1:2")
 	cfg := coordinatorConfig([]string{"http://127.0.0.1:1", "http://127.0.0.1:2"}, ft)
-	cfg.Cluster.HedgeDelay = 0
 	coord := New(cfg)
 	defer drainWithin(t, coord, 60*time.Second)
 	ts := httptest.NewServer(coord.Handler())

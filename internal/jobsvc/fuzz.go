@@ -179,7 +179,7 @@ type fuzzShard struct {
 const fuzzShardGroup = 4
 
 // fuzzShardRunner adapts the cluster dispatcher to difffuzz's
-// RunBatch seam, mirroring shardRunner.RunShardQueue: schedule groups
+// RunBatch seam, mirroring shardRunner.RunShards: schedule groups
 // enter the capacity-aware work queue, journal-replayed groups are
 // pre-filled, settled groups are journaled for crash replay, and the
 // merged outcome order is the batch order — so a clustered fuzz job

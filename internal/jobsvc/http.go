@@ -6,12 +6,10 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"revnic/internal/cluster"
-	"revnic/internal/solver"
 )
 
 // This file is the service's HTTP surface: a JSON job API plus a
@@ -283,26 +281,6 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "revnicd_shards_effective_sum %g\n", effSum)
 	fmt.Fprintf(w, "revnicd_shards_effective_count %d\n", effN)
 
-	if races := solver.PortfolioSnapshot(); len(races) > 0 {
-		backends := make([]string, 0, len(races))
-		for b := range races {
-			backends = append(backends, b)
-		}
-		sort.Strings(backends)
-		backendCounter := func(name, help string, value func(solver.BackendCounters) int64) {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-			for _, b := range backends {
-				fmt.Fprintf(w, "%s{backend=%q} %d\n", name, b, value(races[b]))
-			}
-		}
-		backendCounter("revnicd_solver_backend_wins_total", "Portfolio races this backend answered first.",
-			func(c solver.BackendCounters) int64 { return c.Wins })
-		backendCounter("revnicd_solver_backend_losses_total", "Portfolio races this backend answered definitively but late.",
-			func(c solver.BackendCounters) int64 { return c.Losses })
-		backendCounter("revnicd_solver_backend_cancels_total", "Portfolio races this backend was cancelled in (or sat out).",
-			func(c solver.BackendCounters) int64 { return c.Cancels })
-	}
-
 	if snap, ok := s.ClusterSnapshot(); ok {
 		counter("revnicd_cluster_fallbacks_total", "Shards executed by the guaranteed local fallback.", snap.Fallbacks)
 		peerCounter := func(name, help string, value func(cluster.PeerSnapshot) int64) {
@@ -313,10 +291,8 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		peerCounter("revnicd_cluster_attempts_total", "Remote shard attempts, per peer.",
 			func(p cluster.PeerSnapshot) int64 { return p.Attempts })
-		peerCounter("revnicd_cluster_retries_total", "Shard retry attempts, per peer.",
+		peerCounter("revnicd_cluster_retries_total", "Shard retry attempts (remote attempts after an earlier one failed), per peer.",
 			func(p cluster.PeerSnapshot) int64 { return p.Retries })
-		peerCounter("revnicd_cluster_hedges_total", "Hedged shard requests, per peer.",
-			func(p cluster.PeerSnapshot) int64 { return p.Hedges })
 		peerCounter("revnicd_cluster_failures_total", "Failed shard attempts, per peer.",
 			func(p cluster.PeerSnapshot) int64 { return p.Failures })
 		peerCounter("revnicd_cluster_overloads_total", "Shard attempts answered 503 (peer full), per peer.",

@@ -36,7 +36,6 @@ import (
 	"revnic/internal/expr"
 	"revnic/internal/hw"
 	"revnic/internal/isa"
-	"revnic/internal/solver"
 	"revnic/internal/symexec"
 	"revnic/internal/template"
 )
@@ -93,6 +92,9 @@ type ProgramSpec struct {
 // JobSpec is one request. Exactly one of Driver (a bundled binary),
 // Program (an uploaded image) or Fuzz (a differential-fuzzing run)
 // must be set; zero values elsewhere select the engine defaults.
+// Unknown JSON fields are ignored, so specs (and journals) that still
+// carry the retired "solver_backend" field are accepted and run on the
+// core solver.
 type JobSpec struct {
 	Driver  string       `json:"driver,omitempty"`
 	Program *ProgramSpec `json:"program,omitempty"`
@@ -128,12 +130,6 @@ type JobSpec struct {
 	CompleteTarget           int  `json:"complete_target,omitempty"`
 	PollThreshold            int  `json:"poll_threshold,omitempty"`
 	DisableIncrementalSolver bool `json:"disable_incremental_solver,omitempty"`
-	// SolverBackend names the constraint-solver backend ("core",
-	// "smalldomain", "portfolio"); empty selects the service default
-	// (Config.DefaultSolverBackend, normalized into the spec at
-	// submission so journal replays and cluster shard dispatch see the
-	// same backend). Results are bit-identical across backends.
-	SolverBackend string `json:"solver_backend,omitempty"`
 	// DeadlineMS bounds the job's execution wall clock in
 	// milliseconds, measured from the moment the job starts running.
 	// A job past its deadline winds down cooperatively and finishes as
@@ -259,15 +255,9 @@ type Config struct {
 	// correct, just not distributed.
 	Coordinator bool
 	// Cluster tunes the shard dispatcher (peers, transport, timeouts,
-	// retries, hedging, breakers). A nil Cluster.Transport selects
+	// retries, stealing, breakers). A nil Cluster.Transport selects
 	// HTTP against the peers' POST /shards endpoints.
 	Cluster cluster.Config
-	// StaticDispatch disables the coordinator work queue: each shard
-	// is dispatched to its hash-selected peer individually, as before
-	// the capacity-aware scheduler. The merged result is identical
-	// either way; this exists for A/B benchmarking (revbench's
-	// straggler scenario) and as an escape hatch.
-	StaticDispatch bool
 	// ShardPool bounds how many remote shards (POST /shards) this
 	// node serves concurrently; excess requests get 503 with
 	// Retry-After, which the coordinator's dispatcher treats as
@@ -277,13 +267,6 @@ type Config struct {
 	// dead peer's breaker before any shard is wasted on it and
 	// reclose it when the peer returns. 0 disables probing.
 	ProbeInterval time.Duration
-	// DefaultSolverBackend is the solver backend for specs that leave
-	// solver_backend empty ("core", "smalldomain", "portfolio"; empty
-	// keeps the core default). It is normalized into each spec at
-	// submission, before journaling and cluster dispatch, so replays
-	// and remote shards solve with the same backend the job ran with.
-	// Backend choice never changes results, only solve latency.
-	DefaultSolverBackend string
 }
 
 func (c *Config) defaults() {
@@ -444,13 +427,6 @@ func (s *Service) Submit(spec JobSpec) (Job, error) {
 // journal enabled, the submission record is fsynced to disk before
 // the job is acknowledged — an accepted job survives a crash.
 func (s *Service) SubmitFrom(client string, spec JobSpec) (Job, error) {
-	// Normalize the service's default backend into the spec before
-	// validation, journaling and dispatch: the journal replay and every
-	// cluster shard then carry the backend explicitly, so a restart
-	// under a different service default re-runs the job unchanged.
-	if spec.SolverBackend == "" {
-		spec.SolverBackend = s.cfg.DefaultSolverBackend
-	}
 	if err := validate(spec); err != nil {
 		return Job{}, err
 	}
@@ -574,10 +550,6 @@ func validate(spec JobSpec) error {
 		if !ok {
 			return fmt.Errorf("jobsvc: unknown target OS %q (have %v)", spec.Target, template.AllOS)
 		}
-	}
-	if !solver.ValidBackend(spec.SolverBackend) {
-		return fmt.Errorf("jobsvc: unknown solver backend %q (have %v)",
-			spec.SolverBackend, solver.BackendNames())
 	}
 	if spec.DeadlineMS < 0 {
 		return fmt.Errorf("jobsvc: negative deadline_ms %d", spec.DeadlineMS)
@@ -1008,7 +980,6 @@ func engineConfig(spec JobSpec, ar *expr.Arena) symexec.Config {
 		CompleteTarget:           spec.CompleteTarget,
 		PollThreshold:            spec.PollThreshold,
 		DisableIncrementalSolver: spec.DisableIncrementalSolver,
-		SolverBackend:            spec.SolverBackend,
 	}
 }
 

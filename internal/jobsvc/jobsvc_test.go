@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -16,7 +15,6 @@ import (
 	"revnic/internal/core"
 	"revnic/internal/drivers"
 	"revnic/internal/expr"
-	"revnic/internal/solver"
 	"revnic/internal/symexec"
 )
 
@@ -192,7 +190,6 @@ func TestSubmitValidation(t *testing.T) {
 		{Driver: "no-such-chip"},
 		{Driver: "RTL8029", Strategy: "best-first"},
 		{Driver: "RTL8029", Target: "plan9"},
-		{Driver: "RTL8029", SolverBackend: "z3"},
 		{Program: &ProgramSpec{}}, // empty code
 		// Image past the end of guest RAM: must be rejected up front,
 		// not crash a runner mid-pipeline.
@@ -204,50 +201,35 @@ func TestSubmitValidation(t *testing.T) {
 			t.Errorf("case %d: expected validation error", i)
 		}
 	}
+
+	// A spec written for the retired solver backends still carries
+	// "solver_backend": it must be accepted and run on the core solver,
+	// to the same code as a direct run.
+	var legacy JobSpec
+	if err := json.Unmarshal([]byte(legacySolverSpec), &legacy); err != nil {
+		t.Fatal(err)
+	}
+	j, err := svc.Submit(legacy)
+	if err != nil {
+		t.Fatalf("legacy solver_backend spec rejected: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	done, err := svc.Wait(ctx, j.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.Status != StatusSucceeded {
+		t.Fatalf("legacy solver_backend job: %s (%s)", done.Status, done.Error)
+	}
+	if done.Result.Code != directRun(t, "RTL8029", 3).Synth.Code {
+		t.Error("legacy solver_backend job's code differs from a direct run")
+	}
 }
 
-// TestSolverBackendJobParity pins the service-level guarantee behind
-// the -solver/-portfolio knobs: the same spec run under the core
-// default, with solver_backend=portfolio in the spec, and under a
-// service whose DefaultSolverBackend is portfolio (spec left empty)
-// yields bit-identical JobResults — code, coverage, every solver
-// counter. It also checks the service default is normalized into the
-// stored spec at submission, which is what journal replay and cluster
-// shard dispatch rely on.
-func TestSolverBackendJobParity(t *testing.T) {
-	run := func(svcCfg Config, spec JobSpec) Job {
-		svc := New(svcCfg)
-		defer svc.Drain(context.Background())
-		j, err := svc.Submit(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		done, err := svc.Wait(ctx, j.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done.Status != StatusSucceeded {
-			t.Fatalf("job failed: %s", done.Error)
-		}
-		return done
-	}
-	base := run(Config{Pool: 1}, JobSpec{Driver: "RTL8029", Seed: 3})
-	viaSpec := run(Config{Pool: 1},
-		JobSpec{Driver: "RTL8029", Seed: 3, SolverBackend: solver.BackendPortfolio})
-	viaDefault := run(Config{Pool: 1, DefaultSolverBackend: solver.BackendPortfolio},
-		JobSpec{Driver: "RTL8029", Seed: 3})
-	if viaDefault.Spec.SolverBackend != solver.BackendPortfolio {
-		t.Fatalf("service default not normalized into the spec: %q", viaDefault.Spec.SolverBackend)
-	}
-	if !reflect.DeepEqual(base.Result, viaSpec.Result) {
-		t.Fatalf("portfolio spec result diverged from default:\n got %+v\nwant %+v", viaSpec.Result, base.Result)
-	}
-	if !reflect.DeepEqual(base.Result, viaDefault.Result) {
-		t.Fatalf("service-default portfolio result diverged from default:\n got %+v\nwant %+v", viaDefault.Result, base.Result)
-	}
-}
+// legacySolverSpec is a job spec as clients of the retired portfolio
+// solver wrote it.
+const legacySolverSpec = `{"driver":"RTL8029","seed":3,"solver_backend":"portfolio"}`
 
 func TestDrainRejectsAndFinishes(t *testing.T) {
 	svc := New(Config{Pool: 1})

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -237,6 +239,38 @@ func TestJournalReplayAfterCrash(t *testing.T) {
 		t.Fatalf("post-replay submission reused ID %s", c.ID)
 	}
 	drainWithin(t, svc2, 30*time.Second)
+}
+
+// TestJournalReplayLegacySolverSpec: a journal written while specs
+// still named a solver backend replays cleanly — the queued job is
+// requeued under its original ID and runs on the core solver to the
+// same code as a direct run.
+func TestJournalReplayLegacySolverSpec(t *testing.T) {
+	dir := t.TempDir()
+	rec := `{"t":"submitted","id":"job-7","ts":"2026-01-02T03:04:05Z","spec":` + legacySolverSpec + "}\n"
+	if err := os.WriteFile(filepath.Join(dir, journalFile), []byte(rec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := Open(Config{Pool: 1, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drainWithin(t, svc, 30*time.Second)
+	if requeued, interrupted := svc.ReplayStats(); requeued != 1 || interrupted != 0 {
+		t.Fatalf("replay stats: requeued=%d interrupted=%d, want 1/0", requeued, interrupted)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	j, err := svc.Wait(ctx, "job-7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.Status != StatusSucceeded {
+		t.Fatalf("replayed legacy job: %s (%s)", j.Status, j.Error)
+	}
+	if j.Result.Code != directRun(t, "RTL8029", 3).Synth.Code {
+		t.Error("replayed legacy job's code differs from a direct run")
+	}
 }
 
 // TestRetentionEviction: the count bound drops the least recently

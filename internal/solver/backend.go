@@ -1,17 +1,13 @@
 package solver
 
 import (
-	"sort"
-	"sync"
-
 	"revnic/internal/expr"
 )
 
-// Verdict is a backend's answer to a satisfiability query. Unlike the
-// two-valued Result of the front-end API, backends are explicitly
-// three-valued: VUnknown covers both an interrupted search and a
-// query outside the backend's decidable domain, and the front end
-// must treat it conservatively (answer "unsat", cache nothing).
+// Verdict is the backend's answer to a satisfiability query. Unlike
+// the two-valued Result of the front-end API, it is three-valued:
+// VUnknown means the search was interrupted, and the front end must
+// treat it conservatively (answer "unsat", cache nothing).
 type Verdict int8
 
 // Backend verdicts.
@@ -33,13 +29,11 @@ func (v Verdict) String() string {
 	}
 }
 
-// Backend is the minimal decision-procedure contract underneath the
-// solver front end. The front end owns everything query-shaped —
-// fingerprint caches, the counterexample index, constraint slicing,
-// easy/hard routing — so any Backend gets those for free; a backend
-// only decides conjunctions.
-//
-// The protocol is a scoped assertion stack:
+// coreBackend is the decision procedure underneath the solver front
+// end: bit-blasting to CNF over the CDCL SAT core (package sat). The
+// front end owns everything query-shaped — fingerprint caches, the
+// counterexample index, constraint slicing — and the backend only
+// decides conjunctions through a scoped assertion stack:
 //
 //   - Assert(c) conjoins constraint c (a width-1 expression) at the
 //     current scope. Assertions made with no open scope are permanent.
@@ -49,131 +43,30 @@ func (v Verdict) String() string {
 //     cond; cond == nil decides the asserted conjunction alone.
 //   - Model, valid only immediately after a VSat verdict, returns a
 //     satisfying assignment as a fresh name→value map.
-//   - SetInterrupt installs a cooperative abort hook polled during
-//     solving; an aborted query answers VUnknown.
 //
-// Backends are not safe for concurrent use; the front end serializes
+// Scopes map to sat assumption-selector scopes: only the root literal
+// of each asserted constraint is scoped — the definitional gate
+// clauses the blaster emits stay permanent, because the blaster memo
+// outlives pops and a memoized literal whose defining clauses were
+// retired would be unconstrained.
+//
+// A backend is not safe for concurrent use; the front end serializes
 // access (sessions under incMu, one-shots on private instances).
-type Backend interface {
-	Assert(c *expr.Expr)
-	Push()
-	Pop()
-	SolveUnder(cond *expr.Expr) Verdict
-	Model() map[string]uint32
-	SetInterrupt(f func() bool)
-}
-
-// Racer is the optional racing extension: the portfolio backend
-// implements it, and the front end routes hard queries (see Config
-// HardVars/HardNodes) through SolveRaced instead of SolveUnder.
-// Verdicts stay deterministic — SAT/UNSAT is objective, so whichever
-// racer answers first answers the same — but models produced under a
-// race are not, which is why the front end never reads Model after a
-// raced query.
-type Racer interface {
-	SolveRaced(cond *expr.Expr) Verdict
-}
-
-// Backend registry names.
-const (
-	// BackendCore is the native backend: bit-blasting to CNF over the
-	// CDCL SAT core (package sat).
-	BackendCore = "core"
-	// BackendSmallDomain exhaustively enumerates assignments when the
-	// query's total symbolic bit-width is small, and answers VUnknown
-	// otherwise.
-	BackendSmallDomain = "smalldomain"
-	// BackendPortfolio races the core and small-domain backends on
-	// hard queries and routes easy ones to the core.
-	BackendPortfolio = "portfolio"
-)
-
-// BackendOpts parameterizes backend construction.
-type BackendOpts struct {
-	// LearntCap is forwarded to SAT instances (0 keeps the sat
-	// default, negative disables learnt-clause deletion).
-	LearntCap int
-	// Interrupt is the cooperative abort hook (also installable later
-	// via Backend.SetInterrupt).
-	Interrupt func() bool
-	// MaxDomainBits bounds the small-domain enumerator's total
-	// bit-width; 0 selects DefaultMaxDomainBits.
-	MaxDomainBits int
-	// HardVars/HardNodes are carried so the portfolio can size
-	// sub-backends consistently; the routing decision itself lives in
-	// the front end.
-	HardVars  int
-	HardNodes int
-}
-
-// BackendFactory builds a fresh backend instance.
-type BackendFactory func(BackendOpts) Backend
-
-var backendRegistry = struct {
-	sync.Mutex
-	m map[string]BackendFactory
-}{m: map[string]BackendFactory{}}
-
-// RegisterBackend adds a named backend factory. Registering an
-// existing name replaces it (tests use this to inject probes).
-func RegisterBackend(name string, f BackendFactory) {
-	backendRegistry.Lock()
-	defer backendRegistry.Unlock()
-	backendRegistry.m[name] = f
-}
-
-func backendFactory(name string) (BackendFactory, bool) {
-	backendRegistry.Lock()
-	defer backendRegistry.Unlock()
-	f, ok := backendRegistry.m[name]
-	return f, ok
-}
-
-// BackendNames returns the registered backend names, sorted.
-func BackendNames() []string {
-	backendRegistry.Lock()
-	defer backendRegistry.Unlock()
-	names := make([]string, 0, len(backendRegistry.m))
-	for n := range backendRegistry.m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// ValidBackend reports whether name selects a registered backend.
-// The empty string is valid and selects the default (core).
-func ValidBackend(name string) bool {
-	if name == "" {
-		return true
-	}
-	_, ok := backendFactory(name)
-	return ok
-}
-
-func init() {
-	RegisterBackend(BackendCore, newCoreBackend)
-	RegisterBackend(BackendSmallDomain, newSmallDomainBackend)
-	RegisterBackend(BackendPortfolio, newPortfolioBackend)
-}
-
-// coreBackend adapts the bit-blaster + CDCL SAT core to the Backend
-// contract. Scopes map to sat assumption-selector scopes: only the
-// root literal of each asserted constraint is scoped — the
-// definitional gate clauses the blaster emits stay permanent, because
-// the blaster memo outlives pops and a memoized literal whose
-// defining clauses were retired would be unconstrained.
 type coreBackend struct {
 	b *blaster
 }
 
-func newCoreBackend(o BackendOpts) Backend {
+// newCoreBackend builds a backend whose SAT instance uses learntCap (0
+// keeps the sat default, negative disables learnt-clause deletion) and
+// polls interrupt, when non-nil, as a cooperative abort hook: an
+// aborted query answers VUnknown.
+func newCoreBackend(learntCap int, interrupt func() bool) *coreBackend {
 	b := newBlaster()
-	if o.LearntCap != 0 {
-		b.s.SetLearntCap(o.LearntCap)
+	if learntCap != 0 {
+		b.s.SetLearntCap(learntCap)
 	}
-	if o.Interrupt != nil {
-		b.s.SetInterrupt(o.Interrupt)
+	if interrupt != nil {
+		b.s.SetInterrupt(interrupt)
 	}
 	return &coreBackend{b: b}
 }
@@ -185,8 +78,6 @@ func (c *coreBackend) Assert(e *expr.Expr) {
 
 func (c *coreBackend) Push() { c.b.s.Push() }
 func (c *coreBackend) Pop()  { c.b.s.Pop() }
-
-func (c *coreBackend) SetInterrupt(f func() bool) { c.b.s.SetInterrupt(f) }
 
 func (c *coreBackend) SolveUnder(cond *expr.Expr) Verdict {
 	var ok bool

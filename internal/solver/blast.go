@@ -1,6 +1,5 @@
-// The bit-blaster: expression DAGs to CNF over a SAT instance.
-// Split out of solver.go when the Backend seam was introduced; the
-// blaster plus package sat form the "core" backend (backend.go).
+// The bit-blaster: expression DAGs to CNF over a SAT instance. The
+// blaster plus package sat form the core backend (backend.go).
 package solver
 
 import (

@@ -1,10 +1,9 @@
-// Backend-agnostic query memoization: the fingerprint-keyed
-// verdict/model caches, the per-variable-set counterexample index
-// (KLEE's full counterexample cache, replacing the old 4-entry
-// recency ring), constraint-independence slicing, and the shared
-// per-expression metadata caches underneath them. Everything here is
-// deterministic and backend-independent: any Backend plugged into the
-// front end gets the same caching behavior.
+// Query memoization: the fingerprint-keyed verdict/model caches, the
+// per-variable-set counterexample index (KLEE's full counterexample
+// cache, replacing the old 4-entry recency ring),
+// constraint-independence slicing, and the shared per-expression
+// variable-set cache underneath them. Everything here is
+// deterministic.
 package solver
 
 import (
@@ -54,8 +53,8 @@ func liveConstraints(constraints []*expr.Expr) (live []*expr.Expr, unsat bool) {
 	return live, false
 }
 
-// exprMeta memoizes per-expression metadata (sorted variable names,
-// DAG node counts) keyed by interned ID. It is process-global rather
+// exprMeta memoizes per-expression sorted variable names keyed by
+// interned ID. It is process-global rather
 // than per-solver: interned IDs are unique across arenas, so one
 // bounded table serves every solver — this is also what unifies the
 // package-level Slice and the solver's query path on a single cached
@@ -64,8 +63,7 @@ func liveConstraints(constraints []*expr.Expr) (live []*expr.Expr, unsat bool) {
 var exprMeta = struct {
 	sync.Mutex
 	vars map[uint64][]string
-	size map[uint64]int
-}{vars: map[uint64][]string{}, size: map[uint64]int{}}
+}{vars: map[uint64][]string{}}
 
 const exprMetaLimit = DefaultCacheLimit
 
@@ -90,30 +88,6 @@ func varsOf(e *expr.Expr) []string {
 	exprMeta.vars[id] = names
 	exprMeta.Unlock()
 	return names
-}
-
-// sizeOf returns the DAG node count of e, memoized per interned ID.
-// The easy/hard routing heuristic consults it on every cache-missing
-// query.
-func sizeOf(e *expr.Expr) int {
-	id := e.ID()
-	if id == 0 {
-		return e.Size()
-	}
-	exprMeta.Lock()
-	if n, ok := exprMeta.size[id]; ok {
-		exprMeta.Unlock()
-		return n
-	}
-	exprMeta.Unlock()
-	n := e.Size()
-	exprMeta.Lock()
-	if len(exprMeta.size) >= exprMetaLimit {
-		exprMeta.size = map[uint64]int{}
-	}
-	exprMeta.size[id] = n
-	exprMeta.Unlock()
-	return n
 }
 
 // sliceVars is the constraint-independence fixed point underneath
@@ -178,20 +152,16 @@ func Slice(pc []*expr.Expr, target *expr.Expr) []*expr.Expr {
 	return sliceVars(pc, vars, tvars)
 }
 
-// queryStats derives, in one pass over the (sliced, live) constraint
-// set, the three quantities the miss path needs: the order-insensitive
-// variable-set signature that buckets the counterexample index, the
-// distinct-variable count, and the total DAG node count — the latter
-// two feed the easy/hard routing heuristic.
-func queryStats(cons []*expr.Expr) (sig uint64, nvars, nodes int) {
+// querySig is the order-insensitive variable-set signature of a
+// (sliced, live) constraint set — the key that buckets the
+// counterexample index.
+func querySig(cons []*expr.Expr) uint64 {
 	if len(cons) == 1 {
-		names := varsOf(cons[0])
-		return expr.VarSetSignature(names), len(names), sizeOf(cons[0])
+		return expr.VarSetSignature(varsOf(cons[0]))
 	}
 	seen := make(map[string]bool, 8)
 	union := make([]string, 0, 8)
 	for _, c := range cons {
-		nodes += sizeOf(c)
 		for _, n := range varsOf(c) {
 			if !seen[n] {
 				seen[n] = true
@@ -199,7 +169,7 @@ func queryStats(cons []*expr.Expr) (sig uint64, nvars, nodes int) {
 			}
 		}
 	}
-	return expr.VarSetSignature(union), len(union), nodes
+	return expr.VarSetSignature(union)
 }
 
 // cxIndex is the counterexample index shared by all queries of one
@@ -218,9 +188,8 @@ func queryStats(cons []*expr.Expr) (sig uint64, nvars, nodes int) {
 //
 // cap (Config.RecentModels) sizes both the per-bucket model lists and
 // the recency list; cap == 0 disables the index. Like every cache
-// here it affects performance only, never answers, and it is fed only
-// from deterministic solve paths (never from raced or aborted
-// verdicts) so its contents are bit-identical run-to-run.
+// here it affects performance only, never answers, and it is never fed
+// aborted verdicts, so its contents are bit-identical run-to-run.
 type cxIndex struct {
 	cap    int
 	byVars map[uint64][]map[string]uint32

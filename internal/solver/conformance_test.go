@@ -66,11 +66,11 @@ func bruteSat(names []string, cons []*expr.Expr) bool {
 	return false
 }
 
-// BackendConformanceTest is the shared conformance harness: any
-// Backend implementation must agree with brute-force ground truth on
-// scoped queries, produce verifiable models, keep push/pop balanced,
-// and honor the interrupt hook.
-func BackendConformanceTest(t *testing.T, factory BackendFactory) {
+// BackendConformanceTest is the backend conformance harness: the core
+// backend must agree with brute-force ground truth on scoped queries,
+// produce verifiable models, keep push/pop balanced, and honor the
+// interrupt hook.
+func BackendConformanceTest(t *testing.T) {
 	t.Helper()
 	names := []string{"cfa", "cfb", "cfc"}
 	vars := make([]*expr.Expr, len(names))
@@ -81,7 +81,7 @@ func BackendConformanceTest(t *testing.T, factory BackendFactory) {
 	t.Run("agreement", func(t *testing.T) {
 		r := rand.New(rand.NewSource(17))
 		for trial := 0; trial < 40; trial++ {
-			b := factory(BackendOpts{})
+			b := newCoreBackend(0, nil)
 			all := []*expr.Expr{}
 			for i, n := 0, r.Intn(3); i < n; i++ {
 				c := randCons(r, vars)
@@ -101,7 +101,7 @@ func BackendConformanceTest(t *testing.T, factory BackendFactory) {
 				want := bruteSat(names, append(append([]*expr.Expr{}, all...), cond))
 				v := b.SolveUnder(cond)
 				if v == VUnknown {
-					t.Fatalf("trial %d cycle %d: VUnknown on an in-domain query", trial, cycle)
+					t.Fatalf("trial %d cycle %d: VUnknown without an interrupt", trial, cycle)
 				}
 				if got := v == VSat; got != want {
 					t.Fatalf("trial %d cycle %d: verdict %v, brute force %v", trial, cycle, v, want)
@@ -115,11 +115,6 @@ func BackendConformanceTest(t *testing.T, factory BackendFactory) {
 						}
 					}
 				}
-				if racer, ok := b.(Racer); ok {
-					if rv := racer.SolveRaced(cond); rv != VUnknown && (rv == VSat) != want {
-						t.Fatalf("trial %d cycle %d: raced verdict %v, brute force %v", trial, cycle, rv, want)
-					}
-				}
 				b.Pop()
 			}
 			// After all pops: base constraints only.
@@ -131,7 +126,7 @@ func BackendConformanceTest(t *testing.T, factory BackendFactory) {
 	})
 
 	t.Run("pushpop-balance", func(t *testing.T) {
-		b := factory(BackendOpts{})
+		b := newCoreBackend(0, nil)
 		b.Assert(expr.Eq(vars[0], expr.C(3, 4)))
 		for depth := 0; depth < 5; depth++ {
 			b.Push()
@@ -159,232 +154,68 @@ func BackendConformanceTest(t *testing.T, factory BackendFactory) {
 				t.Fatal("Pop with no open scope did not panic")
 			}
 		}()
-		factory(BackendOpts{}).Pop()
+		newCoreBackend(0, nil).Pop()
 	})
 
 	t.Run("interrupt-honored", func(t *testing.T) {
-		// A 32-bit factoring query: far outside the small-domain
-		// enumerator's domain and thousands of search iterations for
-		// the SAT core, so every backend either answers VUnknown
-		// immediately (out of domain) or hits the interrupt poll.
+		// A 32-bit factoring query: thousands of search iterations for
+		// the SAT core, so the interrupt poll fires before an answer.
 		x, y := expr.S("cfix", 32), expr.S("cfiy", 32)
-		hard := expr.Eq(expr.Mul(x, y), expr.C(0xDEADBEEF, 32))
-		b := factory(BackendOpts{Interrupt: func() bool { return true }})
-		b.Assert(hard)
+		b := newCoreBackend(0, func() bool { return true })
+		b.Assert(expr.Eq(expr.Mul(x, y), expr.C(0xDEADBEEF, 32)))
 		if v := b.SolveUnder(nil); v != VUnknown {
 			t.Fatalf("verdict %v under always-firing interrupt, want unknown", v)
-		}
-		// Fresh backend for the raced check: the interrupt is
-		// cooperative (polled), so the guarantee is "aborts at the
-		// next poll" — on a fresh backend the very first poll is real
-		// and fires before any search.
-		b2 := factory(BackendOpts{Interrupt: func() bool { return true }})
-		if racer, ok := b2.(Racer); ok {
-			b2.Assert(hard)
-			if v := racer.SolveRaced(expr.Eq(x, y)); v != VUnknown {
-				t.Fatalf("raced verdict %v under always-firing interrupt, want unknown", v)
-			}
 		}
 	})
 }
 
 func TestBackendConformance(t *testing.T) {
-	for _, name := range []string{BackendCore, BackendSmallDomain, BackendPortfolio} {
-		f, ok := backendFactory(name)
-		if !ok {
-			t.Fatalf("backend %q not registered", name)
-		}
-		t.Run(name, func(t *testing.T) { BackendConformanceTest(t, f) })
-	}
+	t.Run("core", BackendConformanceTest)
 }
 
-func TestBackendRegistry(t *testing.T) {
-	names := BackendNames()
-	want := map[string]bool{BackendCore: true, BackendSmallDomain: true, BackendPortfolio: true}
-	for _, n := range names {
-		delete(want, n)
-	}
-	if len(want) != 0 {
-		t.Fatalf("BackendNames() = %v is missing %v", names, want)
-	}
-	if !ValidBackend("") || !ValidBackend(BackendPortfolio) || ValidBackend("z3") {
-		t.Fatal("ValidBackend misclassifies names")
-	}
-}
-
-// TestPortfolioMatchesDefaultSolver pins the determinism guarantee
-// the engine wiring relies on: a portfolio solver and a default
-// (core) solver answer identical query sequences with identical
-// answers AND identical observable cache behavior — verdict-cache
-// hits, model hits, cache size — because hard queries are
-// verdict-only in both modes. This is what keeps JobResults
-// byte-identical with -portfolio on or off.
-func TestPortfolioMatchesDefaultSolver(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	names := []string{"pfa", "pfb", "pfc"}
-	vars := make([]*expr.Expr, len(names))
-	for i, n := range names {
-		vars[i] = expr.S(n, 4)
-	}
-	// HardNodes=4 forces a healthy mix of raced and easy queries.
-	def := NewWith(Config{HardNodes: 4})
-	pf := NewWith(Config{Backend: BackendPortfolio, HardNodes: 4})
-	var pc []*expr.Expr
-	for q := 0; q < 150; q++ {
-		if len(pc) > 0 && r.Intn(4) == 0 {
-			pc = pc[:r.Intn(len(pc))]
-		}
-		cond := randCons(r, vars)
-		a := def.MayBeTrue(pc, cond)
-		b := pf.MayBeTrue(pc, cond)
-		if a != b {
-			t.Fatalf("query %d: default=%v portfolio=%v", q, a, b)
-		}
-		if a && r.Intn(2) == 0 {
-			pc = append(pc, cond)
-		}
-		if r.Intn(5) == 0 {
-			ma, oka := def.Model(pc)
-			mb, okb := pf.Model(pc)
-			if oka != okb {
-				t.Fatalf("query %d: Model ok mismatch %v vs %v", q, oka, okb)
-			}
-			_ = ma
-			_ = mb
-		}
-	}
-	dq, dh := def.Stats()
-	pq, ph := pf.Stats()
-	if dq != pq || dh != ph {
-		t.Fatalf("stats diverge: default q=%d h=%d, portfolio q=%d h=%d", dq, dh, pq, ph)
-	}
-	if def.ModelHits() != pf.ModelHits() {
-		t.Fatalf("model hits diverge: %d vs %d", def.ModelHits(), pf.ModelHits())
-	}
-	if def.CacheSize() != pf.CacheSize() {
-		t.Fatalf("cache size diverges: %d vs %d", def.CacheSize(), pf.CacheSize())
-	}
-}
-
-// unknownBackend always answers VUnknown — a stand-in for a backend
-// that was interrupted (or out of domain) in every race.
-type unknownBackend struct{}
-
-func (unknownBackend) Assert(*expr.Expr)             {}
-func (unknownBackend) Push()                         {}
-func (unknownBackend) Pop()                          {}
-func (unknownBackend) SolveUnder(*expr.Expr) Verdict { return VUnknown }
-func (unknownBackend) Model() map[string]uint32      { return nil }
-func (unknownBackend) SetInterrupt(func() bool)      {}
-
-// flakyBackend answers VUnknown for its first n solves (simulating a
-// backend cancelled mid-race) and delegates afterwards.
-type flakyBackend struct {
-	Backend
-	failures int
-}
-
-func (f *flakyBackend) SolveUnder(cond *expr.Expr) Verdict {
-	if f.failures > 0 {
-		f.failures--
-		return VUnknown
-	}
-	return f.Backend.SolveUnder(cond)
-}
-
-// TestPortfolioAbortedNeverCached pins the never-cache-aborted rule
-// at the portfolio layer: a race in which every backend fails to
-// answer (interrupted losers, no winner) must leave the query and
-// model caches untouched, and the same query must be answerable —
-// correctly — once a backend recovers.
-func TestPortfolioAbortedNeverCached(t *testing.T) {
-	RegisterBackend("test-flaky-portfolio", func(o BackendOpts) Backend {
-		return &portfolio{
-			children: []Backend{
-				&flakyBackend{Backend: newCoreBackend(o), failures: 1},
-				unknownBackend{},
-			},
-			names:     []string{"flaky-core", "always-unknown"},
-			interrupt: o.Interrupt,
-		}
-	})
-	// HardNodes=1 makes every query hard, so every solve races.
-	s := NewWith(Config{Backend: "test-flaky-portfolio", HardNodes: 1})
-	x := expr.S("pnc", 8)
-	pc := []*expr.Expr{expr.Ult(x, expr.C(100, 8))}
-	cond := expr.Ult(x, expr.C(50, 8))
-	if s.MayBeTrue(pc, cond) {
-		t.Fatal("aborted race must answer conservatively (false)")
-	}
-	if n := s.CacheSize(); n != 0 {
-		t.Fatalf("aborted race populated the verdict cache (%d entries)", n)
-	}
-	if s.ModelHits() != 0 {
-		t.Fatal("aborted race produced a model hit")
-	}
-	// The backend recovered: the very same query must now be decided
-	// correctly — the aborted false was not cached.
-	if !s.MayBeTrue(pc, cond) {
-		t.Fatal("query answered false after recovery: aborted verdict was cached")
-	}
-	_, hits := s.Stats()
-	if hits != 0 {
-		t.Fatal("post-recovery answer came from the cache, not a solve")
-	}
-	if n := s.CacheSize(); n != 1 {
-		t.Fatalf("decided query not cached (%d entries)", n)
-	}
-}
-
-// TestPortfolioInterruptAborts exercises the real race-abort path: a
-// genuinely hard factoring query under an always-firing global
-// interrupt must answer VUnknown (conservative false) and cache
-// nothing.
+// TestPortfolioInterruptAborts pins the interrupt-abort path: a
+// factoring query under an always-firing interrupt must answer
+// conservatively (false) and leave the verdict cache empty.
 func TestPortfolioInterruptAborts(t *testing.T) {
-	var abort atomic.Bool
-	abort.Store(true)
-	s := NewWith(Config{
-		Backend:   BackendPortfolio,
-		HardNodes: 3,
-		Interrupt: func() bool { return abort.Load() },
-	})
+	s := NewWith(Config{Interrupt: func() bool { return true }})
 	x, y := expr.S("pix", 32), expr.S("piy", 32)
 	cond := expr.Eq(expr.Mul(x, y), expr.C(0xDEADBEEF, 32))
 	if s.MayBeTrue(nil, cond) {
-		t.Fatal("interrupted race answered true")
+		t.Fatal("interrupted query answered true")
 	}
 	if n := s.CacheSize(); n != 0 {
-		t.Fatalf("interrupted race populated the cache (%d entries)", n)
+		t.Fatalf("interrupted query populated the verdict cache (%d entries)", n)
 	}
 }
 
-// TestPortfolioRaceCounters checks the ops counters: a race with a
-// definitive winner must record one win, and the loser a loss or
-// cancel.
-func TestPortfolioRaceCounters(t *testing.T) {
-	ResetPortfolioCounters()
-	f, _ := backendFactory(BackendPortfolio)
-	b := f(BackendOpts{})
-	x := expr.S("rcx", 4)
-	b.Assert(expr.Ult(x, expr.C(9, 4)))
-	racer := b.(Racer)
-	if v := racer.SolveRaced(expr.Eq(x, expr.C(3, 4))); v != VSat {
-		t.Fatalf("race verdict %v, want sat", v)
+// TestPortfolioAbortedNeverCached pins the never-cache-aborted rule:
+// once the interrupt that aborted a query is cleared, the very same
+// query must be solved — not served from a cache — answer true, and
+// only then be cached.
+func TestPortfolioAbortedNeverCached(t *testing.T) {
+	var abort atomic.Bool
+	abort.Store(true)
+	s := NewWith(Config{Interrupt: abort.Load})
+	x, y := expr.S("pnx", 32), expr.S("pny", 32)
+	cond := expr.Eq(expr.Mul(x, y), expr.C(0xDEADBEEF, 32))
+	if s.MayBeTrue(nil, cond) {
+		t.Fatal("aborted query must answer conservatively (false)")
 	}
-	snap := PortfolioSnapshot()
-	wins := int64(0)
-	for _, c := range snap {
-		wins += c.Wins
+	if n := s.CacheSize(); n != 0 {
+		t.Fatalf("aborted query populated the verdict cache (%d entries)", n)
 	}
-	if wins != 1 {
-		t.Fatalf("race recorded %d wins, want 1 (snapshot %v)", wins, snap)
+	if s.ModelHits() != 0 {
+		t.Fatal("aborted query produced a model hit")
 	}
-	other := int64(0)
-	for _, c := range snap {
-		other += c.Losses + c.Cancels
+	abort.Store(false)
+	if !s.MayBeTrue(nil, cond) {
+		t.Fatal("query answered false once the interrupt cleared: the aborted verdict was cached")
 	}
-	if other != 1 {
-		t.Fatalf("race recorded %d losses+cancels, want 1 (snapshot %v)", other, snap)
+	if _, hits := s.Stats(); hits != 0 {
+		t.Fatalf("post-interrupt answer came from the cache (%d hits), not a solve", hits)
+	}
+	if n := s.CacheSize(); n != 1 {
+		t.Fatalf("decided query not cached (%d entries)", n)
 	}
 }
 

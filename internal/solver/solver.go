@@ -1,17 +1,13 @@
 // Package solver decides satisfiability of conjunctions of symbolic
 // bitvector constraints (package expr). It is layered:
 //
-//   - a backend-agnostic front end (this file) owning everything
-//     query-shaped: fingerprint-keyed verdict/model caches, the
-//     per-variable-set counterexample index, constraint-independence
-//     slicing, easy/hard routing, and incremental sessions;
-//   - the Backend seam (backend.go): a minimal Assert / Push / Pop /
-//     SolveUnder / Model / SetInterrupt contract any decision
-//     procedure can implement;
-//   - backends: the native core (bit-blasting to CNF over the CDCL
-//     SAT core, blast.go + package sat), an exhaustive small-domain
-//     evaluator (smalldomain.go), and a portfolio that races them on
-//     hard queries (portfolio.go).
+//   - a front end (this file) owning everything query-shaped:
+//     fingerprint-keyed verdict/model caches, the per-variable-set
+//     counterexample index, constraint-independence slicing, and
+//     incremental sessions;
+//   - the core backend (backend.go): a scoped Assert / Push / Pop /
+//     SolveUnder / Model stack over the bit-blaster (blast.go) and the
+//     CDCL SAT core (package sat).
 //
 // It fills the role STP fills for KLEE in the original RevNIC: the
 // symbolic execution engine asks, at every branch that depends on
@@ -35,11 +31,7 @@
 //     assumption (SolveUnder).
 //
 // Determinism contract: query answers and every cache side effect are
-// bit-identical run-to-run for the default and portfolio backends.
-// Raced verdicts are objective (SAT/UNSAT, whoever answers first);
-// raced models would not be, so hard queries are verdict-only — their
-// models are never read and never cached, in every mode, which is
-// what keeps portfolio-on and portfolio-off runs byte-identical.
+// bit-identical run-to-run.
 package solver
 
 import (
@@ -79,12 +71,6 @@ type Config struct {
 	// job-scoped solver must pass the job's arena so its expressions
 	// die with the job.
 	Arena *expr.Arena
-	// Backend selects the decision backend by registry name
-	// (BackendCore, BackendSmallDomain, BackendPortfolio, or anything
-	// registered via RegisterBackend). Empty selects the core. NewWith
-	// panics on an unknown name — callers validate user input with
-	// ValidBackend first.
-	Backend string
 	// CacheLimit bounds the query/model caches; 0 selects
 	// DefaultCacheLimit.
 	CacheLimit int
@@ -98,20 +84,11 @@ type Config struct {
 	// creates (sat.Solver.SetLearntCap): 0 keeps the SAT default,
 	// negative disables learnt-clause deletion.
 	LearntCap int
-	// HardVars and HardNodes tune the easy/hard routing heuristic: a
-	// cache-missing query is hard when distinct vars > HardVars or
-	// total DAG nodes > HardNodes. 0 selects the defaults; negative
-	// means "never hard" (disables racing even under the portfolio
-	// backend). Routing is a pure function of the query, so it never
-	// affects determinism — only which queries get raced and
-	// verdict-only caching.
-	HardVars  int
-	HardNodes int
 	// DisableIncremental starts the solver with incremental branch
 	// queries off (ablation).
 	DisableIncremental bool
-	// Interrupt, when non-nil, is polled during solving (forwarded to
-	// every backend via SetInterrupt): returning true aborts the
+	// Interrupt, when non-nil, is polled during solving (installed on
+	// every SAT instance the solver creates): returning true aborts the
 	// solve. Aborted queries answer conservatively (UNSAT / no model)
 	// and are never cached, so an interrupt can wind a job down early
 	// but can never poison answers of later queries. A hook that
@@ -130,10 +107,7 @@ type Config struct {
 // branch queries serialize on the shared session.
 type Solver struct {
 	ar        *expr.Arena
-	backend   string
 	learntCap int
-	hardVars  int
-	hardNodes int
 	interrupt func() bool
 
 	mu         sync.Mutex
@@ -161,10 +135,8 @@ type Solver struct {
 // prefix and pushing the new suffix — sibling states after a fork
 // share everything up to the fork point instead of rebuilding.
 type session struct {
-	b Backend
-	// racer is b's racing extension, if it has one (portfolio).
-	racer Racer
-	ids   []uint64
+	b   *coreBackend
+	ids []uint64
 	// pops counts scopes retired since the session was built; each
 	// pop leaves a dead selector variable behind in a SAT-backed
 	// session, so past a threshold the session is rebuilt fresh. The
@@ -176,21 +148,14 @@ type session struct {
 const sessionPopGC = 4096
 
 // New returns a solver with the default configuration: default arena,
-// core backend, cache bounded at DefaultCacheLimit entries, a
-// DefaultRecentModels-sized counterexample index, and incremental
-// branch queries enabled.
+// cache bounded at DefaultCacheLimit entries, a DefaultRecentModels-
+// sized counterexample index, and incremental branch queries enabled.
 func New() *Solver { return NewWith(Config{}) }
 
 // NewWith returns a solver configured by cfg.
 func NewWith(cfg Config) *Solver {
 	if cfg.Arena == nil {
 		cfg.Arena = expr.Default()
-	}
-	if cfg.Backend == "" {
-		cfg.Backend = BackendCore
-	}
-	if _, ok := backendFactory(cfg.Backend); !ok {
-		panic("solver: unknown backend " + cfg.Backend)
 	}
 	if cfg.CacheLimit <= 0 {
 		cfg.CacheLimit = DefaultCacheLimit
@@ -201,19 +166,9 @@ func NewWith(cfg Config) *Solver {
 	} else if ring < 0 {
 		ring = 0
 	}
-	hv, hn := cfg.HardVars, cfg.HardNodes
-	if hv == 0 {
-		hv = DefaultHardVars
-	}
-	if hn == 0 {
-		hn = DefaultHardNodes
-	}
 	s := &Solver{
 		ar:         cfg.Arena,
-		backend:    cfg.Backend,
 		learntCap:  cfg.LearntCap,
-		hardVars:   hv,
-		hardNodes:  hn,
 		interrupt:  cfg.Interrupt,
 		cache:      map[uint64]bool{},
 		models:     map[uint64]map[string]uint32{},
@@ -224,40 +179,9 @@ func NewWith(cfg Config) *Solver {
 	return s
 }
 
-// Backend reports the configured backend name.
-func (s *Solver) Backend() string { return s.backend }
-
-// newBackend builds a fresh instance of the configured backend.
-func (s *Solver) newBackend() Backend {
-	f, _ := backendFactory(s.backend)
-	return f(BackendOpts{
-		LearntCap: s.learntCap,
-		Interrupt: s.interrupt,
-		HardVars:  s.hardVars,
-		HardNodes: s.hardNodes,
-	})
-}
-
-// newOneShot builds the backend used for one-shot (non-session)
-// queries. Under the portfolio this is the primary core alone:
-// one-shots exist to produce models (Model, Concretize, Values), and
-// raced models are nondeterministic, so one-shots are never raced.
-func (s *Solver) newOneShot() Backend {
-	name := s.backend
-	if name == BackendPortfolio {
-		name = BackendCore
-	}
-	f, _ := backendFactory(name)
-	return f(BackendOpts{LearntCap: s.learntCap, Interrupt: s.interrupt})
-}
-
-// isHard applies the routing heuristic to a query's stats.
-func (s *Solver) isHard(nvars, nodes int) bool {
-	if s.hardVars < 0 && s.hardNodes < 0 {
-		return false
-	}
-	return (s.hardVars > 0 && nvars > s.hardVars) ||
-		(s.hardNodes > 0 && nodes > s.hardNodes)
+// newBackend builds a fresh backend configured per the solver.
+func (s *Solver) newBackend() *coreBackend {
+	return newCoreBackend(s.learntCap, s.interrupt)
 }
 
 // SetIncremental toggles incremental branch queries (MayBeTrue's
@@ -335,7 +259,7 @@ func (s *Solver) Satisfiable(constraints []*expr.Expr) bool {
 		s.hits.Add(1)
 		return r
 	}
-	sig, _, _ := queryStats(live)
+	sig := querySig(live)
 	if m, ok := s.trySat(sig, live); ok {
 		s.modelHits.Add(1)
 		s.cachePut(fp, true)
@@ -347,7 +271,7 @@ func (s *Solver) Satisfiable(constraints []*expr.Expr) bool {
 		s.cachePut(fp, false)
 		return false
 	}
-	b := s.newOneShot()
+	b := s.newBackend()
 	for _, c := range live {
 		b.Assert(c)
 	}
@@ -361,8 +285,7 @@ func (s *Solver) Satisfiable(constraints []*expr.Expr) bool {
 		s.cachePut(fp, false)
 		return false
 	default:
-		// Aborted or out of the backend's domain: "unknown" answered
-		// as UNSAT, never cached.
+		// Aborted: "unknown" answered as UNSAT, never cached.
 		return false
 	}
 }
@@ -376,11 +299,6 @@ func (s *Solver) Satisfiable(constraints []*expr.Expr) bool {
 // (SolveUnder), so a branch's two queries (cond, ¬cond) and
 // consecutive branches over the same variables share translation
 // work and learnt clauses.
-//
-// Hard queries (see Config.HardVars/HardNodes) are verdict-only: the
-// portfolio races its backends on them, and because raced models are
-// nondeterministic, hard results never feed the model caches — under
-// any backend, so cache contents stay bit-identical across modes.
 func (s *Solver) MayBeTrue(pc []*expr.Expr, cond *expr.Expr) bool {
 	rel := Slice(pc, cond)
 	if !s.incremental.Load() {
@@ -403,7 +321,7 @@ func (s *Solver) MayBeTrue(pc []*expr.Expr, cond *expr.Expr) bool {
 		s.hits.Add(1)
 		return r
 	}
-	sig, nvars, nodes := queryStats(full)
+	sig := querySig(full)
 	if m, ok := s.trySat(sig, full); ok {
 		s.modelHits.Add(1)
 		s.cachePut(fp, true)
@@ -415,23 +333,18 @@ func (s *Solver) MayBeTrue(pc []*expr.Expr, cond *expr.Expr) bool {
 		s.cachePut(fp, false)
 		return false
 	}
-	hard := s.isHard(nvars, nodes)
 	var q *expr.Expr
 	if !cond.IsTrue() {
 		q = cond
 	}
-	v, model := s.solveSession(prefix, q, hard)
+	v, model := s.solveSession(prefix, q)
 	switch v {
 	case VSat:
-		if model != nil {
-			s.storeModel(fp, sig, model)
-		}
+		s.storeModel(fp, sig, model)
 		s.cachePut(fp, true)
 		return true
 	case VUnsat:
-		if !hard {
-			s.storeUnsat(full)
-		}
+		s.storeUnsat(full)
 		s.cachePut(fp, false)
 		return false
 	default:
@@ -446,16 +359,13 @@ func (s *Solver) MayBeTrue(pc []*expr.Expr, cond *expr.Expr) bool {
 // After a fork, the two children differ only in their last
 // constraint, so the whole shared prefix — its CNF and its learnt
 // clauses — is reused instead of rebuilt (the pre-push/pop design
-// rebuilt on any mismatch). Hard queries go through the racing
-// extension when the backend has one, and their models are never
-// read (see MayBeTrue).
-func (s *Solver) solveSession(prefix []*expr.Expr, cond *expr.Expr, hard bool) (Verdict, map[string]uint32) {
+// rebuilt on any mismatch).
+func (s *Solver) solveSession(prefix []*expr.Expr, cond *expr.Expr) (Verdict, map[string]uint32) {
 	s.incMu.Lock()
 	defer s.incMu.Unlock()
 	sess := s.inc
 	if sess == nil || sess.pops >= sessionPopGC {
 		sess = &session{b: s.newBackend()}
-		sess.racer, _ = sess.b.(Racer)
 		s.inc = sess
 		s.rebuilt.Add(1)
 	} else {
@@ -476,13 +386,8 @@ func (s *Solver) solveSession(prefix []*expr.Expr, cond *expr.Expr, hard bool) (
 		sess.b.Assert(c)
 		sess.ids = append(sess.ids, c.ID())
 	}
-	var v Verdict
-	if hard && sess.racer != nil {
-		v = sess.racer.SolveRaced(cond)
-	} else {
-		v = sess.b.SolveUnder(cond)
-	}
-	if v == VSat && !hard {
+	v := sess.b.SolveUnder(cond)
+	if v == VSat {
 		return v, sess.b.Model()
 	}
 	return v, nil
@@ -500,9 +405,7 @@ func (s *Solver) MustBeTrue(pc []*expr.Expr, cond *expr.Expr) bool {
 // variables as zero); a reused cached witness can mention extra
 // variables, which evaluation ignores. Models are cached beside the
 // sat/unsat verdicts: re-asking for the model of a known constraint
-// set costs a fingerprint probe. Model queries always run on the
-// primary backend, never raced, so the returned witness is
-// deterministic.
+// set costs a fingerprint probe.
 func (s *Solver) Model(constraints []*expr.Expr) (map[string]uint32, bool) {
 	s.queries.Add(1)
 	live, unsat := liveConstraints(constraints)
@@ -521,7 +424,7 @@ func (s *Solver) Model(constraints []*expr.Expr) (map[string]uint32, bool) {
 		s.hits.Add(1)
 		return nil, false
 	}
-	sig, _, _ := queryStats(live)
+	sig := querySig(live)
 	if m, ok := s.trySat(sig, live); ok {
 		s.modelHits.Add(1)
 		s.cachePut(fp, true)
@@ -533,7 +436,7 @@ func (s *Solver) Model(constraints []*expr.Expr) (map[string]uint32, bool) {
 		s.cachePut(fp, false)
 		return nil, false
 	}
-	b := s.newOneShot()
+	b := s.newBackend()
 	for _, c := range live {
 		b.Assert(c)
 	}

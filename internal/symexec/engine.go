@@ -46,17 +46,6 @@ type Config struct {
 	// answers — and therefore exploration results — are identical
 	// either way.
 	DisableIncrementalSolver bool
-	// SolverBackend names the constraint-solver backend every solver
-	// in this engine (root and fork-join children) is built with:
-	// solver.BackendCore (the default, also selected by ""),
-	// solver.BackendSmallDomain, or solver.BackendPortfolio, which
-	// races the others on hard queries. Exploration results are
-	// bit-identical across backends: hard queries are verdict-only
-	// under every backend, so caches, counters, traces and coverage
-	// never depend on which backend answered. Validate names from
-	// user input with solver.ValidBackend before constructing the
-	// engine — an unknown name panics.
-	SolverBackend string
 	// PollThreshold is the per-state repeat count after which the
 	// polling-loop killer discards the staying path.
 	PollThreshold int
@@ -121,13 +110,13 @@ type Config struct {
 	ShardFactor int
 	// ShardRunner, when non-nil, executes the fork-join shard groups
 	// through an external dispatcher (the cluster layer's
-	// fault-tolerant remote transport) instead of in-process worker
-	// children. The runner receives each group as a self-contained
-	// ShardTask plus a local-execution fallback closure; because task
-	// execution is deterministic and idempotent, the merged results
-	// are bit-identical to a nil-runner run no matter how the
-	// dispatcher mixes remote execution, retries, hedging and local
-	// fallback.
+	// fault-tolerant work queue) instead of in-process worker
+	// children. The runner receives each phase's groups as
+	// self-contained ShardTasks plus a local-execution closure;
+	// because task execution is deterministic and idempotent, the
+	// merged results are bit-identical to a nil-runner run no matter
+	// how the dispatcher mixes remote execution, retries, stealing
+	// and local fallback.
 	ShardRunner ShardRunner
 }
 
@@ -344,7 +333,6 @@ func New(prog *isa.Program, cfg Config) *Engine {
 func newSolver(cfg Config) *solver.Solver {
 	return solver.NewWith(solver.Config{
 		Arena:              cfg.Arena,
-		Backend:            cfg.SolverBackend,
 		DisableIncremental: cfg.DisableIncrementalSolver,
 		Interrupt:          stopFunc(cfg),
 	})

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"revnic/internal/solver"
 	"revnic/internal/trace"
 )
 
@@ -103,29 +102,6 @@ func TestParallelDeterminism(t *testing.T) {
 				t.Fatal("no baseline recorded")
 			}
 		})
-	}
-}
-
-// TestSolverBackendBitIdentity pins the solver-backend determinism
-// contract at the engine level: the same exploration run under the
-// core default, the portfolio (which races backends on hard queries,
-// with nondeterministic winners), and the portfolio with workers
-// produces bit-identical traces, coverage and statistics. Hard
-// queries are verdict-only under every backend, so which backend
-// answers — and in which order the losers are cancelled — never
-// reaches the result.
-func TestSolverBackendBitIdentity(t *testing.T) {
-	base := exploreDriver(t, "RTL8029", Config{Seed: 7, Workers: 1})
-	want := traceFingerprint(base)
-	for _, cfg := range []Config{
-		{Seed: 7, Workers: 1, SolverBackend: solver.BackendPortfolio},
-		{Seed: 7, Workers: 4, SolverBackend: solver.BackendPortfolio},
-	} {
-		res := exploreDriver(t, "RTL8029", cfg)
-		if got := traceFingerprint(res); got != want {
-			t.Fatalf("backend %q workers=%d diverged from the core default (fingerprints differ: %d vs %d bytes)",
-				cfg.SolverBackend, cfg.Workers, len(got), len(want))
-		}
 	}
 }
 

@@ -150,7 +150,7 @@ func decodeStateGroup(g *WireStateGroup, base []byte, ar *expr.Arena) ([]*State,
 		}
 		// Decoded pages start shared: they may be referenced by several
 		// states, and even a sole owner must copy before writing so the
-		// group can be re-encoded (hedged re-dispatch) untouched.
+		// group can be re-encoded (straggler re-dispatch) untouched.
 		p := &page{shared: true}
 		for k, off := range wp.Off {
 			if int(off) >= pageSize {
