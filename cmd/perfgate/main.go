@@ -1,6 +1,6 @@
 // Command perfgate is the CI performance-regression gate: it compares
 // a freshly generated revbench grid report against the committed
-// baseline (BENCH_9.json) and fails when any matching cell's mean
+// baseline (BENCH_10.json) and fails when any matching cell's mean
 // wall-clock regressed beyond the threshold.
 //
 // Cells match on (solver, searcher, workers, shard_factor, scenario) —
@@ -14,10 +14,17 @@
 // threshold is meant to catch structural regressions (a scheduler
 // serializing, a solver losing its cache), not jitter.
 //
+// It also checks one invariant inside the fresh report alone: an
+// "incremental" cell must not be slower than the "no-incremental" cell
+// at the same searcher, workers, shard factor and scenario. Sessions
+// exist to make solving cheaper, so an inversion is a regression in
+// the solver layer even when every cell is within the threshold of a
+// baseline that already carries it.
+//
 // Usage:
 //
 //	revbench -grid -repeats 2 -grid-out fresh.json
-//	perfgate -base BENCH_9.json -fresh fresh.json
+//	perfgate -base BENCH_10.json -fresh fresh.json
 package main
 
 import (
@@ -42,6 +49,12 @@ type report struct {
 }
 
 func key(c cell) string {
+	return c.Solver + "/" + axes(c)
+}
+
+// axes is a cell's key without the solver mode: the cells an
+// incremental cell is compared against share it.
+func axes(c cell) string {
 	// Reports written before the searcher axis existed omit the field;
 	// they all ran the coverage-guided default, so normalize rather than
 	// orphan every historical baseline cell.
@@ -49,7 +62,34 @@ func key(c cell) string {
 	if s == "" {
 		s = "coverage"
 	}
-	return fmt.Sprintf("%s/%s/w%d/f%d/%s", c.Solver, s, c.Workers, c.ShardFactor, c.Scenario)
+	return fmt.Sprintf("%s/w%d/f%d/%s", s, c.Workers, c.ShardFactor, c.Scenario)
+}
+
+// incrementalInversions reports every incremental cell whose mean
+// exceeds the no-incremental cell on the same axes, and how many such
+// pairs the report holds.
+func incrementalInversions(cells []cell) (pairs, inversions int) {
+	noInc := make(map[string]cell)
+	for _, c := range cells {
+		if c.Solver == "no-incremental" {
+			noInc[axes(c)] = c
+		}
+	}
+	for _, c := range cells {
+		n, ok := noInc[axes(c)]
+		if c.Solver != "incremental" || !ok {
+			continue
+		}
+		pairs++
+		status := "ok"
+		if c.MeanMS > n.MeanMS {
+			status = "INVERSION"
+			inversions++
+		}
+		fmt.Printf("perfgate: incremental vs no-incremental %-24s %8.0f ms vs %8.0f ms  %s\n",
+			axes(c), c.MeanMS, n.MeanMS, status)
+	}
+	return pairs, inversions
 }
 
 func load(path string) (report, error) {
@@ -69,7 +109,7 @@ func load(path string) (report, error) {
 
 func main() {
 	var (
-		base      = flag.String("base", "BENCH_9.json", "committed baseline grid report")
+		base      = flag.String("base", "BENCH_10.json", "committed baseline grid report")
 		fresh     = flag.String("fresh", "", "freshly generated grid report to gate")
 		threshold = flag.Float64("threshold", 0.25, "maximum allowed fractional mean regression per cell")
 	)
@@ -117,10 +157,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, "perfgate: no cells matched between reports")
 		os.Exit(2)
 	}
+	pairs, inversions := incrementalInversions(freshRep.Cells)
 	if regressions > 0 {
 		fmt.Fprintf(os.Stderr, "perfgate: %d of %d cells regressed beyond %.0f%%\n",
 			regressions, matched, 100**threshold)
+	}
+	if inversions > 0 {
+		fmt.Fprintf(os.Stderr, "perfgate: %d of %d incremental cells slower than no-incremental\n",
+			inversions, pairs)
+	}
+	if regressions > 0 || inversions > 0 {
 		os.Exit(1)
 	}
-	fmt.Printf("perfgate: %d cells within %.0f%% of baseline\n", matched, 100**threshold)
+	fmt.Printf("perfgate: %d cells within %.0f%% of baseline, %d incremental cells faster than no-incremental\n",
+		matched, 100**threshold, pairs)
 }

@@ -96,40 +96,41 @@ func runGrid(strategy string, searcher symexec.SearcherFactory, repeats int, out
 		Repeats:  repeats,
 		Drivers:  names,
 	}
-	runCell := func(cell gridCell, m mode) (gridCell, error) {
+	// runOnce times one four-driver run of cell and records its solver
+	// counters (identical on every run, so the last write stands).
+	runOnce := func(cell *gridCell, m mode) error {
 		cellSearcher := searcher
 		if cell.Searcher != "" {
 			var err error
 			cellSearcher, err = symexec.SearcherByName(cell.Searcher)
 			if err != nil {
-				return cell, fmt.Errorf("grid cell %s: %w", cell.Searcher, err)
+				return fmt.Errorf("grid cell %s: %w", cell.Searcher, err)
 			}
 		}
-		for rep := 0; rep < repeats; rep++ {
-			start := time.Now()
-			ctx, err := experiments.NewContextCfg(experiments.ContextConfig{
-				Workers:                  cell.Workers,
-				Searcher:                 cellSearcher,
-				Arena:                    expr.NewArena(),
-				DisableIncrementalSolver: m.noInc,
-				ShardFactor:              cell.ShardFactor,
-			})
-			elapsed := time.Since(start)
-			if err != nil {
-				return cell, fmt.Errorf("grid cell %s/w%d/f%d: %w", m.name, cell.Workers, cell.ShardFactor, err)
-			}
-			cell.RunsMS = append(cell.RunsMS, float64(elapsed.Microseconds())/1000)
-			if rep == repeats-1 {
-				cell.SolverQueries, cell.CacheHits, cell.ModelHits, cell.CoveredBlocks = 0, 0, 0, 0
-				for _, d := range names {
-					e := ctx.Get(d).Exploration
-					cell.SolverQueries += e.SolverQueries
-					cell.CacheHits += e.SolverCacheHits
-					cell.ModelHits += e.SolverModelHits
-					cell.CoveredBlocks += e.Collector.CoveredBlocks()
-				}
-			}
+		start := time.Now()
+		ctx, err := experiments.NewContextCfg(experiments.ContextConfig{
+			Workers:                  cell.Workers,
+			Searcher:                 cellSearcher,
+			Arena:                    expr.NewArena(),
+			DisableIncrementalSolver: m.noInc,
+			ShardFactor:              cell.ShardFactor,
+		})
+		elapsed := time.Since(start)
+		if err != nil {
+			return fmt.Errorf("grid cell %s/w%d/f%d: %w", m.name, cell.Workers, cell.ShardFactor, err)
 		}
+		cell.RunsMS = append(cell.RunsMS, float64(elapsed.Microseconds())/1000)
+		cell.SolverQueries, cell.CacheHits, cell.ModelHits, cell.CoveredBlocks = 0, 0, 0, 0
+		for _, d := range names {
+			e := ctx.Get(d).Exploration
+			cell.SolverQueries += e.SolverQueries
+			cell.CacheHits += e.SolverCacheHits
+			cell.ModelHits += e.SolverModelHits
+			cell.CoveredBlocks += e.Collector.CoveredBlocks()
+		}
+		return nil
+	}
+	finish := func(cell gridCell) gridCell {
 		cell.MeanMS, cell.StdMS = meanStd(cell.RunsMS)
 		label := cell.Searcher
 		if label == "" {
@@ -138,15 +139,33 @@ func runGrid(strategy string, searcher symexec.SearcherFactory, repeats int, out
 		fmt.Fprintf(os.Stderr, "revbench: grid %-14s workers=%d factor=%d searcher=%s: %.0f ms ± %.0f (%d queries, %d cache hits, %d model reuses)\n",
 			cell.Solver, cell.Workers, cell.ShardFactor, label, cell.MeanMS, cell.StdMS,
 			cell.SolverQueries, cell.CacheHits, cell.ModelHits)
-		return cell, nil
+		return cell
 	}
-	for _, workers := range []int{1, 4} {
-		for _, m := range modes {
-			cell, err := runCell(gridCell{Solver: m.name, Workers: workers}, m)
-			if err != nil {
-				return err
+	runCell := func(cell gridCell, m mode) (gridCell, error) {
+		for rep := 0; rep < repeats; rep++ {
+			if err := runOnce(&cell, m); err != nil {
+				return cell, err
 			}
-			report.Cells = append(report.Cells, cell)
+		}
+		return finish(cell), nil
+	}
+	// The solver modes of one worker count alternate run by run, so a
+	// slow spell on a shared host lands on both cells of the pair that
+	// perfgate compares, not on one of them.
+	for _, workers := range []int{1, 4} {
+		pair := make([]gridCell, len(modes))
+		for i, m := range modes {
+			pair[i] = gridCell{Solver: m.name, Workers: workers}
+		}
+		for rep := 0; rep < repeats; rep++ {
+			for i, m := range modes {
+				if err := runOnce(&pair[i], m); err != nil {
+					return err
+				}
+			}
+		}
+		for _, c := range pair {
+			report.Cells = append(report.Cells, finish(c))
 		}
 	}
 	// The scheduling-granularity axis: the default solver at full

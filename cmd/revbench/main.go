@@ -6,7 +6,8 @@
 //	revbench -exp all            # everything
 //	revbench -exp fig2           # one experiment
 //	revbench -list               # enumerate experiment IDs
-//	revbench -grid               # solver-ablation timing grid -> BENCH_8.json
+//	revbench -grid               # solver-ablation timing grid, JSON on stdout
+//	revbench -grid -grid-out BENCH_10.json
 package main
 
 import (
@@ -30,7 +31,7 @@ func main() {
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "worker pool size for the reverse-engineering context (results are identical for any value)")
 		grid     = flag.Bool("grid", false, "run the solver/scheduling timing grid (workers x solver modes x shard factors) instead of the experiments")
 		repeats  = flag.Int("repeats", 3, "repetitions per grid cell (with -grid)")
-		gridOut  = flag.String("grid-out", "BENCH_9.json", "grid report output path (with -grid; '-' for stdout)")
+		gridOut  = flag.String("grid-out", "-", "grid report output path (with -grid; '-' for stdout)")
 		gridCSV  = flag.String("csv", "", "also export every individual grid run as CSV to this path (with -grid)")
 		gridClu  = flag.Bool("grid-cluster", false, "include the coordinator straggler scenario (work queue with stealing off vs on, one slow peer) in the grid")
 		shardFac = flag.Int("shard-factor", 0, "shard-group granularity multiplier for the experiment runs: 0 auto-sizes (results are identical for a fixed value)")

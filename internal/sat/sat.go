@@ -3,6 +3,14 @@
 // watching, first-UIP conflict analysis, VSIDS-style variable activity
 // with phase saving, and geometric restarts.
 //
+// Branch variables come from a binary max-heap ordered by activity,
+// so a decision costs O(log n) instead of a scan over every variable.
+// The order is total — higher activity first, ties to the lower
+// variable index — which makes every pick, and therefore every model,
+// a pure function of the search history. Assigned variables leave the
+// heap lazily (when they surface at the top) and return when
+// backtracking unassigns them.
+//
 // It is the decision procedure underneath RevNIC's bitvector
 // constraint solver (package solver), standing in for the STP solver
 // KLEE uses in the original system.
@@ -72,6 +80,11 @@ type Solver struct {
 	reason   []*clause
 	activity []float64
 	varInc   float64
+	// order is the branching heap: every unassigned variable (plus,
+	// lazily, some assigned ones), max-ordered by (activity desc,
+	// index asc). orderPos[v] is v's slot in order, or -1.
+	order    []int32
+	orderPos []int32
 
 	trail    []Lit
 	trailLim []int
@@ -98,6 +111,9 @@ type Solver struct {
 	// assume every open selector true, so popping a scope retires its
 	// clauses without touching the clause database.
 	scopes []int
+	// assumps is SolveUnder's reusable buffer for the open selectors
+	// followed by the caller's assumptions.
+	assumps []Lit
 }
 
 // DefaultLearntCap bounds the learnt-clause database. Incremental
@@ -166,6 +182,11 @@ func (s *Solver) NewVar() int {
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, nil)
 	s.activity = append(s.activity, 0)
+	// A fresh variable has activity 0 and the highest index, so it
+	// ranks below every variable already in the heap: appending it as
+	// a leaf keeps the heap ordered without sifting.
+	s.orderPos = append(s.orderPos, int32(len(s.order)))
+	s.order = append(s.order, int32(v))
 	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil)
 	return v
@@ -197,6 +218,13 @@ func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 // before Solve at decision level zero. Returns false if the formula
 // is already unsatisfiable.
 func (s *Solver) AddClause(lits ...Lit) bool {
+	// The stored clause keeps its literal slice: copy the caller's.
+	return s.addClause(append(make([]Lit, 0, len(lits)), lits...))
+}
+
+// addClause is AddClause over a literal slice the solver may keep and
+// simplify in place.
+func (s *Solver) addClause(lits []Lit) bool {
 	if s.unsat {
 		return false
 	}
@@ -204,8 +232,9 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	// search assignments so simplification sees only level-0 facts.
 	s.cancelUntil(0)
 	// Sort-free simplification: drop false/duplicate literals, detect
-	// tautologies and already-satisfied clauses.
-	out := lits[:0:0]
+	// tautologies and already-satisfied clauses. out only ever trails
+	// the read position, so compacting in place is safe.
+	out := lits[:0]
 	for _, l := range lits {
 		switch s.value(l) {
 		case lTrue:
@@ -291,7 +320,7 @@ func (s *Solver) AddScoped(lits ...Lit) bool {
 		return s.AddClause(lits...)
 	}
 	sel := s.scopes[len(s.scopes)-1]
-	return s.AddClause(append(append(make([]Lit, 0, len(lits)+1), lits...), Neg(sel))...)
+	return s.addClause(append(append(make([]Lit, 0, len(lits)+1), lits...), Neg(sel)))
 }
 
 func (s *Solver) watchClause(c *clause) {
@@ -377,7 +406,87 @@ func (s *Solver) bumpVar(v int) {
 			s.activity[i] *= 1e-100
 		}
 		s.varInc *= 1e-100
+		// Scaling keeps the order but rounding and underflow can create
+		// new ties, which must go to the lower index: rebuild the heap.
+		s.heapify()
+		return
 	}
+	if i := s.orderPos[v]; i >= 0 {
+		s.siftUp(i)
+	}
+}
+
+// before reports whether variable a outranks b in the branching
+// order: higher activity first, ties to the lower index.
+func (s *Solver) before(a, b int32) bool {
+	aa, ab := s.activity[a], s.activity[b]
+	return aa > ab || aa == ab && a < b
+}
+
+func (s *Solver) siftUp(i int32) {
+	v := s.order[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !s.before(v, s.order[p]) {
+			break
+		}
+		s.order[i] = s.order[p]
+		s.orderPos[s.order[i]] = i
+		i = p
+	}
+	s.order[i] = v
+	s.orderPos[v] = i
+}
+
+func (s *Solver) siftDown(i int32) {
+	v := s.order[i]
+	n := int32(len(s.order))
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && s.before(s.order[c+1], s.order[c]) {
+			c++
+		}
+		if !s.before(s.order[c], v) {
+			break
+		}
+		s.order[i] = s.order[c]
+		s.orderPos[s.order[i]] = i
+		i = c
+	}
+	s.order[i] = v
+	s.orderPos[v] = i
+}
+
+func (s *Solver) heapify() {
+	for i := int32(len(s.order))/2 - 1; i >= 0; i-- {
+		s.siftDown(i)
+	}
+}
+
+// heapInsert returns v to the branching heap if it is not there.
+func (s *Solver) heapInsert(v int) {
+	if s.orderPos[v] >= 0 {
+		return
+	}
+	i := int32(len(s.order))
+	s.order = append(s.order, int32(v))
+	s.siftUp(i)
+}
+
+// heapPop removes and returns the top of the branching heap.
+func (s *Solver) heapPop() int {
+	top := s.order[0]
+	last := s.order[len(s.order)-1]
+	s.order = s.order[:len(s.order)-1]
+	s.orderPos[top] = -1
+	if len(s.order) > 0 {
+		s.order[0] = last
+		s.siftDown(0)
+	}
+	return int(top)
 }
 
 func (s *Solver) bumpClause(c *clause) {
@@ -527,22 +636,35 @@ func (s *Solver) cancelUntil(lvl int) {
 		s.polarity[v] = s.assigns[v] == lTrue
 		s.assigns[v] = lUndef
 		s.reason[v] = nil
+		s.heapInsert(v)
 	}
 	s.trail = s.trail[:bound]
 	s.trailLim = s.trailLim[:lvl]
 	s.qhead = len(s.trail)
 }
 
+// pickBranch is the branching rule Solve and SolveUnder call. It is a
+// variable only so the package tests can drive the search with a
+// reference linear scan and check the heap against it.
+var pickBranch = (*Solver).pickBranchVar
+
 // pickBranchVar returns the unassigned variable with the highest
-// activity, or -1 if all variables are assigned.
+// activity (ties to the lowest index), or -1 if all variables are
+// assigned. Assigned variables met at the top of the heap are dropped;
+// cancelUntil reinserts them when it unassigns them.
 func (s *Solver) pickBranchVar() int {
-	best, bestAct := -1, -1.0
-	for v := range s.assigns {
-		if s.assigns[v] == lUndef && s.activity[v] > bestAct {
-			best, bestAct = v, s.activity[v]
+	// The trail holds exactly the assigned variables. A full trail ends
+	// the search without draining the heap entry by entry, and the
+	// entries left behind spare cancelUntil their reinsertion. Otherwise
+	// some variable is unassigned, hence in the heap, so the loop ends.
+	if len(s.trail) == len(s.assigns) {
+		return -1
+	}
+	for {
+		if v := s.heapPop(); s.assigns[v] == lUndef {
+			return v
 		}
 	}
-	return best
 }
 
 // Solve determines satisfiability of the accumulated clauses. After a
@@ -599,7 +721,7 @@ func (s *Solver) Solve() bool {
 			}
 			continue
 		}
-		v := s.pickBranchVar()
+		v := pickBranch(s)
 		if v < 0 {
 			return true // all variables assigned, no conflict
 		}
@@ -624,11 +746,12 @@ func (s *Solver) SolveUnder(assumptions ...Lit) bool {
 		return false
 	}
 	if len(s.scopes) > 0 {
-		all := make([]Lit, 0, len(s.scopes)+len(assumptions))
+		all := s.assumps[:0]
 		for _, sel := range s.scopes {
 			all = append(all, Pos(sel))
 		}
 		assumptions = append(all, assumptions...)
+		s.assumps = assumptions
 	}
 	s.cancelUntil(0)
 	if s.propagate() != nil {
@@ -710,7 +833,7 @@ func (s *Solver) SolveUnder(assumptions ...Lit) bool {
 			}
 			continue
 		}
-		v := s.pickBranchVar()
+		v := pickBranch(s)
 		if v < 0 {
 			return true
 		}

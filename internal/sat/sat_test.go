@@ -1,7 +1,9 @@
 package sat
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -607,4 +609,286 @@ func TestScopedLearntDeletion(t *testing.T) {
 			t.Fatalf("cycle %d after pop: solver=%v brute=%v", cycle, got, baseWant)
 		}
 	}
+}
+
+// scanPick is the reference branching rule the heap replaces: a linear
+// scan for the unassigned variable of highest activity. The strict >
+// over ascending indices sends ties to the lowest index.
+func scanPick(s *Solver) int {
+	best, bestAct := -1, -1.0
+	for v := range s.assigns {
+		if s.assigns[v] == lUndef && s.activity[v] > bestAct {
+			best, bestAct = v, s.activity[v]
+		}
+	}
+	return best
+}
+
+// checkHeap verifies the branching-heap invariants: order and orderPos
+// agree, every parent outranks its children, and every unassigned
+// variable is in the heap.
+func checkHeap(s *Solver) error {
+	for i, v := range s.order {
+		if s.orderPos[v] != int32(i) {
+			return fmt.Errorf("orderPos[%d] = %d, want %d", v, s.orderPos[v], i)
+		}
+		if i > 0 {
+			if p := s.order[(i-1)/2]; s.before(v, p) {
+				return fmt.Errorf("heap slot %d (var %d, act %g) outranks its parent (var %d, act %g)",
+					i, v, s.activity[v], p, s.activity[p])
+			}
+		}
+	}
+	for v, i := range s.orderPos {
+		if i < 0 && s.assigns[v] == lUndef {
+			return fmt.Errorf("unassigned var %d missing from the heap", v)
+		}
+		if i >= 0 && (int(i) >= len(s.order) || s.order[i] != int32(v)) {
+			return fmt.Errorf("orderPos[%d] = %d points at the wrong slot", v, i)
+		}
+	}
+	return nil
+}
+
+// heapWorkload drives one solver through a seeded mix of everything
+// that moves the branching heap — open scopes, assumption queries,
+// learnt-clause deletion under a small cap, variables added mid-session,
+// forced activity rescales (some underflowing to zero) and planted
+// activity ties — and returns a transcript of every answer, the
+// Stats() counters and the full model after each query.
+func heapWorkload(seed int64) []string {
+	r := rand.New(rand.NewSource(seed))
+	s := New()
+	if r.Intn(2) == 0 {
+		s.SetLearntCap(4 + r.Intn(16))
+	}
+	nVars := 12 + r.Intn(24)
+	for i := 0; i < nVars; i++ {
+		s.NewVar()
+	}
+	randClause := func(width int) []Lit {
+		c := make([]Lit, width)
+		for j := range c {
+			c[j] = Pos(r.Intn(s.NumVars()))
+			if r.Intn(2) == 0 {
+				c[j] = c[j].Not()
+			}
+		}
+		return c
+	}
+	// Random 3-SAT a little under the phase transition: mostly SAT,
+	// with enough conflicts to bump, learn and delete.
+	for i := 0; i < nVars*7/2; i++ {
+		s.AddClause(randClause(3)...)
+	}
+	var out []string
+	for round := 0; round < 12; round++ {
+		if s.ScopeDepth() < 3 && r.Intn(2) == 0 {
+			s.Push()
+		}
+		for i, n := 0, r.Intn(4); i < n; i++ {
+			s.AddScoped(randClause(2 + r.Intn(2))...)
+		}
+		if r.Intn(3) == 0 {
+			for i, n := 0, 1+r.Intn(4); i < n; i++ {
+				s.NewVar()
+				s.AddClause(randClause(3)...)
+			}
+		}
+		switch r.Intn(4) {
+		case 0:
+			// Force a rescale within the next conflict or two; tiny
+			// activities underflow to zero and tie with the rest.
+			for v := range s.activity {
+				if r.Intn(4) == 0 {
+					s.activity[v] = 1e-250
+				}
+			}
+			s.heapify()
+			s.varInc = 1e100 * (0.5 + r.Float64())
+		case 1:
+			// Plant ties: a handful of distinct activity levels.
+			for v := range s.activity {
+				s.activity[v] = float64(r.Intn(3))
+			}
+			s.heapify()
+		}
+		var ok bool
+		if r.Intn(3) == 0 {
+			ok = s.Solve()
+		} else {
+			var as []Lit
+			for i, n := 0, r.Intn(4); i < n; i++ {
+				as = append(as, randClause(1)[0])
+			}
+			ok = s.SolveUnder(as...)
+		}
+		d, c := s.Stats()
+		line := fmt.Sprintf("round %d: sat=%v decisions=%d conflicts=%d learnts=%d deleted=%d model=",
+			round, ok, d, c, s.NumLearnts(), s.DeletedLearnts())
+		if ok {
+			for v := 0; v < s.NumVars(); v++ {
+				if s.Value(v) {
+					line += "1"
+				} else {
+					line += "0"
+				}
+			}
+		}
+		out = append(out, line)
+		if s.ScopeDepth() > 0 && r.Intn(2) == 0 {
+			s.Pop()
+		}
+	}
+	return out
+}
+
+// TestHeapPicksMatchScan checks every branch decision the heap makes
+// against the reference scan on the same solver state, and the heap
+// invariants before each decision (so after every rescale, too).
+func TestHeapPicksMatchScan(t *testing.T) {
+	var seed int64
+	var picks, rescales int
+	lastInc := 0.0
+	t.Cleanup(func() { pickBranch = (*Solver).pickBranchVar })
+	pickBranch = func(s *Solver) int {
+		if s.varInc < lastInc {
+			rescales++
+		}
+		lastInc = s.varInc
+		if err := checkHeap(s); err != nil {
+			t.Fatalf("seed %d pick %d: %v", seed, picks, err)
+		}
+		want, got := scanPick(s), s.pickBranchVar()
+		if got != want {
+			t.Fatalf("seed %d pick %d: heap chose var %d, scan chose %d", seed, picks, got, want)
+		}
+		picks++
+		return got
+	}
+	for seed = 0; seed < 300; seed++ {
+		lastInc = 0
+		heapWorkload(seed)
+	}
+	t.Logf("%d picks, %d rescales", picks, rescales)
+	if picks < 10000 || rescales < 20 {
+		t.Fatalf("workload too weak: %d picks, %d rescales", picks, rescales)
+	}
+}
+
+// TestHeapRunMatchesScanRun replays the same workloads with the scan
+// driving the search: answers, Stats() and every model value must be
+// identical, so the heap changes no output anywhere downstream.
+func TestHeapRunMatchesScanRun(t *testing.T) {
+	t.Cleanup(func() { pickBranch = (*Solver).pickBranchVar })
+	for seed := int64(0); seed < 300; seed++ {
+		pickBranch = (*Solver).pickBranchVar
+		heap := heapWorkload(seed)
+		pickBranch = scanPick
+		scan := heapWorkload(seed)
+		if !reflect.DeepEqual(heap, scan) {
+			for i := range heap {
+				if i >= len(scan) || heap[i] != scan[i] {
+					t.Fatalf("seed %d diverges:\n heap: %s\n scan: %s", seed, heap[i], scan[i])
+				}
+			}
+			t.Fatalf("seed %d: transcripts differ in length", seed)
+		}
+	}
+}
+
+// TestRescaleRebuildsHeap pins the rescale path: scaling by 1e-100
+// underflows tiny activities to zero, creating ties that must go to
+// the lower index even though the heap held the higher one above.
+func TestRescaleRebuildsHeap(t *testing.T) {
+	s := New()
+	for i := 0; i < 16; i++ {
+		s.NewVar()
+	}
+	// Odd variables get a tiny activity, so each outranks the
+	// zero-activity even variable just below it in index.
+	for v := 1; v < 16; v += 2 {
+		s.activity[v] = 1e-250
+	}
+	s.heapify()
+	if err := checkHeap(s); err != nil {
+		t.Fatal(err)
+	}
+	s.varInc = 2e100
+	s.bumpVar(15) // crosses 1e100: rescale
+	if s.varInc >= 1e100 {
+		t.Fatal("bump did not trigger a rescale")
+	}
+	if err := checkHeap(s); err != nil {
+		t.Fatalf("after rescale: %v", err)
+	}
+	for i := 0; i < 16; i++ {
+		want := scanPick(s)
+		got := s.pickBranchVar()
+		if got != want {
+			t.Fatalf("decision %d: heap chose %d, scan chose %d", i, got, want)
+		}
+		s.trailLim = append(s.trailLim, len(s.trail))
+		s.uncheckedEnqueue(Pos(got), nil)
+	}
+	if v := s.pickBranchVar(); v != -1 {
+		t.Fatalf("all variables assigned, heap still offered %d", v)
+	}
+	s.cancelUntil(0)
+	if err := checkHeap(s); err != nil {
+		t.Fatalf("after backtrack: %v", err)
+	}
+}
+
+// BenchmarkSessionManyVars drives one long incremental session the
+// way the bitvector solver does: each query brings fresh symbolic
+// input bits, bit-blasts gate variables over them under permanent
+// definitional clauses, asserts its condition in a scope, decides a
+// branch literal with SolveUnder and pops. The session keeps every
+// variable across pops and grows to about 4k of them, the size of a
+// corpus driver's exploration session, so any per-decision cost that
+// scales with the variable count shows.
+func BenchmarkSessionManyVars(b *testing.B) {
+	const target = 4096
+	var decisions int64
+	for i := 0; i < b.N; i++ {
+		r := rand.New(rand.NewSource(1))
+		s := New()
+		lits := []Lit{Pos(s.NewVar())}
+		pick := func() Lit {
+			// Prefer recent gates, as a branch condition reuses the
+			// path's latest symbolic values.
+			l := lits[len(lits)-1-r.Intn(min(len(lits), 64))]
+			if r.Intn(2) == 0 {
+				l = l.Not()
+			}
+			return l
+		}
+		for s.NumVars() < target {
+			s.Push()
+			for in := 0; in < 8; in++ {
+				lits = append(lits, Pos(s.NewVar()))
+			}
+			for g := 0; g < 24; g++ {
+				x, y, out := pick(), pick(), Pos(s.NewVar())
+				if r.Intn(2) == 0 { // out = x ∧ y
+					s.AddClause(out.Not(), x)
+					s.AddClause(out.Not(), y)
+					s.AddClause(out, x.Not(), y.Not())
+				} else { // out = x ⊕ y
+					s.AddClause(out.Not(), x, y)
+					s.AddClause(out.Not(), x.Not(), y.Not())
+					s.AddClause(out, x.Not(), y)
+					s.AddClause(out, x, y.Not())
+				}
+				lits = append(lits, out)
+			}
+			s.AddScoped(pick())
+			s.SolveUnder(pick())
+			s.Pop()
+		}
+		d, _ := s.Stats()
+		decisions += d
+	}
+	b.ReportMetric(float64(decisions)/float64(b.N), "decisions/op")
 }
