@@ -1,6 +1,6 @@
 // Command perfgate is the CI performance-regression gate: it compares
 // a freshly generated revbench grid report against the committed
-// baseline (BENCH_10.json) and fails when any matching cell's mean
+// baseline (BENCH_11.json) and fails when any matching cell's mean
 // wall-clock regressed beyond the threshold.
 //
 // Cells match on (solver, searcher, workers, shard_factor, scenario) —
@@ -14,17 +14,24 @@
 // threshold is meant to catch structural regressions (a scheduler
 // serializing, a solver losing its cache), not jitter.
 //
-// It also checks one invariant inside the fresh report alone: an
-// "incremental" cell must not be slower than the "no-incremental" cell
-// at the same searcher, workers, shard factor and scenario. Sessions
-// exist to make solving cheaper, so an inversion is a regression in
-// the solver layer even when every cell is within the threshold of a
-// baseline that already carries it.
+// It also checks two invariants inside the fresh report alone, each a
+// regression even when every cell is within the threshold of a
+// baseline that already carries it:
+//
+//   - an "incremental" cell must not be slower than the
+//     "no-incremental" cell at the same searcher, workers, shard factor
+//     and scenario: sessions exist to make solving cheaper;
+//   - an "incremental" cell at 4 workers must not be more than 10%
+//     slower than the 1-worker cell at the same searcher, shard factor
+//     and scenario: adding workers must not cost time.
+//
+// A fresh report with no pair for either invariant fails as unusable
+// (exit 2), like one that matches no baseline cell.
 //
 // Usage:
 //
 //	revbench -grid -repeats 2 -grid-out fresh.json
-//	perfgate -base BENCH_10.json -fresh fresh.json
+//	perfgate -base BENCH_11.json -fresh fresh.json
 package main
 
 import (
@@ -32,6 +39,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 )
 
 type cell struct {
@@ -52,45 +60,88 @@ func key(c cell) string {
 	return c.Solver + "/" + axes(c)
 }
 
+// searcher is the cell's searcher. Reports written before the
+// searcher axis existed omit the field; they all ran the
+// coverage-guided default, so normalize rather than orphan every
+// historical baseline cell.
+func searcher(c cell) string {
+	if c.Searcher == "" {
+		return "coverage"
+	}
+	return c.Searcher
+}
+
 // axes is a cell's key without the solver mode: the cells an
 // incremental cell is compared against share it.
 func axes(c cell) string {
-	// Reports written before the searcher axis existed omit the field;
-	// they all ran the coverage-guided default, so normalize rather than
-	// orphan every historical baseline cell.
-	s := c.Searcher
-	if s == "" {
-		s = "coverage"
-	}
-	return fmt.Sprintf("%s/w%d/f%d/%s", s, c.Workers, c.ShardFactor, c.Scenario)
+	return fmt.Sprintf("%s/w%d/f%d/%s", searcher(c), c.Workers, c.ShardFactor, c.Scenario)
 }
 
-// incrementalInversions reports every incremental cell whose mean
-// exceeds the no-incremental cell on the same axes, and how many such
-// pairs the report holds.
-func incrementalInversions(cells []cell) (pairs, inversions int) {
-	noInc := make(map[string]cell)
+// scalingAxes is a cell's key without the solver mode and worker
+// count: the cells a 4-worker cell is compared against share it.
+func scalingAxes(c cell) string {
+	return fmt.Sprintf("%s/f%d/%s", searcher(c), c.ShardFactor, c.Scenario)
+}
+
+// invariant is a cross-cell check inside one report: each cell that
+// subject selects is paired with the cell that partner selects at the
+// same key, and fails when its mean exceeds tolerance times the
+// partner's.
+type invariant struct {
+	name             string
+	subject, partner func(cell) bool
+	key              func(cell) string
+	tolerance        float64
+}
+
+// check prints every pair and returns how many pairs the report holds
+// and how many of them fail.
+func (inv invariant) check(cells []cell) (pairs, failures int) {
+	partners := make(map[string]cell)
 	for _, c := range cells {
-		if c.Solver == "no-incremental" {
-			noInc[axes(c)] = c
+		if inv.partner(c) {
+			partners[inv.key(c)] = c
 		}
 	}
 	for _, c := range cells {
-		n, ok := noInc[axes(c)]
-		if c.Solver != "incremental" || !ok {
+		p, ok := partners[inv.key(c)]
+		if !inv.subject(c) || !ok {
 			continue
 		}
 		pairs++
 		status := "ok"
-		if c.MeanMS > n.MeanMS {
-			status = "INVERSION"
-			inversions++
+		if c.MeanMS > inv.tolerance*p.MeanMS {
+			status = "FAIL"
+			failures++
 		}
-		fmt.Printf("perfgate: incremental vs no-incremental %-24s %8.0f ms vs %8.0f ms  %s\n",
-			axes(c), c.MeanMS, n.MeanMS, status)
+		fmt.Printf("perfgate: %s %-24s %8.0f ms vs %8.0f ms  %s\n",
+			inv.name, inv.key(c), c.MeanMS, p.MeanMS, status)
 	}
-	return pairs, inversions
+	return pairs, failures
 }
+
+func incremental(c cell) bool { return c.Solver == "incremental" }
+
+var (
+	// noInversion: an incremental cell is not slower than its
+	// no-incremental ablation.
+	noInversion = invariant{
+		name:      "incremental vs no-incremental",
+		subject:   incremental,
+		partner:   func(c cell) bool { return c.Solver == "no-incremental" },
+		key:       axes,
+		tolerance: 1,
+	}
+	// workerScaling: an incremental cell at 4 workers is at most 10%
+	// slower than the 1-worker cell.
+	workerScaling = invariant{
+		name:      "incremental w4 vs w1",
+		subject:   func(c cell) bool { return incremental(c) && c.Workers == 4 },
+		partner:   func(c cell) bool { return incremental(c) && c.Workers == 1 },
+		key:       scalingAxes,
+		tolerance: 1.10,
+	}
+)
 
 func load(path string) (report, error) {
 	var r report
@@ -109,7 +160,7 @@ func load(path string) (report, error) {
 
 func main() {
 	var (
-		base      = flag.String("base", "BENCH_10.json", "committed baseline grid report")
+		base      = flag.String("base", "BENCH_11.json", "committed baseline grid report")
 		fresh     = flag.String("fresh", "", "freshly generated grid report to gate")
 		threshold = flag.Float64("threshold", 0.25, "maximum allowed fractional mean regression per cell")
 	)
@@ -128,12 +179,20 @@ func main() {
 		fmt.Fprintf(os.Stderr, "perfgate: %v\n", err)
 		os.Exit(2)
 	}
-	baseline := make(map[string]cell, len(baseRep.Cells))
-	for _, c := range baseRep.Cells {
+	os.Exit(gate(baseRep, freshRep, *threshold))
+}
+
+// gate compares fresh against base and checks fresh's invariants. It
+// returns the exit status: 0 when everything holds, 1 on a regression
+// or a failed invariant, 2 when the reports cannot be gated — no cell
+// matches the baseline, or fresh has no pair for an invariant.
+func gate(base, fresh report, threshold float64) int {
+	baseline := make(map[string]cell, len(base.Cells))
+	for _, c := range base.Cells {
 		baseline[key(c)] = c
 	}
 	matched, regressions := 0, 0
-	for _, f := range freshRep.Cells {
+	for _, f := range fresh.Cells {
 		b, ok := baseline[key(f)]
 		if !ok {
 			fmt.Printf("perfgate: skip %-40s (not in baseline)\n", key(f))
@@ -146,7 +205,7 @@ func main() {
 		matched++
 		ratio := f.MeanMS/b.MeanMS - 1
 		status := "ok"
-		if ratio > *threshold {
+		if ratio > threshold {
 			status = "REGRESSION"
 			regressions++
 		}
@@ -155,20 +214,30 @@ func main() {
 	}
 	if matched == 0 {
 		fmt.Fprintln(os.Stderr, "perfgate: no cells matched between reports")
-		os.Exit(2)
+		return 2
 	}
-	pairs, inversions := incrementalInversions(freshRep.Cells)
-	if regressions > 0 {
+	failed := regressions > 0
+	if failed {
 		fmt.Fprintf(os.Stderr, "perfgate: %d of %d cells regressed beyond %.0f%%\n",
-			regressions, matched, 100**threshold)
+			regressions, matched, 100*threshold)
 	}
-	if inversions > 0 {
-		fmt.Fprintf(os.Stderr, "perfgate: %d of %d incremental cells slower than no-incremental\n",
-			inversions, pairs)
+	var summary []string
+	for _, inv := range []invariant{noInversion, workerScaling} {
+		pairs, failures := inv.check(fresh.Cells)
+		if pairs == 0 {
+			fmt.Fprintf(os.Stderr, "perfgate: no %s pair in the fresh report\n", inv.name)
+			return 2
+		}
+		if failures > 0 {
+			fmt.Fprintf(os.Stderr, "perfgate: %s: %d of %d pairs failed\n", inv.name, failures, pairs)
+			failed = true
+		}
+		summary = append(summary, fmt.Sprintf("%d %s pairs", pairs, inv.name))
 	}
-	if regressions > 0 || inversions > 0 {
-		os.Exit(1)
+	if failed {
+		return 1
 	}
-	fmt.Printf("perfgate: %d cells within %.0f%% of baseline, %d incremental cells faster than no-incremental\n",
-		matched, 100**threshold, pairs)
+	fmt.Printf("perfgate: %d cells within %.0f%% of baseline; held: %s\n",
+		matched, 100*threshold, strings.Join(summary, ", "))
+	return 0
 }

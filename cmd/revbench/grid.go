@@ -12,6 +12,7 @@ import (
 	"revnic/internal/drivers"
 	"revnic/internal/experiments"
 	"revnic/internal/expr"
+	"revnic/internal/solver"
 	"revnic/internal/symexec"
 )
 
@@ -58,6 +59,11 @@ type gridCell struct {
 	CacheHits     int64 `json:"cache_hits"`
 	ModelHits     int64 `json:"model_hits"`
 	CoveredBlocks int   `json:"covered_blocks"`
+	// Search sums the SAT-level work behind the queries (decisions,
+	// conflicts, session reuse). It repeats across repeats but not
+	// across solver configurations: one-shot solving decides from
+	// scratch and never opens a session.
+	Search solver.SearchStats `json:"solver_search"`
 	// SpeedupX, on the straggler-steal cell, is the no-steal cell's
 	// mean divided by this cell's mean: how much stealing recovers from
 	// one slow peer.
@@ -121,12 +127,14 @@ func runGrid(strategy string, searcher symexec.SearcherFactory, repeats int, out
 		}
 		cell.RunsMS = append(cell.RunsMS, float64(elapsed.Microseconds())/1000)
 		cell.SolverQueries, cell.CacheHits, cell.ModelHits, cell.CoveredBlocks = 0, 0, 0, 0
+		cell.Search = solver.SearchStats{}
 		for _, d := range names {
 			e := ctx.Get(d).Exploration
 			cell.SolverQueries += e.SolverQueries
 			cell.CacheHits += e.SolverCacheHits
 			cell.ModelHits += e.SolverModelHits
 			cell.CoveredBlocks += e.Collector.CoveredBlocks()
+			cell.Search.Add(e.SolverSearch)
 		}
 		return nil
 	}
@@ -136,9 +144,9 @@ func runGrid(strategy string, searcher symexec.SearcherFactory, repeats int, out
 		if label == "" {
 			label = strategy
 		}
-		fmt.Fprintf(os.Stderr, "revbench: grid %-14s workers=%d factor=%d searcher=%s: %.0f ms ± %.0f (%d queries, %d cache hits, %d model reuses)\n",
+		fmt.Fprintf(os.Stderr, "revbench: grid %-14s workers=%d factor=%d searcher=%s: %.0f ms ± %.0f (%d queries, %d cache hits, %d model reuses, %d SAT decisions)\n",
 			cell.Solver, cell.Workers, cell.ShardFactor, label, cell.MeanMS, cell.StdMS,
-			cell.SolverQueries, cell.CacheHits, cell.ModelHits)
+			cell.SolverQueries, cell.CacheHits, cell.ModelHits, cell.Search.Decisions)
 		return cell
 	}
 	runCell := func(cell gridCell, m mode) (gridCell, error) {

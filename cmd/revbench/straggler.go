@@ -59,6 +59,7 @@ func runStragglerScenario(repeats int) ([]gridCell, error) {
 				mode.cell.CacheHits = res.SolverCacheHits
 				mode.cell.ModelHits = res.SolverModelHits
 				mode.cell.CoveredBlocks = res.CoveredBlocks
+				mode.cell.Search = res.SolverSearch
 			}
 		}
 	}

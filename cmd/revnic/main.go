@@ -88,6 +88,9 @@ func main() {
 		// run, one process); revnicd uses a private expr.Arena per job
 		// instead, so this count stays flat there.
 		fmt.Fprintf(os.Stderr, "revnic: %d interned expression nodes\n", expr.InternedNodes())
+		ss := exp.SolverSearch
+		fmt.Fprintf(os.Stderr, "revnic: SAT search: %d decisions, %d conflicts; solver sessions: %d extended, %d rebuilt\n",
+			ss.Decisions, ss.Conflicts, ss.SessionsExtended, ss.SessionsRebuilt)
 		for _, wmsg := range rev.Synth.Warnings {
 			fmt.Fprintf(os.Stderr, "revnic: warning: %s\n", wmsg)
 		}

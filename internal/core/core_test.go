@@ -188,6 +188,9 @@ func TestWorkersBitIdentical(t *testing.T) {
 	if serial.Coverage() != parallel.Coverage() {
 		t.Errorf("coverage differs: %v vs %v", serial.Coverage(), parallel.Coverage())
 	}
+	if s, p := serial.Exploration.SolverSearch, parallel.Exploration.SolverSearch; s != p {
+		t.Errorf("SAT search counters differ: %+v vs %+v", s, p)
+	}
 	if serial.Graph.ComputeStats() != parallel.Graph.ComputeStats() {
 		t.Error("graph statistics differ between worker counts")
 	}

@@ -46,6 +46,10 @@ type metrics struct {
 	rejectedDraining    atomic.Int64
 	rejectedBody        atomic.Int64
 	solverQueries       atomic.Int64
+	satDecisions        atomic.Int64
+	satConflicts        atomic.Int64
+	sessionsExtended    atomic.Int64
+	sessionsRebuilt     atomic.Int64
 	executedBlocks      atomic.Int64
 	arenaNodesReclaimed atomic.Int64
 	jobPanics           atomic.Int64
@@ -265,6 +269,10 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "revnicd_job_duration_seconds_sum %g\n", sum)
 	fmt.Fprintf(w, "revnicd_job_duration_seconds_count %d\n", n)
 	counter("revnicd_solver_queries_total", "Constraint-solver queries across completed jobs.", s.m.solverQueries.Load())
+	counter("revnicd_solver_sat_decisions_total", "SAT branch decisions across completed jobs.", s.m.satDecisions.Load())
+	counter("revnicd_solver_sat_conflicts_total", "SAT conflicts across completed jobs.", s.m.satConflicts.Load())
+	counter("revnicd_solver_sessions_extended_total", "Incremental queries served by a running solver session, across completed jobs.", s.m.sessionsExtended.Load())
+	counter("revnicd_solver_sessions_rebuilt_total", "Incremental queries that started a fresh solver session, across completed jobs.", s.m.sessionsRebuilt.Load())
 	counter("revnicd_executed_blocks_total", "Translation blocks executed across completed jobs.", s.m.executedBlocks.Load())
 	counter("revnicd_arena_nodes_reclaimed_total", "Interned expression nodes reclaimed with finished job arenas.", s.m.arenaNodesReclaimed.Load())
 	counter("revnicd_job_panics_total", "Pipeline panics converted to job failures.", s.m.jobPanics.Load())

@@ -36,6 +36,7 @@ import (
 	"revnic/internal/expr"
 	"revnic/internal/hw"
 	"revnic/internal/isa"
+	"revnic/internal/solver"
 	"revnic/internal/symexec"
 	"revnic/internal/template"
 )
@@ -156,7 +157,11 @@ type JobResult struct {
 	SolverQueries     int64   `json:"solver_queries"`
 	SolverCacheHits   int64   `json:"solver_cache_hits"`
 	SolverModelHits   int64   `json:"solver_model_hits"`
-	Funcs             int     `json:"funcs"`
+	// SolverSearch is the SAT-level work behind the queries: decisions,
+	// conflicts and incremental session reuse. Deterministic, like the
+	// query counters.
+	SolverSearch solver.SearchStats `json:"solver_search"`
+	Funcs        int                `json:"funcs"`
 	// ShardsEffective is the narrowest fan-out width any phase actually
 	// achieved (0 when no phase fanned out); ShardCollapses counts
 	// phases that were configured to fan out but drained serially —
@@ -729,6 +734,10 @@ func (s *Service) run(j *job) {
 	}
 	if res != nil {
 		s.m.solverQueries.Add(res.SolverQueries)
+		s.m.satDecisions.Add(res.SolverSearch.Decisions)
+		s.m.satConflicts.Add(res.SolverSearch.Conflicts)
+		s.m.sessionsExtended.Add(res.SolverSearch.SessionsExtended)
+		s.m.sessionsRebuilt.Add(res.SolverSearch.SessionsRebuilt)
 		s.m.executedBlocks.Add(res.ExecutedBlocks)
 		s.m.arenaNodesReclaimed.Add(int64(res.ArenaNodes))
 		s.m.shardCollapses.Add(res.ShardCollapses)
@@ -1024,6 +1033,7 @@ func runSpec(spec JobSpec, stop <-chan struct{}, deadline time.Time, runner syme
 		SolverQueries:     exp.SolverQueries,
 		SolverCacheHits:   exp.SolverCacheHits,
 		SolverModelHits:   exp.SolverModelHits,
+		SolverSearch:      exp.SolverSearch,
 		Funcs:             len(rev.Synth.Funcs),
 		ShardsEffective:   exp.ShardsEffective,
 		ShardCollapses:    exp.ShardCollapses,

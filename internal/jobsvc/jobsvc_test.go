@@ -130,9 +130,10 @@ func TestConcurrentJobsBitIdenticalToDirectRuns(t *testing.T) {
 			res.ExecutedBlocks != exp.ExecutedBlocks ||
 			res.Forks != exp.ForkCount ||
 			res.KilledLoops != exp.KilledLoops ||
-			res.SolverQueries != exp.SolverQueries {
-			t.Errorf("job %d: exploration statistics differ from direct run:\n got %+v\nwant covered=%d executed=%d forks=%d killed=%d queries=%d",
-				i, res, exp.Collector.CoveredBlocks(), exp.ExecutedBlocks, exp.ForkCount, exp.KilledLoops, exp.SolverQueries)
+			res.SolverQueries != exp.SolverQueries ||
+			res.SolverSearch != exp.SolverSearch {
+			t.Errorf("job %d: exploration statistics differ from direct run:\n got %+v\nwant covered=%d executed=%d forks=%d killed=%d queries=%d search=%+v",
+				i, res, exp.Collector.CoveredBlocks(), exp.ExecutedBlocks, exp.ForkCount, exp.KilledLoops, exp.SolverQueries, exp.SolverSearch)
 		}
 		if res.ArenaNodes == 0 {
 			t.Errorf("job %d: expected a populated private arena", i)
@@ -306,6 +307,8 @@ func TestHTTPSurface(t *testing.T) {
 		"revnicd_jobs_submitted_total 1",
 		`revnicd_jobs_completed_total{status="succeeded"} 1`,
 		"revnicd_arena_nodes_reclaimed_total",
+		"revnicd_solver_sat_decisions_total",
+		"revnicd_solver_sessions_rebuilt_total",
 		"revnicd_job_duration_seconds_count 1",
 	} {
 		if !strings.Contains(string(metrics), want) {

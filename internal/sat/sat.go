@@ -3,13 +3,23 @@
 // watching, first-UIP conflict analysis, VSIDS-style variable activity
 // with phase saving, and geometric restarts.
 //
-// Branch variables come from a binary max-heap ordered by activity,
-// so a decision costs O(log n) instead of a scan over every variable.
-// The order is total — higher activity first, ties to the lower
-// variable index — which makes every pick, and therefore every model,
-// a pure function of the search history. Assigned variables leave the
-// heap lazily (when they surface at the top) and return when
-// backtracking unassigns them.
+// Branching follows a total order — higher activity first, ties to
+// the lower variable index — which makes every pick, and therefore
+// every model, a pure function of the search history. The order is
+// kept in two tiers:
+//
+//   - a binary max-heap holds the variables whose activity is
+//     positive, so picking among bumped variables costs O(log n);
+//   - variables of activity 0 never enter the heap. They all tie, so
+//     their order is plain index order, walked by a cursor.
+//
+// Any positive activity outranks 0, so the heap's top, while it holds
+// an unassigned variable, is the pick; otherwise the cursor's lowest
+// unassigned index is. Incremental sessions keep every bit-blasted
+// gate variable and decide all of them on every query, but conflicts
+// bump only a few, so the heap stays small and most decisions cost a
+// cursor step. Assigned variables leave the heap lazily (when they
+// surface at the top) and return when backtracking unassigns them.
 //
 // It is the decision procedure underneath RevNIC's bitvector
 // constraint solver (package solver), standing in for the STP solver
@@ -80,11 +90,15 @@ type Solver struct {
 	reason   []*clause
 	activity []float64
 	varInc   float64
-	// order is the branching heap: every unassigned variable (plus,
-	// lazily, some assigned ones), max-ordered by (activity desc,
-	// index asc). orderPos[v] is v's slot in order, or -1.
+	// order is the branching heap: every unassigned variable of
+	// positive activity (plus, lazily, some assigned ones), max-ordered
+	// by (activity desc, index asc). orderPos[v] is v's slot in order,
+	// or -1.
 	order    []int32
 	orderPos []int32
+	// zeroNext is the zero-activity tier's cursor: every unassigned
+	// variable of activity 0 has an index >= zeroNext.
+	zeroNext int
 
 	trail    []Lit
 	trailLim []int
@@ -181,12 +195,10 @@ func (s *Solver) NewVar() int {
 	s.polarity = append(s.polarity, false)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, nil)
-	s.activity = append(s.activity, 0)
 	// A fresh variable has activity 0 and the highest index, so it
-	// ranks below every variable already in the heap: appending it as
-	// a leaf keeps the heap ordered without sifting.
-	s.orderPos = append(s.orderPos, int32(len(s.order)))
-	s.order = append(s.order, int32(v))
+	// joins the zero tier behind the cursor without touching the heap.
+	s.activity = append(s.activity, 0)
+	s.orderPos = append(s.orderPos, -1)
 	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil)
 	return v
@@ -407,13 +419,32 @@ func (s *Solver) bumpVar(v int) {
 		}
 		s.varInc *= 1e-100
 		// Scaling keeps the order but rounding and underflow can create
-		// new ties, which must go to the lower index: rebuild the heap.
-		s.heapify()
+		// new ties, which must go to the lower index, and underflow can
+		// return heap variables to activity 0: rebuild both tiers.
+		s.reorder()
 		return
 	}
 	if i := s.orderPos[v]; i >= 0 {
 		s.siftUp(i)
+	} else if s.assigns[v] == lUndef {
+		s.heapInsert(v)
 	}
+}
+
+// reorder rebuilds both branching tiers from the activities: the heap
+// from every unassigned variable of positive activity, and the cursor
+// from index 0.
+func (s *Solver) reorder() {
+	s.order = s.order[:0]
+	for v, a := range s.activity {
+		s.orderPos[v] = -1
+		if a > 0 && s.assigns[v] == lUndef {
+			s.orderPos[v] = int32(len(s.order))
+			s.order = append(s.order, int32(v))
+		}
+	}
+	s.heapify()
+	s.zeroNext = 0
 }
 
 // before reports whether variable a outranks b in the branching
@@ -636,7 +667,11 @@ func (s *Solver) cancelUntil(lvl int) {
 		s.polarity[v] = s.assigns[v] == lTrue
 		s.assigns[v] = lUndef
 		s.reason[v] = nil
-		s.heapInsert(v)
+		if s.activity[v] > 0 {
+			s.heapInsert(v)
+		} else if v < s.zeroNext {
+			s.zeroNext = v
+		}
 	}
 	s.trail = s.trail[:bound]
 	s.trailLim = s.trailLim[:lvl]
@@ -650,21 +685,30 @@ var pickBranch = (*Solver).pickBranchVar
 
 // pickBranchVar returns the unassigned variable with the highest
 // activity (ties to the lowest index), or -1 if all variables are
-// assigned. Assigned variables met at the top of the heap are dropped;
-// cancelUntil reinserts them when it unassigns them.
+// assigned. The heap tier answers while it holds an unassigned
+// variable: every one there outranks every activity-0 variable.
+// Assigned variables met at the top of the heap are dropped;
+// cancelUntil reinserts them when it unassigns them. Once the heap is
+// empty every unassigned variable has activity 0, and the lowest index
+// among them wins the tie: the cursor steps past assigned variables to
+// it.
 func (s *Solver) pickBranchVar() int {
 	// The trail holds exactly the assigned variables. A full trail ends
 	// the search without draining the heap entry by entry, and the
 	// entries left behind spare cancelUntil their reinsertion. Otherwise
-	// some variable is unassigned, hence in the heap, so the loop ends.
+	// some variable is unassigned, so the cursor loop ends in bounds.
 	if len(s.trail) == len(s.assigns) {
 		return -1
 	}
-	for {
+	for len(s.order) > 0 {
 		if v := s.heapPop(); s.assigns[v] == lUndef {
 			return v
 		}
 	}
+	for s.assigns[s.zeroNext] != lUndef {
+		s.zeroNext++
+	}
+	return s.zeroNext
 }
 
 // Solve determines satisfiability of the accumulated clauses. After a

@@ -624,13 +624,18 @@ func scanPick(s *Solver) int {
 	return best
 }
 
-// checkHeap verifies the branching-heap invariants: order and orderPos
-// agree, every parent outranks its children, and every unassigned
-// variable is in the heap.
-func checkHeap(s *Solver) error {
+// checkOrder verifies the two-tier branching invariants: order and
+// orderPos agree, every parent in the heap outranks its children, the
+// heap holds only variables of positive activity and every unassigned
+// one of them, and no unassigned activity-0 variable sits below the
+// zero-tier cursor.
+func checkOrder(s *Solver) error {
 	for i, v := range s.order {
 		if s.orderPos[v] != int32(i) {
 			return fmt.Errorf("orderPos[%d] = %d, want %d", v, s.orderPos[v], i)
+		}
+		if s.activity[v] <= 0 {
+			return fmt.Errorf("heap slot %d holds var %d of activity %g", i, v, s.activity[v])
 		}
 		if i > 0 {
 			if p := s.order[(i-1)/2]; s.before(v, p) {
@@ -639,12 +644,21 @@ func checkHeap(s *Solver) error {
 			}
 		}
 	}
+	if s.zeroNext < 0 || s.zeroNext > len(s.assigns) {
+		return fmt.Errorf("zeroNext = %d outside [0, %d]", s.zeroNext, len(s.assigns))
+	}
 	for v, i := range s.orderPos {
-		if i < 0 && s.assigns[v] == lUndef {
-			return fmt.Errorf("unassigned var %d missing from the heap", v)
-		}
 		if i >= 0 && (int(i) >= len(s.order) || s.order[i] != int32(v)) {
 			return fmt.Errorf("orderPos[%d] = %d points at the wrong slot", v, i)
+		}
+		if s.assigns[v] != lUndef {
+			continue
+		}
+		if s.activity[v] > 0 && i < 0 {
+			return fmt.Errorf("unassigned var %d (act %g) missing from the heap", v, s.activity[v])
+		}
+		if s.activity[v] == 0 && v < s.zeroNext {
+			return fmt.Errorf("unassigned activity-0 var %d below the cursor %d", v, s.zeroNext)
 		}
 	}
 	return nil
@@ -704,14 +718,14 @@ func heapWorkload(seed int64) []string {
 					s.activity[v] = 1e-250
 				}
 			}
-			s.heapify()
+			s.reorder()
 			s.varInc = 1e100 * (0.5 + r.Float64())
 		case 1:
 			// Plant ties: a handful of distinct activity levels.
 			for v := range s.activity {
 				s.activity[v] = float64(r.Intn(3))
 			}
-			s.heapify()
+			s.reorder()
 		}
 		var ok bool
 		if r.Intn(3) == 0 {
@@ -756,7 +770,7 @@ func TestHeapPicksMatchScan(t *testing.T) {
 			rescales++
 		}
 		lastInc = s.varInc
-		if err := checkHeap(s); err != nil {
+		if err := checkOrder(s); err != nil {
 			t.Fatalf("seed %d pick %d: %v", seed, picks, err)
 		}
 		want, got := scanPick(s), s.pickBranchVar()
@@ -810,8 +824,8 @@ func TestRescaleRebuildsHeap(t *testing.T) {
 	for v := 1; v < 16; v += 2 {
 		s.activity[v] = 1e-250
 	}
-	s.heapify()
-	if err := checkHeap(s); err != nil {
+	s.reorder()
+	if err := checkOrder(s); err != nil {
 		t.Fatal(err)
 	}
 	s.varInc = 2e100
@@ -819,7 +833,7 @@ func TestRescaleRebuildsHeap(t *testing.T) {
 	if s.varInc >= 1e100 {
 		t.Fatal("bump did not trigger a rescale")
 	}
-	if err := checkHeap(s); err != nil {
+	if err := checkOrder(s); err != nil {
 		t.Fatalf("after rescale: %v", err)
 	}
 	for i := 0; i < 16; i++ {
@@ -835,9 +849,110 @@ func TestRescaleRebuildsHeap(t *testing.T) {
 		t.Fatalf("all variables assigned, heap still offered %d", v)
 	}
 	s.cancelUntil(0)
-	if err := checkHeap(s); err != nil {
+	if err := checkOrder(s); err != nil {
 		t.Fatalf("after backtrack: %v", err)
 	}
+}
+
+// decide makes v a decision at a new level, as Solve does.
+func decide(s *Solver, v int) {
+	s.trailLim = append(s.trailLim, len(s.trail))
+	s.uncheckedEnqueue(Pos(v), nil)
+}
+
+// TestTwoTierEdgeCases pins the transitions between the heap tier and
+// the zero-activity cursor that random workloads reach only rarely,
+// checking the invariants and every pick against the scan.
+func TestTwoTierEdgeCases(t *testing.T) {
+	// pick checks the invariants, then the pick against the scan.
+	pick := func(t *testing.T, s *Solver) int {
+		t.Helper()
+		if err := checkOrder(s); err != nil {
+			t.Fatal(err)
+		}
+		want, got := scanPick(s), s.pickBranchVar()
+		if got != want {
+			t.Fatalf("picked var %d, scan picks %d", got, want)
+		}
+		return got
+	}
+	newSolver := func(n int) *Solver {
+		s := New()
+		for i := 0; i < n; i++ {
+			s.NewVar()
+		}
+		return s
+	}
+
+	t.Run("bump unassigned zero-activity var", func(t *testing.T) {
+		s := newSolver(8)
+		decide(s, pick(t, s)) // var 0 by the cursor
+		s.bumpVar(5)          // unassigned, activity 0 until now
+		if v := pick(t, s); v != 5 {
+			t.Fatalf("picked %d after bumping var 5", v)
+		}
+	})
+
+	t.Run("rescale underflows a heap var below the cursor", func(t *testing.T) {
+		s := newSolver(8)
+		for i := 0; i < 3; i++ {
+			decide(s, pick(t, s)) // vars 0, 1, 2 by the cursor
+		}
+		s.varInc = 1e-250
+		s.bumpVar(1) // assigned: joins the heap when unassigned
+		s.cancelUntil(1)
+		// Var 1 is back in the heap, var 2 set the cursor to 2.
+		if s.orderPos[1] < 0 || s.zeroNext != 2 {
+			t.Fatalf("after backjump: orderPos[1]=%d zeroNext=%d", s.orderPos[1], s.zeroNext)
+		}
+		s.varInc = 2e100
+		s.bumpVar(7) // rescale: var 1 underflows to activity 0
+		if s.activity[1] != 0 || s.varInc >= 1e100 {
+			t.Fatalf("no underflowing rescale: act[1]=%g varInc=%g", s.activity[1], s.varInc)
+		}
+		for _, want := range []int{7, 1, 2} {
+			v := pick(t, s)
+			if v != want {
+				t.Fatalf("picked %d, want %d", v, want)
+			}
+			decide(s, v)
+		}
+	})
+
+	t.Run("NewVar after the cursor reached the end", func(t *testing.T) {
+		s := newSolver(4)
+		for i := 0; i < 4; i++ {
+			decide(s, pick(t, s))
+		}
+		if v := pick(t, s); v != -1 {
+			t.Fatalf("all variables assigned, picked %d", v)
+		}
+		v := s.NewVar()
+		if got := pick(t, s); got != v {
+			t.Fatalf("picked %d, want the new var %d", got, v)
+		}
+	})
+
+	t.Run("backjumps to intermediate levels", func(t *testing.T) {
+		s := newSolver(12)
+		for _, v := range []int{3, 9} {
+			s.activity[v] = float64(v)
+		}
+		s.reorder()
+		for lvl := 0; lvl < 8; lvl++ {
+			decide(s, pick(t, s)) // 9, 3, then the cursor: 0, 1, 2, 4, 5, 6
+		}
+		for _, lvl := range []int{6, 3, 5, 1} {
+			s.cancelUntil(lvl)
+			for s.decisionLevel() < 9 {
+				decide(s, pick(t, s))
+			}
+		}
+		s.cancelUntil(0)
+		if err := checkOrder(s); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // BenchmarkSessionManyVars drives one long incremental session the

@@ -242,7 +242,8 @@ func TestSessionSharesPrefixAcrossSiblings(t *testing.T) {
 			t.Fatalf("query %d: expected sat", i)
 		}
 	}
-	ext, rebuilt := s.Sessions()
+	st := s.Search()
+	ext, rebuilt := st.SessionsExtended, st.SessionsRebuilt
 	if rebuilt != 1 {
 		t.Fatalf("sibling flips rebuilt the session %d times, want 1", rebuilt)
 	}

@@ -126,6 +126,8 @@ type Solver struct {
 	evictions atomic.Int64
 	extended  atomic.Int64
 	rebuilt   atomic.Int64
+	decisions atomic.Int64
+	conflicts atomic.Int64
 }
 
 // session is the incremental backend context for one constraint
@@ -204,12 +206,51 @@ func (s *Solver) Stats() (queries, cacheHits int64) {
 // hits, indexed-model re-evaluation, and UNSAT-set subsumption.
 func (s *Solver) ModelHits() int64 { return s.modelHits.Load() }
 
-// Sessions reports the incremental solver's session reuse: extended
-// counts queries served by the running backend session (synchronized
-// via push/pop, possibly asserting new suffix constraints), rebuilt
-// counts queries that had to start a fresh session.
-func (s *Solver) Sessions() (extended, rebuilt int64) {
-	return s.extended.Load(), s.rebuilt.Load()
+// SearchStats is the SAT-level work behind a solver's answers. Every
+// count is a pure function of the query sequence, so, like the query
+// counters, it repeats exactly run to run and across worker counts.
+type SearchStats struct {
+	// Decisions and Conflicts sum the SAT core's branch decisions and
+	// conflicts over every solve, on the session and on one-shot
+	// backends alike.
+	Decisions int64 `json:"decisions"`
+	Conflicts int64 `json:"conflicts"`
+	// SessionsExtended counts incremental queries served by the
+	// running backend session (synchronized via push/pop, possibly
+	// asserting new suffix constraints); SessionsRebuilt counts those
+	// that had to start a fresh session.
+	SessionsExtended int64 `json:"sessions_extended"`
+	SessionsRebuilt  int64 `json:"sessions_rebuilt"`
+}
+
+// Add accumulates o into st.
+func (st *SearchStats) Add(o SearchStats) {
+	st.Decisions += o.Decisions
+	st.Conflicts += o.Conflicts
+	st.SessionsExtended += o.SessionsExtended
+	st.SessionsRebuilt += o.SessionsRebuilt
+}
+
+// Search reports the SAT-level work so far. It is safe to call while
+// queries are in flight.
+func (s *Solver) Search() SearchStats {
+	return SearchStats{
+		Decisions:        s.decisions.Load(),
+		Conflicts:        s.conflicts.Load(),
+		SessionsExtended: s.extended.Load(),
+		SessionsRebuilt:  s.rebuilt.Load(),
+	}
+}
+
+// decide runs b.SolveUnder(cond) and adds the SAT decisions and
+// conflicts it took to the solver's counts.
+func (s *Solver) decide(b *coreBackend, cond *expr.Expr) Verdict {
+	d0, c0 := b.b.s.Stats()
+	v := b.SolveUnder(cond)
+	d1, c1 := b.b.s.Stats()
+	s.decisions.Add(d1 - d0)
+	s.conflicts.Add(c1 - c0)
+	return v
 }
 
 // CacheSize returns the current number of memoized queries.
@@ -275,7 +316,7 @@ func (s *Solver) Satisfiable(constraints []*expr.Expr) bool {
 	for _, c := range live {
 		b.Assert(c)
 	}
-	switch b.SolveUnder(nil) {
+	switch s.decide(b, nil) {
 	case VSat:
 		s.storeModel(fp, sig, b.Model())
 		s.cachePut(fp, true)
@@ -386,7 +427,7 @@ func (s *Solver) solveSession(prefix []*expr.Expr, cond *expr.Expr) (Verdict, ma
 		sess.b.Assert(c)
 		sess.ids = append(sess.ids, c.ID())
 	}
-	v := sess.b.SolveUnder(cond)
+	v := s.decide(sess.b, cond)
 	if v == VSat {
 		return v, sess.b.Model()
 	}
@@ -440,7 +481,7 @@ func (s *Solver) Model(constraints []*expr.Expr) (map[string]uint32, bool) {
 	for _, c := range live {
 		b.Assert(c)
 	}
-	switch b.SolveUnder(nil) {
+	switch s.decide(b, nil) {
 	case VSat:
 		model := b.Model()
 		s.cachePut(fp, true)

@@ -437,7 +437,7 @@ func TestIncrementalMatchesOneShot(t *testing.T) {
 				pc = append(pc, expr.Not(cond))
 			}
 		}
-		if ext, _ := inc.Sessions(); ext == 0 {
+		if inc.Search().SessionsExtended == 0 {
 			t.Error("incremental solver never reused a session")
 		}
 	}
@@ -639,5 +639,40 @@ func TestSolverArenaScoped(t *testing.T) {
 	}
 	if after := expr.InternedNodes(); after != before {
 		t.Fatalf("arena-scoped solver grew the default arena: %d -> %d", before, after)
+	}
+}
+
+// TestSearchStats checks the SAT-level counters: both the session and
+// the one-shot backends report decisions, only the session path counts
+// session reuse, and the same query sequence repeats every count.
+func TestSearchStats(t *testing.T) {
+	run := func(incremental bool) SearchStats {
+		s := New()
+		s.SetIncremental(incremental)
+		r := rand.New(rand.NewSource(5))
+		vars := []*expr.Expr{expr.S("sa", 8), expr.S("sb", 8), expr.S("sc", 8)}
+		var pc []*expr.Expr
+		for step := 0; step < 12; step++ {
+			x := vars[r.Intn(len(vars))]
+			cond := expr.Ult(expr.Add(x, vars[r.Intn(len(vars))]), expr.C(uint32(1+r.Intn(255)), 8))
+			if s.MayBeTrue(pc, cond) {
+				pc = append(pc, cond)
+			}
+			s.Model(pc)
+		}
+		return s.Search()
+	}
+	for _, incremental := range []bool{true, false} {
+		a, b := run(incremental), run(incremental)
+		if a != b {
+			t.Fatalf("incremental=%v: counts differ between identical runs: %+v vs %+v", incremental, a, b)
+		}
+		if a.Decisions == 0 {
+			t.Errorf("incremental=%v: no decisions counted: %+v", incremental, a)
+		}
+		sessions := a.SessionsExtended + a.SessionsRebuilt
+		if incremental == (sessions == 0) {
+			t.Errorf("incremental=%v: %d session queries counted", incremental, sessions)
+		}
 	}
 }

@@ -211,6 +211,9 @@ type Result struct {
 	SolverQueries   int64
 	SolverCacheHits int64
 	SolverModelHits int64
+	// SolverSearch sums the SAT-level work (decisions, conflicts and
+	// incremental session reuse) over the same solvers.
+	SolverSearch solver.SearchStats
 	// TranslatedBlocks is the number of distinct translation-cache
 	// entries built (ir.Cache misses).
 	TranslatedBlocks int64
@@ -256,12 +259,13 @@ type Engine struct {
 	coverage []CoveragePoint
 	lastCov  int
 
-	// childQueries/childHits/childModelHits accumulate the solver
-	// statistics of merged worker children (each child has its own
-	// solver; the join folds its counters here).
+	// childQueries/childHits/childModelHits/childSearch accumulate the
+	// solver statistics of merged worker children (each child has its
+	// own solver; the join folds its counters here).
 	childQueries   int64
 	childHits      int64
 	childModelHits int64
+	childSearch    solver.SearchStats
 
 	// symPrefix namespaces fresh symbols minted by a worker child so
 	// they can never collide with symbols already present in the seed

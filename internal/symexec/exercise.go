@@ -252,6 +252,7 @@ func (e *Engine) buildResult(initFailed bool) *Result {
 		SolverQueries:    queries + e.childQueries,
 		SolverCacheHits:  hits + e.childHits,
 		SolverModelHits:  e.sol.ModelHits() + e.childModelHits,
+		SolverSearch:     e.searchStats(),
 		TranslatedBlocks: e.cache.Misses(),
 		ShardsEffective:  e.shardsEff,
 		ShardCollapses:   e.shardCollapses,

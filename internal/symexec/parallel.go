@@ -7,6 +7,7 @@ import (
 
 	"revnic/internal/guestos"
 	"revnic/internal/hw"
+	"revnic/internal/solver"
 	"revnic/internal/trace"
 )
 
@@ -235,11 +236,20 @@ type shardOutcome struct {
 	queries   int64
 	hits      int64
 	modelHits int64
+	search    solver.SearchStats
 	col       *trace.Collector
 	dma       hw.DMARegistry
 	entries   guestos.EntryPoints
 	timer     uint32
 	stopped   TermReason
+}
+
+// searchStats is the SAT-level work of e's own solver plus that of
+// every child merged so far.
+func (e *Engine) searchStats() solver.SearchStats {
+	st := e.sol.Search()
+	st.Add(e.childSearch)
+	return st
 }
 
 // childOutcome extracts the mergeable outcome of an in-process worker
@@ -254,6 +264,7 @@ func childOutcome(c *Engine) *shardOutcome {
 		queries:   q + c.childQueries,
 		hits:      h + c.childHits,
 		modelHits: c.sol.ModelHits() + c.childModelHits,
+		search:    c.searchStats(),
 		col:       c.col,
 		dma:       c.dma,
 		entries:   c.entries,
@@ -285,6 +296,7 @@ func (e *Engine) applyOutcome(o *shardOutcome) {
 	e.childQueries += o.queries
 	e.childHits += o.hits
 	e.childModelHits += o.modelHits
+	e.childSearch.Add(o.search)
 	e.col.Merge(o.col)
 	e.dma.Merge(&o.dma)
 	if !e.entries.Registered() && o.entries.Registered() {

@@ -70,14 +70,24 @@ func traceFingerprint(res *Result) string {
 	return sb.String()
 }
 
+// solverCounts renders the deterministic solver counters of a result:
+// queries, cache and model hits, and the SAT-level work behind them.
+// They are not in traceFingerprint because the solver ablations change
+// them without changing any trace.
+func solverCounts(res *Result) string {
+	return fmt.Sprintf("queries=%d hits=%d model-hits=%d search=%+v",
+		res.SolverQueries, res.SolverCacheHits, res.SolverModelHits, res.SolverSearch)
+}
+
 // TestParallelDeterminism is the regression test for the fork-join
 // mode's core guarantee, now quantified over every searcher: for a
 // fixed Config.Seed, the traces and coverage produced with 1 worker
 // and with N workers are identical — Workers sets concurrency, never
-// the result, regardless of the path-selection strategy. Run it under
-// `go test -race` to also exercise the shared translation cache, the
-// expression intern table and COW page sharing across worker
-// goroutines.
+// the result, regardless of the path-selection strategy. The solver
+// counters, down to SAT decisions and conflicts, repeat exactly too.
+// Run it under `go test -race` to also exercise the shared translation
+// cache, the expression intern table and COW page sharing across
+// worker goroutines.
 func TestParallelDeterminism(t *testing.T) {
 	for _, name := range []string{"coverage", "dfs", "bfs"} {
 		t.Run(name, func(t *testing.T) {
@@ -85,17 +95,23 @@ func TestParallelDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var want string
-			for _, workers := range []int{1, 4} {
+			var want, wantCounts string
+			for _, workers := range []int{1, 2, 4} {
 				res := exploreDriver(t, "RTL8029", Config{Seed: 7, Workers: workers, Searcher: factory})
-				got := traceFingerprint(res)
+				got, counts := traceFingerprint(res), solverCounts(res)
 				if workers == 1 {
-					want = got
+					want, wantCounts = got, counts
+					if res.SolverSearch.Decisions == 0 {
+						t.Fatal("no SAT decisions counted")
+					}
 					continue
 				}
 				if got != want {
 					t.Fatalf("workers=%d diverged from workers=1 (fingerprints differ: %d vs %d bytes)",
 						workers, len(got), len(want))
+				}
+				if counts != wantCounts {
+					t.Fatalf("workers=%d solver counters diverged:\n got %s\nwant %s", workers, counts, wantCounts)
 				}
 			}
 			if want == "" {

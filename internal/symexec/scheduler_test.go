@@ -25,13 +25,17 @@ func TestShardFactorDeterminismMatrix(t *testing.T) {
 	for _, factor := range []int{1, 2} {
 		t.Run(fmt.Sprintf("factor=%d", factor), func(t *testing.T) {
 			base := exploreDriver(t, "RTL8029", Config{Seed: 11, Workers: 1, ShardFactor: factor})
-			want := traceFingerprint(base)
+			want, wantCounts := traceFingerprint(base), solverCounts(base)
 
 			for _, workers := range []int{2, 4} {
 				res := exploreDriver(t, "RTL8029", Config{Seed: 11, Workers: workers, ShardFactor: factor})
 				if got := traceFingerprint(res); got != want {
 					t.Fatalf("factor=%d workers=%d diverged from workers=1 (fingerprints %d vs %d bytes)",
 						factor, workers, len(got), len(want))
+				}
+				if got := solverCounts(res); got != wantCounts {
+					t.Fatalf("factor=%d workers=%d solver counters diverged:\n got %s\nwant %s",
+						factor, workers, got, wantCounts)
 				}
 			}
 			for name, localEvery := range map[string]int{"remote": 0, "mixed": 2} {
@@ -48,6 +52,10 @@ func TestShardFactorDeterminismMatrix(t *testing.T) {
 				if got := traceFingerprint(res); got != want {
 					t.Fatalf("factor=%d %s dispatch diverged from in-process run (fingerprints %d vs %d bytes)",
 						factor, name, len(got), len(want))
+				}
+				if got := solverCounts(res); got != wantCounts {
+					t.Fatalf("factor=%d %s dispatch solver counters diverged:\n got %s\nwant %s",
+						factor, name, got, wantCounts)
 				}
 			}
 		})

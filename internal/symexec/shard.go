@@ -7,6 +7,7 @@ import (
 	"revnic/internal/guestos"
 	"revnic/internal/hw"
 	"revnic/internal/isa"
+	"revnic/internal/solver"
 	"revnic/internal/trace"
 )
 
@@ -63,6 +64,7 @@ type ShardResult struct {
 	Queries   int64                `json:"queries"`
 	CacheHits int64                `json:"cache_hits"`
 	ModelHits int64                `json:"model_hits"`
+	Search    solver.SearchStats   `json:"search"`
 	Entries   guestos.EntryPoints  `json:"entries"`
 	Timer     uint32               `json:"timer,omitempty"`
 	DMA       [][2]uint32          `json:"dma,omitempty"`
@@ -180,6 +182,7 @@ func (e *Engine) runShardTask(task *ShardTask) (*ShardResult, error) {
 		Queries:   q,
 		CacheHits: h,
 		ModelHits: e.sol.ModelHits(),
+		Search:    e.sol.Search(),
 		Entries:   e.entries,
 		Timer:     e.timer,
 		DMA:       e.dma.Regions(),
@@ -223,6 +226,7 @@ func (e *Engine) decodeShardResult(r *ShardResult) (*shardOutcome, []*State, err
 		queries:   r.Queries,
 		hits:      r.CacheHits,
 		modelHits: r.ModelHits,
+		search:    r.Search,
 		col:       col,
 		dma:       dma,
 		entries:   r.Entries,

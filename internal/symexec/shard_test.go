@@ -137,12 +137,8 @@ func TestShardRunnerSolverAndTranslationStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SolverQueries != direct.SolverQueries ||
-		res.SolverCacheHits != direct.SolverCacheHits ||
-		res.SolverModelHits != direct.SolverModelHits {
-		t.Fatalf("solver stats diverged: remote %d/%d/%d, direct %d/%d/%d",
-			res.SolverQueries, res.SolverCacheHits, res.SolverModelHits,
-			direct.SolverQueries, direct.SolverCacheHits, direct.SolverModelHits)
+	if got, want := solverCounts(res), solverCounts(direct); got != want {
+		t.Fatalf("solver stats diverged:\n remote %s\n direct %s", got, want)
 	}
 	if res.TranslatedBlocks != direct.TranslatedBlocks {
 		t.Fatalf("translated blocks diverged: remote %d, direct %d",
