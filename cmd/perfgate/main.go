@@ -1,10 +1,11 @@
 // Command perfgate is the CI performance-regression gate: it compares
 // a freshly generated revbench grid report against the committed
-// baseline (BENCH_11.json) and fails when any matching cell's mean
+// baseline (BENCH_12.json) and fails when any matching cell's mean
 // wall-clock regressed beyond the threshold.
 //
 // Cells match on (solver, searcher, workers, shard_factor, scenario) —
-// an absent searcher means "coverage", so baselines written before the
+// shard_factor is set only in historical reports, and an absent
+// searcher means "coverage", so baselines written before the
 // searcher axis existed still match fresh coverage cells; cells
 // present in only one report are skipped with a note, so a reduced CI
 // grid (fewer repeats, no cluster scenario) gates only what it
@@ -31,7 +32,7 @@
 // Usage:
 //
 //	revbench -grid -repeats 2 -grid-out fresh.json
-//	perfgate -base BENCH_11.json -fresh fresh.json
+//	perfgate -base BENCH_12.json -fresh fresh.json
 package main
 
 import (
@@ -43,9 +44,11 @@ import (
 )
 
 type cell struct {
-	Solver      string  `json:"solver"`
-	Searcher    string  `json:"searcher,omitempty"`
-	Workers     int     `json:"workers"`
+	Solver   string `json:"solver"`
+	Searcher string `json:"searcher,omitempty"`
+	Workers  int    `json:"workers"`
+	// ShardFactor is set only in historical reports (BENCH_8 to BENCH_11),
+	// written while revbench still had a shard-factor axis.
 	ShardFactor int     `json:"shard_factor,omitempty"`
 	Scenario    string  `json:"scenario,omitempty"`
 	MeanMS      float64 `json:"mean_ms"`
@@ -160,7 +163,7 @@ func load(path string) (report, error) {
 
 func main() {
 	var (
-		base      = flag.String("base", "BENCH_11.json", "committed baseline grid report")
+		base      = flag.String("base", "BENCH_12.json", "committed baseline grid report")
 		fresh     = flag.String("fresh", "", "freshly generated grid report to gate")
 		threshold = flag.Float64("threshold", 0.25, "maximum allowed fractional mean regression per cell")
 	)

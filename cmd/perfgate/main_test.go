@@ -42,6 +42,7 @@ func TestWorkerScalingBaselines(t *testing.T) {
 		"../../BENCH_9.json":  true,
 		"../../BENCH_10.json": false,
 		"../../BENCH_11.json": false,
+		"../../BENCH_12.json": false,
 	} {
 		r, err := load(path)
 		if err != nil {

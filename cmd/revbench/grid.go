@@ -38,11 +38,6 @@ type gridCell struct {
 	// explicitly. Different searchers explore different schedules, so
 	// these cells have independent counter baselines.
 	Searcher string `json:"searcher,omitempty"`
-	// ShardFactor is the scheduling-granularity multiplier the cell
-	// ran with (0 = the engine's auto factor). Like seed it is part of
-	// the deterministic schedule, so cells with different factors have
-	// independent counter baselines.
-	ShardFactor int `json:"shard_factor,omitempty"`
 	// Scenario tags cells outside the plain solver grid; the
 	// coordinator straggler cells use "straggler-nosteal" and
 	// "straggler-steal" (one slow peer, work queue with stealing off
@@ -119,11 +114,10 @@ func runGrid(strategy string, searcher symexec.SearcherFactory, repeats int, out
 			Searcher:                 cellSearcher,
 			Arena:                    expr.NewArena(),
 			DisableIncrementalSolver: m.noInc,
-			ShardFactor:              cell.ShardFactor,
 		})
 		elapsed := time.Since(start)
 		if err != nil {
-			return fmt.Errorf("grid cell %s/w%d/f%d: %w", m.name, cell.Workers, cell.ShardFactor, err)
+			return fmt.Errorf("grid cell %s/w%d: %w", m.name, cell.Workers, err)
 		}
 		cell.RunsMS = append(cell.RunsMS, float64(elapsed.Microseconds())/1000)
 		cell.SolverQueries, cell.CacheHits, cell.ModelHits, cell.CoveredBlocks = 0, 0, 0, 0
@@ -144,8 +138,8 @@ func runGrid(strategy string, searcher symexec.SearcherFactory, repeats int, out
 		if label == "" {
 			label = strategy
 		}
-		fmt.Fprintf(os.Stderr, "revbench: grid %-14s workers=%d factor=%d searcher=%s: %.0f ms ± %.0f (%d queries, %d cache hits, %d model reuses, %d SAT decisions)\n",
-			cell.Solver, cell.Workers, cell.ShardFactor, label, cell.MeanMS, cell.StdMS,
+		fmt.Fprintf(os.Stderr, "revbench: grid %-14s workers=%d searcher=%s: %.0f ms ± %.0f (%d queries, %d cache hits, %d model reuses, %d SAT decisions)\n",
+			cell.Solver, cell.Workers, label, cell.MeanMS, cell.StdMS,
 			cell.SolverQueries, cell.CacheHits, cell.ModelHits, cell.Search.Decisions)
 		return cell
 	}
@@ -175,18 +169,6 @@ func runGrid(strategy string, searcher symexec.SearcherFactory, repeats int, out
 		for _, c := range pair {
 			report.Cells = append(report.Cells, finish(c))
 		}
-	}
-	// The scheduling-granularity axis: the default solver at full
-	// parallelism, across explicit shard factors. Factor 1 is the
-	// coarse pre-factor schedule; each factor is its own deterministic
-	// schedule, so counters differ across factors but not across
-	// repeats.
-	for _, sf := range []int{1, 2, 4} {
-		cell, err := runCell(gridCell{Solver: "incremental", Workers: 4, ShardFactor: sf}, modes[0])
-		if err != nil {
-			return err
-		}
-		report.Cells = append(report.Cells, cell)
 	}
 	// The searcher axis: the default solver at full parallelism under
 	// each non-default path-selection strategy. The plain cells above
@@ -241,7 +223,7 @@ func writeGridCSV(path string, report gridReport) error {
 	}
 	defer f.Close()
 	w := csv.NewWriter(f)
-	if err := w.Write([]string{"scenario", "solver", "searcher", "workers", "shard_factor", "rep", "ms"}); err != nil {
+	if err := w.Write([]string{"scenario", "solver", "searcher", "workers", "rep", "ms"}); err != nil {
 		return err
 	}
 	for _, c := range report.Cells {
@@ -252,7 +234,7 @@ func writeGridCSV(path string, report gridReport) error {
 		for rep, ms := range c.RunsMS {
 			rec := []string{
 				c.Scenario, c.Solver, searcher,
-				strconv.Itoa(c.Workers), strconv.Itoa(c.ShardFactor),
+				strconv.Itoa(c.Workers),
 				strconv.Itoa(rep), strconv.FormatFloat(ms, 'f', 3, 64),
 			}
 			if err := w.Write(rec); err != nil {

@@ -37,7 +37,6 @@ func main() {
 		strategy   = flag.String("strategy", "coverage", "path selection strategy: "+strings.Join(symexec.SearcherNames(), ", "))
 		noInc      = flag.Bool("no-incremental", false, "disable the solver's incremental SAT sessions (ablation; results are identical)")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "goroutines exploring phase shards concurrently (results are identical for any value)")
-		shardFac   = flag.Int("shard-factor", 0, "shard-group granularity multiplier: 0 auto-sizes, 1 reproduces the coarse schedule (part of the deterministic schedule, like -seed)")
 		style      = flag.String("style", "", "code-emission style: "+strings.Join(synth.StyleNames(), ", ")+" (default goto; only the emitted-code shape changes)")
 	)
 	flag.Parse()
@@ -63,7 +62,6 @@ func main() {
 		Engine: symexec.Config{
 			Seed: *seed, Searcher: searcher,
 			DisableIncrementalSolver: *noInc, Workers: *workers,
-			ShardFactor: *shardFac,
 		},
 	})
 	if err != nil {

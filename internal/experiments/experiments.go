@@ -67,11 +67,6 @@ type ContextConfig struct {
 	// DisableIncrementalSolver turns off the solvers' shared
 	// incremental SAT sessions (cmd/revbench's ablation grid).
 	DisableIncrementalSolver bool
-	// ShardFactor is each engine's shard-group granularity multiplier
-	// (symexec.Config.ShardFactor); 0 auto-sizes. Part of the
-	// deterministic schedule: results are bit-identical for a fixed
-	// factor regardless of Workers.
-	ShardFactor int
 }
 
 // NewContextCfg builds the context per the given configuration.
@@ -113,7 +108,6 @@ func NewContextCfg(cc ContextConfig) (*Context, error) {
 				Engine: symexec.Config{
 					Seed: 42, Workers: perEngine,
 					Searcher: cc.Searcher, Arena: cc.Arena,
-					ShardFactor:              cc.ShardFactor,
 					DisableIncrementalSolver: cc.DisableIncrementalSolver,
 				},
 			})

@@ -377,13 +377,13 @@ func TestPipelinePanicBecomesJobFailure(t *testing.T) {
 // TestCoordinatorStealingBitIdentical pins the scheduling/merging
 // separation under the work queue: one chronically slow peer forces
 // straggler re-dispatch (first-completion-wins), and the result must
-// still match a single-node run of the identical spec — including an
-// explicit shard factor, which is part of the schedule and must agree
-// across modes. The snapshot must show at least one steal, proving
+// still match a single-node run of the identical spec — including a
+// non-default Shards width, which is part of the schedule and must
+// agree across modes. The snapshot must show at least one steal, proving
 // the rescue path (not just peer-side timeouts) produced the result.
 func TestCoordinatorStealingBitIdentical(t *testing.T) {
 	spec := clusterSpec()
-	spec.ShardFactor = 2
+	spec.Shards = 8
 	want, err := runSpec(spec, nil, time.Time{}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -442,7 +442,7 @@ func TestCoordinatorStealingBitIdentical(t *testing.T) {
 // DisableStealing produces the same result as single-node.
 func TestCoordinatorStealOffBitIdentical(t *testing.T) {
 	spec := clusterSpec()
-	spec.ShardFactor = 2
+	spec.Shards = 8
 	want, err := runSpec(spec, nil, time.Time{}, nil)
 	if err != nil {
 		t.Fatal(err)

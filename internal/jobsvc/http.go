@@ -285,7 +285,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("revnicd_fuzz_divergences_total", "Behavioral divergences found by differential fuzzing.", s.m.fuzzDivergences.Load())
 	counter("revnicd_fuzz_unexplored_total", "Fuzz schedules that drove the synthesized driver into unexplored code.", s.m.fuzzUnexplored.Load())
 	effSum, effN := s.m.shardsEffective.read()
-	fmt.Fprintf(w, "# HELP revnicd_shards_effective Narrowest fan-out width achieved, summed over completed jobs that fanned out.\n# TYPE revnicd_shards_effective summary\n")
+	fmt.Fprintf(w, "# HELP revnicd_shards_effective Fan-out width (the job's Shards), summed over completed jobs that fanned out.\n# TYPE revnicd_shards_effective summary\n")
 	fmt.Fprintf(w, "revnicd_shards_effective_sum %g\n", effSum)
 	fmt.Fprintf(w, "revnicd_shards_effective_count %d\n", effN)
 

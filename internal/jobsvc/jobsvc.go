@@ -95,7 +95,8 @@ type ProgramSpec struct {
 // must be set; zero values elsewhere select the engine defaults.
 // Unknown JSON fields are ignored, so specs (and journals) that still
 // carry the retired "solver_backend" field are accepted and run on the
-// core solver.
+// core solver, and a retired "shard_factor" is ignored: every phase
+// fans out to exactly Shards groups.
 type JobSpec struct {
 	Driver  string       `json:"driver,omitempty"`
 	Program *ProgramSpec `json:"program,omitempty"`
@@ -117,13 +118,6 @@ type JobSpec struct {
 	// cmd/revnic's flags do; results are identical for any Workers.
 	Workers int `json:"workers,omitempty"`
 	Shards  int `json:"shards,omitempty"`
-	// ShardFactor multiplies Shards into finer shard groups for
-	// capacity-aware scheduling (symexec.Config.ShardFactor): 0 selects
-	// the engine's auto factor, 1 reproduces the coarse pre-factor
-	// schedule. Like Shards it is part of the deterministic schedule —
-	// results are bit-identical for a fixed factor regardless of
-	// workers, peers or stealing.
-	ShardFactor int `json:"shard_factor,omitempty"`
 	// Exploration budgets (symexec.Config fields; 0 = default).
 	MaxStates                int  `json:"max_states,omitempty"`
 	PhaseBudget              int  `json:"phase_budget,omitempty"`
@@ -162,8 +156,8 @@ type JobResult struct {
 	// query counters.
 	SolverSearch solver.SearchStats `json:"solver_search"`
 	Funcs        int                `json:"funcs"`
-	// ShardsEffective is the narrowest fan-out width any phase actually
-	// achieved (0 when no phase fanned out); ShardCollapses counts
+	// ShardsEffective is the fan-out width: Shards when any phase
+	// fanned out, 0 when none did; ShardCollapses counts
 	// phases that were configured to fan out but drained serially —
 	// together they surface silent parallelism collapse.
 	ShardsEffective int   `json:"shards_effective,omitempty"`
@@ -558,9 +552,6 @@ func validate(spec JobSpec) error {
 	}
 	if spec.DeadlineMS < 0 {
 		return fmt.Errorf("jobsvc: negative deadline_ms %d", spec.DeadlineMS)
-	}
-	if spec.ShardFactor < 0 || spec.ShardFactor > 64 {
-		return fmt.Errorf("jobsvc: shard_factor %d out of range [0, 64]", spec.ShardFactor)
 	}
 	return nil
 }
@@ -982,7 +973,6 @@ func engineConfig(spec JobSpec, ar *expr.Arena) symexec.Config {
 		Seed:                     spec.Seed,
 		Workers:                  spec.Workers,
 		Shards:                   spec.Shards,
-		ShardFactor:              spec.ShardFactor,
 		MaxStates:                spec.MaxStates,
 		PhaseBudget:              spec.PhaseBudget,
 		StagnationBudget:         spec.StagnationBudget,

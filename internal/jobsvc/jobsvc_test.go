@@ -203,16 +203,18 @@ func TestSubmitValidation(t *testing.T) {
 		}
 	}
 
-	// A spec written for the retired solver backends still carries
-	// "solver_backend": it must be accepted and run on the core solver,
-	// to the same code as a direct run.
+	// A spec written for the retired solver backends and shard factor
+	// still carries "solver_backend" and "shard_factor" (here outside
+	// the range the factor once had): it must be accepted and run on
+	// the core solver and the default schedule, to the same code as a
+	// direct run.
 	var legacy JobSpec
-	if err := json.Unmarshal([]byte(legacySolverSpec), &legacy); err != nil {
+	if err := json.Unmarshal([]byte(legacySpec), &legacy); err != nil {
 		t.Fatal(err)
 	}
 	j, err := svc.Submit(legacy)
 	if err != nil {
-		t.Fatalf("legacy solver_backend spec rejected: %v", err)
+		t.Fatalf("legacy spec rejected: %v", err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -221,16 +223,16 @@ func TestSubmitValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if done.Status != StatusSucceeded {
-		t.Fatalf("legacy solver_backend job: %s (%s)", done.Status, done.Error)
+		t.Fatalf("legacy job: %s (%s)", done.Status, done.Error)
 	}
 	if done.Result.Code != directRun(t, "RTL8029", 3).Synth.Code {
-		t.Error("legacy solver_backend job's code differs from a direct run")
+		t.Error("legacy job's code differs from a direct run")
 	}
 }
 
-// legacySolverSpec is a job spec as clients of the retired portfolio
-// solver wrote it.
-const legacySolverSpec = `{"driver":"RTL8029","seed":3,"solver_backend":"portfolio"}`
+// legacySpec is a job spec as clients of the retired portfolio solver
+// and shard-factor knob wrote it.
+const legacySpec = `{"driver":"RTL8029","seed":3,"solver_backend":"portfolio","shard_factor":99}`
 
 func TestDrainRejectsAndFinishes(t *testing.T) {
 	svc := New(Config{Pool: 1})

@@ -103,6 +103,11 @@ func TestCancelRunningJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitRunning(t, svc, j.ID)
+	// The status flips to running before Explore has executed a block,
+	// and a cancel landing in that window leaves nothing to report.
+	// longSpec never finishes on its own, so giving exploration time to
+	// get under way cannot race the job's end.
+	time.Sleep(100 * time.Millisecond)
 	cancelledAt := time.Now()
 	if _, err := svc.Cancel(j.ID); err != nil {
 		t.Fatal(err)
@@ -242,12 +247,13 @@ func TestJournalReplayAfterCrash(t *testing.T) {
 }
 
 // TestJournalReplayLegacySolverSpec: a journal written while specs
-// still named a solver backend replays cleanly — the queued job is
-// requeued under its original ID and runs on the core solver to the
-// same code as a direct run.
+// still named a solver backend and a shard factor replays cleanly —
+// the queued job is requeued under its original ID and runs on the
+// core solver and the default schedule to the same code as a direct
+// run.
 func TestJournalReplayLegacySolverSpec(t *testing.T) {
 	dir := t.TempDir()
-	rec := `{"t":"submitted","id":"job-7","ts":"2026-01-02T03:04:05Z","spec":` + legacySolverSpec + "}\n"
+	rec := `{"t":"submitted","id":"job-7","ts":"2026-01-02T03:04:05Z","spec":` + legacySpec + "}\n"
 	if err := os.WriteFile(filepath.Join(dir, journalFile), []byte(rec), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -96,18 +96,6 @@ type Config struct {
 	// the default; 1 disables fan-out entirely (the original fully
 	// serial schedule).
 	Shards int
-	// ShardFactor multiplies the fan-out granularity: each phase aims
-	// for Shards × ShardFactor shard groups, so pull-based schedulers
-	// (the in-process worker pool and the cluster work queue) have
-	// finer units to balance and one heavy group no longer sets the
-	// phase's wall clock. Like Shards it is part of the deterministic
-	// schedule — for a fixed factor the results are bit-identical
-	// across Workers, runners and scheduling — and 1 reproduces the
-	// exact Shards-group schedule of earlier versions. 0 selects auto:
-	// the spread targets Shards × 4 groups but fans out early when the
-	// live set stops growing, so the granularity adapts to how many
-	// independent states the driver can actually sustain.
-	ShardFactor int
 	// ShardRunner, when non-nil, executes the fork-join shard groups
 	// through an external dispatcher (the cluster layer's
 	// fault-tolerant work queue) instead of in-process worker
@@ -154,27 +142,6 @@ func (c *Config) defaults() {
 	if c.Shards < 1 {
 		c.Shards = 1
 	}
-	if c.ShardFactor < 0 {
-		c.ShardFactor = 0
-	}
-}
-
-// autoShardFactor is the granularity multiplier the auto setting
-// (ShardFactor == 0) aims for; the stall rule in exploreSet fans out
-// earlier when the driver cannot sustain that many live states.
-const autoShardFactor = 4
-
-// fanoutTarget is the number of shard groups a phase's serial spread
-// aims for: Shards × ShardFactor.
-func (c *Config) fanoutTarget() int {
-	if c.Shards <= 1 {
-		return c.Shards
-	}
-	f := c.ShardFactor
-	if f <= 0 {
-		f = autoShardFactor
-	}
-	return c.Shards * f
 }
 
 // CoveragePoint samples coverage growth for Figure 8.
@@ -217,11 +184,8 @@ type Result struct {
 	// TranslatedBlocks is the number of distinct translation-cache
 	// entries built (ir.Cache misses).
 	TranslatedBlocks int64
-	// ShardsEffective is the narrowest fan-out width any phase
-	// achieved: the smallest shard-group count among phases that
-	// reached their fan-out point (0 when no phase fanned out at all).
-	// A value below Shards × ShardFactor means the live set could not
-	// sustain the configured granularity.
+	// ShardsEffective is the fan-out width of the run: Shards when any
+	// phase reached its fan-out point, 0 when no phase fanned out.
 	ShardsEffective int
 	// ShardCollapses counts phases that were configured to fan out
 	// (Shards > 1) but drained or exhausted their budget during the
@@ -279,8 +243,8 @@ type Engine struct {
 	// in seed order to rebuild one global coverage curve.
 	discov []covDiscovery
 
-	// shardsEff is the narrowest fan-out width achieved so far (0
-	// until the first fan-out); shardCollapses counts phases that
+	// shardsEff is the fan-out width (Shards) once any phase has
+	// fanned out, 0 before; shardCollapses counts phases that
 	// should have fanned out but ran serially. Both are root-engine
 	// observations — children never fan out.
 	shardsEff      int

@@ -366,7 +366,7 @@ func (e *Engine) runPhase(st *State, name string, entry uint32, args []argSpec, 
 	}
 	spreadTo := 0
 	if e.cfg.Shards > 1 {
-		spreadTo = e.cfg.fanoutTarget()
+		spreadTo = e.cfg.Shards
 	}
 	completed, live, used, err := e.exploreSet([]*State{st}, name, bdg, success, spreadTo)
 	if err != nil {
@@ -394,12 +394,8 @@ func (e *Engine) runPhase(st *State, name string, entry uint32, args []argSpec, 
 // drains, the budgets expire, enough successful completions
 // accumulate, or — when spreadTo > 0 — the live set has grown to
 // spreadTo states (the fan-out point of the fork-join mode, in which
-// case the still-live remainder is returned). The spread also fans
-// out early, with whatever width it reached, once at least Shards
-// live states exist and the live set has stopped growing for
-// spreadStallBlocks executed blocks: waiting for a fan-out width the
-// driver cannot sustain would only burn serial time. Both exits are
-// pure functions of the deterministic serial spread. Path selection
+// case the still-live remainder is returned). That exit is a pure
+// function of the deterministic serial spread. Path selection
 // is delegated to a fresh Searcher built from Config.Searcher, so
 // each explored state group owns its searcher state. used reports
 // the translation blocks consumed against bdg.blocks.
@@ -408,8 +404,6 @@ func (e *Engine) exploreSet(live []*State, name string, bdg phaseBudgets, succes
 	startExec := e.exec
 	lastCovExec := e.exec
 	lastCov := e.col.CoveredBlocks()
-	peakLive := len(live)
-	lastGrowExec := e.exec
 	sr := e.cfg.Searcher(e.col)
 	sr.Update(live, nil)
 
@@ -444,20 +438,8 @@ func (e *Engine) exploreSet(live []*State, name string, bdg phaseBudgets, succes
 			}
 			break
 		}
-		if spreadTo > 0 {
-			if len(live) > peakLive {
-				peakLive = len(live)
-				lastGrowExec = e.exec
-			}
-			if len(live) >= spreadTo {
-				return completed, live, e.exec - startExec, nil
-			}
-			if len(live) >= e.cfg.Shards && e.exec-lastGrowExec > spreadStallBlocks {
-				// Stalled spread: the base fan-out width is available
-				// but the finer target is out of reach; fan out now
-				// with the width the driver sustains.
-				return completed, live, e.exec - startExec, nil
-			}
+		if spreadTo > 0 && len(live) >= spreadTo {
+			return completed, live, e.exec - startExec, nil
 		}
 		if e.exec-startExec > bdg.blocks ||
 			e.exec-lastCovExec > bdg.stagnation {
@@ -514,14 +496,6 @@ func (e *Engine) exploreSet(live []*State, name string, bdg phaseBudgets, succes
 	}
 	return completed, nil, e.exec - startExec, nil
 }
-
-// spreadStallBlocks is the stall window of the adaptive spread: with
-// the base fan-out width reached and no net live-set growth for this
-// many executed blocks, the phase fans out rather than keep chasing
-// the finer Shards × ShardFactor target serially. Well below the
-// default stagnation budget, so a stalling spread fans out before the
-// stagnation rule would kill the phase.
-const spreadStallBlocks = 4096
 
 // shedStates drops the most loop-bound half of an oversized state
 // set, emulating the memory-pressure discards of §3.4, returning the

@@ -65,23 +65,20 @@ func (b phaseBudgets) split(n int) phaseBudgets {
 	return per
 }
 
-// exploreShards partitions the live set into up to Config.Shards
-// groups, explores each on a worker child engine (at most
-// Config.Workers goroutines run concurrently), and merges the
-// children back in seed order. The partition orders states by their
-// creation ID, so it is a pure function of the spread, not of the
-// worker count or scheduling. With Config.ShardRunner set, the groups
+// exploreShards partitions the live set into Config.Shards groups
+// (the serial spread hands over at least that many states), explores
+// each on a worker child engine (at most Config.Workers goroutines
+// run concurrently), and merges the children back in seed order.
+// The partition orders states by their creation ID, so it is a pure
+// function of the spread, not of the worker count or scheduling. With Config.ShardRunner set, the groups
 // are serialized into ShardTasks and dispatched through the runner
 // instead — remote execution, with the in-process path as its
 // guaranteed local fallback — and the decoded results merge in the
 // same seed order, so the outcome is bit-identical either way.
 func (e *Engine) exploreShards(live []*State, name, successName string, bdg phaseBudgets, success successFn) ([]*State, error) {
 	sort.Slice(live, func(i, j int) bool { return live[i].ID < live[j].ID })
-	n := e.cfg.fanoutTarget()
-	if n > len(live) {
-		n = len(live)
-	}
-	e.noteFanout(n)
+	n := e.cfg.Shards
+	e.shardsEff = n
 	groups := make([][]*State, n)
 	for i, s := range live {
 		groups[i%n] = append(groups[i%n], s)
@@ -213,15 +210,6 @@ func (e *Engine) exploreShardsVia(runner ShardRunner, groups [][]*State, name, s
 	}
 	e.stateID += (n + 1) * jobIDSpan
 	return completed, nil
-}
-
-// noteFanout records one fan-out event's achieved width for the
-// shards_effective stat: the narrowest width over the run is the
-// bottleneck a capacity planner cares about.
-func (e *Engine) noteFanout(n int) {
-	if e.shardsEff == 0 || n < e.shardsEff {
-		e.shardsEff = n
-	}
 }
 
 // shardOutcome is everything one explored shard feeds into the join,

@@ -8,13 +8,14 @@ import (
 	"revnic/internal/hw"
 )
 
-// TestShardFactorDeterminismMatrix quantifies the scheduling contract
-// over the new granularity knob: for each FIXED shard factor, the
-// result is bit-identical across worker counts and across dispatch
+// TestShardFactorDeterminismMatrix quantifies the scheduling contract:
+// the fan-out schedule (Shards groups, fixed by Seed and Shards) gives
+// a bit-identical result across worker counts and across dispatch
 // modes (in-process fork-join vs the wire-codec remote runner, vs a
-// mix with local fallbacks). The factor — like Shards and Seed — is
-// part of the deterministic schedule; everything downstream of the
-// schedule is not.
+// mix with local fallbacks). Everything downstream of the schedule is
+// free to vary; the traces and solver counters are not. The schedule
+// splits each phase into exactly one group per shard (a shard factor
+// of 1), the only granularity the engine has.
 func TestShardFactorDeterminismMatrix(t *testing.T) {
 	info, err := drivers.ByName("RTL8029")
 	if err != nil {
@@ -22,54 +23,55 @@ func TestShardFactorDeterminismMatrix(t *testing.T) {
 	}
 	shell := hw.PCIConfig{VendorID: info.VendorID, DeviceID: info.DeviceID,
 		IOBase: 0xC000, IOSize: 0x100, IRQLine: 11}
-	for _, factor := range []int{1, 2} {
-		t.Run(fmt.Sprintf("factor=%d", factor), func(t *testing.T) {
-			base := exploreDriver(t, "RTL8029", Config{Seed: 11, Workers: 1, ShardFactor: factor})
-			want, wantCounts := traceFingerprint(base), solverCounts(base)
-
-			for _, workers := range []int{2, 4} {
-				res := exploreDriver(t, "RTL8029", Config{Seed: 11, Workers: workers, ShardFactor: factor})
-				if got := traceFingerprint(res); got != want {
-					t.Fatalf("factor=%d workers=%d diverged from workers=1 (fingerprints %d vs %d bytes)",
-						factor, workers, len(got), len(want))
-				}
-				if got := solverCounts(res); got != wantCounts {
-					t.Fatalf("factor=%d workers=%d solver counters diverged:\n got %s\nwant %s",
-						factor, workers, got, wantCounts)
-				}
+	t.Run("factor=1", func(t *testing.T) {
+		base := exploreDriver(t, "RTL8029", Config{Seed: 11, Workers: 1})
+		want, wantCounts := traceFingerprint(base), solverCounts(base)
+		check := func(t *testing.T, res *Result) {
+			t.Helper()
+			if got := traceFingerprint(res); got != want {
+				t.Fatalf("diverged from the workers=1 run (fingerprints %d vs %d bytes)", len(got), len(want))
 			}
-			for name, localEvery := range map[string]int{"remote": 0, "mixed": 2} {
-				cfg := Config{Seed: 11, Workers: 2, ShardFactor: factor, Shell: shell}
+			if got := solverCounts(res); got != wantCounts {
+				t.Fatalf("solver counters diverged:\n got %s\nwant %s", got, wantCounts)
+			}
+		}
+
+		for _, workers := range []int{2, 4} {
+			t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+				check(t, exploreDriver(t, "RTL8029", Config{Seed: 11, Workers: workers}))
+			})
+		}
+		for _, mode := range []struct {
+			name       string
+			localEvery int
+		}{{"remote", 0}, {"mixed", 2}} {
+			t.Run(mode.name, func(t *testing.T) {
+				cfg := Config{Seed: 11, Workers: 2, Shell: shell}
 				cfg.ShardRunner = &wireRunner{
 					prog:       info.Program,
 					cfg:        Config{Seed: 11, Shell: shell},
-					localEvery: localEvery,
+					localEvery: mode.localEvery,
 				}
 				res, err := New(info.Program, cfg).Explore()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := traceFingerprint(res); got != want {
-					t.Fatalf("factor=%d %s dispatch diverged from in-process run (fingerprints %d vs %d bytes)",
-						factor, name, len(got), len(want))
-				}
-				if got := solverCounts(res); got != wantCounts {
-					t.Fatalf("factor=%d %s dispatch solver counters diverged:\n got %s\nwant %s",
-						factor, name, got, wantCounts)
-				}
-			}
-		})
-	}
+				check(t, res)
+			})
+		}
+	})
 }
 
 // TestShardsEffectiveSurfaced pins the parallelism-collapse stat: a
-// run whose phases fan out must report the narrowest achieved width,
-// and a run that cannot fan out (Shards=1) must report zero with no
+// run whose phases fan out must report exactly Shards groups, and a
+// run that cannot fan out (Shards=1) must report zero with no
 // collapses counted as fan-out loss.
 func TestShardsEffectiveSurfaced(t *testing.T) {
+	var def Config
+	def.defaults()
 	res := exploreDriver(t, "RTL8029", Config{Seed: 11, Workers: 2})
-	if res.ShardsEffective < 1 {
-		t.Fatalf("ShardsEffective = %d; default config never fanned out", res.ShardsEffective)
+	if want := def.Shards; res.ShardsEffective != want {
+		t.Fatalf("ShardsEffective = %d, want Shards = %d for the default config", res.ShardsEffective, want)
 	}
 	serial := exploreDriver(t, "RTL8029", Config{Seed: 11, Shards: 1})
 	if serial.ShardsEffective != 0 || serial.ShardCollapses != 0 {

@@ -246,3 +246,35 @@ func TestDecodeStateGroupRejectsMalformed(t *testing.T) {
 		}
 	}
 }
+
+// FuzzDecodeStateGroup feeds arbitrary bytes through the JSON form of
+// WireStateGroup into decodeStateGroup, the decoder behind both
+// POST /shards tasks and peer shard results. The bytes come from the
+// network, so the invariant is states or an error, never a panic. The
+// seed corpus in testdata/fuzz holds real RTL8029 fan-out groups: a
+// first-phase task group, its completed result group and a
+// second-phase task group.
+func FuzzDecodeStateGroup(f *testing.F) {
+	info, err := drivers.ByName("RTL8029")
+	if err != nil {
+		f.Fatal(err)
+	}
+	base := New(info.Program, Config{}).baseRAM
+	// A minimal group with one shared page: small enough that byte
+	// mutations land on the references and offsets, not on JSON syntax.
+	f.Add([]byte(`{"exprs":[{"k":0,"w":32,"v":1},{"k":0,"w":8,"v":2}],"pages":[{"off":[255],"ref":[2]}],` +
+		`"states":[{"regs":[1,1,1,1,1,1,1,1],"pages":{"3":1},"result":1},{"regs":[1,1,1,1,1,1,1,1],"pages":{"3":1}}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var g WireStateGroup
+		if err := json.Unmarshal(data, &g); err != nil {
+			return
+		}
+		states, err := decodeStateGroup(&g, base, expr.NewArena())
+		if err != nil {
+			return
+		}
+		// Decoded states must be whole enough to go back on the wire
+		// (straggler re-dispatch re-encodes them).
+		encodeStateGroup(states)
+	})
+}
