@@ -45,7 +45,7 @@ var (
 
 func sharedCtx(b *testing.B) *experiments.Context {
 	b.Helper()
-	ctxOnce.Do(func() { ctx, ctxErr = experiments.NewContextWorkers(*workersFlag) })
+	ctxOnce.Do(func() { ctx, ctxErr = experiments.NewContext(experiments.ContextConfig{Workers: *workersFlag}) })
 	if ctxErr != nil {
 		b.Fatal(ctxErr)
 	}
@@ -277,7 +277,7 @@ func BenchmarkExploreParallel(b *testing.B) { benchExploreWorkers(b, runtime.GOM
 // expensive shared setup of every experiment) with a fixed pool size.
 func benchContextWorkers(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.NewContextWorkers(workers); err != nil {
+		if _, err := experiments.NewContext(experiments.ContextConfig{Workers: workers}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -344,19 +344,6 @@ func BenchmarkAblationSearchBFS(b *testing.B) {
 	var cov float64
 	for i := 0; i < b.N; i++ {
 		cov = explorationCoverage(b, func(c *symexec.Config) { c.Searcher = symexec.NewBFS })
-	}
-	b.ReportMetric(cov, "coverage-%")
-}
-
-// BenchmarkAblationIncrementalOff disables the solver's incremental
-// SAT sessions; compare against BenchmarkAblationSearchCoverage (the
-// same configuration with sessions on) to see what prefix reuse buys.
-// The coverage metric must be identical — the switch never changes
-// answers.
-func BenchmarkAblationIncrementalOff(b *testing.B) {
-	var cov float64
-	for i := 0; i < b.N; i++ {
-		cov = explorationCoverage(b, func(c *symexec.Config) { c.DisableIncrementalSolver = true })
 	}
 	b.ReportMetric(cov, "coverage-%")
 }

@@ -3,31 +3,27 @@
 // baseline (BENCH_12.json) and fails when any matching cell's mean
 // wall-clock regressed beyond the threshold.
 //
-// Cells match on (solver, searcher, workers, shard_factor, scenario) —
-// shard_factor is set only in historical reports, and an absent
-// searcher means "coverage", so baselines written before the
-// searcher axis existed still match fresh coverage cells; cells
-// present in only one report are skipped with a note, so a reduced CI
-// grid (fewer repeats, no cluster scenario) gates only what it
-// actually measured, and baseline cells of retired modes (the
-// "portfolio" solver cells, the "straggler-static" scenario) are
-// skipped rather than failed. Timing noise is expected — the default 25%
-// threshold is meant to catch structural regressions (a scheduler
-// serializing, a solver losing its cache), not jitter.
+// Cells match on (solver, searcher, workers, shard_factor, scenario).
+// solver and shard_factor are set only in historical reports; an
+// absent solver means "incremental" and an absent searcher means
+// "coverage", so baselines written before those axes existed or after
+// they were retired still match fresh cells. Cells present in only
+// one report are skipped with a note, so a reduced CI grid (fewer
+// repeats, no cluster scenario) gates only what it actually measured,
+// and baseline cells of retired modes (the "portfolio" and
+// "no-incremental" solver cells, the "straggler-static" and
+// "straggler-nosteal" scenarios) are skipped rather than failed.
+// Timing noise is expected — the default 25% threshold is meant to
+// catch structural regressions (a scheduler serializing, a solver
+// losing its sessions or its cache), not jitter.
 //
-// It also checks two invariants inside the fresh report alone, each a
+// It also checks one invariant inside the fresh report alone, a
 // regression even when every cell is within the threshold of a
-// baseline that already carries it:
-//
-//   - an "incremental" cell must not be slower than the
-//     "no-incremental" cell at the same searcher, workers, shard factor
-//     and scenario: sessions exist to make solving cheaper;
-//   - an "incremental" cell at 4 workers must not be more than 10%
-//     slower than the 1-worker cell at the same searcher, shard factor
-//     and scenario: adding workers must not cost time.
-//
-// A fresh report with no pair for either invariant fails as unusable
-// (exit 2), like one that matches no baseline cell.
+// baseline that already carries it: an incremental cell at 4 workers
+// must not be more than 10% slower than the 1-worker cell at the same
+// searcher, shard factor and scenario — adding workers must not cost
+// time. A fresh report with no such pair fails as unusable (exit 2),
+// like one that matches no baseline cell.
 //
 // Usage:
 //
@@ -40,11 +36,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 )
 
 type cell struct {
-	Solver   string `json:"solver"`
+	// Solver is set only in historical reports (BENCH_8 to BENCH_12),
+	// written while revbench still had a solver-mode axis.
+	Solver   string `json:"solver,omitempty"`
 	Searcher string `json:"searcher,omitempty"`
 	Workers  int    `json:"workers"`
 	// ShardFactor is set only in historical reports (BENCH_8 to BENCH_11),
@@ -60,7 +57,17 @@ type report struct {
 }
 
 func key(c cell) string {
-	return c.Solver + "/" + axes(c)
+	return fmt.Sprintf("%s/%s/w%d/f%d/%s", solverMode(c), searcher(c), c.Workers, c.ShardFactor, c.Scenario)
+}
+
+// solverMode is the cell's solver mode. Reports written after the
+// solver-mode axis was retired omit the field; they all ran the
+// incremental sessions, the only mode left.
+func solverMode(c cell) string {
+	if c.Solver == "" {
+		return "incremental"
+	}
+	return c.Solver
 }
 
 // searcher is the cell's searcher. Reports written before the
@@ -74,77 +81,40 @@ func searcher(c cell) string {
 	return c.Searcher
 }
 
-// axes is a cell's key without the solver mode: the cells an
-// incremental cell is compared against share it.
-func axes(c cell) string {
-	return fmt.Sprintf("%s/w%d/f%d/%s", searcher(c), c.Workers, c.ShardFactor, c.Scenario)
-}
-
 // scalingAxes is a cell's key without the solver mode and worker
 // count: the cells a 4-worker cell is compared against share it.
 func scalingAxes(c cell) string {
 	return fmt.Sprintf("%s/f%d/%s", searcher(c), c.ShardFactor, c.Scenario)
 }
 
-// invariant is a cross-cell check inside one report: each cell that
-// subject selects is paired with the cell that partner selects at the
-// same key, and fails when its mean exceeds tolerance times the
-// partner's.
-type invariant struct {
-	name             string
-	subject, partner func(cell) bool
-	key              func(cell) string
-	tolerance        float64
-}
-
-// check prints every pair and returns how many pairs the report holds
-// and how many of them fail.
-func (inv invariant) check(cells []cell) (pairs, failures int) {
-	partners := make(map[string]cell)
+// workerScaling checks that every incremental cell at 4 workers is at
+// most 10% slower than the 1-worker cell at the same scalingAxes. It
+// prints every pair and returns how many pairs the report holds and
+// how many of them fail.
+func workerScaling(cells []cell) (pairs, failures int) {
+	incremental := func(c cell) bool { return solverMode(c) == "incremental" }
+	w1 := make(map[string]cell)
 	for _, c := range cells {
-		if inv.partner(c) {
-			partners[inv.key(c)] = c
+		if incremental(c) && c.Workers == 1 {
+			w1[scalingAxes(c)] = c
 		}
 	}
 	for _, c := range cells {
-		p, ok := partners[inv.key(c)]
-		if !inv.subject(c) || !ok {
+		p, ok := w1[scalingAxes(c)]
+		if !incremental(c) || c.Workers != 4 || !ok {
 			continue
 		}
 		pairs++
 		status := "ok"
-		if c.MeanMS > inv.tolerance*p.MeanMS {
+		if c.MeanMS > 1.10*p.MeanMS {
 			status = "FAIL"
 			failures++
 		}
-		fmt.Printf("perfgate: %s %-24s %8.0f ms vs %8.0f ms  %s\n",
-			inv.name, inv.key(c), c.MeanMS, p.MeanMS, status)
+		fmt.Printf("perfgate: w4 vs w1 %-24s %8.0f ms vs %8.0f ms  %s\n",
+			scalingAxes(c), c.MeanMS, p.MeanMS, status)
 	}
 	return pairs, failures
 }
-
-func incremental(c cell) bool { return c.Solver == "incremental" }
-
-var (
-	// noInversion: an incremental cell is not slower than its
-	// no-incremental ablation.
-	noInversion = invariant{
-		name:      "incremental vs no-incremental",
-		subject:   incremental,
-		partner:   func(c cell) bool { return c.Solver == "no-incremental" },
-		key:       axes,
-		tolerance: 1,
-	}
-	// workerScaling: an incremental cell at 4 workers is at most 10%
-	// slower than the 1-worker cell.
-	workerScaling = invariant{
-		name:      "incremental w4 vs w1",
-		subject:   func(c cell) bool { return incremental(c) && c.Workers == 4 },
-		partner:   func(c cell) bool { return incremental(c) && c.Workers == 1 },
-		key:       scalingAxes,
-		tolerance: 1.10,
-	}
-)
 
 func load(path string) (report, error) {
 	var r report
@@ -185,14 +155,23 @@ func main() {
 	os.Exit(gate(baseRep, freshRep, *threshold))
 }
 
-// gate compares fresh against base and checks fresh's invariants. It
-// returns the exit status: 0 when everything holds, 1 on a regression
-// or a failed invariant, 2 when the reports cannot be gated — no cell
-// matches the baseline, or fresh has no pair for an invariant.
+// gate compares fresh against base and checks fresh's worker-scaling
+// invariant. It returns the exit status: 0 when everything holds, 1 on
+// a regression or a failed invariant, 2 when the reports cannot be
+// gated — no cell matches the baseline, or fresh has no w4/w1 pair.
 func gate(base, fresh report, threshold float64) int {
 	baseline := make(map[string]cell, len(base.Cells))
 	for _, c := range base.Cells {
 		baseline[key(c)] = c
+	}
+	measured := make(map[string]bool, len(fresh.Cells))
+	for _, f := range fresh.Cells {
+		measured[key(f)] = true
+	}
+	for _, b := range base.Cells {
+		if !measured[key(b)] {
+			fmt.Printf("perfgate: skip %-40s (not in fresh report)\n", key(b))
+		}
 	}
 	matched, regressions := 0, 0
 	for _, f := range fresh.Cells {
@@ -224,23 +203,19 @@ func gate(base, fresh report, threshold float64) int {
 		fmt.Fprintf(os.Stderr, "perfgate: %d of %d cells regressed beyond %.0f%%\n",
 			regressions, matched, 100*threshold)
 	}
-	var summary []string
-	for _, inv := range []invariant{noInversion, workerScaling} {
-		pairs, failures := inv.check(fresh.Cells)
-		if pairs == 0 {
-			fmt.Fprintf(os.Stderr, "perfgate: no %s pair in the fresh report\n", inv.name)
-			return 2
-		}
-		if failures > 0 {
-			fmt.Fprintf(os.Stderr, "perfgate: %s: %d of %d pairs failed\n", inv.name, failures, pairs)
-			failed = true
-		}
-		summary = append(summary, fmt.Sprintf("%d %s pairs", pairs, inv.name))
+	pairs, failures := workerScaling(fresh.Cells)
+	if pairs == 0 {
+		fmt.Fprintln(os.Stderr, "perfgate: no w4/w1 pair in the fresh report")
+		return 2
+	}
+	if failures > 0 {
+		fmt.Fprintf(os.Stderr, "perfgate: w4 vs w1: %d of %d pairs failed\n", failures, pairs)
+		failed = true
 	}
 	if failed {
 		return 1
 	}
-	fmt.Printf("perfgate: %d cells within %.0f%% of baseline; held: %s\n",
-		matched, 100*threshold, strings.Join(summary, ", "))
+	fmt.Printf("perfgate: %d cells within %.0f%% of baseline; held: %d w4 vs w1 pairs\n",
+		matched, 100*threshold, pairs)
 	return 0
 }

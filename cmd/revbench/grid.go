@@ -16,32 +16,25 @@ import (
 	"revnic/internal/symexec"
 )
 
-// The ablation grid (-grid): reverse engineer the full four-driver
-// workload under each solver configuration × worker count, repeated
-// -repeats times, and write mean/std wall-clock per cell as JSON.
-// Every cell explores the same deterministic schedule (fixed seed,
-// same searcher), so the grid isolates solver-path cost: the
-// incremental default (assumption-trail sessions + counterexample
-// index) versus the no-incremental ablation.
-// Each run gets a fresh expression arena, so no interning carries
-// over between cells and timings stay comparable.
+// The timing grid (-grid): reverse engineer the full four-driver
+// workload at 1 and 4 workers, repeated -repeats times, and write
+// mean/std wall-clock per cell as JSON. Both cells explore the same
+// deterministic schedule (fixed seed, same searcher), so the pair
+// isolates what parallel exploration costs or buys. Each run gets a
+// fresh expression arena, so no interning carries over between cells
+// and timings stay comparable.
 
 type gridCell struct {
-	// Solver names the solver configuration: "incremental" (the
-	// default push/pop sessions) or "no-incremental" (ablation:
-	// one-shot solves only).
-	Solver  string `json:"solver"`
-	Workers int    `json:"workers"`
+	Workers int `json:"workers"`
 	// Searcher names the path-selection strategy the cell ran with.
 	// Empty means the grid's -strategy flag (historically always
 	// "coverage"); the searcher-axis cells pin "dfs" and "bfs"
 	// explicitly. Different searchers explore different schedules, so
 	// these cells have independent counter baselines.
 	Searcher string `json:"searcher,omitempty"`
-	// Scenario tags cells outside the plain solver grid; the
-	// coordinator straggler cells use "straggler-nosteal" and
-	// "straggler-steal" (one slow peer, work queue with stealing off
-	// vs on).
+	// Scenario tags cells outside the plain grid; the coordinator
+	// straggler cell uses "straggler-steal" (one slow peer, work queue
+	// with stealing).
 	Scenario string `json:"scenario,omitempty"`
 	// Wall-clock milliseconds for the whole four-driver workload (one
 	// coordinator job for the straggler cells).
@@ -49,20 +42,14 @@ type gridCell struct {
 	StdMS  float64   `json:"std_ms"`
 	RunsMS []float64 `json:"runs_ms"`
 	// Solver counters summed over the four drivers (identical across
-	// repeats and across solver configurations — determinism check).
+	// repeats and worker counts — determinism check).
 	SolverQueries int64 `json:"solver_queries"`
 	CacheHits     int64 `json:"cache_hits"`
 	ModelHits     int64 `json:"model_hits"`
 	CoveredBlocks int   `json:"covered_blocks"`
 	// Search sums the SAT-level work behind the queries (decisions,
-	// conflicts, session reuse). It repeats across repeats but not
-	// across solver configurations: one-shot solving decides from
-	// scratch and never opens a session.
+	// conflicts, session reuse); deterministic like the counters above.
 	Search solver.SearchStats `json:"solver_search"`
-	// SpeedupX, on the straggler-steal cell, is the no-steal cell's
-	// mean divided by this cell's mean: how much stealing recovers from
-	// one slow peer.
-	SpeedupX float64 `json:"speedup_x,omitempty"`
 }
 
 type gridReport struct {
@@ -78,14 +65,6 @@ func runGrid(strategy string, searcher symexec.SearcherFactory, repeats int, out
 	if repeats < 1 {
 		repeats = 1
 	}
-	type mode struct {
-		name  string
-		noInc bool
-	}
-	modes := []mode{
-		{name: "incremental"},
-		{name: "no-incremental", noInc: true},
-	}
 	var names []string
 	for _, d := range drivers.All() {
 		names = append(names, d.Name)
@@ -99,7 +78,7 @@ func runGrid(strategy string, searcher symexec.SearcherFactory, repeats int, out
 	}
 	// runOnce times one four-driver run of cell and records its solver
 	// counters (identical on every run, so the last write stands).
-	runOnce := func(cell *gridCell, m mode) error {
+	runOnce := func(cell *gridCell) error {
 		cellSearcher := searcher
 		if cell.Searcher != "" {
 			var err error
@@ -109,15 +88,14 @@ func runGrid(strategy string, searcher symexec.SearcherFactory, repeats int, out
 			}
 		}
 		start := time.Now()
-		ctx, err := experiments.NewContextCfg(experiments.ContextConfig{
-			Workers:                  cell.Workers,
-			Searcher:                 cellSearcher,
-			Arena:                    expr.NewArena(),
-			DisableIncrementalSolver: m.noInc,
+		ctx, err := experiments.NewContext(experiments.ContextConfig{
+			Workers:  cell.Workers,
+			Searcher: cellSearcher,
+			Arena:    expr.NewArena(),
 		})
 		elapsed := time.Since(start)
 		if err != nil {
-			return fmt.Errorf("grid cell %s/w%d: %w", m.name, cell.Workers, err)
+			return fmt.Errorf("grid cell w%d: %w", cell.Workers, err)
 		}
 		cell.RunsMS = append(cell.RunsMS, float64(elapsed.Microseconds())/1000)
 		cell.SolverQueries, cell.CacheHits, cell.ModelHits, cell.CoveredBlocks = 0, 0, 0, 0
@@ -138,59 +116,50 @@ func runGrid(strategy string, searcher symexec.SearcherFactory, repeats int, out
 		if label == "" {
 			label = strategy
 		}
-		fmt.Fprintf(os.Stderr, "revbench: grid %-14s workers=%d searcher=%s: %.0f ms ± %.0f (%d queries, %d cache hits, %d model reuses, %d SAT decisions)\n",
-			cell.Solver, cell.Workers, label, cell.MeanMS, cell.StdMS,
+		fmt.Fprintf(os.Stderr, "revbench: grid workers=%d searcher=%s: %.0f ms ± %.0f (%d queries, %d cache hits, %d model reuses, %d SAT decisions)\n",
+			cell.Workers, label, cell.MeanMS, cell.StdMS,
 			cell.SolverQueries, cell.CacheHits, cell.ModelHits, cell.Search.Decisions)
 		return cell
 	}
-	runCell := func(cell gridCell, m mode) (gridCell, error) {
+	// runCells runs each cell -repeats times and reports it. The cells
+	// alternate run by run, so a slow spell on a shared host lands on
+	// every cell of the group, not on one of them.
+	runCells := func(cells ...gridCell) error {
 		for rep := 0; rep < repeats; rep++ {
-			if err := runOnce(&cell, m); err != nil {
-				return cell, err
-			}
-		}
-		return finish(cell), nil
-	}
-	// The solver modes of one worker count alternate run by run, so a
-	// slow spell on a shared host lands on both cells of the pair that
-	// perfgate compares, not on one of them.
-	for _, workers := range []int{1, 4} {
-		pair := make([]gridCell, len(modes))
-		for i, m := range modes {
-			pair[i] = gridCell{Solver: m.name, Workers: workers}
-		}
-		for rep := 0; rep < repeats; rep++ {
-			for i, m := range modes {
-				if err := runOnce(&pair[i], m); err != nil {
+			for i := range cells {
+				if err := runOnce(&cells[i]); err != nil {
 					return err
 				}
 			}
 		}
-		for _, c := range pair {
+		for _, c := range cells {
 			report.Cells = append(report.Cells, finish(c))
 		}
+		return nil
 	}
-	// The searcher axis: the default solver at full parallelism under
-	// each non-default path-selection strategy. The plain cells above
-	// already cover the -strategy searcher (coverage by default), so
-	// this adds the DFS and BFS ablations the paper's exploration
-	// section compares against.
+	// The w1/w4 pair is the one perfgate compares inside a report.
+	if err := runCells(gridCell{Workers: 1}, gridCell{Workers: 4}); err != nil {
+		return err
+	}
+	// The searcher axis: full parallelism under each non-default
+	// path-selection strategy. The pair above already covers the
+	// -strategy searcher (coverage by default), so this adds the DFS
+	// and BFS ablations the paper's exploration section compares
+	// against.
 	for _, name := range []string{"dfs", "bfs"} {
 		if name == strategy {
 			continue
 		}
-		cell, err := runCell(gridCell{Solver: "incremental", Workers: 4, Searcher: name}, modes[0])
+		if err := runCells(gridCell{Workers: 4, Searcher: name}); err != nil {
+			return err
+		}
+	}
+	if withCluster {
+		cell, err := runStragglerScenario(repeats)
 		if err != nil {
 			return err
 		}
 		report.Cells = append(report.Cells, cell)
-	}
-	if withCluster {
-		cells, err := runStragglerScenario(repeats)
-		if err != nil {
-			return err
-		}
-		report.Cells = append(report.Cells, cells...)
 	}
 	if csvPath != "" {
 		if err := writeGridCSV(csvPath, report); err != nil {
@@ -223,7 +192,7 @@ func writeGridCSV(path string, report gridReport) error {
 	}
 	defer f.Close()
 	w := csv.NewWriter(f)
-	if err := w.Write([]string{"scenario", "solver", "searcher", "workers", "rep", "ms"}); err != nil {
+	if err := w.Write([]string{"scenario", "searcher", "workers", "rep", "ms"}); err != nil {
 		return err
 	}
 	for _, c := range report.Cells {
@@ -233,7 +202,7 @@ func writeGridCSV(path string, report gridReport) error {
 		}
 		for rep, ms := range c.RunsMS {
 			rec := []string{
-				c.Scenario, c.Solver, searcher,
+				c.Scenario, searcher,
 				strconv.Itoa(c.Workers),
 				strconv.Itoa(rep), strconv.FormatFloat(ms, 'f', 3, 64),
 			}

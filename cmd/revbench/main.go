@@ -6,7 +6,7 @@
 //	revbench -exp all            # everything
 //	revbench -exp fig2           # one experiment
 //	revbench -list               # enumerate experiment IDs
-//	revbench -grid               # solver-ablation timing grid, JSON on stdout
+//	revbench -grid               # timing grid, JSON on stdout
 //	revbench -grid -grid-out BENCH_10.json
 package main
 
@@ -29,11 +29,11 @@ func main() {
 		list     = flag.Bool("list", false, "list experiment ids")
 		strategy = flag.String("strategy", "coverage", "path selection strategy for the exploration runs: "+strings.Join(symexec.SearcherNames(), ", "))
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "worker pool size for the reverse-engineering context (results are identical for any value)")
-		grid     = flag.Bool("grid", false, "run the solver/scheduling timing grid (workers x solver modes, plus searcher cells) instead of the experiments")
+		grid     = flag.Bool("grid", false, "run the timing grid (1 and 4 workers, plus searcher cells) instead of the experiments")
 		repeats  = flag.Int("repeats", 3, "repetitions per grid cell (with -grid)")
 		gridOut  = flag.String("grid-out", "-", "grid report output path (with -grid; '-' for stdout)")
 		gridCSV  = flag.String("csv", "", "also export every individual grid run as CSV to this path (with -grid)")
-		gridClu  = flag.Bool("grid-cluster", false, "include the coordinator straggler scenario (work queue with stealing off vs on, one slow peer) in the grid")
+		gridClu  = flag.Bool("grid-cluster", false, "include the coordinator straggler scenario (work queue with stealing, one slow peer) in the grid")
 	)
 	flag.Parse()
 	if *list {
@@ -54,7 +54,7 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "revbench: reverse engineering all four drivers (%d workers, %s strategy)...\n",
 		*workers, *strategy)
-	ctx, err := experiments.NewContextCfg(experiments.ContextConfig{
+	ctx, err := experiments.NewContext(experiments.ContextConfig{
 		Workers: *workers, Searcher: searcher,
 	})
 	if err != nil {

@@ -15,20 +15,19 @@ import (
 
 // The coordinator straggler scenario (-grid-cluster): one job fans
 // its shard groups out to two live in-process peers, one of which
-// answers every shard request 1.2 seconds late. The same spec runs on
-// the work queue twice: with stealing off (a shard the slow peer pulled
-// waits out its latency) and with stealing on (stragglers are
-// re-dispatched first-completion-wins). Both runs must produce results
-// bit-identical to a single-node run of the spec (arena_nodes
-// excepted, as always for coordinator mode); the wall-clock ratio
-// between them is what stealing buys back from a slow node.
+// answers every shard request 1.2 seconds late. The work queue
+// re-dispatches stragglers first-completion-wins, so the cell's
+// wall-clock shows how much of the slow peer's latency the job still
+// pays. Every run must produce a result bit-identical to a single-node
+// run of the spec (arena_nodes excepted, as always for coordinator
+// mode).
 
 const (
 	stragglerLatency = 1200 * time.Millisecond
 	stragglerSteal   = 250 * time.Millisecond
 )
 
-func runStragglerScenario(repeats int) ([]gridCell, error) {
+func runStragglerScenario(repeats int) (gridCell, error) {
 	spec := jobsvc.JobSpec{Driver: "RTL8029", Seed: 11, Workers: 2}
 
 	// Single-node reference for the bit-identity check.
@@ -36,50 +35,34 @@ func runStragglerScenario(repeats int) ([]gridCell, error) {
 	want, err := runCoordinatorJob(baseline, spec)
 	drainService(baseline)
 	if err != nil {
-		return nil, fmt.Errorf("straggler baseline: %w", err)
+		return gridCell{}, fmt.Errorf("straggler baseline: %w", err)
 	}
 
-	nosteal := gridCell{Solver: "incremental", Workers: spec.Workers, Scenario: "straggler-nosteal"}
-	steal := gridCell{Solver: "incremental", Workers: spec.Workers, Scenario: "straggler-steal"}
+	cell := gridCell{Workers: spec.Workers, Scenario: "straggler-steal"}
 	for rep := 0; rep < repeats; rep++ {
-		for _, mode := range []struct {
-			cell    *gridCell
-			noSteal bool
-		}{{&nosteal, true}, {&steal, false}} {
-			ms, res, err := timeStragglerRun(spec, mode.noSteal)
-			if err != nil {
-				return nil, fmt.Errorf("straggler %s: %w", mode.cell.Scenario, err)
-			}
-			if err := sameJobResult(res, want); err != nil {
-				return nil, fmt.Errorf("straggler %s: %w", mode.cell.Scenario, err)
-			}
-			mode.cell.RunsMS = append(mode.cell.RunsMS, ms)
-			if rep == repeats-1 {
-				mode.cell.SolverQueries = res.SolverQueries
-				mode.cell.CacheHits = res.SolverCacheHits
-				mode.cell.ModelHits = res.SolverModelHits
-				mode.cell.CoveredBlocks = res.CoveredBlocks
-				mode.cell.Search = res.SolverSearch
-			}
+		ms, res, err := timeStragglerRun(spec)
+		if err != nil {
+			return cell, fmt.Errorf("straggler: %w", err)
 		}
+		if err := sameJobResult(res, want); err != nil {
+			return cell, fmt.Errorf("straggler: %w", err)
+		}
+		cell.RunsMS = append(cell.RunsMS, ms)
+		cell.SolverQueries = res.SolverQueries
+		cell.CacheHits = res.SolverCacheHits
+		cell.ModelHits = res.SolverModelHits
+		cell.CoveredBlocks = res.CoveredBlocks
+		cell.Search = res.SolverSearch
 	}
-	nosteal.MeanMS, nosteal.StdMS = meanStd(nosteal.RunsMS)
-	steal.MeanMS, steal.StdMS = meanStd(steal.RunsMS)
-	if steal.MeanMS > 0 {
-		steal.SpeedupX = nosteal.MeanMS / steal.MeanMS
-	}
-	fmt.Fprintf(os.Stderr, "revbench: straggler no-steal %.0f ms, steal %.0f ms — %.2fx recovery\n",
-		nosteal.MeanMS, steal.MeanMS, steal.SpeedupX)
-	if steal.SpeedupX < 1.3 {
-		fmt.Fprintf(os.Stderr, "revbench: WARNING: straggler recovery %.2fx below the 1.3x target\n", steal.SpeedupX)
-	}
-	return []gridCell{nosteal, steal}, nil
+	cell.MeanMS, cell.StdMS = meanStd(cell.RunsMS)
+	fmt.Fprintf(os.Stderr, "revbench: straggler steal %.0f ms ± %.0f\n", cell.MeanMS, cell.StdMS)
+	return cell, nil
 }
 
 // timeStragglerRun stands up two live peers (one chronically slow at
-// the transport layer), runs one coordinator job with stealing on or
-// off, and returns the job wall-clock and result.
-func timeStragglerRun(spec jobsvc.JobSpec, noSteal bool) (float64, *jobsvc.JobResult, error) {
+// the transport layer), runs one coordinator job, and returns the job
+// wall-clock and result.
+func timeStragglerRun(spec jobsvc.JobSpec) (float64, *jobsvc.JobResult, error) {
 	fast := jobsvc.New(jobsvc.Config{Pool: 1, ShardPool: 16})
 	tsFast := httptest.NewServer(fast.Handler())
 	slow := jobsvc.New(jobsvc.Config{Pool: 1, ShardPool: 16})
@@ -103,16 +86,15 @@ func timeStragglerRun(spec jobsvc.JobSpec, noSteal bool) (float64, *jobsvc.JobRe
 		Pool:        1,
 		Coordinator: true,
 		Cluster: cluster.Config{
-			Peers:           []string{tsFast.URL, tsSlow.URL},
-			Transport:       ft,
-			AttemptTimeout:  60 * time.Second,
-			MaxAttempts:     3,
-			BackoffBase:     time.Millisecond,
-			BackoffCap:      10 * time.Millisecond,
-			Seed:            7,
-			DisableStealing: noSteal,
-			StealAfterMin:   stragglerSteal,
-			StealInterval:   10 * time.Millisecond,
+			Peers:          []string{tsFast.URL, tsSlow.URL},
+			Transport:      ft,
+			AttemptTimeout: 60 * time.Second,
+			MaxAttempts:    3,
+			BackoffBase:    time.Millisecond,
+			BackoffCap:     10 * time.Millisecond,
+			Seed:           7,
+			StealAfterMin:  stragglerSteal,
+			StealInterval:  10 * time.Millisecond,
 			// The slow peer still succeeds (latency < timeout), so the
 			// breaker never has failures to count; a high MinSamples
 			// keeps it out of the measurement entirely.

@@ -35,7 +35,6 @@ func main() {
 		report     = flag.Bool("report", false, "print coverage and classification report")
 		seed       = flag.Int64("seed", 1, "exploration random seed")
 		strategy   = flag.String("strategy", "coverage", "path selection strategy: "+strings.Join(symexec.SearcherNames(), ", "))
-		noInc      = flag.Bool("no-incremental", false, "disable the solver's incremental SAT sessions (ablation; results are identical)")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "goroutines exploring phase shards concurrently (results are identical for any value)")
 		style      = flag.String("style", "", "code-emission style: "+strings.Join(synth.StyleNames(), ", ")+" (default goto; only the emitted-code shape changes)")
 	)
@@ -60,8 +59,7 @@ func main() {
 		DriverName: info.Name,
 		Style:      *style,
 		Engine: symexec.Config{
-			Seed: *seed, Searcher: searcher,
-			DisableIncrementalSolver: *noInc, Workers: *workers,
+			Seed: *seed, Searcher: searcher, Workers: *workers,
 		},
 	})
 	if err != nil {

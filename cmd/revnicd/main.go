@@ -10,7 +10,7 @@
 //	        [-data-dir DIR] [-max-job-wall 0] [-per-client 0]
 //	        [-retain-count 256] [-retain-age 0] [-max-body 8388608]
 //	        [-peers URL,URL,...] [-coordinator] [-shard-pool 2]
-//	        [-probe-interval 5s] [-no-steal] [-steal-after 0]
+//	        [-probe-interval 5s] [-steal-after 0]
 //
 // Jobs run on a bounded pool; each job explores inside its own
 // expression arena, so finished jobs release all their interned
@@ -77,7 +77,6 @@ func main() {
 		peers         = flag.String("peers", "", "comma-separated base URLs of peer revnicd instances")
 		coordinator   = flag.Bool("coordinator", false, "fan job shards out to -peers (local fallback guaranteed)")
 		shardPool     = flag.Int("shard-pool", 2, "remote shards served concurrently before 503")
-		noSteal       = flag.Bool("no-steal", false, "disable work-stealing re-dispatch of straggler shards (results are identical)")
 		stealAfter    = flag.Duration("steal-after", 0, "minimum in-flight time before a shard counts as a straggler (0 = default 750ms)")
 		probeInterval = flag.Duration("probe-interval", 5*time.Second, "peer health-probe period (0 = no probing)")
 	)
@@ -103,10 +102,9 @@ func main() {
 		Coordinator:  *coordinator,
 		ShardPool:    *shardPool,
 		Cluster: cluster.Config{
-			Peers:           peerList,
-			Logf:            log.Printf,
-			DisableStealing: *noSteal,
-			StealAfterMin:   *stealAfter,
+			Peers:         peerList,
+			Logf:          log.Printf,
+			StealAfterMin: *stealAfter,
 		},
 		ProbeInterval: *probeInterval,
 	})

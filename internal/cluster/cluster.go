@@ -38,10 +38,6 @@ type Config struct {
 	// starved by an eager coordinator. With no peers configured every
 	// slot pulls, preserving local parallelism. Default 2.
 	LocalSlots int
-	// DisableStealing turns off straggler re-dispatch in RunQueue:
-	// items still pull-balance across peers, but an item stuck on a
-	// slow peer is never duplicated onto a faster one.
-	DisableStealing bool
 	// StealInterval is how often RunQueue re-examines in-flight items
 	// for stragglers (and wakes workers waiting out a backoff).
 	// Default 25ms.

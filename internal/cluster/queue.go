@@ -202,9 +202,6 @@ func (q *runQueue) claimFresh(now time.Time) *qItem {
 // exactly one remote attempt in flight, on another peer, past the
 // steal threshold — and p is not itself slower than the holder.
 func (q *runQueue) claimSteal(p string, now time.Time) *qItem {
-	if q.d.cfg.DisableStealing {
-		return nil
-	}
 	th := q.stealThreshold()
 	for _, it := range q.items {
 		if it.done || len(it.inflight) != 1 {
@@ -387,20 +384,18 @@ func (q *runQueue) claimLocal(id int, remote bool, fallback *bool) *qItem {
 		*fallback = false
 		return it
 	}
-	if !q.d.cfg.DisableStealing {
-		th := 2 * q.stealThreshold()
-		now := time.Now()
-		for _, it := range q.items {
-			if it.done || it.localStarted || len(it.inflight) != 1 {
-				continue
-			}
-			a := it.inflight[0]
-			if a.peer == "" || now.Sub(a.started) < th {
-				continue
-			}
-			*fallback = false
-			return it
+	th := 2 * q.stealThreshold()
+	now := time.Now()
+	for _, it := range q.items {
+		if it.done || it.localStarted || len(it.inflight) != 1 {
+			continue
 		}
+		a := it.inflight[0]
+		if a.peer == "" || now.Sub(a.started) < th {
+			continue
+		}
+		*fallback = false
+		return it
 	}
 	return nil
 }

@@ -172,22 +172,6 @@ func TestRunQueueStealsFromStraggler(t *testing.T) {
 	}
 }
 
-func TestRunQueueDisableStealingHonored(t *testing.T) {
-	ft := NewFaultTransport(echoHandler)
-	ft.SetLatency("p2", 300*time.Millisecond)
-	d := testDispatcher(ft, []string{"p1", "p2"}, func(c *Config) {
-		c.DisableStealing = true
-		c.StealAfterMin = 10 * time.Millisecond
-		c.StealInterval = 5 * time.Millisecond
-	})
-	if _, err := d.RunQueue(context.Background(), queueItems(6, nil, nil)); err != nil {
-		t.Fatal(err)
-	}
-	if s := d.Snapshot(); s.Steals != 0 {
-		t.Fatalf("steals = %d with stealing disabled", s.Steals)
-	}
-}
-
 // TestRunQueueAtMostOnceSettle is the steal-race test: with an
 // aggressively low steal threshold every item is re-dispatched while
 // its first attempt is still in flight, and both attempts race to

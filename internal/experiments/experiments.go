@@ -29,29 +29,9 @@ type Context struct {
 	Reversed map[string]*core.Reversed
 }
 
-// NewContext reverse engineers all four drivers, running the
-// per-driver pipelines concurrently on one goroutine per available
-// CPU. Results are identical to a serial build: each driver uses its
-// own engine with a fixed seed, and the parallel exploration mode is
-// bit-deterministic in the worker count.
-func NewContext() (*Context, error) { return NewContextWorkers(0) }
-
-// NewContextWorkers builds the context on a bounded worker pool with
-// the default (coverage-guided) searcher.
-func NewContextWorkers(workers int) (*Context, error) {
-	return NewContextWith(workers, nil)
-}
-
-// NewContextWith builds the context on a bounded worker pool with an
-// explicit path-selection searcher (cmd/revbench's -strategy knob;
-// nil selects the coverage-guided default).
-func NewContextWith(workers int, searcher symexec.SearcherFactory) (*Context, error) {
-	return NewContextCfg(ContextConfig{Workers: workers, Searcher: searcher})
-}
-
-// ContextConfig parameterizes context construction for callers beyond
-// the CLIs — notably the revnicd job service, which scopes each
-// context build to its own expression arena.
+// ContextConfig parameterizes context construction. The zero value
+// selects the defaults: one worker per available CPU, the
+// coverage-guided searcher and the process-global arena.
 type ContextConfig struct {
 	// Workers caps both the number of drivers reverse engineered at
 	// once and each engine's internal exploration parallelism
@@ -64,13 +44,14 @@ type ContextConfig struct {
 	// selects the process-global default arena. Results are
 	// bit-identical for any arena.
 	Arena *expr.Arena
-	// DisableIncrementalSolver turns off the solvers' shared
-	// incremental SAT sessions (cmd/revbench's ablation grid).
-	DisableIncrementalSolver bool
 }
 
-// NewContextCfg builds the context per the given configuration.
-func NewContextCfg(cc ContextConfig) (*Context, error) {
+// NewContext reverse engineers all four drivers, running the
+// per-driver pipelines concurrently on a bounded worker pool. Results
+// are identical to a serial build: each driver uses its own engine
+// with a fixed seed, and the parallel exploration mode is
+// bit-deterministic in the worker count.
+func NewContext(cc ContextConfig) (*Context, error) {
 	workers := cc.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -108,7 +89,6 @@ func NewContextCfg(cc ContextConfig) (*Context, error) {
 				Engine: symexec.Config{
 					Seed: 42, Workers: perEngine,
 					Searcher: cc.Searcher, Arena: cc.Arena,
-					DisableIncrementalSolver: cc.DisableIncrementalSolver,
 				},
 			})
 		}(i, d)

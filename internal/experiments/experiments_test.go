@@ -17,7 +17,7 @@ var (
 
 func sharedCtx(t *testing.T) *Context {
 	t.Helper()
-	ctxOnce.Do(func() { ctx, ctxErr = NewContext() })
+	ctxOnce.Do(func() { ctx, ctxErr = NewContext(ContextConfig{}) })
 	if ctxErr != nil {
 		t.Fatal(ctxErr)
 	}

@@ -436,49 +436,3 @@ func TestCoordinatorStealingBitIdentical(t *testing.T) {
 		t.Errorf("no steals recorded against a 600ms straggler (snapshot: %+v)", snap)
 	}
 }
-
-// TestCoordinatorStealOffBitIdentical: disabling stealing changes only
-// the schedule's placement, never its content — a healthy cluster with
-// DisableStealing produces the same result as single-node.
-func TestCoordinatorStealOffBitIdentical(t *testing.T) {
-	spec := clusterSpec()
-	spec.Shards = 8
-	want, err := runSpec(spec, nil, time.Time{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	peer1 := New(Config{Pool: 1, ShardPool: 8})
-	ts1 := httptest.NewServer(peer1.Handler())
-	defer ts1.Close()
-	peer2 := New(Config{Pool: 1, ShardPool: 8})
-	ts2 := httptest.NewServer(peer2.Handler())
-	defer ts2.Close()
-
-	cfg := coordinatorConfig([]string{ts1.URL, ts2.URL}, forwardingFaults())
-	cfg.Cluster.DisableStealing = true
-	coord := New(cfg)
-	defer drainWithin(t, coord, 60*time.Second)
-
-	j, err := coord.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-	done, err := coord.Wait(ctx, j.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done.Status != StatusSucceeded {
-		t.Fatalf("coordinator job with stealing off: %s (%s)", done.Status, done.Error)
-	}
-	sameResult(t, done.Result, want, "steal-off")
-	snap, ok := coord.ClusterSnapshot()
-	if !ok {
-		t.Fatal("coordinator has no cluster snapshot")
-	}
-	if snap.Steals != 0 {
-		t.Errorf("DisableStealing recorded %d steals", snap.Steals)
-	}
-}

@@ -94,9 +94,10 @@ type ProgramSpec struct {
 // Program (an uploaded image) or Fuzz (a differential-fuzzing run)
 // must be set; zero values elsewhere select the engine defaults.
 // Unknown JSON fields are ignored, so specs (and journals) that still
-// carry the retired "solver_backend" field are accepted and run on the
-// core solver, and a retired "shard_factor" is ignored: every phase
-// fans out to exactly Shards groups.
+// carry retired fields are accepted: "solver_backend" (every job runs
+// on the core solver), "shard_factor" (every phase fans out to exactly
+// Shards groups) and "disable_incremental_solver" (branch queries
+// always run on incremental solver sessions).
 type JobSpec struct {
 	Driver  string       `json:"driver,omitempty"`
 	Program *ProgramSpec `json:"program,omitempty"`
@@ -119,12 +120,11 @@ type JobSpec struct {
 	Workers int `json:"workers,omitempty"`
 	Shards  int `json:"shards,omitempty"`
 	// Exploration budgets (symexec.Config fields; 0 = default).
-	MaxStates                int  `json:"max_states,omitempty"`
-	PhaseBudget              int  `json:"phase_budget,omitempty"`
-	StagnationBudget         int  `json:"stagnation_budget,omitempty"`
-	CompleteTarget           int  `json:"complete_target,omitempty"`
-	PollThreshold            int  `json:"poll_threshold,omitempty"`
-	DisableIncrementalSolver bool `json:"disable_incremental_solver,omitempty"`
+	MaxStates        int `json:"max_states,omitempty"`
+	PhaseBudget      int `json:"phase_budget,omitempty"`
+	StagnationBudget int `json:"stagnation_budget,omitempty"`
+	CompleteTarget   int `json:"complete_target,omitempty"`
+	PollThreshold    int `json:"poll_threshold,omitempty"`
 	// DeadlineMS bounds the job's execution wall clock in
 	// milliseconds, measured from the moment the job starts running.
 	// A job past its deadline winds down cooperatively and finishes as
@@ -968,17 +968,16 @@ func engineConfig(spec JobSpec, ar *expr.Arena) symexec.Config {
 		searcher, _ = symexec.SearcherByName(spec.Strategy)
 	}
 	return symexec.Config{
-		Arena:                    ar,
-		Searcher:                 searcher,
-		Seed:                     spec.Seed,
-		Workers:                  spec.Workers,
-		Shards:                   spec.Shards,
-		MaxStates:                spec.MaxStates,
-		PhaseBudget:              spec.PhaseBudget,
-		StagnationBudget:         spec.StagnationBudget,
-		CompleteTarget:           spec.CompleteTarget,
-		PollThreshold:            spec.PollThreshold,
-		DisableIncrementalSolver: spec.DisableIncrementalSolver,
+		Arena:            ar,
+		Searcher:         searcher,
+		Seed:             spec.Seed,
+		Workers:          spec.Workers,
+		Shards:           spec.Shards,
+		MaxStates:        spec.MaxStates,
+		PhaseBudget:      spec.PhaseBudget,
+		StagnationBudget: spec.StagnationBudget,
+		CompleteTarget:   spec.CompleteTarget,
+		PollThreshold:    spec.PollThreshold,
 	}
 }
 

@@ -203,11 +203,12 @@ func TestSubmitValidation(t *testing.T) {
 		}
 	}
 
-	// A spec written for the retired solver backends and shard factor
-	// still carries "solver_backend" and "shard_factor" (here outside
-	// the range the factor once had): it must be accepted and run on
-	// the core solver and the default schedule, to the same code as a
-	// direct run.
+	// A spec written for the retired solver backends, shard factor and
+	// no-incremental ablation still carries "solver_backend",
+	// "shard_factor" (here outside the range the factor once had) and
+	// "disable_incremental_solver": it must be accepted and run on the
+	// core solver's sessions and the default schedule, to the same code
+	// as a direct run.
 	var legacy JobSpec
 	if err := json.Unmarshal([]byte(legacySpec), &legacy); err != nil {
 		t.Fatal(err)
@@ -230,9 +231,9 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// legacySpec is a job spec as clients of the retired portfolio solver
-// and shard-factor knob wrote it.
-const legacySpec = `{"driver":"RTL8029","seed":3,"solver_backend":"portfolio","shard_factor":99}`
+// legacySpec is a job spec as clients of the retired portfolio solver,
+// shard-factor knob and no-incremental ablation wrote it.
+const legacySpec = `{"driver":"RTL8029","seed":3,"solver_backend":"portfolio","shard_factor":99,"disable_incremental_solver":true}`
 
 func TestDrainRejectsAndFinishes(t *testing.T) {
 	svc := New(Config{Pool: 1})

@@ -247,10 +247,10 @@ func TestJournalReplayAfterCrash(t *testing.T) {
 }
 
 // TestJournalReplayLegacySolverSpec: a journal written while specs
-// still named a solver backend and a shard factor replays cleanly —
-// the queued job is requeued under its original ID and runs on the
-// core solver and the default schedule to the same code as a direct
-// run.
+// still named a solver backend, a shard factor and the no-incremental
+// ablation replays cleanly — the queued job is requeued under its
+// original ID and runs on the core solver's sessions and the default
+// schedule to the same code as a direct run.
 func TestJournalReplayLegacySolverSpec(t *testing.T) {
 	dir := t.TempDir()
 	rec := `{"t":"submitted","id":"job-7","ts":"2026-01-02T03:04:05Z","spec":` + legacySpec + "}\n"

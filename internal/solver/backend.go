@@ -56,15 +56,11 @@ type coreBackend struct {
 	b *blaster
 }
 
-// newCoreBackend builds a backend whose SAT instance uses learntCap (0
-// keeps the sat default, negative disables learnt-clause deletion) and
-// polls interrupt, when non-nil, as a cooperative abort hook: an
-// aborted query answers VUnknown.
-func newCoreBackend(learntCap int, interrupt func() bool) *coreBackend {
+// newCoreBackend builds a backend whose SAT instance polls interrupt,
+// when non-nil, as a cooperative abort hook: an aborted query answers
+// VUnknown.
+func newCoreBackend(interrupt func() bool) *coreBackend {
 	b := newBlaster()
-	if learntCap != 0 {
-		b.s.SetLearntCap(learntCap)
-	}
 	if interrupt != nil {
 		b.s.SetInterrupt(interrupt)
 	}

@@ -65,7 +65,7 @@ var exprMeta = struct {
 	vars map[uint64][]string
 }{vars: map[uint64][]string{}}
 
-const exprMetaLimit = DefaultCacheLimit
+const exprMetaLimit = cacheCap
 
 // varsOf returns the sorted variable names of e, memoized per
 // interned expression ID.
@@ -186,14 +186,13 @@ func querySig(cons []*expr.Expr) uint64 {
 //     query UNSAT without solving — the "stronger query" half of
 //     KLEE's cache subsumption.
 //
-// cap (Config.RecentModels) sizes both the per-bucket model lists and
-// the recency list; cap == 0 disables the index. Like every cache
-// here it affects performance only, never answers, and it is never fed
-// aborted verdicts, so its contents are bit-identical run-to-run.
+// cxModels sizes both the per-bucket model lists and the recency
+// list. Like every cache here the index affects performance only,
+// never answers, and it is never fed aborted verdicts, so its contents
+// are bit-identical run-to-run.
 type cxIndex struct {
-	cap    int
 	byVars map[uint64][]map[string]uint32
-	recent []map[string]uint32
+	recent [cxModels]map[string]uint32
 	pos    int
 	unsat  map[uint64][][]uint64
 	unsatN int
@@ -210,54 +209,47 @@ const (
 	// checks cost more than they save.
 	cxMaxUnsatLen = 32
 	// cxMaxBuckets bounds the SAT side's bucket count.
-	cxMaxBuckets = DefaultCacheLimit
+	cxMaxBuckets = cacheCap
 )
 
-func newCxIndex(cap int) *cxIndex {
-	return &cxIndex{
-		cap:    cap,
-		byVars: map[uint64][]map[string]uint32{},
-		recent: make([]map[string]uint32, cap),
-		unsat:  map[uint64][][]uint64{},
-	}
+func newCxIndex() *cxIndex {
+	ix := &cxIndex{}
+	ix.reset()
+	return ix
 }
 
-// reset drops the index contents, keeping capacity configuration.
+// reset drops the index contents.
 func (ix *cxIndex) reset() {
-	ix.byVars = map[uint64][]map[string]uint32{}
-	ix.recent = make([]map[string]uint32, ix.cap)
-	ix.pos = 0
-	ix.unsat = map[uint64][][]uint64{}
-	ix.unsatN = 0
+	*ix = cxIndex{
+		byVars: map[uint64][]map[string]uint32{},
+		unsat:  map[uint64][][]uint64{},
+	}
 }
 
 // addModel records a freshly solved witness for a query with the
 // given variable-set signature.
 func (ix *cxIndex) addModel(sig uint64, m map[string]uint32) {
-	if ix.cap == 0 {
-		return
-	}
 	if len(ix.byVars) >= cxMaxBuckets {
 		ix.byVars = map[uint64][]map[string]uint32{}
 	}
 	bucket := ix.byVars[sig]
-	next := make([]map[string]uint32, 0, ix.cap)
+	next := make([]map[string]uint32, 0, cxModels)
 	next = append(next, m)
 	for _, old := range bucket {
-		if len(next) >= ix.cap {
+		if len(next) >= cxModels {
 			break
 		}
 		next = append(next, old)
 	}
 	ix.byVars[sig] = next
-	ix.recent[ix.pos%len(ix.recent)] = m
+	ix.recent[ix.pos%cxModels] = m
 	ix.pos++
 }
 
 // addUnsat records a sorted, deduplicated constraint-ID set proven
 // UNSAT.
 func (ix *cxIndex) addUnsat(ids []uint64) {
-	if ix.cap == 0 || len(ids) == 0 || len(ids) > cxMaxUnsatLen {
+	if len(ids) == 0 || len(ids) > cxMaxUnsatLen {
 		return
 	}
 	if ix.unsatN >= cxMaxUnsatSets {
@@ -359,12 +351,13 @@ func (s *Solver) trySat(sig uint64, constraints []*expr.Expr) (map[string]uint32
 	// Snapshot candidates into a stack buffer: this runs on every
 	// query that misses the verdict cache, and a heap copy per probe
 	// would undo the zero-allocation property of the fingerprint path.
-	// Oversized configured indexes (rare) fall back to one allocation.
-	var buf [4 * DefaultRecentModels]map[string]uint32
+	// A bucket holds at most cxModels models, so the buffer never
+	// grows.
+	var buf [2 * cxModels]map[string]uint32
 	cand := buf[:0]
 	s.mu.Lock()
 	cand = append(cand, s.cx.byVars[sig]...)
-	cand = append(cand, s.cx.recent...)
+	cand = append(cand, s.cx.recent[:]...)
 	s.mu.Unlock()
 next:
 	for _, m := range cand {

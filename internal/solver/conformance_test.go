@@ -81,7 +81,7 @@ func BackendConformanceTest(t *testing.T) {
 	t.Run("agreement", func(t *testing.T) {
 		r := rand.New(rand.NewSource(17))
 		for trial := 0; trial < 40; trial++ {
-			b := newCoreBackend(0, nil)
+			b := newCoreBackend(nil)
 			all := []*expr.Expr{}
 			for i, n := 0, r.Intn(3); i < n; i++ {
 				c := randCons(r, vars)
@@ -126,7 +126,7 @@ func BackendConformanceTest(t *testing.T) {
 	})
 
 	t.Run("pushpop-balance", func(t *testing.T) {
-		b := newCoreBackend(0, nil)
+		b := newCoreBackend(nil)
 		b.Assert(expr.Eq(vars[0], expr.C(3, 4)))
 		for depth := 0; depth < 5; depth++ {
 			b.Push()
@@ -154,14 +154,14 @@ func BackendConformanceTest(t *testing.T) {
 				t.Fatal("Pop with no open scope did not panic")
 			}
 		}()
-		newCoreBackend(0, nil).Pop()
+		newCoreBackend(nil).Pop()
 	})
 
 	t.Run("interrupt-honored", func(t *testing.T) {
 		// A 32-bit factoring query: thousands of search iterations for
 		// the SAT core, so the interrupt poll fires before an answer.
 		x, y := expr.S("cfix", 32), expr.S("cfiy", 32)
-		b := newCoreBackend(0, func() bool { return true })
+		b := newCoreBackend(func() bool { return true })
 		b.Assert(expr.Eq(expr.Mul(x, y), expr.C(0xDEADBEEF, 32)))
 		if v := b.SolveUnder(nil); v != VUnknown {
 			t.Fatalf("verdict %v under always-firing interrupt, want unknown", v)
@@ -278,7 +278,7 @@ func TestUnsatSubsumption(t *testing.T) {
 // global recency list has cycled past it — the old 4-entry ring
 // forgot it.
 func TestIndexOutlivesRecencyList(t *testing.T) {
-	s := New() // recency list holds DefaultRecentModels = 4
+	s := New() // recency list holds cxModels = 4
 	x := expr.S("iwx", 8)
 	if !s.Satisfiable([]*expr.Expr{expr.Ult(x, expr.C(10, 8))}) {
 		t.Fatal("sat expected")

@@ -50,17 +50,16 @@ const (
 	Sat
 )
 
-// DefaultCacheLimit bounds the query cache. When an exploration
-// would grow the cache past the limit the cache (and the model cache
-// beside it) is reset — an epoch flush — so long runs hold at most
-// one epoch of memoized queries; Evictions reports how often that
-// happened.
-const DefaultCacheLimit = 1 << 16
+// cacheCap bounds the query cache. When an exploration would grow
+// the cache past it the cache (and the model cache beside it) is
+// reset — an epoch flush — so long runs hold at most one epoch of
+// memoized queries; Evictions reports how often that happened.
+const cacheCap = 1 << 16
 
-// DefaultRecentModels is the default counterexample-index capacity:
-// models kept per variable-set bucket, and the size of the global
-// recency list probed as a fallback.
-const DefaultRecentModels = 4
+// cxModels sizes the counterexample index: models kept per
+// variable-set bucket, and the length of the global recency list
+// probed as a fallback.
+const cxModels = 4
 
 // Config parameterizes a solver. The zero value selects the defaults
 // New uses.
@@ -71,22 +70,6 @@ type Config struct {
 	// job-scoped solver must pass the job's arena so its expressions
 	// die with the job.
 	Arena *expr.Arena
-	// CacheLimit bounds the query/model caches; 0 selects
-	// DefaultCacheLimit.
-	CacheLimit int
-	// RecentModels sizes the counterexample index (models kept per
-	// variable-set bucket and in the recency list). 0 selects
-	// DefaultRecentModels; negative disables model reuse across
-	// queries entirely. The size affects performance only, never
-	// query answers.
-	RecentModels int
-	// LearntCap is forwarded to every SAT instance the solver
-	// creates (sat.Solver.SetLearntCap): 0 keeps the SAT default,
-	// negative disables learnt-clause deletion.
-	LearntCap int
-	// DisableIncremental starts the solver with incremental branch
-	// queries off (ablation).
-	DisableIncremental bool
 	// Interrupt, when non-nil, is polled during solving (installed on
 	// every SAT instance the solver creates): returning true aborts the
 	// solve. Aborted queries answer conservatively (UNSAT / no model)
@@ -107,18 +90,16 @@ type Config struct {
 // branch queries serialize on the shared session.
 type Solver struct {
 	ar        *expr.Arena
-	learntCap int
 	interrupt func() bool
 
 	mu         sync.Mutex
 	cache      map[uint64]bool
 	models     map[uint64]map[string]uint32
 	cx         *cxIndex
-	cacheLimit int
+	cacheLimit int // cacheCap; tests lower it to exercise flushes
 
-	incremental atomic.Bool
-	incMu       sync.Mutex
-	inc         *session
+	incMu sync.Mutex
+	inc   *session
 
 	queries   atomic.Int64
 	hits      atomic.Int64
@@ -149,9 +130,8 @@ type session struct {
 // sessionPopGC is the pop count after which a session is rebuilt.
 const sessionPopGC = 4096
 
-// New returns a solver with the default configuration: default arena,
-// cache bounded at DefaultCacheLimit entries, a DefaultRecentModels-
-// sized counterexample index, and incremental branch queries enabled.
+// New returns a solver with the default configuration: the default
+// arena and no interrupt hook.
 func New() *Solver { return NewWith(Config{}) }
 
 // NewWith returns a solver configured by cfg.
@@ -159,40 +139,20 @@ func NewWith(cfg Config) *Solver {
 	if cfg.Arena == nil {
 		cfg.Arena = expr.Default()
 	}
-	if cfg.CacheLimit <= 0 {
-		cfg.CacheLimit = DefaultCacheLimit
-	}
-	ring := cfg.RecentModels
-	if ring == 0 {
-		ring = DefaultRecentModels
-	} else if ring < 0 {
-		ring = 0
-	}
-	s := &Solver{
+	return &Solver{
 		ar:         cfg.Arena,
-		learntCap:  cfg.LearntCap,
 		interrupt:  cfg.Interrupt,
 		cache:      map[uint64]bool{},
 		models:     map[uint64]map[string]uint32{},
-		cx:         newCxIndex(ring),
-		cacheLimit: cfg.CacheLimit,
+		cx:         newCxIndex(),
+		cacheLimit: cacheCap,
 	}
-	s.incremental.Store(!cfg.DisableIncremental)
-	return s
 }
 
 // newBackend builds a fresh backend configured per the solver.
 func (s *Solver) newBackend() *coreBackend {
-	return newCoreBackend(s.learntCap, s.interrupt)
+	return newCoreBackend(s.interrupt)
 }
-
-// SetIncremental toggles incremental branch queries (MayBeTrue's
-// shared backend session). Answers are identical either way; the
-// switch exists for the ablation benchmarks.
-func (s *Solver) SetIncremental(on bool) { s.incremental.Store(on) }
-
-// Incremental reports whether incremental branch queries are enabled.
-func (s *Solver) Incremental() bool { return s.incremental.Load() }
 
 // Stats returns the number of queries answered and the fingerprint
 // cache hits among them. It is safe to call while queries are in
@@ -264,26 +224,6 @@ func (s *Solver) CacheSize() int {
 // flushed.
 func (s *Solver) Evictions() int64 { return s.evictions.Load() }
 
-// SetCacheLimit overrides the cache bound (entries); n <= 0 restores
-// the default. The bound affects memory and hit rate only, never
-// query answers.
-func (s *Solver) SetCacheLimit(n int) {
-	if n <= 0 {
-		n = DefaultCacheLimit
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cacheLimit = n
-	if len(s.cache) > n {
-		s.flushLocked()
-	}
-}
-
-// RingSize reports the counterexample index capacity (models kept per
-// variable-set bucket; also the recency-list length). The name is
-// historical — the index replaced a single recency ring.
-func (s *Solver) RingSize() int { return s.cx.cap }
-
 // Satisfiable reports whether the conjunction of the given width-1
 // constraints has a model.
 func (s *Solver) Satisfiable(constraints []*expr.Expr) bool {
@@ -333,20 +273,15 @@ func (s *Solver) Satisfiable(constraints []*expr.Expr) bool {
 
 // MayBeTrue reports whether cond can be true under the path
 // constraints: SAT(pc ∧ cond). The path condition is sliced to the
-// constraints relevant to cond first; with incremental solving
-// enabled the sliced prefix lives on a shared backend session —
-// synchronized by push/pop so sibling states after a fork share the
-// common prefix — and cond is decided under an assumption
-// (SolveUnder), so a branch's two queries (cond, ¬cond) and
-// consecutive branches over the same variables share translation
+// constraints relevant to cond first; the sliced prefix lives on a
+// shared backend session — synchronized by push/pop so sibling states
+// after a fork share the common prefix — and cond is decided under an
+// assumption (SolveUnder), so a branch's two queries (cond, ¬cond)
+// and consecutive branches over the same variables share translation
 // work and learnt clauses.
 func (s *Solver) MayBeTrue(pc []*expr.Expr, cond *expr.Expr) bool {
-	rel := Slice(pc, cond)
-	if !s.incremental.Load() {
-		return s.Satisfiable(append(rel, cond))
-	}
 	s.queries.Add(1)
-	prefix, unsat := liveConstraints(rel)
+	prefix, unsat := liveConstraints(Slice(pc, cond))
 	if unsat || cond.IsFalse() {
 		return false
 	}

@@ -377,7 +377,7 @@ func TestConcurrentSolving(t *testing.T) {
 // overflow flushes an epoch and is reported via Evictions.
 func TestCacheBound(t *testing.T) {
 	s := New()
-	s.SetCacheLimit(8)
+	s.cacheLimit = 8
 	x := expr.S("x", 32)
 	for i := 0; i < 100; i++ {
 		c := expr.Eq(x, expr.C(uint32(i), 32))
@@ -394,17 +394,20 @@ func TestCacheBound(t *testing.T) {
 }
 
 // TestIncrementalMatchesOneShot is the equivalence regression for the
-// incremental branch-query path: across random path-constraint
-// sequences, MayBeTrue with the shared SAT session must answer
-// exactly like a fresh non-incremental solver.
+// branch-query path: across random path-constraint sequences,
+// MayBeTrue — slicing plus the shared SAT session — must answer
+// exactly like a plain one-shot Satisfiable over the whole,
+// unsliced path condition on a second solver.
 func TestIncrementalMatchesOneShot(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 60; trial++ {
 		inc := New()
-		oneShot := New()
-		oneShot.SetIncremental(false)
-		vars := []*expr.Expr{expr.S("ia", 8), expr.S("ib", 8), expr.S("ic", 8)}
+		ref := New()
 		var pc []*expr.Expr
+		oneShot := func(cond *expr.Expr) bool {
+			return ref.Satisfiable(append(pc[:len(pc):len(pc)], cond))
+		}
+		vars := []*expr.Expr{expr.S("ia", 8), expr.S("ib", 8), expr.S("ic", 8)}
 		for step := 0; step < 8; step++ {
 			x := vars[r.Intn(len(vars))]
 			c := expr.C(uint32(r.Intn(256)), 8)
@@ -419,12 +422,12 @@ func TestIncrementalMatchesOneShot(t *testing.T) {
 			default:
 				cond = expr.Slt(x, c)
 			}
-			a, b := inc.MayBeTrue(pc, cond), oneShot.MayBeTrue(pc, cond)
+			a, b := inc.MayBeTrue(pc, cond), oneShot(cond)
 			if a != b {
 				t.Fatalf("trial %d step %d: incremental=%v one-shot=%v for %s under %v",
 					trial, step, a, b, cond, pc)
 			}
-			na, nb := inc.MayBeTrue(pc, expr.Not(cond)), oneShot.MayBeTrue(pc, expr.Not(cond))
+			na, nb := inc.MayBeTrue(pc, expr.Not(cond)), oneShot(expr.Not(cond))
 			if na != nb {
 				t.Fatalf("trial %d step %d: negated divergence for %s", trial, step, cond)
 			}
@@ -562,17 +565,22 @@ func BenchmarkSolverFingerprint(b *testing.B) {
 	})
 }
 
-// BenchmarkMayBeTrue measures the branch-feasibility hot path with
-// and without incremental sessions on a growing path condition.
+// BenchmarkMayBeTrue measures the branch-feasibility hot path on a
+// growing path condition: MayBeTrue on its incremental session against
+// a one-shot Satisfiable of the same sliced query.
 func BenchmarkMayBeTrue(b *testing.B) {
 	for _, mode := range []struct {
-		name string
-		inc  bool
-	}{{"incremental", true}, {"one-shot", false}} {
+		name  string
+		query func(s *Solver, pc []*expr.Expr, cond *expr.Expr) bool
+	}{
+		{"incremental", (*Solver).MayBeTrue},
+		{"one-shot", func(s *Solver, pc []*expr.Expr, cond *expr.Expr) bool {
+			return s.Satisfiable(append(Slice(pc, cond), cond))
+		}},
+	} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s := New()
-				s.SetIncremental(mode.inc)
 				x := expr.S("bm", 16)
 				var pc []*expr.Expr
 				for step := 0; step < 12; step++ {
@@ -582,7 +590,7 @@ func BenchmarkMayBeTrue(b *testing.B) {
 					cond := expr.Eq(
 						expr.And(expr.Add(x, expr.C(uint32(step*13), 16)), expr.C(0xFF, 16)),
 						expr.C(uint32(step*37)&0xFF, 16))
-					if s.MayBeTrue(pc, cond) {
+					if mode.query(s, pc, cond) {
 						pc = append(pc, cond)
 					} else {
 						pc = append(pc, expr.Not(cond))
@@ -590,33 +598,6 @@ func BenchmarkMayBeTrue(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func TestConfigurableCounterexampleRing(t *testing.T) {
-	if got := New().RingSize(); got != DefaultRecentModels {
-		t.Fatalf("default ring size %d, want %d", got, DefaultRecentModels)
-	}
-	if got := NewWith(Config{RecentModels: 16}).RingSize(); got != 16 {
-		t.Fatalf("ring size %d, want 16", got)
-	}
-	if got := NewWith(Config{RecentModels: -1}).RingSize(); got != 0 {
-		t.Fatalf("ring size %d, want 0 (disabled)", got)
-	}
-	// Answers must not depend on the ring size, including disabled.
-	x := expr.S("ringx", 8)
-	for _, ring := range []int{-1, 1, 16} {
-		s := NewWith(Config{RecentModels: ring})
-		pc := []*expr.Expr{expr.Ult(x, expr.C(10, 8))}
-		if !s.Satisfiable(pc) {
-			t.Fatalf("ring %d: x < 10 must be SAT", ring)
-		}
-		if s.Satisfiable([]*expr.Expr{expr.Ult(x, expr.C(10, 8)), expr.Not(expr.Ult(x, expr.C(10, 8)))}) {
-			t.Fatalf("ring %d: contradiction must be UNSAT", ring)
-		}
-		if _, ok := s.Model(pc); !ok {
-			t.Fatalf("ring %d: model must exist", ring)
-		}
 	}
 }
 
@@ -642,20 +623,26 @@ func TestSolverArenaScoped(t *testing.T) {
 	}
 }
 
-// TestSearchStats checks the SAT-level counters: both the session and
-// the one-shot backends report decisions, only the session path counts
-// session reuse, and the same query sequence repeats every count.
+// TestSearchStats checks the SAT-level counters: both the session
+// (MayBeTrue) and the one-shot backends (Satisfiable, Model) report
+// decisions, only the session path counts session reuse, and the same
+// query sequence repeats every count.
 func TestSearchStats(t *testing.T) {
 	run := func(incremental bool) SearchStats {
 		s := New()
-		s.SetIncremental(incremental)
+		feasible := s.MayBeTrue
+		if !incremental {
+			feasible = func(pc []*expr.Expr, cond *expr.Expr) bool {
+				return s.Satisfiable(append(Slice(pc, cond), cond))
+			}
+		}
 		r := rand.New(rand.NewSource(5))
 		vars := []*expr.Expr{expr.S("sa", 8), expr.S("sb", 8), expr.S("sc", 8)}
 		var pc []*expr.Expr
 		for step := 0; step < 12; step++ {
 			x := vars[r.Intn(len(vars))]
 			cond := expr.Ult(expr.Add(x, vars[r.Intn(len(vars))]), expr.C(uint32(1+r.Intn(255)), 8))
-			if s.MayBeTrue(pc, cond) {
+			if feasible(pc, cond) {
 				pc = append(pc, cond)
 			}
 			s.Model(pc)

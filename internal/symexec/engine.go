@@ -41,11 +41,6 @@ type Config struct {
 	// traces, coverage and synthesized code are bit-identical across
 	// arenas.
 	Arena *expr.Arena
-	// DisableIncrementalSolver turns off the solver's shared
-	// incremental SAT session for branch queries (ablation). Query
-	// answers — and therefore exploration results — are identical
-	// either way.
-	DisableIncrementalSolver bool
 	// PollThreshold is the per-state repeat count after which the
 	// polling-loop killer discards the staying path.
 	PollThreshold int
@@ -295,14 +290,13 @@ func New(prog *isa.Program, cfg Config) *Engine {
 }
 
 // newSolver builds a constraint solver configured per the engine: it
-// shares the engine's expression arena, the ablation switches and the
-// cooperative stop signal (so a cancellation also aborts a SAT solve
-// already in flight instead of waiting for it).
+// shares the engine's expression arena and the cooperative stop signal
+// (so a cancellation also aborts a SAT solve already in flight instead
+// of waiting for it).
 func newSolver(cfg Config) *solver.Solver {
 	return solver.NewWith(solver.Config{
-		Arena:              cfg.Arena,
-		DisableIncremental: cfg.DisableIncrementalSolver,
-		Interrupt:          stopFunc(cfg),
+		Arena:     cfg.Arena,
+		Interrupt: stopFunc(cfg),
 	})
 }
 

@@ -207,14 +207,3 @@ func TestSearcherDisciplines(t *testing.T) {
 		t.Fatal("BFS order broken after removal")
 	}
 }
-
-// TestIncrementalSolverAblation checks the solver ablation switch:
-// exploration results are identical with and without the incremental
-// SAT session (only the work to produce them differs).
-func TestIncrementalSolverAblation(t *testing.T) {
-	on := exploreDriver(t, "RTL8029", Config{Seed: 4})
-	off := exploreDriver(t, "RTL8029", Config{Seed: 4, DisableIncrementalSolver: true})
-	if traceFingerprint(on) != traceFingerprint(off) {
-		t.Fatal("incremental solving changed exploration results")
-	}
-}

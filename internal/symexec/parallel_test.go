@@ -72,8 +72,8 @@ func traceFingerprint(res *Result) string {
 
 // solverCounts renders the deterministic solver counters of a result:
 // queries, cache and model hits, and the SAT-level work behind them.
-// They are not in traceFingerprint because the solver ablations change
-// them without changing any trace.
+// They are kept out of traceFingerprint so tests can report a trace
+// mismatch apart from a solver-work mismatch.
 func solverCounts(res *Result) string {
 	return fmt.Sprintf("queries=%d hits=%d model-hits=%d search=%+v",
 		res.SolverQueries, res.SolverCacheHits, res.SolverModelHits, res.SolverSearch)
