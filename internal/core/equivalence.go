@@ -119,6 +119,7 @@ func runOriginal(info *drivers.Info, ops eqOps) ([]IOEvent, nic.Model, *guestos.
 		return nil, nil, nil, err
 	}
 	_, err = driveWorkload(rig.Side, rig.Dev, ops)
+	rig.Close()
 	return rig.Trace(), rig.Dev, rig.OS, err
 }
 
@@ -130,6 +131,7 @@ func runSynthesized(rev *Reversed, info *drivers.Info, osKind template.OS, ops e
 		return nil, nic.Status{}, nil, nil, err
 	}
 	snap, err := driveWorkload(rig.Side, rig.Dev, ops)
+	rig.Close()
 	return rig.Trace(), snap, rig.Dev, rig.RT, err
 }
 
@@ -182,6 +184,9 @@ func (s synthSide) Halt() error                                 { return s.d.Hal
 // — bound to a fresh device model, with every hardware access it
 // performs recorded. The differential fuzzer builds one rig per side
 // per schedule; the equivalence checker builds one pair per driver.
+// Everything in a rig is built fresh except its guest memory, which
+// comes zeroed from the process-wide hw.RAM pool and goes back to it
+// on Close.
 type Rig struct {
 	Side Side
 	Dev  nic.Model
@@ -190,10 +195,18 @@ type Rig struct {
 	// RT is set on synthesized-side rigs.
 	RT    *template.Runtime
 	trace *[]IOEvent
+	mem   *hw.RAM
 }
 
-// Trace returns the hardware accesses recorded so far.
+// Trace returns the hardware accesses recorded so far. It stays
+// readable after Close.
 func (r *Rig) Trace() []IOEvent { return *r.trace }
+
+// Close returns the rig's guest memory to the pool. The driver must
+// not run afterwards; the trace, device model, OS and runtime stay
+// readable. A rig that is never closed is left to the garbage
+// collector.
+func (r *Rig) Close() { r.mem.Free() }
 
 // NewOriginalRig loads the original binary driver into a fresh VM
 // attached to a fresh device model.
@@ -217,7 +230,7 @@ func NewOriginalRig(info *drivers.Info, mac [6]byte) (*Rig, error) {
 	if err := os.LoadDriver(info.Program.Base); err != nil {
 		return nil, err
 	}
-	return &Rig{Side: originalSide{os}, Dev: dev, OS: os, trace: tr}, nil
+	return &Rig{Side: originalSide{os}, Dev: dev, OS: os, trace: tr, mem: m.RAM}, nil
 }
 
 // NewSynthRig instantiates the synthesized driver from a reversed
@@ -235,7 +248,7 @@ func NewSynthRig(rev *Reversed, info *drivers.Info, osKind template.OS, mac [6]b
 	d.IOTap = func(port, write bool, addr uint32, size int, v uint32) {
 		*tr = append(*tr, IOEvent{port, write, addr, size, v})
 	}
-	return &Rig{Side: synthSide{d, rt}, Dev: dev, RT: rt, trace: tr}, nil
+	return &Rig{Side: synthSide{d, rt}, Dev: dev, RT: rt, trace: tr, mem: d.Mem}, nil
 }
 
 // driveWorkload applies the equivalence workload to one side. The
@@ -385,6 +398,7 @@ func runFeatureProbe(rev *Reversed, info *drivers.Info, mac [6]byte) (*FeatureRe
 	bus := hw.NewBus()
 	cfgp := ShellConfig(info)
 	d, _ := rev.NewSyntheticDriver(template.Windows, bus, cfgp)
+	defer d.Mem.Free()
 	dev, err := NewDevice(info.Name, &bus.Line, d, mac)
 	if err != nil {
 		return nil, err
@@ -411,6 +425,7 @@ func runLEDProbe(rev *Reversed, info *drivers.Info, mac [6]byte) (*FeatureReport
 	bus := hw.NewBus()
 	cfgp := ShellConfig(info)
 	d, _ := rev.NewSyntheticDriver(template.Windows, bus, cfgp)
+	defer d.Mem.Free()
 	dev, err := NewDevice(info.Name, &bus.Line, d, mac)
 	if err != nil {
 		return nil, err

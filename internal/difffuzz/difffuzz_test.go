@@ -9,7 +9,7 @@ import (
 
 var harnessCache = map[string]*Harness{}
 
-func harnessFor(t *testing.T, device, plant string) *Harness {
+func harnessFor(t testing.TB, device, plant string) *Harness {
 	t.Helper()
 	key := device + "|" + plant
 	if h, ok := harnessCache[key]; ok {

@@ -210,11 +210,10 @@ func Fuzz(h *Harness, cfg Config) (*Report, error) {
 // RunBatch executes a batch of schedules on the harness with the
 // given parallelism, returning outcomes in input order. It is the
 // local executor for Fuzz and the peer-side executor for cluster
-// fuzz shards.
+// fuzz shards. It starts at most one goroutine per schedule whatever
+// workers asks for, which also bounds the rigs alive at once.
 func RunBatch(h *Harness, batch []Schedule, workers int) []Outcome {
-	if workers <= 0 {
-		workers = 1
-	}
+	workers = max(1, min(workers, len(batch)))
 	outs := make([]Outcome, len(batch))
 	var wg sync.WaitGroup
 	idx := make(chan int)

@@ -37,7 +37,8 @@ func ValidPlant(kind string) bool {
 // execution: the original binary image and the recovered graph the
 // synthesized driver interprets. Exploration runs once per harness
 // (with a fixed engine seed, so the recovered graph is canonical);
-// every schedule then executes on fresh rigs, so schedules are fully
+// every schedule then executes on fresh rigs whose guest memory is
+// recycled from the process-wide pool, zeroed, so schedules are fully
 // independent and order does not matter.
 type Harness struct {
 	Info *drivers.Info
@@ -173,9 +174,11 @@ func (d *Divergence) String() string {
 }
 
 // RunSchedule executes one schedule on a fresh original rig and a
-// fresh synthesized rig, comparing observable behavior step by step.
-// A panic in either driver is recovered into Outcome.Err — one bad
-// schedule must never take down a fuzzing run or a job runner.
+// fresh synthesized rig, comparing observable behavior step by step,
+// and closes both rigs once their traces are read. A panic in either
+// driver is recovered into Outcome.Err — one bad schedule must never
+// take down a fuzzing run or a job runner — and its rigs are left to
+// the garbage collector rather than recycled.
 func (h *Harness) RunSchedule(s Schedule) (out Outcome) {
 	out = Outcome{ScheduleID: s.ID, Steps: len(s.Steps)}
 	defer func() {
@@ -193,6 +196,7 @@ func (h *Harness) RunSchedule(s Schedule) (out Outcome) {
 	}
 	synth, err := core.NewSynthRig(h.Rev, h.Info, h.OS, h.mac)
 	if err != nil {
+		orig.Close()
 		out.Err = fmt.Sprintf("synth rig: %v", err)
 		return out
 	}
@@ -221,6 +225,8 @@ func (h *Harness) RunSchedule(s Schedule) (out Outcome) {
 		}
 	}
 	out.CovKeys = coverageKeys(orig.Trace())
+	orig.Close()
+	synth.Close()
 	if out.Divergence != nil {
 		out.Divergence.Schedule = s
 	}

@@ -4,7 +4,8 @@ package difffuzz
 // reproducer using delta debugging (ddmin): repeatedly drop chunks of
 // steps, keeping any reduction that still diverges, halving chunk
 // size until single steps. Every trial re-executes the candidate on
-// fresh rigs, so the minimized schedule is a standalone reproducer.
+// fresh rigs (their guest memory recycled, zeroed), so the minimized
+// schedule is a standalone reproducer.
 // Minimization is deterministic: trial order depends only on the
 // input schedule. maxTrials bounds the work (200 is plenty for
 // MaxSteps-sized schedules).

@@ -51,6 +51,50 @@ func (s Schedule) String() string {
 	return fmt.Sprintf("schedule %#x (%d steps)", s.ID, len(s.Steps))
 }
 
+// Caps on schedule content. Schedules from outside the process (seed
+// files, peer shard payloads) are checked against them by Validate
+// before anything runs; every generated schedule is within them.
+const (
+	// MaxFrameSize bounds the frame of a send/recv step. It sits past
+	// the largest legal Ethernet frame so the drivers' over-length
+	// rejection paths still get fuzzed.
+	MaxFrameSize = 1600
+	// MaxQueryLen bounds the buffer size a query step requests.
+	MaxQueryLen = 4096
+	// MaxScheduleSteps bounds schedule length.
+	MaxScheduleSteps = 64
+)
+
+// Validate checks a schedule against the caps: a known op in every
+// step, 0 <= Size <= MaxFrameSize, a query Val of at most MaxQueryLen
+// and at most MaxScheduleSteps steps. Both drivers allocate what a
+// step asks for, so an unchecked step could demand gigabytes.
+func (s Schedule) Validate() error {
+	if len(s.Steps) > MaxScheduleSteps {
+		return fmt.Errorf("difffuzz: schedule %#x: %d steps, max %d", s.ID, len(s.Steps), MaxScheduleSteps)
+	}
+	for i, st := range s.Steps {
+		switch {
+		case !validOp(st.Op):
+			return fmt.Errorf("difffuzz: schedule %#x step %d: unknown op %q", s.ID, i, st.Op)
+		case st.Size < 0 || st.Size > MaxFrameSize:
+			return fmt.Errorf("difffuzz: schedule %#x step %d: size %d out of range [0, %d]", s.ID, i, st.Size, MaxFrameSize)
+		case st.Op == "query" && st.Val > MaxQueryLen:
+			return fmt.Errorf("difffuzz: schedule %#x step %d: query length %d exceeds %d", s.ID, i, st.Val, MaxQueryLen)
+		}
+	}
+	return nil
+}
+
+func validOp(op string) bool {
+	for _, o := range stepOps {
+		if o == op {
+			return true
+		}
+	}
+	return false
+}
+
 // prng is splitmix64: tiny, fast, and — unlike math/rand — guaranteed
 // stable across Go releases. Every consumer receives its own
 // explicitly-seeded instance; there is no global randomness anywhere
@@ -93,7 +137,7 @@ var oidPool = []uint32{
 // boundaries: minimum, maximum, off-by-one on either side, and a few
 // mid-range values. Invalid lengths are deliberately included — both
 // drivers must reject them identically.
-var frameSizes = []int{0, 13, 14, 15, 60, 64, 96, 256, 512, 1024, 1500, 1514, 1515, 1600}
+var frameSizes = []int{0, 13, 14, 15, 60, 64, 96, 256, 512, 1024, 1500, 1514, 1515, MaxFrameSize}
 
 var stepOps = []string{"send", "recv", "query", "set", "timer", "pump"}
 

@@ -18,12 +18,17 @@ type SeedFile struct {
 	Schedules []Schedule `json:"schedules"`
 }
 
-// LoadSeedFile parses one schedule file.
+// LoadSeedFile parses one schedule file. Every schedule must pass
+// Validate.
 func LoadSeedFile(path string) (*SeedFile, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	return parseSeedFile(path, data)
+}
+
+func parseSeedFile(path string, data []byte) (*SeedFile, error) {
 	var sf SeedFile
 	if err := json.Unmarshal(data, &sf); err != nil {
 		return nil, fmt.Errorf("difffuzz: %s: %w", path, err)
@@ -35,22 +40,11 @@ func LoadSeedFile(path string) (*SeedFile, error) {
 		if len(s.Steps) == 0 {
 			return nil, fmt.Errorf("difffuzz: %s: schedule %d has no steps", path, i)
 		}
-		for j, st := range s.Steps {
-			if !validOp(st.Op) {
-				return nil, fmt.Errorf("difffuzz: %s: schedule %d step %d: unknown op %q", path, i, j, st.Op)
-			}
+		if err := s.Validate(); err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
 		}
 	}
 	return &sf, nil
-}
-
-func validOp(op string) bool {
-	for _, o := range stepOps {
-		if o == op {
-			return true
-		}
-	}
-	return false
 }
 
 // LoadSeedDir collects the schedules for one device from every .json

@@ -1,6 +1,7 @@
 // Package hw models the hardware side of the guest machine: the I/O
 // bus with port and memory-mapped spaces, PCI configuration space
-// descriptors, the shared interrupt line, and the DMA region registry.
+// descriptors, the shared interrupt line, the DMA region registry, and
+// guest RAM (recycled through a process-wide pool).
 //
 // Two kinds of devices plug into the bus. During normal (concrete)
 // execution the behavioural NIC models of package nic respond to I/O.

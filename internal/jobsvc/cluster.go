@@ -255,7 +255,11 @@ func (s *Service) handleShard(w http.ResponseWriter, r *http.Request) {
 	if env.Fuzz != nil {
 		outs, err := s.executeFuzzShard(r.Context(), env)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
+			code := http.StatusInternalServerError
+			if errors.As(err, new(badFuzzShard)) {
+				code = http.StatusBadRequest
+			}
+			writeError(w, code, err)
 			return
 		}
 		s.m.shardsServed.Add(1)

@@ -52,8 +52,8 @@ func validateFuzz(spec JobSpec) error {
 	if fz.Budget < 0 {
 		return fmt.Errorf("jobsvc: fuzz: negative budget %d", fz.Budget)
 	}
-	if fz.MaxSteps < 0 || fz.MaxSteps > 64 {
-		return fmt.Errorf("jobsvc: fuzz: max_steps %d out of range [0, 64]", fz.MaxSteps)
+	if fz.MaxSteps < 0 || fz.MaxSteps > difffuzz.MaxScheduleSteps {
+		return fmt.Errorf("jobsvc: fuzz: max_steps %d out of range [0, %d]", fz.MaxSteps, difffuzz.MaxScheduleSteps)
 	}
 	return nil
 }
@@ -61,7 +61,9 @@ func validateFuzz(spec JobSpec) error {
 // fuzzHarnessCache shares built harnesses across jobs and served
 // shards: one reverse-engineering run per (device, OS, plant) per
 // process, not per job. Harnesses are read-only after construction
-// (every schedule runs on fresh rigs), so sharing is safe.
+// (every schedule runs on fresh rigs; only their zeroed guest memory
+// is recycled, through the process-wide hw.RAM pool), so sharing is
+// safe.
 type fuzzHarnessCache struct {
 	mu sync.Mutex
 	m  map[string]*difffuzz.Harness
@@ -287,9 +289,14 @@ func acceptFuzzOutcomes(n int) func([]byte) error {
 	}
 }
 
+// badFuzzShard marks a fuzz shard rejected before anything ran; the
+// shard endpoint answers it with 400.
+type badFuzzShard struct{ error }
+
 // executeFuzzShard serves one schedule batch on behalf of a
-// coordinator (the fuzz arm of POST /shards). The harness is cached
-// per (device, OS, plant), so repeat shards of the same job skip the
+// coordinator (the fuzz arm of POST /shards). Every schedule must
+// pass Validate before any runs. The harness is cached per (device,
+// OS, plant), so repeat shards of the same job skip the
 // reverse-engineering run.
 func (s *Service) executeFuzzShard(ctx context.Context, env shardEnvelope) (outs []difffuzz.Outcome, err error) {
 	defer func() {
@@ -299,10 +306,15 @@ func (s *Service) executeFuzzShard(ctx context.Context, env shardEnvelope) (outs
 		}
 	}()
 	if env.Spec.Fuzz == nil {
-		return nil, errors.New("jobsvc: fuzz shard envelope without fuzz spec")
+		return nil, badFuzzShard{errors.New("jobsvc: fuzz shard envelope without fuzz spec")}
 	}
 	if len(env.Fuzz.Schedules) == 0 {
-		return nil, errors.New("jobsvc: fuzz shard has no schedules")
+		return nil, badFuzzShard{errors.New("jobsvc: fuzz shard has no schedules")}
+	}
+	for _, sc := range env.Fuzz.Schedules {
+		if err := sc.Validate(); err != nil {
+			return nil, badFuzzShard{err}
+		}
 	}
 	h, err := s.fuzzHarnesses.get(env.Spec.Fuzz.Device, fuzzOS(env.Spec), env.Spec.Fuzz.Plant)
 	if err != nil {

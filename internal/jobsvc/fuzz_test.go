@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -277,5 +278,55 @@ func TestFuzzOSDefault(t *testing.T) {
 	}
 	if got := fuzzOS(JobSpec{Target: "linux", Fuzz: &FuzzSpec{Device: "SBLK100"}}); got != template.Linux {
 		t.Errorf("target OS %q", got)
+	}
+}
+
+// TestFuzzShardRejectsHostileSchedules posts fuzz shards a peer must
+// refuse with 400 before running anything — a query that would make
+// both drivers allocate 4 GB, a negative frame size, an unknown op,
+// an over-long schedule — and runs one valid shard whose spec asks
+// for far more workers than it has schedules.
+func TestFuzzShardRejectsHostileSchedules(t *testing.T) {
+	svc := New(Config{Pool: 1, ShardPool: 1})
+	defer drainWithin(t, svc, 30*time.Second)
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	post := func(workers int, steps string) (int, []byte) {
+		t.Helper()
+		body := fmt.Sprintf(`{"spec":{"workers":%d,"fuzz":{"device":"SBLK100"}},`+
+			`"fuzz":{"round":0,"schedules":[{"id":1,"steps":[%s]}]}}`, workers, steps)
+		resp, err := http.Post(ts.URL+"/shards", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, out
+	}
+	for name, steps := range map[string]string{
+		"huge query": `{"op":"query","oid":16842242,"val":4000000000}`,
+		"neg size":   `{"op":"send","size":-1}`,
+		"bogus op":   `{"op":"reboot"}`,
+		"too long":   strings.Repeat(`{"op":"pump"},`, difffuzz.MaxScheduleSteps) + `{"op":"pump"}`,
+	} {
+		if code, out := post(2, steps); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", name, code, out)
+		}
+	}
+	if got := svc.m.shardsServed.Load(); got != 0 {
+		t.Fatalf("rejected shards counted as served: %d", got)
+	}
+
+	code, out := post(1<<16, `{"op":"send","size":64},{"op":"pump"}`)
+	if code != http.StatusOK {
+		t.Fatalf("valid shard: status %d (%s)", code, out)
+	}
+	var outs []difffuzz.Outcome
+	if err := json.Unmarshal(out, &outs); err != nil || len(outs) != 1 {
+		t.Fatalf("valid shard returned %s (%v)", out, err)
+	}
+	if outs[0].Err != "" || outs[0].Divergence != nil {
+		t.Errorf("valid shard outcome %+v", outs[0])
 	}
 }

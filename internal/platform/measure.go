@@ -60,6 +60,7 @@ var measureMAC = [6]byte{0x02, 0x77, 0x66, 0x55, 0x44, 0x33}
 func MeasureOriginal(info *drivers.Info, payloads []int) (map[int]DriverCost, error) {
 	bus := hw.NewBus()
 	m := vm.New(bus)
+	defer m.RAM.Free()
 	cfgp := hw.PCIConfig{VendorID: info.VendorID, DeviceID: info.DeviceID,
 		IOBase: 0xC000, IOSize: 0x100, IRQLine: 11}
 	dev, err := newModel(info.Name, &bus.Line, m, measureMAC)
@@ -111,6 +112,7 @@ func MeasureSynthesized(info *drivers.Info, g *cfg.Graph, osKind template.OS, pa
 		IOBase: 0xC000, IOSize: 0x100, IRQLine: 11}
 	rt := template.NewRuntime(osKind, cfgp)
 	d := synthdrv.New(g, rt, bus)
+	defer d.Mem.Free()
 	dev, err := newModel(info.Name, &bus.Line, d, measureMAC)
 	if err != nil {
 		return nil, err

@@ -11,7 +11,6 @@
 package synthdrv
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"revnic/internal/cfg"
@@ -69,8 +68,9 @@ type Driver struct {
 	Bus *hw.Bus
 	// Mem is the driver's flat memory: state allocations, stack and
 	// DMA buffers live here at the same addresses the target OS
-	// allocator hands out.
-	Mem []byte
+	// allocator hands out. It comes from the process-wide pool;
+	// Mem.Free returns it once the driver is no longer used.
+	Mem *hw.RAM
 	// Ctx is the adapter context returned by Initialize.
 	Ctx uint32
 	// Stats counts interpreted blocks per entry-point role, the
@@ -93,7 +93,7 @@ type Driver struct {
 func New(g *cfg.Graph, os TargetOS, bus *hw.Bus) *Driver {
 	d := &Driver{
 		G: g, OS: os, Bus: bus,
-		Mem:       make([]byte, hw.RAMSize),
+		Mem:       hw.NewRAM(),
 		BlocksRun: map[string]int64{},
 		entries:   map[string]*cfg.Function{},
 	}
@@ -121,17 +121,11 @@ func (d *Driver) read(addr uint32, size int) (uint32, error) {
 		}
 		return v, nil
 	}
-	if int(addr)+size > len(d.Mem) {
+	v, ok := d.Mem.Load(addr, size)
+	if !ok {
 		return 0, fmt.Errorf("synthdrv: read outside memory at %#x", addr)
 	}
-	switch size {
-	case 1:
-		return uint32(d.Mem[addr]), nil
-	case 2:
-		return uint32(binary.LittleEndian.Uint16(d.Mem[addr:])), nil
-	default:
-		return binary.LittleEndian.Uint32(d.Mem[addr:]), nil
-	}
+	return v, nil
 }
 
 func (d *Driver) write(addr uint32, size int, v uint32) error {
@@ -142,34 +136,18 @@ func (d *Driver) write(addr uint32, size int, v uint32) error {
 		}
 		return nil
 	}
-	if int(addr)+size > len(d.Mem) {
+	if !d.Mem.Store(addr, size, v) {
 		return fmt.Errorf("synthdrv: write outside memory at %#x", addr)
-	}
-	switch size {
-	case 1:
-		d.Mem[addr] = byte(v)
-	case 2:
-		binary.LittleEndian.PutUint16(d.Mem[addr:], uint16(v))
-	default:
-		binary.LittleEndian.PutUint32(d.Mem[addr:], v)
 	}
 	return nil
 }
 
 // ReadMem implements hw.MemBus so DMA devices can reach the
 // synthesized driver's buffers.
-func (d *Driver) ReadMem(addr uint32, p []byte) {
-	if int(addr)+len(p) <= len(d.Mem) {
-		copy(p, d.Mem[addr:])
-	}
-}
+func (d *Driver) ReadMem(addr uint32, p []byte) { d.Mem.ReadMem(addr, p) }
 
 // WriteMem implements hw.MemBus.
-func (d *Driver) WriteMem(addr uint32, p []byte) {
-	if int(addr)+len(p) <= len(d.Mem) {
-		copy(d.Mem[addr:], p)
-	}
-}
+func (d *Driver) WriteMem(addr uint32, p []byte) { d.Mem.WriteMem(addr, p) }
 
 // callLimit bounds interpreted blocks per entry invocation.
 const callLimit = 500000

@@ -10,7 +10,6 @@
 package vm
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"revnic/internal/hw"
@@ -32,7 +31,7 @@ type IOTap func(port bool, write bool, addr uint32, size int, value uint32)
 
 // Machine is a concrete guest machine.
 type Machine struct {
-	RAM  []byte
+	RAM  *hw.RAM
 	Regs [isa.NumRegs]uint32
 	PC   uint32
 
@@ -54,9 +53,11 @@ type Machine struct {
 	inISR bool
 }
 
-// New returns a machine with zeroed RAM attached to bus.
+// New returns a machine with zeroed RAM attached to bus. The RAM comes
+// from the process-wide pool; m.RAM.Free returns it once the machine
+// is no longer used.
 func New(bus *hw.Bus) *Machine {
-	m := &Machine{RAM: make([]byte, hw.RAMSize), Bus: bus}
+	m := &Machine{RAM: hw.NewRAM(), Bus: bus}
 	m.cache = ir.NewCache(m)
 	return m
 }
@@ -72,35 +73,29 @@ func (m *Machine) tapIO(port, write bool, addr uint32, size int, v uint32) {
 
 // LoadImage copies a program image into RAM at its base address.
 func (m *Machine) LoadImage(p *isa.Program) error {
-	if int(p.Base)+len(p.Code) > len(m.RAM) {
+	if !m.RAM.Contains(p.Base, len(p.Code)) {
 		return fmt.Errorf("vm: image at %#x size %d exceeds RAM", p.Base, len(p.Code))
 	}
-	copy(m.RAM[p.Base:], p.Code)
+	m.RAM.WriteMem(p.Base, p.Code)
 	m.cache.Flush()
 	return nil
 }
 
 // FetchInstr implements ir.Reader over guest RAM.
 func (m *Machine) FetchInstr(addr uint32) (isa.Instr, error) {
-	if int(addr)+isa.InstrSize > len(m.RAM) {
+	var b [isa.InstrSize]byte
+	if !m.RAM.Contains(addr, len(b)) {
 		return isa.Instr{}, fmt.Errorf("vm: instruction fetch outside RAM at %#x", addr)
 	}
-	return isa.Decode(m.RAM[addr:])
+	m.RAM.ReadMem(addr, b[:])
+	return isa.Decode(b[:])
 }
 
 // ReadMem implements hw.MemBus for device DMA.
-func (m *Machine) ReadMem(addr uint32, p []byte) {
-	if int(addr)+len(p) <= len(m.RAM) {
-		copy(p, m.RAM[addr:])
-	}
-}
+func (m *Machine) ReadMem(addr uint32, p []byte) { m.RAM.ReadMem(addr, p) }
 
 // WriteMem implements hw.MemBus for device DMA.
-func (m *Machine) WriteMem(addr uint32, p []byte) {
-	if int(addr)+len(p) <= len(m.RAM) {
-		copy(m.RAM[addr:], p)
-	}
-}
+func (m *Machine) WriteMem(addr uint32, p []byte) { m.RAM.WriteMem(addr, p) }
 
 // Read reads size bytes of guest memory, routing MMIO to the bus.
 func (m *Machine) Read(addr uint32, size int) (uint32, error) {
@@ -109,18 +104,11 @@ func (m *Machine) Read(addr uint32, size int) (uint32, error) {
 		m.tapIO(false, false, addr, size, v)
 		return v, nil
 	}
-	if int(addr)+size > len(m.RAM) {
+	v, ok := m.RAM.Load(addr, size)
+	if !ok {
 		return 0, fmt.Errorf("vm: memory read outside RAM at %#x", addr)
 	}
-	switch size {
-	case 1:
-		return uint32(m.RAM[addr]), nil
-	case 2:
-		return uint32(binary.LittleEndian.Uint16(m.RAM[addr:])), nil
-	case 4:
-		return binary.LittleEndian.Uint32(m.RAM[addr:]), nil
-	}
-	return 0, fmt.Errorf("vm: invalid read size %d", size)
+	return v, nil
 }
 
 // Write writes size bytes of guest memory, routing MMIO to the bus.
@@ -130,18 +118,8 @@ func (m *Machine) Write(addr uint32, size int, v uint32) error {
 		m.tapIO(false, true, addr, size, v)
 		return nil
 	}
-	if int(addr)+size > len(m.RAM) {
+	if !m.RAM.Store(addr, size, v) {
 		return fmt.Errorf("vm: memory write outside RAM at %#x", addr)
-	}
-	switch size {
-	case 1:
-		m.RAM[addr] = byte(v)
-	case 2:
-		binary.LittleEndian.PutUint16(m.RAM[addr:], uint16(v))
-	case 4:
-		binary.LittleEndian.PutUint32(m.RAM[addr:], v)
-	default:
-		return fmt.Errorf("vm: invalid write size %d", size)
 	}
 	return nil
 }
