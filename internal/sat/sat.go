@@ -60,34 +60,43 @@ const (
 	lFalse lbool = -1
 )
 
-type clause struct {
-	lits   []Lit
-	learnt bool
-	// act is the VSIDS-style clause activity: bumped whenever the
-	// clause participates in conflict analysis, decayed geometrically.
-	// Learnt-clause deletion discards the least active half when the
-	// database exceeds the cap.
-	act float64
-}
+// Clauses live in one flat arena, MiniSat style (Eén & Sörensson, "An
+// Extensible SAT-solver"): a clause is a uint32 offset into the arena,
+// where a two-word header precedes its literals. The first header word
+// is size<<2 | deleted<<1 | learnt; the second is a learnt clause's
+// slot in learnts and clauseAct. No clause is a pointer object, so the
+// watch lists and reasons hold no pointers for the GC to scan.
+const (
+	clauseHdr      = 2
+	hdrLearnt  Lit = 1
+	hdrDeleted Lit = 2
+)
+
+// noClause is the reason of a decision, an assumption or a level-0
+// unit, and propagate's "no conflict".
+const noClause = ^uint32(0)
 
 type watcher struct {
-	c       *clause
+	c       uint32
 	blocker Lit
 }
-
-const noReason = -1
 
 // Solver is a CDCL SAT solver. The zero value is not usable; create
 // instances with New.
 type Solver struct {
-	clauses []*clause
-	learnts []*clause
-	watches [][]watcher // indexed by literal
+	arena   []Lit
+	learnts []uint32 // learnt clauses, oldest first
+	// clauseAct is the VSIDS-style activity of each learnt clause (by
+	// its slot in learnts): bumped whenever the clause participates in
+	// conflict analysis, decayed geometrically. Learnt-clause deletion
+	// discards the least active half when the database exceeds the cap.
+	clauseAct []float64
+	watches   [][]watcher // indexed by literal
 
 	assigns  []lbool
 	polarity []bool // saved phases
 	level    []int
-	reason   []*clause
+	reason   []uint32 // noClause for decisions, assumptions and units
 	activity []float64
 	varInc   float64
 	// order is the branching heap: every unassigned variable of
@@ -105,7 +114,9 @@ type Solver struct {
 	qhead    int
 
 	seen      []bool
-	unsat     bool // a top-level conflict was derived
+	addBuf    []Lit // AddClause's simplification buffer
+	learntBuf []Lit // analyze's learnt-clause buffer
+	unsat     bool  // a top-level conflict was derived
 	conflicts int64
 	decisions int64
 
@@ -127,7 +138,8 @@ type Solver struct {
 	scopes []int
 	// assumps is SolveUnder's reusable buffer for the open selectors
 	// followed by the caller's assumptions.
-	assumps []Lit
+	assumps  []Lit
+	scopeBuf []Lit // AddScoped's buffer for the clause plus ¬selector
 }
 
 // DefaultLearntCap bounds the learnt-clause database. Incremental
@@ -194,7 +206,7 @@ func (s *Solver) NewVar() int {
 	s.assigns = append(s.assigns, lUndef)
 	s.polarity = append(s.polarity, false)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, noClause)
 	// A fresh variable has activity 0 and the highest index, so it
 	// joins the zero tier behind the cursor without touching the heap.
 	s.activity = append(s.activity, 0)
@@ -230,63 +242,88 @@ func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 // before Solve at decision level zero. Returns false if the formula
 // is already unsatisfiable.
 func (s *Solver) AddClause(lits ...Lit) bool {
-	// The stored clause keeps its literal slice: copy the caller's.
-	return s.addClause(append(make([]Lit, 0, len(lits)), lits...))
-}
-
-// addClause is AddClause over a literal slice the solver may keep and
-// simplify in place.
-func (s *Solver) addClause(lits []Lit) bool {
 	if s.unsat {
 		return false
 	}
 	// Clauses may be added between Solve calls; discard any leftover
 	// search assignments so simplification sees only level-0 facts.
 	s.cancelUntil(0)
-	// Sort-free simplification: drop false/duplicate literals, detect
-	// tautologies and already-satisfied clauses. out only ever trails
-	// the read position, so compacting in place is safe.
-	out := lits[:0]
-	for _, l := range lits {
-		switch s.value(l) {
-		case lTrue:
-			return true
-		case lFalse:
-			continue
-		}
-		dup, taut := false, false
-		for _, o := range out {
-			if o == l {
-				dup = true
-			}
-			if o == l.Not() {
-				taut = true
-			}
-		}
-		if taut {
-			return true
-		}
-		if !dup {
-			out = append(out, l)
-		}
+	out, satisfied := s.simplify(lits)
+	if satisfied {
+		return true
 	}
 	switch len(out) {
 	case 0:
 		s.unsat = true
 		return false
 	case 1:
-		s.uncheckedEnqueue(out[0], nil)
-		if s.propagate() != nil {
+		s.uncheckedEnqueue(out[0], noClause)
+		if s.propagate() != noClause {
 			s.unsat = true
 			return false
 		}
 		return true
 	}
-	c := &clause{lits: out}
-	s.clauses = append(s.clauses, c)
-	s.watchClause(c)
+	s.watchClause(s.alloc(out, false))
 	return true
 }
+
+// simplify is AddClause's sort-free simplification into the reusable
+// buffer: it drops false and duplicate literals and reports whether
+// the clause is a tautology or already satisfied.
+func (s *Solver) simplify(lits []Lit) (out []Lit, satisfied bool) {
+	out = s.addBuf[:0]
+	defer func() { s.addBuf = out[:0] }()
+	for _, l := range lits {
+		switch s.value(l) {
+		case lTrue:
+			return out, true
+		case lFalse:
+			continue
+		}
+		dup := false
+		for _, o := range out {
+			if o == l.Not() {
+				return out, true
+			}
+			if o == l {
+				dup = true
+			}
+		}
+		if !dup {
+			out = append(out, l)
+		}
+	}
+	return out, false
+}
+
+// alloc copies lits into the arena as a new clause and returns its
+// offset. A learnt clause also takes the next slot of learnts and
+// clauseAct, at activity 0.
+func (s *Solver) alloc(lits []Lit, learnt bool) uint32 {
+	c := len(s.arena)
+	if uint64(c)+clauseHdr+uint64(len(lits)) >= uint64(noClause) {
+		panic("sat: clause arena exceeds 4G literals")
+	}
+	hdr, slot := Lit(len(lits))<<2, Lit(0)
+	if learnt {
+		hdr |= hdrLearnt
+		slot = Lit(len(s.learnts))
+		s.learnts = append(s.learnts, uint32(c))
+		s.clauseAct = append(s.clauseAct, 0)
+	}
+	s.arena = append(s.arena, hdr, slot)
+	s.arena = append(s.arena, lits...)
+	return uint32(c)
+}
+
+// lits returns the literals of clause c, aliasing the arena.
+func (s *Solver) lits(c uint32) []Lit {
+	n := uint32(s.arena[c] >> 2)
+	return s.arena[c+clauseHdr : c+clauseHdr+n]
+}
+
+func (s *Solver) learnt(c uint32) bool { return s.arena[c]&hdrLearnt != 0 }
 
 // Push opens a new assumption scope. Clauses subsequently added with
 // AddScoped belong to this scope: they are active for every Solve and
@@ -332,15 +369,16 @@ func (s *Solver) AddScoped(lits ...Lit) bool {
 		return s.AddClause(lits...)
 	}
 	sel := s.scopes[len(s.scopes)-1]
-	return s.addClause(append(append(make([]Lit, 0, len(lits)+1), lits...), Neg(sel)))
+	return s.AddClause(append(append(s.scopeBuf[:0], lits...), Neg(sel))...)
 }
 
-func (s *Solver) watchClause(c *clause) {
-	s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], watcher{c, c.lits[1]})
-	s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c, c.lits[0]})
+func (s *Solver) watchClause(c uint32) {
+	lits := s.lits(c)
+	s.watches[lits[0].Not()] = append(s.watches[lits[0].Not()], watcher{c, lits[1]})
+	s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{c, lits[0]})
 }
 
-func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
+func (s *Solver) uncheckedEnqueue(l Lit, from uint32) {
 	v := l.Var()
 	if l.Sign() {
 		s.assigns[v] = lFalse
@@ -353,17 +391,17 @@ func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
 }
 
 // propagate performs unit propagation; it returns the conflicting
-// clause, or nil if no conflict arises.
-func (s *Solver) propagate() *clause {
+// clause, or noClause if no conflict arises.
+func (s *Solver) propagate() uint32 {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		ws := s.watches[p]
 		kept := ws[:0]
-		var conflict *clause
+		conflict := noClause
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if conflict != nil {
+			if conflict != noClause {
 				kept = append(kept, w)
 				continue
 			}
@@ -372,21 +410,22 @@ func (s *Solver) propagate() *clause {
 				continue
 			}
 			c := w.c
+			lits := s.lits(c)
 			// Normalize so lits[0] is the other watched literal.
-			if c.lits[0] == p.Not() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == p.Not() {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			first := c.lits[0]
+			first := lits[0]
 			if first != w.blocker && s.value(first) == lTrue {
 				kept = append(kept, watcher{c, first})
 				continue
 			}
 			// Find a new literal to watch.
 			moved := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c, first})
+			for k := 2; k < len(lits); k++ {
+				if s.value(lits[k]) != lFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{c, first})
 					moved = true
 					break
 				}
@@ -404,11 +443,11 @@ func (s *Solver) propagate() *clause {
 			}
 		}
 		s.watches[p] = kept
-		if conflict != nil {
+		if conflict != noClause {
 			return conflict
 		}
 	}
-	return nil
+	return noClause
 }
 
 func (s *Solver) bumpVar(v int) {
@@ -520,11 +559,13 @@ func (s *Solver) heapPop() int {
 	return int(top)
 }
 
-func (s *Solver) bumpClause(c *clause) {
-	c.act += s.claInc
-	if c.act > 1e20 {
-		for _, l := range s.learnts {
-			l.act *= 1e-20
+// bumpClause bumps learnt clause c's activity.
+func (s *Solver) bumpClause(c uint32) {
+	act := &s.clauseAct[s.arena[c+1]]
+	*act += s.claInc
+	if *act > 1e20 {
+		for i := range s.clauseAct {
+			s.clauseAct[i] *= 1e-20
 		}
 		s.claInc *= 1e-20
 	}
@@ -532,21 +573,19 @@ func (s *Solver) bumpClause(c *clause) {
 
 // locked reports whether c is the reason of a current assignment and
 // therefore must survive deletion.
-func (s *Solver) locked(c *clause) bool {
-	return s.value(c.lits[0]) == lTrue && s.reason[c.lits[0].Var()] == c
+func (s *Solver) locked(c uint32) bool {
+	first := s.lits(c)[0]
+	return s.value(first) == lTrue && s.reason[first.Var()] == c
 }
 
-// detachClause removes c's two watchers.
-func (s *Solver) detachClause(c *clause) {
-	for _, wl := range [2]Lit{c.lits[0].Not(), c.lits[1].Not()} {
-		ws := s.watches[wl]
-		for i := range ws {
-			if ws[i].c == c {
-				s.watches[wl] = append(ws[:i], ws[i+1:]...)
-				break
-			}
-		}
-	}
+// learn stores the learnt clause lits (asserting literal first) and
+// bumps it. Bumping after the append lets a rescale the bump triggers
+// scale this clause along with the rest.
+func (s *Solver) learn(lits []Lit) uint32 {
+	c := s.alloc(lits, true)
+	s.watchClause(c)
+	s.bumpClause(c)
+	return c
 }
 
 // maybeReduce runs activity-based learnt-clause deletion when the
@@ -559,39 +598,96 @@ func (s *Solver) maybeReduce() {
 	if s.learntCap <= 0 || len(s.learnts) <= s.learntCap {
 		return
 	}
-	byAct := make([]*clause, len(s.learnts))
-	copy(byAct, s.learnts)
-	sort.SliceStable(byAct, func(i, j int) bool { return byAct[i].act < byAct[j].act })
+	byAct := make([]int, len(s.learnts))
+	for i := range byAct {
+		byAct[i] = i
+	}
+	sort.SliceStable(byAct, func(i, j int) bool { return s.clauseAct[byAct[i]] < s.clauseAct[byAct[j]] })
 	goal := len(s.learnts) - s.learntCap/2
-	doomed := make(map[*clause]bool, goal)
-	for _, c := range byAct {
-		if len(doomed) >= goal {
+	doomed := 0
+	for _, i := range byAct {
+		if doomed >= goal {
 			break
 		}
-		if len(c.lits) <= 2 || s.locked(c) {
+		c := s.learnts[i]
+		if s.arena[c]>>2 <= 2 || s.locked(c) {
 			continue
 		}
-		doomed[c] = true
+		s.arena[c] |= hdrDeleted
+		doomed++
 	}
-	if len(doomed) == 0 {
+	if doomed == 0 {
 		return
 	}
-	kept := s.learnts[:0]
-	for _, c := range s.learnts {
-		if doomed[c] {
-			s.detachClause(c)
-		} else {
-			kept = append(kept, c)
+	for l, ws := range s.watches {
+		kept := ws[:0]
+		for _, w := range ws {
+			if s.arena[w.c]&hdrDeleted == 0 {
+				kept = append(kept, w)
+			}
+		}
+		s.watches[l] = kept
+	}
+	s.compact()
+	s.deleted += int64(doomed)
+}
+
+// compact squeezes the deleted clauses out of the arena, so memory
+// stays bounded by the live clauses, and renumbers every reference:
+// watchers, reasons, learnts and the activity slots. Live clauses
+// keep their order, and the learnt list its order, so compaction
+// changes no later search step.
+func (s *Solver) compact() {
+	// from[i] moved to to[i]; clauses below from[0] stay put.
+	var from, to []uint32
+	acts := s.clauseAct[:0]
+	s.learnts = s.learnts[:0]
+	w := uint32(0)
+	for r := uint32(0); r < uint32(len(s.arena)); {
+		hdr := s.arena[r]
+		n := clauseHdr + uint32(hdr>>2)
+		if hdr&hdrDeleted == 0 {
+			if hdr&hdrLearnt != 0 {
+				// Slots only shrink, so acts never overtakes the slot it reads.
+				acts = append(acts, s.clauseAct[s.arena[r+1]])
+				s.arena[r+1] = Lit(len(s.learnts))
+				s.learnts = append(s.learnts, w)
+			}
+			if w != r {
+				copy(s.arena[w:], s.arena[r:r+n])
+				from, to = append(from, r), append(to, w)
+			}
+			w += n
+		}
+		r += n
+	}
+	s.arena = s.arena[:w]
+	s.clauseAct = acts
+	if len(from) == 0 {
+		return
+	}
+	reloc := func(c uint32) uint32 {
+		if i := sort.Search(len(from), func(i int) bool { return from[i] >= c }); i < len(from) && from[i] == c {
+			return to[i]
+		}
+		return c
+	}
+	for _, ws := range s.watches {
+		for i := range ws {
+			ws[i].c = reloc(ws[i].c)
 		}
 	}
-	s.learnts = kept
-	s.deleted += int64(len(doomed))
+	for _, l := range s.trail {
+		if v := l.Var(); s.reason[v] != noClause {
+			s.reason[v] = reloc(s.reason[v])
+		}
+	}
 }
 
 // analyze performs first-UIP conflict analysis, returning the learnt
 // clause (asserting literal first) and the backtrack level.
-func (s *Solver) analyze(conflict *clause) ([]Lit, int) {
-	learnt := []Lit{0} // placeholder for the asserting literal
+func (s *Solver) analyze(conflict uint32) ([]Lit, int) {
+	learnt := append(s.learntBuf[:0], 0) // placeholder for the asserting literal
 	counter := 0
 	var p Lit
 	haveP := false
@@ -599,14 +695,14 @@ func (s *Solver) analyze(conflict *clause) ([]Lit, int) {
 	c := conflict
 
 	for {
-		if c.learnt {
+		if s.learnt(c) {
 			s.bumpClause(c)
 		}
 		start := 0
 		if haveP {
 			start = 1 // lits[0] is p itself
 		}
-		for _, q := range c.lits[start:] {
+		for _, q := range s.lits(c)[start:] {
 			v := q.Var()
 			if s.seen[v] || s.level[v] == 0 {
 				continue
@@ -654,6 +750,7 @@ func (s *Solver) analyze(conflict *clause) ([]Lit, int) {
 	}
 	s.varInc *= 1.05
 	s.claInc *= 1.001
+	s.learntBuf = learnt
 	return learnt, btLevel
 }
 
@@ -666,7 +763,7 @@ func (s *Solver) cancelUntil(lvl int) {
 		v := s.trail[i].Var()
 		s.polarity[v] = s.assigns[v] == lTrue
 		s.assigns[v] = lUndef
-		s.reason[v] = nil
+		s.reason[v] = noClause
 		if s.activity[v] > 0 {
 			s.heapInsert(v)
 		} else if v < s.zeroNext {
@@ -725,7 +822,7 @@ func (s *Solver) Solve() bool {
 		return false
 	}
 	s.cancelUntil(0)
-	if s.propagate() != nil {
+	if s.propagate() != noClause {
 		s.unsat = true
 		return false
 	}
@@ -738,7 +835,7 @@ func (s *Solver) Solve() bool {
 			return false
 		}
 		conflict := s.propagate()
-		if conflict != nil {
+		if conflict != noClause {
 			s.conflicts++
 			if s.decisionLevel() == 0 {
 				s.unsat = true
@@ -747,15 +844,9 @@ func (s *Solver) Solve() bool {
 			learnt, btLevel := s.analyze(conflict)
 			s.cancelUntil(btLevel)
 			if len(learnt) == 1 {
-				s.uncheckedEnqueue(learnt[0], nil)
+				s.uncheckedEnqueue(learnt[0], noClause)
 			} else {
-				c := &clause{lits: learnt, learnt: true}
-				s.learnts = append(s.learnts, c)
-				s.watchClause(c)
-				// Bump after appending so a rescale triggered by the
-				// bump scales this clause along with the rest.
-				s.bumpClause(c)
-				s.uncheckedEnqueue(learnt[0], c)
+				s.uncheckedEnqueue(learnt[0], s.learn(learnt))
 			}
 			s.maybeReduce()
 			if s.conflicts-conflictsAtRestart >= restartLimit {
@@ -775,7 +866,7 @@ func (s *Solver) Solve() bool {
 		if !s.polarity[v] {
 			l = Neg(v)
 		}
-		s.uncheckedEnqueue(l, nil)
+		s.uncheckedEnqueue(l, noClause)
 	}
 }
 
@@ -798,7 +889,7 @@ func (s *Solver) SolveUnder(assumptions ...Lit) bool {
 		s.assumps = assumptions
 	}
 	s.cancelUntil(0)
-	if s.propagate() != nil {
+	if s.propagate() != noClause {
 		s.unsat = true
 		return false
 	}
@@ -811,8 +902,8 @@ func (s *Solver) SolveUnder(assumptions ...Lit) bool {
 			return false
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.uncheckedEnqueue(a, nil)
-		if s.propagate() != nil {
+		s.uncheckedEnqueue(a, noClause)
+		if s.propagate() != noClause {
 			s.cancelUntil(0)
 			return false
 		}
@@ -827,7 +918,7 @@ func (s *Solver) SolveUnder(assumptions ...Lit) bool {
 			return false
 		}
 		conflict := s.propagate()
-		if conflict != nil {
+		if conflict != noClause {
 			s.conflicts++
 			if s.decisionLevel() <= assumptionLevel {
 				s.cancelUntil(0)
@@ -848,10 +939,7 @@ func (s *Solver) SolveUnder(assumptions ...Lit) bool {
 				// Already satisfied at or below the assumption level;
 				// record the clause and keep searching.
 				if len(learnt) > 1 {
-					c := &clause{lits: learnt, learnt: true}
-					s.learnts = append(s.learnts, c)
-					s.watchClause(c)
-					s.bumpClause(c)
+					s.learn(learnt)
 					s.maybeReduce()
 				}
 				continue
@@ -859,15 +947,9 @@ func (s *Solver) SolveUnder(assumptions ...Lit) bool {
 			if len(learnt) == 1 {
 				// Unit: permanent at level 0, otherwise implied for
 				// the remainder of this assumption query.
-				s.uncheckedEnqueue(learnt[0], nil)
+				s.uncheckedEnqueue(learnt[0], noClause)
 			} else {
-				c := &clause{lits: learnt, learnt: true}
-				s.learnts = append(s.learnts, c)
-				s.watchClause(c)
-				// Bump after appending so a rescale triggered by the
-				// bump scales this clause along with the rest.
-				s.bumpClause(c)
-				s.uncheckedEnqueue(learnt[0], c)
+				s.uncheckedEnqueue(learnt[0], s.learn(learnt))
 			}
 			s.maybeReduce()
 			if s.conflicts-conflictsAtRestart >= restartLimit {
@@ -887,7 +969,7 @@ func (s *Solver) SolveUnder(assumptions ...Lit) bool {
 		if !s.polarity[v] {
 			l = Neg(v)
 		}
-		s.uncheckedEnqueue(l, nil)
+		s.uncheckedEnqueue(l, noClause)
 	}
 }
 

@@ -843,7 +843,7 @@ func TestRescaleRebuildsHeap(t *testing.T) {
 			t.Fatalf("decision %d: heap chose %d, scan chose %d", i, got, want)
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.uncheckedEnqueue(Pos(got), nil)
+		s.uncheckedEnqueue(Pos(got), noClause)
 	}
 	if v := s.pickBranchVar(); v != -1 {
 		t.Fatalf("all variables assigned, heap still offered %d", v)
@@ -857,7 +857,7 @@ func TestRescaleRebuildsHeap(t *testing.T) {
 // decide makes v a decision at a new level, as Solve does.
 func decide(s *Solver, v int) {
 	s.trailLim = append(s.trailLim, len(s.trail))
-	s.uncheckedEnqueue(Pos(v), nil)
+	s.uncheckedEnqueue(Pos(v), noClause)
 }
 
 // TestTwoTierEdgeCases pins the transitions between the heap tier and
