@@ -85,7 +85,7 @@ func main() {
 		// instead, so this count stays flat there.
 		fmt.Fprintf(os.Stderr, "revnic: %d interned expression nodes\n", expr.InternedNodes())
 		ss := exp.SolverSearch
-		fmt.Fprintf(os.Stderr, "revnic: SAT search: %d decisions, %d conflicts; solver sessions: %d extended, %d rebuilt\n",
+		fmt.Fprintf(os.Stderr, "revnic: SAT search: %d decisions, %d conflicts; solver sessions: %d extended, %d created\n",
 			ss.Decisions, ss.Conflicts, ss.SessionsExtended, ss.SessionsRebuilt)
 		for _, wmsg := range rev.Synth.Warnings {
 			fmt.Fprintf(os.Stderr, "revnic: warning: %s\n", wmsg)

@@ -272,7 +272,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("revnicd_solver_sat_decisions_total", "SAT branch decisions across completed jobs.", s.m.satDecisions.Load())
 	counter("revnicd_solver_sat_conflicts_total", "SAT conflicts across completed jobs.", s.m.satConflicts.Load())
 	counter("revnicd_solver_sessions_extended_total", "Incremental queries served by a running solver session, across completed jobs.", s.m.sessionsExtended.Load())
-	counter("revnicd_solver_sessions_rebuilt_total", "Incremental queries that started a fresh solver session, across completed jobs.", s.m.sessionsRebuilt.Load())
+	counter("revnicd_solver_sessions_rebuilt_total", "Solver sessions created (one per solver that answered an incremental query; sessions are never rebuilt), across completed jobs.", s.m.sessionsRebuilt.Load())
 	counter("revnicd_executed_blocks_total", "Translation blocks executed across completed jobs.", s.m.executedBlocks.Load())
 	counter("revnicd_arena_nodes_reclaimed_total", "Interned expression nodes reclaimed with finished job arenas.", s.m.arenaNodesReclaimed.Load())
 	counter("revnicd_job_panics_total", "Pipeline panics converted to job failures.", s.m.jobPanics.Load())

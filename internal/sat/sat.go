@@ -15,11 +15,16 @@
 //
 // Any positive activity outranks 0, so the heap's top, while it holds
 // an unassigned variable, is the pick; otherwise the cursor's lowest
-// unassigned index is. Incremental sessions keep every bit-blasted
-// gate variable and decide all of them on every query, but conflicts
-// bump only a few, so the heap stays small and most decisions cost a
-// cursor step. Assigned variables leave the heap lazily (when they
-// surface at the top) and return when backtracking unassigns them.
+// unassigned index is. Conflicts bump only a few variables, so the
+// heap stays small and most decisions cost a cursor step. Assigned
+// variables leave the heap lazily (when they surface at the top) and
+// return when backtracking unassigns them.
+//
+// Incremental sessions keep every bit-blasted gate variable, but a
+// query need not decide them all: after Restrict, SolveUnder branches
+// only on the variables marked as the query's cone, in the same order,
+// and path constraints arrive as assumption literals, so nothing is
+// ever retracted from the clause database.
 //
 // It is the decision procedure underneath RevNIC's bitvector
 // constraint solver (package solver), standing in for the STP solver
@@ -130,16 +135,14 @@ type Solver struct {
 	interrupted bool
 	polls       int64
 
-	// scopes holds the selector variable of each open assumption
-	// scope (see Push). Clauses added through AddScoped while a scope
-	// is open carry the negation of its selector, and Solve/SolveUnder
-	// assume every open selector true, so popping a scope retires its
-	// clauses without touching the clause database.
-	scopes []int
-	// assumps is SolveUnder's reusable buffer for the open selectors
-	// followed by the caller's assumptions.
-	assumps  []Lit
-	scopeBuf []Lit // AddScoped's buffer for the clause plus ¬selector
+	// The decision set of a restricted SolveUnder (see Restrict): v is
+	// in it iff mark[v] == epoch. restricted says the next SolveUnder
+	// branches within it; aside collects the unmarked variables its
+	// picks pop off the heap, for reinsertion once it returns.
+	mark       []uint32
+	epoch      uint32
+	restricted bool
+	aside      []int32
 }
 
 // DefaultLearntCap bounds the learnt-clause database. Incremental
@@ -212,6 +215,7 @@ func (s *Solver) NewVar() int {
 	s.activity = append(s.activity, 0)
 	s.orderPos = append(s.orderPos, -1)
 	s.seen = append(s.seen, false)
+	s.mark = append(s.mark, 0)
 	s.watches = append(s.watches, nil, nil)
 	return v
 }
@@ -324,53 +328,6 @@ func (s *Solver) lits(c uint32) []Lit {
 }
 
 func (s *Solver) learnt(c uint32) bool { return s.arena[c]&hdrLearnt != 0 }
-
-// Push opens a new assumption scope. Clauses subsequently added with
-// AddScoped belong to this scope: they are active for every Solve and
-// SolveUnder call until the matching Pop, after which they are
-// permanently retired. Scopes nest; Pop retires the most recent.
-//
-// The mechanism is the MiniSat assumption-selector idiom: each scope
-// gets a fresh selector variable sel, scoped clauses carry ¬sel, and
-// queries assume sel. Pop asserts the unit ¬sel, satisfying (hence
-// deactivating) every clause of the scope, including any learnt
-// clauses derived from it — those carry ¬sel literals inherited
-// through conflict analysis, so learning across scopes stays sound.
-func (s *Solver) Push() {
-	s.scopes = append(s.scopes, s.NewVar())
-}
-
-// Pop retires the most recent open scope (see Push). It panics if no
-// scope is open.
-func (s *Solver) Pop() {
-	if len(s.scopes) == 0 {
-		panic("sat: Pop without matching Push")
-	}
-	sel := s.scopes[len(s.scopes)-1]
-	s.scopes = s.scopes[:len(s.scopes)-1]
-	if s.unsat {
-		return
-	}
-	// The positive selector literal only ever appears as an assumption,
-	// never inside a clause, so asserting ¬sel can satisfy clauses but
-	// never conflict.
-	s.AddClause(Neg(sel))
-}
-
-// ScopeDepth reports the number of open assumption scopes.
-func (s *Solver) ScopeDepth() int { return len(s.scopes) }
-
-// AddScoped adds a clause bound to the innermost open scope: it is
-// active until that scope is popped. With no scope open it behaves
-// exactly like AddClause. Returns false if the formula is already
-// unsatisfiable at the top level.
-func (s *Solver) AddScoped(lits ...Lit) bool {
-	if len(s.scopes) == 0 {
-		return s.AddClause(lits...)
-	}
-	sel := s.scopes[len(s.scopes)-1]
-	return s.AddClause(append(append(s.scopeBuf[:0], lits...), Neg(sel))...)
-}
 
 func (s *Solver) watchClause(c uint32) {
 	lits := s.lits(c)
@@ -790,6 +747,9 @@ var pickBranch = (*Solver).pickBranchVar
 // among them wins the tie: the cursor steps past assigned variables to
 // it.
 func (s *Solver) pickBranchVar() int {
+	if s.restricted {
+		return s.pickMarked()
+	}
 	// The trail holds exactly the assigned variables. A full trail ends
 	// the search without draining the heap entry by entry, and the
 	// entries left behind spare cancelUntil their reinsertion. Otherwise
@@ -808,15 +768,33 @@ func (s *Solver) pickBranchVar() int {
 	return s.zeroNext
 }
 
+// pickMarked is pickBranchVar within a restricted search's decision
+// set, or -1 once every marked variable is assigned. Unmarked
+// variables met at the top of the heap are set aside, and the cursor
+// steps past them.
+func (s *Solver) pickMarked() int {
+	for len(s.order) > 0 {
+		v := s.heapPop()
+		if s.assigns[v] != lUndef {
+			continue
+		}
+		if s.mark[v] == s.epoch {
+			return v
+		}
+		s.aside = append(s.aside, int32(v))
+	}
+	for ; s.zeroNext < len(s.assigns); s.zeroNext++ {
+		if v := s.zeroNext; s.assigns[v] == lUndef && s.mark[v] == s.epoch {
+			return v
+		}
+	}
+	return -1
+}
+
 // Solve determines satisfiability of the accumulated clauses. After a
 // true result, Value reports the satisfying assignment. Solve may be
-// called repeatedly after adding more clauses (incremental use). With
-// open scopes, satisfiability is decided with all scoped clauses
-// active (equivalent to SolveUnder with no extra assumptions).
+// called repeatedly after adding more clauses (incremental use).
 func (s *Solver) Solve() bool {
-	if len(s.scopes) > 0 {
-		return s.SolveUnder()
-	}
 	s.interrupted = false
 	if s.unsat {
 		return false
@@ -870,23 +848,66 @@ func (s *Solver) Solve() bool {
 	}
 }
 
+// Restrict opens an empty decision set for the next SolveUnder; Mark
+// adds variables to it. That SolveUnder branches only on marked
+// variables, picked by the usual order among them, and answers SAT
+// once every marked variable is assigned without conflict; unmarked
+// variables stay unassigned unless propagation sets them. This is
+// sound when the marked set is closed under definitions: every
+// variable outside it is a total function (through definitional
+// clauses) of inputs that are free or marked, so any conflict-free
+// assignment of the set extends to a full model. Value is then
+// meaningful for marked variables only.
+func (s *Solver) Restrict() {
+	s.restricted = true
+	s.epoch++
+	if s.epoch == 0 {
+		clear(s.mark)
+		s.epoch = 1
+	}
+}
+
+// Mark adds v to the decision set opened by Restrict and reports
+// whether it was new. It allocates nothing.
+func (s *Solver) Mark(v int) bool {
+	if s.mark[v] == s.epoch {
+		return false
+	}
+	s.mark[v] = s.epoch
+	return true
+}
+
+// Marked reports whether v is in the most recent decision set.
+func (s *Solver) Marked(v int) bool { return s.epoch != 0 && s.mark[v] == s.epoch }
+
 // SolveUnder determines satisfiability under the given assumption
 // literals without permanently asserting them. It is used by the
-// bitvector solver for cached incremental queries. Clauses of open
-// scopes are active: their selectors are assumed ahead of the given
-// assumptions.
+// bitvector solver for its incremental session: the path constraints
+// and the branch condition are all assumptions. After Restrict it
+// branches only on the marked variables.
 func (s *Solver) SolveUnder(assumptions ...Lit) bool {
+	if !s.restricted {
+		return s.solveUnder(assumptions)
+	}
+	// Unmarked activity-0 variables may lie below the cursor, so a
+	// restricted search walks it from 0 and leaves it there.
+	s.zeroNext = 0
+	ok := s.solveUnder(assumptions)
+	s.restricted = false
+	for _, v := range s.aside {
+		if s.activity[v] > 0 {
+			s.heapInsert(int(v))
+		}
+	}
+	s.aside = s.aside[:0]
+	s.zeroNext = 0
+	return ok
+}
+
+func (s *Solver) solveUnder(assumptions []Lit) bool {
 	s.interrupted = false
 	if s.unsat {
 		return false
-	}
-	if len(s.scopes) > 0 {
-		all := s.assumps[:0]
-		for _, sel := range s.scopes {
-			all = append(all, Pos(sel))
-		}
-		assumptions = append(all, assumptions...)
-		s.assumps = assumptions
 	}
 	s.cancelUntil(0)
 	if s.propagate() != noClause {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -406,31 +407,55 @@ func TestLearntDeletionUnderAssumptions(t *testing.T) {
 	}
 }
 
+// scopes is a scoped constraint stack in the assumption-literal form
+// the bitvector solver's session uses: each open scope has a root
+// literal, every clause of the scope carries the root's negation (the
+// root implies the clause), and a query assumes every open root ahead
+// of its own assumptions. Popping a scope only stops assuming its
+// root: its clauses stay in the database, switched off, and whatever
+// was learnt from them stays valid.
+type scopes struct {
+	s     *Solver
+	roots []Lit
+}
+
+func (sc *scopes) push() { sc.roots = append(sc.roots, Pos(sc.s.NewVar())) }
+
+func (sc *scopes) pop() { sc.roots = sc.roots[:len(sc.roots)-1] }
+
+func (sc *scopes) depth() int { return len(sc.roots) }
+
+// add adds a clause to the innermost open scope, or a permanent one
+// with no scope open.
+func (sc *scopes) add(lits ...Lit) bool {
+	if len(sc.roots) == 0 {
+		return sc.s.AddClause(lits...)
+	}
+	return sc.s.AddClause(append(lits[:len(lits):len(lits)], sc.roots[len(sc.roots)-1].Not())...)
+}
+
+// solve decides the formula with every open scope active.
+func (sc *scopes) solve(assumptions ...Lit) bool {
+	return sc.s.SolveUnder(append(sc.roots[:len(sc.roots):len(sc.roots)], assumptions...)...)
+}
+
 func TestScopedClauses(t *testing.T) {
 	s := New()
+	sc := &scopes{s: s}
 	x := s.NewVar()
 	if !s.AddClause(Pos(x)) {
 		t.Fatal("base clause rejected")
 	}
-	if s.ScopeDepth() != 0 {
-		t.Fatalf("ScopeDepth = %d, want 0", s.ScopeDepth())
-	}
-	s.Push()
-	if s.ScopeDepth() != 1 {
-		t.Fatalf("ScopeDepth = %d, want 1", s.ScopeDepth())
-	}
-	s.AddScoped(Neg(x))
-	if s.Solve() {
+	sc.push()
+	sc.add(Neg(x))
+	if sc.solve() {
 		t.Fatal("SAT with contradictory scoped clause active")
 	}
 	if s.Unsat() {
 		t.Fatal("scoped contradiction poisoned the solver globally")
 	}
-	s.Pop()
-	if s.ScopeDepth() != 0 {
-		t.Fatalf("ScopeDepth = %d, want 0 after Pop", s.ScopeDepth())
-	}
-	if !s.Solve() {
+	sc.pop()
+	if !sc.solve() {
 		t.Fatal("UNSAT after popping the contradictory scope")
 	}
 	if !s.Value(x) {
@@ -440,50 +465,33 @@ func TestScopedClauses(t *testing.T) {
 
 func TestScopeNesting(t *testing.T) {
 	s := New()
+	sc := &scopes{s: s}
 	x, y := s.NewVar(), s.NewVar()
 	s.AddClause(Pos(x), Pos(y))
-	s.Push()
-	s.AddScoped(Neg(x))
-	s.Push()
-	s.AddScoped(Neg(y))
-	if s.Solve() {
+	sc.push()
+	sc.add(Neg(x))
+	sc.push()
+	sc.add(Neg(y))
+	if sc.solve() {
 		t.Fatal("SAT with both scopes active")
 	}
-	s.Pop() // drop ¬y
-	if !s.Solve() {
+	sc.pop() // drop ¬y
+	if !sc.solve() {
 		t.Fatal("UNSAT with only outer scope active")
 	}
 	if s.Value(x) || !s.Value(y) {
 		t.Fatal("model violates active constraints")
 	}
-	s.Pop() // drop ¬x
-	if !s.Solve() {
+	sc.pop() // drop ¬x
+	if !sc.solve() {
 		t.Fatal("UNSAT with no scopes active")
-	}
-}
-
-func TestPopWithoutPushPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Pop on empty scope stack did not panic")
-		}
-	}()
-	New().Pop()
-}
-
-func TestAddScopedWithoutScope(t *testing.T) {
-	s := New()
-	x := s.NewVar()
-	s.AddScoped(Pos(x))
-	if !s.Solve() || !s.Value(x) {
-		t.Fatal("AddScoped without open scope must behave like AddClause")
 	}
 }
 
 // TestScopedRandom checks push/pop semantics against brute force: a
 // random base formula plus a random scoped layer must answer like the
 // conjunction while the scope is open and like the base alone after
-// Pop — across repeated cycles on one solver instance, so learnt
+// the pop — across repeated cycles on one solver instance, so learnt
 // clauses from scoped conflicts must not leak into later queries.
 func TestScopedRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
@@ -502,6 +510,7 @@ func TestScopedRandom(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
 		nVars := 4 + r.Intn(7)
 		s := New()
+		sc := &scopes{s: s}
 		for i := 0; i < nVars; i++ {
 			s.NewVar()
 		}
@@ -513,25 +522,25 @@ func TestScopedRandom(t *testing.T) {
 		}
 		baseWant := bruteForce(nVars, base)
 		for cycle := 0; cycle < 4; cycle++ {
-			s.Push()
+			sc.push()
 			scoped := append([][]Lit(nil), base...)
 			for i, n := 0, 1+r.Intn(2*nVars); i < n; i++ {
 				c := randClause(nVars)
 				scoped = append(scoped, c)
-				s.AddScoped(c...)
+				sc.add(c...)
 			}
-			if got, want := s.Solve(), bruteForce(nVars, scoped); got != want {
+			if got, want := sc.solve(), bruteForce(nVars, scoped); got != want {
 				t.Fatalf("trial %d cycle %d scoped: solver=%v brute=%v", trial, cycle, got, want)
 			}
-			s.Pop()
-			if got := s.Solve(); got != baseWant {
+			sc.pop()
+			if got := sc.solve(); got != baseWant {
 				t.Fatalf("trial %d cycle %d after pop: solver=%v brute=%v", trial, cycle, got, baseWant)
 			}
 		}
 	}
 }
 
-// TestScopedUnderAssumptions mixes open scopes with SolveUnder
+// TestScopedUnderAssumptions mixes open scopes with further
 // assumptions: the scoped layer must stay active and the assumptions
 // must stay transient.
 func TestScopedUnderAssumptions(t *testing.T) {
@@ -539,6 +548,7 @@ func TestScopedUnderAssumptions(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
 		nVars := 4 + r.Intn(6)
 		s := New()
+		sc := &scopes{s: s}
 		for i := 0; i < nVars; i++ {
 			s.NewVar()
 		}
@@ -557,10 +567,10 @@ func TestScopedUnderAssumptions(t *testing.T) {
 			if r.Intn(2) == 0 {
 				s.AddClause(c...)
 			} else {
-				if s.ScopeDepth() == 0 {
-					s.Push()
+				if sc.depth() == 0 {
+					sc.push()
 				}
-				s.AddScoped(c...)
+				sc.add(c...)
 			}
 		}
 		for q := 0; q < 4; q++ {
@@ -569,7 +579,7 @@ func TestScopedUnderAssumptions(t *testing.T) {
 				a = a.Not()
 			}
 			want := bruteForce(nVars, append(append([][]Lit(nil), all...), []Lit{a}))
-			if got := s.SolveUnder(a); got != want {
+			if got := sc.solve(a); got != want {
 				t.Fatalf("trial %d q %d: solver=%v brute=%v under %v", trial, q, got, want, a)
 			}
 		}
@@ -577,10 +587,12 @@ func TestScopedUnderAssumptions(t *testing.T) {
 }
 
 // TestScopedLearntDeletion exercises push/pop under a tiny learnt cap:
-// deletion plus scope retirement must not change answers.
+// deletion (and the arena compaction behind it) plus scope retirement
+// must not change answers.
 func TestScopedLearntDeletion(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	s := New()
+	sc := &scopes{s: s}
 	s.SetLearntCap(8)
 	nVars := 10
 	for i := 0; i < nVars; i++ {
@@ -594,29 +606,178 @@ func TestScopedLearntDeletion(t *testing.T) {
 	}
 	baseWant := bruteForce(nVars, base)
 	for cycle := 0; cycle < 12; cycle++ {
-		s.Push()
+		sc.push()
 		scoped := append([][]Lit(nil), base...)
 		for i := 0; i < 6; i++ {
 			c := []Lit{Pos(r.Intn(nVars)), Neg(r.Intn(nVars))}
 			scoped = append(scoped, c)
-			s.AddScoped(c...)
+			sc.add(c...)
 		}
-		if got, want := s.Solve(), bruteForce(nVars, scoped); got != want {
+		if got, want := sc.solve(), bruteForce(nVars, scoped); got != want {
 			t.Fatalf("cycle %d scoped: solver=%v brute=%v", cycle, got, want)
 		}
-		s.Pop()
-		if got := s.Solve(); got != baseWant {
+		sc.pop()
+		if got := sc.solve(); got != baseWant {
 			t.Fatalf("cycle %d after pop: solver=%v brute=%v", cycle, got, baseWant)
 		}
 	}
 }
 
+// TestRestrictedConeSound checks restricted searches on the formulas
+// the bit-blaster emits: every variable is a free input or an AND, XOR
+// or MUX gate over lower variables, defined by permanent clauses.
+// Assuming random literals and branching only on their cone must
+// answer like brute force over the whole formula, and on SAT every
+// cone variable must be assigned, every cone gate must equal its
+// function of its inputs, and every assumption must hold. One solver
+// answers all of a trial's queries, so learnt clauses carry over.
+func TestRestrictedConeSound(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	var decisions [2]int64 // restricted, unrestricted
+	for trial := 0; trial < 300; trial++ {
+		s := New()
+		var clauses [][]Lit
+		add := func(c ...Lit) {
+			clauses = append(clauses, c)
+			s.AddClause(c...)
+		}
+		nVars := 6 + r.Intn(9)
+		inputs := make([][]Lit, nVars) // gate inputs; nil for free inputs
+		kinds := make([]int, nVars)
+		for v := 0; v < nVars; v++ {
+			s.NewVar()
+			if v < 2 || r.Intn(3) == 0 {
+				continue
+			}
+			in := func() Lit {
+				l := Pos(r.Intn(v))
+				if r.Intn(2) == 0 {
+					l = l.Not()
+				}
+				return l
+			}
+			out := Pos(v)
+			switch kinds[v] = r.Intn(3); kinds[v] {
+			case 0: // out = x ∧ y
+				x, y := in(), in()
+				inputs[v] = []Lit{x, y}
+				add(out.Not(), x)
+				add(out.Not(), y)
+				add(out, x.Not(), y.Not())
+			case 1: // out = x ⊕ y
+				x, y := in(), in()
+				inputs[v] = []Lit{x, y}
+				add(out.Not(), x, y)
+				add(out.Not(), x.Not(), y.Not())
+				add(out, x.Not(), y)
+				add(out, x, y.Not())
+			case 2: // out = c ? x : y
+				c, x, y := in(), in(), in()
+				inputs[v] = []Lit{c, x, y}
+				add(c.Not(), x.Not(), out)
+				add(c.Not(), x, out.Not())
+				add(c, y.Not(), out)
+				add(c, y, out.Not())
+			}
+		}
+		val := func(l Lit) bool { return s.Value(l.Var()) != l.Sign() }
+		for q := 0; q < 6; q++ {
+			var as []Lit
+			for i, n := 0, 1+r.Intn(3); i < n; i++ {
+				as = append(as, Pos(nVars-1-r.Intn(nVars/2)))
+				if r.Intn(2) == 0 {
+					as[i] = as[i].Not()
+				}
+			}
+			ref := append([][]Lit(nil), clauses...)
+			for _, a := range as {
+				ref = append(ref, []Lit{a})
+			}
+			want := bruteForce(nVars, ref)
+			d0, _ := s.Stats()
+			if s.SolveUnder(as...) != want {
+				t.Fatalf("trial %d query %d: unrestricted disagrees with brute force %v", trial, q, want)
+			}
+			d1, _ := s.Stats()
+			s.Restrict()
+			stack := []int{}
+			for _, a := range as {
+				if s.Mark(a.Var()) {
+					stack = append(stack, a.Var())
+				}
+			}
+			for len(stack) > 0 {
+				v := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				for _, in := range inputs[v] {
+					if s.Mark(in.Var()) {
+						stack = append(stack, in.Var())
+					}
+				}
+			}
+			got := s.SolveUnder(as...)
+			d2, _ := s.Stats()
+			decisions[0] += d2 - d1
+			decisions[1] += d1 - d0
+			if got != want {
+				t.Fatalf("trial %d query %d: restricted=%v brute=%v under %v", trial, q, got, want, as)
+			}
+			if err := checkOrder(s); err != nil {
+				t.Fatalf("trial %d query %d: %v", trial, q, err)
+			}
+			if !got {
+				continue
+			}
+			for _, a := range as {
+				if !val(a) {
+					t.Fatalf("trial %d query %d: assumption %v false in the model", trial, q, a)
+				}
+			}
+			for v := 0; v < nVars; v++ {
+				if !s.Marked(v) {
+					continue
+				}
+				if s.assigns[v] == lUndef {
+					t.Fatalf("trial %d query %d: cone var %d unassigned", trial, q, v)
+				}
+				in := inputs[v]
+				if in == nil {
+					continue
+				}
+				var f bool
+				switch kinds[v] {
+				case 0:
+					f = val(in[0]) && val(in[1])
+				case 1:
+					f = val(in[0]) != val(in[1])
+				case 2:
+					f = val(in[2])
+					if val(in[0]) {
+						f = val(in[1])
+					}
+				}
+				if s.Value(v) != f {
+					t.Fatalf("trial %d query %d: cone gate %d does not match its inputs", trial, q, v)
+				}
+			}
+		}
+	}
+	if decisions[0] >= decisions[1] {
+		t.Fatalf("restricted searches took %d decisions, unrestricted %d: the cone saved nothing",
+			decisions[0], decisions[1])
+	}
+}
+
 // scanPick is the reference branching rule the heap replaces: a linear
-// scan for the unassigned variable of highest activity. The strict >
-// over ascending indices sends ties to the lowest index.
+// scan for the unassigned variable of highest activity, within the
+// decision set during a restricted search. The strict > over
+// ascending indices sends ties to the lowest index.
 func scanPick(s *Solver) int {
 	best, bestAct := -1, -1.0
 	for v := range s.assigns {
+		if s.restricted && s.mark[v] != s.epoch {
+			continue
+		}
 		if s.assigns[v] == lUndef && s.activity[v] > bestAct {
 			best, bestAct = v, s.activity[v]
 		}
@@ -628,7 +789,8 @@ func scanPick(s *Solver) int {
 // orderPos agree, every parent in the heap outranks its children, the
 // heap holds only variables of positive activity and every unassigned
 // one of them, and no unassigned activity-0 variable sits below the
-// zero-tier cursor.
+// zero-tier cursor. During a restricted search the last two hold for
+// the marked variables only: unmarked ones are set aside or skipped.
 func checkOrder(s *Solver) error {
 	for i, v := range s.order {
 		if s.orderPos[v] != int32(i) {
@@ -651,7 +813,7 @@ func checkOrder(s *Solver) error {
 		if i >= 0 && (int(i) >= len(s.order) || s.order[i] != int32(v)) {
 			return fmt.Errorf("orderPos[%d] = %d points at the wrong slot", v, i)
 		}
-		if s.assigns[v] != lUndef {
+		if s.assigns[v] != lUndef || s.restricted && s.mark[v] != s.epoch {
 			continue
 		}
 		if s.activity[v] > 0 && i < 0 {
@@ -666,13 +828,16 @@ func checkOrder(s *Solver) error {
 
 // heapWorkload drives one solver through a seeded mix of everything
 // that moves the branching heap — open scopes, assumption queries,
-// learnt-clause deletion under a small cap, variables added mid-session,
-// forced activity rescales (some underflowing to zero) and planted
-// activity ties — and returns a transcript of every answer, the
-// Stats() counters and the full model after each query.
+// searches restricted to a random decision set, learnt-clause deletion
+// under a small cap, variables added mid-session, forced activity
+// rescales (some underflowing to zero) and planted activity ties — and
+// returns a transcript of every answer, the Stats() counters and the
+// full model after each query, plus an "order:" line for any branching
+// invariant broken after a solve.
 func heapWorkload(seed int64) []string {
 	r := rand.New(rand.NewSource(seed))
 	s := New()
+	sc := &scopes{s: s}
 	if r.Intn(2) == 0 {
 		s.SetLearntCap(4 + r.Intn(16))
 	}
@@ -697,11 +862,11 @@ func heapWorkload(seed int64) []string {
 	}
 	var out []string
 	for round := 0; round < 12; round++ {
-		if s.ScopeDepth() < 3 && r.Intn(2) == 0 {
-			s.Push()
+		if sc.depth() < 3 && r.Intn(2) == 0 {
+			sc.push()
 		}
 		for i, n := 0, r.Intn(4); i < n; i++ {
-			s.AddScoped(randClause(2 + r.Intn(2))...)
+			sc.add(randClause(2 + r.Intn(2))...)
 		}
 		if r.Intn(3) == 0 {
 			for i, n := 0, 1+r.Intn(4); i < n; i++ {
@@ -728,18 +893,28 @@ func heapWorkload(seed int64) []string {
 			s.reorder()
 		}
 		var ok bool
-		if r.Intn(3) == 0 {
+		restricted := false
+		if sc.depth() == 0 && r.Intn(3) == 0 {
 			ok = s.Solve()
 		} else {
 			var as []Lit
 			for i, n := 0, r.Intn(4); i < n; i++ {
 				as = append(as, randClause(1)[0])
 			}
-			ok = s.SolveUnder(as...)
+			if r.Intn(2) == 0 {
+				restricted = true
+				s.Restrict()
+				for v := 0; v < s.NumVars(); v++ {
+					if r.Intn(2) == 0 {
+						s.Mark(v)
+					}
+				}
+			}
+			ok = sc.solve(as...)
 		}
 		d, c := s.Stats()
-		line := fmt.Sprintf("round %d: sat=%v decisions=%d conflicts=%d learnts=%d deleted=%d model=",
-			round, ok, d, c, s.NumLearnts(), s.DeletedLearnts())
+		line := fmt.Sprintf("round %d: restricted=%v sat=%v decisions=%d conflicts=%d learnts=%d deleted=%d model=",
+			round, restricted, ok, d, c, s.NumLearnts(), s.DeletedLearnts())
 		if ok {
 			for v := 0; v < s.NumVars(); v++ {
 				if s.Value(v) {
@@ -750,8 +925,11 @@ func heapWorkload(seed int64) []string {
 			}
 		}
 		out = append(out, line)
-		if s.ScopeDepth() > 0 && r.Intn(2) == 0 {
-			s.Pop()
+		if err := checkOrder(s); err != nil {
+			out = append(out, "order: "+err.Error())
+		}
+		if sc.depth() > 0 && r.Intn(2) == 0 {
+			sc.pop()
 		}
 	}
 	return out
@@ -782,7 +960,11 @@ func TestHeapPicksMatchScan(t *testing.T) {
 	}
 	for seed = 0; seed < 300; seed++ {
 		lastInc = 0
-		heapWorkload(seed)
+		for _, line := range heapWorkload(seed) {
+			if strings.HasPrefix(line, "order:") {
+				t.Fatalf("seed %d after a solve: %s", seed, line)
+			}
+		}
 	}
 	t.Logf("%d picks, %d rescales", picks, rescales)
 	if picks < 10000 || rescales < 20 {
@@ -958,11 +1140,11 @@ func TestTwoTierEdgeCases(t *testing.T) {
 // BenchmarkSessionManyVars drives one long incremental session the
 // way the bitvector solver does: each query brings fresh symbolic
 // input bits, bit-blasts gate variables over them under permanent
-// definitional clauses, asserts its condition in a scope, decides a
-// branch literal with SolveUnder and pops. The session keeps every
-// variable across pops and grows to about 4k of them, the size of a
-// corpus driver's exploration session, so any per-decision cost that
-// scales with the variable count shows.
+// definitional clauses, and decides a branch literal under a path
+// root, both as assumptions, branching only on their cone. The
+// session keeps every variable and grows to about 4k of them, the
+// size of a corpus driver's exploration session, so any per-decision
+// cost that scales with the variable count shows.
 func BenchmarkSessionManyVars(b *testing.B) {
 	const target = 4096
 	var decisions int64
@@ -970,6 +1152,8 @@ func BenchmarkSessionManyVars(b *testing.B) {
 		r := rand.New(rand.NewSource(1))
 		s := New()
 		lits := []Lit{Pos(s.NewVar())}
+		// inputs[v] are gate v's input variables (none for input bits).
+		inputs := [][]int{nil}
 		pick := func() Lit {
 			// Prefer recent gates, as a branch condition reuses the
 			// path's latest symbolic values.
@@ -979,10 +1163,28 @@ func BenchmarkSessionManyVars(b *testing.B) {
 			}
 			return l
 		}
+		var stack []int
+		markCone := func(roots ...Lit) {
+			s.Restrict()
+			for _, l := range roots {
+				if s.Mark(l.Var()) {
+					stack = append(stack, l.Var())
+				}
+			}
+			for len(stack) > 0 {
+				v := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				for _, in := range inputs[v] {
+					if s.Mark(in) {
+						stack = append(stack, in)
+					}
+				}
+			}
+		}
 		for s.NumVars() < target {
-			s.Push()
 			for in := 0; in < 8; in++ {
 				lits = append(lits, Pos(s.NewVar()))
+				inputs = append(inputs, nil)
 			}
 			for g := 0; g < 24; g++ {
 				x, y, out := pick(), pick(), Pos(s.NewVar())
@@ -997,10 +1199,11 @@ func BenchmarkSessionManyVars(b *testing.B) {
 					s.AddClause(out, x, y.Not())
 				}
 				lits = append(lits, out)
+				inputs = append(inputs, []int{x.Var(), y.Var()})
 			}
-			s.AddScoped(pick())
-			s.SolveUnder(pick())
-			s.Pop()
+			root, cond := pick(), pick()
+			markCone(root, cond)
+			s.SolveUnder(root, cond)
 		}
 		d, _ := s.Stats()
 		decisions += d

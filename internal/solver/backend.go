@@ -2,6 +2,7 @@ package solver
 
 import (
 	"revnic/internal/expr"
+	"revnic/internal/sat"
 )
 
 // Verdict is the backend's answer to a satisfiability query. Unlike
@@ -32,28 +33,32 @@ func (v Verdict) String() string {
 // coreBackend is the decision procedure underneath the solver front
 // end: bit-blasting to CNF over the CDCL SAT core (package sat). The
 // front end owns everything query-shaped — fingerprint caches, the
-// counterexample index, constraint slicing — and the backend only
-// decides conjunctions through a scoped assertion stack:
+// counterexample index, constraint slicing, the incremental session's
+// constraint stack — and the backend only decides conjunctions:
 //
-//   - Assert(c) conjoins constraint c (a width-1 expression) at the
-//     current scope. Assertions made with no open scope are permanent.
-//   - Push opens a scope; Pop retires the most recent scope and every
-//     assertion made inside it. Pop on an empty scope stack panics.
-//   - SolveUnder(cond) decides SAT(asserted ∧ cond) without asserting
-//     cond; cond == nil decides the asserted conjunction alone.
+//   - Assert(c) conjoins constraint c (a width-1 expression)
+//     permanently; Solve then decides the asserted conjunction. The
+//     one-shot queries (Satisfiable, Model) use this pair.
+//   - Root(c) blasts c and returns its root literal without asserting
+//     it; SolveUnder(roots, cond) decides roots ∧ cond with every root
+//     and cond as SAT assumptions. The incremental session uses this
+//     pair: its path constraints are a stack of root literals, so a
+//     pop retracts nothing from the clause database.
 //   - Model, valid only immediately after a VSat verdict, returns a
 //     satisfying assignment as a fresh name→value map.
 //
-// Scopes map to sat assumption-selector scopes: only the root literal
-// of each asserted constraint is scoped — the definitional gate
-// clauses the blaster emits stay permanent, because the blaster memo
-// outlives pops and a memoized literal whose defining clauses were
-// retired would be unconstrained.
+// Every clause the blaster emits defines a gate variable and stays
+// permanent, so learnt clauses stay valid whichever roots a later
+// query assumes, and a memoized literal is always defined.
+// SolveUnder branches only on the cone of its assumptions (see
+// blaster.markCone); Model then reads the symbols of that cone.
 //
 // A backend is not safe for concurrent use; the front end serializes
 // access (sessions under incMu, one-shots on private instances).
 type coreBackend struct {
-	b *blaster
+	b       *blaster
+	assumps []sat.Lit // SolveUnder's buffer: the roots, then cond
+	cone    bool      // the last solve was restricted to a cone
 }
 
 // newCoreBackend builds a backend whose SAT instance polls interrupt,
@@ -67,26 +72,30 @@ func newCoreBackend(interrupt func() bool) *coreBackend {
 	return &coreBackend{b: b}
 }
 
-func (c *coreBackend) Assert(e *expr.Expr) {
-	lit := c.b.blast(e)[0]
-	c.b.s.AddScoped(lit)
+func (c *coreBackend) Assert(e *expr.Expr) { c.b.s.AddClause(c.Root(e)) }
+
+func (c *coreBackend) Root(e *expr.Expr) sat.Lit { return c.b.blast(e)[0] }
+
+func (c *coreBackend) Solve() Verdict {
+	c.cone = false
+	return c.verdict(c.b.s.Solve())
 }
 
-func (c *coreBackend) Push() { c.b.s.Push() }
-func (c *coreBackend) Pop()  { c.b.s.Pop() }
-
-func (c *coreBackend) SolveUnder(cond *expr.Expr) Verdict {
-	var ok bool
-	switch {
-	case cond == nil || cond.IsTrue():
-		ok = c.b.s.Solve()
-	case cond.IsFalse():
-		// asserted ∧ false is unsatisfiable regardless of the stack.
+func (c *coreBackend) SolveUnder(roots []sat.Lit, cond *expr.Expr) Verdict {
+	if cond != nil && cond.IsFalse() {
 		return VUnsat
-	default:
-		lit := c.b.blast(cond)[0]
-		ok = c.b.s.SolveUnder(lit)
 	}
+	as := append(c.assumps[:0], roots...)
+	if cond != nil && !cond.IsTrue() {
+		as = append(as, c.Root(cond))
+	}
+	c.assumps = as
+	c.b.markCone(as)
+	c.cone = true
+	return c.verdict(c.b.s.SolveUnder(as...))
+}
+
+func (c *coreBackend) verdict(ok bool) Verdict {
 	if ok {
 		return VSat
 	}
@@ -96,4 +105,4 @@ func (c *coreBackend) SolveUnder(cond *expr.Expr) Verdict {
 	return VUnsat
 }
 
-func (c *coreBackend) Model() map[string]uint32 { return c.b.model() }
+func (c *coreBackend) Model() map[string]uint32 { return c.b.model(c.cone) }

@@ -11,11 +11,21 @@ import (
 // of a value is lits[i] (LSB first). The memo keys on interned
 // expression IDs, so a blaster living across queries (the incremental
 // session) translates each distinct sub-expression once.
+//
+// Every variable is a symbol bit or the output of an AND, XOR or MUX
+// gate, whose clauses define it as a total function of its inputs.
+// inputs records each gate's input variables, so the session can
+// restrict branching to a query's cone (markCone).
 type blaster struct {
 	s     *sat.Solver
 	memo  map[uint64][]sat.Lit
 	syms  map[string][]sat.Lit
 	true_ sat.Lit
+	// inputs[3v:3v+3] are the input variables of gate variable v. The
+	// constant variable 0 never needs deciding, so 0 also pads the
+	// slots of two-input gates and of symbol bits.
+	inputs []uint32
+	stack  []uint32 // markCone's work list
 }
 
 func newBlaster() *blaster {
@@ -24,18 +34,44 @@ func newBlaster() *blaster {
 		memo: map[uint64][]sat.Lit{},
 		syms: map[string][]sat.Lit{},
 	}
-	v := b.s.NewVar()
-	b.true_ = sat.Pos(v)
+	b.true_ = b.fresh()
 	b.s.AddClause(b.true_)
 	return b
 }
 
-// model reads the satisfying assignment for every symbol the blaster
-// has translated. Valid only directly after a successful Solve or
-// SolveUnder on b.s.
-func (b *blaster) model() map[string]uint32 {
+// markCone opens a restricted decision set on b.s holding the cone of
+// the given literals: their variables and, transitively, the inputs
+// of every gate among them.
+func (b *blaster) markCone(lits []sat.Lit) {
+	b.s.Restrict()
+	stack := b.stack[:0]
+	for _, l := range lits {
+		if v := l.Var(); b.s.Mark(v) {
+			stack = append(stack, uint32(v))
+		}
+	}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, in := range b.inputs[3*v : 3*v+3] {
+			if in != 0 && b.s.Mark(int(in)) {
+				stack = append(stack, in)
+			}
+		}
+	}
+	b.stack = stack
+}
+
+// model reads the satisfying assignment of the symbols the blaster has
+// translated: all of them after Solve, and after a restricted
+// SolveUnder (cone) only those with a bit in the decision set. Valid
+// only directly after a successful solve on b.s.
+func (b *blaster) model(cone bool) map[string]uint32 {
 	model := make(map[string]uint32, len(b.syms))
 	for name, bits := range b.syms {
+		if cone && !b.marked(bits) {
+			continue
+		}
 		var v uint32
 		for i, lit := range bits {
 			if b.s.Value(lit.Var()) != lit.Sign() {
@@ -45,6 +81,16 @@ func (b *blaster) model() map[string]uint32 {
 		model[name] = v
 	}
 	return model
+}
+
+// marked reports whether any of bits is in the decision set.
+func (b *blaster) marked(bits []sat.Lit) bool {
+	for _, l := range bits {
+		if b.s.Marked(l.Var()) {
+			return true
+		}
+	}
+	return false
 }
 
 func (b *blaster) constLit(v bool) sat.Lit {
@@ -64,7 +110,15 @@ func (b *blaster) isConst(l sat.Lit) (bool, bool) {
 	return false, false
 }
 
-func (b *blaster) fresh() sat.Lit { return sat.Pos(b.s.NewVar()) }
+// fresh returns a new input variable: a symbol bit (or the constant).
+func (b *blaster) fresh() sat.Lit { return b.gate(b.true_, b.true_, b.true_) }
+
+// gate returns a new variable defined by the caller's clauses over
+// the inputs x, y and z (b.true_ for an unused input).
+func (b *blaster) gate(x, y, z sat.Lit) sat.Lit {
+	b.inputs = append(b.inputs, uint32(x.Var()), uint32(y.Var()), uint32(z.Var()))
+	return sat.Pos(b.s.NewVar())
+}
 
 // gateAnd returns a literal equivalent to x ∧ y.
 func (b *blaster) gateAnd(x, y sat.Lit) sat.Lit {
@@ -86,7 +140,7 @@ func (b *blaster) gateAnd(x, y sat.Lit) sat.Lit {
 	if x == y.Not() {
 		return b.constLit(false)
 	}
-	out := b.fresh()
+	out := b.gate(x, y, b.true_)
 	b.s.AddClause(out.Not(), x)
 	b.s.AddClause(out.Not(), y)
 	b.s.AddClause(out, x.Not(), y.Not())
@@ -116,7 +170,7 @@ func (b *blaster) gateXor(x, y sat.Lit) sat.Lit {
 	if x == y.Not() {
 		return b.constLit(true)
 	}
-	out := b.fresh()
+	out := b.gate(x, y, b.true_)
 	b.s.AddClause(out.Not(), x, y)
 	b.s.AddClause(out.Not(), x.Not(), y.Not())
 	b.s.AddClause(out, x.Not(), y)
@@ -135,7 +189,7 @@ func (b *blaster) gateMux(c, x, y sat.Lit) sat.Lit {
 	if x == y {
 		return x
 	}
-	out := b.fresh()
+	out := b.gate(c, x, y)
 	b.s.AddClause(c.Not(), x.Not(), out)
 	b.s.AddClause(c.Not(), x, out.Not())
 	b.s.AddClause(c, y.Not(), out)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"revnic/internal/expr"
+	"revnic/internal/sat"
 )
 
 // randCons builds a random width-1 constraint over the given 4-bit
@@ -67,9 +68,9 @@ func bruteSat(names []string, cons []*expr.Expr) bool {
 }
 
 // BackendConformanceTest is the backend conformance harness: the core
-// backend must agree with brute-force ground truth on scoped queries,
-// produce verifiable models, keep push/pop balanced, and honor the
-// interrupt hook.
+// backend must agree with brute-force ground truth on one-shot and
+// root-stack queries, produce verifiable models, drop popped roots,
+// and honor the interrupt hook.
 func BackendConformanceTest(t *testing.T) {
 	t.Helper()
 	names := []string{"cfa", "cfb", "cfc"}
@@ -77,29 +78,39 @@ func BackendConformanceTest(t *testing.T) {
 	for i, n := range names {
 		vars[i] = expr.S(n, 4)
 	}
+	checkModel := func(t *testing.T, m map[string]uint32, cons []*expr.Expr) {
+		t.Helper()
+		ev := expr.NewEvaluator(m)
+		for _, c := range cons {
+			if ev.Eval(c) == 0 {
+				t.Fatalf("model %v violates %v", m, c)
+			}
+		}
+	}
 
 	t.Run("agreement", func(t *testing.T) {
 		r := rand.New(rand.NewSource(17))
 		for trial := 0; trial < 40; trial++ {
 			b := newCoreBackend(nil)
-			all := []*expr.Expr{}
+			var all []*expr.Expr
+			var roots []sat.Lit
 			for i, n := 0, r.Intn(3); i < n; i++ {
 				c := randCons(r, vars)
 				all = append(all, c)
-				b.Assert(c)
+				roots = append(roots, b.Root(c))
 			}
 			base := len(all)
 			for cycle := 0; cycle < 3; cycle++ {
-				all = all[:base]
-				b.Push()
+				all, roots = all[:base], roots[:base]
 				for i, n := 0, r.Intn(2); i < n; i++ {
 					c := randCons(r, vars)
 					all = append(all, c)
-					b.Assert(c)
+					roots = append(roots, b.Root(c))
 				}
 				cond := randCons(r, vars)
-				want := bruteSat(names, append(append([]*expr.Expr{}, all...), cond))
-				v := b.SolveUnder(cond)
+				query := append(append([]*expr.Expr{}, all...), cond)
+				want := bruteSat(names, query)
+				v := b.SolveUnder(roots, cond)
 				if v == VUnknown {
 					t.Fatalf("trial %d cycle %d: VUnknown without an interrupt", trial, cycle)
 				}
@@ -107,54 +118,48 @@ func BackendConformanceTest(t *testing.T) {
 					t.Fatalf("trial %d cycle %d: verdict %v, brute force %v", trial, cycle, v, want)
 				}
 				if v == VSat {
-					m := b.Model()
-					ev := expr.NewEvaluator(m)
-					for _, c := range append(append([]*expr.Expr{}, all...), cond) {
-						if ev.Eval(c) == 0 {
-							t.Fatalf("trial %d cycle %d: model %v violates %v", trial, cycle, m, c)
-						}
-					}
+					checkModel(t, b.Model(), query)
 				}
-				b.Pop()
 			}
 			// After all pops: base constraints only.
 			want := bruteSat(names, all[:base])
-			if v := b.SolveUnder(nil); (v == VSat) != want {
+			if v := b.SolveUnder(roots[:base], nil); (v == VSat) != want {
 				t.Fatalf("trial %d: after pops verdict %v, brute force %v", trial, v, want)
+			}
+			// The one-shot path on a fresh backend agrees too.
+			one := newCoreBackend(nil)
+			for _, c := range all[:base] {
+				one.Assert(c)
+			}
+			v := one.Solve()
+			if (v == VSat) != want {
+				t.Fatalf("trial %d: one-shot verdict %v, brute force %v", trial, v, want)
+			}
+			if v == VSat {
+				checkModel(t, one.Model(), all[:base])
 			}
 		}
 	})
 
 	t.Run("pushpop-balance", func(t *testing.T) {
 		b := newCoreBackend(nil)
-		b.Assert(expr.Eq(vars[0], expr.C(3, 4)))
+		roots := []sat.Lit{b.Root(expr.Eq(vars[0], expr.C(3, 4)))}
 		for depth := 0; depth < 5; depth++ {
-			b.Push()
-			b.Assert(expr.Not(expr.Eq(vars[0], expr.C(uint32(depth+4), 4))))
+			roots = append(roots, b.Root(expr.Not(expr.Eq(vars[0], expr.C(uint32(depth+4), 4)))))
 		}
-		if v := b.SolveUnder(nil); v != VSat {
+		if v := b.SolveUnder(roots, nil); v != VSat {
 			t.Fatalf("verdict %v at depth 5, want sat", v)
 		}
-		b.Push()
-		b.Assert(expr.Not(expr.Eq(vars[0], expr.C(3, 4))))
-		if v := b.SolveUnder(nil); v != VUnsat {
-			t.Fatalf("verdict %v with contradictory scope, want unsat", v)
+		roots = append(roots, b.Root(expr.Not(expr.Eq(vars[0], expr.C(3, 4)))))
+		if v := b.SolveUnder(roots, nil); v != VUnsat {
+			t.Fatalf("verdict %v with contradictory root, want unsat", v)
 		}
-		for depth := 0; depth < 6; depth++ {
-			b.Pop()
+		if v := b.SolveUnder(roots[:1], nil); v != VSat {
+			t.Fatalf("verdict %v after unwinding all roots, want sat", v)
 		}
-		if v := b.SolveUnder(nil); v != VSat {
-			t.Fatalf("verdict %v after unwinding all scopes, want sat", v)
+		if m := b.Model(); m["cfa"] != 3 {
+			t.Fatalf("model %v, want cfa = 3", m)
 		}
-	})
-
-	t.Run("pop-unbalanced-panics", func(t *testing.T) {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Pop with no open scope did not panic")
-			}
-		}()
-		newCoreBackend(nil).Pop()
 	})
 
 	t.Run("interrupt-honored", func(t *testing.T) {
@@ -163,7 +168,7 @@ func BackendConformanceTest(t *testing.T) {
 		x, y := expr.S("cfix", 32), expr.S("cfiy", 32)
 		b := newCoreBackend(func() bool { return true })
 		b.Assert(expr.Eq(expr.Mul(x, y), expr.C(0xDEADBEEF, 32)))
-		if v := b.SolveUnder(nil); v != VUnknown {
+		if v := b.Solve(); v != VUnknown {
 			t.Fatalf("verdict %v under always-firing interrupt, want unknown", v)
 		}
 	})
@@ -219,11 +224,10 @@ func TestPortfolioAbortedNeverCached(t *testing.T) {
 	}
 }
 
-// TestSessionSharesPrefixAcrossSiblings pins the push/pop payoff:
+// TestSessionSharesPrefixAcrossSiblings pins the root-stack payoff:
 // alternating between two sibling constraint prefixes (same parent
 // path, different last constraint) must keep one backend session
-// alive instead of rebuilding per flip — the pre-push/pop design
-// rebuilt on every prefix mismatch.
+// alive instead of rebuilding per flip.
 func TestSessionSharesPrefixAcrossSiblings(t *testing.T) {
 	s := New()
 	x, y := expr.S("ssa", 8), expr.S("ssb", 8)

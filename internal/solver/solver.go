@@ -5,9 +5,9 @@
 //     fingerprint-keyed verdict/model caches, the per-variable-set
 //     counterexample index, constraint-independence slicing, and
 //     incremental sessions;
-//   - the core backend (backend.go): a scoped Assert / Push / Pop /
-//     SolveUnder / Model stack over the bit-blaster (blast.go) and the
-//     CDCL SAT core (package sat).
+//   - the core backend (backend.go): Assert / Solve for one-shot
+//     queries, Root / SolveUnder for the session, and Model, over the
+//     bit-blaster (blast.go) and the CDCL SAT core (package sat).
 //
 // It fills the role STP fills for KLEE in the original RevNIC: the
 // symbolic execution engine asks, at every branch that depends on
@@ -24,11 +24,11 @@
 //     job-wide: weaker queries by re-evaluating indexed models,
 //     stronger queries by UNSAT-set subsumption;
 //   - branch-feasibility queries (MayBeTrue) run incrementally: the
-//     solver keeps one backend session whose assertion stack mirrors
-//     the sliced constraint prefix through Push/Pop scopes, so
-//     sibling states after a fork share the asserted prefix instead
-//     of rebuilding it, and each condition is decided under an
-//     assumption (SolveUnder).
+//     solver keeps one backend session whose stack of root literals
+//     mirrors the sliced constraint prefix, so sibling states after a
+//     fork share the blasted prefix instead of rebuilding it. The
+//     roots and the condition are decided as SAT assumptions
+//     (SolveUnder), branching only on their cone.
 //
 // Determinism contract: query answers and every cache side effect are
 // bit-identical run-to-run.
@@ -39,6 +39,7 @@ import (
 	"sync/atomic"
 
 	"revnic/internal/expr"
+	"revnic/internal/sat"
 )
 
 // Result is the outcome of a satisfiability query.
@@ -106,29 +107,23 @@ type Solver struct {
 	modelHits atomic.Int64
 	evictions atomic.Int64
 	extended  atomic.Int64
-	rebuilt   atomic.Int64
+	created   atomic.Int64
 	decisions atomic.Int64
 	conflicts atomic.Int64
 }
 
-// session is the incremental backend context for one constraint
-// prefix: the backend's assertion stack holds one Push scope per
-// constraint in ids, asserted in order. A query synchronizes the
-// stack with its own prefix by popping back to the longest common
-// prefix and pushing the new suffix — sibling states after a fork
-// share everything up to the fork point instead of rebuilding.
+// session is the incremental backend context: roots[i] is the root
+// literal of the constraint with interned ID ids[i], and a query
+// decides its condition under all of them. A query synchronizes the
+// stack with its own prefix by truncating it to the longest common
+// prefix and appending the new suffix — sibling states after a fork
+// share everything up to the fork point. Truncating retracts nothing
+// from the SAT instance: a root is an assumption, not a clause.
 type session struct {
-	b   *coreBackend
-	ids []uint64
-	// pops counts scopes retired since the session was built; each
-	// pop leaves a dead selector variable behind in a SAT-backed
-	// session, so past a threshold the session is rebuilt fresh. The
-	// trigger is count-based and therefore deterministic.
-	pops int
+	b     *coreBackend
+	ids   []uint64
+	roots []sat.Lit
 }
-
-// sessionPopGC is the pop count after which a session is rebuilt.
-const sessionPopGC = 4096
 
 // New returns a solver with the default configuration: the default
 // arena and no interrupt hook.
@@ -176,9 +171,11 @@ type SearchStats struct {
 	Decisions int64 `json:"decisions"`
 	Conflicts int64 `json:"conflicts"`
 	// SessionsExtended counts incremental queries served by the
-	// running backend session (synchronized via push/pop, possibly
-	// asserting new suffix constraints); SessionsRebuilt counts those
-	// that had to start a fresh session.
+	// running backend session (its root stack truncated to the shared
+	// prefix, possibly extended by new suffix constraints);
+	// SessionsRebuilt counts sessions created, one per solver that
+	// answered an incremental query (the first such query creates it,
+	// and a session is never rebuilt).
 	SessionsExtended int64 `json:"sessions_extended"`
 	SessionsRebuilt  int64 `json:"sessions_rebuilt"`
 }
@@ -198,19 +195,32 @@ func (s *Solver) Search() SearchStats {
 		Decisions:        s.decisions.Load(),
 		Conflicts:        s.conflicts.Load(),
 		SessionsExtended: s.extended.Load(),
-		SessionsRebuilt:  s.rebuilt.Load(),
+		SessionsRebuilt:  s.created.Load(),
 	}
 }
 
-// decide runs b.SolveUnder(cond) and adds the SAT decisions and
-// conflicts it took to the solver's counts.
-func (s *Solver) decide(b *coreBackend, cond *expr.Expr) Verdict {
-	d0, c0 := b.b.s.Stats()
-	v := b.SolveUnder(cond)
+// tally adds the SAT decisions and conflicts b took since it stood at
+// (d0, c0) to the solver's counts.
+func (s *Solver) tally(b *coreBackend, d0, c0 int64) {
 	d1, c1 := b.b.s.Stats()
 	s.decisions.Add(d1 - d0)
 	s.conflicts.Add(c1 - c0)
-	return v
+}
+
+// oneShot decides the conjunction of live on a private backend, with
+// the constraints asserted as unit clauses, and returns the model of
+// a VSat verdict.
+func (s *Solver) oneShot(live []*expr.Expr) (Verdict, map[string]uint32) {
+	b := s.newBackend()
+	for _, c := range live {
+		b.Assert(c)
+	}
+	v := b.Solve()
+	s.tally(b, 0, 0)
+	if v == VSat {
+		return v, b.Model()
+	}
+	return v, nil
 }
 
 // CacheSize returns the current number of memoized queries.
@@ -252,13 +262,9 @@ func (s *Solver) Satisfiable(constraints []*expr.Expr) bool {
 		s.cachePut(fp, false)
 		return false
 	}
-	b := s.newBackend()
-	for _, c := range live {
-		b.Assert(c)
-	}
-	switch s.decide(b, nil) {
+	switch v, model := s.oneShot(live); v {
 	case VSat:
-		s.storeModel(fp, sig, b.Model())
+		s.storeModel(fp, sig, model)
 		s.cachePut(fp, true)
 		return true
 	case VUnsat:
@@ -274,11 +280,11 @@ func (s *Solver) Satisfiable(constraints []*expr.Expr) bool {
 // MayBeTrue reports whether cond can be true under the path
 // constraints: SAT(pc ∧ cond). The path condition is sliced to the
 // constraints relevant to cond first; the sliced prefix lives on a
-// shared backend session — synchronized by push/pop so sibling states
-// after a fork share the common prefix — and cond is decided under an
-// assumption (SolveUnder), so a branch's two queries (cond, ¬cond)
-// and consecutive branches over the same variables share translation
-// work and learnt clauses.
+// shared backend session as a stack of root literals, so sibling
+// states after a fork share the common prefix, and the roots and cond
+// are decided as assumptions (SolveUnder), so a branch's two queries
+// (cond, ¬cond) and consecutive branches over the same variables share
+// translation work and learnt clauses.
 func (s *Solver) MayBeTrue(pc []*expr.Expr, cond *expr.Expr) bool {
 	s.queries.Add(1)
 	prefix, unsat := liveConstraints(Slice(pc, cond))
@@ -330,20 +336,19 @@ func (s *Solver) MayBeTrue(pc []*expr.Expr, cond *expr.Expr) bool {
 }
 
 // solveSession decides SAT(prefix ∧ cond) on the shared session. The
-// session's scoped assertion stack is synchronized with the prefix:
-// pop back to the longest common prefix, push and assert the suffix.
+// session's root stack is synchronized with the prefix: truncate to
+// the longest common prefix, blast the suffix and push its roots.
 // After a fork, the two children differ only in their last
 // constraint, so the whole shared prefix — its CNF and its learnt
-// clauses — is reused instead of rebuilt (the pre-push/pop design
-// rebuilt on any mismatch).
+// clauses — is reused instead of rebuilt.
 func (s *Solver) solveSession(prefix []*expr.Expr, cond *expr.Expr) (Verdict, map[string]uint32) {
 	s.incMu.Lock()
 	defer s.incMu.Unlock()
 	sess := s.inc
-	if sess == nil || sess.pops >= sessionPopGC {
+	if sess == nil {
 		sess = &session{b: s.newBackend()}
 		s.inc = sess
-		s.rebuilt.Add(1)
+		s.created.Add(1)
 	} else {
 		s.extended.Add(1)
 	}
@@ -352,17 +357,14 @@ func (s *Solver) solveSession(prefix []*expr.Expr, cond *expr.Expr) (Verdict, ma
 		sess.ids[common] == prefix[common].ID() {
 		common++
 	}
-	for n := len(sess.ids); n > common; n-- {
-		sess.b.Pop()
-		sess.pops++
-	}
-	sess.ids = sess.ids[:common]
+	sess.ids, sess.roots = sess.ids[:common], sess.roots[:common]
 	for _, c := range prefix[common:] {
-		sess.b.Push()
-		sess.b.Assert(c)
 		sess.ids = append(sess.ids, c.ID())
+		sess.roots = append(sess.roots, sess.b.Root(c))
 	}
-	v := s.decide(sess.b, cond)
+	d0, c0 := sess.b.b.s.Stats()
+	v := sess.b.SolveUnder(sess.roots, cond)
+	s.tally(sess.b, d0, c0)
 	if v == VSat {
 		return v, sess.b.Model()
 	}
@@ -412,13 +414,8 @@ func (s *Solver) Model(constraints []*expr.Expr) (map[string]uint32, bool) {
 		s.cachePut(fp, false)
 		return nil, false
 	}
-	b := s.newBackend()
-	for _, c := range live {
-		b.Assert(c)
-	}
-	switch s.decide(b, nil) {
+	switch v, model := s.oneShot(live); v {
 	case VSat:
-		model := b.Model()
 		s.cachePut(fp, true)
 		s.storeModel(fp, sig, model)
 		return copyModel(model), true
