@@ -277,18 +277,17 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 // the clause is a tautology or already satisfied.
 func (s *Solver) simplify(lits []Lit) (out []Lit, satisfied bool) {
 	out = s.addBuf[:0]
-	defer func() { s.addBuf = out[:0] }()
 	for _, l := range lits {
 		switch s.value(l) {
 		case lTrue:
-			return out, true
+			return nil, true
 		case lFalse:
 			continue
 		}
 		dup := false
 		for _, o := range out {
 			if o == l.Not() {
-				return out, true
+				return nil, true
 			}
 			if o == l {
 				dup = true
@@ -298,6 +297,7 @@ func (s *Solver) simplify(lits []Lit) (out []Lit, satisfied bool) {
 			out = append(out, l)
 		}
 	}
+	s.addBuf = out
 	return out, false
 }
 
@@ -327,7 +327,7 @@ func (s *Solver) lits(c uint32) []Lit {
 	return s.arena[c+clauseHdr : c+clauseHdr+n]
 }
 
-func (s *Solver) learnt(c uint32) bool { return s.arena[c]&hdrLearnt != 0 }
+func (s *Solver) isLearnt(c uint32) bool { return s.arena[c]&hdrLearnt != 0 }
 
 func (s *Solver) watchClause(c uint32) {
 	lits := s.lits(c)
@@ -652,7 +652,7 @@ func (s *Solver) analyze(conflict uint32) ([]Lit, int) {
 	c := conflict
 
 	for {
-		if s.learnt(c) {
+		if s.isLearnt(c) {
 			s.bumpClause(c)
 		}
 		start := 0
@@ -856,8 +856,8 @@ func (s *Solver) Solve() bool {
 // sound when the marked set is closed under definitions: every
 // variable outside it is a total function (through definitional
 // clauses) of inputs that are free or marked, so any conflict-free
-// assignment of the set extends to a full model. Value is then
-// meaningful for marked variables only.
+// assignment of the set extends to a full model. Value answers for
+// the marked variables from that assignment.
 func (s *Solver) Restrict() {
 	s.restricted = true
 	s.epoch++
@@ -876,9 +876,6 @@ func (s *Solver) Mark(v int) bool {
 	s.mark[v] = s.epoch
 	return true
 }
-
-// Marked reports whether v is in the most recent decision set.
-func (s *Solver) Marked(v int) bool { return s.epoch != 0 && s.mark[v] == s.epoch }
 
 // SolveUnder determines satisfiability under the given assumption
 // literals without permanently asserting them. It is used by the
@@ -995,6 +992,14 @@ func (s *Solver) solveUnder(assumptions []Lit) bool {
 }
 
 // Value reports the model value of variable v after a successful
-// Solve. Unassigned variables (possible when the formula does not
-// constrain them) report false.
-func (s *Solver) Value(v int) bool { return s.assigns[v] == lTrue }
+// Solve or SolveUnder. A variable a restricted search left unassigned
+// reports its saved phase: the value the last search to assign it gave
+// it, false if none did. The query does not constrain such a variable,
+// and reading its phase keeps the models of successive queries alike,
+// as they are when every search assigns every variable.
+func (s *Solver) Value(v int) bool {
+	if a := s.assigns[v]; a != lUndef {
+		return a == lTrue
+	}
+	return s.polarity[v]
+}

@@ -734,7 +734,7 @@ func TestRestrictedConeSound(t *testing.T) {
 				}
 			}
 			for v := 0; v < nVars; v++ {
-				if !s.Marked(v) {
+				if s.mark[v] != s.epoch {
 					continue
 				}
 				if s.assigns[v] == lUndef {

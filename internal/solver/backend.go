@@ -51,14 +51,13 @@ func (v Verdict) String() string {
 // permanent, so learnt clauses stay valid whichever roots a later
 // query assumes, and a memoized literal is always defined.
 // SolveUnder branches only on the cone of its assumptions (see
-// blaster.markCone); Model then reads the symbols of that cone.
+// blaster.markCone).
 //
 // A backend is not safe for concurrent use; the front end serializes
 // access (sessions under incMu, one-shots on private instances).
 type coreBackend struct {
 	b       *blaster
 	assumps []sat.Lit // SolveUnder's buffer: the roots, then cond
-	cone    bool      // the last solve was restricted to a cone
 }
 
 // newCoreBackend builds a backend whose SAT instance polls interrupt,
@@ -76,10 +75,7 @@ func (c *coreBackend) Assert(e *expr.Expr) { c.b.s.AddClause(c.Root(e)) }
 
 func (c *coreBackend) Root(e *expr.Expr) sat.Lit { return c.b.blast(e)[0] }
 
-func (c *coreBackend) Solve() Verdict {
-	c.cone = false
-	return c.verdict(c.b.s.Solve())
-}
+func (c *coreBackend) Solve() Verdict { return c.verdict(c.b.s.Solve()) }
 
 func (c *coreBackend) SolveUnder(roots []sat.Lit, cond *expr.Expr) Verdict {
 	if cond != nil && cond.IsFalse() {
@@ -91,7 +87,6 @@ func (c *coreBackend) SolveUnder(roots []sat.Lit, cond *expr.Expr) Verdict {
 	}
 	c.assumps = as
 	c.b.markCone(as)
-	c.cone = true
 	return c.verdict(c.b.s.SolveUnder(as...))
 }
 
@@ -105,4 +100,4 @@ func (c *coreBackend) verdict(ok bool) Verdict {
 	return VUnsat
 }
 
-func (c *coreBackend) Model() map[string]uint32 { return c.b.model(c.cone) }
+func (c *coreBackend) Model() map[string]uint32 { return c.b.model() }

@@ -34,6 +34,8 @@ func newBlaster() *blaster {
 		memo: map[uint64][]sat.Lit{},
 		syms: map[string][]sat.Lit{},
 	}
+	// The constant is variable 0: fresh pads its input slots with the
+	// still-zero b.true_, variable 0, which reads as "no input".
 	b.true_ = b.fresh()
 	b.s.AddClause(b.true_)
 	return b
@@ -62,16 +64,16 @@ func (b *blaster) markCone(lits []sat.Lit) {
 	b.stack = stack
 }
 
-// model reads the satisfying assignment of the symbols the blaster has
-// translated: all of them after Solve, and after a restricted
-// SolveUnder (cone) only those with a bit in the decision set. Valid
-// only directly after a successful solve on b.s.
-func (b *blaster) model(cone bool) map[string]uint32 {
+// model reads the satisfying assignment for every symbol the blaster
+// has translated. Valid only directly after a successful Solve or
+// SolveUnder on b.s. After a search restricted to a query's cone, the
+// symbols outside the cone read their saved phases (sat.Value): the
+// query does not constrain them, and their last values keep the
+// witness close to the session's earlier ones, which is what lets the
+// counterexample index reuse it for other queries.
+func (b *blaster) model() map[string]uint32 {
 	model := make(map[string]uint32, len(b.syms))
 	for name, bits := range b.syms {
-		if cone && !b.marked(bits) {
-			continue
-		}
 		var v uint32
 		for i, lit := range bits {
 			if b.s.Value(lit.Var()) != lit.Sign() {
@@ -81,16 +83,6 @@ func (b *blaster) model(cone bool) map[string]uint32 {
 		model[name] = v
 	}
 	return model
-}
-
-// marked reports whether any of bits is in the decision set.
-func (b *blaster) marked(bits []sat.Lit) bool {
-	for _, l := range bits {
-		if b.s.Marked(l.Var()) {
-			return true
-		}
-	}
-	return false
 }
 
 func (b *blaster) constLit(v bool) sat.Lit {
