@@ -2,6 +2,8 @@ package symexec
 
 import (
 	"encoding/json"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -247,13 +249,58 @@ func TestDecodeStateGroupRejectsMalformed(t *testing.T) {
 	}
 }
 
+// emptyPagesBody is a 30 KB shard payload of 10,000 empty page-table
+// entries. Decoded as full overlay pages it would allocate ~20 MB.
+var emptyPagesBody = `{"pages":[` + strings.Repeat(`{},`, 9999) + `{}]}`
+
+// TestDecodeStateGroupBoundsPages pins the page-table bounds: empty
+// pages are rejected, a table past maxWirePages is rejected before
+// any page is built, and decoding the 30 KB empty-page body allocates
+// under 64 KB.
+func TestDecodeStateGroupBoundsPages(t *testing.T) {
+	ar := expr.NewArena()
+	base := make([]byte, 4096)
+	var g WireStateGroup
+	if err := json.Unmarshal([]byte(emptyPagesBody), &g); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := decodeStateGroup(&g, base, ar)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("decode accepted 10,000 empty pages")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+		t.Fatalf("rejecting the empty-page body allocated %d bytes", n)
+	}
+	one := WirePage{Off: []uint16{0}, Ref: []int32{1}}
+	for _, n := range []int{1, maxWirePages + 1} {
+		g := &WireStateGroup{Exprs: []expr.WireNode{{K: 0, W: 8, V: 1}}, Pages: make([]WirePage, n)}
+		for i := range g.Pages {
+			g.Pages[i] = one
+		}
+		_, err := decodeStateGroup(g, base, ar)
+		if (err == nil) != (n <= maxWirePages) {
+			t.Fatalf("%d one-byte pages: decode error %v", n, err)
+		}
+	}
+	g1 := &WireStateGroup{Pages: []WirePage{{}}}
+	if _, err := decodeStateGroup(g1, base, ar); err == nil {
+		t.Fatal("decode accepted an empty page")
+	}
+}
+
 // FuzzDecodeStateGroup feeds arbitrary bytes through the JSON form of
 // WireStateGroup into decodeStateGroup, the decoder behind both
 // POST /shards tasks and peer shard results. The bytes come from the
 // network, so the invariant is states or an error, never a panic. The
-// seed corpus in testdata/fuzz holds real RTL8029 fan-out groups: a
+// seed corpus in testdata/fuzz holds real RTL8029 fan-out groups (a
 // first-phase task group, its completed result group and a
-// second-phase task group.
+// second-phase task group) and a body of empty page-table entries,
+// which must fail cheaply: the invariant also excludes unbounded
+// allocation.
 func FuzzDecodeStateGroup(f *testing.F) {
 	info, err := drivers.ByName("RTL8029")
 	if err != nil {

@@ -134,6 +134,14 @@ func encodeStateGroup(states []*State) *WireStateGroup {
 	return g
 }
 
+// maxWirePages caps the page table of one decoded state group. Each
+// entry decodes to a full overlay page (pageSize pointers, 2 KB)
+// however few bytes it takes on the wire, so the cap bounds what a
+// hostile payload can make the decoder allocate. The largest table
+// the corpus produces is 58 pages (5 drivers × Shards 2/4/8/16 × all
+// four searchers, seed 1).
+const maxWirePages = 1024
+
 // decodeStateGroup rebuilds the states against the given base image
 // and arena. Wire bytes arrive from the network, so every structural
 // violation is an error, never a panic; a decode error means the
@@ -142,11 +150,19 @@ func decodeStateGroup(g *WireStateGroup, base []byte, ar *expr.Arena) ([]*State,
 	if g == nil {
 		return nil, nil
 	}
+	if len(g.Pages) > maxWirePages {
+		return nil, fmt.Errorf("symexec: decode: %d pages exceed the cap of %d", len(g.Pages), maxWirePages)
+	}
 	dec := ar.NewDAGDecoder(g.Exprs)
 	pages := make([]*page, len(g.Pages))
 	for i, wp := range g.Pages {
 		if len(wp.Off) != len(wp.Ref) {
 			return nil, fmt.Errorf("symexec: decode page %d: %d offsets, %d refs", i, len(wp.Off), len(wp.Ref))
+		}
+		// The encoder emits only pages holding a symbolic byte: an empty
+		// one is malformed, and would cost a whole page for two bytes.
+		if len(wp.Off) == 0 {
+			return nil, fmt.Errorf("symexec: decode page %d: no offsets", i)
 		}
 		// Decoded pages start shared: they may be referenced by several
 		// states, and even a sole owner must copy before writing so the
