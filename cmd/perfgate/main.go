@@ -25,6 +25,12 @@
 // time. A fresh report with no such pair fails as unusable (exit 2),
 // like one that matches no baseline cell.
 //
+// Beside the timing checks it lists every matched cell whose
+// deterministic solver counters (queries, cache hits, model hits, SAT
+// decisions and conflicts) differ from the baseline's. The counters
+// repeat exactly run to run, so a move means the code changed what
+// the solver does. The list is informational and never fails the gate.
+//
 // Usage:
 //
 //	revbench -grid -repeats 2 -grid-out fresh.json
@@ -36,6 +42,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 )
 
 type cell struct {
@@ -49,6 +56,41 @@ type cell struct {
 	ShardFactor int     `json:"shard_factor,omitempty"`
 	Scenario    string  `json:"scenario,omitempty"`
 	MeanMS      float64 `json:"mean_ms"`
+
+	SolverQueries int64 `json:"solver_queries"`
+	CacheHits     int64 `json:"cache_hits"`
+	ModelHits     int64 `json:"model_hits"`
+	// Search is absent in reports written before the SAT counters
+	// existed (BENCH_8 to BENCH_11).
+	Search *struct {
+		Decisions int64 `json:"decisions"`
+		Conflicts int64 `json:"conflicts"`
+	} `json:"solver_search,omitempty"`
+}
+
+// counterMoves describes how fresh's deterministic counters differ
+// from base's, one "name base -> fresh" entry per moved counter. It
+// returns nil when they match or either cell predates the SAT counters.
+func counterMoves(base, fresh cell) []string {
+	if base.Search == nil || fresh.Search == nil {
+		return nil
+	}
+	var moves []string
+	for _, c := range []struct {
+		name        string
+		base, fresh int64
+	}{
+		{"queries", base.SolverQueries, fresh.SolverQueries},
+		{"cache_hits", base.CacheHits, fresh.CacheHits},
+		{"model_hits", base.ModelHits, fresh.ModelHits},
+		{"decisions", base.Search.Decisions, fresh.Search.Decisions},
+		{"conflicts", base.Search.Conflicts, fresh.Search.Conflicts},
+	} {
+		if c.base != c.fresh {
+			moves = append(moves, fmt.Sprintf("%s %d -> %d", c.name, c.base, c.fresh))
+		}
+	}
+	return moves
 }
 
 type report struct {
@@ -174,11 +216,15 @@ func gate(base, fresh report, threshold float64) int {
 		}
 	}
 	matched, regressions := 0, 0
+	var moved []string
 	for _, f := range fresh.Cells {
 		b, ok := baseline[key(f)]
 		if !ok {
 			fmt.Printf("perfgate: skip %-40s (not in baseline)\n", key(f))
 			continue
+		}
+		if m := counterMoves(b, f); m != nil {
+			moved = append(moved, fmt.Sprintf("perfgate: counters moved %-40s %s", key(f), strings.Join(m, ", ")))
 		}
 		if b.MeanMS <= 0 || f.MeanMS <= 0 {
 			fmt.Printf("perfgate: skip %-40s (degenerate mean)\n", key(f))
@@ -193,6 +239,9 @@ func gate(base, fresh report, threshold float64) int {
 		}
 		fmt.Printf("perfgate: %-40s base %8.0f ms  fresh %8.0f ms  %+6.1f%%  %s\n",
 			key(f), b.MeanMS, f.MeanMS, 100*ratio, status)
+	}
+	for _, m := range moved {
+		fmt.Println(m)
 	}
 	if matched == 0 {
 		fmt.Fprintln(os.Stderr, "perfgate: no cells matched between reports")

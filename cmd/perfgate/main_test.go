@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestWorkerScaling(t *testing.T) {
 	cells := []cell{
@@ -92,5 +95,42 @@ func TestGateNeedsPairs(t *testing.T) {
 		if got := gate(fresh, fresh, 0.25); got != tc.want {
 			t.Errorf("%s: gate = %d, want %d", name, got, tc.want)
 		}
+	}
+}
+
+// TestCounterMoves pins the informational counter listing: a moved
+// SAT counter is named with both values, equal counters and cells
+// predating the SAT counters list nothing, and a move never changes
+// the gate's exit status.
+func TestCounterMoves(t *testing.T) {
+	base, err := load("../../BENCH_12.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := base.Cells[0]
+	if b.Search == nil || b.Search.Decisions != 95248 {
+		t.Fatalf("BENCH_12 cell 0 search = %+v, want 95248 decisions", b.Search)
+	}
+	f := b
+	search := *b.Search
+	search.Decisions = 2000
+	f.Search = &search
+	f.ModelHits++
+	want := []string{"model_hits 724 -> 725", "decisions 95248 -> 2000"}
+	if got := counterMoves(b, f); !reflect.DeepEqual(got, want) {
+		t.Fatalf("counterMoves = %q, want %q", got, want)
+	}
+	if got := counterMoves(b, b); got != nil {
+		t.Fatalf("equal counters listed %q", got)
+	}
+	old := b
+	old.Search = nil
+	if got := counterMoves(old, f); got != nil {
+		t.Fatalf("historical cell listed %q", got)
+	}
+	moved := []cell{{Workers: 1, MeanMS: 100, Search: f.Search}, {Workers: 4, MeanMS: 100, Search: f.Search}}
+	same := []cell{{Workers: 1, MeanMS: 100, Search: b.Search}, {Workers: 4, MeanMS: 100, Search: b.Search}}
+	if got := gate(report{Cells: same}, report{Cells: moved}, 0.25); got != 0 {
+		t.Fatalf("moved counters: gate = %d, want 0", got)
 	}
 }
