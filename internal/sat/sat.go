@@ -886,9 +886,6 @@ func (s *Solver) SolveUnder(assumptions ...Lit) bool {
 	if !s.restricted {
 		return s.solveUnder(assumptions)
 	}
-	// Unmarked activity-0 variables may lie below the cursor, so a
-	// restricted search walks it from 0 and leaves it there.
-	s.zeroNext = 0
 	ok := s.solveUnder(assumptions)
 	s.restricted = false
 	for _, v := range s.aside {
@@ -897,6 +894,8 @@ func (s *Solver) SolveUnder(assumptions ...Lit) bool {
 		}
 	}
 	s.aside = s.aside[:0]
+	// The cursor stepped past unmarked activity-0 variables it left
+	// unassigned: restart it below all of them.
 	s.zeroNext = 0
 	return ok
 }
