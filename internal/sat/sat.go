@@ -20,6 +20,10 @@
 // variables leave the heap lazily (when they surface at the top) and
 // return when backtracking unassigns them.
 //
+// There is one search routine, SolveUnder, as in MiniSat's
+// solve(assumptions): assumption literals take the first decision
+// levels, and a plain solve is SolveUnder with no assumptions.
+//
 // Incremental sessions keep every bit-blasted gate variable, but a
 // query need not decide them all: after Restrict, SolveUnder branches
 // only on the variables marked as the query's cone, in the same order,
@@ -129,8 +133,8 @@ type Solver struct {
 	learntCap int
 	deleted   int64
 
-	// interrupt, when set, is polled periodically inside Solve and
-	// SolveUnder; returning true aborts the search (see SetInterrupt).
+	// interrupt, when set, is polled periodically inside SolveUnder;
+	// returning true aborts the search (see SetInterrupt).
 	interrupt   func() bool
 	interrupted bool
 	polls       int64
@@ -159,16 +163,16 @@ func New() *Solver {
 }
 
 // SetInterrupt installs a cooperative stop check: f is polled every
-// few hundred search-loop iterations inside Solve and SolveUnder, and
-// when it returns true the search aborts, backtracks to level zero and
-// returns false. An aborted answer means "unknown", not UNSAT —
+// few hundred search-loop iterations inside SolveUnder, and when it
+// returns true the search aborts, backtracks to level zero and returns
+// false. An aborted answer means "unknown", not UNSAT —
 // callers must consult Interrupted before caching or acting on it.
 // The check never fires on its own and installing one that always
 // returns false leaves search behavior (and answers) unchanged.
 func (s *Solver) SetInterrupt(f func() bool) { s.interrupt = f }
 
-// Interrupted reports whether the most recent Solve or SolveUnder was
-// aborted by the interrupt check rather than decided.
+// Interrupted reports whether the most recent SolveUnder was aborted
+// by the interrupt check rather than decided.
 func (s *Solver) Interrupted() bool { return s.interrupted }
 
 // interruptNow polls the interrupt hook (amortized: the very first
@@ -242,14 +246,14 @@ func (s *Solver) value(l Lit) lbool {
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
-// AddClause adds a clause over the given literals. It must be called
-// before Solve at decision level zero. Returns false if the formula
-// is already unsatisfiable.
+// AddClause adds a clause over the given literals. It may be called
+// before and between SolveUnder calls. Returns false if the formula is
+// already unsatisfiable.
 func (s *Solver) AddClause(lits ...Lit) bool {
 	if s.unsat {
 		return false
 	}
-	// Clauses may be added between Solve calls; discard any leftover
+	// Clauses may be added between SolveUnder calls; discard any leftover
 	// search assignments so simplification sees only level-0 facts.
 	s.cancelUntil(0)
 	out, satisfied := s.simplify(lits)
@@ -732,7 +736,7 @@ func (s *Solver) cancelUntil(lvl int) {
 	s.qhead = len(s.trail)
 }
 
-// pickBranch is the branching rule Solve and SolveUnder call. It is a
+// pickBranch is the branching rule SolveUnder calls. It is a
 // variable only so the package tests can drive the search with a
 // reference linear scan and check the heap against it.
 var pickBranch = (*Solver).pickBranchVar
@@ -791,63 +795,6 @@ func (s *Solver) pickMarked() int {
 	return -1
 }
 
-// Solve determines satisfiability of the accumulated clauses. After a
-// true result, Value reports the satisfying assignment. Solve may be
-// called repeatedly after adding more clauses (incremental use).
-func (s *Solver) Solve() bool {
-	s.interrupted = false
-	if s.unsat {
-		return false
-	}
-	s.cancelUntil(0)
-	if s.propagate() != noClause {
-		s.unsat = true
-		return false
-	}
-	restartLimit := int64(100)
-	conflictsAtRestart := s.conflicts
-	for {
-		if s.interruptNow() {
-			s.interrupted = true
-			s.cancelUntil(0)
-			return false
-		}
-		conflict := s.propagate()
-		if conflict != noClause {
-			s.conflicts++
-			if s.decisionLevel() == 0 {
-				s.unsat = true
-				return false
-			}
-			learnt, btLevel := s.analyze(conflict)
-			s.cancelUntil(btLevel)
-			if len(learnt) == 1 {
-				s.uncheckedEnqueue(learnt[0], noClause)
-			} else {
-				s.uncheckedEnqueue(learnt[0], s.learn(learnt))
-			}
-			s.maybeReduce()
-			if s.conflicts-conflictsAtRestart >= restartLimit {
-				restartLimit += restartLimit / 2
-				conflictsAtRestart = s.conflicts
-				s.cancelUntil(0)
-			}
-			continue
-		}
-		v := pickBranch(s)
-		if v < 0 {
-			return true // all variables assigned, no conflict
-		}
-		s.decisions++
-		s.trailLim = append(s.trailLim, len(s.trail))
-		l := Pos(v)
-		if !s.polarity[v] {
-			l = Neg(v)
-		}
-		s.uncheckedEnqueue(l, noClause)
-	}
-}
-
 // Restrict opens an empty decision set for the next SolveUnder; Mark
 // adds variables to it. That SolveUnder branches only on marked
 // variables, picked by the usual order among them, and answers SAT
@@ -877,16 +824,19 @@ func (s *Solver) Mark(v int) bool {
 	return true
 }
 
-// SolveUnder determines satisfiability under the given assumption
-// literals without permanently asserting them. It is used by the
-// bitvector solver for its incremental session: the path constraints
-// and the branch condition are all assumptions. After Restrict it
-// branches only on the marked variables.
+// SolveUnder determines satisfiability of the accumulated clauses
+// under the given assumption literals, without permanently asserting
+// them; with no assumptions it is the plain full search. After a true
+// result, Value reports the satisfying assignment. It may be called
+// repeatedly, with clauses added in between (incremental use). The
+// bitvector solver's session passes the path constraints and the
+// branch condition as assumptions. After Restrict it branches only on
+// the marked variables.
 func (s *Solver) SolveUnder(assumptions ...Lit) bool {
+	ok := s.search(assumptions)
 	if !s.restricted {
-		return s.solveUnder(assumptions)
+		return ok
 	}
-	ok := s.solveUnder(assumptions)
 	s.restricted = false
 	for _, v := range s.aside {
 		if s.activity[v] > 0 {
@@ -900,7 +850,10 @@ func (s *Solver) SolveUnder(assumptions ...Lit) bool {
 	return ok
 }
 
-func (s *Solver) solveUnder(assumptions []Lit) bool {
+// search is the CDCL loop: the assumptions take one decision level
+// each, and the search backtracks and restarts no lower than the
+// last of them.
+func (s *Solver) search(assumptions []Lit) bool {
 	s.interrupted = false
 	if s.unsat {
 		return false
@@ -938,6 +891,8 @@ func (s *Solver) solveUnder(assumptions []Lit) bool {
 		if conflict != noClause {
 			s.conflicts++
 			if s.decisionLevel() <= assumptionLevel {
+				// A conflict at level 0 refutes the clauses themselves.
+				s.unsat = s.decisionLevel() == 0
 				s.cancelUntil(0)
 				return false
 			}
@@ -991,7 +946,7 @@ func (s *Solver) solveUnder(assumptions []Lit) bool {
 }
 
 // Value reports the model value of variable v after a successful
-// Solve or SolveUnder. A variable a restricted search left unassigned
+// SolveUnder. A variable a restricted search left unassigned
 // reports its saved phase: the value the last search to assign it gave
 // it, false if none did. The query does not constrain such a variable,
 // and reading its phase keeps the models of successive queries alike,

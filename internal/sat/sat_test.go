@@ -21,7 +21,7 @@ func TestLitEncoding(t *testing.T) {
 func TestTrivial(t *testing.T) {
 	s := New()
 	a := s.NewVar()
-	if !s.AddClause(Pos(a)) || !s.Solve() {
+	if !s.AddClause(Pos(a)) || !s.SolveUnder() {
 		t.Fatal("single unit should be SAT")
 	}
 	if !s.Value(a) {
@@ -30,7 +30,7 @@ func TestTrivial(t *testing.T) {
 	if s.AddClause(Neg(a)) {
 		t.Fatal("contradicting unit should fail")
 	}
-	if s.Solve() {
+	if s.SolveUnder() {
 		t.Fatal("must stay UNSAT")
 	}
 }
@@ -47,7 +47,7 @@ func TestTautologyAndDuplicates(t *testing.T) {
 	a, b := s.NewVar(), s.NewVar()
 	s.AddClause(Pos(a), Neg(a))         // tautology: ignored
 	s.AddClause(Pos(b), Pos(b), Pos(b)) // duplicates collapse to unit
-	if !s.Solve() || !s.Value(b) {
+	if !s.SolveUnder() || !s.Value(b) {
 		t.Fatal("want SAT with b=true")
 	}
 }
@@ -81,7 +81,7 @@ func pigeonhole(s *Solver, pigeons, holes int) {
 func TestPigeonholeUnsat(t *testing.T) {
 	s := New()
 	pigeonhole(s, 6, 5)
-	if s.Solve() {
+	if s.SolveUnder() {
 		t.Fatal("PHP(6,5) must be UNSAT")
 	}
 }
@@ -89,7 +89,7 @@ func TestPigeonholeUnsat(t *testing.T) {
 func TestPigeonholeSat(t *testing.T) {
 	s := New()
 	pigeonhole(s, 5, 5)
-	if !s.Solve() {
+	if !s.SolveUnder() {
 		t.Fatal("PHP(5,5) must be SAT")
 	}
 }
@@ -153,7 +153,7 @@ func TestRandomFormulas(t *testing.T) {
 		if !addOK {
 			got = false
 		} else {
-			got = s.Solve()
+			got = s.SolveUnder()
 		}
 		if got != want {
 			t.Fatalf("trial %d: solver=%v brute=%v clauses=%v", trial, got, want, clauses)
@@ -203,7 +203,7 @@ func TestIncrementalSolving(t *testing.T) {
 					alive = false
 				}
 			}
-			got := alive && s.Solve()
+			got := alive && s.SolveUnder()
 			want := bruteForce(nVars, clauses)
 			if got != want {
 				t.Fatalf("trial %d round %d: incremental=%v brute=%v", trial, round, got, want)
@@ -230,7 +230,7 @@ func TestAssumptionQueries(t *testing.T) {
 	if !s.SolveUnder(Neg(c)) {
 		t.Fatal("!c alone should be SAT")
 	}
-	if !s.Solve() {
+	if !s.SolveUnder() {
 		t.Fatal("base formula still SAT")
 	}
 	_ = b
@@ -297,7 +297,7 @@ func TestLearntDeletionBoundsDatabase(t *testing.T) {
 	capped := New()
 	capped.SetLearntCap(50)
 	pigeonhole(capped, 7, 6)
-	if capped.Solve() {
+	if capped.SolveUnder() {
 		t.Fatal("PHP(7,6) must be UNSAT")
 	}
 	if n := capped.NumLearnts(); n > 50 {
@@ -340,7 +340,7 @@ func TestLearntDeletionPreservesAnswers(t *testing.T) {
 			}
 		}
 		want := bruteForce(nVars, clauses)
-		got := addOK && s.Solve()
+		got := addOK && s.SolveUnder()
 		if got != want {
 			t.Fatalf("trial %d: capped solver=%v brute=%v clauses=%v", trial, got, want, clauses)
 		}
@@ -895,7 +895,7 @@ func heapWorkload(seed int64) []string {
 		var ok bool
 		restricted := false
 		if sc.depth() == 0 && r.Intn(3) == 0 {
-			ok = s.Solve()
+			ok = s.SolveUnder()
 		} else {
 			var as []Lit
 			for i, n := 0, r.Intn(4); i < n; i++ {
@@ -1036,7 +1036,7 @@ func TestRescaleRebuildsHeap(t *testing.T) {
 	}
 }
 
-// decide makes v a decision at a new level, as Solve does.
+// decide makes v a decision at a new level, as SolveUnder does.
 func decide(s *Solver, v int) {
 	s.trailLim = append(s.trailLim, len(s.trail))
 	s.uncheckedEnqueue(Pos(v), noClause)

@@ -75,7 +75,7 @@ func (c *coreBackend) Assert(e *expr.Expr) { c.b.s.AddClause(c.Root(e)) }
 
 func (c *coreBackend) Root(e *expr.Expr) sat.Lit { return c.b.blast(e)[0] }
 
-func (c *coreBackend) Solve() Verdict { return c.verdict(c.b.s.Solve()) }
+func (c *coreBackend) Solve() Verdict { return c.verdict(c.b.s.SolveUnder()) }
 
 func (c *coreBackend) SolveUnder(roots []sat.Lit, cond *expr.Expr) Verdict {
 	if cond != nil && cond.IsFalse() {

@@ -65,8 +65,8 @@ func (b *blaster) markCone(lits []sat.Lit) {
 }
 
 // model reads the satisfying assignment for every symbol the blaster
-// has translated. Valid only directly after a successful Solve or
-// SolveUnder on b.s. After a search restricted to a query's cone, the
+// has translated. Valid only directly after a successful SolveUnder
+// on b.s. After a search restricted to a query's cone, the
 // symbols outside the cone read their saved phases (sat.Value): the
 // query does not constrain them, and their last values keep the
 // witness close to the session's earlier ones, which is what lets the

@@ -245,36 +245,8 @@ func (s *Solver) Satisfiable(constraints []*expr.Expr) bool {
 	if len(live) == 0 {
 		return true
 	}
-	fp := fingerprint(live)
-	if r, ok := s.cacheGet(fp); ok {
-		s.hits.Add(1)
-		return r
-	}
-	sig := querySig(live)
-	if m, ok := s.trySat(sig, live); ok {
-		s.modelHits.Add(1)
-		s.cachePut(fp, true)
-		s.rememberModel(fp, m)
-		return true
-	}
-	if s.tryUnsat(live) {
-		s.modelHits.Add(1)
-		s.cachePut(fp, false)
-		return false
-	}
-	switch v, model := s.oneShot(live); v {
-	case VSat:
-		s.storeModel(fp, sig, model)
-		s.cachePut(fp, true)
-		return true
-	case VUnsat:
-		s.storeUnsat(live)
-		s.cachePut(fp, false)
-		return false
-	default:
-		// Aborted: "unknown" answered as UNSAT, never cached.
-		return false
-	}
+	ok, _ := s.query(live, nil, false, false)
+	return ok
 }
 
 // MayBeTrue reports whether cond can be true under the path
@@ -291,48 +263,72 @@ func (s *Solver) MayBeTrue(pc []*expr.Expr, cond *expr.Expr) bool {
 	if unsat || cond.IsFalse() {
 		return false
 	}
+	if cond.IsTrue() {
+		if len(prefix) == 0 {
+			return true
+		}
+		cond = nil
+	}
+	ok, _ := s.query(prefix, cond, false, true)
+	return ok
+}
+
+// query answers SAT(prefix ∧ cond) for live constraints, cond nil or
+// a non-constant condition, and at least one constraint in all. Its
+// steps: the verdict and model caches, the counterexample index
+// (trySat, then tryUnsat), then a decision, whose verdict and model or
+// UNSAT set are stored. wantModel probes the model cache first and
+// takes only an UNSAT verdict from the verdict cache, since a cached
+// SAT verdict carries no model. A returned model belongs to the
+// solver; callers hand out copies.
+func (s *Solver) query(prefix []*expr.Expr, cond *expr.Expr, wantModel, session bool) (bool, map[string]uint32) {
 	full := prefix
-	if !cond.IsTrue() {
+	if cond != nil {
 		full = append(prefix[:len(prefix):len(prefix)], cond)
 	}
-	if len(full) == 0 {
-		return true
-	}
 	fp := fingerprint(full)
-	if r, ok := s.cacheGet(fp); ok {
+	if wantModel {
+		if m, ok := s.modelGet(fp); ok {
+			s.modelHits.Add(1)
+			return true, m
+		}
+	}
+	if r, ok := s.cacheGet(fp); ok && !(wantModel && r) {
 		s.hits.Add(1)
-		return r
+		return r, nil
 	}
 	sig := querySig(full)
 	if m, ok := s.trySat(sig, full); ok {
 		s.modelHits.Add(1)
 		s.cachePut(fp, true)
 		s.rememberModel(fp, m)
-		return true
+		return true, m
 	}
 	if s.tryUnsat(full) {
 		s.modelHits.Add(1)
 		s.cachePut(fp, false)
-		return false
+		return false, nil
 	}
-	var q *expr.Expr
-	if !cond.IsTrue() {
-		q = cond
+	var v Verdict
+	var model map[string]uint32
+	if session {
+		v, model = s.solveSession(prefix, cond)
+	} else {
+		v, model = s.oneShot(full)
 	}
-	v, model := s.solveSession(prefix, q)
+	// The verdict goes in first: an epoch flush inside cachePut would
+	// drop a model or UNSAT set stored before it.
 	switch v {
 	case VSat:
-		s.storeModel(fp, sig, model)
 		s.cachePut(fp, true)
-		return true
+		s.storeModel(fp, sig, model)
+		return true, model
 	case VUnsat:
-		s.storeUnsat(full)
 		s.cachePut(fp, false)
-		return false
-	default:
-		// Aborted: never cached.
-		return false
+		s.storeUnsat(full)
 	}
+	// VUnknown: the search was aborted; answer UNSAT, cache nothing.
+	return false, nil
 }
 
 // solveSession decides SAT(prefix ∧ cond) on the shared session. The
@@ -393,39 +389,11 @@ func (s *Solver) Model(constraints []*expr.Expr) (map[string]uint32, bool) {
 	if len(live) == 0 {
 		return map[string]uint32{}, true
 	}
-	fp := fingerprint(live)
-	if m, ok := s.modelGet(fp); ok {
-		s.modelHits.Add(1)
-		return copyModel(m), true
-	}
-	if r, ok := s.cacheGet(fp); ok && !r {
-		s.hits.Add(1)
+	ok, m := s.query(live, nil, true, false)
+	if !ok {
 		return nil, false
 	}
-	sig := querySig(live)
-	if m, ok := s.trySat(sig, live); ok {
-		s.modelHits.Add(1)
-		s.cachePut(fp, true)
-		s.rememberModel(fp, m)
-		return copyModel(m), true
-	}
-	if s.tryUnsat(live) {
-		s.modelHits.Add(1)
-		s.cachePut(fp, false)
-		return nil, false
-	}
-	switch v, model := s.oneShot(live); v {
-	case VSat:
-		s.cachePut(fp, true)
-		s.storeModel(fp, sig, model)
-		return copyModel(model), true
-	case VUnsat:
-		s.cachePut(fp, false)
-		s.storeUnsat(live)
-		return nil, false
-	default:
-		return nil, false
-	}
+	return copyModel(m), true
 }
 
 func copyModel(m map[string]uint32) map[string]uint32 {
