@@ -36,14 +36,12 @@ func (v Verdict) String() string {
 // counterexample index, constraint slicing, the incremental session's
 // constraint stack — and the backend only decides conjunctions:
 //
-//   - Assert(c) conjoins constraint c (a width-1 expression)
-//     permanently; Solve then decides the asserted conjunction. The
-//     one-shot queries (Satisfiable, Model) use this pair.
-//   - Root(c) blasts c and returns its root literal without asserting
-//     it; SolveUnder(roots, cond) decides roots ∧ cond with every root
-//     and cond as SAT assumptions. The incremental session uses this
-//     pair: its path constraints are a stack of root literals, so a
-//     pop retracts nothing from the clause database.
+//   - Root(c) blasts constraint c (a width-1 expression) and returns
+//     its root literal without asserting it; SolveUnder(roots, cond)
+//     decides roots ∧ cond with every root and cond as SAT
+//     assumptions. The session, on which every query is decided, keeps
+//     its constraints as a stack of root literals, so a pop retracts
+//     nothing from the clause database.
 //   - Model, valid only immediately after a VSat verdict, returns a
 //     satisfying assignment as a fresh name→value map.
 //
@@ -54,7 +52,7 @@ func (v Verdict) String() string {
 // blaster.markCone).
 //
 // A backend is not safe for concurrent use; the front end serializes
-// access (sessions under incMu, one-shots on private instances).
+// access to its session under incMu.
 type coreBackend struct {
 	b       *blaster
 	assumps []sat.Lit // SolveUnder's buffer: the roots, then cond
@@ -71,11 +69,7 @@ func newCoreBackend(interrupt func() bool) *coreBackend {
 	return &coreBackend{b: b}
 }
 
-func (c *coreBackend) Assert(e *expr.Expr) { c.b.s.AddClause(c.Root(e)) }
-
 func (c *coreBackend) Root(e *expr.Expr) sat.Lit { return c.b.blast(e)[0] }
-
-func (c *coreBackend) Solve() Verdict { return c.verdict(c.b.s.SolveUnder()) }
 
 func (c *coreBackend) SolveUnder(roots []sat.Lit, cond *expr.Expr) Verdict {
 	if cond != nil && cond.IsFalse() {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"revnic/internal/expr"
@@ -51,13 +52,15 @@ func sessionCond(r *rand.Rand, vars []*expr.Expr) *expr.Expr {
 
 // sessionWorkload drives one Solver through a seeded random sequence
 // of path growth (feasible extensions only, as the engine builds path
-// conditions), pops of one to three constraints, and MayBeTrue /
-// MustBeTrue queries, so the session's root stack is truncated and
-// regrown while its clause database only grows. It checks every
-// verdict against a fresh one-shot Satisfiable of the same sliced
-// query, and every SAT verdict's cached model against every
-// constraint of its query under expr.Eval. It returns the transcript
-// of verdicts and counters, and the SAT-level counters.
+// conditions), pops of one to three constraints, MayBeTrue /
+// MustBeTrue queries, and Values enumerations, so the session's root
+// stack is truncated and regrown while its clause database only grows,
+// and Model runs on a session the branch queries have grown. It checks
+// every verdict against referenceSat of the same sliced query, every
+// SAT verdict's cached model against every constraint of its query
+// under expr.Eval, and every enumeration against referenceSat's. It
+// returns the transcript of verdicts and counters, and the SAT-level
+// counters.
 func sessionWorkload(t *testing.T, seed int64) ([]string, SearchStats) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
@@ -65,7 +68,7 @@ func sessionWorkload(t *testing.T, seed int64) ([]string, SearchStats) {
 	s := New()
 	var pc []*expr.Expr
 	var out []string
-	// check answers SAT(Slice(pc, cond) ∧ cond) on a fresh solver and
+	// check answers SAT(Slice(pc, cond) ∧ cond) with referenceSat and
 	// verifies the model s cached for it when the answer is SAT.
 	check := func(step int, cond *expr.Expr, got bool) {
 		t.Helper()
@@ -73,7 +76,7 @@ func sessionWorkload(t *testing.T, seed int64) ([]string, SearchStats) {
 		if !cond.IsTrue() {
 			query = append(query, cond)
 		}
-		if want := New().Satisfiable(query); got != want {
+		if _, want := referenceSat(query); got != want {
 			t.Fatalf("seed %d step %d: session says %v, one-shot %v for %s under %v",
 				seed, step, got, want, cond, pc)
 		}
@@ -93,7 +96,7 @@ func sessionWorkload(t *testing.T, seed int64) ([]string, SearchStats) {
 	}
 	for step := 0; step < 60; step++ {
 		cond := sessionCond(r, vars)
-		switch op := r.Intn(6); {
+		switch op := r.Intn(7); {
 		case op < 2: // grow: constrain a feasible side
 			may := s.MayBeTrue(pc, cond)
 			check(step, cond, may)
@@ -109,15 +112,51 @@ func sessionWorkload(t *testing.T, seed int64) ([]string, SearchStats) {
 			may := s.MayBeTrue(pc, cond)
 			check(step, cond, may)
 			out = append(out, fmt.Sprintf("may %v", may))
-		default:
+		case op < 6:
 			must := s.MustBeTrue(pc, cond)
 			check(step, expr.Not(cond), !must)
 			out = append(out, fmt.Sprintf("must %v", must))
+		default: // enumerate a term of at most 8 values
+			e := expr.Lshr(expr.Add(vars[r.Intn(len(vars))], vars[r.Intn(len(vars))]), expr.C(5, 8))
+			got := s.Values(pc, e, 8)
+			want := referenceValues(t, pc, e)
+			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+			sorted := append([]uint32(nil), got...)
+			sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+			if !reflect.DeepEqual(sorted, want) {
+				t.Fatalf("seed %d step %d: Values %v, referenceSat enumerates %v for %s under %v",
+					seed, step, got, want, e, pc)
+			}
+			out = append(out, fmt.Sprintf("values %v", got))
 		}
 	}
 	q, hits := s.Stats()
 	out = append(out, fmt.Sprintf("queries=%d hits=%d modelHits=%d search=%+v", q, hits, s.ModelHits(), s.Search()))
 	return out, s.Search()
+}
+
+// referenceValues enumerates every value e takes under pc with
+// referenceSat, excluding each value found, and checks each witness
+// satisfies pc under expr.Eval. Values are distinct by construction.
+func referenceValues(t *testing.T, pc []*expr.Expr, e *expr.Expr) []uint32 {
+	t.Helper()
+	var out []uint32
+	cons := append([]*expr.Expr(nil), pc...)
+	for {
+		m, ok := referenceSat(cons)
+		if !ok {
+			return out
+		}
+		ev := expr.NewEvaluator(m)
+		for _, c := range pc {
+			if ev.Eval(c) == 0 {
+				t.Fatalf("reference model %v violates %s", m, c)
+			}
+		}
+		v := ev.Eval(e)
+		out = append(out, v)
+		cons = append(cons, expr.Not(expr.Eq(e, expr.C(v, e.Width))))
+	}
 }
 
 // TestSessionMatchesOneShot is the differential test of the

@@ -5,9 +5,9 @@
 //     fingerprint-keyed verdict/model caches, the per-variable-set
 //     counterexample index, constraint-independence slicing, and
 //     incremental sessions;
-//   - the core backend (backend.go): Assert / Solve for one-shot
-//     queries, Root / SolveUnder for the session, and Model, over the
-//     bit-blaster (blast.go) and the CDCL SAT core (package sat).
+//   - the core backend (backend.go): Root / SolveUnder and Model,
+//     over the bit-blaster (blast.go) and the CDCL SAT core (package
+//     sat).
 //
 // It fills the role STP fills for KLEE in the original RevNIC: the
 // symbolic execution engine asks, at every branch that depends on
@@ -23,12 +23,13 @@
 //   - the counterexample index (cache.go) answers subsumed queries
 //     job-wide: weaker queries by re-evaluating indexed models,
 //     stronger queries by UNSAT-set subsumption;
-//   - branch-feasibility queries (MayBeTrue) run incrementally: the
-//     solver keeps one backend session whose stack of root literals
-//     mirrors the sliced constraint prefix, so sibling states after a
-//     fork share the blasted prefix instead of rebuilding it. The
-//     roots and the condition are decided as SAT assumptions
-//     (SolveUnder), branching only on their cone.
+//   - every query the caches cannot answer (MayBeTrue, Satisfiable,
+//     Model) is decided incrementally: the solver keeps one backend
+//     session whose stack of root literals mirrors the query's
+//     constraint prefix, so sibling states after a fork share the
+//     blasted prefix instead of rebuilding it. The roots and the
+//     condition are decided as SAT assumptions (SolveUnder),
+//     branching only on their cone.
 //
 // Determinism contract: query answers and every cache side effect are
 // bit-identical run-to-run.
@@ -72,8 +73,7 @@ type Config struct {
 	// die with the job.
 	Arena *expr.Arena
 	// Interrupt, when non-nil, is polled during solving (installed on
-	// every SAT instance the solver creates): returning true aborts the
-	// solve. Aborted queries answer conservatively (UNSAT / no model)
+	// the session's SAT instance): returning true aborts the solve. Aborted queries answer conservatively (UNSAT / no model)
 	// and are never cached, so an interrupt can wind a job down early
 	// but can never poison answers of later queries. A hook that
 	// never returns true leaves all answers unchanged.
@@ -81,14 +81,13 @@ type Config struct {
 }
 
 // Solver answers bitvector queries with memoization, counterexample
-// reuse and incremental branch queries. The zero value is not usable;
+// reuse and an incremental solver session. The zero value is not usable;
 // call New or NewWith.
 //
 // A Solver is safe for concurrent use: the caches are mutex-guarded
 // and the statistics counters are atomic, so parallel exploration
-// workers may share one instance. One-shot queries each run on a
-// private backend instance and proceed in parallel; incremental
-// branch queries serialize on the shared session.
+// workers may share one instance. Queries the caches answer proceed in
+// parallel; the rest serialize on the shared session.
 type Solver struct {
 	ar        *expr.Arena
 	interrupt func() bool
@@ -144,11 +143,6 @@ func NewWith(cfg Config) *Solver {
 	}
 }
 
-// newBackend builds a fresh backend configured per the solver.
-func (s *Solver) newBackend() *coreBackend {
-	return newCoreBackend(s.interrupt)
-}
-
 // Stats returns the number of queries answered and the fingerprint
 // cache hits among them. It is safe to call while queries are in
 // flight.
@@ -166,16 +160,14 @@ func (s *Solver) ModelHits() int64 { return s.modelHits.Load() }
 // counters, it repeats exactly run to run and across worker counts.
 type SearchStats struct {
 	// Decisions and Conflicts sum the SAT core's branch decisions and
-	// conflicts over every solve, on the session and on one-shot
-	// backends alike.
+	// conflicts over every solve; every solve runs on the session.
 	Decisions int64 `json:"decisions"`
 	Conflicts int64 `json:"conflicts"`
-	// SessionsExtended counts incremental queries served by the
-	// running backend session (its root stack truncated to the shared
-	// prefix, possibly extended by new suffix constraints);
-	// SessionsRebuilt counts sessions created, one per solver that
-	// answered an incremental query (the first such query creates it,
-	// and a session is never rebuilt).
+	// SessionsExtended counts queries decided on the running backend
+	// session (its root stack truncated to the shared prefix, possibly
+	// extended by new suffix constraints); SessionsRebuilt counts
+	// sessions created, one per solver that decided any query (the
+	// first such query creates it, and a session is never rebuilt).
 	SessionsExtended int64 `json:"sessions_extended"`
 	SessionsRebuilt  int64 `json:"sessions_rebuilt"`
 }
@@ -207,22 +199,6 @@ func (s *Solver) tally(b *coreBackend, d0, c0 int64) {
 	s.conflicts.Add(c1 - c0)
 }
 
-// oneShot decides the conjunction of live on a private backend, with
-// the constraints asserted as unit clauses, and returns the model of
-// a VSat verdict.
-func (s *Solver) oneShot(live []*expr.Expr) (Verdict, map[string]uint32) {
-	b := s.newBackend()
-	for _, c := range live {
-		b.Assert(c)
-	}
-	v := b.Solve()
-	s.tally(b, 0, 0)
-	if v == VSat {
-		return v, b.Model()
-	}
-	return v, nil
-}
-
 // CacheSize returns the current number of memoized queries.
 func (s *Solver) CacheSize() int {
 	s.mu.Lock()
@@ -245,7 +221,7 @@ func (s *Solver) Satisfiable(constraints []*expr.Expr) bool {
 	if len(live) == 0 {
 		return true
 	}
-	ok, _ := s.query(live, nil, false, false)
+	ok, _ := s.query(live, nil, false)
 	return ok
 }
 
@@ -269,7 +245,7 @@ func (s *Solver) MayBeTrue(pc []*expr.Expr, cond *expr.Expr) bool {
 		}
 		cond = nil
 	}
-	ok, _ := s.query(prefix, cond, false, true)
+	ok, _ := s.query(prefix, cond, false)
 	return ok
 }
 
@@ -281,7 +257,7 @@ func (s *Solver) MayBeTrue(pc []*expr.Expr, cond *expr.Expr) bool {
 // takes only an UNSAT verdict from the verdict cache, since a cached
 // SAT verdict carries no model. A returned model belongs to the
 // solver; callers hand out copies.
-func (s *Solver) query(prefix []*expr.Expr, cond *expr.Expr, wantModel, session bool) (bool, map[string]uint32) {
+func (s *Solver) query(prefix []*expr.Expr, cond *expr.Expr, wantModel bool) (bool, map[string]uint32) {
 	full := prefix
 	if cond != nil {
 		full = append(prefix[:len(prefix):len(prefix)], cond)
@@ -309,13 +285,7 @@ func (s *Solver) query(prefix []*expr.Expr, cond *expr.Expr, wantModel, session 
 		s.cachePut(fp, false)
 		return false, nil
 	}
-	var v Verdict
-	var model map[string]uint32
-	if session {
-		v, model = s.solveSession(prefix, cond)
-	} else {
-		v, model = s.oneShot(full)
-	}
+	v, model := s.solveSession(prefix, cond)
 	// The verdict goes in first: an epoch flush inside cachePut would
 	// drop a model or UNSAT set stored before it.
 	switch v {
@@ -342,7 +312,7 @@ func (s *Solver) solveSession(prefix []*expr.Expr, cond *expr.Expr) (Verdict, ma
 	defer s.incMu.Unlock()
 	sess := s.inc
 	if sess == nil {
-		sess = &session{b: s.newBackend()}
+		sess = &session{b: newCoreBackend(s.interrupt)}
 		s.inc = sess
 		s.created.Add(1)
 	} else {
@@ -389,7 +359,7 @@ func (s *Solver) Model(constraints []*expr.Expr) (map[string]uint32, bool) {
 	if len(live) == 0 {
 		return map[string]uint32{}, true
 	}
-	ok, m := s.query(live, nil, true, false)
+	ok, m := s.query(live, nil, true)
 	if !ok {
 		return nil, false
 	}
