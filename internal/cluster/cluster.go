@@ -9,6 +9,18 @@ import (
 	"time"
 )
 
+// peerSlots is how many queue items one peer executes concurrently in
+// RunQueue (its pull width).
+const peerSlots = 2
+
+// localSlots is how many queue items the local fallback executes
+// concurrently in RunQueue. One slot pulls alongside the peers as a
+// regular capacity unit; the other only drains items whose remote
+// attempts are exhausted, so a healthy cluster is not starved by an
+// eager coordinator. With no peers configured both slots pull,
+// preserving local parallelism.
+const localSlots = 2
+
 // Config tunes a Dispatcher.
 type Config struct {
 	// Peers are the base URLs (or opaque names, for non-HTTP
@@ -28,16 +40,6 @@ type Config struct {
 	BackoffCap  time.Duration
 	// Seed feeds the deterministic backoff jitter.
 	Seed int64
-	// PeerSlots is how many queue items one peer executes
-	// concurrently in RunQueue (its pull width). Default 2.
-	PeerSlots int
-	// LocalSlots is how many queue items the local fallback executes
-	// concurrently in RunQueue. One slot pulls alongside the peers as
-	// a regular capacity unit; the extra slots only drain items whose
-	// remote attempts are exhausted, so a healthy cluster is not
-	// starved by an eager coordinator. With no peers configured every
-	// slot pulls, preserving local parallelism. Default 2.
-	LocalSlots int
 	// StealInterval is how often RunQueue re-examines in-flight items
 	// for stragglers (and wakes workers waiting out a backoff).
 	// Default 25ms.
@@ -69,12 +71,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BackoffCap <= 0 {
 		c.BackoffCap = 5 * time.Second
-	}
-	if c.PeerSlots <= 0 {
-		c.PeerSlots = 2
-	}
-	if c.LocalSlots <= 0 {
-		c.LocalSlots = 2
 	}
 	if c.StealInterval <= 0 {
 		c.StealInterval = 25 * time.Millisecond

@@ -101,7 +101,7 @@ func (d *Dispatcher) RunQueue(ctx context.Context, items []QueueItem) ([][]byte,
 	remote := len(d.cfg.Peers) > 0 && d.cfg.Transport != nil
 	if remote {
 		for _, p := range d.cfg.Peers {
-			for s := 0; s < d.cfg.PeerSlots; s++ {
+			for s := 0; s < peerSlots; s++ {
 				wg.Add(1)
 				go func(p string) {
 					defer wg.Done()
@@ -110,7 +110,7 @@ func (d *Dispatcher) RunQueue(ctx context.Context, items []QueueItem) ([][]byte,
 			}
 		}
 	}
-	for s := 0; s < d.cfg.LocalSlots; s++ {
+	for s := 0; s < localSlots; s++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
