@@ -190,6 +190,19 @@ func (e *Engine) runShardTask(task *ShardTask) (*ShardResult, error) {
 	}, nil
 }
 
+// maxWireBlocks caps the wiretap blocks of one decoded shard result.
+// Each entry costs a translation of up to ir.MaxBlockInstrs
+// instructions (~8 KB when it lands on zeroed RAM) however few bytes it
+// takes on the wire, so the cap bounds what a hostile payload can make
+// the coordinator allocate (~32 MB). maxWireDMA caps its DMA regions,
+// which merge in time quadratic in their number. The largest result
+// the corpus produces holds 37 blocks and 69 regions (4 drivers ×
+// Shards 2/4/8/16 × all four searchers, seed 1).
+const (
+	maxWireBlocks = 4096
+	maxWireDMA    = 1024
+)
+
 // decodeShardResult turns a wire result back into a mergeable
 // outcome, resolving collector blocks through the coordinator's own
 // translation cache (so translated-block accounting matches a
@@ -201,6 +214,12 @@ func (e *Engine) decodeShardResult(r *ShardResult) (*shardOutcome, []*State, err
 	}
 	if r.Stopped < int(TermRunning) || r.Stopped > int(TermDeadline) {
 		return nil, nil, fmt.Errorf("symexec: shard result with unknown stop reason %d", r.Stopped)
+	}
+	if n := len(r.Collector.Blocks); n > maxWireBlocks {
+		return nil, nil, fmt.Errorf("symexec: shard result with %d blocks exceeds the cap of %d", n, maxWireBlocks)
+	}
+	if n := len(r.DMA); n > maxWireDMA {
+		return nil, nil, fmt.Errorf("symexec: shard result with %d DMA regions exceeds the cap of %d", n, maxWireDMA)
 	}
 	col, err := r.Collector.Decode(e.cache.Get)
 	if err != nil {

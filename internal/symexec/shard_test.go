@@ -11,6 +11,7 @@ import (
 	"revnic/internal/expr"
 	"revnic/internal/hw"
 	"revnic/internal/isa"
+	"revnic/internal/trace"
 )
 
 // wireRunner simulates the cluster path inside one test process: every
@@ -323,5 +324,66 @@ func FuzzDecodeStateGroup(f *testing.F) {
 		// Decoded states must be whole enough to go back on the wire
 		// (straggler re-dispatch re-encodes them).
 		encodeStateGroup(states)
+	})
+}
+
+// TestDecodeShardResultBounds pins the shard-result bounds: a
+// collector past maxWireBlocks is rejected before any block is
+// translated, and a DMA list past maxWireDMA before any region merges.
+func TestDecodeShardResultBounds(t *testing.T) {
+	info, err := drivers.ByName("RTL8139")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := make([]trace.WireBlock, maxWireBlocks+1)
+	for i := range blocks {
+		blocks[i].Addr = 0x80000 + uint32(8*i)
+	}
+	e := New(info.Program, Config{Arena: expr.NewArena()})
+	r := &ShardResult{Collector: &trace.WireCollector{Blocks: blocks}}
+	if _, _, err := e.decodeShardResult(r); err == nil {
+		t.Fatalf("decode accepted %d blocks", len(blocks))
+	}
+	if n := e.cache.Misses(); n != 0 {
+		t.Fatalf("rejecting %d blocks translated %d of them", len(blocks), n)
+	}
+	for _, n := range []int{maxWireDMA, maxWireDMA + 1} {
+		r := &ShardResult{Collector: &trace.WireCollector{}, DMA: make([][2]uint32, n)}
+		for i := range r.DMA {
+			r.DMA[i] = [2]uint32{uint32(i), 1}
+		}
+		if _, _, err := e.decodeShardResult(r); (err == nil) != (n <= maxWireDMA) {
+			t.Fatalf("%d DMA regions: decode error %v", n, err)
+		}
+	}
+}
+
+// FuzzDecodeShardResult feeds arbitrary bytes to the coordinator's
+// join of a peer's shard result: JSON into ShardResult, then
+// decodeShardResult (trace collector, completed states, DMA regions,
+// discovery log) and applyOutcome on a fresh RTL8139 coordinator
+// engine. Malformed input must end in an error, never a panic, a hang
+// or an allocation out of proportion to its size. The corpus holds
+// results of a wireRunner exploration of RTL8139.
+func FuzzDecodeShardResult(f *testing.F) {
+	info, err := drivers.ByName("RTL8139")
+	if err != nil {
+		f.Fatal(err)
+	}
+	// A minimal result: small enough that byte mutations land on the
+	// addresses, counts and regions, not on JSON syntax.
+	f.Add([]byte(`{"collector":{"blocks":[{"addr":65536,"count":1}],"edges":[{"from":65536,"to":65536,"count":1}]},` +
+		`"discov":[{"addr":65536,"exec":1}],"exec":1,"dma":[[524288,100]]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var r ShardResult
+		if err := json.Unmarshal(data, &r); err != nil {
+			return
+		}
+		e := New(info.Program, Config{Arena: expr.NewArena()})
+		o, _, err := e.decodeShardResult(&r)
+		if err != nil {
+			return
+		}
+		e.applyOutcome(o)
 	})
 }
