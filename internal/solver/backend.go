@@ -81,11 +81,7 @@ func (c *coreBackend) SolveUnder(roots []sat.Lit, cond *expr.Expr) Verdict {
 	}
 	c.assumps = as
 	c.b.markCone(as)
-	return c.verdict(c.b.s.SolveUnder(as...))
-}
-
-func (c *coreBackend) verdict(ok bool) Verdict {
-	if ok {
+	if c.b.s.SolveUnder(as...) {
 		return VSat
 	}
 	if c.b.s.Interrupted() {

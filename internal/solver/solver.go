@@ -73,16 +73,17 @@ type Config struct {
 	// die with the job.
 	Arena *expr.Arena
 	// Interrupt, when non-nil, is polled during solving (installed on
-	// the session's SAT instance): returning true aborts the solve. Aborted queries answer conservatively (UNSAT / no model)
-	// and are never cached, so an interrupt can wind a job down early
-	// but can never poison answers of later queries. A hook that
+	// the session's SAT instance): returning true aborts the solve.
+	// Aborted queries answer conservatively (UNSAT / no model) and are
+	// never cached, so an interrupt can wind a job down early but can
+	// never poison answers of later queries. A hook that
 	// never returns true leaves all answers unchanged.
 	Interrupt func() bool
 }
 
 // Solver answers bitvector queries with memoization, counterexample
-// reuse and an incremental solver session. The zero value is not usable;
-// call New or NewWith.
+// reuse and an incremental solver session. The zero value is not
+// usable; call New or NewWith.
 //
 // A Solver is safe for concurrent use: the caches are mutex-guarded
 // and the statistics counters are atomic, so parallel exploration
@@ -189,14 +190,6 @@ func (s *Solver) Search() SearchStats {
 		SessionsExtended: s.extended.Load(),
 		SessionsRebuilt:  s.created.Load(),
 	}
-}
-
-// tally adds the SAT decisions and conflicts b took since it stood at
-// (d0, c0) to the solver's counts.
-func (s *Solver) tally(b *coreBackend, d0, c0 int64) {
-	d1, c1 := b.b.s.Stats()
-	s.decisions.Add(d1 - d0)
-	s.conflicts.Add(c1 - c0)
 }
 
 // CacheSize returns the current number of memoized queries.
@@ -330,7 +323,9 @@ func (s *Solver) solveSession(prefix []*expr.Expr, cond *expr.Expr) (Verdict, ma
 	}
 	d0, c0 := sess.b.b.s.Stats()
 	v := sess.b.SolveUnder(sess.roots, cond)
-	s.tally(sess.b, d0, c0)
+	d1, c1 := sess.b.b.s.Stats()
+	s.decisions.Add(d1 - d0)
+	s.conflicts.Add(c1 - c0)
 	if v == VSat {
 		return v, sess.b.Model()
 	}
