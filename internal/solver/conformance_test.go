@@ -85,8 +85,9 @@ func bruteSat(names []string, cons []*expr.Expr) bool {
 
 // BackendConformanceTest is the backend conformance harness: the core
 // backend's root-stack queries and the referenceSat one-shot solve
-// must agree with brute-force ground truth, produce verifiable models, drop popped roots,
-// and honor the interrupt hook.
+// must agree with brute-force ground truth and produce verifiable
+// models, and the backend must drop popped roots and honor the
+// interrupt hook.
 func BackendConformanceTest(t *testing.T) {
 	t.Helper()
 	names := []string{"cfa", "cfb", "cfc"}

@@ -121,6 +121,8 @@ func sessionWorkload(t *testing.T, seed int64) ([]string, SearchStats) {
 			got := s.Values(pc, e, 8)
 			want := referenceValues(t, pc, e)
 			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+			// want holds distinct values, so a match also shows got has
+			// no repeats.
 			sorted := append([]uint32(nil), got...)
 			sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 			if !reflect.DeepEqual(sorted, want) {
