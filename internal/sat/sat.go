@@ -37,6 +37,11 @@
 // Long-lived incremental sessions keep learning: an activity-based
 // learnt-clause deletion policy (SetLearntCap) bounds the database so
 // session memory stays flat over arbitrarily many queries.
+//
+// A finished instance can be recycled: Reset empties it back to New's
+// state while keeping the clause arena, the per-variable arrays and
+// the watch lists allocated, so the next instance built on it
+// allocates only where it outgrows the last.
 package sat
 
 import "sort"
@@ -162,6 +167,43 @@ func New() *Solver {
 	return &Solver{varInc: 1, claInc: 1, learntCap: DefaultLearntCap}
 }
 
+// Reset returns s to exactly the state New gives — no variables, no
+// clauses, zero counters, the default learnt-clause cap, no interrupt
+// hook — but keeps the capacity of every buffer, so a recycled solver
+// grows its next instance without allocating until it outgrows the
+// last one. Every watch list up to cap(s.watches) is truncated in
+// place and NewVar reslices into them. A reset solver searches exactly
+// as a new one does: no step depends on capacity.
+func (s *Solver) Reset() {
+	ws := s.watches[:cap(s.watches)]
+	for i := range ws {
+		ws[i] = ws[i][:0]
+	}
+	*s = Solver{
+		arena:     s.arena[:0],
+		learnts:   s.learnts[:0],
+		clauseAct: s.clauseAct[:0],
+		watches:   ws[:0],
+		assigns:   s.assigns[:0],
+		polarity:  s.polarity[:0],
+		level:     s.level[:0],
+		reason:    s.reason[:0],
+		activity:  s.activity[:0],
+		varInc:    1,
+		order:     s.order[:0],
+		orderPos:  s.orderPos[:0],
+		trail:     s.trail[:0],
+		trailLim:  s.trailLim[:0],
+		seen:      s.seen[:0],
+		addBuf:    s.addBuf[:0],
+		learntBuf: s.learntBuf[:0],
+		claInc:    1,
+		learntCap: DefaultLearntCap,
+		mark:      s.mark[:0],
+		aside:     s.aside[:0],
+	}
+}
+
 // SetInterrupt installs a cooperative stop check: f is polled every
 // few hundred search-loop iterations inside SolveUnder, and when it
 // returns true the search aborts, backtracks to level zero and returns
@@ -220,7 +262,13 @@ func (s *Solver) NewVar() int {
 	s.orderPos = append(s.orderPos, -1)
 	s.seen = append(s.seen, false)
 	s.mark = append(s.mark, 0)
-	s.watches = append(s.watches, nil, nil)
+	// A reset solver's watch lists beyond len are empty and keep their
+	// capacity: reslice into them before growing.
+	if n := len(s.watches); n+2 <= cap(s.watches) {
+		s.watches = s.watches[:n+2]
+	} else {
+		s.watches = append(s.watches, nil, nil)
+	}
 	return v
 }
 

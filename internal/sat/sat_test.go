@@ -834,9 +834,11 @@ func checkOrder(s *Solver) error {
 // returns a transcript of every answer, the Stats() counters and the
 // full model after each query, plus an "order:" line for any branching
 // invariant broken after a solve.
-func heapWorkload(seed int64) []string {
+func heapWorkload(seed int64) []string { return runHeapWorkload(New(), seed) }
+
+// runHeapWorkload runs heapWorkload's seed on s, which must be empty.
+func runHeapWorkload(s *Solver, seed int64) []string {
 	r := rand.New(rand.NewSource(seed))
-	s := New()
 	sc := &scopes{s: s}
 	if r.Intn(2) == 0 {
 		s.SetLearntCap(4 + r.Intn(16))
@@ -990,6 +992,71 @@ func TestHeapRunMatchesScanRun(t *testing.T) {
 			}
 			t.Fatalf("seed %d: transcripts differ in length", seed)
 		}
+	}
+}
+
+// checkReset compares every field of a reset solver with New's: a
+// slice must be empty (its capacity may stay), anything else must
+// equal New's value. Walking the fields by reflection makes a field
+// added later, and left out of Reset, fail here.
+func checkReset(s *Solver) error {
+	got, want := reflect.ValueOf(s).Elem(), reflect.ValueOf(New()).Elem()
+	for i := 0; i < got.NumField(); i++ {
+		name, g, w := got.Type().Field(i).Name, got.Field(i), want.Field(i)
+		var same bool
+		switch g.Kind() {
+		case reflect.Slice:
+			same = g.Len() == 0
+		case reflect.Bool:
+			same = g.Bool() == w.Bool()
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			same = g.Int() == w.Int()
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			same = g.Uint() == w.Uint()
+		case reflect.Float32, reflect.Float64:
+			same = g.Float() == w.Float()
+		case reflect.Func, reflect.Map, reflect.Pointer:
+			same = g.IsNil() && w.IsNil()
+		default:
+			return fmt.Errorf("field %s: kind %s is not checked", name, g.Kind())
+		}
+		if !same {
+			return fmt.Errorf("field %s: reset to %v, New gives %v", name, g, w)
+		}
+	}
+	return nil
+}
+
+// TestResetMatchesNew recycles one solver across heap workloads: after
+// Reset every field matches New's, and workload B on the reset solver
+// (its buffers, watch lists included, still sized by workload A)
+// gives the transcript B gives on a new solver — the same answers,
+// models, decisions and conflicts.
+func TestResetMatchesNew(t *testing.T) {
+	s := New()
+	for seed := int64(0); seed < 300; seed++ {
+		// A hook that never fires leaves the search unchanged but moves
+		// the interrupt fields, which Reset must clear too.
+		s.SetInterrupt(func() bool { return false })
+		runHeapWorkload(s, seed)
+		s.Reset()
+		if err := checkReset(s); err != nil {
+			t.Fatalf("after seed %d: %v", seed, err)
+		}
+		next := seed + 1000
+		got, want := runHeapWorkload(s, next), heapWorkload(next)
+		if !reflect.DeepEqual(got, want) {
+			for i := range want {
+				if i >= len(got) || got[i] != want[i] {
+					t.Fatalf("seed %d after seed %d diverges:\n reset: %s\n new:   %s", next, seed, got[i], want[i])
+				}
+			}
+			t.Fatalf("seed %d after seed %d: transcripts differ in length", next, seed)
+		}
+		s.Reset()
+	}
+	if cap(s.watches) == 0 || cap(s.arena) == 0 {
+		t.Fatal("Reset dropped the buffers it should keep")
 	}
 }
 

@@ -1,6 +1,8 @@
 package solver
 
 import (
+	"sync"
+
 	"revnic/internal/expr"
 	"revnic/internal/sat"
 )
@@ -53,20 +55,60 @@ func (v Verdict) String() string {
 //
 // A backend is not safe for concurrent use; the front end serializes
 // access to its session under incMu.
+//
+// Backends are recycled: Solver.Close resets its session's backend
+// and puts it on a process-wide free list, and newCoreBackend draws
+// from that list before building a new one. A reset backend decides
+// every query exactly as a new one does, but its SAT arrays, watch
+// lists and blaster maps keep the capacity the last session grew.
 type coreBackend struct {
 	b       *blaster
 	assumps []sat.Lit // SolveUnder's buffer: the roots, then cond
 }
 
-// newCoreBackend builds a backend whose SAT instance polls interrupt,
-// when non-nil, as a cooperative abort hook: an aborted query answers
-// VUnknown.
+// maxPooledBackends bounds the free list, so a burst of concurrent
+// sessions does not pin its peak memory for the rest of the process.
+// An exploration keeps its parent's session live while the worker
+// children explore, so the bound leaves room for a few workers of a
+// few concurrent jobs.
+const maxPooledBackends = 8
+
+// backendPool is the process-wide free list of reset backends.
+var backendPool struct {
+	mu   sync.Mutex
+	free []*coreBackend
+}
+
+// newCoreBackend returns an empty backend, recycled when the free list
+// has one, whose SAT instance polls interrupt, when non-nil, as a
+// cooperative abort hook: an aborted query answers VUnknown.
 func newCoreBackend(interrupt func() bool) *coreBackend {
-	b := newBlaster()
-	if interrupt != nil {
-		b.s.SetInterrupt(interrupt)
+	var c *coreBackend
+	backendPool.mu.Lock()
+	if n := len(backendPool.free); n > 0 {
+		c = backendPool.free[n-1]
+		backendPool.free[n-1] = nil
+		backendPool.free = backendPool.free[:n-1]
 	}
-	return &coreBackend{b: b}
+	backendPool.mu.Unlock()
+	if c == nil {
+		c = &coreBackend{b: newBlaster()}
+	}
+	if interrupt != nil {
+		c.b.s.SetInterrupt(interrupt)
+	}
+	return c
+}
+
+// free resets c and returns it to the free list, or drops it when the
+// list is full. The caller must not use c afterwards.
+func (c *coreBackend) free() {
+	c.b.reset()
+	backendPool.mu.Lock()
+	if len(backendPool.free) < maxPooledBackends {
+		backendPool.free = append(backendPool.free, c)
+	}
+	backendPool.mu.Unlock()
 }
 
 func (c *coreBackend) Root(e *expr.Expr) sat.Lit { return c.b.blast(e)[0] }

@@ -10,7 +10,9 @@ import (
 // blaster converts expression DAGs to CNF over a SAT instance. Bit i
 // of a value is lits[i] (LSB first). The memo keys on interned
 // expression IDs, so a blaster living across queries (the incremental
-// session) translates each distinct sub-expression once.
+// session) translates each distinct sub-expression once. A closed
+// session's blaster is reset and recycled (see coreBackend), so the
+// next session reuses its SAT buffers and map buckets.
 //
 // Every variable is a symbol bit or the output of an AND, XOR or MUX
 // gate, whose clauses define it as a total function of its inputs.
@@ -34,11 +36,24 @@ func newBlaster() *blaster {
 		memo: map[uint64][]sat.Lit{},
 		syms: map[string][]sat.Lit{},
 	}
+	b.reset()
+	return b
+}
+
+// reset empties b down to the constant alone: the SAT instance is
+// Reset and the memo, symbol table and gate inputs are cleared, all
+// keeping their capacity for recycling.
+func (b *blaster) reset() {
+	b.s.Reset()
+	clear(b.memo)
+	clear(b.syms)
+	b.inputs = b.inputs[:0]
+	b.stack = b.stack[:0]
 	// The constant is variable 0: fresh pads its input slots with the
 	// still-zero b.true_, variable 0, which reads as "no input".
+	b.true_ = 0
 	b.true_ = b.fresh()
 	b.s.AddClause(b.true_)
-	return b
 }
 
 // markCone opens a restricted decision set on b.s holding the cone of

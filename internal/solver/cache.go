@@ -359,12 +359,14 @@ func (s *Solver) trySat(sig uint64, constraints []*expr.Expr) (map[string]uint32
 	cand = append(cand, s.cx.byVars[sig]...)
 	cand = append(cand, s.cx.recent[:]...)
 	s.mu.Unlock()
+	// One evaluator, reset per candidate, serves the whole probe.
+	var ev expr.Evaluator
 next:
 	for _, m := range cand {
 		if m == nil {
 			continue
 		}
-		ev := expr.NewEvaluator(m)
+		ev.Reset(m)
 		for _, c := range constraints {
 			if ev.Eval(c) == 0 {
 				continue next

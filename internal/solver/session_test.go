@@ -60,8 +60,8 @@ func sessionCond(r *rand.Rand, vars []*expr.Expr) *expr.Expr {
 // SAT verdict's cached model against every constraint of its query
 // under expr.Eval, and every enumeration against referenceSat's. It
 // returns the transcript of verdicts and counters, and the SAT-level
-// counters.
-func sessionWorkload(t *testing.T, seed int64) ([]string, SearchStats) {
+// counters, and the solver it ran on, left open.
+func sessionWorkload(t *testing.T, seed int64) ([]string, *Solver) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	vars := []*expr.Expr{expr.S("dsa", 8), expr.S("dsb", 8), expr.S("dsc", 8), expr.S("dsd", 8)}
@@ -134,7 +134,7 @@ func sessionWorkload(t *testing.T, seed int64) ([]string, SearchStats) {
 	}
 	q, hits := s.Stats()
 	out = append(out, fmt.Sprintf("queries=%d hits=%d modelHits=%d search=%+v", q, hits, s.ModelHits(), s.Search()))
-	return out, s.Search()
+	return out, s
 }
 
 // referenceValues enumerates every value e takes under pc with
@@ -168,15 +168,80 @@ func referenceValues(t *testing.T, pc []*expr.Expr, e *expr.Expr) []uint32 {
 func TestSessionMatchesOneShot(t *testing.T) {
 	var solved int64
 	for seed := int64(0); seed < 20; seed++ {
-		first, st := sessionWorkload(t, seed)
+		first, s := sessionWorkload(t, seed)
 		again, _ := sessionWorkload(t, seed)
 		if !reflect.DeepEqual(first, again) {
 			t.Fatalf("seed %d: rerun differs:\n%v\n%v", seed, first[len(first)-1], again[len(again)-1])
 		}
+		st := s.Search()
 		solved += st.SessionsExtended + st.SessionsRebuilt
 	}
 	t.Logf("%d queries reached the session", solved)
 	if solved < 300 {
 		t.Fatalf("only %d queries reached the session: workload too weak", solved)
+	}
+}
+
+// drainBackendPool empties the process-wide backend free list and
+// returns a function that puts the drained backends back.
+func drainBackendPool() (restore func()) {
+	backendPool.mu.Lock()
+	held := backendPool.free
+	backendPool.free = nil
+	backendPool.mu.Unlock()
+	return func() {
+		backendPool.mu.Lock()
+		backendPool.free = append(backendPool.free, held...)
+		backendPool.mu.Unlock()
+	}
+}
+
+// TestRecycledSessionDoesNotLeak runs session workload A, closes its
+// solver, and runs workload B on a new solver whose session draws A's
+// backend, then B again on a backend no session ever used: verdicts,
+// cached models, enumerations and SAT counters must be identical. A
+// closed solver must keep reporting its counters.
+func TestRecycledSessionDoesNotLeak(t *testing.T) {
+	defer drainBackendPool()()
+	for seed := int64(0); seed < 10; seed++ {
+		drainBackendPool()
+		_, a := sessionWorkload(t, seed)
+		backend := a.inc.b
+		q, hits := a.Stats()
+		modelHits, search := a.ModelHits(), a.Search()
+		a.Close()
+		if q2, hits2 := a.Stats(); q2 != q || hits2 != hits || a.ModelHits() != modelHits || a.Search() != search {
+			t.Fatalf("seed %d: counters changed on Close", seed)
+		}
+		if n := len(backendPool.free); n != 1 {
+			t.Fatalf("seed %d: Close left %d backends on the free list, want 1", seed, n)
+		}
+
+		next := seed + 100
+		recycled, b := sessionWorkload(t, next)
+		if b.inc.b != backend {
+			t.Fatalf("seed %d: the session after Close did not reuse the freed backend", next)
+		}
+		drainBackendPool()
+		fresh, f := sessionWorkload(t, next)
+		if f.inc.b == backend {
+			t.Fatalf("seed %d: a drained free list handed out a backend", next)
+		}
+		if !reflect.DeepEqual(recycled, fresh) {
+			for i := range fresh {
+				if i >= len(recycled) || recycled[i] != fresh[i] {
+					t.Fatalf("seed %d after seed %d diverges at step %d:\n recycled: %s\n fresh:    %s",
+						next, seed, i, recycled[i], fresh[i])
+				}
+			}
+			t.Fatalf("seed %d after seed %d: transcripts differ in length", next, seed)
+		}
+		if !reflect.DeepEqual(b.models, f.models) || !reflect.DeepEqual(b.cache, f.cache) {
+			t.Fatalf("seed %d after seed %d: cached models or verdicts differ", next, seed)
+		}
+		if b.Search() != f.Search() {
+			t.Fatalf("seed %d after seed %d: search %+v on the recycled backend, %+v fresh",
+				next, seed, b.Search(), f.Search())
+		}
 	}
 }

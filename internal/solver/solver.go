@@ -29,7 +29,9 @@
 //     constraint prefix, so sibling states after a fork share the
 //     blasted prefix instead of rebuilding it. The roots and the
 //     condition are decided as SAT assumptions (SolveUnder),
-//     branching only on their cone.
+//     branching only on their cone. Close hands the session's backend
+//     to a process-wide free list, so the next session reuses its
+//     buffers instead of growing new ones.
 //
 // Determinism contract: query answers and every cache side effect are
 // bit-identical run-to-run.
@@ -89,6 +91,10 @@ type Config struct {
 // and the statistics counters are atomic, so parallel exploration
 // workers may share one instance. Queries the caches answer proceed in
 // parallel; the rest serialize on the shared session.
+//
+// A Solver whose work is done should be closed: Close recycles its
+// session's SAT instance for the next solver, and the counters stay
+// readable afterwards.
 type Solver struct {
 	ar        *expr.Arena
 	interrupt func() bool
@@ -189,6 +195,22 @@ func (s *Solver) Search() SearchStats {
 		Conflicts:        s.conflicts.Load(),
 		SessionsExtended: s.extended.Load(),
 		SessionsRebuilt:  s.created.Load(),
+	}
+}
+
+// Close releases s's session: its backend is reset and returned to the
+// process-wide free list, where the next session any solver creates
+// picks it up instead of allocating its SAT instance afresh. Stats,
+// ModelHits and Search stay readable after Close. A query after Close
+// creates a new session (and counts it); closing twice, or closing a
+// solver that never decided a query, is a no-op.
+func (s *Solver) Close() {
+	s.incMu.Lock()
+	sess := s.inc
+	s.inc = nil
+	s.incMu.Unlock()
+	if sess != nil {
+		sess.b.free()
 	}
 }
 

@@ -261,21 +261,32 @@ type covDiscovery struct {
 	exec int64
 }
 
+// imageReader fetches instructions from the base image. RAM past the
+// image reads as zero, so a fetch crossing its end is zero-padded.
 type imageReader struct{ ram []byte }
 
 func (r imageReader) FetchInstr(addr uint32) (isa.Instr, error) {
-	if int(addr)+isa.InstrSize > len(r.ram) {
+	if int(addr)+isa.InstrSize > hw.RAMSize {
 		return isa.Instr{}, fmt.Errorf("symexec: fetch outside RAM at %#x", addr)
 	}
-	return isa.Decode(r.ram[addr:])
+	var buf [isa.InstrSize]byte
+	if int(addr) < len(r.ram) {
+		copy(buf[:], r.ram[addr:])
+	}
+	return isa.Decode(buf[:])
 }
 
 // New prepares an engine for the given driver binary. Only the
 // binary image is consumed — no symbols, exactly like the real tool.
+// The base image spans guest RAM only up to the end of the code,
+// clipped at hw.RAMSize: the zero RAM above it reads as zero through
+// Memory and imageReader without being allocated.
 func New(prog *isa.Program, cfg Config) *Engine {
 	cfg.defaults()
-	ram := make([]byte, hw.RAMSize)
-	copy(ram[prog.Base:], prog.Code)
+	ram := make([]byte, min(int(prog.Base)+len(prog.Code), hw.RAMSize))
+	if int(prog.Base) < len(ram) {
+		copy(ram[prog.Base:], prog.Code)
+	}
 	e := &Engine{
 		cfg:     cfg,
 		prog:    prog,
@@ -810,7 +821,7 @@ func (e *Engine) load(s *State, bi *trace.BlockInfo, instrAddr uint32, addrE *ex
 		e.col.IO(bi, trace.Access{InstrAddr: instrAddr, Addr: addr, Size: size, Class: trace.ClassDMA, Symbolic: true})
 		return e.ar.Zext(e.freshSym("dma", uint8(size*8)), 32), nil
 	}
-	if int(addr)+size > len(e.baseRAM) {
+	if int(addr)+size > hw.RAMSize {
 		return nil, fmt.Errorf("read outside RAM")
 	}
 	// Parameter-recovery evidence (§4.1): a read above the current
@@ -842,7 +853,7 @@ func (e *Engine) store(s *State, bi *trace.BlockInfo, instrAddr uint32, addrE *e
 		// DMA writes also land in RAM so the driver can read back
 		// its own descriptors.
 	}
-	if int(addr)+size > len(e.baseRAM) {
+	if int(addr)+size > hw.RAMSize {
 		return fmt.Errorf("write outside RAM")
 	}
 	s.Mem.Write(addr, size, e.ar.Trunc(v, uint8(size*8)))

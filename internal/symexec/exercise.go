@@ -78,6 +78,9 @@ func anyResult(e *Engine, s *State) bool { return true }
 // hardware, the timer, and unload — mirroring §3.2's user-mode
 // script, with interrupt injection after entry points return.
 func (e *Engine) Explore() (*Result, error) {
+	// The solver's counters outlive Close; its session goes back to
+	// the free list for the next exploration.
+	defer e.sol.Close()
 	// Phase 0: DriverEntry, executed symbolically like everything
 	// else (its RegisterMiniport call is monitored to discover entry
 	// points).

@@ -25,10 +25,11 @@ type page struct {
 
 // Memory is a byte-granular symbolic memory with page-level
 // copy-on-write. The concrete base image (the RAM snapshot taken when
-// symbolic execution starts) is shared by all states and never
-// mutated. Reads assemble (and writes decompose) multi-byte values in
-// the memory's expression arena, so a job-scoped engine never leaks
-// nodes into the process-global table.
+// symbolic execution starts, which may stop short of the end of RAM) is
+// shared by all states and never mutated; bytes past its end read as
+// zero. Reads assemble (and writes decompose) multi-byte values in the
+// memory's expression arena, so a job-scoped engine never leaks nodes
+// into the process-global table.
 type Memory struct {
 	base  []byte
 	pages map[uint32]*page
@@ -37,7 +38,8 @@ type Memory struct {
 
 // NewMemory wraps a concrete base image, building expressions in the
 // default arena. The image is aliased, not copied: callers must not
-// mutate it afterwards.
+// mutate it afterwards. It may be shorter than guest RAM (the engine's
+// ends with the driver code); bytes past its end read as zero.
 func NewMemory(base []byte) *Memory {
 	return NewMemoryArena(base, expr.Default())
 }

@@ -101,10 +101,14 @@ func (e *Engine) exploreShards(live []*State, name, successName string, bdg phas
 	if workers > n {
 		workers = n
 	}
+	// Each child's solver is closed as soon as its exploration returns,
+	// so the next child's session can reuse its backend; the join reads
+	// only the counters, which outlive Close.
 	if workers <= 1 {
 		for idx := 0; idx < n; idx++ {
 			completedByShard[idx], _, _, errs[idx] =
 				children[idx].exploreSet(groups[idx], name, per, success, 0)
+			children[idx].sol.Close()
 		}
 	} else {
 		jobs := make(chan int)
@@ -121,6 +125,7 @@ func (e *Engine) exploreShards(live []*State, name, successName string, bdg phas
 			}()
 			completedByShard[idx], _, _, errs[idx] =
 				children[idx].exploreSet(groups[idx], name, per, success, 0)
+			children[idx].sol.Close()
 		}
 		for w := 0; w < workers; w++ {
 			wg.Add(1)

@@ -134,12 +134,16 @@ func (e *Engine) executeShardLocal(task *ShardTask) (res *ShardResult, err error
 // outcome. The engine must be fresh apart from its shared immutable
 // inputs (image, cache, arena, config).
 func (e *Engine) runShardTask(task *ShardTask) (*ShardResult, error) {
+	defer e.sol.Close()
 	success, err := successFunc(task.Success)
 	if err != nil {
 		return nil, err
 	}
 	if task.Budget.Successes < 1 || task.Budget.MaxStates < 1 {
 		return nil, fmt.Errorf("symexec: shard %d: degenerate budget %+v", task.Index, task.Budget)
+	}
+	if n := len(task.DMA); n > maxWireDMA {
+		return nil, fmt.Errorf("symexec: shard %d: %d DMA regions exceed the cap of %d", task.Index, n, maxWireDMA)
 	}
 	e.symPrefix = fmt.Sprintf("j%d.", task.Seq)
 	e.rng = rand.New(rand.NewSource(e.cfg.Seed + int64(task.Seq)))
@@ -195,7 +199,8 @@ func (e *Engine) runShardTask(task *ShardTask) (*ShardResult, error) {
 // instructions (~8 KB when it lands on zeroed RAM) however few bytes it
 // takes on the wire, so the cap bounds what a hostile payload can make
 // the coordinator allocate (~32 MB). maxWireDMA caps its DMA regions,
-// which merge in time quadratic in their number. The largest result
+// which merge in time quadratic in their number, and equally the DMA
+// list of a task a peer receives, which every load and store scans. The largest result
 // the corpus produces holds 37 blocks and 69 regions (4 drivers ×
 // Shards 2/4/8/16 × all four searchers, seed 1).
 const (

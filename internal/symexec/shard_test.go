@@ -358,6 +358,37 @@ func TestDecodeShardResultBounds(t *testing.T) {
 	}
 }
 
+// TestShardTaskBoundsDMA pins the POST /shards side of the DMA bound:
+// a task carrying more than maxWireDMA regions is rejected before any
+// region is registered, and one at the cap explores.
+func TestShardTaskBoundsDMA(t *testing.T) {
+	info, err := drivers.ByName("RTL8029")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{maxWireDMA, maxWireDMA + 1} {
+		e := New(info.Program, Config{Seed: 1, Arena: expr.NewArena()})
+		s := e.newState()
+		s.PC = info.Program.Base
+		task := &ShardTask{
+			Phase:  "load",
+			Budget: ShardBudget{Blocks: 64, Stagnation: 64, Successes: 1, MaxStates: 1},
+			Group:  encodeStateGroup([]*State{s}),
+			DMA:    make([][2]uint32, n),
+		}
+		for i := range task.DMA {
+			task.DMA[i] = [2]uint32{0x80000 + uint32(16*i), 8}
+		}
+		_, err := e.runShardTask(task)
+		if (err == nil) != (n <= maxWireDMA) {
+			t.Fatalf("%d DMA regions: shard error %v", n, err)
+		}
+		if err != nil && len(e.dma.Regions()) != 0 {
+			t.Fatalf("rejecting %d DMA regions registered %d of them", n, len(e.dma.Regions()))
+		}
+	}
+}
+
 // FuzzDecodeShardResult feeds arbitrary bytes to the coordinator's
 // join of a peer's shard result: JSON into ShardResult, then
 // decodeShardResult (trace collector, completed states, DMA regions,
