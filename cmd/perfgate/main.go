@@ -1,6 +1,6 @@
 // Command perfgate is the CI performance-regression gate: it compares
 // a freshly generated revbench grid report against the committed
-// baseline (BENCH_12.json) and fails when any matching cell's mean
+// baseline (BENCH_13.json) and fails when any matching cell's mean
 // wall-clock regressed beyond the threshold.
 //
 // Cells match on (solver, searcher, workers, shard_factor, scenario).
@@ -34,7 +34,7 @@
 // Usage:
 //
 //	revbench -grid -repeats 2 -grid-out fresh.json
-//	perfgate -base BENCH_12.json -fresh fresh.json
+//	perfgate -base BENCH_13.json -fresh fresh.json
 package main
 
 import (
@@ -175,7 +175,7 @@ func load(path string) (report, error) {
 
 func main() {
 	var (
-		base      = flag.String("base", "BENCH_12.json", "committed baseline grid report")
+		base      = flag.String("base", "BENCH_13.json", "committed baseline grid report")
 		fresh     = flag.String("fresh", "", "freshly generated grid report to gate")
 		threshold = flag.Float64("threshold", 0.25, "maximum allowed fractional mean regression per cell")
 	)

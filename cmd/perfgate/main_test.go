@@ -134,3 +134,22 @@ func TestCounterMoves(t *testing.T) {
 		t.Fatalf("moved counters: gate = %d, want 0", got)
 	}
 }
+
+// TestDefaultBaseline checks the baseline perfgate gates against by
+// default: it loads, its w4 cells hold against their w1 partners, and
+// it carries the straggler-steal cell that -grid-cluster measures.
+func TestDefaultBaseline(t *testing.T) {
+	r, err := load("../../BENCH_13.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pairs, failures := workerScaling(r.Cells); pairs == 0 || failures > 0 {
+		t.Fatalf("BENCH_13: %d of %d w4/w1 pairs failed", failures, pairs)
+	}
+	for _, c := range r.Cells {
+		if c.Scenario == "straggler-steal" {
+			return
+		}
+	}
+	t.Fatal("BENCH_13 has no straggler-steal cell")
+}
