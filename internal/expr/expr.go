@@ -598,8 +598,8 @@ func evalMemo(e *Expr, env map[string]uint32, memo map[uint64]uint32) uint32 {
 
 // Evaluator evaluates expressions under one fixed environment with a
 // memo shared across calls, for callers that evaluate many
-// constraints against the same candidate model (the solver's
-// counterexample cache). Not safe for concurrent use.
+// constraints against the same model (checking a decoded state's
+// witness against its path condition). Not safe for concurrent use.
 type Evaluator struct {
 	env  map[string]uint32
 	memo map[uint64]uint32
@@ -730,45 +730,6 @@ func VarSet(es ...*Expr) map[string]uint8 {
 		}
 	}
 	return set
-}
-
-// NameHash returns a well-mixed 64-bit hash of a variable name
-// (FNV-1a with a splitmix64 finalizer). It is the per-element hash
-// underneath VarSetSignature.
-func NameHash(name string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
-	}
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
-}
-
-// VarSetSignature condenses a set of variable names into an
-// order-insensitive 64-bit signature: two calls agree iff (modulo
-// hash collisions) the name sets are equal, regardless of slice
-// order. The solver's counterexample index buckets models by this
-// signature.
-func VarSetSignature(names []string) uint64 {
-	var sum, x uint64
-	for _, n := range names {
-		h := NameHash(n)
-		sum += h
-		x ^= (h << 11) | (h >> 53)
-	}
-	// Final avalanche so near-identical sets don't cluster.
-	h := sum ^ (x * 0x9e3779b97f4a7c15) ^ uint64(len(names))
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
 }
 
 // String renders the expression in a compact LISP-ish syntax for

@@ -34,9 +34,9 @@ func (v Verdict) String() string {
 
 // coreBackend is the decision procedure underneath the solver front
 // end: bit-blasting to CNF over the CDCL SAT core (package sat). The
-// front end owns everything query-shaped — fingerprint caches, the
-// counterexample index, constraint slicing, the incremental session's
-// constraint stack — and the backend only decides conjunctions:
+// front end owns everything query-shaped — the answer cache,
+// constraint slicing, the incremental session's constraint stack —
+// and the backend only decides conjunctions:
 //
 //   - Root(c) blasts constraint c (a width-1 expression) and returns
 //     its root literal without asserting it; SolveUnder(roots, cond)
@@ -44,8 +44,9 @@ func (v Verdict) String() string {
 //     assumptions. The session, on which every query is decided, keeps
 //     its constraints as a stack of root literals, so a pop retracts
 //     nothing from the clause database.
-//   - Model, valid only immediately after a VSat verdict, returns a
-//     satisfying assignment as a fresh name→value map.
+//   - Model, valid only immediately after a VSat verdict, returns the
+//     satisfying assignment of the named symbols as a fresh
+//     name→value map.
 //
 // Every clause the blaster emits defines a gate variable and stays
 // permanent, so learnt clauses stay valid whichever roots a later
@@ -132,4 +133,4 @@ func (c *coreBackend) SolveUnder(roots []sat.Lit, cond *expr.Expr) Verdict {
 	return VUnsat
 }
 
-func (c *coreBackend) Model() map[string]uint32 { return c.b.model() }
+func (c *coreBackend) Model(names []string) map[string]uint32 { return c.b.model(names) }

@@ -79,18 +79,14 @@ func (b *blaster) markCone(lits []sat.Lit) {
 	b.stack = stack
 }
 
-// model reads the satisfying assignment for every symbol the blaster
-// has translated. Valid only directly after a successful SolveUnder
-// on b.s. After a search restricted to a query's cone, the
-// symbols outside the cone read their saved phases (sat.Value): the
-// query does not constrain them, and their last values keep the
-// witness close to the session's earlier ones, which is what lets the
-// counterexample index reuse it for other queries.
-func (b *blaster) model() map[string]uint32 {
-	model := make(map[string]uint32, len(b.syms))
-	for name, bits := range b.syms {
+// model reads the satisfying assignment of the named symbols; a
+// symbol the blaster never translated reads as 0. Valid only directly
+// after a successful SolveUnder on b.s.
+func (b *blaster) model(names []string) map[string]uint32 {
+	model := make(map[string]uint32, len(names))
+	for _, name := range names {
 		var v uint32
-		for i, lit := range bits {
+		for i, lit := range b.syms[name] {
 			if b.s.Value(lit.Var()) != lit.Sign() {
 				v |= 1 << i
 			}

@@ -55,7 +55,7 @@ func referenceSat(query []*expr.Expr) (map[string]uint32, bool) {
 	if !b.s.SolveUnder() {
 		return nil, false
 	}
-	return b.model(), true
+	return b.model(queryVars(query)), true
 }
 
 // bruteSat enumerates every assignment of the 4-bit variables.
@@ -135,7 +135,7 @@ func BackendConformanceTest(t *testing.T) {
 					t.Fatalf("trial %d cycle %d: verdict %v, brute force %v", trial, cycle, v, want)
 				}
 				if v == VSat {
-					checkModel(t, b.Model(), query)
+					checkModel(t, b.Model(names), query)
 				}
 			}
 			// After all pops: base constraints only.
@@ -170,7 +170,7 @@ func BackendConformanceTest(t *testing.T) {
 		if v := b.SolveUnder(roots[:1], nil); v != VSat {
 			t.Fatalf("verdict %v after unwinding all roots, want sat", v)
 		}
-		if m := b.Model(); m["cfa"] != 3 {
+		if m := b.Model(names); m["cfa"] != 3 {
 			t.Fatalf("model %v, want cfa = 3", m)
 		}
 	})
@@ -197,7 +197,7 @@ func TestPortfolioInterruptAborts(t *testing.T) {
 	s := NewWith(Config{Interrupt: func() bool { return true }})
 	x, y := expr.S("pix", 32), expr.S("piy", 32)
 	cond := expr.Eq(expr.Mul(x, y), expr.C(0xDEADBEEF, 32))
-	if s.MayBeTrue(nil, cond) {
+	if may(s, nil, cond) {
 		t.Fatal("interrupted query answered true")
 	}
 	if n := s.CacheSize(); n != 0 {
@@ -215,17 +215,14 @@ func TestPortfolioAbortedNeverCached(t *testing.T) {
 	s := NewWith(Config{Interrupt: abort.Load})
 	x, y := expr.S("pnx", 32), expr.S("pny", 32)
 	cond := expr.Eq(expr.Mul(x, y), expr.C(0xDEADBEEF, 32))
-	if s.MayBeTrue(nil, cond) {
+	if may(s, nil, cond) {
 		t.Fatal("aborted query must answer conservatively (false)")
 	}
 	if n := s.CacheSize(); n != 0 {
 		t.Fatalf("aborted query populated the verdict cache (%d entries)", n)
 	}
-	if s.ModelHits() != 0 {
-		t.Fatal("aborted query produced a model hit")
-	}
 	abort.Store(false)
-	if !s.MayBeTrue(nil, cond) {
+	if !may(s, nil, cond) {
 		t.Fatal("query answered false once the interrupt cleared: the aborted verdict was cached")
 	}
 	if _, hits := s.Stats(); hits != 0 {
@@ -254,7 +251,7 @@ func TestSessionSharesPrefixAcrossSiblings(t *testing.T) {
 		// Vary the condition so every query misses the caches and
 		// actually reaches the session.
 		cond := expr.Eq(expr.Add(y, expr.C(uint32(i), 8)), expr.C(7, 8))
-		if !s.MayBeTrue(pc, cond) {
+		if !may(s, pc, cond) {
 			t.Fatalf("query %d: expected sat", i)
 		}
 	}
@@ -265,54 +262,5 @@ func TestSessionSharesPrefixAcrossSiblings(t *testing.T) {
 	}
 	if ext != 5 {
 		t.Fatalf("extended = %d, want 5", ext)
-	}
-}
-
-// TestUnsatSubsumption pins the index's UNSAT side: once a constraint
-// set is proven UNSAT, any superset query is answered by subsumption
-// without solving.
-func TestUnsatSubsumption(t *testing.T) {
-	s := New()
-	x, y := expr.S("usa", 8), expr.S("usb", 8)
-	a := expr.Ult(x, expr.C(5, 8))
-	b := expr.Not(expr.Ult(x, expr.C(10, 8)))
-	if s.Satisfiable([]*expr.Expr{a, b}) {
-		t.Fatal("x<5 ∧ x≥10 must be unsat")
-	}
-	before := s.ModelHits()
-	extra := expr.Eq(y, expr.C(1, 8))
-	if s.Satisfiable([]*expr.Expr{a, extra, b}) {
-		t.Fatal("superset of an unsat set must be unsat")
-	}
-	if s.ModelHits() == before {
-		t.Fatal("superset query did not hit the UNSAT index")
-	}
-}
-
-// TestIndexOutlivesRecencyList pins the "job-wide" claim: a model
-// stays findable through its variable-set bucket even after the
-// global recency list has cycled past it — the old 4-entry ring
-// forgot it.
-func TestIndexOutlivesRecencyList(t *testing.T) {
-	s := New() // recency list holds cxModels = 4
-	x := expr.S("iwx", 8)
-	if !s.Satisfiable([]*expr.Expr{expr.Ult(x, expr.C(10, 8))}) {
-		t.Fatal("sat expected")
-	}
-	// Push 8 models for other variable sets through the recency list.
-	for i := 0; i < 8; i++ {
-		v := expr.S("iwo"+string(rune('a'+i)), 8)
-		if !s.Satisfiable([]*expr.Expr{expr.Eq(v, expr.C(uint32(i+1), 8))}) {
-			t.Fatal("sat expected")
-		}
-	}
-	before := s.ModelHits()
-	// Weaker query over x's variable set: the bucket still holds the
-	// witness.
-	if !s.Satisfiable([]*expr.Expr{expr.Ult(x, expr.C(50, 8))}) {
-		t.Fatal("sat expected")
-	}
-	if s.ModelHits() == before {
-		t.Fatal("bucketed model was lost: index did not outlive the recency list")
 	}
 }

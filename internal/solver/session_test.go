@@ -2,8 +2,10 @@ package solver
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -53,7 +55,7 @@ func sessionCond(r *rand.Rand, vars []*expr.Expr) *expr.Expr {
 // sessionWorkload drives one Solver through a seeded random sequence
 // of path growth (feasible extensions only, as the engine builds path
 // conditions), pops of one to three constraints, MayBeTrue /
-// MustBeTrue queries, and Values enumerations, so the session's root
+// must-be-true queries, and Values enumerations, so the session's root
 // stack is truncated and regrown while its clause database only grows,
 // and Model runs on a session the branch queries have grown. It checks
 // every verdict against referenceSat of the same sliced query, every
@@ -83,9 +85,12 @@ func sessionWorkload(t *testing.T, seed int64) ([]string, *Solver) {
 		if !got || len(query) == 0 {
 			return
 		}
-		m, ok := s.modelGet(fingerprint(query))
-		if !ok {
+		m, ok := s.cacheGet(fingerprint(query))
+		if !ok || m == nil {
 			t.Fatalf("seed %d step %d: SAT verdict without a cached model", seed, step)
+		}
+		if names := queryVars(query); !reflect.DeepEqual(slices.Sorted(maps.Keys(m)), names) {
+			t.Fatalf("seed %d step %d: model binds %v, query mentions %v", seed, step, m, names)
 		}
 		ev := expr.NewEvaluator(m)
 		for _, c := range query {
@@ -98,27 +103,42 @@ func sessionWorkload(t *testing.T, seed int64) ([]string, *Solver) {
 		cond := sessionCond(r, vars)
 		switch op := r.Intn(7); {
 		case op < 2: // grow: constrain a feasible side
-			may := s.MayBeTrue(pc, cond)
-			check(step, cond, may)
-			if !may {
+			feasible := may(s, pc, cond)
+			check(step, cond, feasible)
+			if !feasible {
 				cond = expr.Not(cond)
 			}
 			pc = append(pc, cond)
-			out = append(out, fmt.Sprintf("grow %v", may))
+			out = append(out, fmt.Sprintf("grow %v", feasible))
 		case op == 2 && len(pc) > 0: // pop
 			pc = pc[:len(pc)-min(len(pc), 1+r.Intn(3))]
 			out = append(out, fmt.Sprintf("pop to %d", len(pc)))
 		case op < 5:
-			may := s.MayBeTrue(pc, cond)
-			check(step, cond, may)
-			out = append(out, fmt.Sprintf("may %v", may))
+			feasible := may(s, pc, cond)
+			check(step, cond, feasible)
+			out = append(out, fmt.Sprintf("may %v", feasible))
 		case op < 6:
-			must := s.MustBeTrue(pc, cond)
+			must := !may(s, pc, expr.Not(cond))
 			check(step, expr.Not(cond), !must)
 			out = append(out, fmt.Sprintf("must %v", must))
 		default: // enumerate a term of at most 8 values
 			e := expr.Lshr(expr.Add(vars[r.Intn(len(vars))], vars[r.Intn(len(vars))]), expr.C(5, 8))
-			got := s.Values(pc, e, 8)
+			w, _ := referenceSat(pc)
+			got, models := s.Values(pc, e, w, 8)
+			for i, m := range models[1:] {
+				over := maps.Clone(w)
+				maps.Copy(over, m)
+				ev := expr.NewEvaluator(over)
+				for _, c := range pc {
+					if ev.Eval(c) == 0 {
+						t.Fatalf("seed %d step %d: value %d's model %v over the witness violates %s",
+							seed, step, got[i+1], m, c)
+					}
+				}
+				if ev.Eval(e) != got[i+1] {
+					t.Fatalf("seed %d step %d: model %v does not produce value %d", seed, step, m, got[i+1])
+				}
+			}
 			want := referenceValues(t, pc, e)
 			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 			// want holds distinct values, so a match also shows got has
@@ -133,7 +153,7 @@ func sessionWorkload(t *testing.T, seed int64) ([]string, *Solver) {
 		}
 	}
 	q, hits := s.Stats()
-	out = append(out, fmt.Sprintf("queries=%d hits=%d modelHits=%d search=%+v", q, hits, s.ModelHits(), s.Search()))
+	out = append(out, fmt.Sprintf("queries=%d hits=%d search=%+v", q, hits, s.Search()))
 	return out, s
 }
 
@@ -208,9 +228,9 @@ func TestRecycledSessionDoesNotLeak(t *testing.T) {
 		_, a := sessionWorkload(t, seed)
 		backend := a.inc.b
 		q, hits := a.Stats()
-		modelHits, search := a.ModelHits(), a.Search()
+		search := a.Search()
 		a.Close()
-		if q2, hits2 := a.Stats(); q2 != q || hits2 != hits || a.ModelHits() != modelHits || a.Search() != search {
+		if q2, hits2 := a.Stats(); q2 != q || hits2 != hits || a.Search() != search {
 			t.Fatalf("seed %d: counters changed on Close", seed)
 		}
 		if n := len(backendPool.free); n != 1 {
@@ -236,7 +256,7 @@ func TestRecycledSessionDoesNotLeak(t *testing.T) {
 			}
 			t.Fatalf("seed %d after seed %d: transcripts differ in length", next, seed)
 		}
-		if !reflect.DeepEqual(b.models, f.models) || !reflect.DeepEqual(b.cache, f.cache) {
+		if !reflect.DeepEqual(b.cache, f.cache) {
 			t.Fatalf("seed %d after seed %d: cached models or verdicts differ", next, seed)
 		}
 		if b.Search() != f.Search() {

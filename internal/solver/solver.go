@@ -1,40 +1,41 @@
 // Package solver decides satisfiability of conjunctions of symbolic
 // bitvector constraints (package expr). It is layered:
 //
-//   - a front end (this file) owning everything query-shaped:
-//     fingerprint-keyed verdict/model caches, the per-variable-set
-//     counterexample index, constraint-independence slicing, and
-//     incremental sessions;
+//   - a front end (this file) owning everything query-shaped: the
+//     fingerprint-keyed answer cache, constraint-independence slicing,
+//     and the incremental session;
 //   - the core backend (backend.go): Root / SolveUnder and Model,
 //     over the bit-blaster (blast.go) and the CDCL SAT core (package
 //     sat).
 //
 // It fills the role STP fills for KLEE in the original RevNIC: the
 // symbolic execution engine asks, at every branch that depends on
-// symbolic input, whether each outcome is feasible under the current
-// path constraints, and requests concrete models when it needs to
-// concretize (e.g., for symbolic memory addresses, §3.4 of the paper).
+// symbolic input, whether an outcome is feasible under the current
+// path constraints, and enumerates concrete values when it forks on a
+// symbolic jump target (§3.4 of the paper). Every SAT answer comes
+// with a model over exactly the symbols of its sliced query; the
+// engine keeps one such model per state as the state's witness and
+// answers the side of a branch the witness takes, and every
+// concretization, by evaluation alone, so the solver sees one query
+// per symbolic branch.
 //
 // The query path is built on interned expression IDs (expr.ID):
 //
-//   - the sat/unsat cache and the model cache key on an
-//     order-insensitive uint64 hash of the constraint IDs, so a cache
-//     probe allocates nothing;
-//   - the counterexample index (cache.go) answers subsumed queries
-//     job-wide: weaker queries by re-evaluating indexed models,
-//     stronger queries by UNSAT-set subsumption;
-//   - every query the caches cannot answer (MayBeTrue, Satisfiable,
-//     Model) is decided incrementally: the solver keeps one backend
-//     session whose stack of root literals mirrors the query's
-//     constraint prefix, so sibling states after a fork share the
-//     blasted prefix instead of rebuilding it. The roots and the
-//     condition are decided as SAT assumptions (SolveUnder),
-//     branching only on their cone. Close hands the session's backend
-//     to a process-wide free list, so the next session reuses its
-//     buffers instead of growing new ones.
+//   - the answer cache keys on an order-insensitive uint64 hash of
+//     the constraint IDs, so a cache probe allocates nothing, and
+//     holds the model of every SAT answer beside the verdict;
+//   - every query the cache cannot answer (MayBeTrue, Model) is
+//     decided incrementally: the solver keeps one backend session
+//     whose stack of root literals mirrors the query's constraint
+//     prefix, so sibling states after a fork share the blasted prefix
+//     instead of rebuilding it. The roots and the condition are
+//     decided as SAT assumptions (SolveUnder), branching only on their
+//     cone. Close hands the session's backend to a process-wide free
+//     list, so the next session reuses its buffers instead of growing
+//     new ones.
 //
-// Determinism contract: query answers and every cache side effect are
-// bit-identical run-to-run.
+// Determinism contract: query answers, their models and every cache
+// side effect are bit-identical run-to-run.
 package solver
 
 import (
@@ -54,23 +55,17 @@ const (
 	Sat
 )
 
-// cacheCap bounds the query cache. When an exploration would grow
-// the cache past it the cache (and the model cache beside it) is
-// reset — an epoch flush — so long runs hold at most one epoch of
-// memoized queries; Evictions reports how often that happened.
+// cacheCap bounds the answer cache. When an exploration would grow
+// the cache past it the cache is reset — an epoch flush — so long runs
+// hold at most one epoch of memoized queries; Evictions reports how
+// often that happened.
 const cacheCap = 1 << 16
-
-// cxModels sizes the counterexample index: models kept per
-// variable-set bucket, and the length of the global recency list
-// probed as a fallback.
-const cxModels = 4
 
 // Config parameterizes a solver. The zero value selects the defaults
 // New uses.
 type Config struct {
 	// Arena is the expression arena the solver builds derived
-	// expressions in (negations for MustBeTrue, exclusion constraints
-	// for Values). nil selects the process-global default arena; a
+	// expressions in (the exclusion constraints of Values). nil selects the process-global default arena; a
 	// job-scoped solver must pass the job's arena so its expressions
 	// die with the job.
 	Arena *expr.Arena
@@ -83,8 +78,8 @@ type Config struct {
 	Interrupt func() bool
 }
 
-// Solver answers bitvector queries with memoization, counterexample
-// reuse and an incremental solver session. The zero value is not
+// Solver answers bitvector queries with memoization and an
+// incremental solver session. The zero value is not
 // usable; call New or NewWith.
 //
 // A Solver is safe for concurrent use: the caches are mutex-guarded
@@ -99,10 +94,10 @@ type Solver struct {
 	ar        *expr.Arena
 	interrupt func() bool
 
-	mu         sync.Mutex
-	cache      map[uint64]bool
-	models     map[uint64]map[string]uint32
-	cx         *cxIndex
+	mu sync.Mutex
+	// cache maps a query fingerprint to its answer: the model of a SAT
+	// query, nil for an UNSAT one.
+	cache      map[uint64]map[string]uint32
 	cacheLimit int // cacheCap; tests lower it to exercise flushes
 
 	incMu sync.Mutex
@@ -110,7 +105,6 @@ type Solver struct {
 
 	queries   atomic.Int64
 	hits      atomic.Int64
-	modelHits atomic.Int64
 	evictions atomic.Int64
 	extended  atomic.Int64
 	created   atomic.Int64
@@ -143,9 +137,7 @@ func NewWith(cfg Config) *Solver {
 	return &Solver{
 		ar:         cfg.Arena,
 		interrupt:  cfg.Interrupt,
-		cache:      map[uint64]bool{},
-		models:     map[uint64]map[string]uint32{},
-		cx:         newCxIndex(),
+		cache:      map[uint64]map[string]uint32{},
 		cacheLimit: cacheCap,
 	}
 }
@@ -156,11 +148,6 @@ func NewWith(cfg Config) *Solver {
 func (s *Solver) Stats() (queries, cacheHits int64) {
 	return s.queries.Load(), s.hits.Load()
 }
-
-// ModelHits returns how many queries were answered by the
-// counterexample machinery instead of solving: exact model-cache
-// hits, indexed-model re-evaluation, and UNSAT-set subsumption.
-func (s *Solver) ModelHits() int64 { return s.modelHits.Load() }
 
 // SearchStats is the SAT-level work behind a solver's answers. Every
 // count is a pure function of the query sequence, so, like the query
@@ -200,8 +187,8 @@ func (s *Solver) Search() SearchStats {
 
 // Close releases s's session: its backend is reset and returned to the
 // process-wide free list, where the next session any solver creates
-// picks it up instead of allocating its SAT instance afresh. Stats,
-// ModelHits and Search stay readable after Close. A query after Close
+// picks it up instead of allocating its SAT instance afresh. Stats and
+// Search stay readable after Close. A query after Close
 // creates a new session (and counts it); closing twice, or closing a
 // solver that never decided a query, is a no-op.
 func (s *Solver) Close() {
@@ -225,104 +212,66 @@ func (s *Solver) CacheSize() int {
 // flushed.
 func (s *Solver) Evictions() int64 { return s.evictions.Load() }
 
-// Satisfiable reports whether the conjunction of the given width-1
-// constraints has a model.
-func (s *Solver) Satisfiable(constraints []*expr.Expr) bool {
-	s.queries.Add(1)
-	live, unsat := liveConstraints(constraints)
-	if unsat {
-		return false
-	}
-	if len(live) == 0 {
-		return true
-	}
-	ok, _ := s.query(live, nil, false)
-	return ok
-}
-
 // MayBeTrue reports whether cond can be true under the path
-// constraints: SAT(pc ∧ cond). The path condition is sliced to the
-// constraints relevant to cond first; the sliced prefix lives on a
-// shared backend session as a stack of root literals, so sibling
-// states after a fork share the common prefix, and the roots and cond
-// are decided as assumptions (SolveUnder), so a branch's two queries
-// (cond, ¬cond) and consecutive branches over the same variables share
-// translation work and learnt clauses.
-func (s *Solver) MayBeTrue(pc []*expr.Expr, cond *expr.Expr) bool {
+// constraints, SAT(pc ∧ cond), and returns a model proving it. The
+// path condition is sliced to the constraints relevant to cond first,
+// and the model binds exactly the symbols of that slice and of cond
+// (0 where the solver left one free): the constraints outside the
+// slice share no symbol with it, so laying the model over any
+// assignment satisfying pc yields one satisfying pc ∧ cond. The
+// sliced prefix lives on a shared backend session as a stack of root
+// literals, so sibling states after a fork share the common prefix,
+// and the roots and cond are decided as assumptions (SolveUnder), so
+// consecutive branches over the same variables share translation work
+// and learnt clauses. The model is shared with the cache: callers
+// must not modify it.
+func (s *Solver) MayBeTrue(pc []*expr.Expr, cond *expr.Expr) (map[string]uint32, bool) {
 	s.queries.Add(1)
 	prefix, unsat := liveConstraints(Slice(pc, cond))
 	if unsat || cond.IsFalse() {
-		return false
+		return nil, false
 	}
 	if cond.IsTrue() {
 		if len(prefix) == 0 {
-			return true
+			return map[string]uint32{}, true
 		}
 		cond = nil
 	}
-	ok, _ := s.query(prefix, cond, false)
-	return ok
+	m := s.query(prefix, cond)
+	return m, m != nil
 }
 
 // query answers SAT(prefix ∧ cond) for live constraints, cond nil or
-// a non-constant condition, and at least one constraint in all. Its
-// steps: the verdict and model caches, the counterexample index
-// (trySat, then tryUnsat), then a decision, whose verdict and model or
-// UNSAT set are stored. wantModel probes the model cache first and
-// takes only an UNSAT verdict from the verdict cache, since a cached
-// SAT verdict carries no model. A returned model belongs to the
-// solver; callers hand out copies.
-func (s *Solver) query(prefix []*expr.Expr, cond *expr.Expr, wantModel bool) (bool, map[string]uint32) {
+// a non-constant condition, and at least one constraint in all: the
+// model of a SAT answer, nil for UNSAT. The answer cache is probed
+// first; a decided answer is stored there, its model restricted to the
+// query's symbols. A returned model belongs to the solver.
+func (s *Solver) query(prefix []*expr.Expr, cond *expr.Expr) map[string]uint32 {
 	full := prefix
 	if cond != nil {
 		full = append(prefix[:len(prefix):len(prefix)], cond)
 	}
 	fp := fingerprint(full)
-	if wantModel {
-		if m, ok := s.modelGet(fp); ok {
-			s.modelHits.Add(1)
-			return true, m
-		}
-	}
-	if r, ok := s.cacheGet(fp); ok && !(wantModel && r) {
+	if m, ok := s.cacheGet(fp); ok {
 		s.hits.Add(1)
-		return r, nil
+		return m
 	}
-	sig := querySig(full)
-	if m, ok := s.trySat(sig, full); ok {
-		s.modelHits.Add(1)
-		s.cachePut(fp, true)
-		s.rememberModel(fp, m)
-		return true, m
-	}
-	if s.tryUnsat(full) {
-		s.modelHits.Add(1)
-		s.cachePut(fp, false)
-		return false, nil
-	}
-	v, model := s.solveSession(prefix, cond)
-	// The verdict goes in first: an epoch flush inside cachePut would
-	// drop a model or UNSAT set stored before it.
-	switch v {
-	case VSat:
-		s.cachePut(fp, true)
-		s.storeModel(fp, sig, model)
-		return true, model
-	case VUnsat:
-		s.cachePut(fp, false)
-		s.storeUnsat(full)
-	}
+	v, model := s.solveSession(prefix, cond, full)
 	// VUnknown: the search was aborted; answer UNSAT, cache nothing.
-	return false, nil
+	if v != VUnknown {
+		s.cachePut(fp, model)
+	}
+	return model
 }
 
-// solveSession decides SAT(prefix ∧ cond) on the shared session. The
+// solveSession decides SAT(prefix ∧ cond) on the shared session and
+// returns the model of a SAT verdict over the symbols of full. The
 // session's root stack is synchronized with the prefix: truncate to
 // the longest common prefix, blast the suffix and push its roots.
 // After a fork, the two children differ only in their last
 // constraint, so the whole shared prefix — its CNF and its learnt
 // clauses — is reused instead of rebuilt.
-func (s *Solver) solveSession(prefix []*expr.Expr, cond *expr.Expr) (Verdict, map[string]uint32) {
+func (s *Solver) solveSession(prefix []*expr.Expr, cond *expr.Expr, full []*expr.Expr) (Verdict, map[string]uint32) {
 	s.incMu.Lock()
 	defer s.incMu.Unlock()
 	sess := s.inc
@@ -349,24 +298,17 @@ func (s *Solver) solveSession(prefix []*expr.Expr, cond *expr.Expr) (Verdict, ma
 	s.decisions.Add(d1 - d0)
 	s.conflicts.Add(c1 - c0)
 	if v == VSat {
-		return v, sess.b.Model()
+		return v, sess.b.Model(queryVars(full))
 	}
 	return v, nil
 }
 
-// MustBeTrue reports whether cond is implied by the path constraints:
-// UNSAT(pc ∧ ¬cond).
-func (s *Solver) MustBeTrue(pc []*expr.Expr, cond *expr.Expr) bool {
-	return !s.MayBeTrue(pc, s.ar.Not(cond))
-}
-
 // Model returns a satisfying assignment for the constraints, or ok =
-// false if they are unsatisfiable. Variables not mentioned in the
-// constraints may be absent from the model (expr.Eval treats missing
-// variables as zero); a reused cached witness can mention extra
-// variables, which evaluation ignores. Models are cached beside the
-// sat/unsat verdicts: re-asking for the model of a known constraint
-// set costs a fingerprint probe.
+// false if they are unsatisfiable. The model binds exactly the
+// symbols the constraints mention. Models are cached beside the
+// verdicts: re-asking for the model of a known constraint set costs a
+// fingerprint probe. The model is shared with the cache: callers must
+// not modify it.
 func (s *Solver) Model(constraints []*expr.Expr) (map[string]uint32, bool) {
 	s.queries.Add(1)
 	live, unsat := liveConstraints(constraints)
@@ -376,57 +318,34 @@ func (s *Solver) Model(constraints []*expr.Expr) (map[string]uint32, bool) {
 	if len(live) == 0 {
 		return map[string]uint32{}, true
 	}
-	ok, m := s.query(live, nil, true)
-	if !ok {
-		return nil, false
-	}
-	return copyModel(m), true
+	m := s.query(live, nil)
+	return m, m != nil
 }
 
-func copyModel(m map[string]uint32) map[string]uint32 {
-	out := make(map[string]uint32, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-// Concretize returns a concrete value e can take under the path
-// constraints, plus ok=false if the constraints are unsatisfiable.
-// This implements the address/value concretization RevNIC applies to
-// symbolic memory addresses and to OS-visible values.
-func (s *Solver) Concretize(pc []*expr.Expr, e *expr.Expr) (uint32, bool) {
-	if v, ok := e.IsConst(); ok {
-		return v, true
-	}
-	// Only the constraints touching e's variables can restrict its
-	// value; independent ones are satisfiable separately.
-	model, ok := s.Model(Slice(pc, e))
-	if !ok {
-		return 0, false
-	}
-	return expr.Eval(e, model), true
-}
-
-// Values enumerates up to max distinct concrete values e can take
-// under the path constraints, in the order the solver discovers them.
+// Values enumerates up to max (at least 1) distinct concrete values e
+// can take under the path constraints, in the order they are found.
 // This implements the jump-table enumeration of §3.4: "Since there
 // are typically only a few concrete values, RevNIC generates all of
-// them and forks the execution for each such value."
-func (s *Solver) Values(pc []*expr.Expr, e *expr.Expr, max int) []uint32 {
+// them and forks the execution for each such value." w must satisfy
+// pc: the value e takes under w comes first, without a query, with a
+// nil model. Every later value comes with the model that produced it,
+// binding the symbols of Slice(pc, e) and e, so laid over w it
+// satisfies pc and gives e that value.
+func (s *Solver) Values(pc []*expr.Expr, e *expr.Expr, w map[string]uint32, max int) ([]uint32, []map[string]uint32) {
 	if v, ok := e.IsConst(); ok {
-		return []uint32{v}
+		return []uint32{v}, []map[string]uint32{nil}
 	}
-	var out []uint32
+	v := expr.Eval(e, w)
+	vals, models := []uint32{v}, []map[string]uint32{nil}
 	cons := Slice(pc, e)
-	for len(out) < max {
-		model, ok := s.Model(cons)
+	for len(vals) < max {
+		cons = append(cons, s.ar.Not(s.ar.Eq(e, s.ar.C(v, e.Width))))
+		m, ok := s.Model(cons)
 		if !ok {
 			break
 		}
-		v := expr.Eval(e, model)
-		out = append(out, v)
-		cons = append(cons, s.ar.Not(s.ar.Eq(e, s.ar.C(v, e.Width))))
+		v = expr.Eval(e, m)
+		vals, models = append(vals, v), append(models, m)
 	}
-	return out
+	return vals, models
 }

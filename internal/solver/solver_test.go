@@ -2,6 +2,7 @@ package solver
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"strings"
@@ -11,12 +12,24 @@ import (
 	"revnic/internal/expr"
 )
 
+// satisfiable reports whether the conjunction of cons has a model.
+func satisfiable(s *Solver, cons []*expr.Expr) bool {
+	_, ok := s.Model(cons)
+	return ok
+}
+
+// may reports whether cond can be true under pc.
+func may(s *Solver, pc []*expr.Expr, cond *expr.Expr) bool {
+	_, ok := s.MayBeTrue(pc, cond)
+	return ok
+}
+
 func TestBasicQueries(t *testing.T) {
 	s := New()
 	x := expr.S("x", 32)
 	// x + 1 == 5  is satisfiable with x = 4.
 	c := expr.Eq(expr.Add(x, expr.C(1, 32)), expr.C(5, 32))
-	if !s.Satisfiable([]*expr.Expr{c}) {
+	if !satisfiable(s, []*expr.Expr{c}) {
 		t.Fatal("x+1==5 should be SAT")
 	}
 	m, ok := s.Model([]*expr.Expr{c})
@@ -28,7 +41,7 @@ func TestBasicQueries(t *testing.T) {
 		expr.Ult(x, expr.C(2, 32)),
 		expr.Ult(expr.C(5, 32), x),
 	}
-	if s.Satisfiable(u) {
+	if satisfiable(s, u) {
 		t.Fatal("x<2 && x>5 should be UNSAT")
 	}
 }
@@ -39,13 +52,13 @@ func TestMustMayBeTrue(t *testing.T) {
 	pc := []*expr.Expr{expr.Ult(x, expr.C(10, 8))}
 	lt20 := expr.Ult(x, expr.C(20, 8))
 	lt5 := expr.Ult(x, expr.C(5, 8))
-	if !s.MustBeTrue(pc, lt20) {
+	if may(s, pc, expr.Not(lt20)) {
 		t.Error("x<10 must imply x<20")
 	}
-	if s.MustBeTrue(pc, lt5) {
+	if !may(s, pc, expr.Not(lt5)) {
 		t.Error("x<10 must not imply x<5")
 	}
-	if !s.MayBeTrue(pc, lt5) {
+	if !may(s, pc, lt5) {
 		t.Error("x<5 must be possible under x<10")
 	}
 }
@@ -67,7 +80,7 @@ func TestSignedComparison(t *testing.T) {
 		t.Fatalf("model x=%d does not satisfy", m["x"])
 	}
 	// x <s 0 && x <u 100 is UNSAT at width 8.
-	if s.Satisfiable([]*expr.Expr{
+	if satisfiable(s, []*expr.Expr{
 		expr.Slt(x, expr.C(0, 8)),
 		expr.Ult(x, expr.C(100, 8)),
 	}) {
@@ -136,14 +149,14 @@ func TestRandomConstraintModels(t *testing.T) {
 				break
 			}
 		}
-		got := s.Satisfiable(cons)
+		got := satisfiable(s, cons)
 		if got != want {
 			t.Fatalf("trial %d: solver=%v brute=%v cons=%v", trial, got, want, cons)
 		}
 		if got {
 			m, ok := s.Model(cons)
 			if !ok {
-				t.Fatalf("trial %d: Satisfiable but no model", trial)
+				t.Fatalf("trial %d: satisfiable but no model", trial)
 			}
 			for _, c := range cons {
 				if expr.Eval(c, m) == 0 {
@@ -189,24 +202,25 @@ func TestConcretizeAndValues(t *testing.T) {
 	s := New()
 	x := expr.S("x", 32)
 	pc := []*expr.Expr{expr.Ult(x, expr.C(3, 32))}
-	vals := s.Values(pc, x, 10)
-	if len(vals) != 3 {
-		t.Fatalf("Values = %v, want 3 values", vals)
+	// The empty witness (x = 0) satisfies pc: its value comes first,
+	// without a model.
+	vals, models := s.Values(pc, x, nil, 10)
+	if len(vals) != 3 || vals[0] != 0 || models[0] != nil {
+		t.Fatalf("Values = %v, %v; want 3 values, the witness's 0 first", vals, models)
 	}
 	seen := map[uint32]bool{}
-	for _, v := range vals {
+	for i, v := range vals {
 		if v >= 3 || seen[v] {
 			t.Fatalf("Values = %v", vals)
 		}
 		seen[v] = true
-	}
-	v, ok := s.Concretize(pc, expr.Add(x, expr.C(100, 32)))
-	if !ok || v < 100 || v > 102 {
-		t.Fatalf("Concretize = %d, %v", v, ok)
+		if i > 0 && (expr.Eval(x, models[i]) != v || expr.Eval(pc[0], models[i]) == 0) {
+			t.Fatalf("model %v does not produce value %d under pc", models[i], v)
+		}
 	}
 	// Constant shortcut.
-	if v, _ := s.Concretize(nil, expr.C(7, 32)); v != 7 {
-		t.Fatal("const concretize")
+	if vals, _ := s.Values(nil, expr.C(7, 32), nil, 4); len(vals) != 1 || vals[0] != 7 {
+		t.Fatalf("const Values = %v", vals)
 	}
 }
 
@@ -214,7 +228,7 @@ func TestUnsatConcretize(t *testing.T) {
 	s := New()
 	x := expr.S("x", 8)
 	pc := []*expr.Expr{expr.Eq(x, expr.C(1, 8)), expr.Eq(x, expr.C(2, 8))}
-	if _, ok := s.Concretize(pc, x); ok {
+	if _, ok := s.Model(Slice(pc, x)); ok {
 		t.Fatal("UNSAT pc should not concretize")
 	}
 }
@@ -240,13 +254,13 @@ func TestSlice(t *testing.T) {
 	// Slicing must not change satisfiability verdicts.
 	s := New()
 	cond := expr.Ult(expr.C(10, 32), y) // y > 10 contradicts y = x+1, x < 10... x<10 -> y<=10
-	if s.MayBeTrue(pc, cond) {
+	if may(s, pc, cond) {
 		t.Error("y>10 should be infeasible under x<10, y=x+1")
 	}
-	if !s.MayBeTrue(pc, expr.Eq(z, expr.C(4, 32))) {
+	if !may(s, pc, expr.Eq(z, expr.C(4, 32))) {
 		t.Error("z==4 feasible")
 	}
-	if s.MayBeTrue(pc, expr.Eq(z, expr.C(7, 32))) {
+	if may(s, pc, expr.Eq(z, expr.C(7, 32))) {
 		t.Error("z==7 must respect the z<5 constraint")
 	}
 	// Constant target slices to nothing.
@@ -255,6 +269,9 @@ func TestSlice(t *testing.T) {
 	}
 }
 
+// TestSliceConcretizeRespectsConstraints checks the contract the
+// engine's witnesses rest on: a model of a sliced query, laid over an
+// assignment satisfying the whole path condition, satisfies it too.
 func TestSliceConcretizeRespectsConstraints(t *testing.T) {
 	s := New()
 	x, z := expr.S("x", 8), expr.S("z", 8)
@@ -262,13 +279,25 @@ func TestSliceConcretizeRespectsConstraints(t *testing.T) {
 		expr.Ult(expr.C(100, 8), x), // x > 100
 		expr.Ult(z, expr.C(3, 8)),
 	}
-	v, ok := s.Concretize(pc, x)
-	if !ok || v <= 100 {
-		t.Errorf("concretize x = %d", v)
-	}
-	vals := s.Values(pc, z, 10)
+	w := map[string]uint32{"x": 101}
+	vals, models := s.Values(pc, z, w, 10)
 	if len(vals) != 3 {
 		t.Errorf("Values(z) = %v", vals)
+	}
+	for i, m := range models[1:] {
+		over := maps.Clone(w)
+		maps.Copy(over, m)
+		for _, c := range pc {
+			if expr.Eval(c, over) == 0 {
+				t.Fatalf("value %d: model %v over %v violates %s", vals[i+1], m, w, c)
+			}
+		}
+	}
+	vals, _ = s.Values(pc, x, w, 4)
+	for _, v := range vals {
+		if v <= 100 {
+			t.Errorf("Values(x) = %v", vals)
+		}
 	}
 }
 
@@ -276,8 +305,8 @@ func TestCache(t *testing.T) {
 	s := New()
 	x := expr.S("x", 32)
 	c := expr.Eq(x, expr.C(1, 32))
-	s.Satisfiable([]*expr.Expr{c})
-	s.Satisfiable([]*expr.Expr{c})
+	satisfiable(s, []*expr.Expr{c})
+	satisfiable(s, []*expr.Expr{c})
 	if q, h := s.Stats(); q != 2 || h != 1 {
 		t.Fatalf("queries=%d hits=%d", q, h)
 	}
@@ -331,7 +360,7 @@ func TestConcurrentSolving(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				want := uint32(i % 100)
 				c := expr.Eq(expr.Add(x, expr.C(1, 16)), expr.C(want+1, 16))
-				if !s.Satisfiable([]*expr.Expr{c}) {
+				if !satisfiable(s, []*expr.Expr{c}) {
 					t.Errorf("x==%d should be SAT", want)
 					return
 				}
@@ -339,7 +368,7 @@ func TestConcurrentSolving(t *testing.T) {
 					t.Errorf("model = %v, want x=%d", m, want)
 					return
 				}
-				if s.Satisfiable([]*expr.Expr{c, expr.Not(c)}) {
+				if satisfiable(s, []*expr.Expr{c, expr.Not(c)}) {
 					t.Error("c && !c should be UNSAT")
 					return
 				}
@@ -381,7 +410,7 @@ func TestCacheBound(t *testing.T) {
 	x := expr.S("x", 32)
 	for i := 0; i < 100; i++ {
 		c := expr.Eq(x, expr.C(uint32(i), 32))
-		if !s.Satisfiable([]*expr.Expr{c}) {
+		if !satisfiable(s, []*expr.Expr{c}) {
 			t.Fatalf("x==%d should be SAT", i)
 		}
 		if got := s.CacheSize(); got > 8 {
@@ -422,12 +451,12 @@ func TestIncrementalMatchesOneShot(t *testing.T) {
 			default:
 				cond = expr.Slt(x, c)
 			}
-			a, b := inc.MayBeTrue(pc, cond), oneShot(cond)
+			a, b := may(inc, pc, cond), oneShot(cond)
 			if a != b {
 				t.Fatalf("trial %d step %d: incremental=%v one-shot=%v for %s under %v",
 					trial, step, a, b, cond, pc)
 			}
-			na, nb := inc.MayBeTrue(pc, expr.Not(cond)), oneShot(expr.Not(cond))
+			na, nb := may(inc, pc, expr.Not(cond)), oneShot(expr.Not(cond))
 			if na != nb {
 				t.Fatalf("trial %d step %d: negated divergence for %s", trial, step, cond)
 			}
@@ -446,9 +475,10 @@ func TestIncrementalMatchesOneShot(t *testing.T) {
 	}
 }
 
-// TestModelCache checks the model cache: a repeated Model call for
-// the same constraint set is served without solving, and the answer
-// still satisfies the constraints.
+// TestModelCache checks that models are cached beside the verdicts:
+// a repeated Model call for the same constraint set is served from the
+// cache, and the answer binds exactly the query's symbol and satisfies
+// its constraint.
 func TestModelCache(t *testing.T) {
 	s := New()
 	x := expr.S("mc", 16)
@@ -457,40 +487,14 @@ func TestModelCache(t *testing.T) {
 	if !ok {
 		t.Fatal("SAT expected")
 	}
-	before := s.ModelHits()
 	m2, ok := s.Model(cons)
-	if !ok || s.ModelHits() == before {
-		t.Fatal("second Model call did not hit the model cache")
+	if _, hits := s.Stats(); !ok || hits != 1 {
+		t.Fatal("second Model call did not hit the cache")
 	}
 	for _, m := range []map[string]uint32{m1, m2} {
-		if expr.Eval(cons[0], m) == 0 {
+		if len(m) != 1 || expr.Eval(cons[0], m) == 0 {
 			t.Fatalf("cached model %v violates constraint", m)
 		}
-	}
-	// Mutating a returned model must not corrupt the cache.
-	m2["mc"] = 0xFFFF
-	m3, _ := s.Model(cons)
-	if expr.Eval(cons[0], m3) == 0 {
-		t.Fatal("cache corrupted by caller mutation")
-	}
-}
-
-// TestCounterexampleReuse checks the recent-model ring: a query
-// satisfied by a recently found witness is answered without solving.
-func TestCounterexampleReuse(t *testing.T) {
-	s := New()
-	x := expr.S("cr", 8)
-	// First query discovers a model with x < 100.
-	if !s.Satisfiable([]*expr.Expr{expr.Ult(x, expr.C(100, 8))}) {
-		t.Fatal("SAT expected")
-	}
-	// A weaker query is satisfied by the same witness.
-	before := s.ModelHits()
-	if !s.Satisfiable([]*expr.Expr{expr.Ult(x, expr.C(200, 8))}) {
-		t.Fatal("SAT expected")
-	}
-	if s.ModelHits() == before {
-		t.Error("weaker query did not reuse the recent model")
 	}
 }
 
@@ -573,7 +577,7 @@ func BenchmarkMayBeTrue(b *testing.B) {
 		name  string
 		query func(s *Solver, pc []*expr.Expr, cond *expr.Expr) bool
 	}{
-		{"incremental", (*Solver).MayBeTrue},
+		{"incremental", may},
 		{"one-shot", func(_ *Solver, pc []*expr.Expr, cond *expr.Expr) bool {
 			_, ok := referenceSat(append(Slice(pc, cond), cond))
 			return ok
@@ -604,19 +608,18 @@ func BenchmarkMayBeTrue(b *testing.B) {
 
 func TestSolverArenaScoped(t *testing.T) {
 	// A solver bound to a private arena must not grow the default
-	// arena when it derives expressions (Values exclusions,
-	// MustBeTrue negations).
+	// arena when it derives expressions (Values exclusions).
 	ar := expr.NewArena()
 	s := NewWith(Config{Arena: ar})
 	x := ar.S("arsx", 32)
 	pc := []*expr.Expr{ar.Ult(x, ar.C(4, 32))}
 	expr.VarNames(x) // warm any lazy default-arena state
 	before := expr.InternedNodes()
-	vals := s.Values(pc, x, 8)
+	vals, _ := s.Values(pc, x, nil, 8)
 	if len(vals) != 4 {
 		t.Fatalf("expected 4 values below 4, got %v", vals)
 	}
-	if !s.MustBeTrue(pc, ar.Ult(x, ar.C(100, 32))) {
+	if may(s, pc, ar.Not(ar.Ult(x, ar.C(100, 32)))) {
 		t.Fatal("x < 4 implies x < 100")
 	}
 	if after := expr.InternedNodes(); after != before {
@@ -636,8 +639,8 @@ func TestSearchStats(t *testing.T) {
 		var pc []*expr.Expr
 		for step := 0; step < 12; step++ {
 			x := vars[r.Intn(len(vars))]
-			// An equality the last witness rarely meets, so most queries
-			// miss the counterexample index and reach the session.
+			// A fresh equality, so most queries miss the cache and reach
+			// the session.
 			cond := expr.Eq(expr.Add(x, vars[r.Intn(len(vars))]), expr.C(uint32(r.Intn(256)), 8))
 			if modelOnly {
 				if _, ok := s.Model(append(pc[:len(pc):len(pc)], cond)); ok {
@@ -645,7 +648,7 @@ func TestSearchStats(t *testing.T) {
 				}
 				continue
 			}
-			if s.MayBeTrue(pc, cond) {
+			if may(s, pc, cond) {
 				pc = append(pc, cond)
 			}
 			s.Model(pc)

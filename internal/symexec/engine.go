@@ -168,8 +168,11 @@ type Result struct {
 	Strategy string
 	// SolverQueries and SolverCacheHits aggregate the constraint
 	// solver's work across the root engine and all fork-join worker
-	// children; SolverModelHits counts queries answered by
-	// re-evaluating a cached model instead of solving.
+	// children. SolverModelHits counts the answers obtained by
+	// evaluating a state's witness instead of asking the solver: the
+	// side of a symbolic branch the witness takes, a concretized
+	// value, a jump target's first value, and a success check the
+	// witness meets.
 	SolverQueries   int64
 	SolverCacheHits int64
 	SolverModelHits int64
@@ -218,13 +221,15 @@ type Engine struct {
 	coverage []CoveragePoint
 	lastCov  int
 
-	// childQueries/childHits/childModelHits/childSearch accumulate the
-	// solver statistics of merged worker children (each child has its
-	// own solver; the join folds its counters here).
-	childQueries   int64
-	childHits      int64
-	childModelHits int64
-	childSearch    solver.SearchStats
+	// childQueries/childHits/childSearch accumulate the solver
+	// statistics of merged worker children (each child has its own
+	// solver; the join folds its counters here).
+	childQueries int64
+	childHits    int64
+	childSearch  solver.SearchStats
+	// modelHits counts witness answers, this engine's and its merged
+	// children's (Result.SolverModelHits).
+	modelHits int64
 
 	// symPrefix namespaces fresh symbols minted by a worker child so
 	// they can never collide with symbols already present in the seed
@@ -419,18 +424,17 @@ func (e *Engine) inDriver(addr uint32) bool {
 	return addr >= e.prog.Base && addr < e.prog.Base+uint32(len(e.prog.Code))
 }
 
-// concretizeU32 returns a concrete value for v under the state's path
-// constraints, additionally constraining v to that value.
-func (e *Engine) concretizeU32(s *State, v *expr.Expr) (uint32, bool) {
+// concretizeU32 returns the value v takes under the state's witness,
+// additionally constraining v to that value. The witness satisfies
+// the path condition, so no query is needed.
+func (e *Engine) concretizeU32(s *State, v *expr.Expr) uint32 {
 	if c, ok := v.IsConst(); ok {
-		return c, true
+		return c
 	}
-	val, ok := e.sol.Concretize(s.Constraints, v)
-	if !ok {
-		return 0, false
-	}
-	s.Constrain(e.ar.Eq(v, e.ar.C(val, v.Width)))
-	return val, true
+	e.modelHits++
+	val := expr.Eval(v, s.witness)
+	s.Constrain(e.ar.Eq(v, e.ar.C(val, v.Width)), nil)
+	return val
 }
 
 // sampleCoverage appends a coverage point when coverage changed.
@@ -488,11 +492,7 @@ func (e *Engine) apiModel(s *State, bi *trace.BlockInfo, callSite uint32, index 
 	sp, _ := s.Regs[isa.SP].IsConst()
 	args := make([]uint32, d.NArgs)
 	for i := range args {
-		v, ok := e.concretizeU32(s, s.Mem.Read(sp+uint32(4*i), 4))
-		if !ok {
-			return fmt.Errorf("symexec: unsatisfiable API argument")
-		}
-		args[i] = v
+		args[i] = e.concretizeU32(s, s.Mem.Read(sp+uint32(4*i), 4))
 	}
 	ret := uint32(guestos.StatusSuccess)
 	switch index {
@@ -688,18 +688,10 @@ func (e *Engine) execInstrs(s *State, b *ir.Block, bi *trace.BlockInfo) ([]*Stat
 				return nil, nil
 			}
 		case isa.IN8, isa.IN16, isa.IN32:
-			port, ok := e.concretizeU32(s, e.ar.Add(s.Regs[in.Rs1], e.ar.C(in.Imm, 32)))
-			if !ok {
-				s.Reason = TermError
-				return nil, nil
-			}
+			port := e.concretizeU32(s, e.ar.Add(s.Regs[in.Rs1], e.ar.C(in.Imm, 32)))
 			s.Regs[in.Rd] = e.hwRead(s, bi, addr, port, in.Op.AccessSize(), trace.ClassPortIO)
 		case isa.OUT8, isa.OUT16, isa.OUT32:
-			port, ok := e.concretizeU32(s, e.ar.Add(s.Regs[in.Rs1], e.ar.C(in.Imm, 32)))
-			if !ok {
-				s.Reason = TermError
-				return nil, nil
-			}
+			port := e.concretizeU32(s, e.ar.Add(s.Regs[in.Rs1], e.ar.C(in.Imm, 32)))
 			sz := in.Op.AccessSize()
 			v := e.ar.Trunc(s.Regs[in.Rs2], uint8(sz*8))
 			e.col.IO(bi, trace.Access{
@@ -742,11 +734,7 @@ func (e *Engine) execInstrs(s *State, b *ir.Block, bi *trace.BlockInfo) ([]*Stat
 			if in.Op == isa.CALLR {
 				targetE = s.Regs[in.Rs1]
 			}
-			target, ok := e.concretizeU32(s, targetE)
-			if !ok {
-				s.Reason = TermError
-				return nil, nil
-			}
+			target := e.concretizeU32(s, targetE)
 			if hw.IsAPIGate(target) {
 				if err := e.apiModel(s, bi, addr, hw.APIIndex(target)); err != nil {
 					s.Reason = TermError
@@ -773,11 +761,7 @@ func (e *Engine) execInstrs(s *State, b *ir.Block, bi *trace.BlockInfo) ([]*Stat
 				s.Reason = TermError
 				return nil, nil
 			}
-			raV, ok := e.concretizeU32(s, ra)
-			if !ok {
-				s.Reason = TermError
-				return nil, nil
-			}
+			raV := e.concretizeU32(s, ra)
 			s.Regs[isa.SP] = e.ar.Add(s.Regs[isa.SP], e.ar.C(4+in.Imm, 32))
 			if len(s.Frames) > 0 {
 				s.pendingRet = s.Frames[len(s.Frames)-1].target
@@ -808,10 +792,7 @@ func (e *Engine) execInstrs(s *State, b *ir.Block, bi *trace.BlockInfo) ([]*Stat
 // symbolic hardware; everything else is symbolic RAM. Symbolic
 // addresses are concretized (§3.4).
 func (e *Engine) load(s *State, bi *trace.BlockInfo, instrAddr uint32, addrE *expr.Expr, size int) (*expr.Expr, error) {
-	addr, ok := e.concretizeU32(s, addrE)
-	if !ok {
-		return nil, fmt.Errorf("unsat address")
-	}
+	addr := e.concretizeU32(s, addrE)
 	if hw.IsMMIO(addr) {
 		return e.hwRead(s, bi, instrAddr, addr, size, trace.ClassMMIO), nil
 	}
@@ -836,10 +817,7 @@ func (e *Engine) load(s *State, bi *trace.BlockInfo, instrAddr uint32, addrE *ex
 }
 
 func (e *Engine) store(s *State, bi *trace.BlockInfo, instrAddr uint32, addrE *expr.Expr, size int, v *expr.Expr) error {
-	addr, ok := e.concretizeU32(s, addrE)
-	if !ok {
-		return fmt.Errorf("unsat address")
-	}
+	addr := e.concretizeU32(s, addrE)
 	if hw.IsMMIO(addr) {
 		e.hwWrite(s, bi, instrAddr, addr, size, v)
 		return nil
@@ -861,8 +839,11 @@ func (e *Engine) store(s *State, bi *trace.BlockInfo, instrAddr uint32, addrE *e
 }
 
 // branch resolves a conditional: concrete conditions follow directly;
-// symbolic ones fork when both sides are feasible. The polling-loop
-// killer prunes the side that stays in an already-hot block.
+// symbolic ones fork when both sides are feasible. The state's
+// witness proves the side it takes feasible for free, so only the
+// other side goes to the solver, and a state following that side
+// takes the solver's model into its witness. The polling-loop killer
+// prunes the side that stays in an already-hot block.
 func (e *Engine) branch(s *State, bi *trace.BlockInfo, instrAddr uint32, cond *expr.Expr, taken, fallthrough_ uint32) ([]*State, error) {
 	if cond.IsTrue() {
 		e.col.Edge(instrAddr, taken, trace.EdgeBranch)
@@ -874,22 +855,28 @@ func (e *Engine) branch(s *State, bi *trace.BlockInfo, instrAddr uint32, cond *e
 		s.PC = fallthrough_
 		return []*State{s}, nil
 	}
-	mayTake := e.sol.MayBeTrue(s.Constraints, cond)
-	mayFall := e.sol.MayBeTrue(s.Constraints, e.ar.Not(cond))
+	notCond := e.ar.Not(cond)
+	e.modelHits++
+	// takeM and fallM are the models a state following each side lays
+	// over its witness; nil on the witness's own side.
+	var takeM, fallM map[string]uint32
+	mayTake, mayFall := true, true
+	if expr.Eval(cond, s.witness) != 0 {
+		fallM, mayFall = e.sol.MayBeTrue(s.Constraints, notCond)
+	} else {
+		takeM, mayTake = e.sol.MayBeTrue(s.Constraints, cond)
+	}
 	switch {
-	case mayTake && !mayFall:
-		s.Constrain(cond)
+	case !mayFall:
+		s.Constrain(cond, nil)
 		e.col.Edge(instrAddr, taken, trace.EdgeBranch)
 		s.PC = taken
 		return []*State{s}, nil
-	case !mayTake && mayFall:
-		s.Constrain(e.ar.Not(cond))
+	case !mayTake:
+		s.Constrain(notCond, nil)
 		e.col.Edge(instrAddr, fallthrough_, trace.EdgeFallthrough)
 		s.PC = fallthrough_
 		return []*State{s}, nil
-	case !mayTake && !mayFall:
-		s.Reason = TermError
-		return nil, nil
 	}
 	// Both feasible: fork. Polling-loop heuristic: if one target has
 	// re-executed beyond the threshold in this state, keep only the
@@ -897,24 +884,24 @@ func (e *Engine) branch(s *State, bi *trace.BlockInfo, instrAddr uint32, cond *e
 	if !e.cfg.DisableLoopKill {
 		if s.localCount[taken] >= e.cfg.PollThreshold && s.localCount[fallthrough_] < e.cfg.PollThreshold {
 			e.killed++
-			s.Constrain(e.ar.Not(cond))
+			s.Constrain(notCond, fallM)
 			e.col.Edge(instrAddr, fallthrough_, trace.EdgeFallthrough)
 			s.PC = fallthrough_
 			return []*State{s}, nil
 		}
 		if s.localCount[fallthrough_] >= e.cfg.PollThreshold && s.localCount[taken] < e.cfg.PollThreshold {
 			e.killed++
-			s.Constrain(cond)
+			s.Constrain(cond, takeM)
 			e.col.Edge(instrAddr, taken, trace.EdgeBranch)
 			s.PC = taken
 			return []*State{s}, nil
 		}
 	}
 	c := e.fork(s)
-	s.Constrain(cond)
+	s.Constrain(cond, takeM)
 	s.PC = taken
 	e.col.Edge(instrAddr, taken, trace.EdgeBranch)
-	c.Constrain(e.ar.Not(cond))
+	c.Constrain(notCond, fallM)
 	c.PC = fallthrough_
 	e.col.Edge(instrAddr, fallthrough_, trace.EdgeFallthrough)
 	return []*State{s, c}, nil
@@ -929,7 +916,10 @@ func (e *Engine) indirectJump(s *State, bi *trace.BlockInfo, instrAddr uint32, t
 		s.PC = v
 		return []*State{s}, nil
 	}
-	values := e.sol.Values(s.Constraints, target, 16)
+	// The witness's target comes first, at no query; every other
+	// target's state takes the model that produced it.
+	e.modelHits++
+	values, models := e.sol.Values(s.Constraints, target, s.witness, 16)
 	var out []*State
 	for i, v := range values {
 		if !e.inDriver(v) {
@@ -941,7 +931,7 @@ func (e *Engine) indirectJump(s *State, bi *trace.BlockInfo, instrAddr uint32, t
 		} else {
 			st = e.fork(s)
 		}
-		st.Constrain(e.ar.Eq(target, e.ar.C(v, target.Width)))
+		st.Constrain(e.ar.Eq(target, e.ar.C(v, target.Width)), models[i])
 		st.PC = v
 		e.col.Edge(instrAddr, v, trace.EdgeBranch)
 		out = append(out, st)

@@ -23,7 +23,7 @@ func sym(name string) argSpec { return argSpec{symbolic: name} }
 
 // successFn tests a completed state's return value. During shard
 // execution it runs against the worker's engine, so it must only use
-// the engine's solver and the state itself.
+// the engine's solver and counters and the state itself.
 type successFn func(e *Engine, s *State) bool
 
 // phase is one step of the exercise script.
@@ -63,11 +63,25 @@ func successFunc(name string) (successFn, error) {
 }
 
 func statusOK(e *Engine, s *State) bool {
-	return e.sol.MayBeTrue(s.Constraints, e.ar.Eq(s.Result, e.ar.C(guestos.StatusSuccess, 32)))
+	return e.mayHold(s, e.ar.Eq(s.Result, e.ar.C(guestos.StatusSuccess, 32)))
 }
 
 func nonZero(e *Engine, s *State) bool {
-	return e.sol.MayBeTrue(s.Constraints, e.ar.Not(e.ar.Eq(s.Result, e.ar.C(0, 32))))
+	return e.mayHold(s, e.ar.Not(e.ar.Eq(s.Result, e.ar.C(0, 32))))
+}
+
+// mayHold reports whether c can hold under the state's path
+// condition, trying the witness before the solver.
+func (e *Engine) mayHold(s *State, c *expr.Expr) bool {
+	if v, ok := c.IsConst(); ok {
+		return v != 0
+	}
+	if expr.Eval(c, s.witness) != 0 {
+		e.modelHits++
+		return true
+	}
+	_, ok := e.sol.MayBeTrue(s.Constraints, c)
+	return ok
 }
 
 func anyResult(e *Engine, s *State) bool { return true }
@@ -216,8 +230,8 @@ func (e *Engine) Explore() (*Result, error) {
 		}
 		if next != nil {
 			if ph.bindCtx {
-				v, ok := e.concretizeU32(next, next.Result)
-				if !ok || v == 0 {
+				v := e.concretizeU32(next, next.Result)
+				if v == 0 {
 					// The driver refused to initialize (e.g. no
 					// responding device under the concrete-hardware
 					// ablation): report what was covered so far.
@@ -254,7 +268,7 @@ func (e *Engine) buildResult(initFailed bool) *Result {
 		Strategy:         e.cfg.Searcher(e.col).Name(),
 		SolverQueries:    queries + e.childQueries,
 		SolverCacheHits:  hits + e.childHits,
-		SolverModelHits:  e.sol.ModelHits() + e.childModelHits,
+		SolverModelHits:  e.modelHits,
 		SolverSearch:     e.searchStats(),
 		TranslatedBlocks: e.cache.Misses(),
 		ShardsEffective:  e.shardsEff,

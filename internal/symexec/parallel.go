@@ -256,7 +256,7 @@ func childOutcome(c *Engine) *shardOutcome {
 		killed:    c.killed,
 		queries:   q + c.childQueries,
 		hits:      h + c.childHits,
-		modelHits: c.sol.ModelHits() + c.childModelHits,
+		modelHits: c.modelHits,
 		search:    c.searchStats(),
 		col:       c.col,
 		dma:       c.dma,
@@ -288,7 +288,7 @@ func (e *Engine) applyOutcome(o *shardOutcome) {
 	e.killed += o.killed
 	e.childQueries += o.queries
 	e.childHits += o.hits
-	e.childModelHits += o.modelHits
+	e.modelHits += o.modelHits
 	e.childSearch.Add(o.search)
 	e.col.Merge(o.col)
 	e.dma.Merge(&o.dma)

@@ -185,7 +185,7 @@ func (e *Engine) runShardTask(task *ShardTask) (*ShardResult, error) {
 		Killed:    e.killed,
 		Queries:   q,
 		CacheHits: h,
-		ModelHits: e.sol.ModelHits(),
+		ModelHits: e.modelHits,
 		Search:    e.sol.Search(),
 		Entries:   e.entries,
 		Timer:     e.timer,

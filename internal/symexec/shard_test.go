@@ -161,12 +161,12 @@ func TestStateGroupRoundTrip(t *testing.T) {
 	a := e.newState()
 	a.Mem.Write(0x1000, 4, e.ar.C(0xDEADBEEF, 32))
 	a.Regs[2] = e.ar.Add(e.ar.S("x", 32), e.ar.C(7, 32))
-	a.Constrain(e.ar.Ult(e.ar.S("x", 32), e.ar.C(100, 32)))
+	a.Constrain(e.ar.Ult(e.ar.S("x", 32), e.ar.C(100, 32)), nil)
 	a.Frames = append(a.Frames, frame{callSite: 0x40, target: 0x80, retAddr: 0x44, entrySP: 0xFF00})
 	a.localCount[0x80] = 3
 	b := e.fork(a) // shares a's pages COW
 	b.Mem.Write(0x1002, 1, e.ar.Trunc(e.ar.S("y", 32), 8))
-	b.Constrain(e.ar.Eq(e.ar.S("y", 32), e.ar.C(9, 32)))
+	b.Constrain(e.ar.Eq(e.ar.S("y", 32), e.ar.C(9, 32)), map[string]uint32{"y": 9})
 	b.Result = e.ar.C(1, 32)
 	b.Reason = TermCompleted
 

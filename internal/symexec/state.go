@@ -1,6 +1,8 @@
 package symexec
 
 import (
+	"maps"
+
 	"revnic/internal/expr"
 	"revnic/internal/isa"
 )
@@ -65,6 +67,12 @@ type State struct {
 
 	// Constraints is the path condition.
 	Constraints []*expr.Expr
+	// witness is a model of Constraints: every constraint evaluates
+	// to nonzero under it, unbound symbols reading as 0. It is
+	// immutable and shared by Fork; a state whose path takes a branch
+	// side the witness does not satisfy gets a new map with the
+	// solver's model of that side laid over the old one.
+	witness map[string]uint32
 
 	// Stack of guest calls, for call/return trace markers.
 	Frames []frame
@@ -100,6 +108,7 @@ func (s *State) Fork(id int) *State {
 		PC:         s.PC,
 		Regs:       s.Regs,
 		Mem:        s.Mem.Fork(),
+		witness:    s.witness,
 		heapNext:   s.heapNext,
 		lastBlock:  s.lastBlock,
 		hasLast:    s.hasLast,
@@ -115,8 +124,16 @@ func (s *State) Fork(id int) *State {
 	return c
 }
 
-// Constrain appends a path constraint.
-func (s *State) Constrain(c *expr.Expr) {
+// Constrain appends a path constraint that holds under the witness
+// once m's bindings are laid over it; nil m keeps the witness, which
+// must then satisfy c already.
+func (s *State) Constrain(c *expr.Expr, m map[string]uint32) {
+	if m != nil {
+		w := make(map[string]uint32, len(s.witness)+len(m))
+		maps.Copy(w, s.witness)
+		maps.Copy(w, m)
+		s.witness = w
+	}
 	if !c.IsTrue() {
 		s.Constraints = append(s.Constraints, c)
 	}

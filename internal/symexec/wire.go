@@ -2,6 +2,8 @@ package symexec
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"revnic/internal/expr"
@@ -11,8 +13,8 @@ import (
 // Phases are sequential and state-carrying — the seed of each phase is
 // a completed state of the previous one — so shipping a shard group to
 // a peer node means shipping live symbolic states: registers, the COW
-// memory overlay, path constraints, frames and the heuristics'
-// bookkeeping. Everything expression-valued is encoded through one
+// memory overlay, path constraints and their witness, frames and the
+// heuristics' bookkeeping. Everything expression-valued is encoded through one
 // shared expr.WireNode table (constraints across sibling states share
 // most of their structure), and overlay pages are deduplicated by
 // pointer identity, so COW sharing survives the encoding instead of
@@ -39,15 +41,23 @@ type WirePage struct {
 	Ref []int32  `json:"ref,omitempty"`
 }
 
+// WireBinding is one symbol's value in a state's witness.
+type WireBinding struct {
+	Name string `json:"n"`
+	Val  uint32 `json:"v,omitempty"`
+}
+
 // WireState is one serialized execution state. Expression-valued
 // fields hold 1-based references into the group's node table (0 =
 // nil); Pages maps page indices to 1-based references into the
-// group's page table.
+// group's page table. Witness lists the witness's bindings sorted by
+// name.
 type WireState struct {
 	ID          int              `json:"id"`
 	PC          uint32           `json:"pc"`
 	Regs        [8]int32         `json:"regs"`
 	Constraints []int32          `json:"cons,omitempty"`
+	Witness     []WireBinding    `json:"witness,omitempty"`
 	Pages       map[uint32]int32 `json:"pages,omitempty"`
 	Frames      []WireFrame      `json:"frames,omitempty"`
 	Reason      int              `json:"reason,omitempty"`
@@ -108,6 +118,9 @@ func encodeStateGroup(states []*State) *WireStateGroup {
 		for _, c := range s.Constraints {
 			ws.Constraints = append(ws.Constraints, enc.Add(c))
 		}
+		for _, name := range slices.Sorted(maps.Keys(s.witness)) {
+			ws.Witness = append(ws.Witness, WireBinding{Name: name, Val: s.witness[name]})
+		}
 		ws.Result = enc.Add(s.Result)
 		if len(s.Mem.pages) > 0 {
 			ws.Pages = make(map[uint32]int32, len(s.Mem.pages))
@@ -145,7 +158,9 @@ const maxWirePages = 1024
 // decodeStateGroup rebuilds the states against the given base image
 // and arena. Wire bytes arrive from the network, so every structural
 // violation is an error, never a panic; a decode error means the
-// payload was torn or the peers disagree about the job.
+// payload was torn or the peers disagree about the job. A state's
+// witness must be sorted, bind only symbols its constraints mention,
+// and satisfy every constraint.
 func decodeStateGroup(g *WireStateGroup, base []byte, ar *expr.Arena) ([]*State, error) {
 	if g == nil {
 		return nil, nil
@@ -219,6 +234,11 @@ func decodeStateGroup(g *WireStateGroup, base []byte, ar *expr.Arena) ([]*State,
 			}
 			s.Constraints = append(s.Constraints, e)
 		}
+		w, err := decodeWitness(ws.Witness, s.Constraints)
+		if err != nil {
+			return nil, fmt.Errorf("symexec: decode state %d: %w", si, err)
+		}
+		s.witness = w
 		res, err := dec.Ref(ws.Result)
 		if err != nil {
 			return nil, err
@@ -243,6 +263,32 @@ func decodeStateGroup(g *WireStateGroup, base []byte, ar *expr.Arena) ([]*State,
 		out = append(out, s)
 	}
 	return out, nil
+}
+
+// decodeWitness rebuilds a state's witness from its sorted bindings
+// and checks it against the state's path condition.
+func decodeWitness(bs []WireBinding, cons []*expr.Expr) (map[string]uint32, error) {
+	mentioned := expr.VarSet(cons...)
+	w := make(map[string]uint32, len(bs))
+	for i, b := range bs {
+		if i > 0 && b.Name <= bs[i-1].Name {
+			if b.Name == bs[i-1].Name {
+				return nil, fmt.Errorf("duplicate witness symbol %q", b.Name)
+			}
+			return nil, fmt.Errorf("witness symbols out of order at %q", b.Name)
+		}
+		if _, ok := mentioned[b.Name]; !ok {
+			return nil, fmt.Errorf("witness binds %q, which no constraint mentions", b.Name)
+		}
+		w[b.Name] = b.Val
+	}
+	ev := expr.NewEvaluator(w)
+	for i, c := range cons {
+		if ev.Eval(c) == 0 {
+			return nil, fmt.Errorf("witness violates constraint %d", i)
+		}
+	}
+	return w, nil
 }
 
 func sortedKeysU32[V any](m map[uint32]V) []uint32 {
