@@ -170,7 +170,10 @@ func (i Instr) Encode(dst []byte) []byte {
 	return append(dst, b[:]...)
 }
 
-// Decode decodes one instruction from b.
+// Decode decodes one instruction from b. It rejects an unknown
+// opcode and any operand invalid for its op's form (see validate), so
+// executing a decoded instruction never indexes past the register
+// file or meets an unknown branch condition.
 func Decode(b []byte) (Instr, error) {
 	if len(b) < InstrSize {
 		return Instr{}, fmt.Errorf("isa: truncated instruction: %d bytes", len(b))
@@ -185,7 +188,46 @@ func Decode(b []byte) (Instr, error) {
 	if in.Op >= numOps {
 		return Instr{}, fmt.Errorf("isa: invalid opcode %#x", b[0])
 	}
+	if err := in.validate(); err != nil {
+		return Instr{}, err
+	}
 	return in, nil
+}
+
+// validate checks the operands the instruction's form reads: every
+// register field below NumRegs, RegNone only as the rs2 of an ALU op
+// (its immediate form), and a branch's rd a valid condition. BRI's
+// rs2 holds an 8-bit immediate and is not a register. Fields a form
+// ignores are not checked.
+func (i Instr) validate() error {
+	var rd, rs1, rs2 bool // the fields the form reads as registers
+	switch i.Op {
+	case MOVI, POP:
+		rd = true
+	case MOV, LD8, LD16, LD32, IN8, IN16, IN32:
+		rd, rs1 = true, true
+	case ADD, SUB, AND, OR, XOR, SHL, SHR, SAR, MUL:
+		rd, rs1, rs2 = true, true, !i.HasImmOperand()
+	case ST8, ST16, ST32, OUT8, OUT16, OUT32:
+		rs1, rs2 = true, true
+	case PUSH, JR, CALLR:
+		rs1 = true
+	case BR, BRI:
+		if i.Cond() >= numConds {
+			return fmt.Errorf("isa: %s: invalid condition code %d", i.Op, uint8(i.Rd))
+		}
+		rs1, rs2 = true, i.Op == BR
+	}
+	for _, f := range []struct {
+		name string
+		used bool
+		r    Reg
+	}{{"rd", rd, i.Rd}, {"rs1", rs1, i.Rs1}, {"rs2", rs2, i.Rs2}} {
+		if f.used && f.r >= NumRegs {
+			return fmt.Errorf("isa: %s: %s register %d out of range", i.Op, f.name, uint8(f.r))
+		}
+	}
+	return nil
 }
 
 var opNames = [numOps]string{

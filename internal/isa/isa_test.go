@@ -6,10 +6,19 @@ import (
 	"testing/quick"
 )
 
+// TestEncodeDecodeRoundTrip checks random encodings: a well-formed
+// instruction decodes back to itself, and one with an operand invalid
+// for its form is rejected.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	f := func(op uint8, rd, rs1, rs2 uint8, imm uint32) bool {
-		in := Instr{Op: Op(op % uint8(numOps)), Rd: Reg(rd), Rs1: Reg(rs1), Rs2: Reg(rs2), Imm: imm}
+		in := Instr{Op: Op(op % uint8(numOps)), Rd: Reg(rd % 12), Rs1: Reg(rs1 % 12), Rs2: Reg(rs2 % 12), Imm: imm}
+		if rs2%2 == 0 {
+			in.Rs2 = RegNone
+		}
 		out, err := Decode(in.Encode(nil))
+		if in.validate() != nil {
+			return err != nil
+		}
 		return err == nil && out == in
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -25,6 +34,27 @@ func TestDecodeErrors(t *testing.T) {
 	bad[0] = byte(numOps)
 	if _, err := Decode(bad); err == nil {
 		t.Error("want error for invalid opcode")
+	}
+	for _, in := range []Instr{
+		{Op: BR, Rd: Reg(EQ), Rs1: 0x30, Rs2: R1},       // rs1 past the register file
+		{Op: ADD, Rd: SP + 1, Rs1: R0, Rs2: RegNone},    // rd past the register file
+		{Op: ST32, Rs1: R1, Rs2: RegNone},               // RegNone outside an ALU rs2
+		{Op: BR, Rd: Reg(numConds), Rs1: R0, Rs2: R1},   // unknown condition
+		{Op: BRI, Rd: Reg(numConds), Rs1: R0, Rs2: 0x7}, // unknown condition
+		{Op: PUSH, Rs1: RegNone},
+	} {
+		if _, err := Decode(in.Encode(nil)); err == nil {
+			t.Errorf("%+v: want an operand error", in)
+		}
+	}
+	for _, in := range []Instr{
+		{Op: ADD, Rd: R1, Rs1: R2, Rs2: RegNone, Imm: 4}, // immediate form
+		{Op: BRI, Rd: Reg(GEU), Rs1: SP, Rs2: 0xFF},      // rs2 is an imm8
+		{Op: MOVI, Rd: R0, Rs1: 0xEE, Rs2: RegNone},      // unused fields are not checked
+	} {
+		if _, err := Decode(in.Encode(nil)); err != nil {
+			t.Errorf("%+v: %v", in, err)
+		}
 	}
 }
 

@@ -389,3 +389,23 @@ func TestCallEntryWithoutHandlerFaults(t *testing.T) {
 		t.Error("API call without handler must fault")
 	}
 }
+
+// TestUndecodableInstructionIsAnError runs images whose branch carries
+// an out-of-range condition code or register: the fetch fails to
+// decode and the call returns an error instead of panicking in
+// condTrue or indexing past the register file.
+func TestUndecodableInstructionIsAnError(t *testing.T) {
+	for _, in := range []isa.Instr{
+		{Op: isa.BR, Rd: 6, Rs1: isa.R0, Rs2: isa.R1, Imm: 0x1000},
+		{Op: isa.BRI, Rd: 0x30, Rs1: isa.R0, Rs2: 1, Imm: 0x1000},
+		{Op: isa.BR, Rd: isa.Reg(isa.EQ), Rs1: 0x30, Rs2: isa.R1, Imm: 0x1000},
+	} {
+		m := New(hw.NewBus())
+		if err := m.LoadImage(&isa.Program{Base: 0x1000, Code: in.Encode(nil)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.CallEntry(0x1000, 10); err == nil {
+			t.Errorf("%+v: call succeeded", in)
+		}
+	}
+}
