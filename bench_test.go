@@ -21,7 +21,6 @@ import (
 	"revnic/internal/core"
 	"revnic/internal/drivers"
 	"revnic/internal/experiments"
-	"revnic/internal/expr"
 	"revnic/internal/symexec"
 	"revnic/internal/synth"
 	"revnic/internal/template"
@@ -344,21 +343,6 @@ func BenchmarkAblationSearchBFS(b *testing.B) {
 	var cov float64
 	for i := 0; i < b.N; i++ {
 		cov = explorationCoverage(b, func(c *symexec.Config) { c.Searcher = symexec.NewBFS })
-	}
-	b.ReportMetric(cov, "coverage-%")
-}
-
-// BenchmarkAblationInterningOff runs the full exploration with the
-// expression intern table bypassed: every node is allocated fresh, so
-// structural equality decays to hashing walks and the solver's
-// ID-keyed caches stop hitting across queries. The difference against
-// BenchmarkAblationSearchCoverage is the hash-consing dividend.
-func BenchmarkAblationInterningOff(b *testing.B) {
-	prev := expr.SetInterning(false)
-	defer expr.SetInterning(prev)
-	var cov float64
-	for i := 0; i < b.N; i++ {
-		cov = explorationCoverage(b, func(c *symexec.Config) {})
 	}
 	b.ReportMetric(cov, "coverage-%")
 }

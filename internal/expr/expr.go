@@ -88,8 +88,7 @@ func (e *Expr) ID() uint64 { return e.id }
 
 // Equal reports structural equality. For interned nodes (everything
 // built through the constructors) this is a pointer comparison; the
-// slow path exists for raw nodes used in this package's own tests and
-// for nodes built while interning is disabled.
+// slow path exists for raw nodes used in this package's own tests.
 func Equal(a, b *Expr) bool {
 	if a == b {
 		return true

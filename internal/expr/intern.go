@@ -83,9 +83,6 @@ var (
 	// ID-keyed memo tables stay correct even where arena nodes mix
 	// with the shared small constants.
 	nextID atomic.Uint64
-	// internDisabled gates all interning for the ablation benchmarks;
-	// the zero value (interning on) is the production configuration.
-	internDisabled atomic.Bool
 )
 
 // Default returns the process-global arena the package-level
@@ -117,12 +114,6 @@ func init() {
 // hash and one shard lookup, no allocation.
 func (ar *Arena) intern(k internKey) *Expr {
 	h := hashKey(k)
-	if internDisabled.Load() {
-		// Ablation mode: every construction is its own identity, as
-		// before hash-consing. IDs stay unique so ID-keyed memos
-		// remain correct; only sharing is lost.
-		return materialize(k, h)
-	}
 	sh := &ar.shards[h%internShards]
 	sh.mu.Lock()
 	if ex, ok := sh.m[k]; ok {
@@ -142,17 +133,6 @@ func materialize(k internKey, h uint64) *Expr {
 		A: k.a, B: k.b, C: k.c,
 		id: nextID.Add(1), hash: h,
 	}
-}
-
-// SetInterning toggles interning (for every arena) and reports the
-// previous setting. It exists for the interning ablation benchmarks
-// only: flip it around a measured region and restore the previous
-// value. Turning interning off never produces wrong results — nodes
-// still get unique IDs — but canonical sharing (and with it O(1)
-// structural equality and cross-query solver cache hits) is lost for
-// nodes built while it is off.
-func SetInterning(on bool) (prev bool) {
-	return !internDisabled.Swap(!on)
 }
 
 // InternedNodes reports how many canonical nodes the arena holds; a

@@ -7,52 +7,108 @@ import (
 	"testing"
 )
 
+// builder is the constructor set genExpr draws from: an *Arena, or
+// rawBuilder.
+type builder interface {
+	C(v uint32, w uint8) *Expr
+	S(name string, w uint8) *Expr
+	Add(a, b *Expr) *Expr
+	Sub(a, b *Expr) *Expr
+	Mul(a, b *Expr) *Expr
+	And(a, b *Expr) *Expr
+	Or(a, b *Expr) *Expr
+	Xor(a, b *Expr) *Expr
+	Shl(a, b *Expr) *Expr
+	Lshr(a, b *Expr) *Expr
+	Ashr(a, b *Expr) *Expr
+	Not(a *Expr) *Expr
+	Eq(a, b *Expr) *Expr
+	Ult(a, b *Expr) *Expr
+	Ite(cond, a, b *Expr) *Expr
+	Zext(a *Expr, w uint8) *Expr
+	Trunc(a *Expr, w uint8) *Expr
+	Concat(hi, lo *Expr) *Expr
+}
+
+// rawBuilder builds raw &Expr{} trees: no interning, no constant
+// folding, no canonical operand order — the literal meaning of each
+// construction, which the arena constructors must preserve.
+type rawBuilder struct{}
+
+func raw(k Kind, w uint8, a, b, c *Expr) *Expr { return &Expr{Kind: k, Width: w, A: a, B: b, C: c} }
+
+func (rawBuilder) C(v uint32, w uint8) *Expr    { return &Expr{Kind: KConst, Width: w, Val: v & mask(w)} }
+func (rawBuilder) S(name string, w uint8) *Expr { return &Expr{Kind: KSym, Width: w, Name: name} }
+func (rawBuilder) Add(a, b *Expr) *Expr         { return raw(KAdd, a.Width, a, b, nil) }
+func (rawBuilder) Sub(a, b *Expr) *Expr         { return raw(KSub, a.Width, a, b, nil) }
+func (rawBuilder) Mul(a, b *Expr) *Expr         { return raw(KMul, a.Width, a, b, nil) }
+func (rawBuilder) And(a, b *Expr) *Expr         { return raw(KAnd, a.Width, a, b, nil) }
+func (rawBuilder) Or(a, b *Expr) *Expr          { return raw(KOr, a.Width, a, b, nil) }
+func (rawBuilder) Xor(a, b *Expr) *Expr         { return raw(KXor, a.Width, a, b, nil) }
+func (rawBuilder) Shl(a, b *Expr) *Expr         { return raw(KShl, a.Width, a, b, nil) }
+func (rawBuilder) Lshr(a, b *Expr) *Expr        { return raw(KLshr, a.Width, a, b, nil) }
+func (rawBuilder) Ashr(a, b *Expr) *Expr        { return raw(KAshr, a.Width, a, b, nil) }
+func (rawBuilder) Not(a *Expr) *Expr            { return raw(KNot, a.Width, a, nil, nil) }
+func (rawBuilder) Eq(a, b *Expr) *Expr          { return raw(KEq, 1, a, b, nil) }
+func (rawBuilder) Ult(a, b *Expr) *Expr         { return raw(KUlt, 1, a, b, nil) }
+func (rawBuilder) Ite(cond, a, b *Expr) *Expr   { return raw(KIte, a.Width, cond, a, b) }
+func (rawBuilder) Zext(a *Expr, w uint8) *Expr  { return raw(KZext, w, a, nil, nil) }
+func (rawBuilder) Trunc(a *Expr, w uint8) *Expr { return raw(KTrunc, w, a, nil, nil) }
+func (rawBuilder) Concat(hi, lo *Expr) *Expr    { return raw(KConcat, hi.Width+lo.Width, hi, lo, nil) }
+
 // genExpr builds one random expression through the public
 // constructors, drawing from every kind the engine produces.
 func genExpr(r *rand.Rand, depth int, w uint8, vars []string) *Expr {
+	return genWith(Default(), r, depth, w, vars)
+}
+
+// genWith is genExpr over any builder: the same seed draws the same
+// construction sequence whichever builder carries it out.
+func genWith(b builder, r *rand.Rand, depth int, w uint8, vars []string) *Expr {
+	gen := func(w uint8) *Expr { return genWith(b, r, depth-1, w, vars) }
 	if depth == 0 || r.Intn(4) == 0 {
 		if r.Intn(2) == 0 {
-			return C(uint32(r.Int63())&Mask(w), w)
+			return b.C(uint32(r.Int63())&Mask(w), w)
 		}
-		return S(vars[r.Intn(len(vars))], w)
+		return b.S(vars[r.Intn(len(vars))], w)
 	}
 	switch r.Intn(14) {
 	case 0:
-		return Add(genExpr(r, depth-1, w, vars), genExpr(r, depth-1, w, vars))
+		return b.Add(gen(w), gen(w))
 	case 1:
-		return Sub(genExpr(r, depth-1, w, vars), genExpr(r, depth-1, w, vars))
+		return b.Sub(gen(w), gen(w))
 	case 2:
-		return Mul(genExpr(r, depth-1, w, vars), genExpr(r, depth-1, w, vars))
+		return b.Mul(gen(w), gen(w))
 	case 3:
-		return And(genExpr(r, depth-1, w, vars), genExpr(r, depth-1, w, vars))
+		return b.And(gen(w), gen(w))
 	case 4:
-		return Or(genExpr(r, depth-1, w, vars), genExpr(r, depth-1, w, vars))
+		return b.Or(gen(w), gen(w))
 	case 5:
-		return Xor(genExpr(r, depth-1, w, vars), genExpr(r, depth-1, w, vars))
+		return b.Xor(gen(w), gen(w))
 	case 6:
-		return Shl(genExpr(r, depth-1, w, vars), genExpr(r, depth-1, w, vars))
+		return b.Shl(gen(w), gen(w))
 	case 7:
-		return Lshr(genExpr(r, depth-1, w, vars), genExpr(r, depth-1, w, vars))
+		return b.Lshr(gen(w), gen(w))
 	case 8:
-		return Ashr(genExpr(r, depth-1, w, vars), genExpr(r, depth-1, w, vars))
+		return b.Ashr(gen(w), gen(w))
 	case 9:
-		return Not(genExpr(r, depth-1, w, vars))
+		return b.Not(gen(w))
 	case 10:
-		cond := Eq(genExpr(r, depth-1, w, vars), genExpr(r, depth-1, w, vars))
-		return Ite(cond, genExpr(r, depth-1, w, vars), genExpr(r, depth-1, w, vars))
+		cond := b.Eq(gen(w), gen(w))
+		return b.Ite(cond, gen(w), gen(w))
 	case 11:
 		if w > 8 {
-			return Zext(genExpr(r, depth-1, 8, vars), w)
+			return b.Zext(gen(8), w)
 		}
-		return Trunc(genExpr(r, depth-1, 32, vars), w)
+		return b.Trunc(gen(32), w)
 	case 12:
 		if w == 16 {
-			return Concat(genExpr(r, depth-1, 8, vars), genExpr(r, depth-1, 8, vars))
+			return b.Concat(gen(8), gen(8))
 		}
-		return Xor(genExpr(r, depth-1, w, vars), genExpr(r, depth-1, w, vars))
+		return b.Xor(gen(w), gen(w))
 	default:
-		c := Ult(genExpr(r, depth-1, w, vars), genExpr(r, depth-1, w, vars))
-		return Ite(c, genExpr(r, depth-1, w, vars), genExpr(r, depth-1, w, vars))
+		c := b.Ult(gen(w), gen(w))
+		return b.Ite(c, gen(w), gen(w))
 	}
 }
 
@@ -79,30 +135,27 @@ func TestInternCanonical(t *testing.T) {
 	}
 }
 
-// TestInternPreservesSemantics re-runs the construction with interning
-// disabled (the ablation configuration) and checks that evaluation
-// under random environments is identical to the interned build: the
-// intern table may never change what an expression means.
+// TestInternPreservesSemantics builds each random expression twice
+// from the same draws: through the arena constructors, which intern,
+// fold constants and order operands canonically, and as a raw
+// &Expr{} tree that does none of that. Evaluation under random
+// environments must agree: the arena may never change what an
+// expression means.
 func TestInternPreservesSemantics(t *testing.T) {
 	vars := []string{"p", "q", "r"}
 	r := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 200; trial++ {
 		seed := int64(trial) + 5000
 		interned := genExpr(rand.New(rand.NewSource(seed)), 4, 32, vars)
-		prev := SetInterning(false)
-		plain := genExpr(rand.New(rand.NewSource(seed)), 4, 32, vars)
-		SetInterning(prev)
+		plain := genWith(rawBuilder{}, rand.New(rand.NewSource(seed)), 4, 32, vars)
 		for i := 0; i < 8; i++ {
 			env := map[string]uint32{}
 			for _, v := range vars {
 				env[v] = uint32(r.Int63())
 			}
 			if got, want := Eval(interned, env), Eval(plain, env); got != want {
-				t.Fatalf("trial %d: interned %#x plain %#x under %v\n%s", trial, got, want, env, interned)
+				t.Fatalf("trial %d: interned %#x raw %#x under %v\n%s\n%s", trial, got, want, env, interned, plain)
 			}
-		}
-		if !Equal(interned, plain) {
-			t.Fatalf("trial %d: structural equality lost across interning modes", trial)
 		}
 	}
 }
@@ -200,19 +253,6 @@ func buildWorkload(n int) *Expr {
 // BenchmarkInternOn measures canonical construction (the production
 // configuration): repeated structures come back as table hits.
 func BenchmarkInternOn(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if buildWorkload(64) == nil {
-			b.Fatal("nil")
-		}
-	}
-}
-
-// BenchmarkInternOff measures the same construction with the table
-// bypassed — every node allocated fresh, as before hash-consing.
-func BenchmarkInternOff(b *testing.B) {
-	prev := SetInterning(false)
-	defer SetInterning(prev)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if buildWorkload(64) == nil {
