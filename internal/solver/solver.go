@@ -65,9 +65,9 @@ const cacheCap = 1 << 16
 // New uses.
 type Config struct {
 	// Arena is the expression arena the solver builds derived
-	// expressions in (the exclusion constraints of Values). nil selects the process-global default arena; a
-	// job-scoped solver must pass the job's arena so its expressions
-	// die with the job.
+	// expressions in (the exclusion constraints of Values). nil
+	// selects the process-global default arena; a job-scoped solver
+	// must pass the job's arena so its expressions die with the job.
 	Arena *expr.Arena
 	// Interrupt, when non-nil, is polled during solving (installed on
 	// the session's SAT instance): returning true aborts the solve.

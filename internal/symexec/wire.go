@@ -14,11 +14,11 @@ import (
 // a completed state of the previous one — so shipping a shard group to
 // a peer node means shipping live symbolic states: registers, the COW
 // memory overlay, path constraints and their witness, frames and the
-// heuristics' bookkeeping. Everything expression-valued is encoded through one
-// shared expr.WireNode table (constraints across sibling states share
-// most of their structure), and overlay pages are deduplicated by
-// pointer identity, so COW sharing survives the encoding instead of
-// being multiplied out per state.
+// heuristics' bookkeeping. Everything expression-valued is encoded
+// through one shared expr.WireNode table (constraints across sibling
+// states share most of their structure), and overlay pages are
+// deduplicated by pointer identity, so COW sharing survives the
+// encoding instead of being multiplied out per state.
 //
 // Decoding rebuilds expressions through the arena constructors (see
 // expr.DAGDecoder), which reproduces the source structures exactly;
