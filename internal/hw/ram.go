@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -84,6 +85,11 @@ func (r *RAM) Free() {
 // Contains reports whether the n bytes at addr lie inside the RAM.
 func (r *RAM) Contains(addr uint32, n int) bool {
 	return int(addr)+n <= len(r.b)
+}
+
+// Holds reports whether the RAM holds exactly the bytes p at addr.
+func (r *RAM) Holds(addr uint32, p []byte) bool {
+	return r.Contains(addr, len(p)) && bytes.Equal(r.b[addr:int(addr)+len(p)], p)
 }
 
 // markDirty records that the n > 0 bytes at addr were written. It

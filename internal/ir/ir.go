@@ -20,6 +20,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"revnic/internal/hw"
 	"revnic/internal/isa"
 )
 
@@ -90,53 +91,120 @@ func Translate(r Reader, addr uint32) (*Block, error) {
 	return b, nil
 }
 
-// Cache memoizes translation blocks by address. Driver code in this
-// system is not self-modifying, so entries never need invalidation;
-// Flush exists for tests.
+// Image holds the translation blocks of one program image, read as
+// the image placed at its base address in otherwise zeroed guest RAM
+// of hw.RAMSize bytes. It is immutable input shared by every consumer
+// of the image: the symbolic engine and all its fork-join workers, and
+// every VM rig of one differential-fuzzing harness.
 //
-// The cache is safe for concurrent use and its read path is
-// lock-free: the parallel exploration mode hits Get once per executed
-// translation block on every worker goroutine, so the hit path is a
-// single sync.Map load. The translate path serializes on a mutex so a
-// block is translated at most once per engine regardless of how many
-// workers race to execute it.
-type Cache struct {
-	r      Reader
-	mu     sync.Mutex // serializes translation on miss
-	blocks sync.Map   // uint32 -> *Block
+// Blocks are translated lazily, at most once per address. An address
+// on an instruction slot of the image (Base plus a multiple of
+// isa.InstrSize, inside the image) has a slot in a dense table whose
+// read path is one atomic pointer load; every other address goes to a
+// map. Translation serializes on a mutex, so a block is translated
+// once however many goroutines race to execute it. The image is safe
+// for concurrent use.
+type Image struct {
+	base uint32
+	// code is the image followed by MaxBlockInstrs zero instruction
+	// words: every byte a block starting on a slot can span.
+	code  []byte
+	size  int // image length in bytes, without the padding
+	slots []atomic.Pointer[Block]
+
+	mu     sync.Mutex // serializes translation and guards other
+	other  map[uint32]*Block
 	misses atomic.Int64
 }
 
-// NewCache returns an empty translation cache over r.
-func NewCache(r Reader) *Cache {
-	return &Cache{r: r}
+// NewImage returns an empty translation image of p.
+func NewImage(p *isa.Program) *Image {
+	code := make([]byte, len(p.Code)+MaxBlockInstrs*isa.InstrSize)
+	copy(code, p.Code)
+	return &Image{
+		base:  p.Base,
+		code:  code,
+		size:  len(p.Code),
+		slots: make([]atomic.Pointer[Block], (len(p.Code)+isa.InstrSize-1)/isa.InstrSize),
+	}
 }
 
-// Get returns the translation block at addr, translating on miss.
-func (c *Cache) Get(addr uint32) (*Block, error) {
-	if b, ok := c.blocks.Load(addr); ok {
-		return b.(*Block), nil
+// Base returns the guest address the image is placed at.
+func (img *Image) Base() uint32 { return img.base }
+
+// Code returns the image bytes. The caller must not modify them.
+func (img *Image) Code() []byte { return img.code[:img.size:img.size] }
+
+// Slots returns the number of instruction slots of the image.
+func (img *Image) Slots() int { return len(img.slots) }
+
+// Slot returns the slot index of addr, and false when addr is not an
+// instruction slot of the image.
+func (img *Image) Slot(addr uint32) (int, bool) {
+	off := addr - img.base
+	if addr < img.base || off%isa.InstrSize != 0 || int(off/isa.InstrSize) >= len(img.slots) {
+		return 0, false
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if b, ok := c.blocks.Load(addr); ok {
-		return b.(*Block), nil
+	return int(off / isa.InstrSize), true
+}
+
+// FetchInstr implements Reader over the image placed in zeroed RAM: a
+// fetch crossing either end of the image reads zeros past it.
+func (img *Image) FetchInstr(addr uint32) (isa.Instr, error) {
+	if int(addr)+isa.InstrSize > hw.RAMSize {
+		return isa.Instr{}, fmt.Errorf("ir: fetch outside RAM at %#x", addr)
 	}
-	b, err := Translate(c.r, addr)
+	var buf [isa.InstrSize]byte
+	base := int(img.base)
+	lo, hi := max(int(addr), base), min(int(addr)+isa.InstrSize, base+img.size)
+	if lo < hi {
+		copy(buf[lo-int(addr):], img.code[lo-base:hi-base])
+	}
+	return isa.Decode(buf[:])
+}
+
+// Get returns the translation block at addr, translating on first
+// use.
+func (img *Image) Get(addr uint32) (*Block, error) {
+	i, slot := img.Slot(addr)
+	if slot {
+		if b := img.slots[i].Load(); b != nil {
+			return b, nil
+		}
+	}
+	img.mu.Lock()
+	defer img.mu.Unlock()
+	if slot {
+		if b := img.slots[i].Load(); b != nil {
+			return b, nil
+		}
+	} else if b := img.other[addr]; b != nil {
+		return b, nil
+	}
+	b, err := Translate(img, addr)
 	if err != nil {
 		return nil, err
 	}
-	c.misses.Add(1)
-	c.blocks.Store(addr, b)
+	img.misses.Add(1)
+	if slot {
+		img.slots[i].Store(b)
+	} else {
+		if img.other == nil {
+			img.other = map[uint32]*Block{}
+		}
+		img.other[addr] = b
+	}
 	return b, nil
 }
 
-// Flush drops all cached blocks.
-func (c *Cache) Flush() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.blocks.Clear()
+// Source returns the bytes a block Get returned for an instruction
+// slot was decoded from: the image bytes it spans, zero past the
+// image end. A machine that holds exactly these bytes at b.Addr would
+// decode the same block.
+func (img *Image) Source(b *Block) []byte {
+	off := b.Addr - img.base
+	return img.code[off : off+uint32(len(b.Instrs))*isa.InstrSize]
 }
 
 // Misses returns the number of translations performed.
-func (c *Cache) Misses() int64 { return c.misses.Load() }
+func (img *Image) Misses() int64 { return img.misses.Load() }

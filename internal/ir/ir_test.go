@@ -1,8 +1,10 @@
 package ir
 
 import (
+	"bytes"
 	"testing"
 
+	"revnic/internal/hw"
 	"revnic/internal/isa"
 )
 
@@ -71,27 +73,77 @@ func TestTranslateBounded(t *testing.T) {
 	}
 }
 
-func TestCache(t *testing.T) {
+func TestImage(t *testing.T) {
 	p := mustProg(t, "movi r0, #1\nhlt\nmovi r0, #2\nhlt")
-	c := NewCache(sliceReader{0, p.Code})
-	b1, err := c.Get(0)
+	p.Base = 0x1000
+	img := NewImage(p)
+	if img.Slots() != 4 {
+		t.Fatalf("slots = %d", img.Slots())
+	}
+	b1, err := img.Get(0x1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1again, _ := c.Get(0)
-	if b1 != b1again {
-		t.Error("cache miss on repeat")
+	if b1again, _ := img.Get(0x1000); b1 != b1again {
+		t.Error("image miss on repeat")
 	}
-	if _, err := c.Get(2 * isa.InstrSize); err != nil {
+	b2, err := img.Get(0x1000 + 2*isa.InstrSize)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Misses() != 2 {
-		t.Errorf("misses = %d", c.Misses())
+	if len(b2.Instrs) != 2 || b2.Instrs[0].Imm != 2 {
+		t.Fatalf("block2 = %s", b2)
 	}
-	c.Flush()
-	c.Get(0)
-	if c.Misses() != 3 {
-		t.Errorf("misses after flush = %d", c.Misses())
+	if got := img.Source(b2); !bytes.Equal(got, p.Code[2*isa.InstrSize:]) {
+		t.Errorf("Source = % x", got)
+	}
+	// Below the base: RAM is zero there, outside the slot table.
+	if _, ok := img.Slot(0x1000 - isa.InstrSize); ok {
+		t.Error("address below the base has a slot")
+	}
+	if _, ok := img.Slot(0x1001); ok {
+		t.Error("misaligned address has a slot")
+	}
+	if _, err := img.Get(0x1000 - isa.InstrSize); err != nil {
+		t.Fatal(err)
+	}
+	if img.Misses() != 3 {
+		t.Errorf("misses = %d", img.Misses())
+	}
+	if _, err := img.Get(hw.RAMSize - 4); err == nil || err.Error() != "ir: translate at 0xffffc: ir: fetch outside RAM at 0xffffc" {
+		t.Errorf("fetch outside RAM: %v", err)
+	}
+	if img.Misses() != 3 {
+		t.Errorf("a failed translation counted: misses = %d", img.Misses())
+	}
+}
+
+// TestImageCrossesEnd checks that a block running off the end of the
+// image reads the zero RAM past it, and that Source covers those
+// zeros.
+func TestImageCrossesEnd(t *testing.T) {
+	p := mustProg(t, "movi r0, #1\nadd r0, r0, #1")
+	p.Base = 0x2000
+	img := NewImage(p)
+	b, err := img.Get(0x2000 + isa.InstrSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero, err := isa.Decode(make([]byte, isa.InstrSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Instrs[0].Op != isa.ADD || len(b.Instrs) < 2 || b.Instrs[1] != zero {
+		t.Fatalf("block = %s", b)
+	}
+	src := img.Source(b)
+	if len(src) != len(b.Instrs)*isa.InstrSize || !bytes.Equal(src[:isa.InstrSize], p.Code[isa.InstrSize:]) {
+		t.Fatalf("Source = % x", src)
+	}
+	for _, c := range src[isa.InstrSize:] {
+		if c != 0 {
+			t.Fatalf("Source past the image end is not zero: % x", src)
+		}
 	}
 }
 

@@ -180,7 +180,7 @@ type Result struct {
 	// incremental session reuse) over the same solvers.
 	SolverSearch solver.SearchStats
 	// TranslatedBlocks is the number of distinct translation-cache
-	// entries built (ir.Cache misses).
+	// blocks built (ir.Image misses).
 	TranslatedBlocks int64
 	// ShardsEffective is the fan-out width of the run: Shards when any
 	// phase reached its fan-out point, 0 when no phase fanned out.
@@ -202,7 +202,7 @@ type Result struct {
 type Engine struct {
 	cfg   Config
 	prog  *isa.Program
-	cache *ir.Cache
+	image *ir.Image
 	col   *trace.Collector
 	sol   *solver.Solver
 	ar    *expr.Arena
@@ -266,26 +266,11 @@ type covDiscovery struct {
 	exec int64
 }
 
-// imageReader fetches instructions from the base image. RAM past the
-// image reads as zero, so a fetch crossing its end is zero-padded.
-type imageReader struct{ ram []byte }
-
-func (r imageReader) FetchInstr(addr uint32) (isa.Instr, error) {
-	if int(addr)+isa.InstrSize > hw.RAMSize {
-		return isa.Instr{}, fmt.Errorf("symexec: fetch outside RAM at %#x", addr)
-	}
-	var buf [isa.InstrSize]byte
-	if int(addr) < len(r.ram) {
-		copy(buf[:], r.ram[addr:])
-	}
-	return isa.Decode(buf[:])
-}
-
 // New prepares an engine for the given driver binary. Only the
 // binary image is consumed — no symbols, exactly like the real tool.
 // The base image spans guest RAM only up to the end of the code,
 // clipped at hw.RAMSize: the zero RAM above it reads as zero through
-// Memory and imageReader without being allocated.
+// Memory and the translation image without being allocated.
 func New(prog *isa.Program, cfg Config) *Engine {
 	cfg.defaults()
 	ram := make([]byte, min(int(prog.Base)+len(prog.Code), hw.RAMSize))
@@ -301,7 +286,7 @@ func New(prog *isa.Program, cfg Config) *Engine {
 		rng:     rand.New(rand.NewSource(cfg.Seed + 1)),
 		baseRAM: ram,
 	}
-	e.cache = ir.NewCache(imageReader{ram})
+	e.image = ir.NewImage(prog)
 	return e
 }
 
@@ -384,7 +369,7 @@ func (e *Engine) child(idx int) *Engine {
 	return &Engine{
 		cfg:       e.cfg,
 		prog:      e.prog,
-		cache:     e.cache,
+		image:     e.image,
 		col:       trace.NewCollector(),
 		sol:       newSolver(e.cfg),
 		ar:        e.ar,
@@ -550,7 +535,7 @@ func (e *Engine) apiModel(s *State, bi *trace.BlockInfo, callSite uint32, index 
 // the follow-on states (usually just s; two on a fork; none if the
 // state terminated).
 func (e *Engine) stepBlock(s *State) ([]*State, error) {
-	b, err := e.cache.Get(s.PC)
+	b, err := e.image.Get(s.PC)
 	if err != nil {
 		// Fetch outside mapped code: an error path (§3.2) — kill it.
 		s.Reason = TermError

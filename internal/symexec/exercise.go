@@ -270,7 +270,7 @@ func (e *Engine) buildResult(initFailed bool) *Result {
 		SolverCacheHits:  hits + e.childHits,
 		SolverModelHits:  e.modelHits,
 		SolverSearch:     e.searchStats(),
-		TranslatedBlocks: e.cache.Misses(),
+		TranslatedBlocks: e.image.Misses(),
 		ShardsEffective:  e.shardsEff,
 		ShardCollapses:   e.shardCollapses,
 		Stopped:          e.stopHit,

@@ -120,7 +120,7 @@ func (e *Engine) executeShardLocal(task *ShardTask) (res *ShardResult, err error
 	c := &Engine{
 		cfg:     e.cfg,
 		prog:    e.prog,
-		cache:   e.cache,
+		image:   e.image,
 		col:     trace.NewCollector(),
 		sol:     newSolver(e.cfg),
 		ar:      e.ar,
@@ -226,7 +226,7 @@ func (e *Engine) decodeShardResult(r *ShardResult) (*shardOutcome, []*State, err
 	if n := len(r.DMA); n > maxWireDMA {
 		return nil, nil, fmt.Errorf("symexec: shard result with %d DMA regions exceeds the cap of %d", n, maxWireDMA)
 	}
-	col, err := r.Collector.Decode(e.cache.Get)
+	col, err := r.Collector.Decode(e.image.Get)
 	if err != nil {
 		return nil, nil, err
 	}

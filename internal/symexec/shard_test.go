@@ -344,7 +344,7 @@ func TestDecodeShardResultBounds(t *testing.T) {
 	if _, _, err := e.decodeShardResult(r); err == nil {
 		t.Fatalf("decode accepted %d blocks", len(blocks))
 	}
-	if n := e.cache.Misses(); n != 0 {
+	if n := e.image.Misses(); n != 0 {
 		t.Fatalf("rejecting %d blocks translated %d of them", len(blocks), n)
 	}
 	for _, n := range []int{maxWireDMA, maxWireDMA + 1} {

@@ -48,7 +48,15 @@ type Machine struct {
 	// Blocks counts executed translation blocks.
 	Blocks uint64
 
-	cache *ir.Cache
+	// img is the loaded program image; slots and other hold the
+	// blocks this machine has resolved, on the image's instruction
+	// slots and elsewhere. A block is decoded from this machine's RAM
+	// at its first execution and never invalidated: driver code is
+	// not self-modifying.
+	img   *ir.Image
+	slots []*ir.Block
+	other map[uint32]*ir.Block
+
 	taps  []IOTap
 	inISR bool
 }
@@ -57,9 +65,7 @@ type Machine struct {
 // from the process-wide pool; m.RAM.Free returns it once the machine
 // is no longer used.
 func New(bus *hw.Bus) *Machine {
-	m := &Machine{RAM: hw.NewRAM(), Bus: bus}
-	m.cache = ir.NewCache(m)
-	return m
+	return &Machine{RAM: hw.NewRAM(), Bus: bus}
 }
 
 // AddIOTap registers an observer of hardware I/O.
@@ -71,14 +77,58 @@ func (m *Machine) tapIO(port, write bool, addr uint32, size int, v uint32) {
 	}
 }
 
-// LoadImage copies a program image into RAM at its base address.
-func (m *Machine) LoadImage(p *isa.Program) error {
-	if !m.RAM.Contains(p.Base, len(p.Code)) {
-		return fmt.Errorf("vm: image at %#x size %d exceeds RAM", p.Base, len(p.Code))
+// LoadImage copies a program image into RAM at its base address,
+// with a translation image of its own.
+func (m *Machine) LoadImage(p *isa.Program) error { return m.Load(ir.NewImage(p)) }
+
+// Load copies a translation image's program into RAM at its base
+// address and drops every block resolved so far. Machines that load
+// one Image share its translations: the first time a machine executes
+// an instruction slot of the image, it takes the image's block if its
+// own RAM holds exactly the bytes that block was decoded from, and
+// translates its own RAM otherwise.
+func (m *Machine) Load(img *ir.Image) error {
+	code := img.Code()
+	if !m.RAM.Contains(img.Base(), len(code)) {
+		return fmt.Errorf("vm: image at %#x size %d exceeds RAM", img.Base(), len(code))
 	}
-	m.RAM.WriteMem(p.Base, p.Code)
-	m.cache.Flush()
+	m.RAM.WriteMem(img.Base(), code)
+	m.img = img
+	m.slots = make([]*ir.Block, img.Slots())
+	m.other = nil
 	return nil
+}
+
+// block returns the translation block at pc, resolving it on the
+// machine's first execution of pc.
+func (m *Machine) block(pc uint32) (*ir.Block, error) {
+	if m.img != nil {
+		if i, ok := m.img.Slot(pc); ok {
+			if b := m.slots[i]; b != nil {
+				return b, nil
+			}
+			b, err := m.img.Get(pc)
+			if err != nil || !m.RAM.Holds(pc, m.img.Source(b)) {
+				if b, err = ir.Translate(m, pc); err != nil {
+					return nil, err
+				}
+			}
+			m.slots[i] = b
+			return b, nil
+		}
+	}
+	if b := m.other[pc]; b != nil {
+		return b, nil
+	}
+	b, err := ir.Translate(m, pc)
+	if err != nil {
+		return nil, err
+	}
+	if m.other == nil {
+		m.other = map[uint32]*ir.Block{}
+	}
+	m.other[pc] = b
+	return b, nil
 }
 
 // FetchInstr implements ir.Reader over guest RAM.
@@ -207,7 +257,7 @@ func (m *Machine) StepBlock() (*ir.Block, error) {
 		m.inISR = true
 		return nil, nil
 	}
-	b, err := m.cache.Get(m.PC)
+	b, err := m.block(m.PC)
 	if err != nil {
 		return nil, err
 	}
@@ -408,10 +458,6 @@ func (m *Machine) ServiceInterrupt(maxBlocks int) (bool, error) {
 	m.inISR = false
 	return true, nil
 }
-
-// TranslationCache exposes the machine's block cache (for the
-// wiretap, which records IR for executed blocks).
-func (m *Machine) TranslationCache() *ir.Cache { return m.cache }
 
 // InISR reports whether the CPU is inside an interrupt handler.
 func (m *Machine) InISR() bool { return m.inISR }
