@@ -83,10 +83,16 @@ type Driver struct {
 	IOTap func(port, write bool, addr uint32, size int, value uint32)
 
 	entries map[string]*cfg.Function
-	timer   uint32
-	blocks  int64
-	instrs  int64
-	ioOps   int64
+	// table indexes the recovered blocks by instruction slot from lo;
+	// odd holds any block off that grid (see index).
+	lo    uint32
+	table []*cfg.BasicBlock
+	odd   map[uint32]*cfg.BasicBlock
+
+	timer  uint32
+	blocks int64
+	instrs int64
+	ioOps  int64
 }
 
 // New prepares a synthesized driver for execution.
@@ -102,7 +108,48 @@ func New(g *cfg.Graph, os TargetOS, bus *hw.Bus) *Driver {
 			d.entries[f.Role] = f
 		}
 	}
+	d.index()
 	return d
+}
+
+// maxSparseSlots bounds the empty slots index may allocate, so a graph
+// whose blocks lie far apart is not blown up into a table covering
+// all of RAM.
+const maxSparseSlots = 1 << 12
+
+// index builds the dense dispatch table over the recovered blocks:
+// one slot per isa.InstrSize bytes from the lowest block address. A
+// block off that grid, or past the table when the blocks are too
+// sparse for it, goes to the odd map.
+func (d *Driver) index() {
+	if len(d.G.Blocks) == 0 {
+		return
+	}
+	lo, hi := ^uint32(0), uint32(0)
+	for a := range d.G.Blocks {
+		lo, hi = min(lo, a), max(hi, a)
+	}
+	d.lo = lo
+	n := min(int((hi-lo)/isa.InstrSize)+1, len(d.G.Blocks)+maxSparseSlots)
+	d.table = make([]*cfg.BasicBlock, n)
+	for a, b := range d.G.Blocks {
+		if off := a - lo; off%isa.InstrSize == 0 && off/isa.InstrSize < uint32(n) {
+			d.table[off/isa.InstrSize] = b
+			continue
+		}
+		if d.odd == nil {
+			d.odd = map[uint32]*cfg.BasicBlock{}
+		}
+		d.odd[a] = b
+	}
+}
+
+// block returns the recovered block at addr, nil when there is none.
+func (d *Driver) block(addr uint32) *cfg.BasicBlock {
+	if off := addr - d.lo; addr >= d.lo && off%isa.InstrSize == 0 && off/isa.InstrSize < uint32(len(d.table)) {
+		return d.table[off/isa.InstrSize]
+	}
+	return d.odd[addr]
 }
 
 // Entry returns the recovered function with the given role.
@@ -170,18 +217,26 @@ func (d *Driver) Call(f *cfg.Function, args ...uint32) (uint32, error) {
 	}
 	regs[isa.SP] = sp
 
-	pc := f.Entry
 	role := f.Role
 	if role == "" {
 		role = "internal"
 	}
+	// BlocksRun is a string-keyed map: count this call's blocks
+	// locally and add them once.
+	var run int64
+	defer func() {
+		if run > 0 {
+			d.BlocksRun[role] += run
+		}
+	}()
+	pc := f.Entry
+	blk := d.block(pc)
 	budget := callLimit
 	for {
 		if budget <= 0 {
 			return 0, fmt.Errorf("synthdrv: %s exceeded block budget", f.Name())
 		}
 		budget--
-		blk := d.G.Blocks[pc]
 		if blk == nil {
 			if pc == sentinel {
 				return regs[isa.R0], nil
@@ -189,15 +244,18 @@ func (d *Driver) Call(f *cfg.Function, args ...uint32) (uint32, error) {
 			return 0, &ErrUnexplored{To: pc}
 		}
 		d.blocks++
-		d.BlocksRun[role]++
-		next, err := d.execBlock(blk, &regs)
+		run++
+		next, nextBlk, err := d.execBlock(blk, &regs)
 		if err != nil {
 			return 0, err
 		}
 		if next == sentinel {
 			return regs[isa.R0], nil
 		}
-		pc = next
+		pc, blk = next, nextBlk
+		if blk == nil {
+			blk = d.block(pc)
+		}
 	}
 }
 
@@ -209,8 +267,8 @@ func (d *Driver) TotalBlocks() int64 { return d.blocks }
 func (d *Driver) Counters() (instrs, ioOps int64) { return d.instrs, d.ioOps }
 
 // execBlock interprets one recovered basic block, returning the next
-// block address.
-func (d *Driver) execBlock(blk *cfg.BasicBlock, regs *[isa.NumRegs]uint32) (uint32, error) {
+// block address and, when the successor was checked, its block.
+func (d *Driver) execBlock(blk *cfg.BasicBlock, regs *[isa.NumRegs]uint32) (uint32, *cfg.BasicBlock, error) {
 	src2 := func(in isa.Instr) uint32 {
 		if in.HasImmOperand() {
 			return in.Imm
@@ -249,12 +307,12 @@ func (d *Driver) execBlock(blk *cfg.BasicBlock, regs *[isa.NumRegs]uint32) (uint
 		case isa.LD8, isa.LD16, isa.LD32:
 			v, err := d.read(regs[in.Rs1]+in.Imm, in.Op.AccessSize())
 			if err != nil {
-				return 0, err
+				return 0, nil, err
 			}
 			regs[in.Rd] = v
 		case isa.ST8, isa.ST16, isa.ST32:
 			if err := d.write(regs[in.Rs1]+in.Imm, in.Op.AccessSize(), regs[in.Rs2]); err != nil {
-				return 0, err
+				return 0, nil, err
 			}
 		case isa.IN8, isa.IN16, isa.IN32:
 			port := regs[in.Rs1] + in.Imm
@@ -273,12 +331,12 @@ func (d *Driver) execBlock(blk *cfg.BasicBlock, regs *[isa.NumRegs]uint32) (uint
 		case isa.PUSH:
 			regs[isa.SP] -= 4
 			if err := d.write(regs[isa.SP], 4, regs[in.Rs1]); err != nil {
-				return 0, err
+				return 0, nil, err
 			}
 		case isa.POP:
 			v, err := d.read(regs[isa.SP], 4)
 			if err != nil {
-				return 0, err
+				return 0, nil, err
 			}
 			regs[in.Rd] = v
 			regs[isa.SP] += 4
@@ -303,41 +361,44 @@ func (d *Driver) execBlock(blk *cfg.BasicBlock, regs *[isa.NumRegs]uint32) (uint
 			ret := blk.InstrAddrOfTerm() + isa.InstrSize
 			if hw.IsAPIGate(target) {
 				if err := d.apiCall(regs, hw.APIIndex(target)); err != nil {
-					return 0, err
+					return 0, nil, err
 				}
-				return ret, nil
+				return ret, nil, nil
 			}
 			regs[isa.SP] -= 4
 			if err := d.write(regs[isa.SP], 4, ret); err != nil {
-				return 0, err
+				return 0, nil, err
 			}
 			return d.checkTarget(blk, target)
 		case isa.RET:
 			ra, err := d.read(regs[isa.SP], 4)
 			if err != nil {
-				return 0, err
+				return 0, nil, err
 			}
 			regs[isa.SP] += 4 + in.Imm
 			if ra == 0xFFFFFFF0 {
-				return ra, nil
+				return ra, nil, nil
 			}
 			return d.checkTarget(blk, ra)
 		case isa.IRET, isa.HLT:
-			return 0xFFFFFFF0, nil
+			return 0xFFFFFFF0, nil, nil
 		}
 	}
 	// Split block without terminator: fall through.
 	return d.checkTarget(blk, blk.EndAddr())
 }
 
-func (d *Driver) checkTarget(from *cfg.BasicBlock, to uint32) (uint32, error) {
+// checkTarget resolves a successor of from: the sentinel return
+// address, or a recovered block.
+func (d *Driver) checkTarget(from *cfg.BasicBlock, to uint32) (uint32, *cfg.BasicBlock, error) {
 	if to == 0xFFFFFFF0 {
-		return to, nil
+		return to, nil, nil
 	}
-	if d.G.Blocks[to] == nil {
-		return 0, &ErrUnexplored{From: from.Addr, To: to}
+	b := d.block(to)
+	if b == nil {
+		return 0, nil, &ErrUnexplored{From: from.Addr, To: to}
 	}
-	return to, nil
+	return to, b, nil
 }
 
 func condTrue(c isa.Cond, a, b uint32) bool {
