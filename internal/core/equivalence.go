@@ -3,10 +3,13 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
+	"sync"
 
 	"revnic/internal/drivers"
 	"revnic/internal/guestos"
 	"revnic/internal/hw"
+	"revnic/internal/ir"
 	"revnic/internal/nic"
 	"revnic/internal/synthdrv"
 	"revnic/internal/template"
@@ -114,13 +117,14 @@ func makeEqOps(mac [6]byte) eqOps {
 // runOriginal exercises the original binary driver on its device,
 // recording the I/O trace.
 func runOriginal(info *drivers.Info, ops eqOps) ([]IOEvent, nic.Model, *guestos.OS, error) {
-	rig, err := NewOriginalRig(info, ops.mac)
+	rig, err := NewOriginalRig(info, ir.NewImage(info.Program), ops.mac)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	_, err = driveWorkload(rig.Side, rig.Dev, ops)
+	tr := slices.Clone(rig.Trace())
 	rig.Close()
-	return rig.Trace(), rig.Dev, rig.OS, err
+	return tr, rig.Dev, rig.OS, err
 }
 
 // runSynthesized exercises the synthesized driver on a fresh device
@@ -131,8 +135,9 @@ func runSynthesized(rev *Reversed, info *drivers.Info, osKind template.OS, ops e
 		return nil, nic.Status{}, nil, nil, err
 	}
 	snap, err := driveWorkload(rig.Side, rig.Dev, ops)
+	tr := slices.Clone(rig.Trace())
 	rig.Close()
-	return rig.Trace(), snap, rig.Dev, rig.RT, err
+	return tr, snap, rig.Dev, rig.RT, err
 }
 
 // Side abstracts "a driver with an OS around it" so an identical
@@ -185,8 +190,10 @@ func (s synthSide) Halt() error                                 { return s.d.Hal
 // performs recorded. The differential fuzzer builds one rig per side
 // per schedule; the equivalence checker builds one pair per driver.
 // Everything in a rig is built fresh except its guest memory, which
-// comes zeroed from the process-wide hw.RAM pool and goes back to it
-// on Close.
+// comes zeroed from the process-wide hw.RAM pool, its trace buffer,
+// which comes empty from a bounded free list, and, on the original
+// side, the translation image the caller shares; Close returns the
+// memory and the trace buffer.
 type Rig struct {
 	Side Side
 	Dev  nic.Model
@@ -198,19 +205,67 @@ type Rig struct {
 	mem   *hw.RAM
 }
 
-// Trace returns the hardware accesses recorded so far. It stays
-// readable after Close.
+// Trace returns the hardware accesses recorded so far. It is valid
+// until Close, which recycles its buffer; copy what must outlive the
+// rig.
 func (r *Rig) Trace() []IOEvent { return *r.trace }
 
-// Close returns the rig's guest memory to the pool. The driver must
-// not run afterwards; the trace, device model, OS and runtime stay
-// readable. A rig that is never closed is left to the garbage
-// collector.
-func (r *Rig) Close() { r.mem.Free() }
+// Close returns the rig's guest memory and trace buffer for reuse.
+// The driver must not run afterwards and Trace is empty; the device
+// model, OS and runtime stay readable. A rig that is never closed is
+// left to the garbage collector.
+func (r *Rig) Close() {
+	r.mem.Free()
+	freeTrace(*r.trace)
+	*r.trace = nil
+}
 
-// NewOriginalRig loads the original binary driver into a fresh VM
-// attached to a fresh device model.
-func NewOriginalRig(info *drivers.Info, mac [6]byte) (*Rig, error) {
+// Bounds of the trace-buffer free list: at most maxPooledTraces
+// buffers wait for reuse, and a buffer grown past maxPooledTraceOps
+// events is left to the garbage collector, so one long schedule does
+// not pin its memory for the rest of the process.
+const (
+	maxPooledTraces   = 16
+	maxPooledTraceOps = 1 << 14
+)
+
+// tracePool is the process-wide free list of empty trace buffers.
+var tracePool struct {
+	mu   sync.Mutex
+	free [][]IOEvent
+}
+
+// newTrace returns an empty trace buffer, reusing a freed one when
+// one is available.
+func newTrace() *[]IOEvent {
+	var b []IOEvent
+	tracePool.mu.Lock()
+	if n := len(tracePool.free); n > 0 {
+		b = tracePool.free[n-1]
+		tracePool.free[n-1] = nil
+		tracePool.free = tracePool.free[:n-1]
+	}
+	tracePool.mu.Unlock()
+	return &b
+}
+
+// freeTrace puts a trace buffer on the free list, unless the list is
+// full or the buffer is over the size cap.
+func freeTrace(b []IOEvent) {
+	if b == nil || cap(b) > maxPooledTraceOps {
+		return
+	}
+	tracePool.mu.Lock()
+	if len(tracePool.free) < maxPooledTraces {
+		tracePool.free = append(tracePool.free, b[:0])
+	}
+	tracePool.mu.Unlock()
+}
+
+// NewOriginalRig loads the original binary driver, translated through
+// img, into a fresh VM attached to a fresh device model. Every rig of
+// one driver may share one img: the harness builds it once.
+func NewOriginalRig(info *drivers.Info, img *ir.Image, mac [6]byte) (*Rig, error) {
 	bus := hw.NewBus()
 	m := vm.New(bus)
 	cfgp := ShellConfig(info)
@@ -219,11 +274,11 @@ func NewOriginalRig(info *drivers.Info, mac [6]byte) (*Rig, error) {
 		return nil, err
 	}
 	bus.Attach(dev.(hw.Device), cfgp)
-	if err := m.LoadImage(info.Program); err != nil {
+	if err := m.Load(img); err != nil {
 		return nil, err
 	}
 	os := guestos.New(m, cfgp)
-	tr := &[]IOEvent{}
+	tr := newTrace()
 	m.AddIOTap(func(port, write bool, addr uint32, size int, v uint32) {
 		*tr = append(*tr, IOEvent{port, write, addr, size, v})
 	})
@@ -244,7 +299,7 @@ func NewSynthRig(rev *Reversed, info *drivers.Info, osKind template.OS, mac [6]b
 		return nil, err
 	}
 	bus.Attach(dev.(hw.Device), cfgp)
-	tr := &[]IOEvent{}
+	tr := newTrace()
 	d.IOTap = func(port, write bool, addr uint32, size int, v uint32) {
 		*tr = append(*tr, IOEvent{port, write, addr, size, v})
 	}

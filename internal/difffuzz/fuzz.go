@@ -68,8 +68,8 @@ type Report struct {
 	// Schedules is the number of schedules executed (excluding
 	// minimization trials).
 	Schedules int `json:"schedules"`
-	// CoverageKeys is the size of the merged hardware-access edge
-	// coverage map.
+	// CoverageKeys is the size of the merged coverage map of
+	// hardware-trace prefixes (see coverageKeys).
 	CoverageKeys int `json:"coverage_keys"`
 	// CorpusSize counts schedules that earned a place in the mutation
 	// corpus by reaching new coverage.

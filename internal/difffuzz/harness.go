@@ -10,6 +10,7 @@ import (
 	"revnic/internal/cfg"
 	"revnic/internal/core"
 	"revnic/internal/drivers"
+	"revnic/internal/ir"
 	"revnic/internal/isa"
 	"revnic/internal/symexec"
 	"revnic/internal/synthdrv"
@@ -36,15 +37,18 @@ func ValidPlant(kind string) bool {
 // Harness holds one reverse-engineered driver ready for differential
 // execution: the original binary image and the recovered graph the
 // synthesized driver interprets. Exploration runs once per harness
-// (with a fixed engine seed, so the recovered graph is canonical);
-// every schedule then executes on fresh rigs whose guest memory is
-// recycled from the process-wide pool, zeroed, so schedules are fully
-// independent and order does not matter.
+// (with a fixed engine seed, so the recovered graph is canonical), and
+// so does translation of the original binary: every original rig
+// shares the harness's ir.Image. Every schedule then executes on fresh
+// rigs whose guest memory is recycled from the process-wide pool,
+// zeroed, so schedules are fully independent and order does not
+// matter.
 type Harness struct {
 	Info *drivers.Info
 	Rev  *core.Reversed
 	OS   template.OS
 	mac  [6]byte
+	img  *ir.Image
 }
 
 // NewHarness reverse engineers the named corpus driver and, if plant
@@ -76,6 +80,7 @@ func NewHarness(device string, osKind template.OS, plant string) (*Harness, erro
 		Rev:  rev,
 		OS:   osKind,
 		mac:  [6]byte{0x02, 0x5E, 0x44, 0x33, 0x22, 0x11},
+		img:  ir.NewImage(info.Program),
 	}, nil
 }
 
@@ -122,8 +127,9 @@ func PlantBug(g *cfg.Graph, kind string) error {
 type Outcome struct {
 	ScheduleID uint64 `json:"schedule_id"`
 	Steps      int    `json:"steps"`
-	// CovKeys are the hardware-access edge-coverage keys the original
-	// side hit; the coordinator merges them into the global map.
+	// CovKeys are the trace-prefix coverage keys of the original
+	// side's hardware accesses (see coverageKeys); the coordinator
+	// merges them into the global map.
 	CovKeys []uint64 `json:"cov_keys,omitempty"`
 	// Unexplored means the synthesized driver hit a branch the
 	// exploration never reached. That is an incompleteness warning
@@ -189,7 +195,7 @@ func (h *Harness) RunSchedule(s Schedule) (out Outcome) {
 		}
 	}()
 
-	orig, err := core.NewOriginalRig(h.Info, h.mac)
+	orig, err := core.NewOriginalRig(h.Info, h.img, h.mac)
 	if err != nil {
 		out.Err = fmt.Sprintf("original rig: %v", err)
 		return out
@@ -416,13 +422,17 @@ func (h *Harness) buildFrame(st Step) []byte {
 	return f
 }
 
-// coverageKeys reduces a hardware trace to edge-coverage keys: each
-// consecutive pair of accesses hashes (port-space, direction, address,
-// width) of both ops — values are deliberately excluded so payload
-// bytes don't explode the key space. New keys mean the schedule made
-// the driver touch hardware in a new pattern.
+// coverageKeys reduces a hardware trace to coverage keys. Each access
+// hashes its (port-space, direction, address, width) — values are
+// deliberately excluded so payload bytes don't explode the key space
+// — together with the previous access's key, not the previous
+// access. So a key stands for the whole trace prefix up to that
+// access, not for an edge between two consecutive accesses: every
+// access after a schedule's first new one yields a new key, and the
+// keys grow with trace length rather than with distinct hardware
+// behavior (see ROADMAP, "coverage keys hash trace prefixes").
 func coverageKeys(tr []core.IOEvent) []uint64 {
-	seen := map[uint64]bool{}
+	seen := make(map[uint64]struct{}, len(tr))
 	keys := make([]uint64, 0, len(tr))
 	prev := uint64(0)
 	for _, ev := range tr {
@@ -441,8 +451,8 @@ func coverageKeys(tr []core.IOEvent) []uint64 {
 		mix(uint64(ev.Size))
 		mix(prev)
 		prev = h
-		if !seen[h] {
-			seen[h] = true
+		if _, ok := seen[h]; !ok {
+			seen[h] = struct{}{}
 			keys = append(keys, h)
 		}
 	}
