@@ -12,6 +12,14 @@
 // in its middle may be the target of a branch from elsewhere. The CFG
 // builder (package cfg) splits translation blocks into basic blocks
 // during reconstruction, as the paper describes.
+//
+// An Image translates one program image once for all its consumers:
+// the symbolic engine and its fork-join workers share one per engine,
+// and the VM rigs of one differential-fuzzing harness share one per
+// harness. A VM machine takes an Image's block only after checking
+// that its own RAM holds the bytes the block was decoded from, so a
+// block it runs is always the decoding of its own memory at the
+// block's first execution.
 package ir
 
 import (

@@ -179,8 +179,8 @@ type Result struct {
 	// SolverSearch sums the SAT-level work (decisions, conflicts and
 	// incremental session reuse) over the same solvers.
 	SolverSearch solver.SearchStats
-	// TranslatedBlocks is the number of distinct translation-cache
-	// blocks built (ir.Image misses).
+	// TranslatedBlocks is the number of distinct translation blocks
+	// built (ir.Image misses).
 	TranslatedBlocks int64
 	// ShardsEffective is the fan-out width of the run: Shards when any
 	// phase reached its fan-out point, 0 when no phase fanned out.
@@ -359,7 +359,7 @@ func (e *Engine) freshSym(prefix string, w uint8) *expr.Expr {
 const jobIDSpan = 1 << 20
 
 // child builds the execution context of one exploration worker: it
-// shares the immutable inputs (program image, translation cache,
+// shares the immutable inputs (program image, translation image,
 // configuration) with the parent but gets its own collector, solver,
 // counters and a snapshot of the mutable registries, so a group of
 // states can be explored without touching the parent. The join

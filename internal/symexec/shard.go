@@ -105,7 +105,7 @@ func ExecuteShardTask(prog *isa.Program, cfg Config, task *ShardTask) (*ShardRes
 }
 
 // executeShardLocal runs a shard task on the coordinator itself, as a
-// worker child sharing the parent's translation cache and arena —
+// worker child sharing the parent's translation image and arena —
 // the fallback path of the fault-tolerant dispatch, and byte-for-byte
 // the single-node fork-join execution of the same group.
 func (e *Engine) executeShardLocal(task *ShardTask) (res *ShardResult, err error) {
@@ -210,7 +210,7 @@ const (
 
 // decodeShardResult turns a wire result back into a mergeable
 // outcome, resolving collector blocks through the coordinator's own
-// translation cache (so translated-block accounting matches a
+// translation image (so translated-block accounting matches a
 // single-node run) and decoding the completed states into the
 // coordinator's arena.
 func (e *Engine) decodeShardResult(r *ShardResult) (*shardOutcome, []*State, error) {

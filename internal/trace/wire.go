@@ -19,9 +19,9 @@ import (
 //
 // Translation blocks are not serialized: they are a pure function of
 // the driver image, so the decoder resolves each block address through
-// the coordinator's own translation cache. That also keeps the
+// the coordinator's own translation image. That also keeps the
 // coordinator's translated-block accounting identical to a single-node
-// run, where one shared cache translates every distinct block exactly
+// run, where one shared image translates every distinct block exactly
 // once no matter which worker executed it first.
 
 // WireBlock is one BlockInfo without the ir.Block pointer.
