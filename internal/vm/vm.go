@@ -51,8 +51,8 @@ type Machine struct {
 	// img is the loaded program image; slots and other hold the
 	// blocks this machine has resolved, on the image's instruction
 	// slots and elsewhere. A block is decoded from this machine's RAM
-	// at its first execution and never invalidated: driver code is
-	// not self-modifying.
+	// at its first execution and kept: a later store into code that
+	// already ran does not retranslate it.
 	img   *ir.Image
 	slots []*ir.Block
 	other map[uint32]*ir.Block
