@@ -409,3 +409,49 @@ func TestUndecodableInstructionIsAnError(t *testing.T) {
 		}
 	}
 }
+
+// TestMidBlockFaultAccounting pins what a fault in the middle of a
+// block leaves behind: the block counts as run, only the instructions
+// before the faulting one count as cycles, and the error names the
+// faulting instruction.
+func TestMidBlockFaultAccounting(t *testing.T) {
+	m, p := setup(t, `
+.org 0x1000
+.func f
+	movi r1, #0x500000
+	add  r2, r2, #1
+	ld32 r0, [r1+0]   ; outside RAM, below MMIO
+	ret
+`)
+	m.PC = p.Sym("f")
+	_, err := m.StepBlock()
+	want := "vm: at 0x1010 (ld32 r0, [r1+0x0]): vm: memory read outside RAM at 0x500000"
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+	if m.Cycles != 2 || m.Blocks != 1 {
+		t.Errorf("Cycles = %d, Blocks = %d, want 2 and 1", m.Cycles, m.Blocks)
+	}
+}
+
+// TestOSCallSeesGatePC checks that an OS call handler runs with the PC
+// at the gate it was called through.
+func TestOSCallSeesGatePC(t *testing.T) {
+	m, p := setup(t, `
+.org 0x1000
+.func f
+	call 0xF00010
+	ret
+`)
+	var pc uint32
+	m.OSCall = func(mm *Machine, index uint32) error {
+		pc = mm.PC
+		return mm.APIReturn(0, 0)
+	}
+	if _, err := m.CallEntry(p.Sym("f"), 100); err != nil {
+		t.Fatal(err)
+	}
+	if pc != 0xF00010 {
+		t.Errorf("handler saw PC %#x, want the gate 0xf00010", pc)
+	}
+}
