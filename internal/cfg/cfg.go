@@ -5,20 +5,26 @@
 // targets, asynchronous handlers become their own roots, and def-use
 // evidence from the traces determines parameter counts and return
 // values.
+//
+// A BasicBlock embeds the ir.Block it was cut to, so the graph is
+// also executable code: the synthesized driver (package synthdrv)
+// hands its blocks to the VM as they are, and an edit to a block's
+// instructions reaches only that side.
 package cfg
 
 import (
 	"fmt"
 	"sort"
 
+	"revnic/internal/ir"
 	"revnic/internal/isa"
 	"revnic/internal/trace"
 )
 
-// BasicBlock is one reconstructed basic block.
+// BasicBlock is one reconstructed basic block. Its embedded ir.Block
+// is what a synthesized driver executes: the VM runs it as is.
 type BasicBlock struct {
-	Addr   uint32
-	Instrs []isa.Instr
+	ir.Block
 	// Succs are the intra-function successor addresses in the
 	// recovered graph (call targets excluded; the fallthrough after
 	// a call is a successor).
@@ -36,14 +42,6 @@ type BasicBlock struct {
 	// Count is the merged execution count.
 	Count int64
 }
-
-// EndAddr returns the address one past the block's last instruction.
-func (b *BasicBlock) EndAddr() uint32 {
-	return b.Addr + uint32(len(b.Instrs))*isa.InstrSize
-}
-
-// Term returns the final instruction.
-func (b *BasicBlock) Term() isa.Instr { return b.Instrs[len(b.Instrs)-1] }
 
 // Function is one recovered driver function.
 type Function struct {
@@ -249,7 +247,7 @@ func (g *Graph) addBasicBlock(col *trace.Collector, bi *trace.BlockInfo, addr ui
 		touchesOS = touchesOS || old.TouchesOS
 		oldIO = old.IO
 	}
-	b := &BasicBlock{Addr: addr, Instrs: instrs, Count: merged, TouchesOS: touchesOS}
+	b := &BasicBlock{Block: ir.Block{Addr: addr, Instrs: instrs}, Count: merged, TouchesOS: touchesOS}
 	end := b.EndAddr()
 	for _, a := range bi.IO {
 		if a.InstrAddr >= addr && a.InstrAddr < end {

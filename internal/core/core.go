@@ -94,9 +94,9 @@ func (r *Reversed) InstantiateTemplate(os template.OS) string {
 }
 
 // NewSyntheticDriver builds an executable synthesized driver bound to
-// a target OS runtime and a hardware bus. The returned driver
-// implements hw.MemBus, so DMA-capable device models should be
-// constructed with it as their memory.
+// a target OS runtime and a hardware bus. DMA-capable device models
+// should be constructed with the driver's machine, d.M, as their
+// memory.
 func (r *Reversed) NewSyntheticDriver(os template.OS, bus *hw.Bus, cfg hw.PCIConfig) (*synthdrv.Driver, *template.Runtime) {
 	rt := template.NewRuntime(os, cfg)
 	d := synthdrv.New(r.Graph, rt, bus)

@@ -11,7 +11,6 @@ import (
 	"revnic/internal/hw"
 	"revnic/internal/ir"
 	"revnic/internal/nic"
-	"revnic/internal/synthdrv"
 	"revnic/internal/template"
 	"revnic/internal/vm"
 )
@@ -141,54 +140,24 @@ func runSynthesized(rev *Reversed, info *drivers.Info, osKind template.OS, ops e
 }
 
 // Side abstracts "a driver with an OS around it" so an identical
-// workload can drive the original binary and the synthesized code.
+// workload can drive the original binary and the synthesized code:
+// *guestos.OS and *synthdrv.Driver both satisfy it.
 type Side interface {
 	Initialize() error
 	Send(frame []byte) (uint32, error)
-	Pump(max int) (int, error)
+	PumpInterrupts(max int) (int, error)
 	Query(oid, n uint32) (uint32, []byte, error)
 	Set(oid uint32, in []byte) (uint32, error)
 	FireTimer() error
 	Halt() error
 }
 
-type originalSide struct{ os *guestos.OS }
-
-func (o originalSide) Initialize() error { return o.os.Initialize() }
-func (o originalSide) Send(f []byte) (uint32, error) {
-	return o.os.Send(f)
-}
-func (o originalSide) Pump(max int) (int, error) {
-	return o.os.PumpInterrupts(max)
-}
-func (o originalSide) Query(oid, n uint32) (uint32, []byte, error) { return o.os.Query(oid, n) }
-func (o originalSide) Set(oid uint32, in []byte) (uint32, error)   { return o.os.Set(oid, in) }
-func (o originalSide) FireTimer() error                            { return o.os.FireTimer() }
-func (o originalSide) Halt() error                                 { return o.os.Halt() }
-
-type synthSide struct {
-	d  *synthdrv.Driver
-	rt *template.Runtime
-}
-
-func (s synthSide) Initialize() error { return s.d.Initialize() }
-func (s synthSide) Send(f []byte) (uint32, error) {
-	s.rt.Lock()
-	return s.d.Send(f)
-}
-func (s synthSide) Pump(max int) (int, error) {
-	return s.d.PumpInterrupts(max)
-}
-func (s synthSide) Query(oid, n uint32) (uint32, []byte, error) { return s.d.Query(oid, n) }
-func (s synthSide) Set(oid uint32, in []byte) (uint32, error)   { return s.d.Set(oid, in) }
-func (s synthSide) FireTimer() error                            { return s.d.FireTimer() }
-func (s synthSide) Halt() error                                 { return s.d.Halt() }
-
 // Rig is one executable driver instance — the original binary under
 // the guest OS, or the synthesized driver under the template runtime
-// — bound to a fresh device model, with every hardware access it
-// performs recorded. The differential fuzzer builds one rig per side
-// per schedule; the equivalence checker builds one pair per driver.
+// — on a fresh VM machine bound to a fresh device model, with every
+// hardware access it performs recorded. The differential fuzzer
+// builds one rig per side per schedule; the equivalence checker builds
+// one pair per driver.
 // Everything in a rig is built fresh except its guest memory, which
 // comes zeroed from the process-wide hw.RAM pool, its trace buffer,
 // which comes empty from a bounded free list, and, on the original
@@ -196,13 +165,14 @@ func (s synthSide) Halt() error                                 { return s.d.Hal
 // memory and the trace buffer.
 type Rig struct {
 	Side Side
-	Dev  nic.Model
+	// M is the machine the driver runs on.
+	M   *vm.Machine
+	Dev nic.Model
 	// OS is set on original-side rigs.
 	OS *guestos.OS
 	// RT is set on synthesized-side rigs.
 	RT    *template.Runtime
 	trace *[]IOEvent
-	mem   *hw.RAM
 }
 
 // Trace returns the hardware accesses recorded so far. It is valid
@@ -215,7 +185,7 @@ func (r *Rig) Trace() []IOEvent { return *r.trace }
 // model, OS and runtime stay readable. A rig that is never closed is
 // left to the garbage collector.
 func (r *Rig) Close() {
-	r.mem.Free()
+	r.M.RAM.Free()
 	freeTrace(*r.trace)
 	*r.trace = nil
 }
@@ -278,14 +248,21 @@ func NewOriginalRig(info *drivers.Info, img *ir.Image, mac [6]byte) (*Rig, error
 		return nil, err
 	}
 	os := guestos.New(m, cfgp)
+	rig := &Rig{Side: os, M: m, Dev: dev, OS: os, trace: recordTrace(m)}
+	if err := os.LoadDriver(info.Program.Base); err != nil {
+		return nil, err
+	}
+	return rig, nil
+}
+
+// recordTrace taps every hardware access m performs into a fresh
+// trace buffer.
+func recordTrace(m *vm.Machine) *[]IOEvent {
 	tr := newTrace()
 	m.AddIOTap(func(port, write bool, addr uint32, size int, v uint32) {
 		*tr = append(*tr, IOEvent{port, write, addr, size, v})
 	})
-	if err := os.LoadDriver(info.Program.Base); err != nil {
-		return nil, err
-	}
-	return &Rig{Side: originalSide{os}, Dev: dev, OS: os, trace: tr, mem: m.RAM}, nil
+	return tr
 }
 
 // NewSynthRig instantiates the synthesized driver from a reversed
@@ -294,16 +271,12 @@ func NewSynthRig(rev *Reversed, info *drivers.Info, osKind template.OS, mac [6]b
 	bus := hw.NewBus()
 	cfgp := ShellConfig(info)
 	d, rt := rev.NewSyntheticDriver(osKind, bus, cfgp)
-	dev, err := NewDevice(info.Name, &bus.Line, d, mac)
+	dev, err := NewDevice(info.Name, &bus.Line, d.M, mac)
 	if err != nil {
 		return nil, err
 	}
 	bus.Attach(dev.(hw.Device), cfgp)
-	tr := newTrace()
-	d.IOTap = func(port, write bool, addr uint32, size int, v uint32) {
-		*tr = append(*tr, IOEvent{port, write, addr, size, v})
-	}
-	return &Rig{Side: synthSide{d, rt}, Dev: dev, RT: rt, trace: tr, mem: d.Mem}, nil
+	return &Rig{Side: d, M: d.M, Dev: dev, RT: rt, trace: recordTrace(d.M)}, nil
 }
 
 // driveWorkload applies the equivalence workload to one side. The
@@ -327,7 +300,7 @@ func driveWorkload(s Side, dev nic.Model, ops eqOps) (nic.Status, error) {
 		if _, err := s.Send(f); err != nil {
 			return snap, fmt.Errorf("send %d: %w", i, err)
 		}
-		if _, err := s.Pump(16); err != nil {
+		if _, err := s.PumpInterrupts(16); err != nil {
 			return snap, fmt.Errorf("pump after send %d: %w", i, err)
 		}
 	}
@@ -335,7 +308,7 @@ func driveWorkload(s Side, dev nic.Model, ops eqOps) (nic.Status, error) {
 		if !dev.InjectRX(f) {
 			return snap, fmt.Errorf("device dropped inbound frame %d", i)
 		}
-		if _, err := s.Pump(16); err != nil {
+		if _, err := s.PumpInterrupts(16); err != nil {
 			return snap, fmt.Errorf("pump after rx %d: %w", i, err)
 		}
 	}
@@ -431,7 +404,8 @@ func CheckEquivalence(info *drivers.Info, rev *Reversed, osKind template.OS) (*F
 	case "RTL8139":
 		// Exercisable: set WOL and LED through the synthesized
 		// driver and observe CONFIG1.
-		if _, err := runFeatureProbe(rev, info, mac); err == nil {
+		if err := probeFeature(rev, info, mac, func(st nic.Status) bool { return st.WOLEnabled && st.LEDOn },
+			guestos.OIDEnableWOL, guestos.OIDLEDControl); err == nil {
 			rep.WakeOnLAN = "yes"
 			rep.LED = "yes"
 		} else {
@@ -441,59 +415,32 @@ func CheckEquivalence(info *drivers.Info, rev *Reversed, osKind template.OS) (*F
 	case "AMD PCNet":
 		rep.WakeOnLAN = "N/T" // code exercised, virtual HW can't wake
 	case "SMSC 91C111":
-		if _, err := runLEDProbe(rev, info, mac); err == nil {
+		if err := probeFeature(rev, info, mac, func(st nic.Status) bool { return st.LEDOn },
+			guestos.OIDLEDControl); err == nil {
 			rep.LED = "yes"
 		}
 	}
 	return rep, nil
 }
 
-// runFeatureProbe verifies WOL+LED on a synthesized RTL8139.
-func runFeatureProbe(rev *Reversed, info *drivers.Info, mac [6]byte) (*FeatureReport, error) {
-	bus := hw.NewBus()
-	cfgp := ShellConfig(info)
-	d, _ := rev.NewSyntheticDriver(template.Windows, bus, cfgp)
-	defer d.Mem.Free()
-	dev, err := NewDevice(info.Name, &bus.Line, d, mac)
+// probeFeature turns on each OID in oids through a fresh synthesized
+// driver and checks that the device status reflects them.
+func probeFeature(rev *Reversed, info *drivers.Info, mac [6]byte, reflected func(nic.Status) bool, oids ...uint32) error {
+	rig, err := NewSynthRig(rev, info, template.Windows, mac)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	bus.Attach(dev.(hw.Device), cfgp)
-	if err := d.Initialize(); err != nil {
-		return nil, err
+	defer rig.Close()
+	if err := rig.Side.Initialize(); err != nil {
+		return err
 	}
-	if _, err := d.Set(guestos.OIDEnableWOL, []byte{1, 0, 0, 0}); err != nil {
-		return nil, err
+	for _, oid := range oids {
+		if _, err := rig.Side.Set(oid, []byte{1, 0, 0, 0}); err != nil {
+			return err
+		}
 	}
-	if _, err := d.Set(guestos.OIDLEDControl, []byte{1, 0, 0, 0}); err != nil {
-		return nil, err
+	if st := rig.Dev.StatusReport(); !reflected(st) {
+		return fmt.Errorf("feature not reflected: %+v", st)
 	}
-	st := dev.StatusReport()
-	if !st.WOLEnabled || !st.LEDOn {
-		return nil, fmt.Errorf("WOL/LED not reflected: %+v", st)
-	}
-	return nil, nil
-}
-
-// runLEDProbe verifies the LED path on a synthesized 91C111.
-func runLEDProbe(rev *Reversed, info *drivers.Info, mac [6]byte) (*FeatureReport, error) {
-	bus := hw.NewBus()
-	cfgp := ShellConfig(info)
-	d, _ := rev.NewSyntheticDriver(template.Windows, bus, cfgp)
-	defer d.Mem.Free()
-	dev, err := NewDevice(info.Name, &bus.Line, d, mac)
-	if err != nil {
-		return nil, err
-	}
-	bus.Attach(dev.(hw.Device), cfgp)
-	if err := d.Initialize(); err != nil {
-		return nil, err
-	}
-	if _, err := d.Set(guestos.OIDLEDControl, []byte{1, 0, 0, 0}); err != nil {
-		return nil, err
-	}
-	if !dev.StatusReport().LEDOn {
-		return nil, fmt.Errorf("LED not reflected")
-	}
-	return nil, nil
+	return nil
 }

@@ -397,7 +397,7 @@ func (ex *execution) step(i int, st Step) bool {
 
 func (ex *execution) pump(i int, op string) bool {
 	return ex.both(i, op, func(s core.Side) (uint32, []byte, error) {
-		n, err := s.Pump(16)
+		n, err := s.PumpInterrupts(16)
 		return uint32(n), nil, err
 	})
 }

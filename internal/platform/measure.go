@@ -1,16 +1,12 @@
 package platform
 
 import (
-	"fmt"
-
 	"revnic/internal/cfg"
+	"revnic/internal/core"
 	"revnic/internal/drivers"
-	"revnic/internal/guestos"
-	"revnic/internal/hw"
+	"revnic/internal/ir"
 	"revnic/internal/nic"
-	"revnic/internal/synthdrv"
 	"revnic/internal/template"
-	"revnic/internal/vm"
 )
 
 // DriverForm selects which implementation is being measured.
@@ -39,101 +35,53 @@ const nativeOptimization = 0.93
 // to synthesized drivers on cache-sensitive platforms.
 const sizeRatio = 87.0 / 59.0
 
-func newModel(name string, line *hw.IRQLine, mem hw.MemBus, mac [6]byte) (nic.Model, error) {
-	switch name {
-	case "RTL8029":
-		return nic.NewRTL8029(line, mac), nil
-	case "RTL8139":
-		return nic.NewRTL8139(line, mem, mac), nil
-	case "AMD PCNet":
-		return nic.NewPCNet(line, mem, mac), nil
-	case "SMSC 91C111":
-		return nic.NewSMC91C111(line, mac), nil
-	}
-	return nil, fmt.Errorf("platform: unknown driver %q", name)
-}
-
 var measureMAC = [6]byte{0x02, 0x77, 0x66, 0x55, 0x44, 0x33}
 
 // MeasureOriginal runs the original binary driver and returns the
 // per-packet cost (send + completion ISR) for each payload size.
 func MeasureOriginal(info *drivers.Info, payloads []int) (map[int]DriverCost, error) {
-	bus := hw.NewBus()
-	m := vm.New(bus)
-	defer m.RAM.Free()
-	cfgp := hw.PCIConfig{VendorID: info.VendorID, DeviceID: info.DeviceID,
-		IOBase: 0xC000, IOSize: 0x100, IRQLine: 11}
-	dev, err := newModel(info.Name, &bus.Line, m, measureMAC)
+	rig, err := core.NewOriginalRig(info, ir.NewImage(info.Program), measureMAC)
 	if err != nil {
 		return nil, err
 	}
-	bus.Attach(dev.(hw.Device), cfgp)
-	if err := m.LoadImage(info.Program); err != nil {
-		return nil, err
-	}
-	osm := guestos.New(m, cfgp)
-	var io int64
-	m.AddIOTap(func(port, write bool, addr uint32, size int, v uint32) {
-		if port {
-			io++
-		}
-	})
-	if err := osm.LoadDriver(info.Program.Base); err != nil {
-		return nil, err
-	}
-	if err := osm.Initialize(); err != nil {
-		return nil, err
-	}
-	out := map[int]DriverCost{}
-	for _, p := range payloads {
-		frame := mkMeasureFrame(p)
-		c0, io0 := m.Cycles, io
-		if _, err := osm.Send(frame); err != nil {
-			return nil, err
-		}
-		if _, err := osm.PumpInterrupts(8); err != nil {
-			return nil, err
-		}
-		dev.TxFrames()
-		out[p] = DriverCost{
-			Instrs:    int64(m.Cycles - c0),
-			IOOps:     io - io0,
-			SizeRatio: 1.0,
-		}
-	}
-	return out, nil
+	return measure(rig, payloads, 1.0)
 }
 
 // MeasureSynthesized runs the synthesized driver and returns the
 // per-packet cost per payload size. graph is the recovered CFG.
 func MeasureSynthesized(info *drivers.Info, g *cfg.Graph, osKind template.OS, payloads []int) (map[int]DriverCost, error) {
-	bus := hw.NewBus()
-	cfgp := hw.PCIConfig{VendorID: info.VendorID, DeviceID: info.DeviceID,
-		IOBase: 0xC000, IOSize: 0x100, IRQLine: 11}
-	rt := template.NewRuntime(osKind, cfgp)
-	d := synthdrv.New(g, rt, bus)
-	defer d.Mem.Free()
-	dev, err := newModel(info.Name, &bus.Line, d, measureMAC)
+	rig, err := core.NewSynthRig(&core.Reversed{Graph: g}, info, osKind, measureMAC)
 	if err != nil {
 		return nil, err
 	}
-	bus.Attach(dev.(hw.Device), cfgp)
-	if err := d.Initialize(); err != nil {
+	return measure(rig, payloads, sizeRatio)
+}
+
+// measure initializes the rig's driver, then sends one frame per
+// payload size and services its completion interrupt, counting the
+// instructions the machine completes and the port I/O it performs.
+func measure(rig *core.Rig, payloads []int, ratio float64) (map[int]DriverCost, error) {
+	defer rig.Close()
+	var io int64
+	rig.M.AddIOTap(func(port, write bool, addr uint32, size int, v uint32) {
+		if port {
+			io++
+		}
+	})
+	if err := rig.Side.Initialize(); err != nil {
 		return nil, err
 	}
 	out := map[int]DriverCost{}
 	for _, p := range payloads {
-		frame := mkMeasureFrame(p)
-		i0, io0 := d.Counters()
-		if _, err := d.Send(frame); err != nil {
+		c0, io0 := rig.M.Cycles, io
+		if _, err := rig.Side.Send(mkMeasureFrame(p)); err != nil {
 			return nil, err
 		}
-		if _, err := d.PumpInterrupts(8); err != nil {
+		if _, err := rig.Side.PumpInterrupts(8); err != nil {
 			return nil, err
 		}
-		dev.TxFrames()
-		i1, io1 := d.Counters()
-		out[p] = DriverCost{Instrs: i1 - i0, IOOps: io1 - io0, SizeRatio: sizeRatio}
+		rig.Dev.TxFrames()
+		out[p] = DriverCost{Instrs: int64(rig.M.Cycles - c0), IOOps: io - io0, SizeRatio: ratio}
 	}
 	return out, nil
 }

@@ -6,8 +6,8 @@
 // The models are parametric but grounded: the per-packet driver cost
 // is not a guess — it is the instruction path length and hardware-I/O
 // operation count measured by actually running the original binary
-// driver (in the VM) or the synthesized driver (in the interpreter)
-// for each packet size. Platform parameters (clock rate, port I/O
+// driver or the synthesized driver on the concrete VM for each packet
+// size. Platform parameters (clock rate, port I/O
 // latency, stack cycle counts, per-packet device latency, cache
 // penalty) are calibrated so the absolute scales resemble the
 // paper's; the qualitative claims — synthesized ≈ original, KitOS on

@@ -1,13 +1,16 @@
-// Package synthdrv executes synthesized drivers: it interprets the
-// recovered CFG (the same state machine the generated C encodes)
-// bound to a target operating system runtime and real device models.
+// Package synthdrv executes synthesized drivers: it runs the
+// recovered CFG (the same state machine the generated C encodes) on
+// the concrete VM, bound to a target operating system runtime and
+// real device models.
 //
 // This is the reproduction's equivalent of compiling the synthesized
-// C into a driver and loading it on the target OS (§4.2). Because the
-// interpreter runs only recovered basic blocks — never the original
-// binary — any reconstruction error (missing block, wrong edge, bad
-// parameter count) shows up as divergence in the §5.2 equivalence
-// checks or as a hit on an unexplored branch.
+// C into a driver and loading it on the target OS (§4.2). The driver
+// runs on the same vm.Machine as the original binary; only its code
+// source and its OS differ. The machine's blocks come from the
+// recovered graph, never from the original binary, and its OS calls
+// go to the template runtime. So any reconstruction error (missing
+// block, wrong edge, bad parameter count) shows up as divergence in
+// the §5.2 equivalence checks or as a hit on an unexplored branch.
 package synthdrv
 
 import (
@@ -16,7 +19,9 @@ import (
 	"revnic/internal/cfg"
 	"revnic/internal/guestos"
 	"revnic/internal/hw"
+	"revnic/internal/ir"
 	"revnic/internal/isa"
+	"revnic/internal/vm"
 )
 
 // TargetOS is the boilerplate side of a driver template: everything
@@ -63,46 +68,34 @@ func (e *ErrUnexplored) Error() string {
 
 // Driver is a loaded synthesized driver instance.
 type Driver struct {
-	G   *cfg.Graph
-	OS  TargetOS
-	Bus *hw.Bus
-	// Mem is the driver's flat memory: state allocations, stack and
-	// DMA buffers live here at the same addresses the target OS
-	// allocator hands out. It comes from the process-wide pool;
-	// Mem.Free returns it once the driver is no longer used.
-	Mem *hw.RAM
+	G  *cfg.Graph
+	OS TargetOS
+	// M is the machine the driver runs on. Its RAM holds the state
+	// allocations, stack and DMA buffers at the addresses the target
+	// OS allocator hands out; it comes from the process-wide pool,
+	// and M.RAM.Free returns it once the driver is no longer used.
+	M *vm.Machine
 	// Ctx is the adapter context returned by Initialize.
 	Ctx uint32
-	// Stats counts interpreted blocks per entry-point role, the
-	// instruction-path-length input to the performance models.
-	BlocksRun map[string]int64
-
-	// IOTap, when set, observes every hardware access the
-	// synthesized driver performs — the I/O trace side of the §5.2
-	// equivalence check.
-	IOTap func(port, write bool, addr uint32, size int, value uint32)
 
 	entries map[string]*cfg.Function
 	// table indexes the recovered blocks by instruction slot from lo;
 	// odd holds any block off that grid (see index).
 	lo    uint32
-	table []*cfg.BasicBlock
-	odd   map[uint32]*cfg.BasicBlock
+	table []*ir.Block
+	odd   map[uint32]*ir.Block
+	// last is the address of the block the current call ran last.
+	last uint32
 
-	timer  uint32
-	blocks int64
-	instrs int64
-	ioOps  int64
+	timer uint32
 }
 
-// New prepares a synthesized driver for execution.
+// New prepares a synthesized driver for execution on a fresh machine
+// attached to bus.
 func New(g *cfg.Graph, os TargetOS, bus *hw.Bus) *Driver {
-	d := &Driver{
-		G: g, OS: os, Bus: bus,
-		Mem:       hw.NewRAM(),
-		BlocksRun: map[string]int64{},
-		entries:   map[string]*cfg.Function{},
-	}
+	d := &Driver{G: g, OS: os, M: vm.New(bus), entries: map[string]*cfg.Function{}}
+	d.M.Lookup = d.lookup
+	d.M.OSCall = d.apiCall
 	for _, f := range g.Funcs {
 		if f.Role != "" {
 			d.entries[f.Role] = f
@@ -131,25 +124,33 @@ func (d *Driver) index() {
 	}
 	d.lo = lo
 	n := min(int((hi-lo)/isa.InstrSize)+1, len(d.G.Blocks)+maxSparseSlots)
-	d.table = make([]*cfg.BasicBlock, n)
+	d.table = make([]*ir.Block, n)
 	for a, b := range d.G.Blocks {
 		if off := a - lo; off%isa.InstrSize == 0 && off/isa.InstrSize < uint32(n) {
-			d.table[off/isa.InstrSize] = b
+			d.table[off/isa.InstrSize] = &b.Block
 			continue
 		}
 		if d.odd == nil {
-			d.odd = map[uint32]*cfg.BasicBlock{}
+			d.odd = map[uint32]*ir.Block{}
 		}
-		d.odd[a] = b
+		d.odd[a] = &b.Block
 	}
 }
 
-// block returns the recovered block at addr, nil when there is none.
-func (d *Driver) block(addr uint32) *cfg.BasicBlock {
-	if off := addr - d.lo; addr >= d.lo && off%isa.InstrSize == 0 && off/isa.InstrSize < uint32(len(d.table)) {
-		return d.table[off/isa.InstrSize]
+// lookup is the machine's code source: the recovered block at pc, or
+// ErrUnexplored from the block the current call ran last.
+func (d *Driver) lookup(pc uint32) (*ir.Block, error) {
+	var b *ir.Block
+	if off := pc - d.lo; pc >= d.lo && off%isa.InstrSize == 0 && off/isa.InstrSize < uint32(len(d.table)) {
+		b = d.table[off/isa.InstrSize]
+	} else {
+		b = d.odd[pc]
 	}
-	return d.odd[addr]
+	if b == nil {
+		return nil, &ErrUnexplored{From: d.last, To: pc}
+	}
+	d.last = pc
+	return b, nil
 }
 
 // Entry returns the recovered function with the given role.
@@ -158,282 +159,24 @@ func (d *Driver) Entry(role string) (*cfg.Function, bool) {
 	return f, ok
 }
 
-// --- memory helpers ---
-
-func (d *Driver) read(addr uint32, size int) (uint32, error) {
-	if hw.IsMMIO(addr) {
-		v := d.Bus.MMIORead(addr, size)
-		if d.IOTap != nil {
-			d.IOTap(false, false, addr, size, v)
-		}
-		return v, nil
-	}
-	v, ok := d.Mem.Load(addr, size)
-	if !ok {
-		return 0, fmt.Errorf("synthdrv: read outside memory at %#x", addr)
-	}
-	return v, nil
-}
-
-func (d *Driver) write(addr uint32, size int, v uint32) error {
-	if hw.IsMMIO(addr) {
-		d.Bus.MMIOWrite(addr, size, v)
-		if d.IOTap != nil {
-			d.IOTap(false, true, addr, size, v)
-		}
-		return nil
-	}
-	if !d.Mem.Store(addr, size, v) {
-		return fmt.Errorf("synthdrv: write outside memory at %#x", addr)
-	}
-	return nil
-}
-
-// ReadMem implements hw.MemBus so DMA devices can reach the
-// synthesized driver's buffers.
-func (d *Driver) ReadMem(addr uint32, p []byte) { d.Mem.ReadMem(addr, p) }
-
-// WriteMem implements hw.MemBus.
-func (d *Driver) WriteMem(addr uint32, p []byte) { d.Mem.WriteMem(addr, p) }
-
-// callLimit bounds interpreted blocks per entry invocation.
+// callLimit bounds executed blocks per entry invocation.
 const callLimit = 500000
 
 // Call runs a recovered function with the given arguments, returning
 // r0. It is the runtime embodiment of the template placeholder call.
+// Every call starts with zeroed registers and the stack pointer at
+// hw.StackTop.
 func (d *Driver) Call(f *cfg.Function, args ...uint32) (uint32, error) {
-	var regs [isa.NumRegs]uint32
-	sp := uint32(hw.StackTop)
-	for i := len(args) - 1; i >= 0; i-- {
-		sp -= 4
-		if err := d.write(sp, 4, args[i]); err != nil {
-			return 0, err
-		}
-	}
-	sp -= 4
-	const sentinel = 0xFFFFFFF0
-	if err := d.write(sp, 4, sentinel); err != nil {
-		return 0, err
-	}
-	regs[isa.SP] = sp
-
-	role := f.Role
-	if role == "" {
-		role = "internal"
-	}
-	// BlocksRun is a string-keyed map: count this call's blocks
-	// locally and add them once.
-	var run int64
-	defer func() {
-		if run > 0 {
-			d.BlocksRun[role] += run
-		}
-	}()
-	pc := f.Entry
-	blk := d.block(pc)
-	budget := callLimit
-	for {
-		if budget <= 0 {
-			return 0, fmt.Errorf("synthdrv: %s exceeded block budget", f.Name())
-		}
-		budget--
-		if blk == nil {
-			if pc == sentinel {
-				return regs[isa.R0], nil
-			}
-			return 0, &ErrUnexplored{To: pc}
-		}
-		d.blocks++
-		run++
-		next, nextBlk, err := d.execBlock(blk, &regs)
-		if err != nil {
-			return 0, err
-		}
-		if next == sentinel {
-			return regs[isa.R0], nil
-		}
-		pc, blk = next, nextBlk
-		if blk == nil {
-			blk = d.block(pc)
-		}
-	}
+	d.M.Regs = [isa.NumRegs]uint32{isa.SP: hw.StackTop}
+	d.last = 0
+	return d.M.CallEntry(f.Entry, callLimit, args...)
 }
 
-// TotalBlocks returns the total interpreted block count.
-func (d *Driver) TotalBlocks() int64 { return d.blocks }
-
-// Counters returns cumulative instruction and hardware-I/O operation
-// counts, the path-length inputs to the performance models.
-func (d *Driver) Counters() (instrs, ioOps int64) { return d.instrs, d.ioOps }
-
-// execBlock interprets one recovered basic block, returning the next
-// block address and, when the successor was checked, its block.
-func (d *Driver) execBlock(blk *cfg.BasicBlock, regs *[isa.NumRegs]uint32) (uint32, *cfg.BasicBlock, error) {
-	src2 := func(in isa.Instr) uint32 {
-		if in.HasImmOperand() {
-			return in.Imm
-		}
-		return regs[in.Rs2]
-	}
-	for _, in := range blk.Instrs {
-		d.instrs++
-		if in.Op.IsPortIO() {
-			d.ioOps++
-		}
-		switch in.Op {
-		case isa.NOP:
-		case isa.MOVI:
-			regs[in.Rd] = in.Imm
-		case isa.MOV:
-			regs[in.Rd] = regs[in.Rs1]
-		case isa.ADD:
-			regs[in.Rd] = regs[in.Rs1] + src2(in)
-		case isa.SUB:
-			regs[in.Rd] = regs[in.Rs1] - src2(in)
-		case isa.AND:
-			regs[in.Rd] = regs[in.Rs1] & src2(in)
-		case isa.OR:
-			regs[in.Rd] = regs[in.Rs1] | src2(in)
-		case isa.XOR:
-			regs[in.Rd] = regs[in.Rs1] ^ src2(in)
-		case isa.SHL:
-			regs[in.Rd] = regs[in.Rs1] << (src2(in) % 32)
-		case isa.SHR:
-			regs[in.Rd] = regs[in.Rs1] >> (src2(in) % 32)
-		case isa.SAR:
-			regs[in.Rd] = uint32(int32(regs[in.Rs1]) >> (src2(in) % 32))
-		case isa.MUL:
-			regs[in.Rd] = regs[in.Rs1] * src2(in)
-		case isa.LD8, isa.LD16, isa.LD32:
-			v, err := d.read(regs[in.Rs1]+in.Imm, in.Op.AccessSize())
-			if err != nil {
-				return 0, nil, err
-			}
-			regs[in.Rd] = v
-		case isa.ST8, isa.ST16, isa.ST32:
-			if err := d.write(regs[in.Rs1]+in.Imm, in.Op.AccessSize(), regs[in.Rs2]); err != nil {
-				return 0, nil, err
-			}
-		case isa.IN8, isa.IN16, isa.IN32:
-			port := regs[in.Rs1] + in.Imm
-			v := d.Bus.PortRead(port, in.Op.AccessSize())
-			if d.IOTap != nil {
-				d.IOTap(true, false, port, in.Op.AccessSize(), v)
-			}
-			regs[in.Rd] = v
-		case isa.OUT8, isa.OUT16, isa.OUT32:
-			port := regs[in.Rs1] + in.Imm
-			v := regs[in.Rs2] & hw.SizeMask(in.Op.AccessSize())
-			d.Bus.PortWrite(port, in.Op.AccessSize(), v)
-			if d.IOTap != nil {
-				d.IOTap(true, true, port, in.Op.AccessSize(), v)
-			}
-		case isa.PUSH:
-			regs[isa.SP] -= 4
-			if err := d.write(regs[isa.SP], 4, regs[in.Rs1]); err != nil {
-				return 0, nil, err
-			}
-		case isa.POP:
-			v, err := d.read(regs[isa.SP], 4)
-			if err != nil {
-				return 0, nil, err
-			}
-			regs[in.Rd] = v
-			regs[isa.SP] += 4
-		case isa.JMP:
-			return d.checkTarget(blk, in.Imm)
-		case isa.JR:
-			return d.checkTarget(blk, regs[in.Rs1])
-		case isa.BR, isa.BRI:
-			rhs := uint32(uint8(in.Rs2))
-			if in.Op == isa.BR {
-				rhs = regs[in.Rs2]
-			}
-			if condTrue(in.Cond(), regs[in.Rs1], rhs) {
-				return d.checkTarget(blk, in.Imm)
-			}
-			return d.checkTarget(blk, blk.EndAddr())
-		case isa.CALL, isa.CALLR:
-			target := in.Imm
-			if in.Op == isa.CALLR {
-				target = regs[in.Rs1]
-			}
-			ret := blk.InstrAddrOfTerm() + isa.InstrSize
-			if hw.IsAPIGate(target) {
-				if err := d.apiCall(regs, hw.APIIndex(target)); err != nil {
-					return 0, nil, err
-				}
-				return ret, nil, nil
-			}
-			regs[isa.SP] -= 4
-			if err := d.write(regs[isa.SP], 4, ret); err != nil {
-				return 0, nil, err
-			}
-			return d.checkTarget(blk, target)
-		case isa.RET:
-			ra, err := d.read(regs[isa.SP], 4)
-			if err != nil {
-				return 0, nil, err
-			}
-			regs[isa.SP] += 4 + in.Imm
-			if ra == 0xFFFFFFF0 {
-				return ra, nil, nil
-			}
-			return d.checkTarget(blk, ra)
-		case isa.IRET, isa.HLT:
-			return 0xFFFFFFF0, nil, nil
-		}
-	}
-	// Split block without terminator: fall through.
-	return d.checkTarget(blk, blk.EndAddr())
-}
-
-// checkTarget resolves a successor of from: the sentinel return
-// address, or a recovered block.
-func (d *Driver) checkTarget(from *cfg.BasicBlock, to uint32) (uint32, *cfg.BasicBlock, error) {
-	if to == 0xFFFFFFF0 {
-		return to, nil, nil
-	}
-	b := d.block(to)
-	if b == nil {
-		return 0, nil, &ErrUnexplored{From: from.Addr, To: to}
-	}
-	return to, b, nil
-}
-
-func condTrue(c isa.Cond, a, b uint32) bool {
-	switch c {
-	case isa.EQ:
-		return a == b
-	case isa.NE:
-		return a != b
-	case isa.LT:
-		return int32(a) < int32(b)
-	case isa.GE:
-		return int32(a) >= int32(b)
-	case isa.LTU:
-		return a < b
-	case isa.GEU:
-		return a >= b
-	}
-	return false
-}
-
-// apiCall dispatches an OS upcall to the target OS runtime, with
-// stdcall argument cleanup.
-func (d *Driver) apiCall(regs *[isa.NumRegs]uint32, index uint32) error {
+// apiCall is the machine's OS call handler: it dispatches an OS
+// upcall to the target OS runtime, with stdcall argument cleanup.
+func (d *Driver) apiCall(m *vm.Machine, index uint32) error {
 	if index >= guestos.NumAPIs {
 		return fmt.Errorf("synthdrv: unknown API %d", index)
-	}
-	desc := guestos.Table[index]
-	sp := regs[isa.SP]
-	args := make([]uint32, desc.NArgs)
-	for i := range args {
-		v, err := d.read(sp+uint32(4*i), 4)
-		if err != nil {
-			return err
-		}
-		args[i] = v
 	}
 	ret := uint32(guestos.StatusSuccess)
 	switch index {
@@ -442,34 +185,32 @@ func (d *Driver) apiCall(regs *[isa.NumRegs]uint32, index uint32) error {
 		// itself; a synthesized DriverEntry is not normally run, but
 		// accept the call for completeness.
 	case guestos.APIAllocateMemory:
-		ret = d.OS.AllocMemory(args[0])
+		ret = d.OS.AllocMemory(m.Arg(0))
 	case guestos.APIAllocateSharedMemory:
-		ret = d.OS.AllocShared(args[0])
+		ret = d.OS.AllocShared(m.Arg(0))
 	case guestos.APIFreeMemory, guestos.APIFreeSharedMemory:
-		d.OS.FreeMemory(args[0])
+		d.OS.FreeMemory(m.Arg(0))
 	case guestos.APIWriteErrorLogEntry, guestos.APIDebugPrint:
-		d.OS.Log(args[0])
+		d.OS.Log(m.Arg(0))
 	case guestos.APIReadPCIConfig:
-		ret = d.OS.ReadPCIConfig(args[0])
+		ret = d.OS.ReadPCIConfig(m.Arg(0))
 	case guestos.APIInitializeTimer:
-		d.timer = args[0]
-		d.OS.InitializeTimer(args[0])
+		d.timer = m.Arg(0)
+		d.OS.InitializeTimer(d.timer)
 	case guestos.APISetTimer:
-		d.OS.SetTimer(args[0])
+		d.OS.SetTimer(m.Arg(0))
 	case guestos.APIIndicateReceive:
-		frame := make([]byte, args[1])
-		d.ReadMem(args[0], frame)
+		frame := make([]byte, m.Arg(1))
+		m.ReadMem(m.Arg(0), frame)
 		d.OS.IndicateReceive(frame)
 	case guestos.APISendComplete:
-		d.OS.SendComplete(args[0])
+		d.OS.SendComplete(m.Arg(0))
 	case guestos.APIStallExecution:
-		d.OS.Stall(args[0])
+		d.OS.Stall(m.Arg(0))
 	case guestos.APIGetSystemUpTime:
 		ret = d.OS.UpTime()
 	}
-	regs[isa.SP] = sp + uint32(4*desc.NArgs)
-	regs[isa.R0] = ret
-	return nil
+	return m.APIReturn(ret, guestos.Table[index].NArgs)
 }
 
 // --- high-level driver operations (the template's public face) ---
@@ -498,7 +239,7 @@ func (d *Driver) Send(frame []byte) (uint32, error) {
 		return guestos.StatusFailure, fmt.Errorf("synthdrv: no send entry recovered")
 	}
 	buf := d.OS.AllocMemory(uint32(len(frame)))
-	d.WriteMem(buf, frame)
+	d.M.WriteMem(buf, frame)
 	return d.Call(f, d.Ctx, buf, uint32(len(frame)))
 }
 
@@ -509,13 +250,13 @@ func (d *Driver) PumpInterrupts(max int) (int, error) {
 		return 0, fmt.Errorf("synthdrv: no isr entry recovered")
 	}
 	n := 0
-	for d.Bus.Line.Pending() && n < max {
+	for d.M.Bus.Line.Pending() && n < max {
 		if _, err := d.Call(f, d.Ctx); err != nil {
 			return n, err
 		}
 		n++
 	}
-	if d.Bus.Line.Pending() {
+	if d.M.Bus.Line.Pending() {
 		return n, fmt.Errorf("synthdrv: line still pending after %d ISR runs", n)
 	}
 	return n, nil
@@ -533,7 +274,7 @@ func (d *Driver) Query(oid, n uint32) (uint32, []byte, error) {
 		return st, nil, err
 	}
 	out := make([]byte, n)
-	d.ReadMem(buf, out)
+	d.M.ReadMem(buf, out)
 	return st, out, nil
 }
 
@@ -544,7 +285,7 @@ func (d *Driver) Set(oid uint32, in []byte) (uint32, error) {
 		return guestos.StatusFailure, fmt.Errorf("synthdrv: no set entry recovered")
 	}
 	buf := d.OS.AllocMemory(uint32(len(in)))
-	d.WriteMem(buf, in)
+	d.M.WriteMem(buf, in)
 	return d.Call(f, d.Ctx, oid, buf, uint32(len(in)))
 }
 

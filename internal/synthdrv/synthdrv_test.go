@@ -108,8 +108,8 @@ func TestSynthesizedDriverLifecycle(t *testing.T) {
 	if dev.StatusReport().RxEnabled {
 		t.Error("device still running after halt")
 	}
-	if instrs, io := d.Counters(); instrs == 0 || io == 0 {
-		t.Error("counters not advancing")
+	if d.M.Cycles == 0 || d.M.Blocks == 0 {
+		t.Error("machine counters not advancing")
 	}
 }
 
@@ -124,19 +124,5 @@ func TestUnexploredErrorType(t *testing.T) {
 	d := New(&cfg.Graph{Funcs: map[uint32]*cfg.Function{}, Blocks: map[uint32]*cfg.BasicBlock{}}, rt, bus)
 	if err := d.Initialize(); err == nil {
 		t.Error("init on empty graph must fail")
-	}
-}
-
-func TestBlocksRunAccounting(t *testing.T) {
-	g := recover8029(t)
-	d, _, _ := buildDriver(t, g)
-	if err := d.Initialize(); err != nil {
-		t.Fatal(err)
-	}
-	if d.BlocksRun["initialize"] == 0 {
-		t.Error("no blocks attributed to initialize")
-	}
-	if d.TotalBlocks() == 0 {
-		t.Error("total blocks zero")
 	}
 }

@@ -60,10 +60,6 @@ type Runtime struct {
 	LogCodes []uint32
 	// TimerHandler is the registered timer entry.
 	TimerHandler uint32
-	// LockCount counts entry-point serializations (each template
-	// "contains one lock to serialize the entry points", §4.2); the
-	// performance models charge for it.
-	LockCount int
 
 	heapNext uint32
 	uptime   uint32
@@ -127,9 +123,6 @@ func (r *Runtime) Stall(us uint32) { r.uptime += us / 1000 }
 
 // UpTime implements synthdrv.TargetOS.
 func (r *Runtime) UpTime() uint32 { r.uptime++; return r.uptime }
-
-// Lock notes one entry-point serialization.
-func (r *Runtime) Lock() { r.LockCount++ }
 
 // roleCall finds the synthesized function for a role, returning a C
 // call expression.

@@ -1,12 +1,18 @@
-// Package vm implements the concrete virtual machine in which guest
-// drivers execute: CPU, RAM, translation-block dispatch, interrupt
-// delivery, and interception of OS API call gates.
+// Package vm implements the concrete virtual machine, the one CPU on
+// which every guest driver executes: registers, RAM, block dispatch,
+// interrupt delivery, and interception of OS API call gates.
 //
 // The concrete VM serves three roles in the reproduction: it runs the
 // original binary drivers against the behavioural NIC models ("real
 // hardware") to record reference I/O traces; it is the concrete
 // execution domain of selective symbolic execution (the OS side); and
-// it hosts the synthesized drivers for the equivalence checks of §5.2.
+// it runs the synthesized drivers for the equivalence checks of §5.2
+// and the differential fuzzer. The two sides of those checks differ
+// only in where their code comes from and which OS answers their
+// calls: an original-side machine decodes its blocks from its RAM
+// (through a loaded ir.Image), a synthesized-side machine takes them
+// from the recovered graph through Lookup, and each installs its own
+// OSCall handler.
 package vm
 
 import (
@@ -45,8 +51,15 @@ type Machine struct {
 
 	Halted bool
 	Cycles uint64
-	// Blocks counts executed translation blocks.
+	// Blocks counts executed blocks.
 	Blocks uint64
+
+	// Lookup, when set, supplies the blocks the machine runs in place
+	// of its RAM: it returns the block at pc, or the error that stops
+	// execution, which StepBlock returns unwrapped. The machine then
+	// never decodes its RAM, so stores into code do not change what
+	// runs.
+	Lookup func(pc uint32) (*ir.Block, error)
 
 	// img is the loaded program image; slots and other hold the
 	// blocks this machine has resolved, on the image's instruction
@@ -99,9 +112,12 @@ func (m *Machine) Load(img *ir.Image) error {
 	return nil
 }
 
-// block returns the translation block at pc, resolving it on the
-// machine's first execution of pc.
+// block returns the block at pc: from Lookup when it is set, else the
+// translation block resolved on the machine's first execution of pc.
 func (m *Machine) block(pc uint32) (*ir.Block, error) {
+	if m.Lookup != nil {
+		return m.Lookup(pc)
+	}
 	if m.img != nil {
 		if i, ok := m.img.Slot(pc); ok {
 			if b := m.slots[i]; b != nil {
@@ -216,11 +232,11 @@ func (m *Machine) APIReturn(ret uint32, nargs int) error {
 	return nil
 }
 
-func (m *Machine) src2(in isa.Instr) uint32 {
+func src2(regs *[isa.NumRegs]uint32, in isa.Instr) uint32 {
 	if in.HasImmOperand() {
 		return in.Imm
 	}
-	return m.Regs[in.Rs2]
+	return regs[in.Rs2]
 }
 
 func condTrue(c isa.Cond, a, b uint32) bool {
@@ -241,9 +257,10 @@ func condTrue(c isa.Cond, a, b uint32) bool {
 	panic("vm: bad condition")
 }
 
-// StepBlock executes one translation block (or delivers one pending
-// interrupt). It returns the block executed, or nil when an interrupt
-// was delivered or the machine is halted.
+// StepBlock executes one block (or delivers one pending interrupt).
+// It returns the block executed, or nil when an interrupt was
+// delivered or the machine is halted. Cycles counts the block's
+// completed instructions, also when one of them faults.
 func (m *Machine) StepBlock() (*ir.Block, error) {
 	if m.Halted {
 		return nil, nil
@@ -262,130 +279,114 @@ func (m *Machine) StepBlock() (*ir.Block, error) {
 		return nil, err
 	}
 	m.Blocks++
+	regs := &m.Regs
+	next := b.EndAddr()
 	for i, in := range b.Instrs {
-		if err := m.exec(in, b.InstrAddr(i)); err != nil {
+		var err error
+		switch in.Op {
+		case isa.NOP:
+		case isa.MOVI:
+			regs[in.Rd] = in.Imm
+		case isa.MOV:
+			regs[in.Rd] = regs[in.Rs1]
+		case isa.ADD:
+			regs[in.Rd] = regs[in.Rs1] + src2(regs, in)
+		case isa.SUB:
+			regs[in.Rd] = regs[in.Rs1] - src2(regs, in)
+		case isa.AND:
+			regs[in.Rd] = regs[in.Rs1] & src2(regs, in)
+		case isa.OR:
+			regs[in.Rd] = regs[in.Rs1] | src2(regs, in)
+		case isa.XOR:
+			regs[in.Rd] = regs[in.Rs1] ^ src2(regs, in)
+		case isa.SHL:
+			regs[in.Rd] = regs[in.Rs1] << (src2(regs, in) % 32)
+		case isa.SHR:
+			regs[in.Rd] = regs[in.Rs1] >> (src2(regs, in) % 32)
+		case isa.SAR:
+			regs[in.Rd] = uint32(int32(regs[in.Rs1]) >> (src2(regs, in) % 32))
+		case isa.MUL:
+			regs[in.Rd] = regs[in.Rs1] * src2(regs, in)
+		case isa.LD8, isa.LD16, isa.LD32:
+			var v uint32
+			if v, err = m.Read(regs[in.Rs1]+in.Imm, in.Op.AccessSize()); err == nil {
+				regs[in.Rd] = v
+			}
+		case isa.ST8, isa.ST16, isa.ST32:
+			err = m.Write(regs[in.Rs1]+in.Imm, in.Op.AccessSize(), regs[in.Rs2])
+		case isa.IN8, isa.IN16, isa.IN32:
+			port := regs[in.Rs1] + in.Imm
+			v := m.Bus.PortRead(port, in.Op.AccessSize())
+			m.tapIO(true, false, port, in.Op.AccessSize(), v)
+			regs[in.Rd] = v
+		case isa.OUT8, isa.OUT16, isa.OUT32:
+			port := regs[in.Rs1] + in.Imm
+			v := regs[in.Rs2] & hw.SizeMask(in.Op.AccessSize())
+			m.Bus.PortWrite(port, in.Op.AccessSize(), v)
+			m.tapIO(true, true, port, in.Op.AccessSize(), v)
+		case isa.PUSH:
+			err = m.Push(regs[in.Rs1])
+		case isa.POP:
+			var v uint32
+			if v, err = m.Pop(); err == nil {
+				regs[in.Rd] = v
+			}
+		case isa.JMP:
+			next = in.Imm
+		case isa.JR:
+			next = regs[in.Rs1]
+		case isa.BR, isa.BRI:
+			rhs := uint32(uint8(in.Rs2))
+			if in.Op == isa.BR {
+				rhs = regs[in.Rs2]
+			}
+			if condTrue(in.Cond(), regs[in.Rs1], rhs) {
+				next = in.Imm
+			}
+		case isa.CALL, isa.CALLR:
+			next = in.Imm
+			if in.Op == isa.CALLR {
+				next = regs[in.Rs1]
+			}
+			if err = m.Push(b.InstrAddr(i) + isa.InstrSize); err != nil || !hw.IsAPIGate(next) {
+				break
+			}
+			if m.OSCall == nil {
+				err = fmt.Errorf("API call %#x with no OS handler", next)
+				break
+			}
+			// The handler sees the PC at the gate and ends with
+			// APIReturn, which sets the PC to the return address.
+			m.PC = next
+			err = m.OSCall(m, hw.APIIndex(next))
+			next = m.PC
+		case isa.RET, isa.IRET:
+			var ra uint32
+			if ra, err = m.Pop(); err != nil {
+				break
+			}
+			if in.Op == isa.RET {
+				regs[isa.SP] += in.Imm
+			} else {
+				m.inISR = false
+			}
+			next = ra
+			if ra == MagicReturn {
+				m.Halted = true
+			}
+		case isa.HLT:
+			m.Halted = true
+		default:
+			err = fmt.Errorf("unimplemented opcode %v", in.Op)
+		}
+		if err != nil {
+			m.Cycles += uint64(i)
 			return b, fmt.Errorf("vm: at %#x (%s): %w", b.InstrAddr(i), in.Disassemble(), err)
 		}
-		m.Cycles++
 	}
+	m.Cycles += uint64(len(b.Instrs))
+	m.PC = next
 	return b, nil
-}
-
-func (m *Machine) exec(in isa.Instr, addr uint32) error {
-	nextPC := addr + isa.InstrSize
-	switch in.Op {
-	case isa.NOP:
-	case isa.MOVI:
-		m.Regs[in.Rd] = in.Imm
-	case isa.MOV:
-		m.Regs[in.Rd] = m.Regs[in.Rs1]
-	case isa.ADD:
-		m.Regs[in.Rd] = m.Regs[in.Rs1] + m.src2(in)
-	case isa.SUB:
-		m.Regs[in.Rd] = m.Regs[in.Rs1] - m.src2(in)
-	case isa.AND:
-		m.Regs[in.Rd] = m.Regs[in.Rs1] & m.src2(in)
-	case isa.OR:
-		m.Regs[in.Rd] = m.Regs[in.Rs1] | m.src2(in)
-	case isa.XOR:
-		m.Regs[in.Rd] = m.Regs[in.Rs1] ^ m.src2(in)
-	case isa.SHL:
-		m.Regs[in.Rd] = m.Regs[in.Rs1] << (m.src2(in) % 32)
-	case isa.SHR:
-		m.Regs[in.Rd] = m.Regs[in.Rs1] >> (m.src2(in) % 32)
-	case isa.SAR:
-		m.Regs[in.Rd] = uint32(int32(m.Regs[in.Rs1]) >> (m.src2(in) % 32))
-	case isa.MUL:
-		m.Regs[in.Rd] = m.Regs[in.Rs1] * m.src2(in)
-	case isa.LD8, isa.LD16, isa.LD32:
-		v, err := m.Read(m.Regs[in.Rs1]+in.Imm, in.Op.AccessSize())
-		if err != nil {
-			return err
-		}
-		m.Regs[in.Rd] = v
-	case isa.ST8, isa.ST16, isa.ST32:
-		if err := m.Write(m.Regs[in.Rs1]+in.Imm, in.Op.AccessSize(), m.Regs[in.Rs2]); err != nil {
-			return err
-		}
-	case isa.IN8, isa.IN16, isa.IN32:
-		port := m.Regs[in.Rs1] + in.Imm
-		v := m.Bus.PortRead(port, in.Op.AccessSize())
-		m.tapIO(true, false, port, in.Op.AccessSize(), v)
-		m.Regs[in.Rd] = v
-	case isa.OUT8, isa.OUT16, isa.OUT32:
-		port := m.Regs[in.Rs1] + in.Imm
-		v := m.Regs[in.Rs2] & hw.SizeMask(in.Op.AccessSize())
-		m.Bus.PortWrite(port, in.Op.AccessSize(), v)
-		m.tapIO(true, true, port, in.Op.AccessSize(), v)
-	case isa.PUSH:
-		if err := m.Push(m.Regs[in.Rs1]); err != nil {
-			return err
-		}
-	case isa.POP:
-		v, err := m.Pop()
-		if err != nil {
-			return err
-		}
-		m.Regs[in.Rd] = v
-	case isa.JMP:
-		nextPC = in.Imm
-	case isa.JR:
-		nextPC = m.Regs[in.Rs1]
-	case isa.BR:
-		if condTrue(in.Cond(), m.Regs[in.Rs1], m.Regs[in.Rs2]) {
-			nextPC = in.Imm
-		}
-	case isa.BRI:
-		if condTrue(in.Cond(), m.Regs[in.Rs1], uint32(uint8(in.Rs2))) {
-			nextPC = in.Imm
-		}
-	case isa.CALL, isa.CALLR:
-		target := in.Imm
-		if in.Op == isa.CALLR {
-			target = m.Regs[in.Rs1]
-		}
-		if err := m.Push(nextPC); err != nil {
-			return err
-		}
-		if hw.IsAPIGate(target) {
-			if m.OSCall == nil {
-				return fmt.Errorf("API call %#x with no OS handler", target)
-			}
-			// The handler ends with APIReturn, which sets PC.
-			m.PC = target
-			if err := m.OSCall(m, hw.APIIndex(target)); err != nil {
-				return err
-			}
-			return nil
-		}
-		nextPC = target
-	case isa.RET:
-		ra, err := m.Pop()
-		if err != nil {
-			return err
-		}
-		m.Regs[isa.SP] += in.Imm
-		nextPC = ra
-		if ra == MagicReturn {
-			m.Halted = true
-		}
-	case isa.IRET:
-		ra, err := m.Pop()
-		if err != nil {
-			return err
-		}
-		m.inISR = false
-		nextPC = ra
-		if ra == MagicReturn {
-			m.Halted = true
-		}
-	case isa.HLT:
-		m.Halted = true
-	default:
-		return fmt.Errorf("unimplemented opcode %v", in.Op)
-	}
-	m.PC = nextPC
-	return nil
 }
 
 // Run executes until the machine halts or maxBlocks translation
