@@ -20,7 +20,6 @@ import (
 	"revnic/internal/isa"
 	"revnic/internal/symexec"
 	"revnic/internal/synth"
-	"revnic/internal/synthdrv"
 	"revnic/internal/template"
 )
 
@@ -91,14 +90,4 @@ func (r *Reversed) Coverage() float64 {
 // target OS: boilerplate plus the synthesized hardware-protocol code.
 func (r *Reversed) InstantiateTemplate(os template.OS) string {
 	return template.Instantiate(os, r.Name, r.Synth)
-}
-
-// NewSyntheticDriver builds an executable synthesized driver bound to
-// a target OS runtime and a hardware bus. DMA-capable device models
-// should be constructed with the driver's machine, d.M, as their
-// memory.
-func (r *Reversed) NewSyntheticDriver(os template.OS, bus *hw.Bus, cfg hw.PCIConfig) (*synthdrv.Driver, *template.Runtime) {
-	rt := template.NewRuntime(os, cfg)
-	d := synthdrv.New(r.Graph, rt, bus)
-	return d, rt
 }

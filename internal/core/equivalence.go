@@ -6,11 +6,13 @@ import (
 	"slices"
 	"sync"
 
+	"revnic/internal/cfg"
 	"revnic/internal/drivers"
 	"revnic/internal/guestos"
 	"revnic/internal/hw"
 	"revnic/internal/ir"
 	"revnic/internal/nic"
+	"revnic/internal/synthdrv"
 	"revnic/internal/template"
 	"revnic/internal/vm"
 )
@@ -129,7 +131,7 @@ func runOriginal(info *drivers.Info, ops eqOps) ([]IOEvent, nic.Model, *guestos.
 // runSynthesized exercises the synthesized driver on a fresh device
 // of the same type, recording its I/O trace.
 func runSynthesized(rev *Reversed, info *drivers.Info, osKind template.OS, ops eqOps) ([]IOEvent, nic.Status, nic.Model, *template.Runtime, error) {
-	rig, err := NewSynthRig(rev, info, osKind, ops.mac)
+	rig, err := NewSynthRig(rev.Graph, info, osKind, ops.mac)
 	if err != nil {
 		return nil, nic.Status{}, nil, nil, err
 	}
@@ -265,12 +267,14 @@ func recordTrace(m *vm.Machine) *[]IOEvent {
 	return tr
 }
 
-// NewSynthRig instantiates the synthesized driver from a reversed
-// graph against a fresh device model of the same type.
-func NewSynthRig(rev *Reversed, info *drivers.Info, osKind template.OS, mac [6]byte) (*Rig, error) {
+// NewSynthRig instantiates the synthesized driver of a recovered graph
+// under the osKind template runtime, against a fresh device model of
+// the driver's type.
+func NewSynthRig(g *cfg.Graph, info *drivers.Info, osKind template.OS, mac [6]byte) (*Rig, error) {
 	bus := hw.NewBus()
 	cfgp := ShellConfig(info)
-	d, rt := rev.NewSyntheticDriver(osKind, bus, cfgp)
+	rt := template.NewRuntime(osKind, cfgp)
+	d := synthdrv.New(g, rt, bus)
 	dev, err := NewDevice(info.Name, &bus.Line, d.M, mac)
 	if err != nil {
 		return nil, err
@@ -426,7 +430,7 @@ func CheckEquivalence(info *drivers.Info, rev *Reversed, osKind template.OS) (*F
 // probeFeature turns on each OID in oids through a fresh synthesized
 // driver and checks that the device status reflects them.
 func probeFeature(rev *Reversed, info *drivers.Info, mac [6]byte, reflected func(nic.Status) bool, oids ...uint32) error {
-	rig, err := NewSynthRig(rev, info, template.Windows, mac)
+	rig, err := NewSynthRig(rev.Graph, info, template.Windows, mac)
 	if err != nil {
 		return err
 	}

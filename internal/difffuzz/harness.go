@@ -36,7 +36,7 @@ func ValidPlant(kind string) bool {
 
 // Harness holds one reverse-engineered driver ready for differential
 // execution: the original binary image and the recovered graph the
-// synthesized driver interprets. Exploration runs once per harness
+// synthesized driver runs. Exploration runs once per harness
 // (with a fixed engine seed, so the recovered graph is canonical), and
 // so does translation of the original binary: every original rig
 // shares the harness's ir.Image. Every schedule then executes on fresh
@@ -109,7 +109,7 @@ func PlantBug(g *cfg.Graph, kind string) error {
 				switch ins.Op {
 				case isa.OUT8, isa.OUT16, isa.OUT32:
 					// Blocks are shared with g.Blocks, so the
-					// interpreter-backed synthesized driver sees the
+					// synthesized driver's machine runs the
 					// mutation; the original binary does not.
 					b.Instrs[i].Imm ^= 1
 					return nil
@@ -200,7 +200,7 @@ func (h *Harness) RunSchedule(s Schedule) (out Outcome) {
 		out.Err = fmt.Sprintf("original rig: %v", err)
 		return out
 	}
-	synth, err := core.NewSynthRig(h.Rev, h.Info, h.OS, h.mac)
+	synth, err := core.NewSynthRig(h.Rev.Graph, h.Info, h.OS, h.mac)
 	if err != nil {
 		orig.Close()
 		out.Err = fmt.Sprintf("synth rig: %v", err)

@@ -18,8 +18,8 @@ const maxPooledRAM = 32
 
 // RAM is guest physical memory: RAMSize bytes with bounds-checked
 // little-endian access and a bitmap of the pages written since the
-// buffer was last zeroed. The concrete VM and the synthesized-driver
-// interpreter each own one; it implements MemBus for device DMA.
+// buffer was last zeroed. Every concrete VM machine, original or
+// synthesized side, owns one; it implements MemBus for device DMA.
 //
 // Every write marks the pages it touches, so Free can return the
 // buffer to a process-wide free list after zeroing only those pages.

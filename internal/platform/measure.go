@@ -50,7 +50,7 @@ func MeasureOriginal(info *drivers.Info, payloads []int) (map[int]DriverCost, er
 // MeasureSynthesized runs the synthesized driver and returns the
 // per-packet cost per payload size. graph is the recovered CFG.
 func MeasureSynthesized(info *drivers.Info, g *cfg.Graph, osKind template.OS, payloads []int) (map[int]DriverCost, error) {
-	rig, err := core.NewSynthRig(&core.Reversed{Graph: g}, info, osKind, measureMAC)
+	rig, err := core.NewSynthRig(g, info, osKind, measureMAC)
 	if err != nil {
 		return nil, err
 	}

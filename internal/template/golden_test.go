@@ -115,8 +115,8 @@ func TestGoldenTemplates(t *testing.T) {
 // TestStyleDoesNotChangeBehavior executes the synthesized driver
 // built from a switch-style synthesis result against the original
 // binary: the I/O traces must still match, because the executable
-// driver interprets the recovered graph — the emitted C shape plays
-// no part in behavior.
+// driver runs the recovered graph — the emitted C shape plays no part
+// in behavior.
 func TestStyleDoesNotChangeBehavior(t *testing.T) {
 	info, err := drivers.ByName("SBLK100")
 	if err != nil {
