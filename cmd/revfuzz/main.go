@@ -121,31 +121,22 @@ func runReplay(path string, osKind template.OS, plant string, workers int) *diff
 	if sf.OS != "" {
 		osKind = template.OS(sf.OS)
 	}
-	h, err := difffuzz.NewHarness(sf.Device, osKind, plant)
+	// A replay is a fuzzing run of the file's schedules alone: they
+	// run as seeds and fill the budget, so nothing is generated.
+	rep, err := difffuzz.Run(difffuzz.Config{
+		Device: sf.Device, OS: osKind, Budget: len(sf.Schedules), Workers: workers, Plant: plant,
+		Seeds: sf.Schedules, MaxDivergences: len(sf.Schedules), SkipMinimize: true,
+	})
 	if err != nil {
-		fatalf("%v", err)
-	}
-	rep := &difffuzz.Report{Device: sf.Device, Plant: plant}
-	for _, out := range difffuzz.RunBatch(h, sf.Schedules, workers) {
-		rep.Schedules++
-		if out.Err != "" {
-			rep.Errors = append(rep.Errors, out.Err)
-		}
-		if out.Unexplored {
-			rep.Unexplored++
-		}
-		rep.CoverageKeys += len(out.CovKeys)
-		if out.Divergence != nil {
-			rep.Divergences = append(rep.Divergences, *out.Divergence)
-		}
+		fatalf("%s: %v", sf.Device, err)
 	}
 	printReport(rep, len(sf.Schedules))
 	return rep
 }
 
 func printReport(rep *difffuzz.Report, seedCount int) {
-	fmt.Printf("%-12s %5d schedules  %5d coverage keys  %3d corpus  %3d unexplored  (%d seed schedules)\n",
-		rep.Device, rep.Schedules, rep.CoverageKeys, rep.CorpusSize, rep.Unexplored, seedCount)
+	fmt.Printf("%-12s %5d schedules  %5d coverage keys  %3d corpus  %3d unexplored  %3d unreached blocks  (%d seed schedules)\n",
+		rep.Device, rep.Schedules, rep.CoverageKeys, rep.CorpusSize, rep.Unexplored, len(rep.Unreached), seedCount)
 	for _, e := range rep.Errors {
 		fmt.Printf("  ERROR: %s\n", firstLine(e))
 	}

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sync"
 
-	"revnic/internal/cfg"
 	"revnic/internal/drivers"
 	"revnic/internal/guestos"
 	"revnic/internal/hw"
@@ -118,7 +117,7 @@ func makeEqOps(mac [6]byte) eqOps {
 // runOriginal exercises the original binary driver on its device,
 // recording the I/O trace.
 func runOriginal(info *drivers.Info, ops eqOps) ([]IOEvent, nic.Model, *guestos.OS, error) {
-	rig, err := NewOriginalRig(info, ir.NewImage(info.Program), ops.mac)
+	rig, err := NewOriginalRig(info, ir.NewImage(info.Program), ops.mac, nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -131,7 +130,7 @@ func runOriginal(info *drivers.Info, ops eqOps) ([]IOEvent, nic.Model, *guestos.
 // runSynthesized exercises the synthesized driver on a fresh device
 // of the same type, recording its I/O trace.
 func runSynthesized(rev *Reversed, info *drivers.Info, osKind template.OS, ops eqOps) ([]IOEvent, nic.Status, nic.Model, *template.Runtime, error) {
-	rig, err := NewSynthRig(rev.Graph, info, osKind, ops.mac)
+	rig, err := NewSynthRig(synthdrv.NewCode(rev.Graph), info, osKind, ops.mac, nil)
 	if err != nil {
 		return nil, nic.Status{}, nil, nil, err
 	}
@@ -156,15 +155,16 @@ type Side interface {
 
 // Rig is one executable driver instance — the original binary under
 // the guest OS, or the synthesized driver under the template runtime
-// — on a fresh VM machine bound to a fresh device model, with every
-// hardware access it performs recorded. The differential fuzzer
-// builds one rig per side per schedule; the equivalence checker builds
-// one pair per driver.
+// — on a fresh VM machine bound to a device model in power-on state,
+// with every hardware access it performs recorded. The differential
+// fuzzer builds one rig per side per schedule; the equivalence checker
+// builds one pair per driver.
 // Everything in a rig is built fresh except its guest memory, which
 // comes zeroed from the process-wide hw.RAM pool, its trace buffer,
-// which comes empty from a bounded free list, and, on the original
-// side, the translation image the caller shares; Close returns the
-// memory and the trace buffer.
+// which comes empty from a bounded free list, what the caller shares
+// (the original side's translation image, the synthesized side's code
+// index) and, when the caller passes a ModelPool, its device model;
+// Close returns the memory, the trace buffer and a pooled model.
 type Rig struct {
 	Side Side
 	// M is the machine the driver runs on.
@@ -172,9 +172,11 @@ type Rig struct {
 	Dev nic.Model
 	// OS is set on original-side rigs.
 	OS *guestos.OS
-	// RT is set on synthesized-side rigs.
+	// RT and Drv are set on synthesized-side rigs.
 	RT    *template.Runtime
+	Drv   *synthdrv.Driver
 	trace *[]IOEvent
+	pool  *ModelPool
 }
 
 // Trace returns the hardware accesses recorded so far. It is valid
@@ -182,14 +184,58 @@ type Rig struct {
 // rig.
 func (r *Rig) Trace() []IOEvent { return *r.trace }
 
-// Close returns the rig's guest memory and trace buffer for reuse.
-// The driver must not run afterwards and Trace is empty; the device
-// model, OS and runtime stay readable. A rig that is never closed is
-// left to the garbage collector.
+// Close returns the rig's guest memory and trace buffer for reuse,
+// and its device model to the ModelPool it came from, if any. The
+// driver must not run afterwards and Trace is empty; the OS and
+// runtime stay readable, and so does the device model of a rig built
+// without a pool. A rig that is never closed is left to the garbage
+// collector.
 func (r *Rig) Close() {
 	r.M.RAM.Free()
 	freeTrace(*r.trace)
 	*r.trace = nil
+	r.pool.put(r.Dev)
+}
+
+// ModelPool is a free list of the device models of one driver and
+// station MAC. A rig built with it takes a model from it, reset in
+// place by nic.Model.Reuse, and its Close puts the model back; the
+// list so holds at most the models of the rigs once alive at the
+// same time. Share one pool only among rigs of the same driver and
+// MAC. It is safe for concurrent use.
+type ModelPool struct {
+	mu   sync.Mutex
+	free []nic.Model
+}
+
+// device returns a model of the named driver wired to line and mem:
+// a recycled one from p when there is one, else a new one. A nil p
+// always builds a new one.
+func (p *ModelPool) device(name string, line *hw.IRQLine, mem hw.MemBus, mac [6]byte) (nic.Model, error) {
+	if p != nil {
+		p.mu.Lock()
+		var m nic.Model
+		if n := len(p.free); n > 0 {
+			m = p.free[n-1]
+			p.free[n-1] = nil
+			p.free = p.free[:n-1]
+		}
+		p.mu.Unlock()
+		if m != nil {
+			m.Reuse(line, mem)
+			return m, nil
+		}
+	}
+	return NewDevice(name, line, mem, mac)
+}
+
+func (p *ModelPool) put(m nic.Model) {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	p.free = append(p.free, m)
+	p.mu.Unlock()
 }
 
 // Bounds of the trace-buffer free list: at most maxPooledTraces
@@ -235,13 +281,14 @@ func freeTrace(b []IOEvent) {
 }
 
 // NewOriginalRig loads the original binary driver, translated through
-// img, into a fresh VM attached to a fresh device model. Every rig of
-// one driver may share one img: the harness builds it once.
-func NewOriginalRig(info *drivers.Info, img *ir.Image, mac [6]byte) (*Rig, error) {
+// img, into a fresh VM attached to a device model in power-on state,
+// drawn from models when it is not nil. Every rig of one driver may
+// share one img: the harness builds it once.
+func NewOriginalRig(info *drivers.Info, img *ir.Image, mac [6]byte, models *ModelPool) (*Rig, error) {
 	bus := hw.NewBus()
 	m := vm.New(bus)
 	cfgp := ShellConfig(info)
-	dev, err := NewDevice(info.Name, &bus.Line, m, mac)
+	dev, err := models.device(info.Name, &bus.Line, m, mac)
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +297,7 @@ func NewOriginalRig(info *drivers.Info, img *ir.Image, mac [6]byte) (*Rig, error
 		return nil, err
 	}
 	os := guestos.New(m, cfgp)
-	rig := &Rig{Side: os, M: m, Dev: dev, OS: os, trace: recordTrace(m)}
+	rig := &Rig{Side: os, M: m, Dev: dev, OS: os, trace: recordTrace(m), pool: models}
 	if err := os.LoadDriver(info.Program.Base); err != nil {
 		return nil, err
 	}
@@ -267,20 +314,21 @@ func recordTrace(m *vm.Machine) *[]IOEvent {
 	return tr
 }
 
-// NewSynthRig instantiates the synthesized driver of a recovered graph
-// under the osKind template runtime, against a fresh device model of
-// the driver's type.
-func NewSynthRig(g *cfg.Graph, info *drivers.Info, osKind template.OS, mac [6]byte) (*Rig, error) {
+// NewSynthRig instantiates the synthesized driver of an indexed
+// recovered graph under the osKind template runtime, against a device
+// model of the driver's type in power-on state, drawn from models
+// when it is not nil.
+func NewSynthRig(code *synthdrv.Code, info *drivers.Info, osKind template.OS, mac [6]byte, models *ModelPool) (*Rig, error) {
 	bus := hw.NewBus()
 	cfgp := ShellConfig(info)
 	rt := template.NewRuntime(osKind, cfgp)
-	d := synthdrv.New(g, rt, bus)
-	dev, err := NewDevice(info.Name, &bus.Line, d.M, mac)
+	d := synthdrv.New(code, rt, bus)
+	dev, err := models.device(info.Name, &bus.Line, d.M, mac)
 	if err != nil {
 		return nil, err
 	}
 	bus.Attach(dev.(hw.Device), cfgp)
-	return &Rig{Side: d, M: d.M, Dev: dev, RT: rt, trace: recordTrace(d.M)}, nil
+	return &Rig{Side: d, M: d.M, Dev: dev, RT: rt, Drv: d, trace: recordTrace(d.M), pool: models}, nil
 }
 
 // driveWorkload applies the equivalence workload to one side. The
@@ -430,7 +478,7 @@ func CheckEquivalence(info *drivers.Info, rev *Reversed, osKind template.OS) (*F
 // probeFeature turns on each OID in oids through a fresh synthesized
 // driver and checks that the device status reflects them.
 func probeFeature(rev *Reversed, info *drivers.Info, mac [6]byte, reflected func(nic.Status) bool, oids ...uint32) error {
-	rig, err := NewSynthRig(rev.Graph, info, template.Windows, mac)
+	rig, err := NewSynthRig(synthdrv.NewCode(rev.Graph), info, template.Windows, mac, nil)
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"revnic/internal/synthdrv"
 	"revnic/internal/template"
 )
 
@@ -68,12 +69,17 @@ type Report struct {
 	// Schedules is the number of schedules executed (excluding
 	// minimization trials).
 	Schedules int `json:"schedules"`
-	// CoverageKeys is the size of the merged coverage map of
-	// hardware-trace prefixes (see coverageKeys).
+	// CoverageKeys is the size of the merged coverage map: the
+	// distinct recovered-block edges the synthesized side took and
+	// the distinct consecutive access pairs of the original side (see
+	// coverageKeys).
 	CoverageKeys int `json:"coverage_keys"`
 	// CorpusSize counts schedules that earned a place in the mutation
 	// corpus by reaching new coverage.
 	CorpusSize int `json:"corpus_size"`
+	// Unreached lists, in ascending order, the addresses of the
+	// recovered blocks the synthesized side never ran in this run.
+	Unreached []uint32 `json:"unreached,omitempty"`
 	// Unexplored counts schedules that drove the synthesized driver
 	// into code the exploration never reached.
 	Unexplored int `json:"unexplored"`
@@ -96,7 +102,7 @@ func Fuzz(h *Harness, cfg Config) (*Report, error) {
 	rep := &Report{Device: h.Info.Name, Seed: cfg.Seed, Plant: cfg.Plant}
 	seed := uint64(cfg.Seed)
 
-	covered := map[uint64]bool{}
+	covered := map[uint64]struct{}{}
 	var corpus []Schedule
 	seenDiv := map[string]bool{} // dedup by kind+detail
 
@@ -115,8 +121,8 @@ func Fuzz(h *Harness, cfg Config) (*Report, error) {
 			}
 			fresh := false
 			for _, k := range out.CovKeys {
-				if !covered[k] {
-					covered[k] = true
+				if _, ok := covered[k]; !ok {
+					covered[k] = struct{}{}
 					fresh = true
 				}
 			}
@@ -144,6 +150,20 @@ func Fuzz(h *Harness, cfg Config) (*Report, error) {
 	}
 	finish := func() (*Report, error) {
 		rep.CoverageKeys, rep.CorpusSize = len(covered), len(corpus)
+		addrs := h.code.Addrs()
+		reached := make([]bool, len(addrs))
+		for k := range covered {
+			// A peer's outcome may name an edge to a block the
+			// graph lacks; it reaches nothing.
+			if t := synthdrv.EdgeTarget(k); k&accessPairBit == 0 && t < len(reached) {
+				reached[t] = true
+			}
+		}
+		for id, ok := range reached {
+			if !ok {
+				rep.Unreached = append(rep.Unreached, addrs[id])
+			}
+		}
 		return rep, nil
 	}
 

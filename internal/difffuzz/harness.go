@@ -3,9 +3,11 @@ package difffuzz
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 
 	"revnic/internal/cfg"
 	"revnic/internal/core"
@@ -38,17 +40,21 @@ func ValidPlant(kind string) bool {
 // execution: the original binary image and the recovered graph the
 // synthesized driver runs. Exploration runs once per harness
 // (with a fixed engine seed, so the recovered graph is canonical), and
-// so does translation of the original binary: every original rig
-// shares the harness's ir.Image. Every schedule then executes on fresh
-// rigs whose guest memory is recycled from the process-wide pool,
-// zeroed, so schedules are fully independent and order does not
-// matter.
+// so does translation of the original binary and indexing of the
+// graph: every original rig shares the harness's ir.Image, every
+// synthesized rig its synthdrv.Code. Every schedule then executes on
+// fresh rigs whose guest memory is recycled from the process-wide
+// pool, zeroed, and whose device models are recycled from the
+// harness's pool, reset to power-on state, so schedules are fully
+// independent and order does not matter.
 type Harness struct {
-	Info *drivers.Info
-	Rev  *core.Reversed
-	OS   template.OS
-	mac  [6]byte
-	img  *ir.Image
+	Info   *drivers.Info
+	Rev    *core.Reversed
+	OS     template.OS
+	mac    [6]byte
+	img    *ir.Image
+	code   *synthdrv.Code
+	models core.ModelPool
 }
 
 // NewHarness reverse engineers the named corpus driver and, if plant
@@ -81,6 +87,7 @@ func NewHarness(device string, osKind template.OS, plant string) (*Harness, erro
 		OS:   osKind,
 		mac:  [6]byte{0x02, 0x5E, 0x44, 0x33, 0x22, 0x11},
 		img:  ir.NewImage(info.Program),
+		code: synthdrv.NewCode(rev.Graph),
 	}, nil
 }
 
@@ -127,10 +134,11 @@ func PlantBug(g *cfg.Graph, kind string) error {
 type Outcome struct {
 	ScheduleID uint64 `json:"schedule_id"`
 	Steps      int    `json:"steps"`
-	// CovKeys are the trace-prefix coverage keys of the original
-	// side's hardware accesses (see coverageKeys); the coordinator
-	// merges them into the global map.
-	CovKeys []uint64 `json:"cov_keys,omitempty"`
+	// CovKeys are the schedule's coverage keys in ascending order:
+	// the recovered-block edges the synthesized side took and the
+	// access pairs of the original side (see coverageKeys). The
+	// coordinator merges them into the global map.
+	CovKeys CovKeys `json:"cov_keys,omitempty"`
 	// Unexplored means the synthesized driver hit a branch the
 	// exploration never reached. That is an incompleteness warning
 	// (§4.1), not a divergence: the synthesized code matched the
@@ -181,10 +189,10 @@ func (d *Divergence) String() string {
 
 // RunSchedule executes one schedule on a fresh original rig and a
 // fresh synthesized rig, comparing observable behavior step by step,
-// and closes both rigs once their traces are read. A panic in either
-// driver is recovered into Outcome.Err — one bad schedule must never
-// take down a fuzzing run or a job runner — and its rigs are left to
-// the garbage collector rather than recycled.
+// and closes both rigs once their traces and edges are read. A panic
+// in either driver is recovered into Outcome.Err — one bad schedule
+// must never take down a fuzzing run or a job runner — and its rigs
+// are left to the garbage collector rather than recycled.
 func (h *Harness) RunSchedule(s Schedule) (out Outcome) {
 	out = Outcome{ScheduleID: s.ID, Steps: len(s.Steps)}
 	defer func() {
@@ -195,12 +203,12 @@ func (h *Harness) RunSchedule(s Schedule) (out Outcome) {
 		}
 	}()
 
-	orig, err := core.NewOriginalRig(h.Info, h.img, h.mac)
+	orig, err := core.NewOriginalRig(h.Info, h.img, h.mac, &h.models)
 	if err != nil {
 		out.Err = fmt.Sprintf("original rig: %v", err)
 		return out
 	}
-	synth, err := core.NewSynthRig(h.Rev.Graph, h.Info, h.OS, h.mac)
+	synth, err := core.NewSynthRig(h.code, h.Info, h.OS, h.mac, &h.models)
 	if err != nil {
 		orig.Close()
 		out.Err = fmt.Sprintf("synth rig: %v", err)
@@ -230,7 +238,7 @@ func (h *Harness) RunSchedule(s Schedule) (out Outcome) {
 			ex.diverge(len(s.Steps), "halt", "length", detail)
 		}
 	}
-	out.CovKeys = coverageKeys(orig.Trace())
+	out.CovKeys = coverageKeys(orig.Trace(), synth.Drv)
 	orig.Close()
 	synth.Close()
 	if out.Divergence != nil {
@@ -422,39 +430,75 @@ func (h *Harness) buildFrame(st Step) []byte {
 	return f
 }
 
-// coverageKeys reduces a hardware trace to coverage keys. Each access
-// hashes its (port-space, direction, address, width) — values are
-// deliberately excluded so payload bytes don't explode the key space
-// — together with the previous access's key, not the previous
-// access. So a key stands for the whole trace prefix up to that
-// access, not for an edge between two consecutive accesses: every
-// access after a schedule's first new one yields a new key, and the
-// keys grow with trace length rather than with distinct hardware
-// behavior (see ROADMAP, "coverage keys hash trace prefixes").
-func coverageKeys(tr []core.IOEvent) []uint64 {
-	seen := make(map[uint64]struct{}, len(tr))
-	keys := make([]uint64, 0, len(tr))
-	prev := uint64(0)
+// accessPairBit marks a coverage key as a pair of consecutive
+// hardware accesses; block-edge keys never set it (see
+// synthdrv.Driver.Edges).
+const accessPairBit = 1 << 63
+
+// coverageKeys returns a schedule's coverage keys in ascending order:
+// first the recovered-block edges the synthesized driver took, then
+// the distinct pairs of consecutive hardware accesses in the original
+// side's trace. An access is its (port-space, direction, address,
+// width); values are left out so payload bytes do not explode the key
+// space, and a pair key hashes its two accesses and nothing earlier.
+// So a run's keys are bounded by the graph's edges and the distinct
+// access pairs the driver can make, not by trace length.
+func coverageKeys(tr []core.IOEvent, d *synthdrv.Driver) []uint64 {
+	edges := d.Edges()
+	keys := append(make([]uint64, 0, len(edges)+128), edges...)
+	// recent is a direct-mapped filter of the pair keys already
+	// appended, so a register polled a thousand times adds one key,
+	// not a thousand, before the sort below dedups exactly.
+	var recent [256]uint64
+	prev := uint64(0) // the trace start; no access encodes to 0
 	for _, ev := range tr {
-		h := uint64(14695981039346656037)
-		mix := func(v uint64) {
-			h ^= v
-			h *= 1099511628211
-		}
+		a := uint64(ev.Addr)<<8 | uint64(ev.Size)<<2
 		if ev.Port {
-			mix(1)
+			a |= 1
 		}
 		if ev.Write {
-			mix(2)
+			a |= 2
 		}
-		mix(uint64(ev.Addr))
-		mix(uint64(ev.Size))
-		mix(prev)
-		prev = h
-		if _, ok := seen[h]; !ok {
-			seen[h] = struct{}{}
-			keys = append(keys, h)
+		k := accessPairBit | newPRNG(prev*0x9E3779B97F4A7C15^a).next()>>1
+		prev = a
+		if slot := &recent[k&255]; *slot != k {
+			*slot = k
+			keys = append(keys, k)
 		}
 	}
-	return keys
+	slices.Sort(keys[len(edges):])
+	return slices.Compact(keys)
+}
+
+// maxCovKeys caps the coverage keys of one decoded outcome, in the
+// style of the exploration wire caps: an outcome's keys are its
+// distinct block edges and access pairs, which the corpus keeps
+// under 200, so a peer's or a journal's outcome past the cap is
+// hostile or corrupt.
+const maxCovKeys = 4096
+
+// CovKeys is an outcome's coverage keys. Decoding rejects more than
+// maxCovKeys keys, before allocating any, and keys that are not
+// strictly increasing, so an outcome from outside the process cannot
+// blow up the coordinator's merge.
+type CovKeys []uint64
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (k *CovKeys) UnmarshalJSON(b []byte) error {
+	// json.Unmarshal has validated b, so in a list of numbers every
+	// comma separates two keys.
+	if n := bytes.Count(b, []byte{','}) + 1; n > maxCovKeys {
+		return fmt.Errorf("difffuzz: outcome with %d coverage keys exceeds the cap of %d", n, maxCovKeys)
+	}
+	var keys []uint64
+	if err := json.Unmarshal(b, &keys); err != nil {
+		return err
+	}
+	for i := 1; i < len(keys); i++ {
+		if keys[i] <= keys[i-1] {
+			return fmt.Errorf("difffuzz: coverage keys not strictly increasing at %d", i)
+		}
+	}
+	*k = keys
+	return nil
 }

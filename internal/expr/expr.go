@@ -613,18 +613,6 @@ func NewEvaluator(env map[string]uint32) *Evaluator {
 // Eval computes e's value under the evaluator's environment.
 func (v *Evaluator) Eval(e *Expr) uint32 { return evalMemo(e, v.env, v.memo) }
 
-// Reset switches the evaluator to a new environment, aliased like
-// NewEvaluator's, and forgets every memoized value; the memo keeps its
-// buckets for the next round of evaluations. A zero Evaluator is ready
-// for use after Reset.
-func (v *Evaluator) Reset(env map[string]uint32) {
-	v.env = env
-	if v.memo == nil {
-		v.memo = map[uint64]uint32{}
-	}
-	clear(v.memo)
-}
-
 func evalNode(e *Expr, env map[string]uint32, memo map[uint64]uint32) uint32 {
 	ev := func(x *Expr) uint32 { return evalMemo(x, env, memo) }
 	switch e.Kind {

@@ -76,28 +76,6 @@ func TestSimplifierPreservesSemantics(t *testing.T) {
 	}
 }
 
-// TestEvaluatorReset reuses one Evaluator across environments: after
-// Reset, no value memoized under the previous environment may leak
-// into an evaluation under the new one.
-func TestEvaluatorReset(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	vars := []string{"a", "b", "c"}
-	var ev Evaluator
-	for trial := 0; trial < 400; trial++ {
-		_, e := genPair(r, 4, 32, vars)
-		for i := 0; i < 4; i++ {
-			env := map[string]uint32{}
-			for _, v := range vars {
-				env[v] = uint32(r.Int63())
-			}
-			ev.Reset(env)
-			if got, want := ev.Eval(e), Eval(e, env); got != want {
-				t.Fatalf("%s after Reset: eval %#x want %#x (env %v)", e, got, want, env)
-			}
-		}
-	}
-}
-
 func TestComparisonSemantics(t *testing.T) {
 	a, b := S("a", 8), S("b", 8)
 	cases := []struct {

@@ -61,9 +61,10 @@ func validateFuzz(spec JobSpec) error {
 // fuzzHarnessCache shares built harnesses across jobs and served
 // shards: one reverse-engineering run per (device, OS, plant) per
 // process, not per job. Harnesses are read-only after construction
-// (every schedule runs on fresh rigs; only their zeroed guest memory
-// is recycled, through the process-wide hw.RAM pool), so sharing is
-// safe.
+// apart from their device-model free list, which is safe for
+// concurrent use (every schedule runs on fresh rigs; only their
+// zeroed guest memory and their reset device models are recycled),
+// so sharing is safe.
 type fuzzHarnessCache struct {
 	mu sync.Mutex
 	m  map[string]*difffuzz.Harness
@@ -223,7 +224,9 @@ func (r *fuzzShardRunner) runBatch(round int, batch []difffuzz.Schedule) ([]diff
 				copy(outs[start:end], cached)
 				continue
 			}
-			// An unreadable cached result is re-executed, never trusted.
+			// An unreadable cached result, or one whose coverage keys
+			// fail difffuzz.CovKeys's checks, is re-executed, never
+			// trusted.
 		}
 		group := batch[start:end]
 		payload, err := json.Marshal(shardEnvelope{
@@ -275,7 +278,8 @@ func (r *fuzzShardRunner) runBatch(round int, batch []difffuzz.Schedule) ([]diff
 
 // acceptFuzzOutcomes validates a peer's fuzz-shard response before
 // the dispatcher trusts it: it must decode to exactly one outcome per
-// dispatched schedule.
+// dispatched schedule, and decoding rejects an outcome whose coverage
+// keys are over difffuzz's cap or not strictly increasing.
 func acceptFuzzOutcomes(n int) func([]byte) error {
 	return func(body []byte) error {
 		var res []difffuzz.Outcome

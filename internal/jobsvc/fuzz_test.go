@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -328,5 +329,71 @@ func TestFuzzShardRejectsHostileSchedules(t *testing.T) {
 	}
 	if outs[0].Err != "" || outs[0].Divergence != nil {
 		t.Errorf("valid shard outcome %+v", outs[0])
+	}
+}
+
+// TestFuzzOutcomesRejectHostileKeys feeds the coordinator's two
+// decoders of foreign fuzz outcomes, a peer's response and a shard
+// result replayed from the journal, coverage keys it must not trust:
+// about a million keys is an error without allocating them, keys out
+// of order an error too, and a replayed shard with either is
+// re-executed, never merged.
+func TestFuzzOutcomesRejectHostileKeys(t *testing.T) {
+	var b strings.Builder
+	b.WriteString(`[{"schedule_id":1,"steps":1,"cov_keys":[`)
+	for i := range 1 << 20 {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprint(&b, i)
+	}
+	b.WriteString(`]}]`)
+	hostile := []byte(b.String())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := acceptFuzzOutcomes(1)(hostile)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a peer outcome with 1M coverage keys was accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("rejecting %d bytes of keys allocated %d bytes", len(hostile), grew)
+	}
+	if err := acceptFuzzOutcomes(1)([]byte(`[{"schedule_id":1,"steps":1,"cov_keys":[7,3]}]`)); err == nil {
+		t.Error("a peer outcome with decreasing coverage keys was accepted")
+	}
+
+	svc := New(Config{Pool: 1, Coordinator: true})
+	defer svc.Drain(context.Background())
+	h, err := svc.fuzzHarnesses.get("SBLK100", template.Windows, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch []difffuzz.Schedule
+	for i := range fuzzShardGroup {
+		batch = append(batch, difffuzz.Schedule{ID: uint64(i + 1), Steps: []difffuzz.Step{{Op: "send", Size: 60 + i}}})
+	}
+	want, _ := json.Marshal(difffuzz.RunBatch(h, batch, 1))
+	unordered := bytes.Replace(want, []byte(`"cov_keys":[`), []byte(`"cov_keys":[18446744073709551615,`), 1)
+	for _, tc := range []struct {
+		cached   []byte
+		replayed int64
+	}{{hostile, 0}, {unordered, 0}, {want, 1}} {
+		svc.m.shardsReplayed.Store(0)
+		j := &job{
+			Job:        Job{ID: "job-1", Spec: JobSpec{Workers: 1, Fuzz: &FuzzSpec{Device: "SBLK100"}}},
+			shardCache: map[string]json.RawMessage{fuzzShardKey(0, 0): tc.cached},
+		}
+		r := &fuzzShardRunner{s: svc, j: j, ctx: context.Background(), workers: 1, harness: h}
+		outs, err := r.runBatch(0, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := json.Marshal(outs); !bytes.Equal(got, want) {
+			t.Errorf("outcomes differ from a local run:\n got %s\nwant %s", got, want)
+		}
+		if got := svc.m.shardsReplayed.Load(); got != tc.replayed {
+			t.Errorf("%d shards replayed from the cache, want %d", got, tc.replayed)
+		}
 	}
 }

@@ -175,7 +175,9 @@ type JobResult struct {
 	Stopped string `json:"stopped,omitempty"`
 
 	// Fuzz-job fields (Strategy is "difffuzz" for these).
-	FuzzSchedules    int `json:"fuzz_schedules,omitempty"`
+	FuzzSchedules int `json:"fuzz_schedules,omitempty"`
+	// FuzzCoverageKeys is difffuzz.Report.CoverageKeys: the distinct
+	// recovered-block edges and hardware access pairs the run covered.
 	FuzzCoverageKeys int `json:"fuzz_coverage_keys,omitempty"`
 	FuzzCorpus       int `json:"fuzz_corpus,omitempty"`
 	FuzzUnexplored   int `json:"fuzz_unexplored,omitempty"`

@@ -15,7 +15,11 @@
 // the hardware protocol the corresponding assembly driver implements.
 package nic
 
-import "hash/crc32"
+import (
+	"hash/crc32"
+
+	"revnic/internal/hw"
+)
 
 // Status is a uniform snapshot of externally observable device state,
 // used by the functionality-coverage experiment (Table 2).
@@ -43,6 +47,11 @@ type Model interface {
 	TxFrames() [][]byte
 	// StatusReport snapshots observable device state.
 	StatusReport() Status
+	// Reuse returns the model, in place, to the state its constructor
+	// gives, station MAC included, wired to line and, on bus-master
+	// chips, mem. A rig draws a recycled model through it instead of
+	// allocating one per run.
+	Reuse(line *hw.IRQLine, mem hw.MemBus)
 }
 
 // BroadcastMAC is the Ethernet broadcast address.

@@ -88,6 +88,12 @@ func NewPCNet(line *hw.IRQLine, mem hw.MemBus, mac [6]byte) *PCNet {
 	return d
 }
 
+// Reuse implements Model.
+func (d *PCNet) Reuse(line *hw.IRQLine, mem hw.MemBus) {
+	*d = PCNet{NopDevice: d.NopDevice, line: line, mem: mem, aprom: d.aprom}
+	d.Reset()
+}
+
 // Reset implements hw.Device.
 func (d *PCNet) Reset() {
 	d.rap = 0

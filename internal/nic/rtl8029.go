@@ -92,6 +92,13 @@ func NewRTL8029(line *hw.IRQLine, mac [6]byte) *RTL8029 {
 	return d
 }
 
+// Reuse implements Model; the chip has no DMA, so mem is unused. It
+// clears the on-chip packet memory too, which Reset keeps.
+func (d *RTL8029) Reuse(line *hw.IRQLine, _ hw.MemBus) {
+	*d = RTL8029{NopDevice: d.NopDevice, line: line, prom: d.prom}
+	d.Reset()
+}
+
 // Reset implements hw.Device.
 func (d *RTL8029) Reset() {
 	d.cr = R29CRStop

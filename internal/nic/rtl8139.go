@@ -109,6 +109,12 @@ func NewRTL8139(line *hw.IRQLine, mem hw.MemBus, mac [6]byte) *RTL8139 {
 	return d
 }
 
+// Reuse implements Model.
+func (d *RTL8139) Reuse(line *hw.IRQLine, mem hw.MemBus) {
+	*d = RTL8139{NopDevice: d.NopDevice, line: line, mem: mem, mac: d.mac}
+	d.Reset()
+}
+
 // Reset implements hw.Device.
 func (d *RTL8139) Reset() {
 	d.idr = d.mac

@@ -97,6 +97,13 @@ func NewSBLK100(line *hw.IRQLine, serial [6]byte) *SBLK100 {
 	return d
 }
 
+// Reuse implements Model; the controller has no DMA, so mem is
+// unused. It clears the write buffer too, which Reset keeps.
+func (d *SBLK100) Reuse(line *hw.IRQLine, _ hw.MemBus) {
+	*d = SBLK100{NopDevice: d.NopDevice, line: line, serial: d.serial}
+	d.Reset()
+}
+
 // Reset implements hw.Device.
 func (d *SBLK100) Reset() {
 	d.seccnt = 0

@@ -108,6 +108,13 @@ func NewSMC91C111(line *hw.IRQLine, mac [6]byte) *SMC91C111 {
 	return d
 }
 
+// Reuse implements Model; the chip has no DMA, so mem is unused. It
+// clears the on-chip packet buffers too, which Reset keeps.
+func (d *SMC91C111) Reuse(line *hw.IRQLine, _ hw.MemBus) {
+	*d = SMC91C111{NopDevice: d.NopDevice, line: line, mac: d.mac}
+	d.Reset()
+}
+
 // Reset implements hw.Device.
 func (d *SMC91C111) Reset() {
 	d.bank = 0

@@ -6,6 +6,7 @@ import (
 	"revnic/internal/drivers"
 	"revnic/internal/ir"
 	"revnic/internal/nic"
+	"revnic/internal/synthdrv"
 	"revnic/internal/template"
 )
 
@@ -40,7 +41,7 @@ var measureMAC = [6]byte{0x02, 0x77, 0x66, 0x55, 0x44, 0x33}
 // MeasureOriginal runs the original binary driver and returns the
 // per-packet cost (send + completion ISR) for each payload size.
 func MeasureOriginal(info *drivers.Info, payloads []int) (map[int]DriverCost, error) {
-	rig, err := core.NewOriginalRig(info, ir.NewImage(info.Program), measureMAC)
+	rig, err := core.NewOriginalRig(info, ir.NewImage(info.Program), measureMAC, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -50,7 +51,7 @@ func MeasureOriginal(info *drivers.Info, payloads []int) (map[int]DriverCost, er
 // MeasureSynthesized runs the synthesized driver and returns the
 // per-packet cost per payload size. graph is the recovered CFG.
 func MeasureSynthesized(info *drivers.Info, g *cfg.Graph, osKind template.OS, payloads []int) (map[int]DriverCost, error) {
-	rig, err := core.NewSynthRig(g, info, osKind, measureMAC)
+	rig, err := core.NewSynthRig(synthdrv.NewCode(g), info, osKind, measureMAC, nil)
 	if err != nil {
 		return nil, err
 	}

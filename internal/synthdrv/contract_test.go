@@ -7,6 +7,7 @@ package synthdrv
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -61,7 +62,7 @@ func contractDriver(g *cfg.Graph, dev hw.Device) *Driver {
 	if dev != nil {
 		bus.Attach(dev, hw.PCIConfig{IOBase: 0xC000, IOSize: 0x100})
 	}
-	return New(g, template.NewRuntime(template.KitOS, hw.PCIConfig{}), bus)
+	return New(NewCode(g), template.NewRuntime(template.KitOS, hw.PCIConfig{}), bus)
 }
 
 // portCounter counts port writes.
@@ -206,5 +207,59 @@ spin:
 	}
 	if dev.writes != callLimit {
 		t.Errorf("loop ran %d blocks, want the budget of %d", dev.writes, callLimit)
+	}
+}
+
+func TestEdgesAreDistinctTransfers(t *testing.T) {
+	// top's predecessor alternates between even and join on every
+	// iteration, so the edge list must compact instead of growing
+	// with the loop count.
+	g, p := contractGraph(t, apiEqus+`
+.org 0x10000
+f:
+	movi r1, #100
+top:
+	and  r2, r1, #1
+	beq  r2, #0, even
+odd:
+	jmp  join
+even:
+	nop
+join:
+	sub  r1, r1, #1
+	bne  r1, #0, top
+done:
+	ret
+`)
+	d := contractDriver(g, nil)
+	for range 2 {
+		if _, err := d.Call(g.Funcs[p.Sym("f")]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	addrs := d.Code.Addrs()
+	if !slices.IsSorted(addrs) || len(addrs) != len(g.Blocks) {
+		t.Fatalf("Addrs = %#x, want the %d block addresses ascending", addrs, len(g.Blocks))
+	}
+	id := func(label string) uint64 { return uint64(slices.Index(addrs, p.Sym(label))) }
+	edge := func(from, to string) uint64 {
+		if from == "" {
+			return id(to)
+		}
+		return (id(from)+1)<<32 | id(to)
+	}
+	want := []uint64{
+		edge("", "f"), edge("f", "even"), edge("even", "top"), edge("top", "odd"),
+		edge("top", "even"), edge("odd", "join"), edge("join", "top"), edge("join", "done"),
+	}
+	slices.Sort(want)
+	if got := d.Edges(); !slices.Equal(got, want) {
+		t.Errorf("edges %#x, want %#x", got, want)
+	}
+	if cap(d.edges) > 4*len(want) {
+		t.Errorf("edge list grew to %d for %d distinct edges", cap(d.edges), len(want))
+	}
+	if got := addrs[EdgeTarget(edge("join", "done"))]; got != p.Sym("done") {
+		t.Errorf("EdgeTarget leads to %#x, want %#x", got, p.Sym("done"))
 	}
 }

@@ -15,6 +15,7 @@ package synthdrv
 
 import (
 	"fmt"
+	"slices"
 
 	"revnic/internal/cfg"
 	"revnic/internal/guestos"
@@ -66,10 +67,93 @@ func (e *ErrUnexplored) Error() string {
 	return fmt.Sprintf("synthdrv: reached unexplored code %#x (from %#x)", e.To, e.From)
 }
 
+// Code is the dispatch index of one recovered graph: its blocks in
+// ascending address order, a dense table from instruction slot to
+// block, and the entry points by role. It depends only on the graph,
+// so one Code serves every driver built from that graph, concurrently;
+// it is read-only after NewCode. It points at the graph's blocks, so
+// an instruction rewritten in place (a planted bug) still shows.
+type Code struct {
+	G *cfg.Graph
+
+	entries map[string]*cfg.Function
+	// addrs and blocks list the recovered blocks in ascending address
+	// order; a block's index in them is its id.
+	addrs  []uint32
+	blocks []*ir.Block
+	// slots maps instruction slot i, at lo+i*isa.InstrSize, to the id
+	// plus one of the block there (0: none); odd holds the ids of
+	// blocks off that grid (see NewCode).
+	lo    uint32
+	slots []int32
+	odd   map[uint32]int32
+}
+
+// maxSparseSlots bounds the empty slots NewCode may allocate, so a
+// graph whose blocks lie far apart is not blown up into a table
+// covering all of RAM.
+const maxSparseSlots = 1 << 12
+
+// NewCode indexes g. The slot table has one entry per isa.InstrSize
+// bytes from the lowest block address; a block off that grid, or past
+// the table when the blocks are too sparse for it, goes to the odd
+// map.
+func NewCode(g *cfg.Graph) *Code {
+	c := &Code{G: g, entries: map[string]*cfg.Function{}}
+	for _, f := range g.Funcs {
+		if f.Role != "" {
+			c.entries[f.Role] = f
+		}
+	}
+	if len(g.Blocks) == 0 {
+		return c
+	}
+	for a := range g.Blocks {
+		c.addrs = append(c.addrs, a)
+	}
+	slices.Sort(c.addrs)
+	c.lo = c.addrs[0]
+	n := min(int((c.addrs[len(c.addrs)-1]-c.lo)/isa.InstrSize)+1, len(c.addrs)+maxSparseSlots)
+	c.slots = make([]int32, n)
+	c.blocks = make([]*ir.Block, len(c.addrs))
+	for id, a := range c.addrs {
+		c.blocks[id] = &g.Blocks[a].Block
+		if off := a - c.lo; off%isa.InstrSize == 0 && off/isa.InstrSize < uint32(n) {
+			c.slots[off/isa.InstrSize] = int32(id) + 1
+			continue
+		}
+		if c.odd == nil {
+			c.odd = map[uint32]int32{}
+		}
+		c.odd[a] = int32(id)
+	}
+	return c
+}
+
+// Addrs returns the addresses of the recovered blocks in ascending
+// order, indexed by block id. The slice is shared; do not modify it.
+func (c *Code) Addrs() []uint32 { return c.addrs }
+
+// id returns the id of the block at pc, or -1 when none was recovered
+// there.
+func (c *Code) id(pc uint32) int32 {
+	if off := pc - c.lo; pc >= c.lo && off%isa.InstrSize == 0 && off/isa.InstrSize < uint32(len(c.slots)) {
+		return c.slots[off/isa.InstrSize] - 1
+	}
+	if id, ok := c.odd[pc]; ok {
+		return id
+	}
+	return -1
+}
+
+// EdgeTarget returns the id of the block that edge key k (see
+// Driver.Edges) leads to.
+func EdgeTarget(k uint64) int { return int(uint32(k)) }
+
 // Driver is a loaded synthesized driver instance.
 type Driver struct {
-	G  *cfg.Graph
-	OS TargetOS
+	Code *Code
+	OS   TargetOS
 	// M is the machine the driver runs on. Its RAM holds the state
 	// allocations, stack and DMA buffers at the addresses the target
 	// OS allocator hands out; it comes from the process-wide pool,
@@ -78,84 +162,85 @@ type Driver struct {
 	// Ctx is the adapter context returned by Initialize.
 	Ctx uint32
 
-	entries map[string]*cfg.Function
-	// table indexes the recovered blocks by instruction slot from lo;
-	// odd holds any block off that grid (see index).
-	lo    uint32
-	table []*ir.Block
-	odd   map[uint32]*ir.Block
-	// last is the address of the block the current call ran last.
-	last uint32
+	// from names the source of the next control transfer: 1 at the
+	// start of a call, id+2 after block id ran.
+	from int32
+	// pred holds, per target block id, the from of the last edge
+	// recorded into it (0: none), so a block reached again along the
+	// same edge costs a slice compare. edges holds the recorded edge
+	// keys (see Edges), duplicates included until the next compaction.
+	pred  []int32
+	edges []uint64
 
 	timer uint32
 }
 
 // New prepares a synthesized driver for execution on a fresh machine
 // attached to bus.
-func New(g *cfg.Graph, os TargetOS, bus *hw.Bus) *Driver {
-	d := &Driver{G: g, OS: os, M: vm.New(bus), entries: map[string]*cfg.Function{}}
+func New(c *Code, os TargetOS, bus *hw.Bus) *Driver {
+	d := &Driver{
+		Code: c, OS: os, M: vm.New(bus), from: 1,
+		pred:  make([]int32, len(c.addrs)),
+		edges: make([]uint64, 0, len(c.addrs)),
+	}
 	d.M.Lookup = d.lookup
 	d.M.OSCall = d.apiCall
-	for _, f := range g.Funcs {
-		if f.Role != "" {
-			d.entries[f.Role] = f
-		}
-	}
-	d.index()
 	return d
 }
 
-// maxSparseSlots bounds the empty slots index may allocate, so a graph
-// whose blocks lie far apart is not blown up into a table covering
-// all of RAM.
-const maxSparseSlots = 1 << 12
-
-// index builds the dense dispatch table over the recovered blocks:
-// one slot per isa.InstrSize bytes from the lowest block address. A
-// block off that grid, or past the table when the blocks are too
-// sparse for it, goes to the odd map.
-func (d *Driver) index() {
-	if len(d.G.Blocks) == 0 {
-		return
-	}
-	lo, hi := ^uint32(0), uint32(0)
-	for a := range d.G.Blocks {
-		lo, hi = min(lo, a), max(hi, a)
-	}
-	d.lo = lo
-	n := min(int((hi-lo)/isa.InstrSize)+1, len(d.G.Blocks)+maxSparseSlots)
-	d.table = make([]*ir.Block, n)
-	for a, b := range d.G.Blocks {
-		if off := a - lo; off%isa.InstrSize == 0 && off/isa.InstrSize < uint32(n) {
-			d.table[off/isa.InstrSize] = &b.Block
-			continue
+// lookup is the machine's code source: the recovered block at pc, or
+// ErrUnexplored from the block the current call ran last. It records
+// the edge that reaches the block.
+func (d *Driver) lookup(pc uint32) (*ir.Block, error) {
+	id := d.Code.id(pc)
+	if id < 0 {
+		var from uint32
+		if d.from > 1 {
+			from = d.Code.addrs[d.from-2]
 		}
-		if d.odd == nil {
-			d.odd = map[uint32]*ir.Block{}
-		}
-		d.odd[a] = &b.Block
+		return nil, &ErrUnexplored{From: from, To: pc}
 	}
+	if d.pred[id] != d.from {
+		d.pred[id] = d.from
+		d.addEdge(uint64(d.from-1)<<32 | uint64(id))
+	}
+	d.from = id + 2
+	return d.Code.blocks[id], nil
 }
 
-// lookup is the machine's code source: the recovered block at pc, or
-// ErrUnexplored from the block the current call ran last.
-func (d *Driver) lookup(pc uint32) (*ir.Block, error) {
-	var b *ir.Block
-	if off := pc - d.lo; pc >= d.lo && off%isa.InstrSize == 0 && off/isa.InstrSize < uint32(len(d.table)) {
-		b = d.table[off/isa.InstrSize]
-	} else {
-		b = d.odd[pc]
+// addEdge records edge key k. A block whose predecessors alternate
+// records the same edges over and over, so a full list is compacted
+// before it grows, and grows only when compaction leaves it over half
+// full: the list stays within twice the distinct edges.
+func (d *Driver) addEdge(k uint64) {
+	if len(d.edges) == cap(d.edges) && len(d.edges) > 0 {
+		d.compactEdges()
+		if len(d.edges) > cap(d.edges)/2 {
+			d.edges = slices.Grow(d.edges, len(d.edges))
+		}
 	}
-	if b == nil {
-		return nil, &ErrUnexplored{From: d.last, To: pc}
-	}
-	d.last = pc
-	return b, nil
+	d.edges = append(d.edges, k)
+}
+
+func (d *Driver) compactEdges() {
+	slices.Sort(d.edges)
+	d.edges = slices.Compact(d.edges)
+}
+
+// Edges returns, in ascending order, the distinct control transfers
+// into recovered blocks the driver has taken. Each is a key: the high
+// 32 bits hold the source block's id plus one (0 when a call entered
+// the target), the low 32 bits the target's id (see EdgeTarget); ids
+// index Code.Addrs. Bit 63 is never set. The slice is the driver's
+// own, valid until it runs again.
+func (d *Driver) Edges() []uint64 {
+	d.compactEdges()
+	return d.edges
 }
 
 // Entry returns the recovered function with the given role.
 func (d *Driver) Entry(role string) (*cfg.Function, bool) {
-	f, ok := d.entries[role]
+	f, ok := d.Code.entries[role]
 	return f, ok
 }
 
@@ -168,7 +253,7 @@ const callLimit = 500000
 // hw.StackTop.
 func (d *Driver) Call(f *cfg.Function, args ...uint32) (uint32, error) {
 	d.M.Regs = [isa.NumRegs]uint32{isa.SP: hw.StackTop}
-	d.last = 0
+	d.from = 1
 	return d.M.CallEntry(f.Entry, callLimit, args...)
 }
 
@@ -294,11 +379,11 @@ func (d *Driver) FireTimer() error {
 	if d.timer == 0 {
 		return nil
 	}
-	blk := d.G.Blocks[d.timer]
+	blk := d.Code.G.Blocks[d.timer]
 	if blk == nil {
 		return &ErrUnexplored{To: d.timer}
 	}
-	f := d.G.Funcs[d.timer]
+	f := d.Code.G.Funcs[d.timer]
 	if f == nil {
 		return fmt.Errorf("synthdrv: timer handler %#x not a recovered function", d.timer)
 	}

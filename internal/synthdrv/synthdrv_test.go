@@ -35,7 +35,7 @@ func buildDriver(t *testing.T, g *cfg.Graph) (*Driver, nic.Model, *template.Runt
 	bus := hw.NewBus()
 	cfgp := hw.PCIConfig{VendorID: 0x10EC, DeviceID: 0x8029, IOBase: 0xC000, IOSize: 0x100, IRQLine: 11}
 	rt := template.NewRuntime(template.Linux, cfgp)
-	d := New(g, rt, bus)
+	d := New(NewCode(g), rt, bus)
 	mac := [6]byte{0x02, 1, 2, 3, 4, 5}
 	dev := nic.NewRTL8029(&bus.Line, mac)
 	bus.Attach(dev, cfgp)
@@ -121,7 +121,7 @@ func TestUnexploredErrorType(t *testing.T) {
 	// A driver over an empty graph must hit unexplored immediately.
 	bus := hw.NewBus()
 	rt := template.NewRuntime(template.KitOS, hw.PCIConfig{})
-	d := New(&cfg.Graph{Funcs: map[uint32]*cfg.Function{}, Blocks: map[uint32]*cfg.BasicBlock{}}, rt, bus)
+	d := New(NewCode(&cfg.Graph{Funcs: map[uint32]*cfg.Function{}, Blocks: map[uint32]*cfg.BasicBlock{}}), rt, bus)
 	if err := d.Initialize(); err == nil {
 		t.Error("init on empty graph must fail")
 	}
