@@ -199,8 +199,8 @@ func (r *Rig) Close() {
 
 // ModelPool is a free list of the device models of one driver and
 // station MAC. A rig built with it takes a model from it, reset in
-// place by nic.Model.Reuse, and its Close puts the model back; the
-// list so holds at most the models of the rigs once alive at the
+// place by nic.Model.Reuse, and its Close puts the model back, so the
+// list never holds more models than there were rigs alive at the
 // same time. Share one pool only among rigs of the same driver and
 // MAC. It is safe for concurrent use.
 type ModelPool struct {

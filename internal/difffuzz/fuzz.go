@@ -102,7 +102,7 @@ func Fuzz(h *Harness, cfg Config) (*Report, error) {
 	rep := &Report{Device: h.Info.Name, Seed: cfg.Seed, Plant: cfg.Plant}
 	seed := uint64(cfg.Seed)
 
-	covered := map[uint64]struct{}{}
+	covered := map[uint64]bool{}
 	var corpus []Schedule
 	seenDiv := map[string]bool{} // dedup by kind+detail
 
@@ -121,8 +121,8 @@ func Fuzz(h *Harness, cfg Config) (*Report, error) {
 			}
 			fresh := false
 			for _, k := range out.CovKeys {
-				if _, ok := covered[k]; !ok {
-					covered[k] = struct{}{}
+				if !covered[k] {
+					covered[k] = true
 					fresh = true
 				}
 			}

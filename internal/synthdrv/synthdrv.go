@@ -74,8 +74,7 @@ func (e *ErrUnexplored) Error() string {
 // it is read-only after NewCode. It points at the graph's blocks, so
 // an instruction rewritten in place (a planted bug) still shows.
 type Code struct {
-	G *cfg.Graph
-
+	g       *cfg.Graph
 	entries map[string]*cfg.Function
 	// addrs and blocks list the recovered blocks in ascending address
 	// order; a block's index in them is its id.
@@ -99,7 +98,7 @@ const maxSparseSlots = 1 << 12
 // the table when the blocks are too sparse for it, goes to the odd
 // map.
 func NewCode(g *cfg.Graph) *Code {
-	c := &Code{G: g, entries: map[string]*cfg.Function{}}
+	c := &Code{g: g, entries: map[string]*cfg.Function{}}
 	for _, f := range g.Funcs {
 		if f.Role != "" {
 			c.entries[f.Role] = f
@@ -379,11 +378,11 @@ func (d *Driver) FireTimer() error {
 	if d.timer == 0 {
 		return nil
 	}
-	blk := d.Code.G.Blocks[d.timer]
+	blk := d.Code.g.Blocks[d.timer]
 	if blk == nil {
 		return &ErrUnexplored{To: d.timer}
 	}
-	f := d.Code.G.Funcs[d.timer]
+	f := d.Code.g.Funcs[d.timer]
 	if f == nil {
 		return fmt.Errorf("synthdrv: timer handler %#x not a recovered function", d.timer)
 	}
