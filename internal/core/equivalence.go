@@ -17,13 +17,7 @@ import (
 )
 
 // IOEvent is one hardware access in an equivalence trace.
-type IOEvent struct {
-	Port  bool
-	Write bool
-	Addr  uint32
-	Size  int
-	Value uint32
-}
+type IOEvent = vm.IOEvent
 
 // FeatureReport is one Table 2 row: which functionality the
 // synthesized driver reproduces, verified by comparing hardware I/O
@@ -173,16 +167,15 @@ type Rig struct {
 	// OS is set on original-side rigs.
 	OS *guestos.OS
 	// RT and Drv are set on synthesized-side rigs.
-	RT    *template.Runtime
-	Drv   *synthdrv.Driver
-	trace *[]IOEvent
-	pool  *ModelPool
+	RT   *template.Runtime
+	Drv  *synthdrv.Driver
+	pool *ModelPool
 }
 
-// Trace returns the hardware accesses recorded so far. It is valid
-// until Close, which recycles its buffer; copy what must outlive the
-// rig.
-func (r *Rig) Trace() []IOEvent { return *r.trace }
+// Trace returns the hardware accesses recorded so far, the machine's
+// own trace. It is valid until Close, which recycles its buffer; copy
+// what must outlive the rig.
+func (r *Rig) Trace() []IOEvent { return r.M.Trace }
 
 // Close returns the rig's guest memory and trace buffer for reuse,
 // and its device model to the ModelPool it came from, if any. The
@@ -192,8 +185,8 @@ func (r *Rig) Trace() []IOEvent { return *r.trace }
 // collector.
 func (r *Rig) Close() {
 	r.M.RAM.Free()
-	freeTrace(*r.trace)
-	*r.trace = nil
+	freeTrace(r.M.Trace)
+	r.M.Trace = nil
 	r.pool.put(r.Dev)
 }
 
@@ -255,7 +248,7 @@ var tracePool struct {
 
 // newTrace returns an empty trace buffer, reusing a freed one when
 // one is available.
-func newTrace() *[]IOEvent {
+func newTrace() []IOEvent {
 	var b []IOEvent
 	tracePool.mu.Lock()
 	if n := len(tracePool.free); n > 0 {
@@ -264,7 +257,7 @@ func newTrace() *[]IOEvent {
 		tracePool.free = tracePool.free[:n-1]
 	}
 	tracePool.mu.Unlock()
-	return &b
+	return b
 }
 
 // freeTrace puts a trace buffer on the free list, unless the list is
@@ -297,21 +290,12 @@ func NewOriginalRig(info *drivers.Info, img *ir.Image, mac [6]byte, models *Mode
 		return nil, err
 	}
 	os := guestos.New(m, cfgp)
-	rig := &Rig{Side: os, M: m, Dev: dev, OS: os, trace: recordTrace(m), pool: models}
+	m.Trace = newTrace()
+	rig := &Rig{Side: os, M: m, Dev: dev, OS: os, pool: models}
 	if err := os.LoadDriver(info.Program.Base); err != nil {
 		return nil, err
 	}
 	return rig, nil
-}
-
-// recordTrace taps every hardware access m performs into a fresh
-// trace buffer.
-func recordTrace(m *vm.Machine) *[]IOEvent {
-	tr := newTrace()
-	m.AddIOTap(func(port, write bool, addr uint32, size int, v uint32) {
-		*tr = append(*tr, IOEvent{port, write, addr, size, v})
-	})
-	return tr
 }
 
 // NewSynthRig instantiates the synthesized driver of an indexed
@@ -328,7 +312,8 @@ func NewSynthRig(code *synthdrv.Code, info *drivers.Info, osKind template.OS, ma
 		return nil, err
 	}
 	bus.Attach(dev.(hw.Device), cfgp)
-	return &Rig{Side: d, M: d.M, Dev: dev, RT: rt, Drv: d, trace: recordTrace(d.M), pool: models}, nil
+	d.M.Trace = newTrace()
+	return &Rig{Side: d, M: d.M, Dev: dev, RT: rt, Drv: d, pool: models}, nil
 }
 
 // driveWorkload applies the equivalence workload to one side. The

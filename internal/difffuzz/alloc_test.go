@@ -16,14 +16,17 @@ import (
 // synthesized driver on vm.Machine to 10.8k-13.8k (13.8k, 11.5k,
 // 10.8k, 11.2k, 12.0k). Keying coverage on block edges and access
 // pairs, indexing the graph once per harness and reusing device
-// models cut it to 8.8k-11.6k (11.6k, 10.6k, 8.8k, 10.3k, 10.1k); the
-// ceilings leave about a quarter of headroom.
+// models cut it to 8.8k-11.6k (11.6k, 10.6k, 8.8k, 10.3k, 10.1k).
+// Dropping the OS call log, building frames in a per-schedule buffer
+// and keeping the trace on the machine cut it to 6.3k-8.5k (8.5k,
+// 7.4k, 6.3k, 7.5k, 7.6k); the ceilings leave about a quarter of
+// headroom.
 var fuzzRoundAllocCeiling = map[string]float64{
-	"AMD PCNet":   14500,
-	"RTL8139":     13500,
-	"SMSC 91C111": 11000,
-	"RTL8029":     13000,
-	"SBLK100":     12500,
+	"AMD PCNet":   10700,
+	"RTL8139":     9300,
+	"SMSC 91C111": 7900,
+	"RTL8029":     9500,
+	"SBLK100":     9500,
 }
 
 // TestFuzzRoundAllocationCeiling guards the allocation diet of the

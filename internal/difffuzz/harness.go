@@ -254,6 +254,11 @@ type execution struct {
 	synth  *core.Rig
 	out    *Outcome
 	cursor int // ops of the traces already compared
+	// frame is the scratch buffer send and recv steps build their
+	// frames in. Every consumer copies a frame before the step ends
+	// (guest memory through WriteMem, the device's receive memory or
+	// queue), so the next step may overwrite it.
+	frame []byte
 }
 
 func (ex *execution) diverge(step int, op, kind, detail string) {
@@ -342,7 +347,8 @@ func (ex *execution) compareStatus(step int) {
 func (ex *execution) step(i int, st Step) bool {
 	switch st.Op {
 	case "send":
-		frame := ex.h.buildFrame(st)
+		ex.frame = ex.h.buildFrame(ex.frame, st)
+		frame := ex.frame
 		if !ex.both(i, "send", func(s core.Side) (uint32, []byte, error) {
 			stat, err := s.Send(frame)
 			return stat, nil, err
@@ -368,7 +374,8 @@ func (ex *execution) step(i int, st Step) bool {
 		}
 		return true
 	case "recv":
-		frame := ex.h.buildFrame(st)
+		ex.frame = ex.h.buildFrame(ex.frame, st)
+		frame := ex.frame
 		oAcc := ex.orig.Dev.InjectRX(frame)
 		sAcc := ex.synth.Dev.InjectRX(frame)
 		if oAcc != sAcc {
@@ -410,9 +417,11 @@ func (ex *execution) pump(i int, op string) bool {
 	})
 }
 
-// buildFrame constructs the deterministic frame for a send/recv step.
-func (h *Harness) buildFrame(st Step) []byte {
-	f := make([]byte, st.Size)
+// buildFrame constructs the deterministic frame for a send/recv step
+// in buf, growing it when it is too short, and returns the frame.
+func (h *Harness) buildFrame(buf []byte, st Step) []byte {
+	f := slices.Grow(buf[:0], st.Size)[:st.Size]
+	clear(f)
 	dst := h.mac
 	if st.Bcast {
 		dst = [6]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}

@@ -2,12 +2,16 @@ package difffuzz
 
 import (
 	"encoding/json"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 
+	"revnic/internal/core"
 	"revnic/internal/drivers"
+	"revnic/internal/guestos"
 	"revnic/internal/hw"
+	"revnic/internal/nic"
 	"revnic/internal/template"
 )
 
@@ -143,5 +147,102 @@ func TestRunBatchClampsWorkers(t *testing.T) {
 	}
 	if len(outs) != len(batch) {
 		t.Fatalf("%d outcomes for %d schedules", len(outs), len(batch))
+	}
+}
+
+// frameRun is what the devices and OSes of one rig pair saw when a
+// sequence of send and recv steps ran on both sides.
+type frameRun struct {
+	Tx       [2][][]byte
+	Received [2][][]byte
+	Status   [2]nic.Status
+}
+
+// runFrames applies the send and recv steps to a fresh original and
+// synthesized rig of h, pumping interrupts after each. With reuse, the
+// frames are built in one buffer that is overwritten after every step,
+// as RunSchedule does; without, each step gets a frame of its own.
+func runFrames(t *testing.T, h *Harness, steps []Step, reuse bool) frameRun {
+	t.Helper()
+	orig, err := core.NewOriginalRig(h.Info, h.img, h.mac, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer orig.Close()
+	synth, err := core.NewSynthRig(h.code, h.Info, h.OS, h.mac, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer synth.Close()
+	rigs := [2]*core.Rig{orig, synth}
+	promisc := []byte{guestos.FilterPromiscuous | guestos.FilterDirected, 0, 0, 0}
+	for _, r := range rigs {
+		if err := r.Side.Initialize(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Side.Set(guestos.OIDPacketFilter, promisc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf []byte
+	for _, st := range steps {
+		var frame []byte
+		if reuse {
+			buf = h.buildFrame(buf, st)
+			frame = buf
+		} else {
+			frame = h.buildFrame(nil, st)
+		}
+		for _, r := range rigs {
+			if st.Op == "send" {
+				if _, err := r.Side.Send(frame); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				r.Dev.InjectRX(frame)
+			}
+			if _, err := r.Side.PumpInterrupts(16); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range buf {
+			buf[i] = 0xEE
+		}
+	}
+	var seen frameRun
+	for i, r := range rigs {
+		seen.Tx[i] = r.Dev.TxFrames()
+		seen.Status[i] = r.Dev.StatusReport()
+	}
+	seen.Received = [2][][]byte{orig.OS.Received, synth.RT.Received}
+	return seen
+}
+
+// TestFrameBufferReuse checks what RunSchedule's reuse of one frame
+// buffer across steps relies on: every consumer of a frame (guest
+// memory on send, the device on receive) copies it before the step
+// ends. Frames overwritten after each step must leave the transmitted
+// frames, the frames each OS received and the device status of every
+// corpus device exactly as fresh frames do.
+func TestFrameBufferReuse(t *testing.T) {
+	steps := []Step{
+		{Op: "send", Size: 60, Fill: 1},
+		{Op: "recv", Size: 1514, Fill: 2},
+		{Op: "send", Size: 1514, Fill: 3, Bcast: true},
+		{Op: "recv", Size: 64, Fill: 4, Bcast: true},
+		{Op: "send", Size: 200, Fill: 5},
+		{Op: "recv", Size: 300, Fill: 6},
+	}
+	for _, info := range drivers.Corpus() {
+		h := harnessFor(t, info.Name, "")
+		fresh := runFrames(t, h, steps, false)
+		reused := runFrames(t, h, steps, true)
+		if len(fresh.Tx[0]) == 0 || len(fresh.Received[0]) == 0 {
+			t.Fatalf("%s: %d frames sent, %d received: the steps exercise no frame path",
+				info.Name, len(fresh.Tx[0]), len(fresh.Received[0]))
+		}
+		if !reflect.DeepEqual(reused, fresh) {
+			t.Errorf("%s: overwriting the frame buffer after each step changed what the sides saw", info.Name)
+		}
 	}
 }

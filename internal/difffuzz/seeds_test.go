@@ -115,7 +115,7 @@ func FuzzLoadSeedFile(f *testing.F) {
 				t.Fatalf("loaded schedule breaks a cap: %v", err)
 			}
 			for _, st := range s.Steps {
-				if n := len(h.buildFrame(st)); n > MaxFrameSize {
+				if n := len(h.buildFrame(nil, st)); n > MaxFrameSize {
 					t.Fatalf("%d-byte frame built", n)
 				}
 			}

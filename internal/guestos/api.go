@@ -66,6 +66,9 @@ type Desc struct {
 	Kind  Kind
 }
 
+// maxArgs is the most stack arguments an API in Table takes.
+const maxArgs = 2
+
 // Table is the API descriptor table, indexed by API index. Names
 // follow the NDIS flavor of the originals.
 var Table = [NumAPIs]Desc{

@@ -27,14 +27,6 @@ func (e EntryPoints) Registered() bool {
 	return e.Init != 0 && e.Send != 0 && e.ISR != 0 && e.Halt != 0
 }
 
-// APICall records one OS API invocation for the wiretap.
-type APICall struct {
-	Index uint32
-	Name  string
-	Args  []uint32
-	Ret   uint32
-}
-
 // heapBase is where the OS heap lives in guest RAM; allocations grow
 // upward, DMA allocations are carved from the same region but also
 // registered with the bus DMA registry.
@@ -53,8 +45,6 @@ type OS struct {
 	Received [][]byte
 	// SendCompletes counts NdisMSendComplete upcalls.
 	SendCompletes int
-	// Calls is the API call log.
-	Calls []APICall
 	// Uptime is the value returned by NdisGetSystemUpTime; tests and
 	// the exerciser advance it.
 	Uptime uint32
@@ -86,8 +76,8 @@ func (os *OS) handleAPI(m *vm.Machine, index uint32) error {
 		return fmt.Errorf("guestos: call to unknown API index %d", index)
 	}
 	d := Table[index]
-	args := make([]uint32, d.NArgs)
-	for i := range args {
+	var args [maxArgs]uint32
+	for i := range d.NArgs {
 		args[i] = m.Arg(i)
 	}
 	ret := uint32(StatusSuccess)
@@ -142,7 +132,6 @@ func (os *OS) handleAPI(m *vm.Machine, index uint32) error {
 	case APIGetSystemUpTime:
 		ret = os.Uptime
 	}
-	os.Calls = append(os.Calls, APICall{Index: index, Name: d.Name, Args: args, Ret: ret})
 	return m.APIReturn(ret, d.NArgs)
 }
 

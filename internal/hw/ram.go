@@ -103,16 +103,13 @@ func (r *RAM) markDirty(addr uint32, n int) {
 // Load reads a size-byte (1, 2 or 4) little-endian value; ok is false
 // when the access falls outside the RAM.
 func (r *RAM) Load(addr uint32, size int) (v uint32, ok bool) {
-	if !r.Contains(addr, size) {
-		return 0, false
-	}
 	switch size {
 	case 1:
-		return uint32(r.b[addr]), true
+		return r.Load8(addr)
 	case 2:
-		return uint32(binary.LittleEndian.Uint16(r.b[addr:])), true
+		return r.Load16(addr)
 	case 4:
-		return binary.LittleEndian.Uint32(r.b[addr:]), true
+		return r.Load32(addr)
 	}
 	panic(fmt.Sprintf("hw: invalid access size %d", size))
 }
@@ -121,22 +118,88 @@ func (r *RAM) Load(addr uint32, size int) (v uint32, ok bool) {
 // reports false, writing nothing, when the access falls outside the
 // RAM.
 func (r *RAM) Store(addr uint32, size int, v uint32) bool {
-	if !r.Contains(addr, size) {
-		return false
-	}
-	if size != 1 && size != 2 && size != 4 {
-		panic(fmt.Sprintf("hw: invalid access size %d", size))
-	}
-	r.markDirty(addr, size)
 	switch size {
 	case 1:
-		r.b[addr] = byte(v)
+		return r.Store8(addr, v)
 	case 2:
-		binary.LittleEndian.PutUint16(r.b[addr:], uint16(v))
-	default:
-		binary.LittleEndian.PutUint32(r.b[addr:], v)
+		return r.Store16(addr, v)
+	case 4:
+		return r.Store32(addr, v)
 	}
+	panic(fmt.Sprintf("hw: invalid access size %d", size))
+}
+
+// The sized accessors below are Load and Store for one access width,
+// small enough for the compiler to inline into the CPU's loads,
+// stores, pushes and pops. A store marks the pages of its first and
+// last byte, which cover the at most two pages a 4-byte access spans.
+
+// Load8 reads one byte; ok is false outside the RAM.
+func (r *RAM) Load8(addr uint32) (v uint32, ok bool) {
+	if int(addr) >= len(r.b) {
+		return 0, false
+	}
+	return uint32(r.b[addr]), true
+}
+
+// Load16 reads a little-endian 16-bit value; ok is false outside the
+// RAM.
+func (r *RAM) Load16(addr uint32) (v uint32, ok bool) {
+	if int(addr)+2 > len(r.b) {
+		return 0, false
+	}
+	return uint32(binary.LittleEndian.Uint16(r.b[addr:])), true
+}
+
+// Load32 reads a little-endian 32-bit value; ok is false outside the
+// RAM.
+func (r *RAM) Load32(addr uint32) (v uint32, ok bool) {
+	if int(addr)+4 > len(r.b) {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint32(r.b[addr:]), true
+}
+
+// Store8 writes one byte; it reports false, writing nothing, outside
+// the RAM.
+func (r *RAM) Store8(addr, v uint32) bool {
+	if int(addr) >= len(r.b) {
+		return false
+	}
+	r.mark(addr)
+	r.b[addr] = byte(v)
 	return true
+}
+
+// Store16 writes a little-endian 16-bit value; it reports false,
+// writing nothing, outside the RAM.
+func (r *RAM) Store16(addr, v uint32) bool {
+	if int(addr)+2 > len(r.b) {
+		return false
+	}
+	r.mark(addr)
+	r.mark(addr + 1)
+	binary.LittleEndian.PutUint16(r.b[addr:], uint16(v))
+	return true
+}
+
+// Store32 writes a little-endian 32-bit value; it reports false,
+// writing nothing, outside the RAM.
+func (r *RAM) Store32(addr, v uint32) bool {
+	if int(addr)+4 > len(r.b) {
+		return false
+	}
+	r.mark(addr)
+	r.mark(addr + 3)
+	binary.LittleEndian.PutUint32(r.b[addr:], v)
+	return true
+}
+
+// mark records that the byte at addr, inside the RAM, is written. The
+// modulo is a no-op there and lets the compiler drop the bounds check.
+func (r *RAM) mark(addr uint32) {
+	p := addr / PageSize
+	r.dirty[p/64%uint32(len(r.dirty))] |= 1 << (p % 64)
 }
 
 // ReadMem implements MemBus: it copies len(p) bytes at addr into p,

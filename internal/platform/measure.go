@@ -63,18 +63,12 @@ func MeasureSynthesized(info *drivers.Info, g *cfg.Graph, osKind template.OS, pa
 // instructions the machine completes and the port I/O it performs.
 func measure(rig *core.Rig, payloads []int, ratio float64) (map[int]DriverCost, error) {
 	defer rig.Close()
-	var io int64
-	rig.M.AddIOTap(func(port, write bool, addr uint32, size int, v uint32) {
-		if port {
-			io++
-		}
-	})
 	if err := rig.Side.Initialize(); err != nil {
 		return nil, err
 	}
 	out := map[int]DriverCost{}
 	for _, p := range payloads {
-		c0, io0 := rig.M.Cycles, io
+		c0, t0 := rig.M.Cycles, len(rig.Trace())
 		if _, err := rig.Side.Send(mkMeasureFrame(p)); err != nil {
 			return nil, err
 		}
@@ -82,7 +76,13 @@ func measure(rig *core.Rig, payloads []int, ratio float64) (map[int]DriverCost, 
 			return nil, err
 		}
 		rig.Dev.TxFrames()
-		out[p] = DriverCost{Instrs: int64(rig.M.Cycles - c0), IOOps: io - io0, SizeRatio: ratio}
+		var io int64
+		for _, ev := range rig.Trace()[t0:] {
+			if ev.Port {
+				io++
+			}
+		}
+		out[p] = DriverCost{Instrs: int64(rig.M.Cycles - c0), IOOps: io, SizeRatio: ratio}
 	}
 	return out, nil
 }

@@ -67,36 +67,19 @@ func (e *ErrUnexplored) Error() string {
 	return fmt.Sprintf("synthdrv: reached unexplored code %#x (from %#x)", e.To, e.From)
 }
 
-// Code is the dispatch index of one recovered graph: its blocks in
-// ascending address order, a dense table from instruction slot to
-// block, and the entry points by role. It depends only on the graph,
-// so one Code serves every driver built from that graph, concurrently;
-// it is read-only after NewCode. It points at the graph's blocks, so
-// an instruction rewritten in place (a planted bug) still shows.
+// Code is the dispatch index of one recovered graph: its blocks as a
+// vm.Table, ids in ascending address order, and the entry points by
+// role. It depends only on the graph, so one Code serves every driver
+// built from that graph, concurrently; it is read-only after NewCode.
+// It points at the graph's blocks, so an instruction rewritten in
+// place (a planted bug) still shows.
 type Code struct {
 	g       *cfg.Graph
 	entries map[string]*cfg.Function
-	// addrs and blocks list the recovered blocks in ascending address
-	// order; a block's index in them is its id.
-	addrs  []uint32
-	blocks []*ir.Block
-	// slots maps instruction slot i, at lo+i*isa.InstrSize, to the id
-	// plus one of the block there (0: none); odd holds the ids of
-	// blocks off that grid (see NewCode).
-	lo    uint32
-	slots []int32
-	odd   map[uint32]int32
+	tab     *vm.Table
 }
 
-// maxSparseSlots bounds the empty slots NewCode may allocate, so a
-// graph whose blocks lie far apart is not blown up into a table
-// covering all of RAM.
-const maxSparseSlots = 1 << 12
-
-// NewCode indexes g. The slot table has one entry per isa.InstrSize
-// bytes from the lowest block address; a block off that grid, or past
-// the table when the blocks are too sparse for it, goes to the odd
-// map.
+// NewCode indexes g.
 func NewCode(g *cfg.Graph) *Code {
 	c := &Code{g: g, entries: map[string]*cfg.Function{}}
 	for _, f := range g.Funcs {
@@ -104,46 +87,22 @@ func NewCode(g *cfg.Graph) *Code {
 			c.entries[f.Role] = f
 		}
 	}
-	if len(g.Blocks) == 0 {
-		return c
-	}
+	addrs := make([]uint32, 0, len(g.Blocks))
 	for a := range g.Blocks {
-		c.addrs = append(c.addrs, a)
+		addrs = append(addrs, a)
 	}
-	slices.Sort(c.addrs)
-	c.lo = c.addrs[0]
-	n := min(int((c.addrs[len(c.addrs)-1]-c.lo)/isa.InstrSize)+1, len(c.addrs)+maxSparseSlots)
-	c.slots = make([]int32, n)
-	c.blocks = make([]*ir.Block, len(c.addrs))
-	for id, a := range c.addrs {
-		c.blocks[id] = &g.Blocks[a].Block
-		if off := a - c.lo; off%isa.InstrSize == 0 && off/isa.InstrSize < uint32(n) {
-			c.slots[off/isa.InstrSize] = int32(id) + 1
-			continue
-		}
-		if c.odd == nil {
-			c.odd = map[uint32]int32{}
-		}
-		c.odd[a] = int32(id)
+	slices.Sort(addrs)
+	blocks := make([]*ir.Block, len(addrs))
+	for id, a := range addrs {
+		blocks[id] = &g.Blocks[a].Block
 	}
+	c.tab = vm.NewTable(blocks)
 	return c
 }
 
 // Addrs returns the addresses of the recovered blocks in ascending
 // order, indexed by block id. The slice is shared; do not modify it.
-func (c *Code) Addrs() []uint32 { return c.addrs }
-
-// id returns the id of the block at pc, or -1 when none was recovered
-// there.
-func (c *Code) id(pc uint32) int32 {
-	if off := pc - c.lo; pc >= c.lo && off%isa.InstrSize == 0 && off/isa.InstrSize < uint32(len(c.slots)) {
-		return c.slots[off/isa.InstrSize] - 1
-	}
-	if id, ok := c.odd[pc]; ok {
-		return id
-	}
-	return -1
-}
+func (c *Code) Addrs() []uint32 { return c.tab.Addrs() }
 
 // EdgeTarget returns the id of the block that edge key k (see
 // Driver.Edges) leads to.
@@ -153,23 +112,15 @@ func EdgeTarget(k uint64) int { return int(uint32(k)) }
 type Driver struct {
 	Code *Code
 	OS   TargetOS
-	// M is the machine the driver runs on. Its RAM holds the state
-	// allocations, stack and DMA buffers at the addresses the target
-	// OS allocator hands out; it comes from the process-wide pool,
-	// and M.RAM.Free returns it once the driver is no longer used.
+	// M is the machine the driver runs on. It runs the Code's table
+	// and records the edges between recovered blocks. Its RAM holds
+	// the state allocations, stack and DMA buffers at the addresses
+	// the target OS allocator hands out; it comes from the
+	// process-wide pool, and M.RAM.Free returns it once the driver is
+	// no longer used.
 	M *vm.Machine
 	// Ctx is the adapter context returned by Initialize.
 	Ctx uint32
-
-	// from names the source of the next control transfer: 1 at the
-	// start of a call, id+2 after block id ran.
-	from int32
-	// pred holds, per target block id, the from of the last edge
-	// recorded into it (0: none), so a block reached again along the
-	// same edge costs a slice compare. edges holds the recorded edge
-	// keys (see Edges), duplicates included until the next compaction.
-	pred  []int32
-	edges []uint64
 
 	timer uint32
 }
@@ -177,53 +128,10 @@ type Driver struct {
 // New prepares a synthesized driver for execution on a fresh machine
 // attached to bus.
 func New(c *Code, os TargetOS, bus *hw.Bus) *Driver {
-	d := &Driver{
-		Code: c, OS: os, M: vm.New(bus), from: 1,
-		pred:  make([]int32, len(c.addrs)),
-		edges: make([]uint64, 0, len(c.addrs)),
-	}
-	d.M.Lookup = d.lookup
+	d := &Driver{Code: c, OS: os, M: vm.New(bus)}
+	d.M.UseTable(c.tab)
 	d.M.OSCall = d.apiCall
 	return d
-}
-
-// lookup is the machine's code source: the recovered block at pc, or
-// ErrUnexplored from the block the current call ran last. It records
-// the edge that reaches the block.
-func (d *Driver) lookup(pc uint32) (*ir.Block, error) {
-	id := d.Code.id(pc)
-	if id < 0 {
-		var from uint32
-		if d.from > 1 {
-			from = d.Code.addrs[d.from-2]
-		}
-		return nil, &ErrUnexplored{From: from, To: pc}
-	}
-	if d.pred[id] != d.from {
-		d.pred[id] = d.from
-		d.addEdge(uint64(d.from-1)<<32 | uint64(id))
-	}
-	d.from = id + 2
-	return d.Code.blocks[id], nil
-}
-
-// addEdge records edge key k. A block whose predecessors alternate
-// records the same edges over and over, so a full list is compacted
-// before it grows, and grows only when compaction leaves it over half
-// full: the list stays within twice the distinct edges.
-func (d *Driver) addEdge(k uint64) {
-	if len(d.edges) == cap(d.edges) && len(d.edges) > 0 {
-		d.compactEdges()
-		if len(d.edges) > cap(d.edges)/2 {
-			d.edges = slices.Grow(d.edges, len(d.edges))
-		}
-	}
-	d.edges = append(d.edges, k)
-}
-
-func (d *Driver) compactEdges() {
-	slices.Sort(d.edges)
-	d.edges = slices.Compact(d.edges)
 }
 
 // Edges returns, in ascending order, the distinct control transfers
@@ -232,10 +140,7 @@ func (d *Driver) compactEdges() {
 // the target), the low 32 bits the target's id (see EdgeTarget); ids
 // index Code.Addrs. Bit 63 is never set. The slice is the driver's
 // own, valid until it runs again.
-func (d *Driver) Edges() []uint64 {
-	d.compactEdges()
-	return d.edges
-}
+func (d *Driver) Edges() []uint64 { return d.M.Edges() }
 
 // Entry returns the recovered function with the given role.
 func (d *Driver) Entry(role string) (*cfg.Function, bool) {
@@ -252,8 +157,11 @@ const callLimit = 500000
 // hw.StackTop.
 func (d *Driver) Call(f *cfg.Function, args ...uint32) (uint32, error) {
 	d.M.Regs = [isa.NumRegs]uint32{isa.SP: hw.StackTop}
-	d.from = 1
-	return d.M.CallEntry(f.Entry, callLimit, args...)
+	r0, err := d.M.CallEntry(f.Entry, callLimit, args...)
+	if nb, ok := err.(*vm.ErrNoBlock); ok {
+		return r0, &ErrUnexplored{From: nb.From, To: nb.To}
+	}
+	return r0, err
 }
 
 // apiCall is the machine's OS call handler: it dispatches an OS

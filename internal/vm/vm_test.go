@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"slices"
 	"testing"
 
 	"revnic/internal/hw"
@@ -165,7 +166,7 @@ func (d *portDev) PortWrite(off uint32, size int, v uint32) {
 	}
 }
 
-func TestPortIOAndTaps(t *testing.T) {
+func TestPortIOAndTrace(t *testing.T) {
 	p, err := isa.Assemble(`
 .org 0x1000
 .func f
@@ -184,13 +185,6 @@ func TestPortIOAndTaps(t *testing.T) {
 	bus.Attach(dev, hw.PCIConfig{IOBase: 0x300, IOSize: 0x10})
 	m := New(bus)
 	m.LoadImage(p)
-	var taps []uint32
-	m.AddIOTap(func(port, write bool, addr uint32, size int, v uint32) {
-		if !port {
-			t.Error("expected port I/O")
-		}
-		taps = append(taps, addr)
-	})
 	got, err := m.CallEntry(p.Sym("f"), 100)
 	if err != nil {
 		t.Fatal(err)
@@ -198,8 +192,13 @@ func TestPortIOAndTaps(t *testing.T) {
 	if got != 10 {
 		t.Errorf("r0 = %d, want 10", got)
 	}
-	if len(taps) != 3 || taps[0] != 0x300 || taps[1] != 0x304 {
-		t.Errorf("taps = %v", taps)
+	want := []IOEvent{
+		{Port: true, Write: true, Addr: 0x300, Size: 4, Value: 5},
+		{Port: true, Write: true, Addr: 0x304, Size: 4, Value: 5},
+		{Port: true, Addr: 0x300, Size: 4, Value: 10},
+	}
+	if !slices.Equal(m.Trace, want) {
+		t.Errorf("trace = %+v, want %+v", m.Trace, want)
 	}
 }
 
@@ -219,12 +218,6 @@ func TestMMIOAccess(t *testing.T) {
 	bus.Attach(dev, hw.PCIConfig{MMIOAddr: hw.MMIOBase, MMIOSize: 0x100})
 	m := New(bus)
 	m.LoadImage(p)
-	var sawMMIO bool
-	m.AddIOTap(func(port, write bool, addr uint32, size int, v uint32) {
-		if !port {
-			sawMMIO = true
-		}
-	})
 	got, err := m.CallEntry(p.Sym("f"), 100)
 	if err != nil {
 		t.Fatal(err)
@@ -232,8 +225,12 @@ func TestMMIOAccess(t *testing.T) {
 	if got != 0x77 {
 		t.Errorf("MMIO round trip = %#x", got)
 	}
-	if !sawMMIO {
-		t.Error("MMIO access not tapped")
+	want := []IOEvent{
+		{Write: true, Addr: hw.MMIOBase + 8, Size: 4, Value: 0x77},
+		{Addr: hw.MMIOBase + 8, Size: 4, Value: 0x77},
+	}
+	if !slices.Equal(m.Trace, want) {
+		t.Errorf("trace = %+v, want %+v", m.Trace, want)
 	}
 }
 
