@@ -17,16 +17,15 @@ import (
 // 10.8k, 11.2k, 12.0k). Keying coverage on block edges and access
 // pairs, indexing the graph once per harness and reusing device
 // models cut it to 8.8k-11.6k (11.6k, 10.6k, 8.8k, 10.3k, 10.1k).
-// Dropping the OS call log, building frames in a per-schedule buffer
-// and keeping the trace on the machine cut it to 6.3k-8.5k (8.5k,
-// 7.4k, 6.3k, 7.5k, 7.6k); the ceilings leave about a quarter of
-// headroom.
+// Dropping the OS call log, recycling frame buffers and keeping the
+// trace on the machine cut it to 6.1k-8.3k (8.3k, 7.2k, 6.1k, 7.3k,
+// 7.4k); the ceilings leave about a quarter of headroom.
 var fuzzRoundAllocCeiling = map[string]float64{
-	"AMD PCNet":   10700,
-	"RTL8139":     9300,
-	"SMSC 91C111": 7900,
-	"RTL8029":     9500,
-	"SBLK100":     9500,
+	"AMD PCNet":   10400,
+	"RTL8139":     9000,
+	"SMSC 91C111": 7600,
+	"RTL8029":     9200,
+	"SBLK100":     9200,
 }
 
 // TestFuzzRoundAllocationCeiling guards the allocation diet of the

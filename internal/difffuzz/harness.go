@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sync"
 
 	"revnic/internal/cfg"
 	"revnic/internal/core"
@@ -215,7 +216,8 @@ func (h *Harness) RunSchedule(s Schedule) (out Outcome) {
 		return out
 	}
 
-	ex := &execution{h: h, orig: orig, synth: synth, out: &out}
+	frame := frames.Get().(*[]byte)
+	ex := &execution{h: h, orig: orig, synth: synth, out: &out, frame: *frame}
 
 	if ex.both(-1, "init", func(s core.Side) (uint32, []byte, error) {
 		return 0, nil, s.Initialize()
@@ -241,6 +243,8 @@ func (h *Harness) RunSchedule(s Schedule) (out Outcome) {
 	out.CovKeys = coverageKeys(orig.Trace(), synth.Drv)
 	orig.Close()
 	synth.Close()
+	*frame = ex.frame
+	frames.Put(frame)
 	if out.Divergence != nil {
 		out.Divergence.Schedule = s
 	}
@@ -260,6 +264,9 @@ type execution struct {
 	// queue), so the next step may overwrite it.
 	frame []byte
 }
+
+// frames recycles the frame buffers of finished executions.
+var frames = sync.Pool{New: func() any { return new([]byte) }}
 
 func (ex *execution) diverge(step int, op, kind, detail string) {
 	if ex.out.Divergence == nil {
@@ -348,9 +355,8 @@ func (ex *execution) step(i int, st Step) bool {
 	switch st.Op {
 	case "send":
 		ex.frame = ex.h.buildFrame(ex.frame, st)
-		frame := ex.frame
 		if !ex.both(i, "send", func(s core.Side) (uint32, []byte, error) {
-			stat, err := s.Send(frame)
+			stat, err := s.Send(ex.frame)
 			return stat, nil, err
 		}) {
 			return false
@@ -375,12 +381,11 @@ func (ex *execution) step(i int, st Step) bool {
 		return true
 	case "recv":
 		ex.frame = ex.h.buildFrame(ex.frame, st)
-		frame := ex.frame
-		oAcc := ex.orig.Dev.InjectRX(frame)
-		sAcc := ex.synth.Dev.InjectRX(frame)
+		oAcc := ex.orig.Dev.InjectRX(ex.frame)
+		sAcc := ex.synth.Dev.InjectRX(ex.frame)
 		if oAcc != sAcc {
 			ex.diverge(i, "recv", "rx-accept",
-				fmt.Sprintf("orig accepted=%v, synth accepted=%v (len %d)", oAcc, sAcc, len(frame)))
+				fmt.Sprintf("orig accepted=%v, synth accepted=%v (len %d)", oAcc, sAcc, len(ex.frame)))
 			return false
 		}
 		if !oAcc {
@@ -418,9 +423,14 @@ func (ex *execution) pump(i int, op string) bool {
 }
 
 // buildFrame constructs the deterministic frame for a send/recv step
-// in buf, growing it when it is too short, and returns the frame.
+// in buf and returns the frame. A buf too short for it is replaced by
+// one that holds any frame up to MaxFrameSize, so a recycled buffer
+// is not grown again.
 func (h *Harness) buildFrame(buf []byte, st Step) []byte {
-	f := slices.Grow(buf[:0], st.Size)[:st.Size]
+	if cap(buf) < st.Size {
+		buf = make([]byte, max(st.Size, MaxFrameSize))
+	}
+	f := buf[:st.Size]
 	clear(f)
 	dst := h.mac
 	if st.Bcast {
