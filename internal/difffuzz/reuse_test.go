@@ -158,10 +158,12 @@ type frameRun struct {
 	Status   [2]nic.Status
 }
 
-// runFrames applies the send and recv steps to a fresh original and
-// synthesized rig of h, pumping interrupts after each. With reuse, the
-// frames are built in one buffer that is overwritten after every step,
-// as RunSchedule does; without, each step gets a frame of its own.
+// runFrames applies send, recv and pump steps to a fresh original and
+// synthesized rig of h. A send pumps interrupts after it, as
+// RunSchedule does; a recv does not, so a frame can wait in the
+// device while the next one is built. With reuse, the frames are
+// built in one buffer that is overwritten after every step, as
+// RunSchedule's are; without, each step gets a frame of its own.
 func runFrames(t *testing.T, h *Harness, steps []Step, reuse bool) frameRun {
 	t.Helper()
 	orig, err := core.NewOriginalRig(h.Info, h.img, h.mac, nil)
@@ -187,19 +189,23 @@ func runFrames(t *testing.T, h *Harness, steps []Step, reuse bool) frameRun {
 	var buf []byte
 	for _, st := range steps {
 		var frame []byte
-		if reuse {
-			buf = h.buildFrame(buf, st)
-			frame = buf
-		} else {
-			frame = h.buildFrame(nil, st)
+		if st.Op != "pump" {
+			if reuse {
+				buf = h.buildFrame(buf, st)
+				frame = buf
+			} else {
+				frame = h.buildFrame(nil, st)
+			}
 		}
 		for _, r := range rigs {
-			if st.Op == "send" {
+			switch st.Op {
+			case "send":
 				if _, err := r.Side.Send(frame); err != nil {
 					t.Fatal(err)
 				}
-			} else {
+			case "recv":
 				r.Dev.InjectRX(frame)
+				continue
 			}
 			if _, err := r.Side.PumpInterrupts(16); err != nil {
 				t.Fatal(err)
@@ -218,20 +224,23 @@ func runFrames(t *testing.T, h *Harness, steps []Step, reuse bool) frameRun {
 	return seen
 }
 
-// TestFrameBufferReuse checks what RunSchedule's reuse of one frame
-// buffer across steps relies on: every consumer of a frame (guest
-// memory on send, the device on receive) copies it before the step
-// ends. Frames overwritten after each step must leave the transmitted
-// frames, the frames each OS received and the device status of every
-// corpus device exactly as fresh frames do.
+// TestFrameBufferReuse checks what RunSchedule's reuse of frame
+// buffers relies on: every consumer of a frame (guest memory on send,
+// the device on receive) copies it before the step ends. Frames
+// overwritten after each step, also while an earlier one waits in the
+// device, must leave the transmitted frames, the frames each OS
+// received and the device status of every corpus device exactly as
+// fresh frames do.
 func TestFrameBufferReuse(t *testing.T) {
 	steps := []Step{
 		{Op: "send", Size: 60, Fill: 1},
 		{Op: "recv", Size: 1514, Fill: 2},
-		{Op: "send", Size: 1514, Fill: 3, Bcast: true},
-		{Op: "recv", Size: 64, Fill: 4, Bcast: true},
-		{Op: "send", Size: 200, Fill: 5},
-		{Op: "recv", Size: 300, Fill: 6},
+		{Op: "recv", Size: 64, Fill: 3, Bcast: true},
+		{Op: "pump"},
+		{Op: "send", Size: 1514, Fill: 4, Bcast: true},
+		{Op: "recv", Size: 300, Fill: 5},
+		{Op: "send", Size: 200, Fill: 6},
+		{Op: "pump"},
 	}
 	for _, info := range drivers.Corpus() {
 		h := harnessFor(t, info.Name, "")

@@ -228,3 +228,30 @@ func TestRewrittenBlockRunsOwnBytes(t *testing.T) {
 		t.Errorf("rewritten after it ran: r0 = %d, err = %v, want the kept block's 2", got, err)
 	}
 }
+
+// TestPushPopStackPointer pins the operand order of the inline push
+// and pop: push sp stores the stack pointer from before the push, and
+// pop sp leaves the popped value in sp, not that value plus 4.
+func TestPushPopStackPointer(t *testing.T) {
+	m, p := setup(t, `
+.org 0x1000
+.func pushsp
+	push sp
+	pop  r0
+	ret
+.func popsp
+	mov  r3, sp
+	movi r1, #0x1234
+	push r1
+	pop  sp
+	mov  r0, sp
+	mov  sp, r3
+	ret
+`)
+	if got, err := m.CallEntry(p.Sym("pushsp"), 10); err != nil || got != hw.StackTop-4 {
+		t.Errorf("push sp stored %#x (err %v), want the stack pointer before the push %#x", got, err, hw.StackTop-4)
+	}
+	if got, err := m.CallEntry(p.Sym("popsp"), 10); err != nil || got != 0x1234 {
+		t.Errorf("pop sp left %#x (err %v), want 0x1234", got, err)
+	}
+}
