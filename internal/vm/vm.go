@@ -425,17 +425,17 @@ func (m *Machine) Run(maxBlocks int) (int, error) {
 // that step delivered an interrupt.
 func (m *Machine) run(maxBlocks int) (n int, b *ir.Block, err error) {
 	for ; !m.Halted && n < maxBlocks; n++ {
+		b = nil
 		if m.IntEnabled {
-			var ok bool
-			if ok, err = m.interrupt(); err != nil {
+			ok, err := m.interrupt()
+			if err != nil {
 				return n, nil, err
-			} else if ok {
-				b = nil
+			}
+			if ok {
 				continue
 			}
 		}
 		pc := m.PC
-		b = nil
 		if t := m.tab; t != nil {
 			if off := pc - t.lo; pc >= t.lo && off%isa.InstrSize == 0 && off/isa.InstrSize < uint32(len(t.slots)) {
 				if id := t.slots[off/isa.InstrSize] - 1; id >= 0 {
@@ -458,7 +458,8 @@ func (m *Machine) run(maxBlocks int) (n int, b *ir.Block, err error) {
 }
 
 // interrupt delivers a pending interrupt between blocks, like QEMU
-// between TBs, and reports whether it did.
+// between TBs, and reports whether it did. run calls it only while
+// interrupts are enabled.
 func (m *Machine) interrupt() (bool, error) {
 	if m.inISR || m.IntVector == 0 || !m.Bus.Line.Pending() {
 		return false, nil
