@@ -19,7 +19,7 @@ import (
 // The timing grid (-grid): reverse engineer the full four-driver
 // workload at 1 and 4 workers, repeated -repeats times, and write
 // mean/std wall-clock per cell as JSON. Both cells explore the same
-// deterministic schedule (fixed seed, same searcher), so the pair
+// deterministic schedule (same searcher and shards), so the pair
 // isolates what parallel exploration costs or buys. Each run gets a
 // fresh expression arena, so no interning carries over between cells
 // and timings stay comparable.

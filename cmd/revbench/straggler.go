@@ -28,7 +28,7 @@ const (
 )
 
 func runStragglerScenario(repeats int) (gridCell, error) {
-	spec := jobsvc.JobSpec{Driver: "RTL8029", Seed: 11, Workers: 2}
+	spec := jobsvc.JobSpec{Driver: "RTL8029", Workers: 2}
 
 	// Single-node reference for the bit-identity check.
 	baseline := jobsvc.New(jobsvc.Config{Pool: 1})

@@ -33,7 +33,6 @@ func main() {
 		target     = flag.String("target", "", "instantiate a template for this OS (windows, linux, ucos-ii, kitos)")
 		out        = flag.String("o", "", "write generated code to this file (default stdout)")
 		report     = flag.Bool("report", false, "print coverage and classification report")
-		seed       = flag.Int64("seed", 1, "exploration random seed")
 		strategy   = flag.String("strategy", "coverage", "path selection strategy: "+strings.Join(symexec.SearcherNames(), ", "))
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "goroutines exploring phase shards concurrently (results are identical for any value)")
 		style      = flag.String("style", "", "code-emission style: "+strings.Join(synth.StyleNames(), ", ")+" (default goto; only the emitted-code shape changes)")
@@ -58,9 +57,7 @@ func main() {
 		Shell:      core.ShellConfig(info),
 		DriverName: info.Name,
 		Style:      *style,
-		Engine: symexec.Config{
-			Seed: *seed, Searcher: searcher, Workers: *workers,
-		},
+		Engine:     symexec.Config{Searcher: searcher, Workers: *workers},
 	})
 	if err != nil {
 		fatal("reverse engineering failed: %v", err)

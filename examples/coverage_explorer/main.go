@@ -37,7 +37,7 @@ func main() {
 			rev, err := core.ReverseEngineer(info.Program, core.Options{
 				Shell:      core.ShellConfig(info),
 				DriverName: info.Name,
-				Engine:     symexec.Config{Seed: 9, Searcher: st.s},
+				Engine:     symexec.Config{Searcher: st.s},
 			})
 			if err != nil {
 				log.Fatal(err)
@@ -51,7 +51,6 @@ func main() {
 	info, _ := drivers.ByName("AMD PCNet")
 	rev, err := core.ReverseEngineer(info.Program, core.Options{
 		Shell: core.ShellConfig(info), DriverName: info.Name,
-		Engine: symexec.Config{Seed: 9},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -17,7 +17,6 @@ import (
 
 	"revnic/internal/core"
 	"revnic/internal/drivers"
-	"revnic/internal/symexec"
 	"revnic/internal/template"
 )
 
@@ -30,7 +29,6 @@ func main() {
 	rev, err := core.ReverseEngineer(info.Program, core.Options{
 		Shell:      core.ShellConfig(info),
 		DriverName: info.Name,
-		Engine:     symexec.Config{Seed: 2},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -16,7 +16,6 @@ import (
 
 	"revnic/internal/core"
 	"revnic/internal/drivers"
-	"revnic/internal/symexec"
 )
 
 func main() {
@@ -30,7 +29,6 @@ func main() {
 	rev, err := core.ReverseEngineer(info.Program, core.Options{
 		Shell:      core.ShellConfig(info), // PCI IDs + I/O window from the device manager
 		DriverName: info.Name,
-		Engine:     symexec.Config{Seed: 1},
 	})
 	if err != nil {
 		log.Fatal(err)

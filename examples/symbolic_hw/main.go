@@ -26,7 +26,7 @@ func explore(info *drivers.Info, concrete bool) *core.Reversed {
 	rev, err := core.ReverseEngineer(info.Program, core.Options{
 		Shell:      core.ShellConfig(info),
 		DriverName: info.Name,
-		Engine:     symexec.Config{Seed: 5, ConcreteHardware: concrete},
+		Engine:     symexec.Config{ConcreteHardware: concrete},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"testing"
 
+	"revnic/internal/core"
+	"revnic/internal/drivers"
 	"revnic/internal/template"
 )
 
@@ -207,5 +209,49 @@ func TestMinimizeIsDeterministic(t *testing.T) {
 	}
 	if len(a.Steps) > 2 {
 		t.Errorf("minimized to %d steps, expected <= 2 (one send suffices)", len(a.Steps))
+	}
+}
+
+// TestCorruptedIndicatedFrameIsRxData checks that the oracle compares
+// the frames each side indicates up the stack: after a clean recv
+// step on every corpus device, a flipped byte or a lost frame on the
+// synthesized side must surface at the next pump as an rx-data
+// divergence.
+func TestCorruptedIndicatedFrameIsRxData(t *testing.T) {
+	for _, info := range drivers.Corpus() {
+		for _, corrupt := range []string{"byte", "count"} {
+			t.Run(info.Name+"/"+corrupt, func(t *testing.T) {
+				h := harnessFor(t, info.Name, "")
+				orig, err := core.NewOriginalRig(h.Info, h.img, h.mac, &h.models)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer orig.Close()
+				synth, err := core.NewSynthRig(h.code, h.Info, h.OS, h.mac, &h.models)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer synth.Close()
+				var out Outcome
+				ex := &execution{h: h, orig: orig, synth: synth, out: &out}
+				if !ex.both(-1, "init", func(s core.Side) (uint32, []byte, error) { return 0, nil, s.Initialize() }) ||
+					!ex.step(0, Step{Op: "recv", Size: 64, Fill: 0x5A}) {
+					t.Fatalf("clean recv stopped the schedule: %+v", out)
+				}
+				rx := synth.RT.Received
+				if len(rx) == 0 || len(orig.OS.Received) != len(rx) {
+					t.Fatalf("recv indicated %d frames on the original side, %d on the synthesized one",
+						len(orig.OS.Received), len(rx))
+				}
+				if corrupt == "byte" {
+					rx[0][len(rx[0])-1] ^= 0xFF
+				} else {
+					synth.RT.Received = rx[:len(rx)-1]
+				}
+				if ex.step(1, Step{Op: "pump"}) || out.Divergence == nil || out.Divergence.Kind != "rx-data" {
+					t.Fatalf("corrupted %s: divergence %+v, want rx-data", corrupt, out.Divergence)
+				}
+			})
+		}
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"revnic/internal/drivers"
 	"revnic/internal/ir"
 	"revnic/internal/isa"
-	"revnic/internal/symexec"
 	"revnic/internal/synthdrv"
 	"revnic/internal/template"
 )
@@ -70,9 +69,6 @@ func NewHarness(device string, osKind template.OS, plant string) (*Harness, erro
 	rev, err := core.ReverseEngineer(info.Program, core.Options{
 		Shell:      core.ShellConfig(info),
 		DriverName: info.Name,
-		// Fixed engine seed: the fuzz seed randomizes schedules, not
-		// the recovered graph, which must be canonical.
-		Engine: symexec.Config{Seed: 7},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("difffuzz: reverse %s: %w", device, err)
@@ -164,6 +160,7 @@ type Divergence struct {
 	//	query-out — a query returned different bytes
 	//	op-error  — one side failed an operation the other completed
 	//	rx-accept — the device accepted a frame for one side only
+	//	rx-data   — frames indicated up the stack differ
 	//	tx-data   — transmitted frames differ
 	Kind string `json:"kind"`
 	// Step is the index of the schedule step that exposed the
@@ -361,24 +358,8 @@ func (ex *execution) step(i int, st Step) bool {
 		}) {
 			return false
 		}
-		if !ex.pump(i, "send") {
-			return false
-		}
-		// Transmitted payloads must match byte for byte.
-		oTx, sTx := ex.orig.Dev.TxFrames(), ex.synth.Dev.TxFrames()
-		if len(oTx) != len(sTx) {
-			ex.diverge(i, "send", "tx-data",
-				fmt.Sprintf("orig transmitted %d frames, synth %d", len(oTx), len(sTx)))
-			return false
-		}
-		for j := range oTx {
-			if !bytes.Equal(oTx[j], sTx[j]) {
-				ex.diverge(i, "send", "tx-data",
-					fmt.Sprintf("tx frame %d differs: orig %d bytes, synth %d bytes", j, len(oTx[j]), len(sTx[j])))
-				return false
-			}
-		}
-		return true
+		return ex.pump(i, "send") &&
+			ex.compareFrames(i, "send", "tx-data", "transmitted", ex.orig.Dev.TxFrames(), ex.synth.Dev.TxFrames())
 	case "recv":
 		ex.frame = ex.h.buildFrame(ex.frame, st)
 		oAcc := ex.orig.Dev.InjectRX(ex.frame)
@@ -391,7 +372,7 @@ func (ex *execution) step(i int, st Step) bool {
 		if !oAcc {
 			return true // both dropped; nothing to pump
 		}
-		return ex.pump(i, "recv")
+		return ex.pump(i, "recv") && ex.compareReceived(i, "recv")
 	case "query":
 		return ex.both(i, "query", func(s core.Side) (uint32, []byte, error) {
 			return s.Query(st.OID, st.Val)
@@ -408,7 +389,7 @@ func (ex *execution) step(i int, st Step) bool {
 			return 0, nil, s.FireTimer()
 		})
 	case "pump":
-		return ex.pump(i, "pump")
+		return ex.pump(i, "pump") && ex.compareReceived(i, "pump")
 	default:
 		ex.out.Err = fmt.Sprintf("unknown step op %q", st.Op)
 		return false
@@ -420,6 +401,30 @@ func (ex *execution) pump(i int, op string) bool {
 		n, err := s.PumpInterrupts(16)
 		return uint32(n), nil, err
 	})
+}
+
+// compareReceived diffs the frames each side has indicated up the
+// stack so far.
+func (ex *execution) compareReceived(i int, op string) bool {
+	return ex.compareFrames(i, op, "rx-data", "indicated", ex.orig.OS.Received, ex.synth.RT.Received)
+}
+
+// compareFrames diffs two frame lists, byte for byte, as a divergence
+// of the given kind ("tx-data" or "rx-data"); verb names what the
+// sides did with the frames.
+func (ex *execution) compareFrames(i int, op, kind, verb string, o, s [][]byte) bool {
+	if len(o) != len(s) {
+		ex.diverge(i, op, kind, fmt.Sprintf("orig %s %d frames, synth %d", verb, len(o), len(s)))
+		return false
+	}
+	for j := range o {
+		if !bytes.Equal(o[j], s[j]) {
+			ex.diverge(i, op, kind,
+				fmt.Sprintf("%s frame %d differs: orig %d bytes, synth %d bytes", kind[:2], j, len(o[j]), len(s[j])))
+			return false
+		}
+	}
+	return true
 }
 
 // buildFrame constructs the deterministic frame for a send/recv step

@@ -48,9 +48,9 @@ type ContextConfig struct {
 
 // NewContext reverse engineers all four drivers, running the
 // per-driver pipelines concurrently on a bounded worker pool. Results
-// are identical to a serial build: each driver uses its own engine
-// with a fixed seed, and the parallel exploration mode is
-// bit-deterministic in the worker count.
+// are identical to a serial build: each driver uses its own engine,
+// and the parallel exploration mode is bit-deterministic in the
+// worker count.
 func NewContext(cc ContextConfig) (*Context, error) {
 	workers := cc.Workers
 	if workers <= 0 {
@@ -87,8 +87,7 @@ func NewContext(cc ContextConfig) (*Context, error) {
 				Shell:      core.ShellConfig(d),
 				DriverName: d.Name,
 				Engine: symexec.Config{
-					Seed: 42, Workers: perEngine,
-					Searcher: cc.Searcher, Arena: cc.Arena,
+					Workers: perEngine, Searcher: cc.Searcher, Arena: cc.Arena,
 				},
 			})
 		}(i, d)

@@ -14,8 +14,10 @@
 // with job traffic, which is what makes the service viable as a
 // long-running daemon (the ROADMAP's eviction open item, resolved by
 // construction). Results are bit-identical to the cmd/revnic CLI for
-// the same driver/searcher/seed/shard settings, because expression
-// canonicalization is structural and therefore arena-independent.
+// the same driver/searcher/shard settings, because expression
+// canonicalization is structural and therefore arena-independent. A
+// job's seed randomizes only differential-fuzzing schedules; an
+// exploration has no random choice left to seed.
 package jobsvc
 
 import (
@@ -114,7 +116,10 @@ type JobSpec struct {
 	// "ucos-ii", "kitos"); when set, Code in the result is the fully
 	// instantiated driver instead of the bare synthesized functions.
 	Target string `json:"target,omitempty"`
-	Seed   int64  `json:"seed,omitempty"`
+	// Seed randomizes a fuzz job's schedule stream; exploration jobs
+	// accept and ignore it, because the engine's choices are
+	// canonical.
+	Seed int64 `json:"seed,omitempty"`
 	// Workers/Shards configure the fork-join exploration exactly as
 	// cmd/revnic's flags do; results are identical for any Workers.
 	Workers int `json:"workers,omitempty"`
@@ -972,7 +977,6 @@ func engineConfig(spec JobSpec, ar *expr.Arena) symexec.Config {
 	return symexec.Config{
 		Arena:            ar,
 		Searcher:         searcher,
-		Seed:             spec.Seed,
 		Workers:          spec.Workers,
 		Shards:           spec.Shards,
 		MaxStates:        spec.MaxStates,

@@ -9,7 +9,6 @@ import (
 // every budget is huge, so only a stop signal or deadline ends it.
 func longConfig() Config {
 	return Config{
-		Seed:             3,
 		PhaseBudget:      1 << 30,
 		StagnationBudget: 1 << 30,
 		CompleteTarget:   1 << 30,
@@ -67,7 +66,7 @@ func TestCancelStopsExploration(t *testing.T) {
 func TestPreCancelledExplore(t *testing.T) {
 	stop := make(chan struct{})
 	close(stop)
-	cfg := Config{Seed: 1, Stop: stop}
+	cfg := Config{Stop: stop}
 	start := time.Now()
 	res := exploreDriver(t, "RTL8029", cfg)
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -86,11 +85,11 @@ func TestPreCancelledExplore(t *testing.T) {
 // deadline must be bit-identical to a run with no stop plumbing at
 // all. The cancellation hooks are pure reads until they fire.
 func TestStopPlumbingPreservesDeterminism(t *testing.T) {
-	plain := exploreDriver(t, "RTL8029", Config{Seed: 7, Workers: 2})
+	plain := exploreDriver(t, "RTL8029", Config{Workers: 2})
 	stop := make(chan struct{})
 	defer close(stop)
 	armed := exploreDriver(t, "RTL8029", Config{
-		Seed: 7, Workers: 2,
+		Workers:  2,
 		Stop:     stop,
 		Deadline: time.Now().Add(time.Hour),
 	})

@@ -37,7 +37,7 @@ func TestDifferentialAgainstConcreteVM(t *testing.T) {
 		}
 
 		// Symbolic run with no symbolic inputs.
-		e := New(prog, Config{Seed: int64(trial)})
+		e := New(prog, Config{})
 		st := e.newState()
 		sp := uint32(hw.StackTop) - 4
 		st.Mem.Write(sp, 4, expr.C(vm.MagicReturn, 32))

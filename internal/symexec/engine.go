@@ -2,7 +2,6 @@ package symexec
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"revnic/internal/expr"
@@ -25,14 +24,14 @@ type Config struct {
 	// device manager" (§3.4).
 	Shell hw.PCIConfig
 	// Searcher builds the path-selection searcher for each explored
-	// state group (the root engine and every fork-join worker child
+	// state group (the root engine and every fork-join shard engine
 	// construct their own through it, so searcher state is never
 	// shared between goroutines). nil selects NewCoverageGuided, the
 	// paper's min-count heuristic; NewDFS and NewBFS are the ablation
 	// baselines, and SearcherByName resolves command-line names.
 	Searcher SearcherFactory
 	// Arena is the expression arena the engine (and its solvers and
-	// fork-join worker children) builds every expression in. nil
+	// fork-join shard engines) builds every expression in. nil
 	// selects the process-global default arena — the CLI
 	// configuration. A long-lived service gives each job its own
 	// arena so the job's interned expressions are reclaimed wholesale
@@ -60,13 +59,14 @@ type Config struct {
 	// concrete value (ablation: what a real, passive device would
 	// return on most reads).
 	ConcreteHardware bool
-	// Seed drives the random successful-path choice.
+	// Seed is accepted and ignored: each phase continues from the
+	// lowest-ID successful state, so no random choice is left to seed.
 	Seed int64
 	// Workers is the number of goroutines that execute exploration
 	// shards concurrently within each exercise phase. It sets
-	// concurrency only: for a fixed Seed (and Shards) the explored
-	// paths, traces and coverage are bit-identical for every Workers
-	// value. 0 and 1 both run the shards serially.
+	// concurrency only: for a fixed Shards the explored paths, traces
+	// and coverage are bit-identical for every Workers value. 0 and 1
+	// both run one shard at a time.
 	Workers int
 	// Stop, when non-nil, is a cooperative cancellation signal with
 	// context.Context.Done semantics: once the channel is closed, the
@@ -84,7 +84,7 @@ type Config struct {
 	// Shards is the fan-out width of the fork-join exploration: each
 	// phase first spreads serially until this many independent live
 	// states exist, then explores each group to completion with
-	// worker-local collectors that are merged back in seed order.
+	// shard-local collectors that are merged back in seed order.
 	// Unlike Workers, Shards is part of the deterministic schedule
 	// (it decides where path groups stop seeing each other's block
 	// counts), so changing it changes the explored paths. 0 selects
@@ -93,8 +93,8 @@ type Config struct {
 	Shards int
 	// ShardRunner, when non-nil, executes the fork-join shard groups
 	// through an external dispatcher (the cluster layer's
-	// fault-tolerant work queue) instead of in-process worker
-	// children. The runner receives each phase's groups as
+	// fault-tolerant work queue) instead of the in-memory worker
+	// pool. The runner receives each phase's groups as
 	// self-contained ShardTasks plus a local-execution closure;
 	// because task execution is deterministic and idempotent, the
 	// merged results are bit-identical to a nil-runner run no matter
@@ -167,8 +167,8 @@ type Result struct {
 	// Strategy names the searcher that drove this exploration.
 	Strategy string
 	// SolverQueries and SolverCacheHits aggregate the constraint
-	// solver's work across the root engine and all fork-join worker
-	// children. SolverModelHits counts the answers obtained by
+	// solver's work across the root engine and all fork-join shard
+	// engines. SolverModelHits counts the answers obtained by
 	// evaluating a state's witness instead of asking the solver: the
 	// side of a symbolic branch the witness takes, a concretized
 	// value, a jump target's first value, and a success check the
@@ -206,7 +206,6 @@ type Engine struct {
 	col   *trace.Collector
 	sol   *solver.Solver
 	ar    *expr.Arena
-	rng   *rand.Rand
 
 	baseRAM []byte
 	entries guestos.EntryPoints
@@ -221,32 +220,32 @@ type Engine struct {
 	coverage []CoveragePoint
 	lastCov  int
 
-	// childQueries/childHits/childSearch accumulate the solver
-	// statistics of merged worker children (each child has its own
+	// shardQueries/shardHits/shardSearch accumulate the solver
+	// statistics of merged shards (each shard engine has its own
 	// solver; the join folds its counters here).
-	childQueries int64
-	childHits    int64
-	childSearch  solver.SearchStats
+	shardQueries int64
+	shardHits    int64
+	shardSearch  solver.SearchStats
 	// modelHits counts witness answers, this engine's and its merged
-	// children's (Result.SolverModelHits).
+	// shards' (Result.SolverModelHits).
 	modelHits int64
 
-	// symPrefix namespaces fresh symbols minted by a worker child so
+	// symPrefix namespaces fresh symbols minted by a shard engine so
 	// they can never collide with symbols already present in the seed
 	// state's constraints (empty on the root engine).
 	symPrefix string
-	// jobSeq numbers worker children across all phases of this
-	// engine, keeping their symbol namespaces globally unique.
+	// jobSeq numbers shard tasks across all phases of this engine,
+	// keeping their symbol namespaces globally unique.
 	jobSeq int
 	// discov logs the first execution of each translation block with
-	// its local exec stamp; the fork-join merge replays worker logs
-	// in seed order to rebuild one global coverage curve.
+	// its local exec stamp; the fork-join merge replays shard logs in
+	// seed order to rebuild one global coverage curve.
 	discov []covDiscovery
 
 	// shardsEff is the fan-out width (Shards) once any phase has
 	// fanned out, 0 before; shardCollapses counts phases that
 	// should have fanned out but ran serially. Both are root-engine
-	// observations — children never fan out.
+	// observations — shard engines never fan out.
 	shardsEff      int
 	shardCollapses int64
 
@@ -260,7 +259,7 @@ type Engine struct {
 }
 
 // covDiscovery is one first-execution event in an engine's local
-// exploration, used to merge worker coverage curves deterministically.
+// exploration, used to merge shard coverage curves deterministically.
 type covDiscovery struct {
 	addr uint32
 	exec int64
@@ -283,7 +282,6 @@ func New(prog *isa.Program, cfg Config) *Engine {
 		col:     trace.NewCollector(),
 		sol:     newSolver(cfg),
 		ar:      cfg.Arena,
-		rng:     rand.New(rand.NewSource(cfg.Seed + 1)),
 		baseRAM: ram,
 	}
 	e.image = ir.NewImage(prog)
@@ -354,34 +352,9 @@ func (e *Engine) freshSym(prefix string, w uint8) *expr.Expr {
 	return e.ar.S(fmt.Sprintf("%s%s_%d", e.symPrefix, prefix, e.symCount), w)
 }
 
-// jobIDSpan reserves a state-ID range per worker child so IDs stay
-// unique (and deterministic) across the fork-join.
+// jobIDSpan reserves a state-ID range per shard so IDs stay unique
+// (and deterministic) across the fork-join.
 const jobIDSpan = 1 << 20
-
-// child builds the execution context of one exploration worker: it
-// shares the immutable inputs (program image, translation image,
-// configuration) with the parent but gets its own collector, solver,
-// counters and a snapshot of the mutable registries, so a group of
-// states can be explored without touching the parent. The join
-// (mergeChild) folds everything back in seed order.
-func (e *Engine) child(idx int) *Engine {
-	e.jobSeq++
-	return &Engine{
-		cfg:       e.cfg,
-		prog:      e.prog,
-		image:     e.image,
-		col:       trace.NewCollector(),
-		sol:       newSolver(e.cfg),
-		ar:        e.ar,
-		rng:       rand.New(rand.NewSource(e.cfg.Seed + int64(e.jobSeq))),
-		baseRAM:   e.baseRAM,
-		entries:   e.entries,
-		timer:     e.timer,
-		dma:       e.dma.Clone(),
-		symPrefix: fmt.Sprintf("j%d.", e.jobSeq),
-		stateID:   e.stateID + (idx+1)*jobIDSpan,
-	}
-}
 
 func (e *Engine) newState() *State {
 	e.stateID++

@@ -66,7 +66,7 @@ func exploreDriver(t *testing.T, name string, cfg Config) *Result {
 }
 
 func TestExploreRTL8029(t *testing.T) {
-	res := exploreDriver(t, "RTL8029", Config{Seed: 1})
+	res := exploreDriver(t, "RTL8029", Config{})
 	if !res.Entries.Registered() {
 		t.Fatal("entry points not discovered")
 	}
@@ -113,7 +113,7 @@ func TestExploreAllDrivers(t *testing.T) {
 	}
 	for _, name := range []string{"RTL8139", "AMD PCNet", "SMSC 91C111"} {
 		t.Run(name, func(t *testing.T) {
-			res := exploreDriver(t, name, Config{Seed: 1})
+			res := exploreDriver(t, name, Config{})
 			if !res.Entries.Registered() {
 				t.Fatal("entries not discovered")
 			}
@@ -125,7 +125,7 @@ func TestExploreAllDrivers(t *testing.T) {
 }
 
 func TestExploreDMATracking(t *testing.T) {
-	res := exploreDriver(t, "RTL8139", Config{Seed: 2})
+	res := exploreDriver(t, "RTL8139", Config{})
 	if len(res.DMARegions) < 2 {
 		t.Errorf("DMA regions = %d, want >= 2 (ring + tx staging)", len(res.DMARegions))
 	}
@@ -154,7 +154,7 @@ func TestStrategies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := exploreDriver(t, "RTL8029", Config{Seed: 3, Searcher: factory})
+		res := exploreDriver(t, "RTL8029", Config{Searcher: factory})
 		if res.Strategy != name {
 			t.Errorf("result strategy = %q, want %q", res.Strategy, name)
 		}

@@ -22,7 +22,7 @@ func conc(v uint32) argSpec   { return argSpec{concrete: v} }
 func sym(name string) argSpec { return argSpec{symbolic: name} }
 
 // successFn tests a completed state's return value. During shard
-// execution it runs against the worker's engine, so it must only use
+// execution it runs against the shard's engine, so it must only use
 // the engine's solver and counters and the state itself.
 type successFn func(e *Engine, s *State) bool
 
@@ -256,6 +256,8 @@ func (e *Engine) Explore() (*Result, error) {
 // phases' traces match an uncancelled run's bit for bit.
 func (e *Engine) buildResult(initFailed bool) *Result {
 	queries, hits := e.sol.Stats()
+	search := e.sol.Search()
+	search.Add(e.shardSearch)
 	return &Result{
 		InitFailed:       initFailed,
 		Collector:        e.col,
@@ -266,10 +268,10 @@ func (e *Engine) buildResult(initFailed bool) *Result {
 		KilledLoops:      e.killed,
 		DMARegions:       e.dma.Regions(),
 		Strategy:         e.cfg.Searcher(e.col).Name(),
-		SolverQueries:    queries + e.childQueries,
-		SolverCacheHits:  hits + e.childHits,
+		SolverQueries:    queries + e.shardQueries,
+		SolverCacheHits:  hits + e.shardHits,
 		SolverModelHits:  e.modelHits,
-		SolverSearch:     e.searchStats(),
+		SolverSearch:     search,
 		TranslatedBlocks: e.image.Misses(),
 		ShardsEffective:  e.shardsEff,
 		ShardCollapses:   e.shardCollapses,
@@ -302,20 +304,21 @@ type bufSpec struct {
 	symBytes []int
 }
 
-// pickSeed chooses one successful completed state at random — the
-// entry-point completion heuristic's "one successful one chosen at
-// random" (§3.2).
-func (e *Engine) pickSeed(completed []*State, ok func(*Engine, *State) bool) *State {
-	var eligible []*State
+// pickSeed chooses the successful completed state with the lowest ID.
+// The entry-point completion heuristic continues from "one successful
+// one chosen at random" (§3.2); which one it is has never changed a
+// trace, a counter or a line of synthesized code, so the choice is
+// canonical and needs no random stream. Every completed state with a
+// result is tested, so the success checks' solver work does not depend
+// on the pick.
+func (e *Engine) pickSeed(completed []*State, ok successFn) *State {
+	var best *State
 	for _, s := range completed {
-		if s.Result != nil && ok(e, s) {
-			eligible = append(eligible, s)
+		if s.Result != nil && ok(e, s) && (best == nil || s.ID < best.ID) {
+			best = s
 		}
 	}
-	if len(eligible) == 0 {
-		return nil
-	}
-	return eligible[e.rng.Intn(len(eligible))]
+	return best
 }
 
 // runPhase symbolically executes one entry point from the given seed
@@ -375,11 +378,11 @@ func (e *Engine) runPhase(st *State, name string, entry uint32, args []argSpec, 
 	// [sp+4+4i] are the entry point's own arguments.
 	st.Frames = []frame{{target: entry, entrySP: sp}}
 
-	bdg := phaseBudgets{
-		blocks:     int64(e.cfg.PhaseBudget),
-		stagnation: int64(e.cfg.StagnationBudget),
-		successes:  e.cfg.CompleteTarget,
-		maxStates:  e.cfg.MaxStates,
+	bdg := ShardBudget{
+		Blocks:     int64(e.cfg.PhaseBudget),
+		Stagnation: int64(e.cfg.StagnationBudget),
+		Successes:  e.cfg.CompleteTarget,
+		MaxStates:  e.cfg.MaxStates,
 	}
 	spreadTo := 0
 	if e.cfg.Shards > 1 {
@@ -399,8 +402,8 @@ func (e *Engine) runPhase(st *State, name string, entry uint32, args []argSpec, 
 		}
 		return completed, nil
 	}
-	bdg.blocks -= used
-	forked, err := e.exploreShards(live, name, successName, bdg, success)
+	bdg.Blocks -= used
+	forked, err := e.exploreShards(live, name, successName, bdg)
 	if err != nil {
 		return nil, err
 	}
@@ -415,8 +418,8 @@ func (e *Engine) runPhase(st *State, name string, entry uint32, args []argSpec, 
 // function of the deterministic serial spread. Path selection
 // is delegated to a fresh Searcher built from Config.Searcher, so
 // each explored state group owns its searcher state. used reports
-// the translation blocks consumed against bdg.blocks.
-func (e *Engine) exploreSet(live []*State, name string, bdg phaseBudgets, success successFn, spreadTo int) (completed, remaining []*State, used int64, err error) {
+// the translation blocks consumed against bdg.Blocks.
+func (e *Engine) exploreSet(live []*State, name string, bdg ShardBudget, success successFn, spreadTo int) (completed, remaining []*State, used int64, err error) {
 	successes := 0
 	startExec := e.exec
 	lastCovExec := e.exec
@@ -458,8 +461,8 @@ func (e *Engine) exploreSet(live []*State, name string, bdg phaseBudgets, succes
 		if spreadTo > 0 && len(live) >= spreadTo {
 			return completed, live, e.exec - startExec, nil
 		}
-		if e.exec-startExec > bdg.blocks ||
-			e.exec-lastCovExec > bdg.stagnation {
+		if e.exec-startExec > bdg.Blocks ||
+			e.exec-lastCovExec > bdg.Stagnation {
 			for _, s := range live {
 				s.Reason = TermBudget
 			}
@@ -486,7 +489,7 @@ func (e *Engine) exploreSet(live []*State, name string, bdg phaseBudgets, succes
 			completed = append(completed, s)
 			if success(e, s) {
 				successes++
-				if successes >= bdg.successes {
+				if successes >= bdg.Successes {
 					// Discard all remaining paths of this entry point
 					// (§3.2), freeing memory and moving on.
 					for _, l := range live {
@@ -501,9 +504,9 @@ func (e *Engine) exploreSet(live []*State, name string, bdg phaseBudgets, succes
 		// State-cap pressure: discard the states deepest into
 		// re-executed code (they are the least likely to find new
 		// blocks).
-		if len(live) > bdg.maxStates {
+		if len(live) > bdg.MaxStates {
 			var killed []*State
-			live, killed = e.shedStates(live, bdg.maxStates)
+			live, killed = e.shedStates(live, bdg.MaxStates)
 			sr.Update(nil, killed)
 			clear(pos)
 			for i, st := range live {

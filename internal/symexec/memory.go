@@ -50,21 +50,21 @@ func NewMemoryArena(base []byte, ar *expr.Arena) *Memory {
 	return &Memory{base: base, pages: map[uint32]*page{}, ar: ar}
 }
 
-// Fork produces a child memory sharing all pages copy-on-write.
+// Fork produces a new memory sharing all pages copy-on-write.
 //
 // A page flips to shared only while it is still owned by exactly one
 // memory (and therefore one exploration goroutine); once shared it is
 // immutable — SetByte copies it before writing — so fork trees may be
 // partitioned across concurrently explored state sets without races.
 func (m *Memory) Fork() *Memory {
-	child := &Memory{base: m.base, pages: make(map[uint32]*page, len(m.pages)), ar: m.ar}
+	f := &Memory{base: m.base, pages: make(map[uint32]*page, len(m.pages)), ar: m.ar}
 	for k, p := range m.pages {
 		if !p.shared {
 			p.shared = true
 		}
-		child.pages[k] = p
+		f.pages[k] = p
 	}
-	return child
+	return f
 }
 
 func (m *Memory) baseByte(addr uint32) byte {

@@ -11,31 +11,16 @@ import (
 	"revnic/internal/trace"
 )
 
-// This file implements the fork-join parallel exploration mode: once
-// a phase's serial spread has grown the live set to Config.Shards
-// independent state groups, each group is explored to completion by a
-// worker child engine (its own collector, solver, counters and
-// registry snapshots), and the results are merged back in seed
+// This file implements the fork-join exploration mode: once a phase's
+// serial spread has grown the live set to Config.Shards independent
+// state groups, each group becomes a ShardTask and is explored to
+// completion on a shard engine (its own collector, solver, counters
+// and registry snapshots), and the outcomes are merged back in seed
 // order. The decomposition depends only on Config.Shards and the
 // deterministic spread — never on Config.Workers, which sets the
-// goroutine count alone — so traces, coverage and synthesized code
-// are bit-identical for every Workers value, including the fully
-// serial Workers=1 run.
-
-// phaseBudgets carries the remaining exploration allowances of one
-// phase across the serial spread and the per-shard explorations.
-type phaseBudgets struct {
-	// blocks is the translation-block budget left in the phase.
-	blocks int64
-	// stagnation ends exploration after this many blocks without new
-	// coverage.
-	stagnation int64
-	// successes is how many successful completions trigger the
-	// remaining-path discard of §3.2.
-	successes int
-	// maxStates caps the live set.
-	maxStates int
-}
+// goroutine count alone, nor on Config.ShardRunner, which decides
+// where a task runs — so traces, coverage and synthesized code are
+// bit-identical for every Workers value and dispatch mode.
 
 // minShardStagnation keeps a shard's stagnation allowance from
 // rounding down to a value too small to escape a cold start.
@@ -43,39 +28,25 @@ const minShardStagnation = 5000
 
 // split divides the phase's remaining allowances evenly among n
 // shards, with floors so every shard can make progress.
-func (b phaseBudgets) split(n int) phaseBudgets {
-	per := phaseBudgets{
-		blocks:     b.blocks / int64(n),
-		stagnation: b.stagnation / int64(n),
-		successes:  (b.successes + n - 1) / n,
-		maxStates:  b.maxStates / n,
+func (b ShardBudget) split(n int) ShardBudget {
+	return ShardBudget{
+		Blocks:     max(b.Blocks/int64(n), 0),
+		Stagnation: max(b.Stagnation/int64(n), minShardStagnation),
+		Successes:  max((b.Successes+n-1)/n, 1),
+		MaxStates:  max(b.MaxStates/n, 32),
 	}
-	if per.blocks < 0 {
-		per.blocks = 0
-	}
-	if per.stagnation < minShardStagnation {
-		per.stagnation = minShardStagnation
-	}
-	if per.successes < 1 {
-		per.successes = 1
-	}
-	if per.maxStates < 32 {
-		per.maxStates = 32
-	}
-	return per
 }
 
 // exploreShards partitions the live set into Config.Shards groups
 // (the serial spread hands over at least that many states), explores
-// each on a worker child engine (at most Config.Workers goroutines
-// run concurrently), and merges the children back in seed order.
-// The partition orders states by their creation ID, so it is a pure
-// function of the spread, not of the worker count or scheduling. With Config.ShardRunner set, the groups
-// are serialized into ShardTasks and dispatched through the runner
-// instead — remote execution, with the in-process path as its
-// guaranteed local fallback — and the decoded results merge in the
-// same seed order, so the outcome is bit-identical either way.
-func (e *Engine) exploreShards(live []*State, name, successName string, bdg phaseBudgets, success successFn) ([]*State, error) {
+// each as one ShardTask, and merges the outcomes in seed order. The
+// partition orders states by their creation ID, so it is a pure
+// function of the spread. Without a ShardRunner the groups run in
+// memory on at most Config.Workers goroutines; with one, each task
+// carries its group in wire form and the runner executes it remotely
+// or through the local fallback (runShardTask), whose decoded results
+// merge exactly like the in-memory outcomes.
+func (e *Engine) exploreShards(live []*State, name, successName string, bdg ShardBudget) ([]*State, error) {
 	sort.Slice(live, func(i, j int) bool { return live[i].ID < live[j].ID })
 	n := e.cfg.Shards
 	e.shardsEff = n
@@ -83,96 +54,12 @@ func (e *Engine) exploreShards(live []*State, name, successName string, bdg phas
 	for i, s := range live {
 		groups[i%n] = append(groups[i%n], s)
 	}
+	// Tasks are built serially so jobSeq (and with it symbol
+	// namespaces) and the reserved state-ID ranges advance
+	// deterministically.
 	per := bdg.split(n)
-	if e.cfg.ShardRunner != nil {
-		return e.exploreShardsVia(e.cfg.ShardRunner, groups, name, successName, per)
-	}
-
-	// Children are created serially so jobSeq (and with it symbol
-	// namespaces and state-ID ranges) advances deterministically.
-	children := make([]*Engine, n)
-	for i := range children {
-		children[i] = e.child(i)
-	}
-
-	completedByShard := make([][]*State, n)
-	errs := make([]error, n)
-	workers := e.cfg.Workers
-	if workers > n {
-		workers = n
-	}
-	// Each child's solver is closed as soon as its exploration returns,
-	// so the next child's session can reuse its backend; the join reads
-	// only the counters, which outlive Close.
-	if workers <= 1 {
-		for idx := 0; idx < n; idx++ {
-			completedByShard[idx], _, _, errs[idx] =
-				children[idx].exploreSet(groups[idx], name, per, success, 0)
-			children[idx].sol.Close()
-		}
-	} else {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		// A panic inside a worker goroutine cannot unwind past the
-		// goroutine boundary, so callers' recovers (the revnicd job
-		// runner's in particular) would never see it and the whole
-		// process would die. Convert it to a per-shard error instead.
-		runShard := func(idx int) {
-			defer func() {
-				if r := recover(); r != nil {
-					errs[idx] = fmt.Errorf("symexec: shard %d worker panic: %v", idx, r)
-				}
-			}()
-			completedByShard[idx], _, _, errs[idx] =
-				children[idx].exploreSet(groups[idx], name, per, success, 0)
-			children[idx].sol.Close()
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for idx := range jobs {
-					runShard(idx)
-				}
-			}()
-		}
-		for idx := 0; idx < n; idx++ {
-			jobs <- idx
-		}
-		close(jobs)
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Join: fold the children back in seed order; concatenating the
-	// per-shard completion lists in the same order keeps the
-	// pickSeed RNG consumption identical across worker counts.
-	var completed []*State
-	for i := 0; i < n; i++ {
-		e.applyOutcome(childOutcome(children[i]))
-		completed = append(completed, completedByShard[i]...)
-	}
-	// Skip past every child's reserved ID range (child i allocates
-	// upward from stateID + (i+1)*jobIDSpan), so parent IDs minted
-	// after the join stay unique.
-	e.stateID += (n + 1) * jobIDSpan
-	return completed, nil
-}
-
-// exploreShardsVia is the dispatched form of the fan-out: each group
-// becomes a self-contained ShardTask (built serially, so jobSeq and
-// the reserved state-ID ranges advance exactly as the in-process path
-// does), the phase's tasks are handed to the runner as one batch, and
-// the results are decoded and merged in seed order — regardless of
-// where or how often each shard executed.
-func (e *Engine) exploreShardsVia(runner ShardRunner, groups [][]*State, name, successName string, per phaseBudgets) ([]*State, error) {
-	n := len(groups)
 	tasks := make([]*ShardTask, n)
-	for i := range groups {
+	for i := range tasks {
 		e.jobSeq++
 		tasks[i] = &ShardTask{
 			Phase:       name,
@@ -180,46 +67,159 @@ func (e *Engine) exploreShardsVia(runner ShardRunner, groups [][]*State, name, s
 			Seq:         e.jobSeq,
 			StateIDBase: e.stateID + (i+1)*jobIDSpan,
 			Success:     successName,
-			Budget: ShardBudget{
-				Blocks:     per.blocks,
-				Stagnation: per.stagnation,
-				Successes:  per.successes,
-				MaxStates:  per.maxStates,
-			},
-			Entries: e.entries,
-			Timer:   e.timer,
-			DMA:     e.dma.Regions(),
-			Group:   encodeStateGroup(groups[i]),
+			Budget:      per,
+			Entries:     e.entries,
+			Timer:       e.timer,
+			DMA:         e.dma.Regions(),
 		}
 	}
-	results, err := runner.RunShards(tasks, e.executeShardLocal)
-	if err != nil {
-		return nil, fmt.Errorf("symexec: shard queue (%s): %w", name, err)
-	}
-	if len(results) != n {
-		return nil, fmt.Errorf("symexec: shard queue (%s): %d results for %d tasks", name, len(results), n)
-	}
-	for i, r := range results {
-		if r == nil {
-			return nil, fmt.Errorf("symexec: shard %d (%s): runner returned no result", i, name)
+
+	outcomes := make([]*shardOutcome, n)
+	completed := make([][]*State, n)
+	if runner := e.cfg.ShardRunner; runner != nil {
+		for i, t := range tasks {
+			t.Group = encodeStateGroup(groups[i])
 		}
-	}
-	var completed []*State
-	for i := 0; i < n; i++ {
-		o, states, err := e.decodeShardResult(results[i])
+		results, err := runner.RunShards(tasks, e.runShardTask)
 		if err != nil {
-			return nil, fmt.Errorf("symexec: shard %d (%s): %w", i, name, err)
+			return nil, fmt.Errorf("symexec: shard queue (%s): %w", name, err)
 		}
-		e.applyOutcome(o)
-		completed = append(completed, states...)
+		if len(results) != n {
+			return nil, fmt.Errorf("symexec: shard queue (%s): %d results for %d tasks", name, len(results), n)
+		}
+		for i, r := range results {
+			if r == nil {
+				return nil, fmt.Errorf("symexec: shard %d (%s): runner returned no result", i, name)
+			}
+			if outcomes[i], completed[i], err = e.decodeShardResult(r); err != nil {
+				return nil, fmt.Errorf("symexec: shard %d (%s): %w", i, name, err)
+			}
+		}
+	} else {
+		err := runPool(n, e.cfg.Workers, func(i int) (err error) {
+			outcomes[i], completed[i], err = e.exploreShard(tasks[i], groups[i])
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
+
+	var all []*State
+	for i := range outcomes {
+		e.applyOutcome(outcomes[i])
+		all = append(all, completed[i]...)
+	}
+	// Skip past every shard's reserved ID range (shard i allocates
+	// upward from stateID + (i+1)*jobIDSpan), so parent IDs minted
+	// after the join stay unique.
 	e.stateID += (n + 1) * jobIDSpan
-	return completed, nil
+	return all, nil
+}
+
+// runPool calls body for 0..n-1 on at most workers goroutines and
+// returns the first error in index order. A panic inside a pool
+// goroutine cannot unwind past it, so callers' recovers (the revnicd
+// job runner's in particular) would never see it and the whole
+// process would die; it becomes that index's error instead.
+func runPool(n, workers int, body func(i int) error) error {
+	errs := make([]error, n)
+	run := func(i int) {
+		defer func() {
+			if r := recover(); r != nil {
+				errs[i] = fmt.Errorf("symexec: shard %d panic: %v", i, r)
+			}
+		}()
+		errs[i] = body(i)
+	}
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				run(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		jobs <- i
+	}
+	close(jobs)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// shardEngine builds the engine that explores one shard task. It
+// shares e's immutable inputs (program, translation image, arena,
+// base image, configuration), takes its identity (symbol namespace,
+// state-ID range) and registry snapshots (entry points, timer
+// handler, DMA regions) from the task, and gets its own collector,
+// solver and counters, so a group can be explored without touching
+// e.
+func (e *Engine) shardEngine(t *ShardTask) *Engine {
+	s := &Engine{
+		cfg:       e.cfg,
+		prog:      e.prog,
+		image:     e.image,
+		col:       trace.NewCollector(),
+		sol:       newSolver(e.cfg),
+		ar:        e.ar,
+		baseRAM:   e.baseRAM,
+		entries:   t.Entries,
+		timer:     t.Timer,
+		symPrefix: fmt.Sprintf("j%d.", t.Seq),
+		stateID:   t.StateIDBase,
+	}
+	for _, r := range t.DMA {
+		s.dma.Register(r[0], r[1])
+	}
+	return s
+}
+
+// exploreShard explores one shard group to completion on its shard
+// engine and returns the mergeable outcome and the completed states
+// (next-phase seed candidates). The shard's solver is closed on
+// return, so the next shard's session can reuse its backend; the
+// outcome holds only its counters.
+func (e *Engine) exploreShard(t *ShardTask, states []*State) (*shardOutcome, []*State, error) {
+	success, err := successFunc(t.Success)
+	if err != nil {
+		return nil, nil, err
+	}
+	s := e.shardEngine(t)
+	defer s.sol.Close()
+	completed, _, _, err := s.exploreSet(states, t.Phase, t.Budget, success, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	q, h := s.sol.Stats()
+	return &shardOutcome{
+		discov:    s.discov,
+		exec:      s.exec,
+		forks:     s.forks,
+		killed:    s.killed,
+		queries:   q,
+		hits:      h,
+		modelHits: s.modelHits,
+		search:    s.sol.Search(),
+		col:       s.col,
+		dma:       s.dma,
+		entries:   s.entries,
+		timer:     s.timer,
+		stopped:   s.stopHit,
+	}, completed, nil
 }
 
 // shardOutcome is everything one explored shard feeds into the join,
-// in a form common to the in-process path (childOutcome) and the
-// dispatched path (decodeShardResult) — one merge implementation,
+// whether it was explored in memory (exploreShard) or decoded from a
+// runner's result (decodeShardResult) — one merge implementation,
 // however the shard was executed.
 type shardOutcome struct {
 	discov    []covDiscovery
@@ -235,35 +235,6 @@ type shardOutcome struct {
 	entries   guestos.EntryPoints
 	timer     uint32
 	stopped   TermReason
-}
-
-// searchStats is the SAT-level work of e's own solver plus that of
-// every child merged so far.
-func (e *Engine) searchStats() solver.SearchStats {
-	st := e.sol.Search()
-	st.Add(e.childSearch)
-	return st
-}
-
-// childOutcome extracts the mergeable outcome of an in-process worker
-// child engine.
-func childOutcome(c *Engine) *shardOutcome {
-	q, h := c.sol.Stats()
-	return &shardOutcome{
-		discov:    c.discov,
-		exec:      c.exec,
-		forks:     c.forks,
-		killed:    c.killed,
-		queries:   q + c.childQueries,
-		hits:      h + c.childHits,
-		modelHits: c.modelHits,
-		search:    c.searchStats(),
-		col:       c.col,
-		dma:       c.dma,
-		entries:   c.entries,
-		timer:     c.timer,
-		stopped:   c.stopHit,
-	}
 }
 
 // applyOutcome folds one shard outcome back into the parent: coverage
@@ -286,10 +257,10 @@ func (e *Engine) applyOutcome(o *shardOutcome) {
 	e.exec += o.exec
 	e.forks += o.forks
 	e.killed += o.killed
-	e.childQueries += o.queries
-	e.childHits += o.hits
+	e.shardQueries += o.queries
+	e.shardHits += o.hits
 	e.modelHits += o.modelHits
-	e.childSearch.Add(o.search)
+	e.shardSearch.Add(o.search)
 	e.col.Merge(o.col)
 	e.dma.Merge(&o.dma)
 	if !e.entries.Registered() && o.entries.Registered() {
@@ -299,7 +270,7 @@ func (e *Engine) applyOutcome(o *shardOutcome) {
 		e.timer = o.timer
 	}
 	if e.stopHit == TermRunning && o.stopped != TermRunning {
-		// A stop observed inside a worker is a stop of the whole run;
+		// A stop observed inside a shard is a stop of the whole run;
 		// latch it so Result.Stopped is set even when the parent's own
 		// loop never polled after the fan-out.
 		e.stopHit = o.stopped

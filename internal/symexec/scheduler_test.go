@@ -9,9 +9,9 @@ import (
 )
 
 // TestShardFactorDeterminismMatrix quantifies the scheduling contract:
-// the fan-out schedule (Shards groups, fixed by Seed and Shards) gives
-// a bit-identical result across worker counts and across dispatch
-// modes (in-process fork-join vs the wire-codec remote runner, vs a
+// the fan-out schedule (Shards groups, fixed by Shards) gives a
+// bit-identical result across worker counts and across dispatch
+// modes (in-memory fork-join vs the wire-codec remote runner, vs a
 // mix with local fallbacks). Everything downstream of the schedule is
 // free to vary; the traces and solver counters are not. The schedule
 // splits each phase into exactly one group per shard (a shard factor
@@ -24,7 +24,7 @@ func TestShardFactorDeterminismMatrix(t *testing.T) {
 	shell := hw.PCIConfig{VendorID: info.VendorID, DeviceID: info.DeviceID,
 		IOBase: 0xC000, IOSize: 0x100, IRQLine: 11}
 	t.Run("factor=1", func(t *testing.T) {
-		base := exploreDriver(t, "RTL8029", Config{Seed: 11, Workers: 1})
+		base := exploreDriver(t, "RTL8029", Config{Workers: 1})
 		want, wantCounts := traceFingerprint(base), solverCounts(base)
 		check := func(t *testing.T, res *Result) {
 			t.Helper()
@@ -38,7 +38,7 @@ func TestShardFactorDeterminismMatrix(t *testing.T) {
 
 		for _, workers := range []int{2, 4} {
 			t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-				check(t, exploreDriver(t, "RTL8029", Config{Seed: 11, Workers: workers}))
+				check(t, exploreDriver(t, "RTL8029", Config{Workers: workers}))
 			})
 		}
 		for _, mode := range []struct {
@@ -46,10 +46,10 @@ func TestShardFactorDeterminismMatrix(t *testing.T) {
 			localEvery int
 		}{{"remote", 0}, {"mixed", 2}} {
 			t.Run(mode.name, func(t *testing.T) {
-				cfg := Config{Seed: 11, Workers: 2, Shell: shell}
+				cfg := Config{Workers: 2, Shell: shell}
 				cfg.ShardRunner = &wireRunner{
 					prog:       info.Program,
-					cfg:        Config{Seed: 11, Shell: shell},
+					cfg:        Config{Shell: shell},
 					localEvery: mode.localEvery,
 				}
 				res, err := New(info.Program, cfg).Explore()
@@ -69,11 +69,11 @@ func TestShardFactorDeterminismMatrix(t *testing.T) {
 func TestShardsEffectiveSurfaced(t *testing.T) {
 	var def Config
 	def.defaults()
-	res := exploreDriver(t, "RTL8029", Config{Seed: 11, Workers: 2})
+	res := exploreDriver(t, "RTL8029", Config{Workers: 2})
 	if want := def.Shards; res.ShardsEffective != want {
 		t.Fatalf("ShardsEffective = %d, want Shards = %d for the default config", res.ShardsEffective, want)
 	}
-	serial := exploreDriver(t, "RTL8029", Config{Seed: 11, Shards: 1})
+	serial := exploreDriver(t, "RTL8029", Config{Shards: 1})
 	if serial.ShardsEffective != 0 || serial.ShardCollapses != 0 {
 		t.Fatalf("Shards=1 reported effective=%d collapses=%d, want 0/0",
 			serial.ShardsEffective, serial.ShardCollapses)

@@ -8,7 +8,7 @@ import (
 
 // This file defines the pluggable path-selection layer. The engine's
 // state-selection loop no longer hardcodes a strategy enum: each
-// exploration (the root engine and every fork-join worker child)
+// exploration (the root engine and every fork-join shard engine)
 // constructs a Searcher through the factory in Config.Searcher and
 // consults it for every scheduling decision. Determinism is part of
 // the contract — a Searcher sees only deterministic inputs (the live

@@ -2,7 +2,6 @@ package symexec
 
 import (
 	"fmt"
-	"math/rand"
 
 	"revnic/internal/guestos"
 	"revnic/internal/hw"
@@ -11,32 +10,38 @@ import (
 	"revnic/internal/trace"
 )
 
-// This file is the engine's half of distributed exploration: the
-// fork-join shard groups that PR 1 made deterministic and
-// worker-count-independent are extracted into self-contained
-// ShardTasks that any node can execute (ExecuteShardTask) and whose
-// ShardResults merge back on the coordinator bit-identically to the
-// in-process path. A task is idempotent — executing it twice, on
-// different machines or once remotely and once as a local fallback,
-// yields byte-for-byte the same result — which is what makes retries
-// and straggler re-dispatch safe upstream.
+// This file is the wire form of the fork-join shards: with a
+// ShardRunner set, each ShardTask carries its state group, any node
+// can execute it (ExecuteShardTask), and its ShardResult merges back
+// on the coordinator bit-identically to an in-memory shard. A task is
+// idempotent — executing it twice, on different machines or once
+// remotely and once as a local fallback, yields byte-for-byte the
+// same result — which is what makes retries and straggler re-dispatch
+// safe upstream.
 
-// ShardBudget is a phase's per-shard exploration allowance, already
-// split by the coordinator (phaseBudgets.split).
+// ShardBudget is an exploration allowance: a phase's remaining one
+// while it spreads, and each shard's share of it (split) once it fans
+// out.
 type ShardBudget struct {
-	Blocks     int64 `json:"blocks"`
+	// Blocks is the translation-block budget.
+	Blocks int64 `json:"blocks"`
+	// Stagnation ends exploration after this many blocks without new
+	// coverage.
 	Stagnation int64 `json:"stagnation"`
-	Successes  int   `json:"successes"`
-	MaxStates  int   `json:"max_states"`
+	// Successes is how many successful completions trigger the
+	// remaining-path discard of §3.2.
+	Successes int `json:"successes"`
+	// MaxStates caps the live set.
+	MaxStates int `json:"max_states"`
 }
 
-// ShardTask is one shard group of one phase, with everything a peer
-// engine needs to continue the exploration exactly where the
-// coordinator's worker child would have: the serialized states, the
-// registry snapshots (entry points, timer handler, DMA regions), the
-// split budgets, and the deterministic identities (Seq names the
-// symbol namespace and RNG stream, StateIDBase the reserved state-ID
-// range).
+// ShardTask is one shard group of one phase, with everything a shard
+// engine needs to explore it: the registry snapshots (entry points,
+// timer handler, DMA regions), the split budget, and the
+// deterministic identities (Seq names the symbol namespace,
+// StateIDBase the reserved state-ID range). Group carries the states
+// in wire form when the task goes to a ShardRunner; in-memory shards
+// keep their states as they are.
 type ShardTask struct {
 	Phase       string              `json:"phase"`
 	Index       int                 `json:"index"`
@@ -85,74 +90,37 @@ type WireDiscovery struct {
 // must return one result per task, in task order. local executes a
 // task on the coordinator engine — the guaranteed fallback whenever
 // remote execution cannot deliver — and is safe to call concurrently
-// (each call builds a fresh worker child over the shared cache and
-// arena). Execution is idempotent, so running a task twice — on two
-// peers, or remotely and locally — and keeping whichever finishes
-// first yields the same merged result.
+// (each call builds a fresh shard engine over the shared image and
+// arena); it does not recover panics, so a runner calling it on its
+// own goroutines must. Execution is idempotent, so running a task
+// twice — on two peers, or remotely and locally — and keeping
+// whichever finishes first yields the same merged result.
 type ShardRunner interface {
 	RunShards(tasks []*ShardTask, local func(*ShardTask) (*ShardResult, error)) ([]*ShardResult, error)
 }
 
 // ExecuteShardTask executes one shard task against a fresh engine —
 // the peer-node entry point behind POST /shards. prog and cfg must
-// describe the same job the coordinator runs (same image, seed,
-// searcher and heuristics); cfg.Stop/Deadline bound the execution
-// (the serving node passes the request context's cancellation).
-// The result is bit-identical to what the coordinator's own worker
-// child would have produced for the same group.
+// describe the same job the coordinator runs (same image, searcher
+// and heuristics); cfg.Stop/Deadline bound the execution (the serving
+// node passes the request context's cancellation). The result is
+// bit-identical to the coordinator's in-memory exploration of the
+// same group.
 func ExecuteShardTask(prog *isa.Program, cfg Config, task *ShardTask) (*ShardResult, error) {
 	return New(prog, cfg).runShardTask(task)
 }
 
-// executeShardLocal runs a shard task on the coordinator itself, as a
-// worker child sharing the parent's translation image and arena —
-// the fallback path of the fault-tolerant dispatch, and byte-for-byte
-// the single-node fork-join execution of the same group.
-func (e *Engine) executeShardLocal(task *ShardTask) (res *ShardResult, err error) {
-	// Mirror exploreShards' worker-panic conversion: a panic here runs
-	// on a runner goroutine and must surface as a shard error, not kill
-	// the process.
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, fmt.Errorf("symexec: shard %d local fallback panic: %v", task.Index, r)
-		}
-	}()
-	c := &Engine{
-		cfg:     e.cfg,
-		prog:    e.prog,
-		image:   e.image,
-		col:     trace.NewCollector(),
-		sol:     newSolver(e.cfg),
-		ar:      e.ar,
-		baseRAM: e.baseRAM,
-	}
-	return c.runShardTask(task)
-}
-
-// runShardTask restores the deterministic worker-child identity from
-// the task, decodes the group, explores it and serializes the
-// outcome. The engine must be fresh apart from its shared immutable
-// inputs (image, cache, arena, config).
+// runShardTask is the wire adapter around exploreShard, shared by
+// peers (ExecuteShardTask) and the coordinator's local fallback: it
+// validates the task, decodes its group into e's arena, explores it
+// on a shard engine over e's immutable inputs, and encodes the
+// outcome.
 func (e *Engine) runShardTask(task *ShardTask) (*ShardResult, error) {
-	defer e.sol.Close()
-	success, err := successFunc(task.Success)
-	if err != nil {
-		return nil, err
-	}
 	if task.Budget.Successes < 1 || task.Budget.MaxStates < 1 {
 		return nil, fmt.Errorf("symexec: shard %d: degenerate budget %+v", task.Index, task.Budget)
 	}
 	if n := len(task.DMA); n > maxWireDMA {
 		return nil, fmt.Errorf("symexec: shard %d: %d DMA regions exceed the cap of %d", task.Index, n, maxWireDMA)
-	}
-	e.symPrefix = fmt.Sprintf("j%d.", task.Seq)
-	e.rng = rand.New(rand.NewSource(e.cfg.Seed + int64(task.Seq)))
-	e.stateID = task.StateIDBase
-	e.entries = task.Entries
-	e.timer = task.Timer
-	e.dma = hw.DMARegistry{}
-	for _, r := range task.DMA {
-		e.dma.Register(r[0], r[1])
 	}
 	states, err := decodeStateGroup(task.Group, e.baseRAM, e.ar)
 	if err != nil {
@@ -161,36 +129,29 @@ func (e *Engine) runShardTask(task *ShardTask) (*ShardResult, error) {
 	if len(states) == 0 {
 		return nil, fmt.Errorf("symexec: shard %d: empty state group", task.Index)
 	}
-	bdg := phaseBudgets{
-		blocks:     task.Budget.Blocks,
-		stagnation: task.Budget.Stagnation,
-		successes:  task.Budget.Successes,
-		maxStates:  task.Budget.MaxStates,
-	}
-	completed, _, _, err := e.exploreSet(states, task.Phase, bdg, success, 0)
+	o, completed, err := e.exploreShard(task, states)
 	if err != nil {
 		return nil, err
 	}
-	discov := make([]WireDiscovery, len(e.discov))
-	for i, d := range e.discov {
+	discov := make([]WireDiscovery, len(o.discov))
+	for i, d := range o.discov {
 		discov[i] = WireDiscovery{Addr: d.addr, Exec: d.exec}
 	}
-	q, h := e.sol.Stats()
 	return &ShardResult{
 		Completed: encodeStateGroup(completed),
-		Collector: e.col.Encode(),
+		Collector: o.col.Encode(),
 		Discov:    discov,
-		Exec:      e.exec,
-		Forks:     e.forks,
-		Killed:    e.killed,
-		Queries:   q,
-		CacheHits: h,
-		ModelHits: e.modelHits,
-		Search:    e.sol.Search(),
-		Entries:   e.entries,
-		Timer:     e.timer,
-		DMA:       e.dma.Regions(),
-		Stopped:   int(e.stopHit),
+		Exec:      o.exec,
+		Forks:     o.forks,
+		Killed:    o.killed,
+		Queries:   o.queries,
+		CacheHits: o.hits,
+		ModelHits: o.modelHits,
+		Search:    o.search,
+		Entries:   o.entries,
+		Timer:     o.timer,
+		DMA:       o.dma.Regions(),
+		Stopped:   int(o.stopped),
 	}, nil
 }
 
@@ -200,9 +161,10 @@ func (e *Engine) runShardTask(task *ShardTask) (*ShardResult, error) {
 // takes on the wire, so the cap bounds what a hostile payload can make
 // the coordinator allocate (~32 MB). maxWireDMA caps its DMA regions,
 // which merge in time quadratic in their number, and equally the DMA
-// list of a task a peer receives, which every load and store scans. The largest result
-// the corpus produces holds 37 blocks and 69 regions (4 drivers ×
-// Shards 2/4/8/16 × all four searchers, seed 1).
+// list of a task a peer receives, which every load and store scans.
+// The largest result the corpus produces holds 37 blocks and 69
+// regions (5 drivers × Shards 2/4/8/16 × the coverage, dfs and bfs
+// searchers).
 const (
 	maxWireBlocks = 4096
 	maxWireDMA    = 1024

@@ -19,7 +19,7 @@ import (
 // executed by ExecuteShardTask against a completely fresh engine
 // (fresh arena, fresh translation cache — nothing shared with the
 // coordinator), and the result is marshalled back. It is the
-// strongest in-process stand-in for remote execution: any hidden
+// strongest single-process stand-in for remote execution: any hidden
 // dependency on coordinator state would surface as a divergence.
 type wireRunner struct {
 	prog       *isa.Program
@@ -83,15 +83,17 @@ func (r *wireRunner) remote(task *ShardTask) (*ShardResult, error) {
 // TestShardRunnerBitIdentical is the distributed mode's core
 // guarantee: dispatching every shard group through the wire codec to
 // a fresh peer engine — or through the local fallback, or a mix —
-// merges into exactly the result the in-process fork-join produces.
+// merges into exactly the result the in-memory fork-join produces. It
+// covers every corpus driver, so the DMA-registry snapshot a task
+// carries is exercised by the DMA drivers too.
 func TestShardRunnerBitIdentical(t *testing.T) {
-	for _, driver := range []string{"RTL8029", "RTL8139"} {
+	for _, driver := range []string{"RTL8029", "RTL8139", "AMD PCNet", "SMSC 91C111", "SBLK100"} {
 		t.Run(driver, func(t *testing.T) {
 			info, err := drivers.ByName(driver)
 			if err != nil {
 				t.Fatal(err)
 			}
-			base := Config{Seed: 11, Workers: 2}
+			base := Config{Workers: 2}
 			want := traceFingerprint(exploreDriver(t, driver, base))
 
 			for name, localEvery := range map[string]int{"remote": 0, "mixed": 2} {
@@ -102,7 +104,7 @@ func TestShardRunnerBitIdentical(t *testing.T) {
 					cfg.Shell = shell
 					cfg.ShardRunner = &wireRunner{
 						prog:       info.Program,
-						cfg:        Config{Seed: 11, Shell: shell},
+						cfg:        Config{Shell: shell},
 						localEvery: localEvery,
 					}
 					eng := New(info.Program, cfg)
@@ -111,7 +113,7 @@ func TestShardRunnerBitIdentical(t *testing.T) {
 						t.Fatal(err)
 					}
 					if got := traceFingerprint(res); got != want {
-						t.Fatalf("%s dispatch diverged from in-process run (fingerprints %d vs %d bytes)",
+						t.Fatalf("%s dispatch diverged from in-memory run (fingerprints %d vs %d bytes)",
 							name, len(got), len(want))
 					}
 				})
@@ -132,10 +134,10 @@ func TestShardRunnerSolverAndTranslationStats(t *testing.T) {
 	}
 	shell := hw.PCIConfig{VendorID: info.VendorID, DeviceID: info.DeviceID,
 		IOBase: 0xC000, IOSize: 0x100, IRQLine: 11}
-	direct := exploreDriver(t, "RTL8029", Config{Seed: 3})
+	direct := exploreDriver(t, "RTL8029", Config{})
 
-	cfg := Config{Seed: 3, Shell: shell}
-	cfg.ShardRunner = &wireRunner{prog: info.Program, cfg: Config{Seed: 3, Shell: shell}}
+	cfg := Config{Shell: shell}
+	cfg.ShardRunner = &wireRunner{prog: info.Program, cfg: Config{Shell: shell}}
 	res, err := New(info.Program, cfg).Explore()
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +159,7 @@ func TestStateGroupRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(info.Program, Config{Seed: 1})
+	e := New(info.Program, Config{})
 	a := e.newState()
 	a.Mem.Write(0x1000, 4, e.ar.C(0xDEADBEEF, 32))
 	a.Regs[2] = e.ar.Add(e.ar.S("x", 32), e.ar.C(7, 32))
@@ -367,7 +369,7 @@ func TestShardTaskBoundsDMA(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []int{maxWireDMA, maxWireDMA + 1} {
-		e := New(info.Program, Config{Seed: 1, Arena: expr.NewArena()})
+		e := New(info.Program, Config{Arena: expr.NewArena()})
 		s := e.newState()
 		s.PC = info.Program.Base
 		task := &ShardTask{

@@ -151,8 +151,8 @@ func encodeStateGroup(states []*State) *WireStateGroup {
 // entry decodes to a full overlay page (pageSize pointers, 2 KB)
 // however few bytes it takes on the wire, so the cap bounds what a
 // hostile payload can make the decoder allocate. The largest table
-// the corpus produces is 58 pages (5 drivers × Shards 2/4/8/16 × all
-// four searchers, seed 1).
+// the corpus produces is 58 pages (5 drivers × Shards 2/4/8/16 × the
+// coverage, dfs and bfs searchers).
 const maxWirePages = 1024
 
 // decodeStateGroup rebuilds the states against the given base image

@@ -77,7 +77,7 @@ func TestWitnessSatisfiesPathCondition(t *testing.T) {
 			IOBase: 0xC000, IOSize: 0x100, IRQLine: 11}
 		for _, wire := range []bool{false, true} {
 			log := &stateLog{states: map[*State]bool{}}
-			cfg := Config{Seed: 1, Shell: shell, Searcher: log.factory(NewCoverageGuided)}
+			cfg := Config{Shell: shell, Searcher: log.factory(NewCoverageGuided)}
 			label := info.Name
 			if wire {
 				label += "/wire"
@@ -150,13 +150,13 @@ func exploreWitnessProbe(t *testing.T) map[TermReason]int {
 		t.Fatal(err)
 	}
 	log := &stateLog{states: map[*State]bool{}}
-	e := New(prog, Config{Seed: 1, Searcher: log.factory(NewCoverageGuided), PollThreshold: 8})
+	e := New(prog, Config{Searcher: log.factory(NewCoverageGuided), PollThreshold: 8})
 	st := e.newState()
 	sp := uint32(hw.StackTop) - 4
 	st.Mem.Write(sp, 4, e.ar.C(vm.MagicReturn, 32))
 	st.Regs[isa.SP] = e.ar.C(sp, 32)
 	st.PC = prog.Base
-	bdg := phaseBudgets{blocks: 2000, stagnation: 2000, successes: 1000, maxStates: 4}
+	bdg := ShardBudget{Blocks: 2000, Stagnation: 2000, Successes: 1000, MaxStates: 4}
 	if _, _, _, err := e.exploreSet([]*State{st}, "probe", bdg, anyResult, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestDecodeStateGroupRejectsBadWitness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(info.Program, Config{Seed: 1})
+	e := New(info.Program, Config{})
 	s := e.newState()
 	x, y := e.ar.S("x", 32), e.ar.S("y", 32)
 	s.Constrain(e.ar.Eq(x, e.ar.C(5, 32)), map[string]uint32{"x": 5})
