@@ -48,13 +48,14 @@ type WireDAG struct {
 // and constraint of a state group) emits each distinct node once.
 // Not safe for concurrent use.
 type DAGEncoder struct {
-	nodes []WireNode
-	seen  map[uint64]int32 // interned ID -> 1-based table index
+	nodes  []WireNode
+	seen   map[uint64]int32 // interned ID -> 1-based table index
+	consts map[uint64]int32 // width<<32 | value -> 1-based table index
 }
 
 // NewDAGEncoder returns an empty encoder.
 func NewDAGEncoder() *DAGEncoder {
-	return &DAGEncoder{seen: map[uint64]int32{}}
+	return &DAGEncoder{seen: map[uint64]int32{}, consts: map[uint64]int32{}}
 }
 
 // Add encodes e (sharing already-emitted subtrees) and returns its
@@ -62,6 +63,9 @@ func NewDAGEncoder() *DAGEncoder {
 func (enc *DAGEncoder) Add(e *Expr) int32 {
 	if e == nil {
 		return 0
+	}
+	if e.Kind == KConst {
+		return enc.Const(e.Val, e.Width)
 	}
 	if ref, ok := enc.seen[e.id]; ok {
 		return ref
@@ -75,6 +79,21 @@ func (enc *DAGEncoder) Add(e *Expr) int32 {
 	})
 	ref := int32(len(enc.nodes))
 	enc.seen[e.id] = ref
+	return ref
+}
+
+// Const encodes the constant v of width w without building a node, so
+// callers holding plain machine words need no arena to serialize them.
+// It shares one table entry with every equal constant Add meets.
+func (enc *DAGEncoder) Const(v uint32, w uint8) int32 {
+	v &= mask(w)
+	key := uint64(w)<<32 | uint64(v)
+	if ref, ok := enc.consts[key]; ok {
+		return ref
+	}
+	enc.nodes = append(enc.nodes, WireNode{K: uint8(KConst), W: w, V: v})
+	ref := int32(len(enc.nodes))
+	enc.consts[key] = ref
 	return ref
 }
 

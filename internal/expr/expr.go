@@ -170,7 +170,11 @@ func signExtend(v uint32, w uint8) int32 {
 // SignExtend interprets v as a signed w-bit value.
 func SignExtend(v uint32, w uint8) int32 { return signExtend(v, w) }
 
-func binFold(k Kind, a, b uint32, w uint8) uint32 {
+// BinFold computes the arithmetic kind k (KAdd through KAshr) on two
+// concrete w-bit values: the constant fold every constructor applies,
+// exported so the engine can compute on machine words without building
+// nodes that would fold anyway.
+func BinFold(k Kind, a, b uint32, w uint8) uint32 {
 	m := mask(w)
 	switch k {
 	case KAdd:
@@ -192,10 +196,12 @@ func binFold(k Kind, a, b uint32, w uint8) uint32 {
 	case KAshr:
 		return uint32(signExtend(a, w)>>(b%32)) & m
 	}
-	panic("expr: binFold on non-arithmetic kind " + kindNames[k])
+	panic("expr: BinFold on non-arithmetic kind " + kindNames[k])
 }
 
-func (ar *Arena) bin(k Kind, a, b *Expr) *Expr {
+// Bin returns the arithmetic kind k (KAdd through KAshr) applied to a
+// and b, folded and canonicalized like the named constructors.
+func (ar *Arena) Bin(k Kind, a, b *Expr) *Expr {
 	if a.Width != b.Width {
 		panic(fmt.Sprintf("expr: width mismatch %d vs %d in %s", a.Width, b.Width, kindNames[k]))
 	}
@@ -203,7 +209,7 @@ func (ar *Arena) bin(k Kind, a, b *Expr) *Expr {
 	av, aConst := a.IsConst()
 	bv, bConst := b.IsConst()
 	if aConst && bConst {
-		return ar.C(binFold(k, av, bv, w), w)
+		return ar.C(BinFold(k, av, bv, w), w)
 	}
 	// Algebraic identities with a constant operand.
 	if bConst {
@@ -250,7 +256,7 @@ func (ar *Arena) bin(k Kind, a, b *Expr) *Expr {
 		}
 		if bConst && a.Kind == k {
 			if iv, ok := a.B.IsConst(); ok {
-				return ar.bin(k, a.A, ar.C(binFold(k, iv, bv, w), w))
+				return ar.Bin(k, a.A, ar.C(BinFold(k, iv, bv, w), w))
 			}
 		}
 		if !aConst && !bConst && a.Hash() > b.Hash() {
@@ -259,7 +265,7 @@ func (ar *Arena) bin(k Kind, a, b *Expr) *Expr {
 	case KSub:
 		// x - c  =>  x + (-c), unifying with the KAdd re-association.
 		if bConst {
-			return ar.bin(KAdd, a, ar.C(-bv&mask(w), w))
+			return ar.Bin(KAdd, a, ar.C(-bv&mask(w), w))
 		}
 	}
 	_ = av
@@ -270,55 +276,55 @@ func (ar *Arena) bin(k Kind, a, b *Expr) *Expr {
 func Add(a, b *Expr) *Expr { return defaultArena.Add(a, b) }
 
 // Add returns a+b.
-func (ar *Arena) Add(a, b *Expr) *Expr { return ar.bin(KAdd, a, b) }
+func (ar *Arena) Add(a, b *Expr) *Expr { return ar.Bin(KAdd, a, b) }
 
 // Sub returns a-b.
 func Sub(a, b *Expr) *Expr { return defaultArena.Sub(a, b) }
 
 // Sub returns a-b.
-func (ar *Arena) Sub(a, b *Expr) *Expr { return ar.bin(KSub, a, b) }
+func (ar *Arena) Sub(a, b *Expr) *Expr { return ar.Bin(KSub, a, b) }
 
 // Mul returns a*b (low bits).
 func Mul(a, b *Expr) *Expr { return defaultArena.Mul(a, b) }
 
 // Mul returns a*b (low bits).
-func (ar *Arena) Mul(a, b *Expr) *Expr { return ar.bin(KMul, a, b) }
+func (ar *Arena) Mul(a, b *Expr) *Expr { return ar.Bin(KMul, a, b) }
 
 // And returns a&b.
 func And(a, b *Expr) *Expr { return defaultArena.And(a, b) }
 
 // And returns a&b.
-func (ar *Arena) And(a, b *Expr) *Expr { return ar.bin(KAnd, a, b) }
+func (ar *Arena) And(a, b *Expr) *Expr { return ar.Bin(KAnd, a, b) }
 
 // Or returns a|b.
 func Or(a, b *Expr) *Expr { return defaultArena.Or(a, b) }
 
 // Or returns a|b.
-func (ar *Arena) Or(a, b *Expr) *Expr { return ar.bin(KOr, a, b) }
+func (ar *Arena) Or(a, b *Expr) *Expr { return ar.Bin(KOr, a, b) }
 
 // Xor returns a^b.
 func Xor(a, b *Expr) *Expr { return defaultArena.Xor(a, b) }
 
 // Xor returns a^b.
-func (ar *Arena) Xor(a, b *Expr) *Expr { return ar.bin(KXor, a, b) }
+func (ar *Arena) Xor(a, b *Expr) *Expr { return ar.Bin(KXor, a, b) }
 
 // Shl returns a << b (shift amount taken mod 32).
 func Shl(a, b *Expr) *Expr { return defaultArena.Shl(a, b) }
 
 // Shl returns a << b (shift amount taken mod 32).
-func (ar *Arena) Shl(a, b *Expr) *Expr { return ar.bin(KShl, a, b) }
+func (ar *Arena) Shl(a, b *Expr) *Expr { return ar.Bin(KShl, a, b) }
 
 // Lshr returns the logical right shift a >> b.
 func Lshr(a, b *Expr) *Expr { return defaultArena.Lshr(a, b) }
 
 // Lshr returns the logical right shift a >> b.
-func (ar *Arena) Lshr(a, b *Expr) *Expr { return ar.bin(KLshr, a, b) }
+func (ar *Arena) Lshr(a, b *Expr) *Expr { return ar.Bin(KLshr, a, b) }
 
 // Ashr returns the arithmetic right shift a >> b.
 func Ashr(a, b *Expr) *Expr { return defaultArena.Ashr(a, b) }
 
 // Ashr returns the arithmetic right shift a >> b.
-func (ar *Arena) Ashr(a, b *Expr) *Expr { return ar.bin(KAshr, a, b) }
+func (ar *Arena) Ashr(a, b *Expr) *Expr { return ar.Bin(KAshr, a, b) }
 
 // Eq returns the boolean a == b.
 func Eq(a, b *Expr) *Expr { return defaultArena.Eq(a, b) }
@@ -619,7 +625,7 @@ func evalNode(e *Expr, env map[string]uint32, memo map[uint64]uint32) uint32 {
 	case KSym:
 		return env[e.Name] & mask(e.Width)
 	case KAdd, KSub, KMul, KAnd, KOr, KXor, KShl, KLshr, KAshr:
-		return binFold(e.Kind, ev(e.A), ev(e.B), e.Width)
+		return BinFold(e.Kind, ev(e.A), ev(e.B), e.Width)
 	case KEq:
 		if ev(e.A) == ev(e.B) {
 			return 1

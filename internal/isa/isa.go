@@ -140,6 +140,25 @@ func (c Cond) String() string {
 	return fmt.Sprintf("cond(%d)", uint8(c))
 }
 
+// Holds reports whether the condition holds between a and b.
+func (c Cond) Holds(a, b uint32) bool {
+	switch c {
+	case EQ:
+		return a == b
+	case NE:
+		return a != b
+	case LT:
+		return int32(a) < int32(b)
+	case GE:
+		return int32(a) >= int32(b)
+	case LTU:
+		return a < b
+	case GEU:
+		return a >= b
+	}
+	panic("isa: bad condition")
+}
+
 // InstrSize is the fixed encoding size of every instruction, in bytes.
 const InstrSize = 8
 

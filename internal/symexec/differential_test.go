@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"revnic/internal/expr"
 	"revnic/internal/hw"
 	"revnic/internal/isa"
 	"revnic/internal/vm"
@@ -40,8 +39,8 @@ func TestDifferentialAgainstConcreteVM(t *testing.T) {
 		e := New(prog, Config{})
 		st := e.newState()
 		sp := uint32(hw.StackTop) - 4
-		st.Mem.Write(sp, 4, expr.C(vm.MagicReturn, 32))
-		st.Regs[isa.SP] = expr.C(sp, 32)
+		st.Mem.write(sp, 4, word{v: vm.MagicReturn})
+		st.regs[isa.SP] = word{v: sp}
 		st.PC = prog.Base
 		st.Frames = []frame{{target: prog.Base, entrySP: sp}}
 		live := []*State{st}
@@ -76,7 +75,7 @@ func TestDifferentialAgainstConcreteVM(t *testing.T) {
 		}
 		// All registers agree.
 		for i := 0; i < 7; i++ {
-			sv, ok := final.Regs[i].IsConst()
+			sv, ok := final.regs[i].concrete()
 			if !ok {
 				t.Fatalf("trial %d: r%d not concrete", trial, i)
 			}

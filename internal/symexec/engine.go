@@ -252,6 +252,10 @@ type Engine struct {
 	nextBuf uint32
 	bufs    []bufSpec
 
+	// succ holds the successors of the block step in flight; stepBlock
+	// returns it, valid until the next step.
+	succ []*State
+
 	// stopHit latches the first observed stop reason (TermRunning
 	// while none); stopPoll amortizes the time.Now deadline check.
 	stopHit  TermReason
@@ -364,10 +368,7 @@ func (e *Engine) newState() *State {
 		heapNext:   0x00080000,
 		localCount: map[uint32]int{},
 	}
-	for i := range s.Regs {
-		s.Regs[i] = e.ar.C(0, 32)
-	}
-	s.Regs[isa.SP] = e.ar.C(hw.StackTop, 32)
+	s.regs[isa.SP] = word{v: hw.StackTop}
 	return s
 }
 
@@ -385,13 +386,13 @@ func (e *Engine) inDriver(addr uint32) bool {
 // concretizeU32 returns the value v takes under the state's witness,
 // additionally constraining v to that value. The witness satisfies
 // the path condition, so no query is needed.
-func (e *Engine) concretizeU32(s *State, v *expr.Expr) uint32 {
-	if c, ok := v.IsConst(); ok {
+func (e *Engine) concretizeU32(s *State, v word) uint32 {
+	if c, ok := v.concrete(); ok {
 		return c
 	}
 	e.modelHits++
-	val := expr.Eval(v, s.witness)
-	s.Constrain(e.ar.Eq(v, e.ar.C(val, v.Width)), nil)
+	val := expr.Eval(v.e, s.witness)
+	s.Constrain(e.ar.Eq(v.e, e.ar.C(val, 32)), nil)
 	return val
 }
 
@@ -408,23 +409,23 @@ func (e *Engine) sampleCoverage(blockAddr uint32) {
 
 // hwRead models symbolic hardware (§3.1/§3.4): every read from the
 // device returns an unconstrained symbolic value.
-func (e *Engine) hwRead(s *State, bi *trace.BlockInfo, instrAddr, addr uint32, size int, class trace.Class) *expr.Expr {
+func (e *Engine) hwRead(s *State, bi *trace.BlockInfo, instrAddr, addr uint32, size int, class trace.Class) word {
 	e.col.IO(bi, trace.Access{
 		InstrAddr: instrAddr, Addr: addr, Size: size, Class: class, Symbolic: true,
 	})
 	if e.cfg.ConcreteHardware {
 		// Ablation: a passive concrete device. Status registers read
 		// as zero, which is what idle hardware mostly returns.
-		return e.ar.C(0, 32)
+		return word{}
 	}
-	return e.ar.Zext(e.freshSym("hw", uint8(size*8)), 32)
+	return wordOf(e.ar.Zext(e.freshSym("hw", uint8(size*8)), 32))
 }
 
-func (e *Engine) hwWrite(s *State, bi *trace.BlockInfo, instrAddr, addr uint32, size int, v *expr.Expr) {
+func (e *Engine) hwWrite(s *State, bi *trace.BlockInfo, instrAddr, addr uint32, size int, v word) {
 	e.col.IO(bi, trace.Access{
 		InstrAddr: instrAddr, Addr: addr, Size: size, Write: true,
-		Class: classOf(addr, true, &e.dma), Value: expr.Eval(v, nil),
-		Symbolic: v.Kind != expr.KConst,
+		Class: classOf(addr, true, &e.dma), Value: v.eval(),
+		Symbolic: v.e != nil,
 	})
 }
 
@@ -447,17 +448,17 @@ func (e *Engine) apiModel(s *State, bi *trace.BlockInfo, callSite uint32, index 
 		return fmt.Errorf("symexec: unknown API %d", index)
 	}
 	d := guestos.Table[index]
-	sp, _ := s.Regs[isa.SP].IsConst()
+	sp, _ := s.regs[isa.SP].concrete()
 	args := make([]uint32, d.NArgs)
 	for i := range args {
-		args[i] = e.concretizeU32(s, s.Mem.Read(sp+uint32(4*i), 4))
+		args[i] = e.concretizeU32(s, s.Mem.read(sp+uint32(4*i), 4))
 	}
 	ret := uint32(guestos.StatusSuccess)
 	switch index {
 	case guestos.APIRegisterMiniport:
 		p := args[0]
 		get := func(off uint32) uint32 {
-			v, _ := s.Mem.Read(p+off, 4).IsConst()
+			v, _ := s.Mem.read(p+off, 4).concrete()
 			return v
 		}
 		e.entries = guestos.EntryPoints{
@@ -497,8 +498,8 @@ func (e *Engine) apiModel(s *State, bi *trace.BlockInfo, callSite uint32, index 
 	// stdcall: the callee (here, the OS) pops the arguments. The call
 	// instruction has not pushed a return address in this model; the
 	// caller resumes at the instruction after the call.
-	s.Regs[isa.SP] = e.ar.C(sp+uint32(4*d.NArgs), 32)
-	s.Regs[isa.R0] = e.ar.C(ret, 32)
+	s.regs[isa.SP] = word{v: sp + uint32(4*d.NArgs)}
+	s.regs[isa.R0] = word{v: ret}
 	return nil
 }
 
@@ -506,7 +507,8 @@ func (e *Engine) apiModel(s *State, bi *trace.BlockInfo, callSite uint32, index 
 
 // stepBlock executes one translation block on the state, returning
 // the follow-on states (usually just s; two on a fork; none if the
-// state terminated).
+// state terminated). The slice is the engine's successor buffer: it
+// is valid only until the next step.
 func (e *Engine) stepBlock(s *State) ([]*State, error) {
 	b, err := e.image.Get(s.PC)
 	if err != nil {
@@ -533,35 +535,63 @@ func (e *Engine) stepBlock(s *State) ([]*State, error) {
 		e.sampleCoverage(b.Addr)
 	}
 
-	out, err := e.execInstrs(s, b, bi)
+	e.succ = e.succ[:0]
+	err = e.execInstrs(s, b, bi)
 	if isNew {
 		bi.RegsOutSample = s.ConcreteRegs()
 	}
-	return out, err
+	return e.succ, err
 }
 
-func (e *Engine) src2(s *State, in isa.Instr) *expr.Expr {
-	if in.HasImmOperand() {
-		return e.ar.C(in.Imm, 32)
+// aluKind maps each ALU opcode onto the expression kind computing it.
+var aluKind = [...]expr.Kind{
+	isa.ADD: expr.KAdd, isa.SUB: expr.KSub, isa.AND: expr.KAnd, isa.OR: expr.KOr,
+	isa.XOR: expr.KXor, isa.SHL: expr.KShl, isa.SHR: expr.KLshr, isa.SAR: expr.KAshr,
+	isa.MUL: expr.KMul,
+}
+
+// alu applies the arithmetic kind k to two words: on machine words
+// when both are concrete, else through the arena constructor.
+func (e *Engine) alu(k expr.Kind, a, b word) word {
+	if a.e == nil && b.e == nil {
+		return word{v: expr.BinFold(k, a.v, b.v, 32)}
 	}
-	return s.Regs[in.Rs2]
+	return wordOf(e.ar.Bin(k, a.expr(e.ar), b.expr(e.ar)))
 }
 
-// condExpr builds the boolean for a branch condition.
-func (e *Engine) condExpr(c isa.Cond, a, b *expr.Expr) *expr.Expr {
+// offset returns base+imm, the effective address of a load, store or
+// port access, and the stack pointer arithmetic.
+func (e *Engine) offset(base word, imm uint32) word {
+	return e.alu(expr.KAdd, base, word{v: imm})
+}
+
+func (e *Engine) src2(s *State, in isa.Instr) word {
+	if in.HasImmOperand() {
+		return word{v: in.Imm}
+	}
+	return s.regs[in.Rs2]
+}
+
+// condExpr builds the boolean for a branch condition; two concrete
+// operands compare as machine words.
+func (e *Engine) condExpr(c isa.Cond, a, b word) *expr.Expr {
+	if a.e == nil && b.e == nil {
+		return expr.Bool(c.Holds(a.v, b.v))
+	}
+	x, y := a.expr(e.ar), b.expr(e.ar)
 	switch c {
 	case isa.EQ:
-		return e.ar.Eq(a, b)
+		return e.ar.Eq(x, y)
 	case isa.NE:
-		return e.ar.Not(e.ar.Eq(a, b))
+		return e.ar.Not(e.ar.Eq(x, y))
 	case isa.LT:
-		return e.ar.Slt(a, b)
+		return e.ar.Slt(x, y)
 	case isa.GE:
-		return e.ar.Not(e.ar.Slt(a, b))
+		return e.ar.Not(e.ar.Slt(x, y))
 	case isa.LTU:
-		return e.ar.Ult(a, b)
+		return e.ar.Ult(x, y)
 	case isa.GEU:
-		return e.ar.Not(e.ar.Ult(a, b))
+		return e.ar.Not(e.ar.Ult(x, y))
 	}
 	panic("symexec: bad cond")
 }
@@ -591,9 +621,16 @@ func writesR0(in isa.Instr) bool {
 	return false
 }
 
-// execInstrs runs the instructions of b on s. It returns follow-on
-// states; a terminated state returns nil with s.Reason set.
-func (e *Engine) execInstrs(s *State, b *ir.Block, bi *trace.BlockInfo) ([]*State, error) {
+// complete ends the state's path with r0 as its result.
+func (e *Engine) complete(s *State) {
+	s.Reason = TermCompleted
+	s.Result = s.regs[isa.R0].expr(e.ar)
+}
+
+// execInstrs runs the instructions of b on s, appending its follow-on
+// states to e.succ; a terminated state appends none and has s.Reason
+// set.
+func (e *Engine) execInstrs(s *State, b *ir.Block, bi *trace.BlockInfo) error {
 	for i, in := range b.Instrs {
 		addr := b.InstrAddr(i)
 		nextPC := addr + isa.InstrSize
@@ -611,146 +648,132 @@ func (e *Engine) execInstrs(s *State, b *ir.Block, bi *trace.BlockInfo) ([]*Stat
 		switch in.Op {
 		case isa.NOP:
 		case isa.MOVI:
-			s.Regs[in.Rd] = e.ar.C(in.Imm, 32)
+			s.regs[in.Rd] = word{v: in.Imm}
 		case isa.MOV:
-			s.Regs[in.Rd] = s.Regs[in.Rs1]
-		case isa.ADD:
-			s.Regs[in.Rd] = e.ar.Add(s.Regs[in.Rs1], e.src2(s, in))
-		case isa.SUB:
-			s.Regs[in.Rd] = e.ar.Sub(s.Regs[in.Rs1], e.src2(s, in))
-		case isa.AND:
-			s.Regs[in.Rd] = e.ar.And(s.Regs[in.Rs1], e.src2(s, in))
-		case isa.OR:
-			s.Regs[in.Rd] = e.ar.Or(s.Regs[in.Rs1], e.src2(s, in))
-		case isa.XOR:
-			s.Regs[in.Rd] = e.ar.Xor(s.Regs[in.Rs1], e.src2(s, in))
-		case isa.SHL:
-			s.Regs[in.Rd] = e.ar.Shl(s.Regs[in.Rs1], e.src2(s, in))
-		case isa.SHR:
-			s.Regs[in.Rd] = e.ar.Lshr(s.Regs[in.Rs1], e.src2(s, in))
-		case isa.SAR:
-			s.Regs[in.Rd] = e.ar.Ashr(s.Regs[in.Rs1], e.src2(s, in))
-		case isa.MUL:
-			s.Regs[in.Rd] = e.ar.Mul(s.Regs[in.Rs1], e.src2(s, in))
+			s.regs[in.Rd] = s.regs[in.Rs1]
+		case isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR, isa.SHL, isa.SHR, isa.SAR, isa.MUL:
+			s.regs[in.Rd] = e.alu(aluKind[in.Op], s.regs[in.Rs1], e.src2(s, in))
 
 		case isa.LD8, isa.LD16, isa.LD32:
-			v, err := e.load(s, bi, addr, e.ar.Add(s.Regs[in.Rs1], e.ar.C(in.Imm, 32)), in.Op.AccessSize())
+			v, err := e.load(s, bi, addr, e.offset(s.regs[in.Rs1], in.Imm), in.Op.AccessSize())
 			if err != nil {
 				s.Reason = TermError
-				return nil, nil
+				return nil
 			}
-			s.Regs[in.Rd] = v
+			s.regs[in.Rd] = v
 		case isa.ST8, isa.ST16, isa.ST32:
-			if err := e.store(s, bi, addr, e.ar.Add(s.Regs[in.Rs1], e.ar.C(in.Imm, 32)), in.Op.AccessSize(), s.Regs[in.Rs2]); err != nil {
+			if err := e.store(s, bi, addr, e.offset(s.regs[in.Rs1], in.Imm), in.Op.AccessSize(), s.regs[in.Rs2]); err != nil {
 				s.Reason = TermError
-				return nil, nil
+				return nil
 			}
 		case isa.IN8, isa.IN16, isa.IN32:
-			port := e.concretizeU32(s, e.ar.Add(s.Regs[in.Rs1], e.ar.C(in.Imm, 32)))
-			s.Regs[in.Rd] = e.hwRead(s, bi, addr, port, in.Op.AccessSize(), trace.ClassPortIO)
+			port := e.concretizeU32(s, e.offset(s.regs[in.Rs1], in.Imm))
+			s.regs[in.Rd] = e.hwRead(s, bi, addr, port, in.Op.AccessSize(), trace.ClassPortIO)
 		case isa.OUT8, isa.OUT16, isa.OUT32:
-			port := e.concretizeU32(s, e.ar.Add(s.Regs[in.Rs1], e.ar.C(in.Imm, 32)))
+			port := e.concretizeU32(s, e.offset(s.regs[in.Rs1], in.Imm))
 			sz := in.Op.AccessSize()
-			v := e.ar.Trunc(s.Regs[in.Rs2], uint8(sz*8))
+			v := s.regs[in.Rs2]
 			e.col.IO(bi, trace.Access{
 				InstrAddr: addr, Addr: port, Size: sz, Write: true,
-				Class: trace.ClassPortIO, Value: expr.Eval(v, nil),
-				Symbolic: v.Kind != expr.KConst,
+				Class: trace.ClassPortIO, Value: v.eval() & expr.Mask(uint8(sz*8)),
+				Symbolic: v.e != nil,
 			})
 		case isa.PUSH:
-			sp := e.ar.Sub(s.Regs[isa.SP], e.ar.C(4, 32))
-			s.Regs[isa.SP] = sp
-			if err := e.store(s, bi, addr, sp, 4, s.Regs[in.Rs1]); err != nil {
+			sp := e.alu(expr.KSub, s.regs[isa.SP], word{v: 4})
+			s.regs[isa.SP] = sp
+			if err := e.store(s, bi, addr, sp, 4, s.regs[in.Rs1]); err != nil {
 				s.Reason = TermError
-				return nil, nil
+				return nil
 			}
 		case isa.POP:
-			v, err := e.load(s, bi, addr, s.Regs[isa.SP], 4)
+			v, err := e.load(s, bi, addr, s.regs[isa.SP], 4)
 			if err != nil {
 				s.Reason = TermError
-				return nil, nil
+				return nil
 			}
-			s.Regs[in.Rd] = v
-			s.Regs[isa.SP] = e.ar.Add(s.Regs[isa.SP], e.ar.C(4, 32))
+			s.regs[in.Rd] = v
+			s.regs[isa.SP] = e.offset(s.regs[isa.SP], 4)
 
 		case isa.JMP:
 			e.col.Edge(addr, in.Imm, trace.EdgeBranch)
 			s.PC = in.Imm
-			return []*State{s}, nil
+			e.succ = append(e.succ, s)
+			return nil
 		case isa.JR:
-			return e.indirectJump(s, bi, addr, s.Regs[in.Rs1], false)
+			return e.indirectJump(s, bi, addr, s.regs[in.Rs1])
 		case isa.BR, isa.BRI:
-			var rhs *expr.Expr
+			var rhs word
 			if in.Op == isa.BRI {
-				rhs = e.ar.C(uint32(uint8(in.Rs2)), 32)
+				rhs = word{v: uint32(uint8(in.Rs2))}
 			} else {
-				rhs = s.Regs[in.Rs2]
+				rhs = s.regs[in.Rs2]
 			}
-			return e.branch(s, bi, addr, e.condExpr(in.Cond(), s.Regs[in.Rs1], rhs), in.Imm, b.EndAddr())
+			return e.branch(s, bi, addr, e.condExpr(in.Cond(), s.regs[in.Rs1], rhs), in.Imm, b.EndAddr())
 		case isa.CALL, isa.CALLR:
-			targetE := e.ar.C(in.Imm, 32)
+			targetW := word{v: in.Imm}
 			if in.Op == isa.CALLR {
-				targetE = s.Regs[in.Rs1]
+				targetW = s.regs[in.Rs1]
 			}
-			target := e.concretizeU32(s, targetE)
+			target := e.concretizeU32(s, targetW)
 			if hw.IsAPIGate(target) {
 				if err := e.apiModel(s, bi, addr, hw.APIIndex(target)); err != nil {
 					s.Reason = TermError
-					return nil, nil
+					return nil
 				}
 				s.PC = nextPC
 				continue // API call does not end the path
 			}
-			sp := e.ar.Sub(s.Regs[isa.SP], e.ar.C(4, 32))
-			s.Regs[isa.SP] = sp
-			if err := e.store(s, bi, addr, sp, 4, e.ar.C(nextPC, 32)); err != nil {
+			sp := e.alu(expr.KSub, s.regs[isa.SP], word{v: 4})
+			s.regs[isa.SP] = sp
+			if err := e.store(s, bi, addr, sp, 4, word{v: nextPC}); err != nil {
 				s.Reason = TermError
-				return nil, nil
+				return nil
 			}
-			spV, _ := sp.IsConst()
+			spV, _ := sp.concrete()
 			s.Frames = append(s.Frames, frame{callSite: addr, target: target, retAddr: nextPC, entrySP: spV})
 			e.col.Call(addr, target)
 			e.col.Edge(addr, target, trace.EdgeCall)
 			s.PC = target
-			return []*State{s}, nil
+			e.succ = append(e.succ, s)
+			return nil
 		case isa.RET:
-			ra, err := e.load(s, bi, addr, s.Regs[isa.SP], 4)
+			ra, err := e.load(s, bi, addr, s.regs[isa.SP], 4)
 			if err != nil {
 				s.Reason = TermError
-				return nil, nil
+				return nil
 			}
 			raV := e.concretizeU32(s, ra)
-			s.Regs[isa.SP] = e.ar.Add(s.Regs[isa.SP], e.ar.C(4+in.Imm, 32))
+			s.regs[isa.SP] = e.offset(s.regs[isa.SP], 4+in.Imm)
 			if len(s.Frames) > 0 {
 				s.pendingRet = s.Frames[len(s.Frames)-1].target
 				s.Frames = s.Frames[:len(s.Frames)-1]
 			}
 			if raV == vm.MagicReturn {
-				s.Reason = TermCompleted
-				s.Result = s.Regs[isa.R0]
-				return nil, nil
+				e.complete(s)
+				return nil
 			}
 			e.col.Edge(addr, raV, trace.EdgeReturn)
 			s.PC = raV
-			return []*State{s}, nil
+			e.succ = append(e.succ, s)
+			return nil
 		case isa.IRET, isa.HLT:
-			s.Reason = TermCompleted
-			s.Result = s.Regs[isa.R0]
-			return nil, nil
+			e.complete(s)
+			return nil
 		default:
-			return nil, fmt.Errorf("symexec: unimplemented op %v", in.Op)
+			return fmt.Errorf("symexec: unimplemented op %v", in.Op)
 		}
 		s.PC = nextPC
 	}
 	// Block ended without terminator (MaxBlockInstrs hit): continue.
-	return []*State{s}, nil
+	e.succ = append(e.succ, s)
+	return nil
 }
 
 // load routes a memory read: device windows and DMA regions are
 // symbolic hardware; everything else is symbolic RAM. Symbolic
 // addresses are concretized (§3.4).
-func (e *Engine) load(s *State, bi *trace.BlockInfo, instrAddr uint32, addrE *expr.Expr, size int) (*expr.Expr, error) {
-	addr := e.concretizeU32(s, addrE)
+func (e *Engine) load(s *State, bi *trace.BlockInfo, instrAddr uint32, addrW word, size int) (word, error) {
+	addr := e.concretizeU32(s, addrW)
 	if hw.IsMMIO(addr) {
 		return e.hwRead(s, bi, instrAddr, addr, size, trace.ClassMMIO), nil
 	}
@@ -758,10 +781,10 @@ func (e *Engine) load(s *State, bi *trace.BlockInfo, instrAddr uint32, addrE *ex
 		// DMA memory is written by the device, so its contents are
 		// symbolic hardware input too (§3.4).
 		e.col.IO(bi, trace.Access{InstrAddr: instrAddr, Addr: addr, Size: size, Class: trace.ClassDMA, Symbolic: true})
-		return e.ar.Zext(e.freshSym("dma", uint8(size*8)), 32), nil
+		return wordOf(e.ar.Zext(e.freshSym("dma", uint8(size*8)), 32)), nil
 	}
 	if int(addr)+size > hw.RAMSize {
-		return nil, fmt.Errorf("read outside RAM")
+		return word{}, fmt.Errorf("read outside RAM")
 	}
 	// Parameter-recovery evidence (§4.1): a read above the current
 	// frame's entry SP reaches into the parent's stack frame.
@@ -771,11 +794,11 @@ func (e *Engine) load(s *State, bi *trace.BlockInfo, instrAddr uint32, addrE *ex
 			e.col.Param(f.target, int(addr-f.entrySP-4)/4)
 		}
 	}
-	return s.Mem.Read(addr, size), nil
+	return s.Mem.read(addr, size), nil
 }
 
-func (e *Engine) store(s *State, bi *trace.BlockInfo, instrAddr uint32, addrE *expr.Expr, size int, v *expr.Expr) error {
-	addr := e.concretizeU32(s, addrE)
+func (e *Engine) store(s *State, bi *trace.BlockInfo, instrAddr uint32, addrW word, size int, v word) error {
+	addr := e.concretizeU32(s, addrW)
 	if hw.IsMMIO(addr) {
 		e.hwWrite(s, bi, instrAddr, addr, size, v)
 		return nil
@@ -783,8 +806,7 @@ func (e *Engine) store(s *State, bi *trace.BlockInfo, instrAddr uint32, addrE *e
 	if e.dma.Contains(addr) {
 		e.col.IO(bi, trace.Access{
 			InstrAddr: instrAddr, Addr: addr, Size: size, Write: true,
-			Class: trace.ClassDMA, Value: expr.Eval(v, nil),
-			Symbolic: v.Kind != expr.KConst,
+			Class: trace.ClassDMA, Value: v.eval(), Symbolic: v.e != nil,
 		})
 		// DMA writes also land in RAM so the driver can read back
 		// its own descriptors.
@@ -792,7 +814,7 @@ func (e *Engine) store(s *State, bi *trace.BlockInfo, instrAddr uint32, addrE *e
 	if int(addr)+size > hw.RAMSize {
 		return fmt.Errorf("write outside RAM")
 	}
-	s.Mem.Write(addr, size, e.ar.Trunc(v, uint8(size*8)))
+	s.Mem.write(addr, size, v)
 	return nil
 }
 
@@ -802,16 +824,14 @@ func (e *Engine) store(s *State, bi *trace.BlockInfo, instrAddr uint32, addrE *e
 // other side goes to the solver, and a state following that side
 // takes the solver's model into its witness. The polling-loop killer
 // prunes the side that stays in an already-hot block.
-func (e *Engine) branch(s *State, bi *trace.BlockInfo, instrAddr uint32, cond *expr.Expr, taken, fallthrough_ uint32) ([]*State, error) {
+func (e *Engine) branch(s *State, bi *trace.BlockInfo, instrAddr uint32, cond *expr.Expr, taken, fallthrough_ uint32) error {
 	if cond.IsTrue() {
-		e.col.Edge(instrAddr, taken, trace.EdgeBranch)
-		s.PC = taken
-		return []*State{s}, nil
+		e.follow(s, instrAddr, taken, trace.EdgeBranch)
+		return nil
 	}
 	if cond.IsFalse() {
-		e.col.Edge(instrAddr, fallthrough_, trace.EdgeFallthrough)
-		s.PC = fallthrough_
-		return []*State{s}, nil
+		e.follow(s, instrAddr, fallthrough_, trace.EdgeFallthrough)
+		return nil
 	}
 	notCond := e.ar.Not(cond)
 	e.modelHits++
@@ -827,14 +847,12 @@ func (e *Engine) branch(s *State, bi *trace.BlockInfo, instrAddr uint32, cond *e
 	switch {
 	case !mayFall:
 		s.Constrain(cond, nil)
-		e.col.Edge(instrAddr, taken, trace.EdgeBranch)
-		s.PC = taken
-		return []*State{s}, nil
+		e.follow(s, instrAddr, taken, trace.EdgeBranch)
+		return nil
 	case !mayTake:
 		s.Constrain(notCond, nil)
-		e.col.Edge(instrAddr, fallthrough_, trace.EdgeFallthrough)
-		s.PC = fallthrough_
-		return []*State{s}, nil
+		e.follow(s, instrAddr, fallthrough_, trace.EdgeFallthrough)
+		return nil
 	}
 	// Both feasible: fork. Polling-loop heuristic: if one target has
 	// re-executed beyond the threshold in this state, keep only the
@@ -843,42 +861,45 @@ func (e *Engine) branch(s *State, bi *trace.BlockInfo, instrAddr uint32, cond *e
 		if s.localCount[taken] >= e.cfg.PollThreshold && s.localCount[fallthrough_] < e.cfg.PollThreshold {
 			e.killed++
 			s.Constrain(notCond, fallM)
-			e.col.Edge(instrAddr, fallthrough_, trace.EdgeFallthrough)
-			s.PC = fallthrough_
-			return []*State{s}, nil
+			e.follow(s, instrAddr, fallthrough_, trace.EdgeFallthrough)
+			return nil
 		}
 		if s.localCount[fallthrough_] >= e.cfg.PollThreshold && s.localCount[taken] < e.cfg.PollThreshold {
 			e.killed++
 			s.Constrain(cond, takeM)
-			e.col.Edge(instrAddr, taken, trace.EdgeBranch)
-			s.PC = taken
-			return []*State{s}, nil
+			e.follow(s, instrAddr, taken, trace.EdgeBranch)
+			return nil
 		}
 	}
 	c := e.fork(s)
 	s.Constrain(cond, takeM)
-	s.PC = taken
-	e.col.Edge(instrAddr, taken, trace.EdgeBranch)
+	e.follow(s, instrAddr, taken, trace.EdgeBranch)
 	c.Constrain(notCond, fallM)
-	c.PC = fallthrough_
-	e.col.Edge(instrAddr, fallthrough_, trace.EdgeFallthrough)
-	return []*State{s, c}, nil
+	e.follow(c, instrAddr, fallthrough_, trace.EdgeFallthrough)
+	return nil
+}
+
+// follow moves s along a control-flow edge and queues it as a
+// successor of the step.
+func (e *Engine) follow(s *State, from, to uint32, kind trace.EdgeKind) {
+	e.col.Edge(from, to, kind)
+	s.PC = to
+	e.succ = append(e.succ, s)
 }
 
 // indirectJump enumerates the feasible targets of a symbolic jump
 // (jump tables from switch statements, §3.4) and forks one state per
 // concrete target.
-func (e *Engine) indirectJump(s *State, bi *trace.BlockInfo, instrAddr uint32, target *expr.Expr, isCall bool) ([]*State, error) {
-	if v, ok := target.IsConst(); ok {
-		e.col.Edge(instrAddr, v, trace.EdgeBranch)
-		s.PC = v
-		return []*State{s}, nil
+func (e *Engine) indirectJump(s *State, bi *trace.BlockInfo, instrAddr uint32, target word) error {
+	if v, ok := target.concrete(); ok {
+		e.follow(s, instrAddr, v, trace.EdgeBranch)
+		return nil
 	}
 	// The witness's target comes first, at no query; every other
 	// target's state takes the model that produced it.
 	e.modelHits++
-	values, models := e.sol.Values(s.Constraints, target, s.witness, 16)
-	var out []*State
+	values, models := e.sol.Values(s.Constraints, target.e, s.witness, 16)
+	n := len(e.succ)
 	for i, v := range values {
 		if !e.inDriver(v) {
 			continue // wild target: error path, drop
@@ -889,14 +910,11 @@ func (e *Engine) indirectJump(s *State, bi *trace.BlockInfo, instrAddr uint32, t
 		} else {
 			st = e.fork(s)
 		}
-		st.Constrain(e.ar.Eq(target, e.ar.C(v, target.Width)), models[i])
-		st.PC = v
-		e.col.Edge(instrAddr, v, trace.EdgeBranch)
-		out = append(out, st)
+		st.Constrain(e.ar.Eq(target.e, e.ar.C(v, 32)), models[i])
+		e.follow(st, instrAddr, v, trace.EdgeBranch)
 	}
-	if len(out) == 0 {
+	if len(e.succ) == n {
 		s.Reason = TermError
-		return nil, nil
 	}
-	return out, nil
+	return nil
 }

@@ -14,6 +14,11 @@ func shellCfg() hw.PCIConfig {
 	return hw.PCIConfig{VendorID: 0x10EC, DeviceID: 0x8029, IOBase: 0xC000, IOSize: 0x100, IRQLine: 11}
 }
 
+// TestMemoryCOW checks page-level copy-on-write, and that a page and
+// its symbolic overlay are shared copy-on-write separately: whether the
+// other side's store is concrete or symbolic, and whether it lands on a
+// concrete or a symbolic byte, a sibling's page and overlay stay
+// untouched.
 func TestMemoryCOW(t *testing.T) {
 	base := make([]byte, 1024)
 	base[100] = 0xAB
@@ -40,12 +45,48 @@ func TestMemoryCOW(t *testing.T) {
 		t.Fatal("parent write visible in forked child")
 	}
 	// Multi-byte round trip.
-	m.Write(200, 4, expr.C(0xDEADBEEF, 32))
+	m.write(200, 4, word{v: 0xDEADBEEF})
 	if v, _ := m.Read(200, 4).IsConst(); v != 0xDEADBEEF {
 		t.Fatal("32-bit round trip")
 	}
 	if v, _ := m.Read(202, 2).IsConst(); v != 0xDEAD {
 		t.Fatal("16-bit partial read")
+	}
+
+	x := expr.Trunc(expr.S("cow_x", 32), 8)
+	y := expr.Trunc(expr.S("cow_y", 32), 8)
+	for _, st := range []struct {
+		name string
+		addr uint32
+		val  *expr.Expr
+	}{
+		{"concrete over concrete", 301, expr.C(0x44, 8)},
+		{"concrete over symbolic", 300, expr.C(0x44, 8)},
+		{"symbolic over concrete", 301, y},
+		{"symbolic over symbolic", 300, y},
+	} {
+		m := NewMemory(base)
+		m.SetByte(300, x)
+		m.SetByte(301, expr.C(0xAB, 8))
+		sib := m.Fork()
+		p := sib.pages[1]
+		pageBefore, overlayBefore := *p, *p.sym
+		m.SetByte(st.addr, st.val)
+		if !expr.Equal(m.ByteAt(st.addr), st.val) {
+			t.Fatalf("%s: store lost: %v", st.name, m.ByteAt(st.addr))
+		}
+		if sib.pages[1] != p || *p != pageBefore || *p.sym != overlayBefore {
+			t.Fatalf("%s: the store changed the sibling's page or overlay", st.name)
+		}
+		if m.pages[1] == p || ((st.addr == 300 || st.val.Kind != expr.KConst) && m.pages[1].sym == p.sym) {
+			t.Fatalf("%s: the writer did not copy what it changed", st.name)
+		}
+		if !expr.Equal(sib.ByteAt(300), x) {
+			t.Fatalf("%s: sibling reads %v at the symbolic byte", st.name, sib.ByteAt(300))
+		}
+		if v, ok := sib.ByteAt(301).IsConst(); !ok || v != 0xAB {
+			t.Fatalf("%s: sibling reads %v at the concrete byte", st.name, sib.ByteAt(301))
+		}
 	}
 }
 

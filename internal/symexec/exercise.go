@@ -230,7 +230,7 @@ func (e *Engine) Explore() (*Result, error) {
 		}
 		if next != nil {
 			if ph.bindCtx {
-				v := e.concretizeU32(next, next.Result)
+				v := e.concretizeU32(next, wordOf(next.Result))
 				if v == 0 {
 					// The driver refused to initialize (e.g. no
 					// responding device under the concrete-hardware
@@ -333,50 +333,7 @@ func (e *Engine) runPhase(st *State, name string, entry uint32, args []argSpec, 
 	if err != nil {
 		return nil, err
 	}
-	// Fill pending buffers: patterned concrete data with symbolic
-	// bytes at the requested offsets. The concrete pattern includes
-	// two multicast group addresses so list-processing code sees
-	// realistic input.
-	for _, b := range e.bufs {
-		pattern := []byte{
-			0x01, 0x00, 0x5E, 0x00, 0x00, 0x01,
-			0x01, 0x00, 0x5E, 0x7F, 0xFF, 0xFA,
-		}
-		for i := uint32(0); i < b.n; i++ {
-			if int(i) < len(pattern) {
-				st.Mem.SetByte(b.addr+i, e.ar.C(uint32(pattern[i]), 8))
-			} else {
-				st.Mem.SetByte(b.addr+i, e.ar.C(uint32(i*7)&0xFF, 8))
-			}
-		}
-		for _, off := range b.symBytes {
-			if uint32(off) < b.n {
-				st.Mem.SetByte(b.addr+uint32(off), e.freshSym("buf", 8))
-			}
-		}
-	}
-	e.bufs = nil
-
-	// Push arguments right-to-left, then the completion sentinel.
-	sp, _ := st.Regs[isa.SP].IsConst()
-	for i := len(args) - 1; i >= 0; i-- {
-		sp -= 4
-		var v *expr.Expr
-		if args[i].symbolic != "" {
-			v = e.freshSym(args[i].symbolic, 32)
-		} else {
-			v = e.ar.C(args[i].concrete, 32)
-		}
-		st.Mem.Write(sp, 4, v)
-	}
-	sp -= 4
-	st.Mem.Write(sp, 4, e.ar.C(vm.MagicReturn, 32))
-	st.Regs[isa.SP] = e.ar.C(sp, 32)
-	st.PC = entry
-	st.localCount = map[uint32]int{}
-	// The kernel's invocation is the root frame: parameter reads at
-	// [sp+4+4i] are the entry point's own arguments.
-	st.Frames = []frame{{target: entry, entrySP: sp}}
+	e.enterPhase(st, entry, args)
 
 	bdg := ShardBudget{
 		Blocks:     int64(e.cfg.PhaseBudget),
@@ -408,6 +365,54 @@ func (e *Engine) runPhase(st *State, name string, entry uint32, args []argSpec, 
 		return nil, err
 	}
 	return append(completed, forked...), nil
+}
+
+// enterPhase prepares st to call an entry point: it fills the buffers
+// reserved by symBuffer, pushes the arguments and the completion
+// sentinel, and resets the per-phase bookkeeping.
+func (e *Engine) enterPhase(st *State, entry uint32, args []argSpec) {
+	// Fill pending buffers: patterned concrete data with symbolic
+	// bytes at the requested offsets. The concrete pattern includes
+	// two multicast group addresses so list-processing code sees
+	// realistic input.
+	for _, b := range e.bufs {
+		pattern := []byte{
+			0x01, 0x00, 0x5E, 0x00, 0x00, 0x01,
+			0x01, 0x00, 0x5E, 0x7F, 0xFF, 0xFA,
+		}
+		for i := uint32(0); i < b.n; i++ {
+			if int(i) < len(pattern) {
+				st.Mem.setByte(b.addr+i, pattern[i], nil)
+			} else {
+				st.Mem.setByte(b.addr+i, byte(i*7), nil)
+			}
+		}
+		for _, off := range b.symBytes {
+			if uint32(off) < b.n {
+				st.Mem.setByte(b.addr+uint32(off), 0, e.freshSym("buf", 8))
+			}
+		}
+	}
+	e.bufs = nil
+
+	// Push arguments right-to-left, then the completion sentinel.
+	sp, _ := st.regs[isa.SP].concrete()
+	for i := len(args) - 1; i >= 0; i-- {
+		sp -= 4
+		v := word{v: args[i].concrete}
+		if args[i].symbolic != "" {
+			v = word{e: e.freshSym(args[i].symbolic, 32)}
+		}
+		st.Mem.write(sp, 4, v)
+	}
+	sp -= 4
+	st.Mem.write(sp, 4, word{v: vm.MagicReturn})
+	st.regs[isa.SP] = word{v: sp}
+	st.PC = entry
+	st.localCount = map[uint32]int{}
+	// The kernel's invocation is the root frame: parameter reads at
+	// [sp+4+4i] are the entry point's own arguments.
+	st.Frames = []frame{{target: entry, entrySP: sp}}
 }
 
 // exploreSet runs the state-selection loop over live until the set
@@ -448,6 +453,9 @@ func (e *Engine) exploreSet(live []*State, name string, bdg ShardBudget, success
 		delete(pos, st)
 	}
 
+	// stepped is the removed list of each step's Update, reused: the
+	// searcher may read it only during the call.
+	stepped := make([]*State, 1)
 	for len(live) > 0 {
 		if r := e.stopReason(); r != TermRunning {
 			// Cooperative stop: discard the live set with the stop
@@ -478,7 +486,8 @@ func (e *Engine) exploreSet(live []*State, name string, bdg ShardBudget, success
 		for _, o := range out {
 			push(o)
 		}
-		sr.Update(out, []*State{s})
+		stepped[0] = s
+		sr.Update(out, stepped)
 
 		if c := e.col.CoveredBlocks(); c != lastCov {
 			lastCov = c

@@ -6,8 +6,6 @@
 package symexec
 
 import (
-	"encoding/binary"
-
 	"revnic/internal/expr"
 )
 
@@ -16,20 +14,84 @@ import (
 // memory is page-level COW from the start.
 const pageSize = 256
 
-// page holds the symbolic overlay for one page. A nil entry means the
-// byte still has its initial concrete value from the base image.
+// page is one materialized page of guest memory, split into a concrete
+// half and a symbolic half. data holds every byte's concrete value: the
+// base image's bytes, copied in when the page materializes, overwritten
+// by concrete stores. written marks the offsets ever stored to (the
+// wire form lists exactly these). sym is the symbolic overlay: nil
+// until the first symbolic store, and within it a non-nil entry
+// overrides data. A copy-on-write copy moves data and written and
+// shares sym, which is copied only when a store must change it.
 type page struct {
-	bytes  [pageSize]*expr.Expr
+	data    [pageSize]byte
+	written [pageSize / 64]uint64
+	sym     *[pageSize]*expr.Expr
+	// shared makes the page immutable: every store copies it first.
 	shared bool
+	// symShared says sym is also reachable from another page, so it is
+	// copied before an entry changes. A page's own flags are only ever
+	// written by the goroutine owning the page, never on a shared one.
+	symShared bool
+}
+
+// isWritten reports whether the byte at off has been stored to.
+func (p *page) isWritten(off uint32) bool { return p.written[off/64]&(1<<(off%64)) != 0 }
+
+// symAt returns the symbolic overlay byte at off, nil if it is concrete.
+func (p *page) symAt(off uint32) *expr.Expr {
+	if p.sym == nil {
+		return nil
+	}
+	return p.sym[off]
+}
+
+// ownSym makes the page's overlay private (allocating an empty one if
+// it has none) so its entries may change.
+func (p *page) ownSym() {
+	switch {
+	case p.sym == nil:
+		p.sym = new([pageSize]*expr.Expr)
+	case p.symShared:
+		cp := *p.sym
+		p.sym = &cp
+	}
+	p.symShared = false
+}
+
+// set stores one byte: the concrete value b when e is nil, else the
+// non-constant width-8 expression e.
+func (p *page) set(off uint32, b byte, e *expr.Expr) {
+	p.written[off/64] |= 1 << (off % 64)
+	if e != nil {
+		p.ownSym()
+		p.sym[off] = e
+		return
+	}
+	p.data[off] = b
+	if p.symAt(off) != nil {
+		p.ownSym()
+		p.sym[off] = nil
+	}
+}
+
+// setExpr stores one width-8 byte, concretely if it is a constant.
+func (p *page) setExpr(off uint32, e *expr.Expr) {
+	if c, ok := e.IsConst(); ok {
+		p.set(off, byte(c), nil)
+	} else {
+		p.set(off, 0, e)
+	}
 }
 
 // Memory is a byte-granular symbolic memory with page-level
 // copy-on-write. The concrete base image (the RAM snapshot taken when
 // symbolic execution starts, which may stop short of the end of RAM) is
 // shared by all states and never mutated; bytes past its end read as
-// zero. Reads assemble (and writes decompose) multi-byte values in the
-// memory's expression arena, so a job-scoped engine never leaks nodes
-// into the process-global table.
+// zero. A page materializes on its first store. Concrete bytes are
+// plain bytes: concrete reads assemble machine words and concrete
+// stores write bytes, neither touching the arena. Only a read that
+// meets a symbolic byte builds an expression, in the memory's arena, so
+// a job-scoped engine never leaks nodes into the process-global table.
 type Memory struct {
 	base  []byte
 	pages map[uint32]*page
@@ -54,7 +116,7 @@ func NewMemoryArena(base []byte, ar *expr.Arena) *Memory {
 //
 // A page flips to shared only while it is still owned by exactly one
 // memory (and therefore one exploration goroutine); once shared it is
-// immutable — SetByte copies it before writing — so fork trees may be
+// immutable — a store copies it before writing — so fork trees may be
 // partitioned across concurrently explored state sets without races.
 func (m *Memory) Fork() *Memory {
 	f := &Memory{base: m.base, pages: make(map[uint32]*page, len(m.pages)), ar: m.ar}
@@ -67,43 +129,97 @@ func (m *Memory) Fork() *Memory {
 	return f
 }
 
-func (m *Memory) baseByte(addr uint32) byte {
-	if int(addr) < len(m.base) {
-		return m.base[addr]
-	}
-	return 0
-}
-
-// ByteAt returns the symbolic value of one byte.
-func (m *Memory) ByteAt(addr uint32) *expr.Expr {
-	if p, ok := m.pages[addr/pageSize]; ok {
-		if e := p.bytes[addr%pageSize]; e != nil {
-			return e
+// fillUnwritten copies the base image's bytes of page idx into p's
+// unwritten offsets, as if p had materialized at idx.
+func (m *Memory) fillUnwritten(p *page, idx uint32) {
+	for off := uint32(0); off < pageSize; off++ {
+		if !p.isWritten(off) {
+			p.data[off] = 0
+			if a := int(idx)*pageSize + int(off); a < len(m.base) {
+				p.data[off] = m.base[a]
+			}
 		}
 	}
-	return m.ar.C(uint32(m.baseByte(addr)), 8)
 }
 
-// SetByte stores a symbolic byte, cloning a shared page first.
-func (m *Memory) SetByte(addr uint32, v *expr.Expr) {
-	if v.Width != 8 {
-		panic("symexec: SetByte width")
-	}
-	idx := addr / pageSize
+// writable returns page idx ready for a store: materialized, and
+// copied first if shared. The copy shares the symbolic overlay.
+func (m *Memory) writable(idx uint32) *page {
 	p, ok := m.pages[idx]
-	if !ok {
+	switch {
+	case !ok:
 		p = &page{}
+		m.fillUnwritten(p, idx)
 		m.pages[idx] = p
-	} else if p.shared {
-		cp := &page{bytes: p.bytes}
-		m.pages[idx] = cp
-		p = cp
+	case p.shared:
+		cp := *p
+		cp.shared = false
+		cp.symShared = p.sym != nil
+		p = &cp
+		m.pages[idx] = p
 	}
-	p.bytes[addr%pageSize] = v
+	return p
 }
 
-// Read returns a size-byte little-endian value (size 1, 2 or 4).
-func (m *Memory) Read(addr uint32, size int) *expr.Expr {
+// byteAt returns one byte: its concrete value, or its symbolic
+// expression (nil when the byte is concrete).
+func (m *Memory) byteAt(addr uint32) (byte, *expr.Expr) {
+	if p, ok := m.pages[addr/pageSize]; ok {
+		off := addr % pageSize
+		return p.data[off], p.symAt(off)
+	}
+	if int(addr) < len(m.base) {
+		return m.base[addr], nil
+	}
+	return 0, nil
+}
+
+// ByteAt returns the value of one byte as a width-8 expression;
+// concrete bytes come from the shared small-constant pool, which
+// interns nothing.
+func (m *Memory) ByteAt(addr uint32) *expr.Expr {
+	b, e := m.byteAt(addr)
+	if e != nil {
+		return e
+	}
+	return m.ar.C(uint32(b), 8)
+}
+
+// setByte stores one byte: the concrete b when e is nil, else the
+// non-constant width-8 expression e.
+func (m *Memory) setByte(addr uint32, b byte, e *expr.Expr) {
+	m.writable(addr/pageSize).set(addr%pageSize, b, e)
+}
+
+// read returns a size-byte little-endian value (size 1, 2 or 4),
+// zero-extended to 32 bits. All-concrete bytes assemble into a
+// concrete word; otherwise the expression is the one the arena
+// constructors build from the bytes.
+func (m *Memory) read(addr uint32, size int) word {
+	var v uint32
+	if off := addr % pageSize; off+uint32(size) <= pageSize {
+		// Within one materialized page: look it up once.
+		if p, ok := m.pages[addr/pageSize]; ok {
+			for i := size - 1; i >= 0; i-- {
+				if p.symAt(off+uint32(i)) != nil {
+					return wordOf(m.readExpr(addr, size))
+				}
+				v = v<<8 | uint32(p.data[off+uint32(i)])
+			}
+			return word{v: v}
+		}
+	}
+	for i := size - 1; i >= 0; i-- {
+		b, e := m.byteAt(addr + uint32(i))
+		if e != nil {
+			return wordOf(m.readExpr(addr, size))
+		}
+		v = v<<8 | uint32(b)
+	}
+	return word{v: v}
+}
+
+func (m *Memory) readExpr(addr uint32, size int) *expr.Expr {
 	switch size {
 	case 1:
 		return m.ar.Zext(m.ByteAt(addr), 32)
@@ -115,31 +231,34 @@ func (m *Memory) Read(addr uint32, size int) *expr.Expr {
 	panic("symexec: invalid read size")
 }
 
-// Write stores the low size bytes of v at addr, little-endian.
-func (m *Memory) Write(addr uint32, size int, v *expr.Expr) {
+// write stores the low size bytes of v at addr, little-endian. A
+// symbolic v is truncated to the access width and split into bytes by
+// the arena constructors; a byte that folds to a constant is stored
+// concretely.
+func (m *Memory) write(addr uint32, size int, v word) {
+	if v.e == nil {
+		for i := 0; i < size; i++ {
+			m.setByte(addr+uint32(i), byte(v.v>>(8*i)), nil)
+		}
+		return
+	}
+	t := m.ar.Trunc(v.e, uint8(size*8))
 	for i := 0; i < size; i++ {
-		m.SetByte(addr+uint32(i), m.ar.ExtractByte(v, i))
+		a := addr + uint32(i)
+		m.writable(a/pageSize).setExpr(a%pageSize, m.ar.ExtractByte(t, i))
 	}
 }
 
-// WriteConcreteBytes bulk-stores concrete data (used by the engine's
-// OS model when it builds buffers in guest memory).
-func (m *Memory) WriteConcreteBytes(addr uint32, data []byte) {
-	for i, b := range data {
-		m.SetByte(addr+uint32(i), m.ar.C(uint32(b), 8))
+// SetByte stores a width-8 byte; a constant one is stored concretely.
+func (m *Memory) SetByte(addr uint32, v *expr.Expr) {
+	if v.Width != 8 {
+		panic("symexec: SetByte width")
 	}
+	m.writable(addr/pageSize).setExpr(addr%pageSize, v)
 }
 
-// ConcreteRead evaluates a read under the given variable assignment,
-// for trace witnesses.
-func (m *Memory) ConcreteRead(addr uint32, size int, env map[string]uint32) uint32 {
-	var buf [4]byte
-	for i := 0; i < size; i++ {
-		buf[i] = byte(expr.Eval(m.ByteAt(addr+uint32(i)), env))
-	}
-	return binary.LittleEndian.Uint32(buf[:])
+// Read returns a size-byte little-endian value (size 1, 2 or 4) as a
+// 32-bit expression.
+func (m *Memory) Read(addr uint32, size int) *expr.Expr {
+	return m.read(addr, size).expr(m.ar)
 }
-
-// PageCount returns the number of materialized overlay pages, a
-// memory-pressure metric for the engine's state-discard heuristics.
-func (m *Memory) PageCount() int { return len(m.pages) }

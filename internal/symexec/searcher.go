@@ -35,7 +35,9 @@ type Searcher interface {
 	// Select returns the next state to run; must be an element of live.
 	Select(live []*State) *State
 	// Update informs the searcher of frontier changes: removed states
-	// leave first, then added states join.
+	// leave first, then added states join. Both slices are valid only
+	// during the call (the engine reuses their backing arrays), so a
+	// searcher keeps states, never the slices.
 	Update(added, removed []*State)
 }
 
@@ -86,6 +88,8 @@ type coverageSearcher struct {
 	h      covHeap
 	pos    map[*State]*covEntry
 	seq    int
+	// free recycles the entries of states that left the frontier.
+	free []*covEntry
 }
 
 func (s *coverageSearcher) Name() string { return "coverage" }
@@ -115,13 +119,22 @@ func (s *coverageSearcher) Update(added, removed []*State) {
 		if e, ok := s.pos[r]; ok {
 			heap.Remove(&s.h, e.index)
 			delete(s.pos, r)
+			e.st = nil
+			s.free = append(s.free, e)
 		}
 	}
 	for _, a := range added {
 		if _, ok := s.pos[a]; ok {
 			continue
 		}
-		e := &covEntry{st: a, count: s.counts.BlockCount(a.PC), seq: s.seq}
+		var e *covEntry
+		if n := len(s.free); n > 0 {
+			e = s.free[n-1]
+			s.free = s.free[:n-1]
+		} else {
+			e = new(covEntry)
+		}
+		*e = covEntry{st: a, count: s.counts.BlockCount(a.PC), seq: s.seq}
 		s.seq++
 		s.pos[a] = e
 		heap.Push(&s.h, e)

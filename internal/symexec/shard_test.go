@@ -3,6 +3,7 @@ package symexec
 import (
 	"encoding/json"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -85,7 +86,10 @@ func (r *wireRunner) remote(task *ShardTask) (*ShardResult, error) {
 // a fresh peer engine — or through the local fallback, or a mix —
 // merges into exactly the result the in-memory fork-join produces. It
 // covers every corpus driver, so the DMA-registry snapshot a task
-// carries is exercised by the DMA drivers too.
+// carries is exercised by the DMA drivers too. The coordinator and
+// every peer build in private arenas, and the wire path must leave
+// the process-global default arena untouched: a concrete register
+// goes on the wire as a constant the encoder writes itself.
 func TestShardRunnerBitIdentical(t *testing.T) {
 	for _, driver := range []string{"RTL8029", "RTL8139", "AMD PCNet", "SMSC 91C111", "SBLK100"} {
 		t.Run(driver, func(t *testing.T) {
@@ -102,11 +106,13 @@ func TestShardRunnerBitIdentical(t *testing.T) {
 						IOBase: 0xC000, IOSize: 0x100, IRQLine: 11}
 					cfg := base
 					cfg.Shell = shell
+					cfg.Arena = expr.NewArena()
 					cfg.ShardRunner = &wireRunner{
 						prog:       info.Program,
 						cfg:        Config{Shell: shell},
 						localEvery: localEvery,
 					}
+					globalBefore := expr.InternedNodes()
 					eng := New(info.Program, cfg)
 					res, err := eng.Explore()
 					if err != nil {
@@ -115,6 +121,9 @@ func TestShardRunnerBitIdentical(t *testing.T) {
 					if got := traceFingerprint(res); got != want {
 						t.Fatalf("%s dispatch diverged from in-memory run (fingerprints %d vs %d bytes)",
 							name, len(got), len(want))
+					}
+					if after := expr.InternedNodes(); after != globalBefore {
+						t.Fatalf("%s dispatch grew the default arena: %d -> %d nodes", name, globalBefore, after)
 					}
 				})
 			}
@@ -153,7 +162,12 @@ func TestShardRunnerSolverAndTranslationStats(t *testing.T) {
 
 // TestStateGroupRoundTrip checks the state codec in isolation: a
 // group with forks, COW-shared and diverged pages, constraints and
-// frames must re-encode from its decoded form byte-identically.
+// frames must re-encode from its decoded form byte-identically, and
+// every decoded state must read the same bytes as its source. The
+// group holds a page written only with the base image's own bytes
+// (still listed by its written offsets, its unwritten bytes filled
+// from the base image at its index) and a concrete store over a
+// symbolic byte in a page the fork shares.
 func TestStateGroupRoundTrip(t *testing.T) {
 	info, err := drivers.ByName("RTL8029")
 	if err != nil {
@@ -161,13 +175,19 @@ func TestStateGroupRoundTrip(t *testing.T) {
 	}
 	e := New(info.Program, Config{})
 	a := e.newState()
-	a.Mem.Write(0x1000, 4, e.ar.C(0xDEADBEEF, 32))
-	a.Regs[2] = e.ar.Add(e.ar.S("x", 32), e.ar.C(7, 32))
+	a.Mem.write(0x1000, 4, word{v: 0xDEADBEEF})
+	a.regs[2] = wordOf(e.ar.Add(e.ar.S("x", 32), e.ar.C(7, 32)))
 	a.Constrain(e.ar.Ult(e.ar.S("x", 32), e.ar.C(100, 32)), nil)
 	a.Frames = append(a.Frames, frame{callSite: 0x40, target: 0x80, retAddr: 0x44, entrySP: 0xFF00})
 	a.localCount[0x80] = 3
+	code := info.Program.Base + 3*pageSize
+	for _, off := range []uint32{5, 6, 200} {
+		a.Mem.setByte(code+off, e.baseRAM[code+off], nil)
+	}
+	a.Mem.setByte(0x2000, 0, e.ar.Trunc(e.ar.S("z", 32), 8))
 	b := e.fork(a) // shares a's pages COW
-	b.Mem.Write(0x1002, 1, e.ar.Trunc(e.ar.S("y", 32), 8))
+	b.Mem.setByte(0x1002, 0, e.ar.Trunc(e.ar.S("y", 32), 8))
+	b.Mem.setByte(0x2000, 0x5A, nil)
 	b.Constrain(e.ar.Eq(e.ar.S("y", 32), e.ar.C(9, 32)), map[string]uint32{"y": 9})
 	b.Result = e.ar.C(1, 32)
 	b.Reason = TermCompleted
@@ -203,6 +223,24 @@ func TestStateGroupRoundTrip(t *testing.T) {
 	if states[0].Mem.pages[0x1000/pageSize] == states[1].Mem.pages[0x1000/pageSize] {
 		t.Fatal("diverged page decoded as shared")
 	}
+	if states[0].Mem.pages[code/pageSize] != states[1].Mem.pages[code/pageSize] {
+		t.Fatal("shared base-equal page decoded as two pages")
+	}
+	for i, src := range []*State{a, b} {
+		for idx := range src.Mem.pages {
+			for addr := idx * pageSize; addr < (idx+1)*pageSize; addr++ {
+				if got, want := states[i].Mem.ByteAt(addr), src.Mem.ByteAt(addr); !expr.Equal(got, want) {
+					t.Fatalf("state %d byte %#x decoded as %v, want %v", i, addr, got, want)
+				}
+			}
+		}
+	}
+	if v, ok := states[1].Mem.ByteAt(0x2000).IsConst(); !ok || v != 0x5A {
+		t.Fatalf("concrete store over a symbolic byte decoded as %v", states[1].Mem.ByteAt(0x2000))
+	}
+	if _, ok := states[0].Mem.ByteAt(0x2000).IsConst(); ok {
+		t.Fatal("sibling's symbolic byte decoded concrete")
+	}
 }
 
 // TestDecodeStateGroupRejectsMalformed exercises the decode-side
@@ -237,6 +275,14 @@ func TestDecodeStateGroupRejectsMalformed(t *testing.T) {
 				Pages: map[uint32]int32{0: 3},
 			}},
 		},
+		"page placed at two indices": {
+			Exprs: []expr.WireNode{{K: 0, W: 32, V: 1}, {K: 0, W: 8, V: 2}},
+			Pages: []WirePage{{Off: []uint16{0}, Ref: []int32{2}}},
+			States: []WireState{
+				{Regs: [8]int32{1, 1, 1, 1, 1, 1, 1, 1}, Pages: map[uint32]int32{4: 1}},
+				{Regs: [8]int32{1, 1, 1, 1, 1, 1, 1, 1}, Pages: map[uint32]int32{5: 1}},
+			},
+		},
 		"page offset out of range": {
 			Exprs: []expr.WireNode{{K: 0, W: 8, V: 1}},
 			Pages: []WirePage{{Off: []uint16{9999}, Ref: []int32{1}}},
@@ -249,6 +295,72 @@ func TestDecodeStateGroupRejectsMalformed(t *testing.T) {
 		if _, err := decodeStateGroup(g, base, ar); err == nil {
 			t.Errorf("%s: decode accepted malformed group", name)
 		}
+	}
+}
+
+// TestShardResultCarriesDMA runs the initialize phase of each corpus
+// driver that allocates shared memory as one shard task whose registry
+// snapshot is empty, so every region the shard registers is new to
+// the coordinator. The wire result must carry exactly the regions the
+// in-memory shard registers, and the coordinator's join must register
+// them too.
+func TestShardResultCarriesDMA(t *testing.T) {
+	for _, driver := range []string{"RTL8139", "AMD PCNet"} {
+		t.Run(driver, func(t *testing.T) {
+			info, err := drivers.ByName(driver)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shell := hw.PCIConfig{VendorID: info.VendorID, DeviceID: info.DeviceID,
+				IOBase: 0xC000, IOSize: 0x100, IRQLine: 11}
+			e := New(info.Program, Config{Shell: shell, Arena: expr.NewArena()})
+			completed, err := e.runPhase(e.newState(), "load", info.Program.Base, nil, successAny)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seed := e.pickSeed(completed, anyResult)
+			if seed == nil || len(e.dma.Regions()) != 0 {
+				t.Fatalf("load phase: seed %v, DMA regions %v", seed, e.dma.Regions())
+			}
+			st := e.fork(seed)
+			st.Reason = TermRunning
+			e.enterPhase(st, e.entries.Init, nil)
+			task := &ShardTask{
+				Phase:       "initialize",
+				Seq:         1,
+				StateIDBase: e.stateID + jobIDSpan,
+				Success:     successNonZero,
+				Budget:      ShardBudget{Blocks: 20000, Stagnation: 5000, Successes: 8, MaxStates: 64},
+				Entries:     e.entries,
+				Timer:       e.timer,
+				Group:       encodeStateGroup([]*State{st}),
+			}
+			res, err := e.runShardTask(task)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o, _, err := e.exploreShard(task, []*State{st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := o.dma.Regions()
+			if len(want) == 0 {
+				t.Fatal("the initialize shard registered no DMA region")
+			}
+			if !slices.Equal(res.DMA, want) {
+				t.Fatalf("wire result carries DMA %v, in-memory shard registered %v", res.DMA, want)
+			}
+			joined, _, err := e.decodeShardResult(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.applyOutcome(joined)
+			var merged hw.DMARegistry
+			merged.Merge(&o.dma)
+			if got := e.dma.Regions(); !slices.Equal(got, merged.Regions()) {
+				t.Fatalf("coordinator registered %v after the join, want %v", got, merged.Regions())
+			}
+		})
 	}
 }
 

@@ -56,13 +56,54 @@ type frame struct {
 	entrySP  uint32 // SP value at function entry ([entrySP] = RA)
 }
 
+// word is one 32-bit machine value: concrete, or a non-constant
+// expression. Selective symbolic execution (§3) keeps values concrete
+// until they meet a symbol, so concrete arithmetic runs on plain
+// uint32s and never reaches the arena; a concrete word becomes a
+// constant node only where it meets a symbolic operand, which makes
+// every expression the engine builds the same canonical node it would
+// be if all values were expressions.
+type word struct {
+	e *expr.Expr // non-constant value; nil when the word is concrete
+	v uint32     // the concrete value when e is nil, else 0
+}
+
+// wordOf normalizes a 32-bit constructor result: a constant becomes
+// the concrete form.
+func wordOf(e *expr.Expr) word {
+	if e.Kind == expr.KConst {
+		return word{v: e.Val}
+	}
+	return word{e: e}
+}
+
+// concrete returns the word's value and whether it is concrete.
+func (w word) concrete() (uint32, bool) { return w.v, w.e == nil }
+
+// expr returns the word as a width-32 expression in ar.
+func (w word) expr(ar *expr.Arena) *expr.Expr {
+	if w.e != nil {
+		return w.e
+	}
+	return ar.C(w.v, 32)
+}
+
+// eval returns the word's value with every symbol read as zero.
+func (w word) eval() uint32 {
+	if w.e != nil {
+		return expr.Eval(w.e, nil)
+	}
+	return w.v
+}
+
 // State is one <path, block> execution state (§3.2): the registers,
 // the COW symbolic memory, the accumulated path constraints, and
-// bookkeeping for the exploration heuristics.
+// bookkeeping for the exploration heuristics. Registers hold words:
+// plain uint32s unless their value depends on a symbol.
 type State struct {
 	ID   int
 	PC   uint32
-	Regs [isa.NumRegs]*expr.Expr
+	regs [isa.NumRegs]word
 	Mem  *Memory
 
 	// Constraints is the path condition.
@@ -106,7 +147,7 @@ func (s *State) Fork(id int) *State {
 	c := &State{
 		ID:         id,
 		PC:         s.PC,
-		Regs:       s.Regs,
+		regs:       s.regs,
 		Mem:        s.Mem.Fork(),
 		witness:    s.witness,
 		heapNext:   s.heapNext,
@@ -144,10 +185,8 @@ func (s *State) Constrain(c *expr.Expr, m map[string]uint32) {
 // as zero); used for trace snapshots.
 func (s *State) ConcreteRegs() [8]uint32 {
 	var out [8]uint32
-	for i, r := range s.Regs {
-		if r != nil {
-			out[i] = expr.Eval(r, nil)
-		}
+	for i, r := range s.regs {
+		out[i] = r.eval()
 	}
 	return out
 }

@@ -33,9 +33,10 @@ type WireFrame struct {
 	EntrySP  uint32 `json:"sp,omitempty"`
 }
 
-// WirePage is one memory overlay page: the in-page offsets that carry
-// a symbolic overlay byte, with their expression references in a
-// parallel slice. Offsets are emitted in increasing order.
+// WirePage is one memory page: the in-page offsets ever stored to,
+// with their values' expression references in a parallel slice (a
+// concrete byte is a width-8 constant node). Offsets are emitted in
+// increasing order; every other byte is the base image's.
 type WirePage struct {
 	Off []uint16 `json:"off,omitempty"`
 	Ref []int32  `json:"ref,omitempty"`
@@ -90,10 +91,15 @@ func encodeStateGroup(states []*State) *WireStateGroup {
 			return r
 		}
 		var wp WirePage
-		for off, e := range p.bytes {
-			if e != nil {
-				wp.Off = append(wp.Off, uint16(off))
+		for off := uint32(0); off < pageSize; off++ {
+			if !p.isWritten(off) {
+				continue
+			}
+			wp.Off = append(wp.Off, uint16(off))
+			if e := p.symAt(off); e != nil {
 				wp.Ref = append(wp.Ref, enc.Add(e))
+			} else {
+				wp.Ref = append(wp.Ref, enc.Const(uint32(p.data[off]), 8))
 			}
 		}
 		g.Pages = append(g.Pages, wp)
@@ -112,8 +118,12 @@ func encodeStateGroup(states []*State) *WireStateGroup {
 			PendingRet: s.pendingRet,
 			Depth:      s.Depth,
 		}
-		for i, r := range s.Regs {
-			ws.Regs[i] = enc.Add(r)
+		for i, r := range s.regs {
+			if r.e != nil {
+				ws.Regs[i] = enc.Add(r.e)
+			} else {
+				ws.Regs[i] = enc.Const(r.v, 32)
+			}
 		}
 		for _, c := range s.Constraints {
 			ws.Constraints = append(ws.Constraints, enc.Add(c))
@@ -148,9 +158,10 @@ func encodeStateGroup(states []*State) *WireStateGroup {
 }
 
 // maxWirePages caps the page table of one decoded state group. Each
-// entry decodes to a full overlay page (pageSize pointers, 2 KB)
-// however few bytes it takes on the wire, so the cap bounds what a
-// hostile payload can make the decoder allocate. The largest table
+// entry decodes to a full page (pageSize bytes, plus a 2 KB overlay
+// when it holds a symbolic byte) however few bytes it takes on the
+// wire, so the cap bounds what a hostile payload can make the decoder
+// allocate. The largest table
 // the corpus produces is 58 pages (5 drivers × Shards 2/4/8/16 × the
 // coverage, dfs and bfs searchers).
 const maxWirePages = 1024
@@ -160,7 +171,9 @@ const maxWirePages = 1024
 // violation is an error, never a panic; a decode error means the
 // payload was torn or the peers disagree about the job. A state's
 // witness must be sorted, bind only symbols its constraints mention,
-// and satisfy every constraint.
+// and satisfy every constraint. A page's unwritten bytes come from the
+// base image at the index the states place it at, so every state
+// referencing a page must place it at the same index.
 func decodeStateGroup(g *WireStateGroup, base []byte, ar *expr.Arena) ([]*State, error) {
 	if g == nil {
 		return nil, nil
@@ -170,6 +183,9 @@ func decodeStateGroup(g *WireStateGroup, base []byte, ar *expr.Arena) ([]*State,
 	}
 	dec := ar.NewDAGDecoder(g.Exprs)
 	pages := make([]*page, len(g.Pages))
+	// placed[i] is 1 + the page index page i was filled for, 0 while
+	// no state has referenced it.
+	placed := make([]uint64, len(g.Pages))
 	for i, wp := range g.Pages {
 		if len(wp.Off) != len(wp.Ref) {
 			return nil, fmt.Errorf("symexec: decode page %d: %d offsets, %d refs", i, len(wp.Off), len(wp.Ref))
@@ -194,7 +210,7 @@ func decodeStateGroup(g *WireStateGroup, base []byte, ar *expr.Arena) ([]*State,
 			if e == nil || e.Width != 8 {
 				return nil, fmt.Errorf("symexec: decode page %d: byte at %d is not a width-8 expression", i, off)
 			}
-			p.bytes[off] = e
+			p.setExpr(uint32(off), e)
 		}
 		pages[i] = p
 	}
@@ -222,7 +238,7 @@ func decodeStateGroup(g *WireStateGroup, base []byte, ar *expr.Arena) ([]*State,
 			if e == nil || e.Width != 32 {
 				return nil, fmt.Errorf("symexec: decode state %d: register %d is not a width-32 expression", si, i)
 			}
-			s.Regs[i] = e
+			s.regs[i] = wordOf(e)
 		}
 		for _, ref := range ws.Constraints {
 			e, err := dec.Ref(ref)
@@ -249,7 +265,15 @@ func decodeStateGroup(g *WireStateGroup, base []byte, ar *expr.Arena) ([]*State,
 			if ref < 1 || int(ref) > len(pages) {
 				return nil, fmt.Errorf("symexec: decode state %d: page reference %d outside table of %d", si, ref, len(pages))
 			}
-			mem.pages[idx] = pages[ref-1]
+			p := pages[ref-1]
+			switch at := placed[ref-1]; {
+			case at == 0:
+				mem.fillUnwritten(p, idx)
+				placed[ref-1] = uint64(idx) + 1
+			case at != uint64(idx)+1:
+				return nil, fmt.Errorf("symexec: decode state %d: page %d placed at index %d and %d", si, ref, at-1, idx)
+			}
+			mem.pages[idx] = p
 		}
 		s.Mem = mem
 		for _, f := range ws.Frames {

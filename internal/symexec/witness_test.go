@@ -153,8 +153,8 @@ func exploreWitnessProbe(t *testing.T) map[TermReason]int {
 	e := New(prog, Config{Searcher: log.factory(NewCoverageGuided), PollThreshold: 8})
 	st := e.newState()
 	sp := uint32(hw.StackTop) - 4
-	st.Mem.Write(sp, 4, e.ar.C(vm.MagicReturn, 32))
-	st.Regs[isa.SP] = e.ar.C(sp, 32)
+	st.Mem.write(sp, 4, word{v: vm.MagicReturn})
+	st.regs[isa.SP] = word{v: sp}
 	st.PC = prog.Base
 	bdg := ShardBudget{Blocks: 2000, Stagnation: 2000, Successes: 1000, MaxStates: 4}
 	if _, _, _, err := e.exploreSet([]*State{st}, "probe", bdg, anyResult, 0); err != nil {

@@ -384,24 +384,6 @@ func src2(regs *[isa.NumRegs]uint32, in isa.Instr) uint32 {
 	return regs[in.Rs2]
 }
 
-func condTrue(c isa.Cond, a, b uint32) bool {
-	switch c {
-	case isa.EQ:
-		return a == b
-	case isa.NE:
-		return a != b
-	case isa.LT:
-		return int32(a) < int32(b)
-	case isa.GE:
-		return int32(a) >= int32(b)
-	case isa.LTU:
-		return a < b
-	case isa.GEU:
-		return a >= b
-	}
-	panic("vm: bad condition")
-}
-
 // StepBlock executes one block (or delivers one pending interrupt).
 // It returns the block executed, or nil when an interrupt was
 // delivered or the machine is halted. Cycles counts the block's
@@ -571,7 +553,7 @@ func (m *Machine) exec(b *ir.Block) error {
 			if in.Op == isa.BR {
 				rhs = regs[in.Rs2]
 			}
-			if condTrue(in.Cond(), regs[in.Rs1], rhs) {
+			if in.Cond().Holds(regs[in.Rs1], rhs) {
 				next = in.Imm
 			}
 		case isa.CALL, isa.CALLR:

@@ -390,7 +390,7 @@ func TestCallEntryWithoutHandlerFaults(t *testing.T) {
 // TestUndecodableInstructionIsAnError runs images whose branch carries
 // an out-of-range condition code or register: the fetch fails to
 // decode and the call returns an error instead of panicking in
-// condTrue or indexing past the register file.
+// isa.Cond.Holds or indexing past the register file.
 func TestUndecodableInstructionIsAnError(t *testing.T) {
 	for _, in := range []isa.Instr{
 		{Op: isa.BR, Rd: 6, Rs1: isa.R0, Rs2: isa.R1, Imm: 0x1000},
