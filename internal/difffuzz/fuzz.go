@@ -1,6 +1,7 @@
 package difffuzz
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -36,8 +37,11 @@ type Config struct {
 	// corpus on new coverage) before the generated stream — typically
 	// loaded from examples/fuzz/. They count against Budget.
 	Seeds []Schedule
-	// Stop aborts the run at the next round boundary when closed.
-	Stop <-chan struct{}
+	// Context, when non-nil, bounds the run: once it is done
+	// (cancelled or past its deadline) the run stops at the next round
+	// boundary and Fuzz returns the report of the rounds so far. nil
+	// means the run never stops early.
+	Context context.Context
 	// RunBatch, when set, executes a batch of schedules remotely (the
 	// cluster seam); nil runs them on the local harness. Outcomes
 	// must be returned in input order.
@@ -203,10 +207,8 @@ func Fuzz(h *Harness, cfg Config) (*Report, error) {
 	}
 
 	for round := 0; rep.Schedules < cfg.Budget; round++ {
-		select {
-		case <-cfg.Stop:
+		if cfg.Context != nil && cfg.Context.Err() != nil {
 			return finish()
-		default:
 		}
 		n := batchSize
 		if left := cfg.Budget - rep.Schedules; n > left {

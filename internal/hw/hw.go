@@ -11,7 +11,10 @@
 // execution engine.
 package hw
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Memory-map constants of the guest machine.
 const (
@@ -130,9 +133,14 @@ type dmaRegion struct {
 	addr, size uint32
 }
 
-// Register records a DMA-capable region.
+// Register records a DMA-capable region. Registering an (addr, size)
+// pair that is already present is a no-op: symbolic exploration
+// repeats the same allocation on every path, and the registry must
+// stay as small as the set of distinct regions.
 func (d *DMARegistry) Register(addr, size uint32) {
-	d.regions = append(d.regions, dmaRegion{addr, size})
+	if r := (dmaRegion{addr, size}); !slices.Contains(d.regions, r) {
+		d.regions = append(d.regions, r)
+	}
 }
 
 // Unregister removes a previously registered region.
@@ -152,21 +160,12 @@ func (d *DMARegistry) Clone() DMARegistry {
 	return DMARegistry{regions: append([]dmaRegion(nil), d.regions...)}
 }
 
-// Merge adds o's regions not already present (same address and size)
-// in registration order, so merging worker registries in a fixed
-// order yields a deterministic combined registry.
+// Merge registers o's regions in registration order, so merging
+// worker registries in a fixed order yields a deterministic combined
+// registry.
 func (d *DMARegistry) Merge(o *DMARegistry) {
 	for _, r := range o.regions {
-		dup := false
-		for _, have := range d.regions {
-			if have == r {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			d.regions = append(d.regions, r)
-		}
+		d.Register(r.addr, r.size)
 	}
 }
 

@@ -105,6 +105,12 @@ func TestDMARegistry(t *testing.T) {
 	if len(d.Regions()) != 2 {
 		t.Error("Regions")
 	}
+	// An exact duplicate is not recorded twice, so one Unregister
+	// removes the region.
+	d.Register(0x4000, 0x100)
+	if got := d.Regions(); len(got) != 2 {
+		t.Errorf("Regions after a duplicate = %#x", got)
+	}
 	d.Unregister(0x4000)
 	if d.Contains(0x4050) {
 		t.Error("Unregister failed")

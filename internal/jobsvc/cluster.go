@@ -50,94 +50,129 @@ func shardKey(task *symexec.ShardTask) string {
 }
 
 // shardRunner adapts the cluster dispatcher to symexec.ShardRunner
-// for one job: it serializes tasks, consults the journal-replayed
-// shard cache, runs them on the dispatcher's work queue, journals
-// dispatch and completion, and deserializes results.
+// for one job: every phase's tasks go through dispatchShards.
 type shardRunner struct {
 	s   *Service
 	j   *job
 	ctx context.Context
 }
 
-// RunShards hands a whole phase's shard tasks to the dispatcher's
-// capacity-aware work queue at once, where idle peers pull them and
-// straggler shards are re-dispatched first-completion-wins. Journal-replayed shards are pre-filled and never re-enter the
-// queue; each settling shard is journaled from the queue's OnDone
-// callback, preserving crash-replay behavior. Scheduling only decides
-// where and when a shard runs — the returned results are in task
-// order and the caller's seed-order merge is untouched.
+// RunShards hands a whole phase's shard tasks to dispatchShards.
+// Scheduling only decides where and when a shard runs — the returned
+// results are in task order and the caller's seed-order merge is
+// untouched.
 func (r *shardRunner) RunShards(tasks []*symexec.ShardTask, local func(*symexec.ShardTask) (*symexec.ShardResult, error)) ([]*symexec.ShardResult, error) {
-	results := make([]*symexec.ShardResult, len(tasks))
-	var deadlineMS int64
-	if dl, ok := r.ctx.Deadline(); ok {
-		deadlineMS = time.Until(dl).Milliseconds()
-		if deadlineMS < 1 {
-			deadlineMS = 1
+	calls := make([]shardCall[*symexec.ShardResult], len(tasks))
+	for i, task := range tasks {
+		calls[i] = shardCall[*symexec.ShardResult]{
+			key:    shardKey(task),
+			env:    shardEnvelope{Task: task},
+			local:  func() (*symexec.ShardResult, error) { return local(task) },
+			accept: acceptShardResult,
 		}
 	}
-	items := make([]cluster.QueueItem, 0, len(tasks))
-	idxs := make([]int, 0, len(tasks)) // queue position → task index
-	for i, task := range tasks {
-		key := shardKey(task)
-		if raw, ok := r.j.shardCache[key]; ok {
-			var res symexec.ShardResult
-			if err := json.Unmarshal(raw, &res); err == nil {
-				r.s.m.shardsReplayed.Add(1)
-				results[i] = &res
+	return dispatchShards(r.ctx, r.s, r.j, calls)
+}
+
+// shardCall is one shard of a coordinator dispatch, of either kind: its
+// shard key (journal records and replay cache), its envelope (Task or
+// Fuzz set; dispatchShards fills in Spec and DeadlineMS), the local
+// executor, and the validator a result body — a peer's response or a
+// journal-replayed result — must pass before it is trusted.
+type shardCall[R any] struct {
+	key    string
+	env    shardEnvelope
+	local  func() (R, error)
+	accept func([]byte) error
+}
+
+// dispatchShards is revnicd's one shard-dispatch adapter. It hands the
+// calls to the dispatcher's capacity-aware work queue at once, where
+// idle peers pull them and straggler shards are re-dispatched
+// first-completion-wins. Journal-replayed shards that pass the
+// validator are pre-filled and never re-enter the queue (an
+// unreadable or rejected cached result is re-executed, never
+// trusted); each dispatched shard is journaled, and each settling
+// shard is decoded into its slot and journaled again, compactly and
+// with its result, from the queue's OnDone callback, so a coordinator
+// crash mid-phase replays with the settled shards already collected.
+// Results are in call order.
+//
+// When ctx ends (the job was cancelled or hit its deadline) the queue
+// returns with shards unsettled. Those run here on the local executor
+// (an exploration shard sees the same done context and winds down at
+// once; a fuzz group runs its few schedules), so a stopped phase still
+// merges to a partial but well-formed result.
+func dispatchShards[R any](ctx context.Context, s *Service, j *job, calls []shardCall[R]) ([]R, error) {
+	results := make([]R, len(calls))
+	settled := make([]bool, len(calls)) // written by OnDone before RunQueue returns
+	var deadlineMS int64
+	if dl, ok := ctx.Deadline(); ok {
+		deadlineMS = max(time.Until(dl).Milliseconds(), 1)
+	}
+	var items []cluster.QueueItem
+	for i, c := range calls {
+		if raw, ok := j.shardCache[c.key]; ok && c.accept(raw) == nil {
+			if err := json.Unmarshal(raw, &results[i]); err == nil {
+				s.m.shardsReplayed.Add(1)
+				settled[i] = true
 				continue
 			}
-			// An unreadable cached result is re-executed, never trusted.
 		}
-		payload, err := json.Marshal(shardEnvelope{Spec: r.j.Spec, Task: task, DeadlineMS: deadlineMS})
+		env := c.env
+		env.Spec, env.DeadlineMS = j.Spec, deadlineMS
+		payload, err := json.Marshal(env)
 		if err != nil {
 			return nil, err
 		}
-		r.s.journalAppend(journalRecord{
-			T: recShardDispatched, ID: r.j.ID, TS: time.Now(), Key: key,
+		s.journalAppend(journalRecord{
+			T: recShardDispatched, ID: j.ID, TS: time.Now(), Key: c.key,
 		}, false)
-		task := task
 		items = append(items, cluster.QueueItem{
-			Key:     r.j.ID + "/" + key,
+			Key:     j.ID + "/" + c.key,
 			Payload: payload,
-			Accept:  acceptShardResult,
+			Accept:  c.accept,
 			Local: func() ([]byte, error) {
-				res, err := local(task)
+				res, err := c.local()
 				if err != nil {
 					return nil, err
 				}
 				return json.Marshal(res)
 			},
 			OnDone: func(body []byte) {
-				// Journal the completed shard compactly (the body may be
-				// indented JSON; the journal is line-oriented) so a
-				// coordinator crash mid-phase replays with the settled
-				// shards already collected.
-				var res symexec.ShardResult
+				var res R
 				if err := json.Unmarshal(body, &res); err != nil {
 					return
 				}
-				if compact, err := json.Marshal(&res); err == nil {
-					r.s.journalAppend(journalRecord{
-						T: recShardDone, ID: r.j.ID, TS: time.Now(), Key: key, Result: compact,
+				results[i], settled[i] = res, true
+				// The body may be indented JSON; the journal is
+				// line-oriented.
+				if compact, err := json.Marshal(res); err == nil {
+					s.journalAppend(journalRecord{
+						T: recShardDone, ID: j.ID, TS: time.Now(), Key: c.key, Result: compact,
 					}, false)
 				}
 			},
 		})
-		idxs = append(idxs, i)
 	}
 	if len(items) == 0 {
 		return results, nil
 	}
-	bodies, err := r.s.dispatcher.RunQueue(r.ctx, items)
-	if err != nil {
+	if _, err := s.dispatcher.RunQueue(ctx, items); err != nil && ctx.Err() == nil {
 		return nil, err
 	}
-	for qi, body := range bodies {
-		var res symexec.ShardResult
-		if err := json.Unmarshal(body, &res); err != nil {
-			return nil, fmt.Errorf("jobsvc: shard %s: decode result: %w", items[qi].Key, err)
+	for i, c := range calls {
+		if settled[i] {
+			continue
 		}
-		results[idxs[qi]] = &res
+		if ctx.Err() == nil {
+			return nil, fmt.Errorf("jobsvc: shard %s/%s: undecodable result", j.ID, c.key)
+		}
+		res, err := c.local()
+		if err != nil {
+			return nil, err
+		}
+		results[i] = res
 	}
 	return results, nil
 }
@@ -157,12 +192,12 @@ func acceptShardResult(body []byte) error {
 	return nil
 }
 
-// executeSpec runs the full pipeline for one job, fanning shard
-// groups out to the cluster when coordinator mode is on. A panic
-// anywhere in the pipeline fails the job, not the daemon; the failure
-// record carries the panic value and a trimmed stack so the operator
-// can diagnose it from GET /jobs/{id} alone.
-func (s *Service) executeSpec(j *job, deadline time.Time) (res *JobResult, err error) {
+// executeSpec runs the full pipeline for one job under the job's
+// context, fanning shard groups out to the cluster when coordinator
+// mode is on. A panic anywhere in the pipeline fails the job, not the
+// daemon; the failure record carries the panic value and a trimmed
+// stack so the operator can diagnose it from GET /jobs/{id} alone.
+func (s *Service) executeSpec(ctx context.Context, j *job) (res *JobResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.m.jobPanics.Add(1)
@@ -172,27 +207,13 @@ func (s *Service) executeSpec(j *job, deadline time.Time) (res *JobResult, err e
 	if j.Spec.Fuzz != nil {
 		// Differential fuzzing rides the same panic guard: a fault in
 		// the fuzzer or minimizer fails the job, not the runner pool.
-		return s.runFuzzJob(j, deadline)
+		return s.runFuzzJob(ctx, j)
 	}
 	var runner symexec.ShardRunner
 	if s.dispatcher != nil {
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		if !deadline.IsZero() {
-			ctx, cancel = context.WithDeadline(ctx, deadline)
-			defer cancel()
-		}
-		stop := j.stop
-		go func() {
-			select {
-			case <-stop:
-				cancel()
-			case <-ctx.Done():
-			}
-		}()
 		runner = &shardRunner{s: s, j: j, ctx: ctx}
 	}
-	return runSpecHook(j.Spec, j.stop, deadline, runner)
+	return runSpecHook(ctx, j.Spec, runner)
 }
 
 // runSpecHook is runSpec behind a seam so tests can fault-inject the
@@ -290,12 +311,14 @@ func (s *Service) executeShard(ctx context.Context, env shardEnvelope) (res *sym
 	if err != nil {
 		return nil, err
 	}
+	if env.DeadlineMS > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(env.DeadlineMS)*time.Millisecond)
+		defer cancel()
+	}
 	cfg := engineConfig(env.Spec, expr.NewArena())
 	cfg.Shell = shell
-	cfg.Stop = ctx.Done()
-	if env.DeadlineMS > 0 {
-		cfg.Deadline = time.Now().Add(time.Duration(env.DeadlineMS) * time.Millisecond)
-	}
+	cfg.Context = ctx
 	return symexec.ExecuteShardTask(prog, cfg, env.Task)
 }
 

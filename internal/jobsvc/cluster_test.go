@@ -74,7 +74,7 @@ func coordinatorConfig(peers []string, ft *cluster.FaultTransport) Config {
 // identical spec.
 func TestCoordinatorBitIdenticalUnderFaults(t *testing.T) {
 	spec := clusterSpec()
-	want, err := runSpec(spec, nil, time.Time{}, nil)
+	want, err := runSpec(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestCoordinatorBitIdenticalUnderFaults(t *testing.T) {
 // unchanged.
 func TestCoordinatorAllPeersDownFallsBack(t *testing.T) {
 	spec := clusterSpec()
-	want, err := runSpec(spec, nil, time.Time{}, nil)
+	want, err := runSpec(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestShardEndpointRejectsWhenFull(t *testing.T) {
 // the daemon keeps serving.
 func TestPipelinePanicBecomesJobFailure(t *testing.T) {
 	old := runSpecHook
-	runSpecHook = func(JobSpec, <-chan struct{}, time.Time, symexec.ShardRunner) (*JobResult, error) {
+	runSpecHook = func(context.Context, JobSpec, symexec.ShardRunner) (*JobResult, error) {
 		panic("boom 42")
 	}
 	svc := New(Config{Pool: 1})
@@ -384,7 +384,7 @@ func TestPipelinePanicBecomesJobFailure(t *testing.T) {
 func TestCoordinatorStealingBitIdentical(t *testing.T) {
 	spec := clusterSpec()
 	spec.Shards = 8
-	want, err := runSpec(spec, nil, time.Time{}, nil)
+	want, err := runSpec(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
-	"time"
 
-	"revnic/internal/cluster"
 	"revnic/internal/difffuzz"
 	"revnic/internal/drivers"
 	"revnic/internal/template"
@@ -96,33 +95,17 @@ func fuzzOS(spec JobSpec) template.OS {
 	return template.Windows
 }
 
-// runFuzzJob executes one fuzz job. It runs inside executeSpec's
-// panic guard, so any fault in the fuzzer, the minimizer or the
-// divergence path becomes a job failure with a stack in the record —
-// never a daemon crash.
-func (s *Service) runFuzzJob(j *job, deadline time.Time) (*JobResult, error) {
+// runFuzzJob executes one fuzz job under the job's context. It runs
+// inside executeSpec's panic guard, so any fault in the fuzzer, the
+// minimizer or the divergence path becomes a job failure with a stack
+// in the record — never a daemon crash.
+func (s *Service) runFuzzJob(ctx context.Context, j *job) (*JobResult, error) {
 	fz := j.Spec.Fuzz
 	osKind := fuzzOS(j.Spec)
 	h, err := s.fuzzHarnesses.get(fz.Device, osKind, fz.Plant)
 	if err != nil {
 		return nil, err
 	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	if !deadline.IsZero() {
-		ctx, cancel = context.WithDeadline(ctx, deadline)
-		defer cancel()
-	}
-	stop := j.stop
-	go func() {
-		select {
-		case <-stop:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-
 	cfg := difffuzz.Config{
 		Device:   fz.Device,
 		OS:       osKind,
@@ -131,11 +114,10 @@ func (s *Service) runFuzzJob(j *job, deadline time.Time) (*JobResult, error) {
 		MaxSteps: fz.MaxSteps,
 		Workers:  j.Spec.Workers,
 		Plant:    fz.Plant,
-		Stop:     ctx.Done(),
+		Context:  ctx,
 	}
 	if s.dispatcher != nil {
-		fr := &fuzzShardRunner{s: s, j: j, ctx: ctx, workers: j.Spec.Workers, harness: h}
-		cfg.RunBatch = fr.runBatch
+		cfg.RunBatch = s.fuzzBatchRunner(ctx, j, h)
 	}
 	rep, err := fuzzHook(h, cfg)
 	if err != nil {
@@ -152,13 +134,11 @@ func (s *Service) runFuzzJob(j *job, deadline time.Time) (*JobResult, error) {
 		Divergences:      rep.Divergences,
 		FuzzErrors:       rep.Errors,
 	}
-	if ctx.Err() != nil {
-		select {
-		case <-stop:
-			res.Stopped = "cancelled"
-		default:
-			res.Stopped = "deadline"
-		}
+	switch err := ctx.Err(); {
+	case errors.Is(err, context.DeadlineExceeded):
+		res.Stopped = "deadline"
+	case err != nil:
+		res.Stopped = "cancelled"
 	}
 	return res, nil
 }
@@ -181,20 +161,6 @@ type fuzzShard struct {
 // batch (16 schedules) fans out across peers.
 const fuzzShardGroup = 4
 
-// fuzzShardRunner adapts the cluster dispatcher to difffuzz's
-// RunBatch seam, mirroring shardRunner.RunShards: schedule groups
-// enter the capacity-aware work queue, journal-replayed groups are
-// pre-filled, settled groups are journaled for crash replay, and the
-// merged outcome order is the batch order — so a clustered fuzz job
-// reports bit-identically to a single-node run of the same spec.
-type fuzzShardRunner struct {
-	s       *Service
-	j       *job
-	ctx     context.Context
-	workers int
-	harness *difffuzz.Harness
-}
-
 // fuzzShardKey names one schedule group of one job. Schedule batches
 // are regenerated deterministically on a re-run of the same spec, so
 // the key is stable across coordinator restarts, exactly like
@@ -203,77 +169,34 @@ func fuzzShardKey(round, group int) string {
 	return fmt.Sprintf("fuzz/%d/%d", round, group)
 }
 
-func (r *fuzzShardRunner) runBatch(round int, batch []difffuzz.Schedule) ([]difffuzz.Outcome, error) {
-	outs := make([]difffuzz.Outcome, len(batch))
-	var deadlineMS int64
-	if dl, ok := r.ctx.Deadline(); ok {
-		deadlineMS = time.Until(dl).Milliseconds()
-		if deadlineMS < 1 {
-			deadlineMS = 1
+// fuzzBatchRunner is difffuzz's RunBatch seam in coordinator mode: it
+// cuts each batch into fuzzShardGroup-sized schedule groups and runs
+// them through dispatchShards, the same adapter exploration shards
+// use. Outcomes come back in batch order, so a clustered fuzz job
+// reports bit-identically to a single-node run of the same spec.
+func (s *Service) fuzzBatchRunner(ctx context.Context, j *job, h *difffuzz.Harness) func(int, []difffuzz.Schedule) ([]difffuzz.Outcome, error) {
+	return func(round int, batch []difffuzz.Schedule) ([]difffuzz.Outcome, error) {
+		var calls []shardCall[[]difffuzz.Outcome]
+		for start := 0; start < len(batch); start += fuzzShardGroup {
+			group := batch[start:min(start+fuzzShardGroup, len(batch))]
+			calls = append(calls, shardCall[[]difffuzz.Outcome]{
+				key: fuzzShardKey(round, start/fuzzShardGroup),
+				env: shardEnvelope{Fuzz: &fuzzShard{Round: round, Schedules: group}},
+				local: func() ([]difffuzz.Outcome, error) {
+					return difffuzz.RunBatch(h, group, j.Spec.Workers), nil
+				},
+				accept: acceptFuzzOutcomes(len(group)),
+			})
 		}
-	}
-	var items []cluster.QueueItem
-	var spans [][2]int // queue position → [start, end) in batch
-	for start := 0; start < len(batch); start += fuzzShardGroup {
-		end := min(start+fuzzShardGroup, len(batch))
-		key := fuzzShardKey(round, start/fuzzShardGroup)
-		if raw, ok := r.j.shardCache[key]; ok {
-			var cached []difffuzz.Outcome
-			if err := json.Unmarshal(raw, &cached); err == nil && len(cached) == end-start {
-				r.s.m.shardsReplayed.Add(1)
-				copy(outs[start:end], cached)
-				continue
-			}
-			// An unreadable cached result, or one whose coverage keys
-			// fail difffuzz.CovKeys's checks, is re-executed, never
-			// trusted.
-		}
-		group := batch[start:end]
-		payload, err := json.Marshal(shardEnvelope{
-			Spec: r.j.Spec, Fuzz: &fuzzShard{Round: round, Schedules: group}, DeadlineMS: deadlineMS,
-		})
+		groups, err := dispatchShards(ctx, s, j, calls)
 		if err != nil {
 			return nil, err
 		}
-		r.s.journalAppend(journalRecord{
-			T: recShardDispatched, ID: r.j.ID, TS: time.Now(), Key: key,
-		}, false)
-		items = append(items, cluster.QueueItem{
-			Key:     r.j.ID + "/" + key,
-			Payload: payload,
-			Accept:  acceptFuzzOutcomes(len(group)),
-			Local: func() ([]byte, error) {
-				return json.Marshal(difffuzz.RunBatch(r.harness, group, r.workers))
-			},
-			OnDone: func(body []byte) {
-				var res []difffuzz.Outcome
-				if err := json.Unmarshal(body, &res); err != nil {
-					return
-				}
-				if compact, err := json.Marshal(res); err == nil {
-					r.s.journalAppend(journalRecord{
-						T: recShardDone, ID: r.j.ID, TS: time.Now(), Key: key, Result: compact,
-					}, false)
-				}
-			},
-		})
-		spans = append(spans, [2]int{start, end})
+		// Every group holds exactly one outcome per schedule: the
+		// validator checked peer and replayed results, and the local
+		// executor returns one per schedule.
+		return slices.Concat(groups...), nil
 	}
-	if len(items) == 0 {
-		return outs, nil
-	}
-	bodies, err := r.s.dispatcher.RunQueue(r.ctx, items)
-	if err != nil {
-		return nil, err
-	}
-	for qi, body := range bodies {
-		var res []difffuzz.Outcome
-		if err := json.Unmarshal(body, &res); err != nil {
-			return nil, fmt.Errorf("jobsvc: fuzz shard %s: decode outcomes: %w", items[qi].Key, err)
-		}
-		copy(outs[spans[qi][0]:spans[qi][1]], res)
-	}
-	return outs, nil
 }
 
 // acceptFuzzOutcomes validates a peer's fuzz-shard response before

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"revnic/internal/cluster"
 	"revnic/internal/difffuzz"
 	"revnic/internal/template"
 )
@@ -336,8 +337,8 @@ func TestFuzzShardRejectsHostileSchedules(t *testing.T) {
 // decoders of foreign fuzz outcomes, a peer's response and a shard
 // result replayed from the journal, coverage keys it must not trust:
 // about a million keys is an error without allocating them, keys out
-// of order an error too, and a replayed shard with either is
-// re-executed, never merged.
+// of order an error too, and a peer response or a replayed shard with
+// either is re-executed, never merged.
 func TestFuzzOutcomesRejectHostileKeys(t *testing.T) {
 	var b strings.Builder
 	b.WriteString(`[{"schedule_id":1,"steps":1,"cov_keys":[`)
@@ -363,7 +364,15 @@ func TestFuzzOutcomesRejectHostileKeys(t *testing.T) {
 		t.Error("a peer outcome with decreasing coverage keys was accepted")
 	}
 
-	svc := New(Config{Pool: 1, Coordinator: true})
+	// The same bodies reach the coordinator's dispatch through a peer
+	// that answers with peerBody and through the journal replay cache.
+	// The work queue may also run a shard locally before the peer is
+	// asked, but whichever way it settles, only want may be merged.
+	var peerBody []byte
+	ft := cluster.NewFaultTransport(func(string, []byte) (*cluster.Response, error) {
+		return &cluster.Response{Status: http.StatusOK, Body: peerBody}, nil
+	})
+	svc := New(coordinatorConfig([]string{"peer"}, ft))
 	defer svc.Drain(context.Background())
 	h, err := svc.fuzzHarnesses.get("SBLK100", template.Windows, "")
 	if err != nil {
@@ -376,16 +385,19 @@ func TestFuzzOutcomesRejectHostileKeys(t *testing.T) {
 	want, _ := json.Marshal(difffuzz.RunBatch(h, batch, 1))
 	unordered := bytes.Replace(want, []byte(`"cov_keys":[`), []byte(`"cov_keys":[18446744073709551615,`), 1)
 	for _, tc := range []struct {
-		cached   []byte
-		replayed int64
-	}{{hostile, 0}, {unordered, 0}, {want, 1}} {
+		cached, peer []byte
+		replayed     int64
+	}{
+		{hostile, want, 0}, {unordered, want, 0}, {want, nil, 1},
+		{nil, hostile, 0}, {nil, unordered, 0},
+	} {
 		svc.m.shardsReplayed.Store(0)
-		j := &job{
-			Job:        Job{ID: "job-1", Spec: JobSpec{Workers: 1, Fuzz: &FuzzSpec{Device: "SBLK100"}}},
-			shardCache: map[string]json.RawMessage{fuzzShardKey(0, 0): tc.cached},
+		peerBody = tc.peer
+		j := &job{Job: Job{ID: "job-1", Spec: JobSpec{Workers: 1, Fuzz: &FuzzSpec{Device: "SBLK100"}}}}
+		if tc.cached != nil {
+			j.shardCache = map[string]json.RawMessage{fuzzShardKey(0, 0): tc.cached}
 		}
-		r := &fuzzShardRunner{s: svc, j: j, ctx: context.Background(), workers: 1, harness: h}
-		outs, err := r.runBatch(0, batch)
+		outs, err := svc.fuzzBatchRunner(context.Background(), j, h)(0, batch)
 		if err != nil {
 			t.Fatal(err)
 		}

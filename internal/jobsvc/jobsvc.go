@@ -326,12 +326,11 @@ type Service struct {
 // snapshots.
 type job struct {
 	Job
-	seq    int           // numeric submission order (ID = "job-<seq>")
-	client string        // admission-control identity, "" if unknown
-	stop   chan struct{} // closed to request cooperative cancellation
-	// cancelled is set once cancellation was requested (guarded by
-	// Service.mu); it keeps the stop channel single-close.
-	cancelled bool
+	seq    int    // numeric submission order (ID = "job-<seq>")
+	client string // admission-control identity, "" if unknown
+	// cancel cancels the context of a running job (set by run, guarded
+	// by Service.mu); nil until the job starts. It is idempotent.
+	cancel context.CancelFunc
 	// access is the retention clock: bumped on finish and on reads, so
 	// count-bound eviction drops the least recently used finished job.
 	access time.Time
@@ -471,7 +470,6 @@ func (s *Service) SubmitFrom(client string, spec JobSpec) (Job, error) {
 		},
 		seq:    s.nextID,
 		client: client,
-		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
 	// Durability before acknowledgement: the fsynced submitted record
@@ -580,8 +578,8 @@ func (s *Service) Get(id string) (Job, bool) {
 }
 
 // Cancel requests cancellation of a job. A queued job transitions to
-// cancelled immediately; a running job gets its cooperative stop
-// signal and winds down to cancelled with a partial result within the
+// cancelled immediately; a running job's context is cancelled and it
+// winds down to cancelled with a partial result within the
 // engine's stop-detection latency (well under 2s). Cancelling an
 // already-finished job is a no-op. The returned snapshot reflects the
 // state after the request.
@@ -598,15 +596,11 @@ func (s *Service) Cancel(id string) (Job, error) {
 		j.Status = StatusCancelled
 		j.Finished = &now
 		j.access = now
-		j.cancelled = true
 		s.m.cancelled.Add(1)
 		s.journalAppend(journalRecord{T: recFinished, ID: j.ID, TS: now, Status: StatusCancelled}, false)
 		close(j.done)
 	case StatusRunning:
-		if !j.cancelled {
-			j.cancelled = true
-			close(j.stop)
-		}
+		j.cancel()
 	}
 	return redactSpec(j.Job), nil
 }
@@ -706,12 +700,14 @@ func (s *Service) run(j *job) {
 	start := time.Now()
 	j.Status = StatusRunning
 	j.Started = &start
-	deadline := s.deadlineFor(j.Spec, start)
+	ctx, cancel := s.jobContext(j.Spec, start)
+	defer cancel()
+	j.cancel = cancel
 	s.journalAppend(journalRecord{T: recStarted, ID: j.ID, TS: start}, false)
 	s.mu.Unlock()
 	s.m.running.Add(1)
 
-	res, err := s.executeSpec(j, deadline)
+	res, err := s.executeSpec(ctx, j)
 	end := time.Now()
 	s.m.running.Add(-1)
 	s.m.durationSeconds.add(end.Sub(start).Seconds())
@@ -758,9 +754,11 @@ func (s *Service) run(j *job) {
 	close(j.done)
 }
 
-// deadlineFor combines the spec's per-job deadline with the service's
-// global wall cap: the tighter bound wins; zero means unbounded.
-func (s *Service) deadlineFor(spec JobSpec, start time.Time) time.Time {
+// jobContext creates the context a job runs under, from its start to
+// the SAT interrupt. Its deadline combines the spec's per-job deadline
+// with the service's global wall cap: the tighter bound wins; without
+// either the context ends only when the job is cancelled.
+func (s *Service) jobContext(spec JobSpec, start time.Time) (context.Context, context.CancelFunc) {
 	var d time.Duration
 	if spec.DeadlineMS > 0 {
 		d = time.Duration(spec.DeadlineMS) * time.Millisecond
@@ -769,9 +767,9 @@ func (s *Service) deadlineFor(spec JobSpec, start time.Time) time.Time {
 		d = s.cfg.MaxJobWall
 	}
 	if d == 0 {
-		return time.Time{}
+		return context.WithCancel(context.Background())
 	}
-	return start.Add(d)
+	return context.WithDeadline(context.Background(), start.Add(d))
 }
 
 // evictLocked enforces the retention policy over finished jobs: the
@@ -885,7 +883,6 @@ func (s *Service) replay(recs []journalRecord) []*job {
 				Submitted: e.rec.TS,
 			},
 			client: e.rec.Client,
-			stop:   make(chan struct{}),
 			done:   make(chan struct{}),
 		}
 		fmt.Sscanf(id, "job-%d", &j.seq)
@@ -938,7 +935,7 @@ func (s *Service) ReplayStats() (requeued, interrupted int64) {
 }
 
 // crash simulates an abrupt process death for tests: runners are
-// abandoned mid-job (their stop channels close so they wind down, but
+// abandoned mid-job (their contexts are cancelled so they wind down, but
 // no finished records are written) and the journal file handle is
 // dropped without compaction. Only the on-disk journal survives, which
 // is exactly the state a SIGKILL leaves behind.
@@ -952,11 +949,10 @@ func (s *Service) crash() {
 	}
 	close(s.queue)
 	for _, j := range s.jobs {
-		switch {
-		case j.Status == StatusRunning && !j.cancelled:
-			j.cancelled = true
-			close(j.stop)
-		case j.Status == StatusQueued:
+		switch j.Status {
+		case StatusRunning:
+			j.cancel()
+		case StatusQueued:
 			// Turn queued entries into husks the runners skip: a killed
 			// process would never have run them.
 			j.Status = StatusCancelled
@@ -990,17 +986,18 @@ func engineConfig(spec JobSpec, ar *expr.Arena) symexec.Config {
 // runSpec runs the full pipeline for one spec and reduces it to a
 // result summary. The expr.Arena created here is the job's whole
 // expression universe — it is referenced only by the pipeline run and
-// becomes collectable as soon as this function returns. A non-nil
-// runner dispatches the exploration's shard groups to the cluster.
-func runSpec(spec JobSpec, stop <-chan struct{}, deadline time.Time, runner symexec.ShardRunner) (*JobResult, error) {
+// becomes collectable as soon as this function returns. ctx bounds the
+// exploration (a cancelled job winds down to "cancelled", one past its
+// deadline to "deadline"); a non-nil runner dispatches the
+// exploration's shard groups to the cluster.
+func runSpec(ctx context.Context, spec JobSpec, runner symexec.ShardRunner) (*JobResult, error) {
 	prog, shell, name, err := resolveProgram(spec)
 	if err != nil {
 		return nil, err
 	}
 	ar := expr.NewArena()
 	ecfg := engineConfig(spec, ar)
-	ecfg.Stop = stop
-	ecfg.Deadline = deadline
+	ecfg.Context = ctx
 	ecfg.ShardRunner = runner
 	rev, err := core.ReverseEngineer(prog, core.Options{
 		Shell:      shell,

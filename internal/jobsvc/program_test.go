@@ -1,6 +1,7 @@
 package jobsvc
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -28,7 +29,9 @@ func runProgram(base uint32, code []byte) (res *JobResult, err error) {
 			res, err = nil, fmt.Errorf("panic: %v", r)
 		}
 	}()
-	return runSpec(spec, nil, time.Now().Add(5*time.Second), nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	return runSpec(ctx, spec, nil)
 }
 
 // TestUndecodableProgramFailsCleanly pins the uploaded-image decoder

@@ -1,9 +1,9 @@
 package jobsvc
 
 import (
+	"context"
 	"runtime"
 	"testing"
-	"time"
 )
 
 func TestArenaMemoryReclaimed(t *testing.T) {
@@ -14,7 +14,7 @@ func TestArenaMemoryReclaimed(t *testing.T) {
 		return m.HeapAlloc
 	}
 	run := func() {
-		if _, err := runSpec(JobSpec{Driver: "RTL8029", Seed: 3}, nil, time.Time{}, nil); err != nil {
+		if _, err := runSpec(context.Background(), JobSpec{Driver: "RTL8029", Seed: 3}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,12 +1,14 @@
 package symexec
 
 import (
+	"context"
 	"testing"
 	"time"
 )
 
 // longConfig is an exploration that would run effectively forever:
-// every budget is huge, so only a stop signal or deadline ends it.
+// every budget is huge, so only a cancelled context or its deadline
+// ends it.
 func longConfig() Config {
 	return Config{
 		PhaseBudget:      1 << 30,
@@ -20,8 +22,10 @@ func longConfig() Config {
 // run whose budgets would sustain it for hours must notice an expired
 // deadline and return a well-formed partial result within 2 seconds.
 func TestDeadlineStopsExploration(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
+	defer cancel()
 	cfg := longConfig()
-	cfg.Deadline = time.Now().Add(250 * time.Millisecond)
+	cfg.Context = ctx
 	start := time.Now()
 	res := exploreDriver(t, "RTL8029", cfg)
 	elapsed := time.Since(start)
@@ -36,16 +40,13 @@ func TestDeadlineStopsExploration(t *testing.T) {
 	}
 }
 
-// TestCancelStopsExploration closes the stop channel mid-run and
+// TestCancelStopsExploration cancels the context mid-run and
 // requires the same bounded wind-down with TermCancelled.
 func TestCancelStopsExploration(t *testing.T) {
-	stop := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
 	cfg := longConfig()
-	cfg.Stop = stop
-	go func() {
-		time.Sleep(250 * time.Millisecond)
-		close(stop)
-	}()
+	cfg.Context = ctx
+	time.AfterFunc(250*time.Millisecond, cancel)
 	start := time.Now()
 	res := exploreDriver(t, "RTL8029", cfg)
 	elapsed := time.Since(start)
@@ -60,13 +61,13 @@ func TestCancelStopsExploration(t *testing.T) {
 	}
 }
 
-// TestPreCancelledExplore starts with the stop channel already closed:
+// TestPreCancelledExplore starts with the context already cancelled:
 // Explore must return immediately with an empty-but-well-formed
 // result, not an error.
 func TestPreCancelledExplore(t *testing.T) {
-	stop := make(chan struct{})
-	close(stop)
-	cfg := Config{Stop: stop}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg := Config{Context: ctx}
 	start := time.Now()
 	res := exploreDriver(t, "RTL8029", cfg)
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -81,18 +82,14 @@ func TestPreCancelledExplore(t *testing.T) {
 }
 
 // TestStopPlumbingPreservesDeterminism is the no-observer-effect
-// check: a run with an armed-but-never-fired stop channel and a far
-// deadline must be bit-identical to a run with no stop plumbing at
-// all. The cancellation hooks are pure reads until they fire.
+// check: a run with an armed-but-never-fired context carrying a far
+// deadline must be bit-identical to a run with no context at all.
+// The cancellation hooks are pure reads until they fire.
 func TestStopPlumbingPreservesDeterminism(t *testing.T) {
 	plain := exploreDriver(t, "RTL8029", Config{Workers: 2})
-	stop := make(chan struct{})
-	defer close(stop)
-	armed := exploreDriver(t, "RTL8029", Config{
-		Workers:  2,
-		Stop:     stop,
-		Deadline: time.Now().Add(time.Hour),
-	})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	armed := exploreDriver(t, "RTL8029", Config{Workers: 2, Context: ctx})
 	if armed.Stopped != TermRunning {
 		t.Fatalf("armed run reported Stopped = %v", armed.Stopped)
 	}

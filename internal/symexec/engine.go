@@ -1,8 +1,9 @@
 package symexec
 
 import (
+	"context"
+	"errors"
 	"fmt"
-	"time"
 
 	"revnic/internal/expr"
 	"revnic/internal/guestos"
@@ -68,19 +69,16 @@ type Config struct {
 	// and coverage are bit-identical for every Workers value. 0 and 1
 	// both run one shard at a time.
 	Workers int
-	// Stop, when non-nil, is a cooperative cancellation signal with
-	// context.Context.Done semantics: once the channel is closed, the
+	// Context, when non-nil, bounds the run: once it is done, the
 	// exploration loops (and any SAT solve in flight) wind down and
 	// Explore returns a partial but well-formed Result — the traces,
 	// coverage and statistics of everything completed so far, with
-	// Result.Stopped set to TermCancelled. A Stop channel that never
-	// fires leaves the run bit-identical to Stop == nil.
-	Stop <-chan struct{}
-	// Deadline, when non-zero, is the wall-clock instant after which
-	// exploration winds down exactly like a cancellation, with
-	// Result.Stopped set to TermDeadline. A deadline that never
-	// arrives leaves results unchanged.
-	Deadline time.Time
+	// Result.Stopped set to TermDeadline when the context's deadline
+	// passed and TermCancelled when it was cancelled. nil (or a
+	// context that is never done, such as context.Background()) means
+	// the run never stops early; a context that never fires leaves the
+	// run bit-identical to nil.
+	Context context.Context
 	// Shards is the fan-out width of the fork-join exploration: each
 	// phase first spreads serially until this many independent live
 	// states exist, then explores each group to completion with
@@ -109,6 +107,9 @@ func (c *Config) defaults() {
 	}
 	if c.Arena == nil {
 		c.Arena = expr.Default()
+	}
+	if c.Context == nil {
+		c.Context = context.Background()
 	}
 	if c.PollThreshold == 0 {
 		c.PollThreshold = 48
@@ -190,8 +191,8 @@ type Result struct {
 	// serial spread — running entirely serially. Before this counter
 	// existed the collapse was silent.
 	ShardCollapses int64
-	// Stopped records an early wind-down: TermCancelled (Config.Stop
-	// fired) or TermDeadline (Config.Deadline passed). TermRunning
+	// Stopped records an early wind-down: TermCancelled (Config.Context
+	// was cancelled) or TermDeadline (its deadline passed). TermRunning
 	// means the exercise script ran to completion. A stopped result is
 	// partial but well-formed: every phase that completed before the
 	// stop contributed its full traces and coverage.
@@ -256,10 +257,11 @@ type Engine struct {
 	// returns it, valid until the next step.
 	succ []*State
 
-	// stopHit latches the first observed stop reason (TermRunning
-	// while none); stopPoll amortizes the time.Now deadline check.
-	stopHit  TermReason
-	stopPoll int
+	// done is Config.Context's Done channel (nil when the run never
+	// stops); stopHit latches the first observed stop reason
+	// (TermRunning while none).
+	done    <-chan struct{}
+	stopHit TermReason
 }
 
 // covDiscovery is one first-execution event in an engine's local
@@ -287,67 +289,48 @@ func New(prog *isa.Program, cfg Config) *Engine {
 		sol:     newSolver(cfg),
 		ar:      cfg.Arena,
 		baseRAM: ram,
+		done:    cfg.Context.Done(),
 	}
 	e.image = ir.NewImage(prog)
 	return e
 }
 
 // newSolver builds a constraint solver configured per the engine: it
-// shares the engine's expression arena and the cooperative stop signal
-// (so a cancellation also aborts a SAT solve already in flight instead
-// of waiting for it).
+// shares the engine's expression arena and stop context (so a
+// cancellation also aborts a SAT solve already in flight instead of
+// waiting for it).
 func newSolver(cfg Config) *solver.Solver {
-	return solver.NewWith(solver.Config{
-		Arena:     cfg.Arena,
-		Interrupt: stopFunc(cfg),
-	})
-}
-
-// stopFunc converts the config's stop signal and deadline into the
-// solver-level interrupt predicate; nil when neither is set, so the
-// common case pays nothing.
-func stopFunc(cfg Config) func() bool {
-	if cfg.Stop == nil && cfg.Deadline.IsZero() {
-		return nil
-	}
-	return func() bool {
-		if cfg.Stop != nil {
+	var interrupt func() bool
+	if done := cfg.Context.Done(); done != nil {
+		interrupt = func() bool {
 			select {
-			case <-cfg.Stop:
+			case <-done:
 				return true
 			default:
+				return false
 			}
 		}
-		return !cfg.Deadline.IsZero() && time.Now().After(cfg.Deadline)
 	}
+	return solver.NewWith(solver.Config{Arena: cfg.Arena, Interrupt: interrupt})
 }
 
-// stopReason reports whether the run should wind down: TermCancelled
-// once Config.Stop fires, TermDeadline once Config.Deadline passes,
-// TermRunning otherwise. The first hit latches — every later call
-// returns the same reason. The deadline clock is polled only every
-// 64th call; with block execution in the microsecond range the
-// detection latency stays far under the 2-second wind-down target.
+// stopReason reports whether the run should wind down: TermDeadline
+// once Config.Context's deadline passed, TermCancelled once it was
+// cancelled, TermRunning otherwise. The first hit latches — every
+// later call returns the same reason.
 func (e *Engine) stopReason() TermReason {
 	if e.stopHit != TermRunning {
 		return e.stopHit
 	}
-	if e.cfg.Stop != nil {
-		select {
-		case <-e.cfg.Stop:
-			e.stopHit = TermCancelled
-			return e.stopHit
-		default:
-		}
-	}
-	if !e.cfg.Deadline.IsZero() {
-		e.stopPoll++
-		if e.stopPoll&63 == 0 && time.Now().After(e.cfg.Deadline) {
+	select {
+	case <-e.done:
+		e.stopHit = TermCancelled
+		if errors.Is(e.cfg.Context.Err(), context.DeadlineExceeded) {
 			e.stopHit = TermDeadline
-			return e.stopHit
 		}
+	default:
 	}
-	return TermRunning
+	return e.stopHit
 }
 
 // freshSym mints a new hardware/input symbol.

@@ -185,6 +185,25 @@ func TestExploreDMATracking(t *testing.T) {
 	}
 }
 
+// TestDMARegionsDistinct: every path of an exploration repeats the
+// driver's NdisMAllocateSharedMemory calls, and each call must not add
+// another copy of the same region (a serial RTL8139 run used to end
+// with 64 entries for its 2 regions, all scanned on every load and
+// store).
+func TestDMARegionsDistinct(t *testing.T) {
+	res := exploreDriver(t, "RTL8139", Config{Shards: 1})
+	seen := map[[2]uint32]bool{}
+	for _, r := range res.DMARegions {
+		if seen[r] {
+			t.Fatalf("DMA region %#x registered twice: %#x", r, res.DMARegions)
+		}
+		seen[r] = true
+	}
+	if len(seen) < 2 {
+		t.Errorf("DMA regions = %#x, want >= 2 (ring + tx staging)", res.DMARegions)
+	}
+}
+
 func TestStrategies(t *testing.T) {
 	// All three searchers must terminate and find the entry points;
 	// the coverage-guided default should cover at least as much as

@@ -172,6 +172,7 @@ func (e *Engine) shardEngine(t *ShardTask) *Engine {
 		sol:       newSolver(e.cfg),
 		ar:        e.ar,
 		baseRAM:   e.baseRAM,
+		done:      e.done,
 		entries:   t.Entries,
 		timer:     t.Timer,
 		symPrefix: fmt.Sprintf("j%d.", t.Seq),

@@ -102,8 +102,9 @@ type ShardRunner interface {
 // ExecuteShardTask executes one shard task against a fresh engine —
 // the peer-node entry point behind POST /shards. prog and cfg must
 // describe the same job the coordinator runs (same image, searcher
-// and heuristics); cfg.Stop/Deadline bound the execution (the serving
-// node passes the request context's cancellation). The result is
+// and heuristics); cfg.Context bounds the execution (the serving
+// node passes the request context, with the coordinator's remaining
+// deadline applied). The result is
 // bit-identical to the coordinator's in-memory exploration of the
 // same group.
 func ExecuteShardTask(prog *isa.Program, cfg Config, task *ShardTask) (*ShardResult, error) {

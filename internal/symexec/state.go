@@ -20,8 +20,8 @@ const (
 	// "When any error state is reached, RevNIC terminates the
 	// execution path and resumes a different one.")
 	TermBudget    // exploration budget exhausted
-	TermCancelled // cooperative cancellation (Config.Stop fired)
-	TermDeadline  // wall-clock deadline (Config.Deadline) passed
+	TermCancelled // cooperative cancellation (Config.Context cancelled)
+	TermDeadline  // Config.Context's deadline passed
 )
 
 // String names the reason for logs and job results.
