@@ -75,11 +75,7 @@ func timeStragglerRun(spec jobsvc.JobSpec) (float64, *jobsvc.JobResult, error) {
 	}()
 
 	ht := &cluster.HTTPTransport{Path: "/shards", ProbePath: "/healthz"}
-	ft := cluster.NewFaultTransport(func(peer string, body []byte) (*cluster.Response, error) {
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		return ht.Send(ctx, peer, body)
-	})
+	ft := cluster.NewFaultTransport(ht.Send)
 	ft.SetLatency(tsSlow.URL, stragglerLatency)
 
 	coord := jobsvc.New(jobsvc.Config{

@@ -3,13 +3,15 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 )
 
 // echoHandler is the healthy-path peer: it answers with a JSON object
 // naming the serving peer and echoing the payload length.
-func echoHandler(peer string, body []byte) (*Response, error) {
+func echoHandler(_ context.Context, peer string, body []byte) (*Response, error) {
 	b, _ := json.Marshal(map[string]any{"peer": peer, "len": len(body)})
 	return &Response{Status: 200, Body: b}, nil
 }
@@ -191,4 +193,37 @@ func TestProberReclosesRecoveredPeer(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("breaker never reclosed; state %v", d.breaker("p1").State())
+}
+
+// TestFaultTransportSendHonorsContext forwards through a fault
+// transport to a peer that never answers: cancelling Send's context
+// must end the forwarded request, and Send must return within 1 s.
+func TestFaultTransportSendHonorsContext(t *testing.T) {
+	release := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	defer ts.Close()
+	defer close(release)
+	ht := &HTTPTransport{Path: "/shards"}
+	ft := NewFaultTransport(ht.Send)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := ft.Send(ctx, ts.URL, []byte("{}"))
+		done <- err
+	}()
+	time.Sleep(50 * time.Millisecond)
+	cancel()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("a cancelled Send returned no error")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Send still waits for the peer 1 s after its context was cancelled")
+	}
 }

@@ -34,8 +34,9 @@ type Fault struct {
 // Each Send consumes the peer's next scripted fault (if any) and
 // applies it; with no fault pending the Handler serves the request.
 type FaultTransport struct {
-	// Handler is the healthy-path behavior of every peer.
-	Handler func(peer string, body []byte) (*Response, error)
+	// Handler is the healthy-path behavior of every peer. It gets
+	// Send's context, so an abandoned attempt ends the request.
+	Handler func(ctx context.Context, peer string, body []byte) (*Response, error)
 
 	mu      sync.Mutex
 	scripts map[string][]Fault
@@ -46,7 +47,7 @@ type FaultTransport struct {
 
 // NewFaultTransport builds a fault transport around the given
 // healthy-path handler.
-func NewFaultTransport(handler func(peer string, body []byte) (*Response, error)) *FaultTransport {
+func NewFaultTransport(handler func(ctx context.Context, peer string, body []byte) (*Response, error)) *FaultTransport {
 	return &FaultTransport{
 		Handler: handler,
 		scripts: make(map[string][]Fault),
@@ -128,7 +129,7 @@ func (f *FaultTransport) Send(ctx context.Context, peer string, body []byte) (*R
 			return &Response{Status: fault.Status, RetryAfter: fault.RetryAfter}, nil
 		}
 	}
-	resp, err := f.Handler(peer, body)
+	resp, err := f.Handler(ctx, peer, body)
 	if err != nil {
 		return nil, err
 	}

@@ -179,12 +179,12 @@ func TestRunQueueStealsFromStraggler(t *testing.T) {
 // property revnicd's merge relies on for at-most-once journaling.
 // Run under -race this also exercises the queue's locking.
 func TestRunQueueAtMostOnceSettle(t *testing.T) {
-	ft := NewFaultTransport(func(peer string, body []byte) (*Response, error) {
+	ft := NewFaultTransport(func(ctx context.Context, peer string, body []byte) (*Response, error) {
 		// Every peer is slow enough to be declared a straggler, so
 		// steals (and the local double-threshold rescue) happen
 		// constantly and attempts genuinely race.
 		time.Sleep(20 * time.Millisecond)
-		return echoHandler(peer, body)
+		return echoHandler(ctx, peer, body)
 	})
 	d := testDispatcher(ft, []string{"p1", "p2", "p3"}, func(c *Config) {
 		c.StealAfterMin = time.Millisecond
@@ -221,9 +221,9 @@ func TestRunQueueLocalErrorFailsQueue(t *testing.T) {
 }
 
 func TestRunQueueContextCancel(t *testing.T) {
-	ft := NewFaultTransport(func(peer string, body []byte) (*Response, error) {
+	ft := NewFaultTransport(func(ctx context.Context, peer string, body []byte) (*Response, error) {
 		time.Sleep(50 * time.Millisecond)
-		return echoHandler(peer, body)
+		return echoHandler(ctx, peer, body)
 	})
 	d := testDispatcher(ft, []string{"p1"}, nil)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -12,17 +12,21 @@
 // default arena; long-lived services give each job its own Arena so a
 // finished job's expressions are reclaimed wholesale. Structural
 // equality of same-arena constructed expressions is pointer equality
-// (or equality of the stable
-// ID every canonical node carries), and the evaluation, variable and
-// bit-blasting memos throughout the system key on those IDs. Widths
-// are in bits, 1..32; width-1 expressions are booleans produced by
-// comparisons and consumed by Ite and path constraints.
+// (or equality of the stable ID every canonical node carries), and the
+// evaluation and bit-blasting memos and the solver's answer cache key
+// on those IDs. Every node also carries its symbols (Syms, syms.go):
+// each symbol has a dense index in its arena, and a node's list of the
+// symbols it mentions, sorted by that index, is set when the node is
+// interned (or, past a bound, memoized on first use), which is what
+// the solver slices and binds models with. Widths are in bits, 1..32;
+// width-1 expressions are booleans produced by comparisons and
+// consumed by Ite and path constraints.
 package expr
 
 import (
 	"fmt"
-	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Kind discriminates expression nodes.
@@ -78,6 +82,13 @@ type Expr struct {
 	// hash is the structural hash, filled in before the node is
 	// published by intern; raw test nodes compute it lazily.
 	hash uint64
+	// syms points to the node's symbol list (Syms) once it is known:
+	// from intern time for a node with at most maxEagerSyms symbols,
+	// from the first Syms call for the others and for raw test nodes.
+	syms atomic.Pointer[[]*Expr]
+	// sym is a KSym node's dense index in its arena: symbols are
+	// numbered 0, 1, 2, ... in the order the arena first interns them.
+	sym uint32
 }
 
 // ID returns the node's stable interned identity. Structurally equal
@@ -667,62 +678,6 @@ func (e *Expr) Hash() uint64 {
 		e.hash = computeHash(e)
 	}
 	return e.hash
-}
-
-// Vars appends the distinct symbolic variable names occurring in e to
-// the set. The walk is DAG-aware, keyed on interned IDs.
-func Vars(e *Expr, set map[string]uint8) {
-	varsMemo(e, set, map[uint64]bool{})
-}
-
-func varsMemo(e *Expr, set map[string]uint8, seen map[uint64]bool) {
-	if e.id != 0 {
-		if seen[e.id] {
-			return
-		}
-		seen[e.id] = true
-	}
-	switch e.Kind {
-	case KConst:
-	case KSym:
-		set[e.Name] = e.Width
-	default:
-		if e.A != nil {
-			varsMemo(e.A, set, seen)
-		}
-		if e.B != nil {
-			varsMemo(e.B, set, seen)
-		}
-		if e.C != nil {
-			varsMemo(e.C, set, seen)
-		}
-	}
-}
-
-// VarNames returns the sorted variable names of e.
-func VarNames(e *Expr) []string {
-	set := map[string]uint8{}
-	Vars(e, set)
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// VarSet returns the union of the variables of the given expressions
-// as a name→width map, sharing one DAG-visit memo across all of them
-// so common subgraphs are walked once.
-func VarSet(es ...*Expr) map[string]uint8 {
-	set := map[string]uint8{}
-	seen := map[uint64]bool{}
-	for _, e := range es {
-		if e != nil {
-			varsMemo(e, set, seen)
-		}
-	}
-	return set
 }
 
 // String renders the expression in a compact LISP-ish syntax for

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -213,9 +214,9 @@ func TestIte(t *testing.T) {
 
 func TestVarsAndString(t *testing.T) {
 	e := Add(Mul(S("b", 32), S("a", 32)), Zext(S("c", 8), 32))
-	names := VarNames(e)
-	if len(names) != 3 || names[0] != "a" || names[2] != "c" {
-		t.Errorf("VarNames = %v", names)
+	names := symNames(e.Syms())
+	if len(names) != 3 || names[0] != "a:32" || names[2] != "c:8" {
+		t.Errorf("Syms names = %v", names)
 	}
 	if e.String() == "" || e.Size() < 5 {
 		t.Error("String/Size degenerate")
@@ -237,11 +238,11 @@ func TestVarSetUnion(t *testing.T) {
 	y := S("y", 16)
 	a := Add(x, C(1, 8))
 	b := Eq(Zext(x, 16), y)
-	set := VarSet(a, b, nil)
-	if len(set) != 2 || set["x"] != 8 || set["y"] != 16 {
-		t.Fatalf("VarSet = %v, want x:8 y:16", set)
+	set := SymsOf([]*Expr{a, b, C(3, 8)})
+	if len(set) != 2 || !slices.Contains(set, x) || !slices.Contains(set, y) {
+		t.Fatalf("SymsOf = %v, want x:8 y:16", set)
 	}
-	if len(VarSet()) != 0 {
-		t.Fatal("empty VarSet must be empty")
+	if len(SymsOf(nil)) != 0 {
+		t.Fatal("empty SymsOf must be empty")
 	}
 }

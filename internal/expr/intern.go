@@ -10,8 +10,9 @@ import (
 // node per expression structure. Canonical nodes carry a stable
 // nonzero ID, so structural equality of interned expressions is
 // pointer (or ID) equality, and downstream memo tables (evaluation,
-// variable collection, bit-blasting, solver caches) key on the ID
-// instead of re-walking trees.
+// bit-blasting, solver caches) key on the ID instead of re-walking
+// trees. Every node also carries its symbols (syms.go), so the solver
+// slices and binds models without a walk.
 //
 // Interning used to go through one process-global table, which never
 // evicts: fine for a CLI run, fatal for a long-lived service whose
@@ -26,8 +27,9 @@ import (
 // map, so concurrent exploration workers interning expressions contend
 // only when they hash into the same shard. Nodes are immutable and
 // fully initialized (including the structural hash) before they are
-// published through a shard map, which is why no per-node atomics are
-// needed.
+// published through a shard map, which is why reading a node needs no
+// atomics. The one field filled later, the symbol list of a node with
+// many symbols, is published through an atomic pointer.
 
 // internShards is the lock-striping width of an arena's table. Sixty
 // four shards keeps cross-worker contention negligible at the worker
@@ -64,6 +66,8 @@ type internShard struct {
 // the process-global default arena.
 type Arena struct {
 	shards [internShards]internShard
+	// nsyms numbers the arena's symbols densely (Expr.SymIndex).
+	nsyms atomic.Uint32
 }
 
 // NewArena returns an empty arena.
@@ -103,7 +107,7 @@ func init() {
 				continue // not representable at this width
 			}
 			k := internKey{kind: KConst, width: uint8(w), val: uint32(v)}
-			smallConsts[w][v] = materialize(k, hashKey(k))
+			smallConsts[w][v] = defaultArena.materialize(k, hashKey(k))
 		}
 	}
 }
@@ -120,19 +124,26 @@ func (ar *Arena) intern(k internKey) *Expr {
 		sh.mu.Unlock()
 		return ex
 	}
-	n := materialize(k, h)
+	n := ar.materialize(k, h)
 	sh.m[k] = n
 	sh.mu.Unlock()
 	return n
 }
 
-// materialize builds the node for a structure outside any table.
-func materialize(k internKey, h uint64) *Expr {
-	return &Expr{
+// materialize builds the node for a structure outside any table: a
+// new symbol takes the arena's next symbol index, and every node gets
+// its eager symbol list when it has one.
+func (ar *Arena) materialize(k internKey, h uint64) *Expr {
+	n := &Expr{
 		Kind: k.kind, Width: k.width, Val: k.val, Name: k.name,
 		A: k.a, B: k.b, C: k.c,
 		id: nextID.Add(1), hash: h,
 	}
+	if k.kind == KSym {
+		n.sym = ar.nsyms.Add(1) - 1
+	}
+	n.initSyms()
+	return n
 }
 
 // InternedNodes reports how many canonical nodes the arena holds; a

@@ -40,14 +40,11 @@ func sameResult(t *testing.T, got, want *JobResult, mode string) {
 
 // forwardingFaults builds a fault transport whose healthy path is the
 // real HTTP shard endpoint — faults are injected at the network layer
-// in front of live peers.
+// in front of live peers. A forwarded request ends with its attempt's
+// context, as over the plain HTTP transport.
 func forwardingFaults() *cluster.FaultTransport {
 	ht := &cluster.HTTPTransport{Path: "/shards", ProbePath: "/healthz"}
-	return cluster.NewFaultTransport(func(peer string, body []byte) (*cluster.Response, error) {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		return ht.Send(ctx, peer, body)
-	})
+	return cluster.NewFaultTransport(ht.Send)
 }
 
 func coordinatorConfig(peers []string, ft *cluster.FaultTransport) Config {

@@ -369,7 +369,7 @@ func TestFuzzOutcomesRejectHostileKeys(t *testing.T) {
 	// The work queue may also run a shard locally before the peer is
 	// asked, but whichever way it settles, only want may be merged.
 	var peerBody []byte
-	ft := cluster.NewFaultTransport(func(string, []byte) (*cluster.Response, error) {
+	ft := cluster.NewFaultTransport(func(context.Context, string, []byte) (*cluster.Response, error) {
 		return &cluster.Response{Status: http.StatusOK, Body: peerBody}, nil
 	})
 	svc := New(coordinatorConfig([]string{"peer"}, ft))

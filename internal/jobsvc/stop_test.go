@@ -84,20 +84,6 @@ func TestShardEndpointDeadline(t *testing.T) {
 	}
 }
 
-// forwardingFaultsUntil is forwardingFaults whose forwarded requests
-// also end with ctx. A fault transport's handler gets no request
-// context, so a test that stops a coordinator job ends the peers'
-// requests itself, as the HTTP transport does when the coordinator
-// abandons an attempt.
-func forwardingFaultsUntil(ctx context.Context) *cluster.FaultTransport {
-	ht := &cluster.HTTPTransport{Path: "/shards", ProbePath: "/healthz"}
-	return cluster.NewFaultTransport(func(peer string, body []byte) (*cluster.Response, error) {
-		ctx, cancel := context.WithTimeout(ctx, 30*time.Second)
-		defer cancel()
-		return ht.Send(ctx, peer, body)
-	})
-}
-
 // TestCoordinatorStops stops coordinator jobs of both kinds, by Cancel
 // and by deadline_ms, while their shards run on live peers behind a
 // fault transport: each job must end cancelled or deadline with a
@@ -126,9 +112,7 @@ func TestCoordinatorStops(t *testing.T) {
 		{"fuzz-deadline", fuzz, 300},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			peerCtx, endPeers := context.WithCancel(context.Background())
-			defer endPeers()
-			ft := forwardingFaultsUntil(peerCtx)
+			ft := forwardingFaults()
 			// The first request to each peer drops: stops must also
 			// wind down retries.
 			ft.Script(ts1.URL, cluster.Fault{Drop: true})
@@ -149,7 +133,6 @@ func TestCoordinatorStops(t *testing.T) {
 				if _, err := coord.Cancel(j.ID); err != nil {
 					t.Fatal(err)
 				}
-				endPeers()
 			}
 			stopAt := time.Now()
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

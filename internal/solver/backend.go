@@ -45,7 +45,7 @@ func (v Verdict) String() string {
 //     its constraints as a stack of root literals, so a pop retracts
 //     nothing from the clause database.
 //   - Model, valid only immediately after a VSat verdict, returns the
-//     satisfying assignment of the named symbols as a fresh
+//     satisfying assignment of the given symbols as a fresh
 //     name→value map.
 //
 // Every clause the blaster emits defines a gate variable and stays
@@ -133,4 +133,4 @@ func (c *coreBackend) SolveUnder(roots []sat.Lit, cond *expr.Expr) Verdict {
 	return VUnsat
 }
 
-func (c *coreBackend) Model(names []string) map[string]uint32 { return c.b.model(names) }
+func (c *coreBackend) Model(syms []*expr.Expr) map[string]uint32 { return c.b.model(syms) }

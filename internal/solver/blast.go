@@ -79,19 +79,19 @@ func (b *blaster) markCone(lits []sat.Lit) {
 	b.stack = stack
 }
 
-// model reads the satisfying assignment of the named symbols; a
-// symbol the blaster never translated reads as 0. Valid only directly
-// after a successful SolveUnder on b.s.
-func (b *blaster) model(names []string) map[string]uint32 {
-	model := make(map[string]uint32, len(names))
-	for _, name := range names {
+// model reads the satisfying assignment of the given symbols, by
+// name; a symbol the blaster never translated reads as 0. Valid only
+// directly after a successful SolveUnder on b.s.
+func (b *blaster) model(syms []*expr.Expr) map[string]uint32 {
+	model := make(map[string]uint32, len(syms))
+	for _, s := range syms {
 		var v uint32
-		for i, lit := range b.syms[name] {
+		for i, lit := range b.syms[s.Name] {
 			if b.s.Value(lit.Var()) != lit.Sign() {
 				v |= 1 << i
 			}
 		}
-		model[name] = v
+		model[s.Name] = v
 	}
 	return model
 }

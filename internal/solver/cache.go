@@ -1,14 +1,11 @@
-// Query memoization: the fingerprint-keyed answer cache,
-// constraint-independence slicing, and the shared per-expression
-// variable-set cache underneath them. Everything here is
-// deterministic.
+// Query memoization: the fingerprint-keyed answer cache and
+// constraint-independence slicing over the symbol lists expressions
+// carry. Everything here is deterministic.
 package solver
 
 import (
 	"math/bits"
 	"slices"
-	"sort"
-	"sync"
 
 	"revnic/internal/expr"
 )
@@ -40,7 +37,13 @@ func fingerprint(constraints []*expr.Expr) uint64 {
 
 // liveConstraints strips constant-true constraints and reports
 // whether a constant-false one makes the conjunction trivially UNSAT.
+// Without a constant among them it returns constraints itself, so the
+// caller must not append to the result in place (query clips its
+// capacity before it appends the condition).
 func liveConstraints(constraints []*expr.Expr) (live []*expr.Expr, unsat bool) {
+	if !slices.ContainsFunc(constraints, func(c *expr.Expr) bool { return c.Kind == expr.KConst }) {
+		return constraints, false
+	}
 	for _, c := range constraints {
 		if c.IsFalse() {
 			return nil, true
@@ -52,77 +55,48 @@ func liveConstraints(constraints []*expr.Expr) (live []*expr.Expr, unsat bool) {
 	return live, false
 }
 
-// exprMeta memoizes per-expression sorted variable names keyed by
-// interned ID. It is process-global rather
-// than per-solver: interned IDs are unique across arenas, so one
-// bounded table serves every solver — this is also what unifies the
-// package-level Slice and the solver's query path on a single cached
-// variable-set derivation (they used to diverge: Slice re-walked
-// every expression on every call).
-var exprMeta = struct {
-	sync.Mutex
-	vars map[uint64][]string
-}{vars: map[uint64][]string{}}
-
-const exprMetaLimit = cacheCap
-
-// varsOf returns the sorted variable names of e, memoized per
-// interned expression ID.
-func varsOf(e *expr.Expr) []string {
-	id := e.ID()
-	if id == 0 {
-		return expr.VarNames(e)
-	}
-	exprMeta.Lock()
-	if v, ok := exprMeta.vars[id]; ok {
-		exprMeta.Unlock()
-		return v
-	}
-	exprMeta.Unlock()
-	names := expr.VarNames(e)
-	exprMeta.Lock()
-	if len(exprMeta.vars) >= exprMetaLimit {
-		exprMeta.vars = map[uint64][]string{}
-	}
-	exprMeta.vars[id] = names
-	exprMeta.Unlock()
-	return names
-}
-
-// sliceVars is the constraint-independence fixed point underneath
-// Slice.
-func sliceVars(pc []*expr.Expr, vars [][]string, tvars []string) []*expr.Expr {
-	if len(tvars) == 0 {
+// Slice returns the subset of constraints transitively sharing
+// symbolic variables with target — KLEE's constraint-independence
+// optimization — in pc order. Because path conditions are built
+// incrementally from feasible extensions, the discarded independent
+// constraints are satisfiable on their own, so SAT(slice ∧ target) ⇔
+// SAT(pc ∧ target). The fixed point runs over a bitset of the
+// symbols' arena indices, read from the symbol list every node
+// carries, so slicing walks no expression. Symbols of two arenas may
+// share an index; mixing arenas can only keep extra constraints.
+func Slice(pc []*expr.Expr, target *expr.Expr) []*expr.Expr {
+	tsyms := target.Syms()
+	if len(tsyms) == 0 {
 		return nil
 	}
-	want := make(map[string]bool, len(tvars))
-	for _, v := range tvars {
-		want[v] = true
+	// Stack buffers cover the common sizes: 512 symbols (the corpus
+	// drivers intern 89 to 321 per exploration), 64 constraints.
+	var wantBuf [8]uint64
+	var usedBuf [64]bool
+	want := addSyms(wantBuf[:0], tsyms)
+	used := usedBuf[:]
+	if len(pc) > len(used) {
+		used = make([]bool, len(pc))
 	}
-	used := make([]bool, len(pc))
+	n := 0
 	for changed := true; changed; {
 		changed = false
-		for i := range pc {
+		for i, c := range pc {
 			if used[i] {
 				continue
 			}
-			hit := false
-			for _, v := range vars[i] {
-				if want[v] {
-					hit = true
-					break
-				}
-			}
-			if hit {
+			if cs := c.Syms(); meetsSyms(want, cs) {
 				used[i] = true
+				n++
 				changed = true
-				for _, v := range vars[i] {
-					want[v] = true
-				}
+				want = addSyms(want, cs)
 			}
 		}
 	}
-	var out []*expr.Expr
+	if n == 0 {
+		return nil
+	}
+	out := make([]*expr.Expr, 0, n)
 	for i, c := range pc {
 		if used[i] {
 			out = append(out, c)
@@ -131,39 +105,36 @@ func sliceVars(pc []*expr.Expr, vars [][]string, tvars []string) []*expr.Expr {
 	return out
 }
 
-// Slice returns the subset of constraints transitively sharing
-// symbolic variables with target — KLEE's constraint-independence
-// optimization. Because path conditions are built incrementally from
-// feasible extensions, the discarded independent constraints are
-// satisfiable on their own, so SAT(slice ∧ target) ⇔ SAT(pc ∧ target).
-// Per-constraint variable sets come from the shared ID-keyed cache,
-// so repeated slicing of a growing path condition walks each distinct
-// constraint once.
-func Slice(pc []*expr.Expr, target *expr.Expr) []*expr.Expr {
-	tvars := varsOf(target)
-	if len(tvars) == 0 {
-		return nil
+// addSyms adds the indices of syms to the bitset set.
+func addSyms(set []uint64, syms []*expr.Expr) []uint64 {
+	for _, s := range syms {
+		w := s.SymIndex() / 64
+		for len(set) <= w {
+			set = append(set, 0)
+		}
+		set[w] |= 1 << (s.SymIndex() % 64)
 	}
-	vars := make([][]string, len(pc))
-	for i, c := range pc {
-		vars[i] = varsOf(c)
-	}
-	return sliceVars(pc, vars, tvars)
+	return set
 }
 
-// queryVars returns the sorted, distinct variable names of the
-// constraints: the symbols a query's model binds.
-func queryVars(cons []*expr.Expr) []string {
-	if len(cons) == 1 {
-		return varsOf(cons[0])
+// meetsSyms reports whether the bitset set holds any of syms.
+func meetsSyms(set []uint64, syms []*expr.Expr) bool {
+	for _, s := range syms {
+		if w := s.SymIndex() / 64; w < len(set) && set[w]&(1<<(s.SymIndex()%64)) != 0 {
+			return true
+		}
 	}
-	var names []string
-	for _, c := range cons {
-		names = append(names, varsOf(c)...)
-	}
-	sort.Strings(names)
-	return slices.Compact(names)
+	return false
 }
+
+// sliceObserver, when set (by tests only), sees every slice MayBeTrue
+// takes.
+var sliceObserver func(pc []*expr.Expr, cond *expr.Expr, slice []*expr.Expr)
+
+// queryVars returns the symbols of the constraints, sorted by arena
+// index: the symbols a query's model binds. Its order decides nothing
+// but the order a model map is filled in.
+func queryVars(cons []*expr.Expr) []*expr.Expr { return expr.SymsOf(cons) }
 
 // flushLocked drops one cache epoch.
 func (s *Solver) flushLocked() {

@@ -135,7 +135,7 @@ func BackendConformanceTest(t *testing.T) {
 					t.Fatalf("trial %d cycle %d: verdict %v, brute force %v", trial, cycle, v, want)
 				}
 				if v == VSat {
-					checkModel(t, b.Model(names), query)
+					checkModel(t, b.Model(vars), query)
 				}
 			}
 			// After all pops: base constraints only.
@@ -170,7 +170,7 @@ func BackendConformanceTest(t *testing.T) {
 		if v := b.SolveUnder(roots[:1], nil); v != VSat {
 			t.Fatalf("verdict %v after unwinding all roots, want sat", v)
 		}
-		if m := b.Model(names); m["cfa"] != 3 {
+		if m := b.Model(vars); m["cfa"] != 3 {
 			t.Fatalf("model %v, want cfa = 3", m)
 		}
 	})

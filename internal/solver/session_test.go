@@ -89,7 +89,7 @@ func sessionWorkload(t *testing.T, seed int64) ([]string, *Solver) {
 		if !ok || m == nil {
 			t.Fatalf("seed %d step %d: SAT verdict without a cached model", seed, step)
 		}
-		if names := queryVars(query); !reflect.DeepEqual(slices.Sorted(maps.Keys(m)), names) {
+		if names := SymNames(queryVars(query)); !reflect.DeepEqual(slices.Sorted(maps.Keys(m)), names) {
 			t.Fatalf("seed %d step %d: model binds %v, query mentions %v", seed, step, m, names)
 		}
 		ev := expr.NewEvaluator(m)

@@ -19,11 +19,17 @@
 // concretization, by evaluation alone, so the solver sees one query
 // per symbolic branch.
 //
-// The query path is built on interned expression IDs (expr.ID):
+// The query path is built on what interning puts on every expression
+// node, its ID (expr.ID) and its symbols (expr.Syms):
 //
 //   - the answer cache keys on an order-insensitive uint64 hash of
 //     the constraint IDs, so a cache probe allocates nothing, and
 //     holds the model of every SAT answer beside the verdict;
+//   - slicing runs its fixed point over a bitset of the symbols'
+//     per-arena indices, and a model binds the union of its query's
+//     symbol lists, so neither walks an expression or consults a
+//     shared table; index order decides set membership only, never
+//     slice order, SAT variable numbering or a cache key;
 //   - every query the cache cannot answer (MayBeTrue, Model) is
 //     decided incrementally: the solver keeps one backend session
 //     whose stack of root literals mirrors the query's constraint
@@ -227,7 +233,11 @@ func (s *Solver) Evictions() int64 { return s.evictions.Load() }
 // must not modify it.
 func (s *Solver) MayBeTrue(pc []*expr.Expr, cond *expr.Expr) (map[string]uint32, bool) {
 	s.queries.Add(1)
-	prefix, unsat := liveConstraints(Slice(pc, cond))
+	slice := Slice(pc, cond)
+	if sliceObserver != nil {
+		sliceObserver(pc, cond, slice)
+	}
+	prefix, unsat := liveConstraints(slice)
 	if unsat || cond.IsFalse() {
 		return nil, false
 	}

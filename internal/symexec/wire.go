@@ -290,9 +290,14 @@ func decodeStateGroup(g *WireStateGroup, base []byte, ar *expr.Arena) ([]*State,
 }
 
 // decodeWitness rebuilds a state's witness from its sorted bindings
-// and checks it against the state's path condition.
+// and checks it against the state's path condition: every binding must
+// name one of the constraints' symbols.
 func decodeWitness(bs []WireBinding, cons []*expr.Expr) (map[string]uint32, error) {
-	mentioned := expr.VarSet(cons...)
+	syms := expr.SymsOf(cons)
+	mentioned := make(map[string]bool, len(syms))
+	for _, s := range syms {
+		mentioned[s.Name] = true
+	}
 	w := make(map[string]uint32, len(bs))
 	for i, b := range bs {
 		if i > 0 && b.Name <= bs[i-1].Name {
@@ -301,7 +306,7 @@ func decodeWitness(bs []WireBinding, cons []*expr.Expr) (map[string]uint32, erro
 			}
 			return nil, fmt.Errorf("witness symbols out of order at %q", b.Name)
 		}
-		if _, ok := mentioned[b.Name]; !ok {
+		if !mentioned[b.Name] {
 			return nil, fmt.Errorf("witness binds %q, which no constraint mentions", b.Name)
 		}
 		w[b.Name] = b.Val
