@@ -5,8 +5,8 @@ package revnic_test
 // synthesized driver. One row per NIC driver × side × payload holds
 // the platform.Measure* path length and port I/O count behind Figures
 // 2-7, and one row per corpus driver holds the §5.2 equivalence check
-// counts behind Table 2. A change to either side's execution
-// semantics regenerates it:
+// counts and the Table 2 feature matrix. A change to either side's
+// execution semantics regenerates it:
 //
 //	go test -run ExecLedger -update .
 
@@ -35,13 +35,23 @@ type measureRow struct {
 	IOOps  int64  `json:"io_ops"`
 }
 
-// equivalenceRow is one core.CheckEquivalence trace comparison.
+// equivalenceRow is one core.CheckEquivalence trace comparison and
+// the Table 2 feature matrix it reports.
 type equivalenceRow struct {
 	Key             string `json:"key"`
 	OrigOps         int    `json:"orig_ops"`
 	SynthOps        int    `json:"synth_ops"`
 	IOTraceEqual    bool   `json:"io_trace_equal"`
 	FirstDivergence string `json:"first_divergence"`
+	InitShutdown    bool   `json:"init_shutdown"`
+	SendReceive     bool   `json:"send_receive"`
+	Multicast       bool   `json:"multicast"`
+	GetSetMAC       bool   `json:"get_set_mac"`
+	Promiscuous     bool   `json:"promiscuous"`
+	FullDuplex      bool   `json:"full_duplex"`
+	DMA             string `json:"dma"`
+	WakeOnLAN       string `json:"wake_on_lan"`
+	LED             string `json:"led"`
 }
 
 type execLedger struct {
@@ -95,6 +105,10 @@ func execLedgerRun(t *testing.T) execLedger {
 		out.Equivalence = append(out.Equivalence, equivalenceRow{
 			Key: info.Name, OrigOps: rep.OrigOps, SynthOps: rep.SynthOps,
 			IOTraceEqual: rep.IOTraceEqual, FirstDivergence: rep.FirstDivergence,
+			InitShutdown: rep.InitShutdown, SendReceive: rep.SendReceive,
+			Multicast: rep.Multicast, GetSetMAC: rep.GetSetMAC,
+			Promiscuous: rep.Promiscuous, FullDuplex: rep.FullDuplex,
+			DMA: rep.DMA, WakeOnLAN: rep.WakeOnLAN, LED: rep.LED,
 		})
 	}
 	return out
