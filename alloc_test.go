@@ -7,10 +7,14 @@ import (
 
 	"revnic/internal/core"
 	"revnic/internal/drivers"
+	"revnic/internal/expr"
 	"revnic/internal/symexec"
 )
 
-// reverse runs the whole pipeline on a corpus driver at seed 42.
+// reverse runs the whole pipeline on a corpus driver at seed 42, in
+// a fresh expression arena as every revnicd job and benchmark op does,
+// so each run allocates its expression nodes instead of finding them
+// interned by an earlier run.
 func reverse(t *testing.T, name string, workers int) (*core.Reversed, error) {
 	t.Helper()
 	info, err := drivers.ByName(name)
@@ -19,7 +23,7 @@ func reverse(t *testing.T, name string, workers int) (*core.Reversed, error) {
 	}
 	return core.ReverseEngineer(info.Program, core.Options{
 		Shell: core.ShellConfig(info), DriverName: info.Name,
-		Engine: symexec.Config{Seed: 42, Workers: workers},
+		Engine: symexec.Config{Seed: 42, Workers: workers, Arena: expr.NewArena()},
 	})
 }
 
@@ -30,7 +34,10 @@ func reverse(t *testing.T, name string, workers int) (*core.Reversed, error) {
 // Concrete words in registers and memory pages, and a block step that
 // allocates nothing for scheduling, cost ~10.1k; symbol lists on the
 // expression nodes (slicing and query symbols without name sets) cost
-// ~8.9k. The ceiling keeps ~40% headroom over that.
+// ~8.9k, measured in the process-wide default arena where a repeat
+// run interns no new node. In a fresh arena per run, which also pays
+// for node allocation and symbol lists, the same run costs ~10.4k;
+// the ceiling keeps ~20% headroom over that.
 const exploreAllocCeiling = 12500
 
 // TestExploreAllocationCeiling guards the allocation diet of the

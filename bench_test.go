@@ -21,6 +21,7 @@ import (
 	"revnic/internal/core"
 	"revnic/internal/drivers"
 	"revnic/internal/experiments"
+	"revnic/internal/expr"
 	"revnic/internal/symexec"
 	"revnic/internal/synth"
 	"revnic/internal/template"
@@ -247,6 +248,8 @@ func BenchmarkTemplateInstantiation(b *testing.B) {
 // BenchmarkExploreParallel to see what the fork-join mode buys on
 // this machine. The reported coverage metric must be identical for
 // both (the parallel mode is bit-deterministic in the worker count).
+// Each run explores in a fresh expression arena, as a revnicd job or
+// a re-serial benchmark op does, so node allocation is measured too.
 func benchExploreWorkers(b *testing.B, workers int) {
 	info, err := drivers.ByName("RTL8029")
 	if err != nil {
@@ -256,7 +259,7 @@ func benchExploreWorkers(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
 		rev, err := core.ReverseEngineer(info.Program, core.Options{
 			Shell: core.ShellConfig(info), DriverName: info.Name,
-			Engine: symexec.Config{Seed: 42, Workers: workers},
+			Engine: symexec.Config{Seed: 42, Workers: workers, Arena: expr.NewArena()},
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -9,7 +9,12 @@
 //
 // The synthetic driver can be emitted as C source for a chosen target
 // OS, or instantiated as an executable (package synthdrv) for the
-// equivalence and performance experiments of §5.
+// equivalence and performance experiments of §5. One step oracle
+// (Oracle) runs a schedule of steps on the original binary and the
+// synthesized driver in lockstep and compares them at every step: the
+// §5.2 check (CheckEquivalence) runs the committed EquivalenceWorkload
+// through it, and the differential fuzzer (package difffuzz) its
+// generated schedules.
 package core
 
 import (

@@ -72,68 +72,6 @@ func ShellConfig(d *drivers.Info) hw.PCIConfig {
 	}
 }
 
-// equivalence workload: the operation sequence applied identically to
-// both drivers.
-type eqOps struct {
-	mac           [6]byte
-	sends         [][]byte
-	inbound       [][]byte
-	mcast         []byte
-	filterPromisc []byte
-	filterNormal  []byte
-}
-
-func makeEqOps(mac [6]byte) eqOps {
-	frame := func(dst [6]byte, n int) []byte {
-		f := make([]byte, n)
-		copy(f, dst[:])
-		copy(f[6:], mac[:])
-		f[12], f[13] = 0x08, 0x00
-		for i := 14; i < n; i++ {
-			f[i] = byte(i * 3)
-		}
-		return f
-	}
-	bcast := [6]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}
-	return eqOps{
-		mac:     mac,
-		sends:   [][]byte{frame(bcast, 64), frame(bcast, 512), frame(bcast, 1514)},
-		inbound: [][]byte{frame(mac, 96), frame(mac, 1200)},
-		mcast: []byte{
-			0x01, 0x00, 0x5E, 0x00, 0x00, 0x01,
-			0x01, 0x00, 0x5E, 0x7F, 0xFF, 0xFA,
-		},
-		filterPromisc: []byte{guestos.FilterPromiscuous | guestos.FilterDirected, 0, 0, 0},
-		filterNormal:  []byte{guestos.FilterDirected | guestos.FilterBroadcast | guestos.FilterMulticast, 0, 0, 0},
-	}
-}
-
-// runOriginal exercises the original binary driver on its device,
-// recording the I/O trace.
-func runOriginal(info *drivers.Info, ops eqOps) ([]IOEvent, nic.Model, *guestos.OS, error) {
-	rig, err := NewOriginalRig(info, ir.NewImage(info.Program), ops.mac, nil)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	_, err = driveWorkload(rig.Side, rig.Dev, ops)
-	tr := slices.Clone(rig.Trace())
-	rig.Close()
-	return tr, rig.Dev, rig.OS, err
-}
-
-// runSynthesized exercises the synthesized driver on a fresh device
-// of the same type, recording its I/O trace.
-func runSynthesized(rev *Reversed, info *drivers.Info, osKind template.OS, ops eqOps) ([]IOEvent, nic.Status, nic.Model, *template.Runtime, error) {
-	rig, err := NewSynthRig(synthdrv.NewCode(rev.Graph), info, osKind, ops.mac, nil)
-	if err != nil {
-		return nil, nic.Status{}, nil, nil, err
-	}
-	snap, err := driveWorkload(rig.Side, rig.Dev, ops)
-	tr := slices.Clone(rig.Trace())
-	rig.Close()
-	return tr, snap, rig.Dev, rig.RT, err
-}
-
 // Side abstracts "a driver with an OS around it" so an identical
 // workload can drive the original binary and the synthesized code:
 // *guestos.OS and *synthdrv.Driver both satisfy it.
@@ -150,9 +88,9 @@ type Side interface {
 // Rig is one executable driver instance — the original binary under
 // the guest OS, or the synthesized driver under the template runtime
 // — on a fresh VM machine bound to a device model in power-on state,
-// with every hardware access it performs recorded. The differential
-// fuzzer builds one rig per side per schedule; the equivalence checker
-// builds one pair per driver.
+// with every hardware access it performs recorded. An Oracle holds one
+// rig per side for each fuzz schedule and each equivalence check; the
+// check's feature probes build synthesized rigs of their own.
 // Everything in a rig is built fresh except its guest memory, which
 // comes zeroed from the process-wide hw.RAM pool, its trace buffer,
 // which comes empty from a bounded free list, what the caller shares
@@ -316,119 +254,91 @@ func NewSynthRig(code *synthdrv.Code, info *drivers.Info, osKind template.OS, ma
 	return &Rig{Side: d, M: d.M, Dev: dev, RT: rt, Drv: d, pool: models}, nil
 }
 
-// driveWorkload applies the equivalence workload to one side. The
-// returned status is snapshotted after the feature sets but before
-// Halt (which legitimately clears receiver state on some chips).
-func driveWorkload(s Side, dev nic.Model, ops eqOps) (nic.Status, error) {
-	var snap nic.Status
-	if err := s.Initialize(); err != nil {
-		return snap, fmt.Errorf("initialize: %w", err)
+// EquivalenceWorkload returns the §5.2 workload, the schedule
+// CheckEquivalence runs through the Oracle: read the MAC, set the
+// packet filter and a multicast list, send three broadcast frames,
+// receive two directed ones, turn on promiscuous mode and full duplex,
+// fire the timer. Halt follows the last step.
+func EquivalenceWorkload() []Step {
+	return []Step{
+		{Op: "query", OID: guestos.OIDMACAddress, Val: 6},
+		{Op: "set", OID: guestos.OIDPacketFilter, Val: guestos.FilterDirected | guestos.FilterBroadcast | guestos.FilterMulticast},
+		{Op: "set", OID: guestos.OIDMulticastList, Data: []byte{
+			0x01, 0x00, 0x5E, 0x00, 0x00, 0x01,
+			0x01, 0x00, 0x5E, 0x7F, 0xFF, 0xFA,
+		}},
+		{Op: "send", Size: 64, Bcast: true},
+		{Op: "send", Size: 512, Bcast: true},
+		{Op: "send", Size: 1514, Bcast: true},
+		{Op: "recv", Size: 96},
+		{Op: "recv", Size: 1200},
+		{Op: "set", OID: guestos.OIDPacketFilter, Val: guestos.FilterPromiscuous | guestos.FilterDirected},
+		{Op: "set", OID: guestos.OIDFullDuplex, Val: 1},
+		{Op: "timer"},
 	}
-	if _, _, err := s.Query(guestos.OIDMACAddress, 6); err != nil {
-		return snap, fmt.Errorf("query mac: %w", err)
-	}
-	if _, err := s.Set(guestos.OIDPacketFilter, ops.filterNormal); err != nil {
-		return snap, fmt.Errorf("set filter: %w", err)
-	}
-	if _, err := s.Set(guestos.OIDMulticastList, ops.mcast); err != nil {
-		return snap, fmt.Errorf("set multicast: %w", err)
-	}
-	for i, f := range ops.sends {
-		if _, err := s.Send(f); err != nil {
-			return snap, fmt.Errorf("send %d: %w", i, err)
-		}
-		if _, err := s.PumpInterrupts(16); err != nil {
-			return snap, fmt.Errorf("pump after send %d: %w", i, err)
-		}
-	}
-	for i, f := range ops.inbound {
-		if !dev.InjectRX(f) {
-			return snap, fmt.Errorf("device dropped inbound frame %d", i)
-		}
-		if _, err := s.PumpInterrupts(16); err != nil {
-			return snap, fmt.Errorf("pump after rx %d: %w", i, err)
-		}
-	}
-	if _, err := s.Set(guestos.OIDPacketFilter, ops.filterPromisc); err != nil {
-		return snap, fmt.Errorf("set promisc: %w", err)
-	}
-	if _, err := s.Set(guestos.OIDFullDuplex, []byte{1, 0, 0, 0}); err != nil {
-		return snap, fmt.Errorf("set duplex: %w", err)
-	}
-	snap = dev.StatusReport()
-	if err := s.FireTimer(); err != nil {
-		return snap, fmt.Errorf("timer: %w", err)
-	}
-	if err := s.Halt(); err != nil {
-		return snap, fmt.Errorf("halt: %w", err)
-	}
-	return snap, nil
 }
 
-// CompareTraces compares two hardware I/O traces op by op, then by
-// length. It returns ("", true) when they are identical, and a
-// description of the first mismatch otherwise — the oracle shared by
-// the equivalence checker and the differential fuzzer.
-func CompareTraces(orig, synth []IOEvent) (string, bool) {
-	n := len(orig)
-	if len(synth) < n {
-		n = len(synth)
-	}
-	for i := 0; i < n; i++ {
-		if orig[i] != synth[i] {
-			return fmt.Sprintf("op %d: orig %+v vs synth %+v", i, orig[i], synth[i]), false
-		}
-	}
-	if len(orig) != len(synth) {
-		return fmt.Sprintf("length: orig %d vs synth %d", len(orig), len(synth)), false
-	}
-	return "", true
-}
-
-// CheckEquivalence runs the §5.2 methodology for one driver: exercise
-// the original and the synthesized driver with the same workload on
-// identical device models and compare the hardware I/O traces, then
-// probe each Table 2 feature on the synthesized driver.
+// CheckEquivalence runs the §5.2 methodology for one driver: run the
+// EquivalenceWorkload on the original and the synthesized driver, on
+// identical device models, through the Oracle, then probe each Table 2
+// feature on the synthesized driver. An error on either side, and
+// unexplored code on the synthesized one, is an error; any other
+// difference is reported in IOTraceEqual and FirstDivergence, and the
+// op counts are then those of the traces up to it.
 func CheckEquivalence(info *drivers.Info, rev *Reversed, osKind template.OS) (*FeatureReport, error) {
 	mac := [6]byte{0x02, 0x5E, 0x44, 0x33, 0x22, 0x11}
-	ops := makeEqOps(mac)
-
-	origTrace, _, origOS, err := runOriginal(info, ops)
+	code := synthdrv.NewCode(rev.Graph)
+	o, err := NewOracle(info, ir.NewImage(info.Program), code, osKind, mac, nil)
 	if err != nil {
-		return nil, fmt.Errorf("original run: %w", err)
+		return nil, err
 	}
-	synthTrace, snap, synthDev, rt, err := runSynthesized(rev, info, osKind, ops)
-	if err != nil {
-		return nil, fmt.Errorf("synthesized run: %w", err)
+	defer o.Close()
+
+	// snap is the synthesized device's status after the feature sets,
+	// before the timer and halt (which legitimately clears receiver
+	// state on some chips).
+	var snap nic.Status
+	w := EquivalenceWorkload()
+	timer := len(w) - 1
+	if o.Init() && o.Run(0, w[:timer]) {
+		snap = o.Synth.Dev.StatusReport()
+		o.Run(timer, w[timer:])
+	}
+	o.Halt(len(w))
+	switch {
+	case o.OrigErr != nil:
+		return nil, fmt.Errorf("original run: %w", o.OrigErr)
+	case o.SynthErr != nil:
+		return nil, fmt.Errorf("synthesized run: %w", o.SynthErr)
 	}
 
 	rep := &FeatureReport{
-		Driver:   info.Name,
-		OrigOps:  len(origTrace),
-		SynthOps: len(synthTrace),
+		Driver:       info.Name,
+		OrigOps:      len(o.Orig.Trace()),
+		SynthOps:     len(o.Synth.Trace()),
+		IOTraceEqual: o.Mismatch == nil,
 	}
-	rep.FirstDivergence, rep.IOTraceEqual = CompareTraces(origTrace, synthTrace)
+	if o.Mismatch != nil {
+		rep.FirstDivergence = o.Mismatch.String()
+	}
 
-	// Functional results on the synthesized side. snap was taken
-	// mid-workload (after the feature sets, before halt); the final
-	// status confirms clean shutdown.
-	final := synthDev.StatusReport()
-	rep.InitShutdown = !final.RxEnabled // halted cleanly at the end
-	rep.SendReceive = len(rt.Received) == len(ops.inbound)
-	for i, f := range rt.Received {
-		if i < len(ops.inbound) && !bytes.Equal(f, ops.inbound[i]) {
-			rep.SendReceive = false
+	// Functional results on the synthesized side; the final status
+	// confirms clean shutdown, and the frames indicated up the stack
+	// must be the ones received, none dropped.
+	var inbound [][]byte
+	for _, st := range w {
+		if st.Op == "recv" {
+			inbound = append(inbound, st.Frame(nil, mac))
 		}
 	}
+	rt := o.Synth.RT
+	rep.InitShutdown = !o.Synth.Dev.StatusReport().RxEnabled
+	rep.SendReceive = slices.EqualFunc(rt.Received, inbound, bytes.Equal) &&
+		o.Orig.OS.SendCompletes == rt.SendCompletes
 	rep.Multicast = snap.MulticastHash != [8]byte{}
 	rep.Promiscuous = snap.Promiscuous
 	rep.FullDuplex = snap.FullDuplex
 	rep.GetSetMAC = snap.MAC == mac
-
-	// Cross-check against the original side's OS observations.
-	if origOS.SendCompletes != rt.SendCompletes {
-		rep.SendReceive = false
-	}
 
 	// Chip-dependent rows.
 	rep.DMA = "N/A"
@@ -441,19 +351,16 @@ func CheckEquivalence(info *drivers.Info, rev *Reversed, osKind template.OS) (*F
 	case "RTL8139":
 		// Exercisable: set WOL and LED through the synthesized
 		// driver and observe CONFIG1.
-		if err := probeFeature(rev, info, mac, func(st nic.Status) bool { return st.WOLEnabled && st.LEDOn },
-			guestos.OIDEnableWOL, guestos.OIDLEDControl); err == nil {
-			rep.WakeOnLAN = "yes"
-			rep.LED = "yes"
-		} else {
-			rep.WakeOnLAN = "FAIL"
-			rep.LED = "FAIL"
+		rep.WakeOnLAN, rep.LED = "FAIL", "FAIL"
+		if probeFeature(code, info, mac, func(st nic.Status) bool { return st.WOLEnabled && st.LEDOn },
+			guestos.OIDEnableWOL, guestos.OIDLEDControl) == nil {
+			rep.WakeOnLAN, rep.LED = "yes", "yes"
 		}
 	case "AMD PCNet":
 		rep.WakeOnLAN = "N/T" // code exercised, virtual HW can't wake
 	case "SMSC 91C111":
-		if err := probeFeature(rev, info, mac, func(st nic.Status) bool { return st.LEDOn },
-			guestos.OIDLEDControl); err == nil {
+		if probeFeature(code, info, mac, func(st nic.Status) bool { return st.LEDOn },
+			guestos.OIDLEDControl) == nil {
 			rep.LED = "yes"
 		}
 	}
@@ -461,9 +368,9 @@ func CheckEquivalence(info *drivers.Info, rev *Reversed, osKind template.OS) (*F
 }
 
 // probeFeature turns on each OID in oids through a fresh synthesized
-// driver and checks that the device status reflects them.
-func probeFeature(rev *Reversed, info *drivers.Info, mac [6]byte, reflected func(nic.Status) bool, oids ...uint32) error {
-	rig, err := NewSynthRig(synthdrv.NewCode(rev.Graph), info, template.Windows, mac, nil)
+// driver of code and checks that the device status reflects them.
+func probeFeature(code *synthdrv.Code, info *drivers.Info, mac [6]byte, reflected func(nic.Status) bool, oids ...uint32) error {
+	rig, err := NewSynthRig(code, info, template.Windows, mac, nil)
 	if err != nil {
 		return err
 	}

@@ -222,34 +222,26 @@ func TestCorruptedIndicatedFrameIsRxData(t *testing.T) {
 		for _, corrupt := range []string{"byte", "count"} {
 			t.Run(info.Name+"/"+corrupt, func(t *testing.T) {
 				h := harnessFor(t, info.Name, "")
-				orig, err := core.NewOriginalRig(h.Info, h.img, h.mac, &h.models)
+				o, err := core.NewOracle(h.Info, h.img, h.code, h.OS, h.mac, &h.models)
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer orig.Close()
-				synth, err := core.NewSynthRig(h.code, h.Info, h.OS, h.mac, &h.models)
-				if err != nil {
-					t.Fatal(err)
+				defer o.Close()
+				if !o.Init() || !o.Step(0, Step{Op: "recv", Size: 64, Fill: 0x5A}) {
+					t.Fatalf("clean recv stopped the schedule: %+v", o.Mismatch)
 				}
-				defer synth.Close()
-				var out Outcome
-				ex := &execution{h: h, orig: orig, synth: synth, out: &out}
-				if !ex.both(-1, "init", func(s core.Side) (uint32, []byte, error) { return 0, nil, s.Initialize() }) ||
-					!ex.step(0, Step{Op: "recv", Size: 64, Fill: 0x5A}) {
-					t.Fatalf("clean recv stopped the schedule: %+v", out)
-				}
-				rx := synth.RT.Received
-				if len(rx) == 0 || len(orig.OS.Received) != len(rx) {
+				rx := o.Synth.RT.Received
+				if len(rx) == 0 || len(o.Orig.OS.Received) != len(rx) {
 					t.Fatalf("recv indicated %d frames on the original side, %d on the synthesized one",
-						len(orig.OS.Received), len(rx))
+						len(o.Orig.OS.Received), len(rx))
 				}
 				if corrupt == "byte" {
 					rx[0][len(rx[0])-1] ^= 0xFF
 				} else {
-					synth.RT.Received = rx[:len(rx)-1]
+					o.Synth.RT.Received = rx[:len(rx)-1]
 				}
-				if ex.step(1, Step{Op: "pump"}) || out.Divergence == nil || out.Divergence.Kind != "rx-data" {
-					t.Fatalf("corrupted %s: divergence %+v, want rx-data", corrupt, out.Divergence)
+				if o.Step(1, Step{Op: "pump"}) || o.Mismatch == nil || o.Mismatch.Kind != "rx-data" {
+					t.Fatalf("corrupted %s: divergence %+v, want rx-data", corrupt, o.Mismatch)
 				}
 			})
 		}

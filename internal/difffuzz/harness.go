@@ -2,13 +2,11 @@ package difffuzz
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
 
 	"revnic/internal/cfg"
 	"revnic/internal/core"
@@ -25,15 +23,7 @@ var PlantKinds = []string{"send-port"}
 
 // ValidPlant reports whether kind is a known planted-bug kind.
 func ValidPlant(kind string) bool {
-	if kind == "" {
-		return true
-	}
-	for _, k := range PlantKinds {
-		if k == kind {
-			return true
-		}
-	}
-	return false
+	return kind == "" || slices.Contains(PlantKinds, kind)
 }
 
 // Harness holds one reverse-engineered driver ready for differential
@@ -149,25 +139,11 @@ type Outcome struct {
 }
 
 // Divergence describes one observable behavioral difference between
-// the original and the synthesized driver.
+// the original and the synthesized driver: the oracle's Mismatch, on
+// one device, with the schedule that reproduces it.
 type Divergence struct {
 	Device string `json:"device"`
-	// Kind classifies the difference:
-	//
-	//	trace     — hardware I/O traces differ op-for-op
-	//	length    — one side performed extra hardware ops
-	//	status    — an operation returned different NDIS status
-	//	query-out — a query returned different bytes
-	//	op-error  — one side failed an operation the other completed
-	//	rx-accept — the device accepted a frame for one side only
-	//	rx-data   — frames indicated up the stack differ
-	//	tx-data   — transmitted frames differ
-	Kind string `json:"kind"`
-	// Step is the index of the schedule step that exposed the
-	// difference; -1 means initialization, len(Steps) means halt.
-	Step   int    `json:"step"`
-	StepOp string `json:"step_op,omitempty"`
-	Detail string `json:"detail"`
+	core.Mismatch
 	// Schedule reproduces the divergence from a fresh harness.
 	Schedule Schedule `json:"schedule"`
 	// Minimized is the shortest reproducer found by ddmin, when
@@ -178,19 +154,19 @@ type Divergence struct {
 }
 
 func (d *Divergence) String() string {
-	s := fmt.Sprintf("%s: %s at step %d (%s): %s", d.Device, d.Kind, d.Step, d.StepOp, d.Detail)
+	s := d.Device + ": " + d.Mismatch.String()
 	if d.Minimized != nil {
 		s += fmt.Sprintf(" [minimized to %d steps in %d trials]", len(d.Minimized.Steps), d.MinimizeTrials)
 	}
 	return s
 }
 
-// RunSchedule executes one schedule on a fresh original rig and a
-// fresh synthesized rig, comparing observable behavior step by step,
-// and closes both rigs once their traces and edges are read. A panic
-// in either driver is recovered into Outcome.Err — one bad schedule
-// must never take down a fuzzing run or a job runner — and its rigs
-// are left to the garbage collector rather than recycled.
+// RunSchedule executes one schedule through the core.Oracle on a
+// fresh original rig and a fresh synthesized rig, and closes both rigs
+// once their traces and edges are read. A panic in either driver is
+// recovered into Outcome.Err — one bad schedule must never take down a
+// fuzzing run or a job runner — and its rigs are left to the garbage
+// collector rather than recycled.
 func (h *Harness) RunSchedule(s Schedule) (out Outcome) {
 	out = Outcome{ScheduleID: s.ID, Steps: len(s.Steps)}
 	defer func() {
@@ -201,257 +177,22 @@ func (h *Harness) RunSchedule(s Schedule) (out Outcome) {
 		}
 	}()
 
-	orig, err := core.NewOriginalRig(h.Info, h.img, h.mac, &h.models)
+	o, err := core.NewOracle(h.Info, h.img, h.code, h.OS, h.mac, &h.models)
 	if err != nil {
-		out.Err = fmt.Sprintf("original rig: %v", err)
+		out.Err = err.Error()
 		return out
 	}
-	synth, err := core.NewSynthRig(h.code, h.Info, h.OS, h.mac, &h.models)
-	if err != nil {
-		orig.Close()
-		out.Err = fmt.Sprintf("synth rig: %v", err)
-		return out
+	if o.Init() {
+		o.Run(0, s.Steps)
 	}
-
-	frame := frames.Get().(*[]byte)
-	ex := &execution{h: h, orig: orig, synth: synth, out: &out, frame: *frame}
-
-	if ex.both(-1, "init", func(s core.Side) (uint32, []byte, error) {
-		return 0, nil, s.Initialize()
-	}) {
-		for i, st := range s.Steps {
-			if !ex.step(i, st) {
-				break
-			}
-		}
-		if ex.out.Divergence == nil && !ex.out.Unexplored && ex.out.Err == "" {
-			ex.both(len(s.Steps), "halt", func(s core.Side) (uint32, []byte, error) {
-				return 0, nil, s.Halt()
-			})
-			ex.compareStatus(len(s.Steps))
-		}
+	o.Halt(len(s.Steps))
+	out.Unexplored, out.Err = o.Unexplored, o.Err
+	if o.Mismatch != nil {
+		out.Divergence = &Divergence{Device: h.Info.Name, Mismatch: *o.Mismatch, Schedule: s}
 	}
-	// Final full-trace comparison catches trailing extra ops.
-	if ex.out.Divergence == nil && ex.out.Err == "" && !ex.out.Unexplored {
-		if detail, ok := core.CompareTraces(orig.Trace(), synth.Trace()); !ok {
-			ex.diverge(len(s.Steps), "halt", "length", detail)
-		}
-	}
-	out.CovKeys = coverageKeys(orig.Trace(), synth.Drv)
-	orig.Close()
-	synth.Close()
-	*frame = ex.frame
-	frames.Put(frame)
-	if out.Divergence != nil {
-		out.Divergence.Schedule = s
-	}
+	out.CovKeys = coverageKeys(o.Orig.Trace(), o.Synth.Drv)
+	o.Close()
 	return out
-}
-
-// execution carries the per-schedule comparison state.
-type execution struct {
-	h      *Harness
-	orig   *core.Rig
-	synth  *core.Rig
-	out    *Outcome
-	cursor int // ops of the traces already compared
-	// frame is the scratch buffer send and recv steps build their
-	// frames in. Every consumer copies a frame before the step ends
-	// (guest memory through WriteMem, the device's receive memory or
-	// queue), so the next step may overwrite it.
-	frame []byte
-}
-
-// frames recycles the frame buffers of finished executions.
-var frames = sync.Pool{New: func() any { return new([]byte) }}
-
-func (ex *execution) diverge(step int, op, kind, detail string) {
-	if ex.out.Divergence == nil {
-		ex.out.Divergence = &Divergence{
-			Device: ex.h.Info.Name, Kind: kind, Step: step, StepOp: op, Detail: detail,
-		}
-	}
-}
-
-// both applies one operation to the two sides and compares status,
-// output bytes, errors, and the hardware traces the op produced.
-// It returns false when the schedule should stop (divergence found,
-// unexplored code hit, or matching failures on both sides).
-func (ex *execution) both(step int, op string, f func(core.Side) (uint32, []byte, error)) bool {
-	oSt, oOut, oErr := f(ex.orig.Side)
-	sSt, sOut, sErr := f(ex.synth.Side)
-
-	var unexp *synthdrv.ErrUnexplored
-	if errors.As(sErr, &unexp) {
-		// Prefix check first: an unexplored hit after the traces
-		// already diverged is still a divergence.
-		if !ex.comparePrefix(step, op) {
-			return false
-		}
-		ex.out.Unexplored = true
-		return false
-	}
-	if (oErr == nil) != (sErr == nil) {
-		ex.diverge(step, op, "op-error",
-			fmt.Sprintf("orig err=%v, synth err=%v", oErr, sErr))
-		return false
-	}
-	if oErr != nil {
-		// Both sides failed identically (e.g. a stuck interrupt
-		// line): stop the schedule, no divergence.
-		return false
-	}
-	if oSt != sSt {
-		ex.diverge(step, op, "status",
-			fmt.Sprintf("orig status %#x, synth status %#x", oSt, sSt))
-		return false
-	}
-	if !bytes.Equal(oOut, sOut) {
-		ex.diverge(step, op, "query-out",
-			fmt.Sprintf("orig % x, synth % x", oOut, sOut))
-		return false
-	}
-	return ex.comparePrefix(step, op)
-}
-
-// comparePrefix diffs the not-yet-compared region of the two traces.
-// The synthesized trace may legitimately be shorter mid-schedule only
-// when the driver stopped at unexplored code, which both() handles
-// before calling here; a value mismatch in the common prefix is
-// always a real divergence.
-func (ex *execution) comparePrefix(step int, op string) bool {
-	ot, st := ex.orig.Trace(), ex.synth.Trace()
-	n := len(ot)
-	if len(st) < n {
-		n = len(st)
-	}
-	for i := ex.cursor; i < n; i++ {
-		if ot[i] != st[i] {
-			ex.diverge(step, op, "trace",
-				fmt.Sprintf("op %d: orig %+v vs synth %+v", i, ot[i], st[i]))
-			return false
-		}
-	}
-	ex.cursor = n
-	return true
-}
-
-func (ex *execution) compareStatus(step int) {
-	if ex.out.Divergence != nil {
-		return
-	}
-	o, s := ex.orig.Dev.StatusReport(), ex.synth.Dev.StatusReport()
-	if o != s {
-		ex.diverge(step, "halt", "status",
-			fmt.Sprintf("device status orig %+v, synth %+v", o, s))
-	}
-}
-
-// step applies one schedule step to both sides.
-func (ex *execution) step(i int, st Step) bool {
-	switch st.Op {
-	case "send":
-		ex.frame = ex.h.buildFrame(ex.frame, st)
-		if !ex.both(i, "send", func(s core.Side) (uint32, []byte, error) {
-			stat, err := s.Send(ex.frame)
-			return stat, nil, err
-		}) {
-			return false
-		}
-		return ex.pump(i, "send") &&
-			ex.compareFrames(i, "send", "tx-data", "transmitted", ex.orig.Dev.TxFrames(), ex.synth.Dev.TxFrames())
-	case "recv":
-		ex.frame = ex.h.buildFrame(ex.frame, st)
-		oAcc := ex.orig.Dev.InjectRX(ex.frame)
-		sAcc := ex.synth.Dev.InjectRX(ex.frame)
-		if oAcc != sAcc {
-			ex.diverge(i, "recv", "rx-accept",
-				fmt.Sprintf("orig accepted=%v, synth accepted=%v (len %d)", oAcc, sAcc, len(ex.frame)))
-			return false
-		}
-		if !oAcc {
-			return true // both dropped; nothing to pump
-		}
-		return ex.pump(i, "recv") && ex.compareReceived(i, "recv")
-	case "query":
-		return ex.both(i, "query", func(s core.Side) (uint32, []byte, error) {
-			return s.Query(st.OID, st.Val)
-		})
-	case "set":
-		var in [4]byte
-		binary.LittleEndian.PutUint32(in[:], st.Val)
-		return ex.both(i, "set", func(s core.Side) (uint32, []byte, error) {
-			stat, err := s.Set(st.OID, in[:])
-			return stat, nil, err
-		})
-	case "timer":
-		return ex.both(i, "timer", func(s core.Side) (uint32, []byte, error) {
-			return 0, nil, s.FireTimer()
-		})
-	case "pump":
-		return ex.pump(i, "pump") && ex.compareReceived(i, "pump")
-	default:
-		ex.out.Err = fmt.Sprintf("unknown step op %q", st.Op)
-		return false
-	}
-}
-
-func (ex *execution) pump(i int, op string) bool {
-	return ex.both(i, op, func(s core.Side) (uint32, []byte, error) {
-		n, err := s.PumpInterrupts(16)
-		return uint32(n), nil, err
-	})
-}
-
-// compareReceived diffs the frames each side has indicated up the
-// stack so far.
-func (ex *execution) compareReceived(i int, op string) bool {
-	return ex.compareFrames(i, op, "rx-data", "indicated", ex.orig.OS.Received, ex.synth.RT.Received)
-}
-
-// compareFrames diffs two frame lists, byte for byte, as a divergence
-// of the given kind ("tx-data" or "rx-data"); verb names what the
-// sides did with the frames.
-func (ex *execution) compareFrames(i int, op, kind, verb string, o, s [][]byte) bool {
-	if len(o) != len(s) {
-		ex.diverge(i, op, kind, fmt.Sprintf("orig %s %d frames, synth %d", verb, len(o), len(s)))
-		return false
-	}
-	for j := range o {
-		if !bytes.Equal(o[j], s[j]) {
-			ex.diverge(i, op, kind,
-				fmt.Sprintf("%s frame %d differs: orig %d bytes, synth %d bytes", kind[:2], j, len(o[j]), len(s[j])))
-			return false
-		}
-	}
-	return true
-}
-
-// buildFrame constructs the deterministic frame for a send/recv step
-// in buf and returns the frame. A buf too short for it is replaced by
-// one that holds any frame up to MaxFrameSize, so a recycled buffer
-// is not grown again.
-func (h *Harness) buildFrame(buf []byte, st Step) []byte {
-	if cap(buf) < st.Size {
-		buf = make([]byte, max(st.Size, MaxFrameSize))
-	}
-	f := buf[:st.Size]
-	clear(f)
-	dst := h.mac
-	if st.Bcast {
-		dst = [6]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}
-	}
-	copy(f, dst[:])
-	if st.Size > 6 {
-		copy(f[6:], h.mac[:])
-	}
-	if st.Size > 13 {
-		f[12], f[13] = 0x08, 0x00
-	}
-	for i := 14; i < st.Size; i++ {
-		f[i] = st.Fill + byte(i*7)
-	}
-	return f
 }
 
 // accessPairBit marks a coverage key as a pair of consecutive

@@ -191,10 +191,10 @@ func runFrames(t *testing.T, h *Harness, steps []Step, reuse bool) frameRun {
 		var frame []byte
 		if st.Op != "pump" {
 			if reuse {
-				buf = h.buildFrame(buf, st)
+				buf = st.Frame(buf, h.mac)
 				frame = buf
 			} else {
-				frame = h.buildFrame(nil, st)
+				frame = st.Frame(nil, h.mac)
 			}
 		}
 		for _, r := range rigs {

@@ -1,9 +1,9 @@
 // Package difffuzz is the differential fuzzing subsystem: it drives
 // the synthesized driver and the original binary side by side on
 // randomized — but fully reproducible — schedules of register, DMA
-// and interrupt activity, and diffs their observable behavior through
-// the same trace oracle the §5.2 equivalence checker uses. Where the
-// equivalence checker replays one fixed workload, the fuzzer explores
+// and interrupt activity, through the step oracle (core.Oracle) that
+// also runs the §5.2 equivalence check. Where that check runs one
+// committed schedule (core.EquivalenceWorkload), the fuzzer explores
 // the workload space: schedules that reach new hardware-access
 // patterns seed further mutation, and any divergence is minimized to
 // a shortest reproducer.
@@ -16,29 +16,14 @@ package difffuzz
 
 import (
 	"fmt"
+	"slices"
 
+	"revnic/internal/core"
 	"revnic/internal/guestos"
 )
 
-// Step is one operation in a fuzz schedule. Op selects the operation;
-// the remaining fields parameterize it and are ignored by ops that do
-// not use them.
-type Step struct {
-	// Op is one of "send", "recv", "query", "set", "timer", "pump".
-	Op string `json:"op"`
-	// Size is the frame length for send/recv.
-	Size int `json:"size,omitempty"`
-	// Fill seeds the frame payload pattern for send/recv.
-	Fill byte `json:"fill,omitempty"`
-	// Bcast addresses the frame to ff:ff:ff:ff:ff:ff instead of the
-	// device's own station address.
-	Bcast bool `json:"bcast,omitempty"`
-	// OID is the object identifier for query/set.
-	OID uint32 `json:"oid,omitempty"`
-	// Val is the 32-bit little-endian payload for set, and the
-	// requested buffer size for query.
-	Val uint32 `json:"val,omitempty"`
-}
+// Step is one operation in a fuzz schedule (see core.Step).
+type Step = core.Step
 
 // Schedule is one reproducible workload: a sequence of steps applied
 // identically to the original and the synthesized driver.
@@ -51,48 +36,35 @@ func (s Schedule) String() string {
 	return fmt.Sprintf("schedule %#x (%d steps)", s.ID, len(s.Steps))
 }
 
-// Caps on schedule content. Schedules from outside the process (seed
-// files, peer shard payloads) are checked against them by Validate
-// before anything runs; every generated schedule is within them.
-const (
-	// MaxFrameSize bounds the frame of a send/recv step. It sits past
-	// the largest legal Ethernet frame so the drivers' over-length
-	// rejection paths still get fuzzed.
-	MaxFrameSize = 1600
-	// MaxQueryLen bounds the buffer size a query step requests.
-	MaxQueryLen = 4096
-	// MaxScheduleSteps bounds schedule length.
-	MaxScheduleSteps = 64
-)
+// MaxScheduleSteps bounds schedule length. Schedules from outside
+// the process (seed files, peer shard payloads) are checked against it
+// and the step caps (core.MaxFrameSize, core.MaxQueryLen,
+// core.MaxSetData) by Validate before anything runs; every generated
+// schedule is within them.
+const MaxScheduleSteps = 64
 
 // Validate checks a schedule against the caps: a known op in every
-// step, 0 <= Size <= MaxFrameSize, a query Val of at most MaxQueryLen
-// and at most MaxScheduleSteps steps. Both drivers allocate what a
-// step asks for, so an unchecked step could demand gigabytes.
+// step, 0 <= Size <= MaxFrameSize, a query Val of at most MaxQueryLen,
+// at most MaxSetData bytes of Data and at most MaxScheduleSteps steps.
+// Both drivers allocate what a step asks for, so an unchecked step
+// could demand gigabytes.
 func (s Schedule) Validate() error {
 	if len(s.Steps) > MaxScheduleSteps {
 		return fmt.Errorf("difffuzz: schedule %#x: %d steps, max %d", s.ID, len(s.Steps), MaxScheduleSteps)
 	}
 	for i, st := range s.Steps {
 		switch {
-		case !validOp(st.Op):
+		case !slices.Contains(stepOps, st.Op):
 			return fmt.Errorf("difffuzz: schedule %#x step %d: unknown op %q", s.ID, i, st.Op)
-		case st.Size < 0 || st.Size > MaxFrameSize:
-			return fmt.Errorf("difffuzz: schedule %#x step %d: size %d out of range [0, %d]", s.ID, i, st.Size, MaxFrameSize)
-		case st.Op == "query" && st.Val > MaxQueryLen:
-			return fmt.Errorf("difffuzz: schedule %#x step %d: query length %d exceeds %d", s.ID, i, st.Val, MaxQueryLen)
+		case st.Size < 0 || st.Size > core.MaxFrameSize:
+			return fmt.Errorf("difffuzz: schedule %#x step %d: size %d out of range [0, %d]", s.ID, i, st.Size, core.MaxFrameSize)
+		case st.Op == "query" && st.Val > core.MaxQueryLen:
+			return fmt.Errorf("difffuzz: schedule %#x step %d: query length %d exceeds %d", s.ID, i, st.Val, core.MaxQueryLen)
+		case len(st.Data) > core.MaxSetData:
+			return fmt.Errorf("difffuzz: schedule %#x step %d: %d data bytes exceed %d", s.ID, i, len(st.Data), core.MaxSetData)
 		}
 	}
 	return nil
-}
-
-func validOp(op string) bool {
-	for _, o := range stepOps {
-		if o == op {
-			return true
-		}
-	}
-	return false
 }
 
 // prng is splitmix64: tiny, fast, and — unlike math/rand — guaranteed
@@ -137,7 +109,7 @@ var oidPool = []uint32{
 // boundaries: minimum, maximum, off-by-one on either side, and a few
 // mid-range values. Invalid lengths are deliberately included — both
 // drivers must reject them identically.
-var frameSizes = []int{0, 13, 14, 15, 60, 64, 96, 256, 512, 1024, 1500, 1514, 1515, MaxFrameSize}
+var frameSizes = []int{0, 13, 14, 15, 60, 64, 96, 256, 512, 1024, 1500, 1514, 1515, core.MaxFrameSize}
 
 var stepOps = []string{"send", "recv", "query", "set", "timer", "pump"}
 

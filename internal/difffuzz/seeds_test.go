@@ -1,10 +1,13 @@
 package difffuzz
 
 import (
+	"encoding/base64"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"revnic/internal/core"
 )
 
 const seedDir = "../../examples/fuzz"
@@ -41,8 +44,9 @@ func TestValidateRejectsOverCapSteps(t *testing.T) {
 	bad := map[string]Schedule{
 		"unknown op":     {Steps: []Step{{Op: "reboot"}}},
 		"negative size":  {Steps: []Step{{Op: "send", Size: -1}}},
-		"oversized send": {Steps: []Step{{Op: "recv", Size: MaxFrameSize + 1}}},
+		"oversized send": {Steps: []Step{{Op: "recv", Size: core.MaxFrameSize + 1}}},
 		"huge query":     {Steps: []Step{{Op: "query", Val: 4000000000}}},
+		"oversized data": {Steps: []Step{{Op: "set", Data: make([]byte, core.MaxSetData+1)}}},
 		"too many steps": {Steps: long},
 	}
 	for name, s := range bad {
@@ -50,9 +54,9 @@ func TestValidateRejectsOverCapSteps(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	atCaps := append(append([]Step(nil), long[:MaxScheduleSteps-3]...),
-		Step{Op: "send", Size: MaxFrameSize}, Step{Op: "query", Val: MaxQueryLen},
-		Step{Op: "set", Val: 4000000000})
+	atCaps := append(append([]Step(nil), long[:MaxScheduleSteps-4]...),
+		Step{Op: "send", Size: core.MaxFrameSize}, Step{Op: "query", Val: core.MaxQueryLen},
+		Step{Op: "set", Val: 4000000000}, Step{Op: "set", Data: make([]byte, core.MaxSetData)})
 	if err := (Schedule{Steps: atCaps}).Validate(); err != nil {
 		t.Errorf("schedule at the caps rejected: %v", err)
 	}
@@ -75,6 +79,7 @@ func TestLoadSeedFileCaps(t *testing.T) {
 		"huge-query": `{"op":"query","oid":1,"val":4000000000}`,
 		"neg-size":   `{"op":"send","size":-1}`,
 		"bogus-op":   `{"op":"reboot"}`,
+		"big-data":   `{"op":"set","oid":1,"data":"` + base64.StdEncoding.EncodeToString(make([]byte, core.MaxSetData+1)) + `"}`,
 		"long":       strings.Repeat(`{"op":"pump"},`, MaxScheduleSteps) + `{"op":"pump"}`,
 	} {
 		p := filepath.Join(dir, name+".json")
@@ -91,7 +96,7 @@ func TestLoadSeedFileCaps(t *testing.T) {
 // FuzzLoadSeedFile feeds arbitrary bytes to the seed-file decoder. It
 // must return an error or schedules within the caps — never panic —
 // and every frame a loaded schedule asks for must build within
-// MaxFrameSize.
+// core.MaxFrameSize.
 func FuzzLoadSeedFile(f *testing.F) {
 	paths, err := filepath.Glob(filepath.Join(seedDir, "*.json"))
 	if err != nil {
@@ -104,7 +109,8 @@ func FuzzLoadSeedFile(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	h := &Harness{}
+	// A multicast-list set, the one step with a byte payload.
+	f.Add([]byte(`{"device":"RTL8029","schedules":[{"id":1,"steps":[{"op":"set","oid":16843011,"data":"AQBeAAABAQBef//6"}]}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sf, err := parseSeedFile("fuzz.json", data)
 		if err != nil {
@@ -115,7 +121,7 @@ func FuzzLoadSeedFile(f *testing.F) {
 				t.Fatalf("loaded schedule breaks a cap: %v", err)
 			}
 			for _, st := range s.Steps {
-				if n := len(h.buildFrame(nil, st)); n > MaxFrameSize {
+				if n := len(st.Frame(nil, [6]byte{})); n > core.MaxFrameSize {
 					t.Fatalf("%d-byte frame built", n)
 				}
 			}

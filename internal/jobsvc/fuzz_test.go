@@ -3,6 +3,7 @@ package jobsvc
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"revnic/internal/cluster"
+	"revnic/internal/core"
 	"revnic/internal/difffuzz"
 	"revnic/internal/template"
 )
@@ -286,7 +288,7 @@ func TestFuzzOSDefault(t *testing.T) {
 // TestFuzzShardRejectsHostileSchedules posts fuzz shards a peer must
 // refuse with 400 before running anything — a query that would make
 // both drivers allocate 4 GB, a negative frame size, an unknown op,
-// an over-long schedule — and runs one valid shard whose spec asks
+// an over-cap set payload, an over-long schedule — and runs one valid shard whose spec asks
 // for far more workers than it has schedules.
 func TestFuzzShardRejectsHostileSchedules(t *testing.T) {
 	svc := New(Config{Pool: 1, ShardPool: 1})
@@ -310,6 +312,7 @@ func TestFuzzShardRejectsHostileSchedules(t *testing.T) {
 		"huge query": `{"op":"query","oid":16842242,"val":4000000000}`,
 		"neg size":   `{"op":"send","size":-1}`,
 		"bogus op":   `{"op":"reboot"}`,
+		"big data":   `{"op":"set","oid":16843011,"data":"` + base64.StdEncoding.EncodeToString(make([]byte, core.MaxSetData+1)) + `"}`,
 		"too long":   strings.Repeat(`{"op":"pump"},`, difffuzz.MaxScheduleSteps) + `{"op":"pump"}`,
 	} {
 		if code, out := post(2, steps); code != http.StatusBadRequest {
