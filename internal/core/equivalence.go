@@ -288,6 +288,43 @@ func EquivalenceWorkload() []Step {
 func CheckEquivalence(info *drivers.Info, rev *Reversed, osKind template.OS) (*FeatureReport, error) {
 	mac := [6]byte{0x02, 0x5E, 0x44, 0x33, 0x22, 0x11}
 	code := synthdrv.NewCode(rev.Graph)
+	rep, err := runWorkload(info, code, osKind, mac)
+	if err != nil {
+		return nil, err
+	}
+
+	// Chip-dependent rows.
+	rep.DMA = "N/A"
+	if info.HasDMA {
+		rep.DMA = "yes"
+	}
+	rep.WakeOnLAN = "N/A"
+	rep.LED = "N/T"
+	switch info.Name {
+	case "RTL8139":
+		// Exercisable: set WOL and LED through the synthesized
+		// driver and observe CONFIG1.
+		rep.WakeOnLAN, rep.LED = "FAIL", "FAIL"
+		if probeFeature(code, info, mac, func(st nic.Status) bool { return st.WOLEnabled && st.LEDOn },
+			guestos.OIDEnableWOL, guestos.OIDLEDControl) == nil {
+			rep.WakeOnLAN, rep.LED = "yes", "yes"
+		}
+	case "AMD PCNet":
+		rep.WakeOnLAN = "N/T" // code exercised, virtual HW can't wake
+	case "SMSC 91C111":
+		if probeFeature(code, info, mac, func(st nic.Status) bool { return st.LEDOn },
+			guestos.OIDLEDControl) == nil {
+			rep.LED = "yes"
+		}
+	}
+	return rep, nil
+}
+
+// runWorkload runs the EquivalenceWorkload through an Oracle and
+// reports the comparison and the rows the workload shows on the
+// synthesized side. Its rigs are closed before it returns, so the
+// feature probes reuse their guest memory.
+func runWorkload(info *drivers.Info, code *synthdrv.Code, osKind template.OS, mac [6]byte) (*FeatureReport, error) {
 	o, err := NewOracle(info, ir.NewImage(info.Program), code, osKind, mac, nil)
 	if err != nil {
 		return nil, err
@@ -321,10 +358,8 @@ func CheckEquivalence(info *drivers.Info, rev *Reversed, osKind template.OS) (*F
 	if o.Mismatch != nil {
 		rep.FirstDivergence = o.Mismatch.String()
 	}
-
-	// Functional results on the synthesized side; the final status
-	// confirms clean shutdown, and the frames indicated up the stack
-	// must be the ones received, none dropped.
+	// The final status confirms clean shutdown, and the frames
+	// indicated up the stack must be the ones received, none dropped.
 	var inbound [][]byte
 	for _, st := range w {
 		if st.Op == "recv" {
@@ -339,31 +374,6 @@ func CheckEquivalence(info *drivers.Info, rev *Reversed, osKind template.OS) (*F
 	rep.Promiscuous = snap.Promiscuous
 	rep.FullDuplex = snap.FullDuplex
 	rep.GetSetMAC = snap.MAC == mac
-
-	// Chip-dependent rows.
-	rep.DMA = "N/A"
-	if info.HasDMA {
-		rep.DMA = "yes"
-	}
-	rep.WakeOnLAN = "N/A"
-	rep.LED = "N/T"
-	switch info.Name {
-	case "RTL8139":
-		// Exercisable: set WOL and LED through the synthesized
-		// driver and observe CONFIG1.
-		rep.WakeOnLAN, rep.LED = "FAIL", "FAIL"
-		if probeFeature(code, info, mac, func(st nic.Status) bool { return st.WOLEnabled && st.LEDOn },
-			guestos.OIDEnableWOL, guestos.OIDLEDControl) == nil {
-			rep.WakeOnLAN, rep.LED = "yes", "yes"
-		}
-	case "AMD PCNet":
-		rep.WakeOnLAN = "N/T" // code exercised, virtual HW can't wake
-	case "SMSC 91C111":
-		if probeFeature(code, info, mac, func(st nic.Status) bool { return st.LEDOn },
-			guestos.OIDLEDControl) == nil {
-			rep.LED = "yes"
-		}
-	}
 	return rep, nil
 }
 
