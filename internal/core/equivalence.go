@@ -288,9 +288,59 @@ func EquivalenceWorkload() []Step {
 func CheckEquivalence(info *drivers.Info, rev *Reversed, osKind template.OS) (*FeatureReport, error) {
 	mac := [6]byte{0x02, 0x5E, 0x44, 0x33, 0x22, 0x11}
 	code := synthdrv.NewCode(rev.Graph)
-	rep, err := runWorkload(info, code, osKind, mac)
+	o, err := NewOracle(info, ir.NewImage(info.Program), code, osKind, mac, nil)
 	if err != nil {
 		return nil, err
+	}
+
+	// snap is the synthesized device's status after the feature sets,
+	// before the timer and halt (which legitimately clears receiver
+	// state on some chips).
+	var snap nic.Status
+	w := EquivalenceWorkload()
+	ok := o.Init()
+	for i := 0; ok && i < len(w); i++ {
+		if w[i].Op == "timer" {
+			snap = o.Synth.Dev.StatusReport()
+		}
+		ok = o.Step(i, w[i])
+	}
+	o.Halt(len(w))
+
+	rep := &FeatureReport{
+		Driver:       info.Name,
+		OrigOps:      len(o.Orig.Trace()),
+		SynthOps:     len(o.Synth.Trace()),
+		IOTraceEqual: o.Mismatch == nil,
+	}
+	if o.Mismatch != nil {
+		rep.FirstDivergence = o.Mismatch.String()
+	}
+	// Functional results on the synthesized side: the final status
+	// confirms clean shutdown, and the frames indicated up the stack
+	// must be the ones received, none dropped.
+	var inbound [][]byte
+	for _, st := range w {
+		if st.Op == "recv" {
+			inbound = append(inbound, st.Frame(nil, mac))
+		}
+	}
+	rt := o.Synth.RT
+	rep.InitShutdown = !o.Synth.Dev.StatusReport().RxEnabled
+	rep.SendReceive = slices.EqualFunc(rt.Received, inbound, bytes.Equal) &&
+		o.Orig.OS.SendCompletes == rt.SendCompletes
+	rep.Multicast = snap.MulticastHash != [8]byte{}
+	rep.Promiscuous = snap.Promiscuous
+	rep.FullDuplex = snap.FullDuplex
+	rep.GetSetMAC = snap.MAC == mac
+	// Close the rigs before the feature probes, which reuse their
+	// guest memory.
+	o.Close()
+	switch {
+	case o.OrigErr != nil:
+		return nil, fmt.Errorf("original run: %w", o.OrigErr)
+	case o.SynthErr != nil:
+		return nil, fmt.Errorf("synthesized run: %w", o.SynthErr)
 	}
 
 	// Chip-dependent rows.
@@ -317,63 +367,6 @@ func CheckEquivalence(info *drivers.Info, rev *Reversed, osKind template.OS) (*F
 			rep.LED = "yes"
 		}
 	}
-	return rep, nil
-}
-
-// runWorkload runs the EquivalenceWorkload through an Oracle and
-// reports the comparison and the rows the workload shows on the
-// synthesized side. Its rigs are closed before it returns, so the
-// feature probes reuse their guest memory.
-func runWorkload(info *drivers.Info, code *synthdrv.Code, osKind template.OS, mac [6]byte) (*FeatureReport, error) {
-	o, err := NewOracle(info, ir.NewImage(info.Program), code, osKind, mac, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer o.Close()
-
-	// snap is the synthesized device's status after the feature sets,
-	// before the timer and halt (which legitimately clears receiver
-	// state on some chips).
-	var snap nic.Status
-	w := EquivalenceWorkload()
-	timer := len(w) - 1
-	if o.Init() && o.Run(0, w[:timer]) {
-		snap = o.Synth.Dev.StatusReport()
-		o.Run(timer, w[timer:])
-	}
-	o.Halt(len(w))
-	switch {
-	case o.OrigErr != nil:
-		return nil, fmt.Errorf("original run: %w", o.OrigErr)
-	case o.SynthErr != nil:
-		return nil, fmt.Errorf("synthesized run: %w", o.SynthErr)
-	}
-
-	rep := &FeatureReport{
-		Driver:       info.Name,
-		OrigOps:      len(o.Orig.Trace()),
-		SynthOps:     len(o.Synth.Trace()),
-		IOTraceEqual: o.Mismatch == nil,
-	}
-	if o.Mismatch != nil {
-		rep.FirstDivergence = o.Mismatch.String()
-	}
-	// The final status confirms clean shutdown, and the frames
-	// indicated up the stack must be the ones received, none dropped.
-	var inbound [][]byte
-	for _, st := range w {
-		if st.Op == "recv" {
-			inbound = append(inbound, st.Frame(nil, mac))
-		}
-	}
-	rt := o.Synth.RT
-	rep.InitShutdown = !o.Synth.Dev.StatusReport().RxEnabled
-	rep.SendReceive = slices.EqualFunc(rt.Received, inbound, bytes.Equal) &&
-		o.Orig.OS.SendCompletes == rt.SendCompletes
-	rep.Multicast = snap.MulticastHash != [8]byte{}
-	rep.Promiscuous = snap.Promiscuous
-	rep.FullDuplex = snap.FullDuplex
-	rep.GetSetMAC = snap.MAC == mac
 	return rep, nil
 }
 

@@ -113,7 +113,7 @@ func (m *Mismatch) String() string {
 // differential fuzzer runs every schedule through it, and
 // CheckEquivalence runs the §5.2 workload.
 //
-// Call Init, then Run or Step while they report true, then Halt.
+// Call Init, then Step while they report true, then Halt.
 type Oracle struct {
 	Orig, Synth *Rig
 	// Mismatch is the first observable difference, nil while there
@@ -187,17 +187,6 @@ func (o *Oracle) Init() bool {
 		return 0, nil, s.Initialize()
 	})
 	return o.inited
-}
-
-// Run applies steps to both sides, numbering them from first, and
-// reports whether the workload may go on.
-func (o *Oracle) Run(first int, steps []Step) bool {
-	for i, st := range steps {
-		if !o.Step(first+i, st) {
-			return false
-		}
-	}
-	return true
 }
 
 // Halt ends the workload as step number step. Unless initialization

@@ -28,10 +28,14 @@ func TestReusedModelMatchesFresh(t *testing.T) {
 				t.Fatal(err)
 			}
 			w := EquivalenceWorkload()
-			if !o.Init() || !o.Run(0, w) {
-				t.Fatalf("workload stopped: %v %v %v", o.Mismatch, o.OrigErr, o.SynthErr)
+			ok := o.Init()
+			for i := 0; ok && i < len(w); i++ {
+				ok = o.Step(i, w[i])
 			}
 			o.Halt(len(w))
+			if !ok || o.Mismatch != nil {
+				t.Fatalf("workload stopped: %v %v %v", o.Mismatch, o.OrigErr, o.SynthErr)
+			}
 			used := []nic.Model{o.Synth.Dev, o.Orig.Dev}
 			o.Close()
 			if len(pool.free) != 2 {

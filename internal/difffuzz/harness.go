@@ -182,8 +182,9 @@ func (h *Harness) RunSchedule(s Schedule) (out Outcome) {
 		out.Err = err.Error()
 		return out
 	}
-	if o.Init() {
-		o.Run(0, s.Steps)
+	ok := o.Init()
+	for i := 0; ok && i < len(s.Steps); i++ {
+		ok = o.Step(i, s.Steps[i])
 	}
 	o.Halt(len(s.Steps))
 	out.Unexplored, out.Err = o.Unexplored, o.Err
