@@ -255,10 +255,7 @@ func NewSynthRig(code *synthdrv.Code, info *drivers.Info, osKind template.OS, ma
 }
 
 // EquivalenceWorkload returns the §5.2 workload, the schedule
-// CheckEquivalence runs through the Oracle: read the MAC, set the
-// packet filter and a multicast list, send three broadcast frames,
-// receive two directed ones, turn on promiscuous mode and full duplex,
-// fire the timer. Halt follows the last step.
+// CheckEquivalence runs through the Oracle; halt follows its last step.
 func EquivalenceWorkload() []Step {
 	return []Step{
 		{Op: "query", OID: guestos.OIDMACAddress, Val: 6},

@@ -124,8 +124,9 @@ type Oracle struct {
 	// not a difference, since the two sides matched on everything
 	// the synthesized code executed.
 	Unexplored bool
-	// OrigErr and SynthErr are the errors the operation that stopped
-	// the workload returned on each side, if it failed on either.
+	// OrigErr and SynthErr are what the operation that stopped the
+	// workload returned on each side, named with its op and step, when
+	// it failed on that side.
 	OrigErr, SynthErr error
 	// Err is set when the workload names an unknown step op.
 	Err string
@@ -189,12 +190,12 @@ func (o *Oracle) Init() bool {
 	return o.inited
 }
 
-// Halt ends the workload as step number step. Unless initialization
-// failed or the workload stopped on a difference, unexplored code or
-// an invalid step, it halts both drivers and compares the device
-// status; then, unless the workload stopped so, it compares the traces
-// past what the steps compared, and their lengths, which catches
-// trailing extra ops and ops of an operation that failed on both sides.
+// Halt ends the workload; step is its number, the step count. If Init
+// succeeded and no difference, unexplored code or invalid step has
+// stopped the workload, it halts both drivers and compares the device
+// status. Then, if still none has, it compares the traces past what
+// the steps compared, and their lengths: that catches trailing extra
+// ops and the ops of an operation that failed on both sides.
 func (o *Oracle) Halt(step int) {
 	if o.inited && !o.stopped() {
 		o.both(step, "halt", func(s Side) (uint32, []byte, error) {
@@ -220,8 +221,11 @@ func (o *Oracle) Halt(step int) {
 func (o *Oracle) both(step int, op string, f func(Side) (uint32, []byte, error)) bool {
 	oSt, oOut, oErr := f(o.Orig.Side)
 	sSt, sOut, sErr := f(o.Synth.Side)
-	if oErr != nil || sErr != nil {
-		o.OrigErr, o.SynthErr = oErr, sErr
+	if oErr != nil {
+		o.OrigErr = fmt.Errorf("%s (step %d): %w", op, step, oErr)
+	}
+	if sErr != nil {
+		o.SynthErr = fmt.Errorf("%s (step %d): %w", op, step, sErr)
 	}
 
 	var unexp *synthdrv.ErrUnexplored

@@ -23,7 +23,15 @@ var PlantKinds = []string{"send-port"}
 
 // ValidPlant reports whether kind is a known planted-bug kind.
 func ValidPlant(kind string) bool {
-	return kind == "" || slices.Contains(PlantKinds, kind)
+	if kind == "" {
+		return true
+	}
+	for _, k := range PlantKinds {
+		if k == kind {
+			return true
+		}
+	}
+	return false
 }
 
 // Harness holds one reverse-engineered driver ready for differential
